@@ -5,8 +5,8 @@ Static rules checked per annotated class:
   P2  safe publication      — every field default-initialized, final, or volatile
   P3  correct synchronization — conflicting accesses share a common monitor
 
-A trace oracle (threadlint.hboracle) exhaustively interleaves small two-thread
-drivers and checks for data races under the happens-before rules, providing
+A trace oracle (threadlint.hboracle) checks every sync order of small
+two-thread drivers for data races under the happens-before rules, providing
 ground truth for the static verdicts.
 """
 

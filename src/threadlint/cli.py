@@ -16,14 +16,7 @@ from typing import Optional
 import threadlint
 from threadlint.classmodel import build_class_model
 from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
-from threadlint.errors import (
-    BudgetExceeded,
-    ConfigError,
-    IoError,
-    MalformedExecution,
-    ParseError,
-    ThreadlintError,
-)
+from threadlint.errors import IoError, ParseError, ThreadlintError
 from threadlint.frontend import SourceFile, annotated_as_thread_safe, parse_compilation_unit
 from threadlint.hboracle import check_class, detect_races
 from threadlint.hboracle.trace import parse_trace
@@ -109,7 +102,7 @@ def run(paths: list[str], config: Config) -> tuple[Report, int]:
 
 
 def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
-    """Cross-validate static verdicts against exhaustive interleaving analysis.
+    """Cross-validate static verdicts against the happens-before oracle.
 
     A class with zero static alerts must be race-free; any counterexample is
     a disagreement. Classes the oracle cannot model are listed as skipped.
@@ -125,29 +118,23 @@ def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
             report.stats.annotated_classes += 1
             cm, alerts = _class_alerts(decl, config)
             report.alerts.extend(alerts)
-            try:
-                verdict = check_class(
-                    cm,
-                    lock_types=config.lock_types,
-                    lock_methods=config.lock_methods,
-                    unlock_methods=config.unlock_methods,
-                )
-            except BudgetExceeded as exc:
-                verdict = None
-                result = OracleResult(cm.class_id, ast.path, len(alerts), "budget-exceeded", False, "skipped", str(exc))
-            if verdict is not None:
-                if verdict.status != "checked":
-                    agreement = "skipped"
-                elif not alerts and verdict.raced:
-                    agreement = "disagree"
-                    disagreements += 1
-                else:
-                    agreement = "ok"
-                result = OracleResult(
-                    cm.class_id, ast.path, len(alerts), verdict.status, verdict.raced,
-                    agreement, verdict.detail,
-                )
-            report.oracle.append(result)
+            verdict = check_class(
+                cm,
+                lock_types=config.lock_types,
+                lock_methods=config.lock_methods,
+                unlock_methods=config.unlock_methods,
+            )
+            if verdict.status != "checked":
+                agreement = "skipped"
+            elif not alerts and verdict.raced:
+                agreement = "disagree"
+                disagreements += 1
+            else:
+                agreement = "ok"
+            report.oracle.append(OracleResult(
+                cm.class_id, ast.path, len(alerts), verdict.status, verdict.raced,
+                agreement, verdict.detail,
+            ))
     report.finalize()
     report.stats.wall_time_s = time.perf_counter() - started
     if report.errors:
@@ -194,7 +181,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutator-add", action="append", default=[], metavar="METHOD",
                    help="treat calls to this method on a field as modifications")
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check static verdicts by exhaustive interleaving analysis")
+                   help="cross-check static verdicts with the happens-before oracle")
     p.add_argument("--trace", metavar="FILE",
                    help="race-check a happens-before trace file and exit")
     p.add_argument("--timings", action="store_true", help="print wall time to stderr")
@@ -230,9 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.timings:
             print(f"wall time: {report.stats.wall_time_s:.3f}s", file=sys.stderr)
         return code
-    except (ConfigError, IoError, MalformedExecution) as exc:
-        print(f"threadlint: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ThreadlintError as exc:
         print(f"threadlint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

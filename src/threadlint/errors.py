@@ -30,7 +30,7 @@ class MalformedExecution(ThreadlintError):
 
 
 class BudgetExceeded(ThreadlintError):
-    """Interleaving enumeration would exceed the configured budget."""
+    """A program has more actions than the oracle's action budget."""
 
 
 class UnsupportedForOracle(ThreadlintError):

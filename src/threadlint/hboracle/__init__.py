@@ -1,61 +1,48 @@
 """Happens-before trace oracle.
 
-Enumerates every interleaving of small thread programs (respecting program
-order and monitor mutual exclusion), computes the happens-before closure per
-execution, and reports data races. Serves as ground truth for the static
-rules: a class passing all three must be race-free here.
-
-The hot kernels (enumeration, closure, race scan) run in a compiled Cython
-extension when built, with a pure-Python twin selected automatically at
-import; see ``BACKEND`` for which lane is active.
+Checks small thread programs for data races under the happens-before rules.
+Happens-before depends only on program order and the order of sync actions,
+so the search visits each reachable sync order once (complete and deadlocked
+executions alike) instead of every interleaving, and stops at the first
+race. Serves as ground truth for the static rules: a class passing all three
+must be race-free here.
 """
 
-from threadlint.hboracle._backend import BACKEND, kernel
 from threadlint.hboracle.driver import (
     OracleVerdict,
     check_class,
     driver_for_pair,
-    driver_from_class,
     two_thread_drivers,
 )
 from threadlint.hboracle.model import (
     DEFAULT_ACTION_BUDGET,
     Execution,
-    HbGraph,
     Op,
     RaceReport,
     ThreadProgram,
     TraceAction,
-    count_executions,
     detect_races,
-    enumerate_executions,
-    hb_closure,
     program_races,
-    substitute_volatile,
 )
 from threadlint.hboracle.trace import format_trace, parse_trace
+
+BACKEND = "pure"
+"""The one kernel there is; recorded in benchmark environment lines."""
 
 __all__ = [
     "BACKEND",
     "DEFAULT_ACTION_BUDGET",
     "Execution",
-    "HbGraph",
     "Op",
     "OracleVerdict",
     "RaceReport",
     "ThreadProgram",
     "TraceAction",
     "check_class",
-    "count_executions",
     "detect_races",
     "driver_for_pair",
-    "driver_from_class",
-    "enumerate_executions",
     "format_trace",
-    "hb_closure",
-    "kernel",
     "parse_trace",
     "program_races",
-    "substitute_volatile",
     "two_thread_drivers",
 ]

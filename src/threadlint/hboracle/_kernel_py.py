@@ -1,22 +1,21 @@
-"""Pure-Python oracle kernels: interleaving enumeration, happens-before
-closure, and race detection over encoded action arrays.
-
-This module is the fallback twin of the compiled ``_speedups`` extension;
-both implement the identical contract and are compared bit-for-bit by the
-parity tests and the benchmark.
+"""Oracle kernel: happens-before closure, race scan, and the sync-order search.
 
 Encoding: each action is (op, target) with op one of the OP_* codes below
 and target a small nonnegative int naming a field or monitor (-1 when
-absent). Positions in an execution are bitset bits, so executions are capped
-at 64 actions.
+absent). Happens-before rows are Python-int bitsets, so executions have no
+length cap.
+
+Happens-before depends only on program order and the order of sync actions
+(lock, unlock, volatile read, volatile write): the init edges always run from
+the main-thread prefix to each worker's first action. Every interleaving with
+the same sync order therefore has the same racy pairs, and
+``search_sync_orders`` visits one interleaving per sync order instead of all
+of them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-BACKEND = "pure"
-MAX_ACTIONS = 64
+from typing import Optional
 
 OP_READ = 0
 OP_WRITE = 1
@@ -30,6 +29,7 @@ OP_LOCAL = 8
 
 _FIELD_OPS = (OP_READ, OP_WRITE, OP_DEFINIT, OP_FININIT)
 _WRITE_OPS = (OP_WRITE, OP_DEFINIT, OP_FININIT)
+_SYNC_OPS = (OP_LOCK, OP_UNLOCK, OP_VREAD, OP_VWRITE)
 
 
 def hb_direct(n: int, thread: list[int], opk: list[int], tgt: list[int]) -> list[list[int]]:
@@ -63,8 +63,6 @@ def hb_direct(n: int, thread: list[int], opk: list[int], tgt: list[int]) -> list
 
 def hb_reach(n: int, thread: list[int], opk: list[int], tgt: list[int]) -> list[int]:
     """Row bitmasks of the transitive closure: bit j of row i means i -> j."""
-    if n > MAX_ACTIONS:
-        raise ValueError(f"execution has {n} actions; kernel limit is {MAX_ACTIONS}")
     direct = hb_direct(n, thread, opk, tgt)
     reach = [0] * n
     for i in range(n - 1, -1, -1):
@@ -80,27 +78,10 @@ def race_pairs(
     thread: list[int],
     opk: list[int],
     tgt: list[int],
-    reach: Optional[list[int]] = None,
+    reach: list[int],
 ) -> list[tuple[int, int]]:
     """All position pairs (i, j), i < j, conflicting and unordered."""
-    if reach is None:
-        reach = hb_reach(n, thread, opk, tgt)
     pairs = []
-    for i in range(n):
-        if opk[i] not in _FIELD_OPS:
-            continue
-        ri = reach[i]
-        for j in range(i + 1, n):
-            if opk[j] not in _FIELD_OPS or thread[j] == thread[i] or tgt[j] != tgt[i]:
-                continue
-            if opk[i] not in _WRITE_OPS and opk[j] not in _WRITE_OPS:
-                continue
-            if not (ri >> j) & 1:
-                pairs.append((i, j))
-    return pairs
-
-
-def _has_race(n, thread, opk, tgt, reach) -> bool:
     for i in range(n):
         if opk[i] not in _FIELD_OPS:
             continue
@@ -112,31 +93,64 @@ def _has_race(n, thread, opk, tgt, reach) -> bool:
             if not i_writes and opk[j] not in _WRITE_OPS:
                 continue
             if not (ri >> j) & 1:
-                return True
-    return False
+                pairs.append((i, j))
+    return pairs
 
 
-def interleavings(th_opk: list[list[int]], th_tgt: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Yield every maximal mutex-respecting interleaving of the worker threads.
+def search_sync_orders(
+    init_opk: list[int],
+    init_tgt: list[int],
+    th_opk: list[list[int]],
+    th_tgt: list[list[int]],
+) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Depth-first search over the sync orders of a program, stopping at a race.
 
-    Each result is the sequence of thread indices taking a step; threads are
-    tried in ascending index order, so the stream is deterministic. A result
-    shorter than the total action count is a stuck (deadlocked) execution.
-    Programs must be pre-validated: unlock is assumed to release a monitor
-    the thread holds.
+    At each state every worker first runs its non-sync actions up to its next
+    sync action; the search then branches over the enabled sync actions in
+    ascending thread order, so results are deterministic. A state where no
+    worker can move (all done, or every remaining one blocked on a lock) is a
+    leaf: a complete or deadlocked execution, race-checked with the init
+    actions as a fixed main-thread (thread 0) prefix and worker t as thread
+    1+t.
+
+    Returns (leaves visited, schedule of the first racy leaf or None); a
+    schedule lists the worker index of each step. Programs must be
+    pre-validated: unlock is assumed to release a monitor the thread holds.
     """
     k = len(th_opk)
     lens = [len(x) for x in th_opk]
-    total = sum(lens)
     ptr = [0] * k
     held: dict[int, list[int]] = {}  # monitor -> [owner thread, depth]
     seq: list[int] = []
+    pi = len(init_opk)
+    leaves = 0
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        progressed = False
+    def leaf_races() -> bool:
+        n = pi + len(seq)
+        thread = [0] * pi
+        opk = list(init_opk)
+        tgt = list(init_tgt)
+        pos = [0] * k
+        for t in seq:
+            i = pos[t]
+            pos[t] = i + 1
+            thread.append(1 + t)
+            opk.append(th_opk[t][i])
+            tgt.append(th_tgt[t][i])
+        return bool(race_pairs(n, thread, opk, tgt, hb_reach(n, thread, opk, tgt)))
+
+    def rec() -> bool:
+        nonlocal leaves
+        mark = len(seq)
+        saved = ptr[:]
+        for t in range(k):
+            ops = th_opk[t]
+            i = ptr[t]
+            while i < lens[t] and ops[i] not in _SYNC_OPS:
+                seq.append(t)
+                i += 1
+            ptr[t] = i
+        moved = False
         for t in range(k):
             i = ptr[t]
             if i >= lens[t]:
@@ -156,10 +170,11 @@ def interleavings(th_opk: list[list[int]], th_tgt: list[list[int]]) -> Iterator[
                 h[1] -= 1
                 if h[1] == 0:
                     del held[g]
-            progressed = True
+            moved = True
             ptr[t] = i + 1
             seq.append(t)
-            yield from rec()
+            if rec():
+                return True  # the racy leaf's schedule stays in seq
             seq.pop()
             ptr[t] = i
             if op == OP_LOCK:
@@ -173,44 +188,14 @@ def interleavings(th_opk: list[list[int]], th_tgt: list[list[int]]) -> Iterator[
                     held[g] = [t, 1]
                 else:
                     h[1] += 1
-        if not progressed:
-            yield tuple(seq)  # deadlock: maximal but incomplete
+        if not moved:
+            leaves += 1
+            if leaf_races():
+                return True
+        del seq[mark:]
+        ptr[:] = saved
+        return False
 
-    yield from rec()
-
-
-def explore(
-    init_opk: list[int],
-    init_tgt: list[int],
-    th_opk: list[list[int]],
-    th_tgt: list[list[int]],
-) -> tuple[int, int, Optional[tuple[int, ...]]]:
-    """Enumerate all executions; count them and the racy ones.
-
-    Returns (executions, racy executions, first racy schedule or None). The
-    init actions run as a fixed main-thread (thread 0) prefix; worker t
-    becomes thread 1+t in the combined execution.
-    """
-    pi = len(init_opk)
-    n_exec = 0
-    n_racy = 0
-    witness: Optional[tuple[int, ...]] = None
-    for seq in interleavings(th_opk, th_tgt):
-        n = pi + len(seq)
-        thread = [0] * pi + [0] * len(seq)
-        opk = list(init_opk) + [0] * len(seq)
-        tgt = list(init_tgt) + [0] * len(seq)
-        ptr = [0] * len(th_opk)
-        for idx, t in enumerate(seq):
-            i = ptr[t]
-            ptr[t] = i + 1
-            thread[pi + idx] = 1 + t
-            opk[pi + idx] = th_opk[t][i]
-            tgt[pi + idx] = th_tgt[t][i]
-        reach = hb_reach(n, thread, opk, tgt)
-        n_exec += 1
-        if _has_race(n, thread, opk, tgt, reach):
-            n_racy += 1
-            if witness is None:
-                witness = seq
-    return n_exec, n_racy, witness
+    if rec():
+        return leaves, tuple(seq)
+    return leaves, None

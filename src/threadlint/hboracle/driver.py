@@ -325,23 +325,6 @@ def driver_for_pair(cm: ClassModel, m1: A.MethodDecl, m2: A.MethodDecl, **kw) ->
     )
 
 
-def driver_from_class(cm: ClassModel, **kw) -> ThreadProgram:
-    """The method-call driver for one class.
-
-    A single public method yields the canonical two-thread driver (both
-    threads call it); otherwise one thread runs per public method.
-    """
-    b = _DriverBuilder(cm, **kw)
-    public = [m for m in cm.decl.methods if m.is_public]
-    if len(public) == 1:
-        return driver_for_pair(cm, public[0], public[0], **kw)
-    return ThreadProgram.build(
-        threads=[b.method_actions(m) for m in public],
-        init=b.init_actions(),
-        name=f"{cm.decl.name}:" + "|".join(m.name for m in public),
-    )
-
-
 def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
     """One driver per unordered pair (with repetition) of public methods."""
     public = [m for m in cm.decl.methods if m.is_public]

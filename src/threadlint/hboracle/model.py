@@ -1,9 +1,10 @@
 """Execution model for the happens-before oracle.
 
-Actions, thread programs, well-formed executions, the happens-before closure
-(program order, monitor order, volatile order, initialization order, and
-transitivity), and structural data-race detection. Value semantics are
-ignored: a race is a property of action identity and ordering alone.
+Actions, thread programs, well-formed executions, structural data-race
+detection on one execution (happens-before from program order, monitor
+order, volatile order, initialization order, and transitivity), and the race
+check of a whole program by a search over its sync orders. Value semantics
+are ignored: a race is a property of action identity and ordering alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 from threadlint.errors import BudgetExceeded, MalformedExecution
-from threadlint.hboracle._backend import kernel
+from threadlint.hboracle import _kernel_py as kernel
 
 DEFAULT_ACTION_BUDGET = 16
 
@@ -45,10 +46,6 @@ OP_CODE = {
     Op.FINAL_INIT: kernel.OP_FININIT,
     Op.LOCAL: kernel.OP_LOCAL,
 }
-
-FIELD_OPS = frozenset({Op.READ, Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT})
-WRITE_OPS = frozenset({Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT})
-SYNC_OPS = frozenset({Op.LOCK, Op.UNLOCK, Op.VOLATILE_READ, Op.VOLATILE_WRITE})
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,10 @@ class ThreadProgram:
             for a in actions:
                 if a.thread != t:
                     raise MalformedExecution(f"action {a} listed under thread {t}")
+                if a.op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
+                    # the sync-order search relies on init edges leaving only
+                    # the main-thread prefix
+                    raise MalformedExecution(f"{a.op.value} must run on the main thread (0)")
             if any(x.seq >= y.seq for x, y in zip(actions, actions[1:])):
                 raise MalformedExecution(f"thread {t} action seq not strictly increasing")
             _check_nesting(actions, t)
@@ -180,69 +181,6 @@ class Execution:
         return n, thread, opk, tgt, ids
 
 
-_EDGE_PO = "po"
-_EDGE_SYN = "syn"
-_EDGE_INI = "ini"
-
-
-class HbGraph:
-    """Happens-before relation of one execution.
-
-    ``base`` holds the direct edges with their classification (po for program
-    order, syn for monitor/volatile edges, ini for initialization edges);
-    ``ordered`` answers queries on the transitive closure.
-    """
-
-    def __init__(self, execution: Execution, base: dict[tuple[int, int], str], reach: list[int]):
-        self.execution = execution
-        self.base = base
-        self._reach = reach
-        self._index = {(a.thread, a.seq): i for i, a in enumerate(execution.actions)}
-
-    def index_of(self, a: TraceAction) -> int:
-        return self._index[(a.thread, a.seq)]
-
-    def ordered_idx(self, i: int, j: int) -> bool:
-        return bool((self._reach[i] >> j) & 1)
-
-    def ordered(self, a: TraceAction, b: TraceAction) -> bool:
-        return self.ordered_idx(self.index_of(a), self.index_of(b))
-
-    def pairs(self) -> set[tuple[TraceAction, TraceAction]]:
-        """The full closed relation as action pairs."""
-        acts = self.execution.actions
-        out = set()
-        for i, row in enumerate(self._reach):
-            bits = row
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                out.add((acts[i], acts[j]))
-        return out
-
-    def edge_kind(self, a: TraceAction, b: TraceAction) -> Optional[str]:
-        return self.base.get((self.index_of(a), self.index_of(b)))
-
-
-def hb_closure(e: Execution) -> HbGraph:
-    """Happens-before closure of a well-formed execution (HB1-HB6)."""
-    e.validate()
-    n, thread, opk, tgt, _ = e.encode()
-    direct = kernel.hb_direct(n, thread, opk, tgt)
-    reach = kernel.hb_reach(n, thread, opk, tgt)
-    base: dict[tuple[int, int], str] = {}
-    for i, targets in enumerate(direct):
-        for j in targets:
-            if thread[i] == thread[j]:
-                kind = _EDGE_PO
-            elif e.actions[i].op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
-                kind = _EDGE_INI
-            else:
-                kind = _EDGE_SYN
-            base[(i, j)] = kind
-    return HbGraph(e, base, reach)
-
-
 def detect_races(e: Execution) -> set[tuple[TraceAction, TraceAction]]:
     """Unordered conflicting pairs (both orientations, per race symmetry)."""
     e.validate()
@@ -272,61 +210,27 @@ def _encode_program(p: ThreadProgram):
     return init_opk, init_tgt, th_opk, th_tgt
 
 
-def _guard_budget(p: ThreadProgram, bound, action_budget: int) -> None:
-    if bound is None and p.action_count() > action_budget:
-        raise BudgetExceeded(
-            f"program has {p.action_count()} actions (> {action_budget}); "
-            "pass an explicit bound to enumerate anyway"
-        )
-
-
-def enumerate_executions(
-    p: ThreadProgram,
-    bound: Optional[int] = None,
-    action_budget: int = DEFAULT_ACTION_BUDGET,
-) -> Iterator[Execution]:
-    """Every maximal interleaving satisfying program order and mutual exclusion.
-
-    Deterministic order (threads tried in ascending id at each step). Without
-    an explicit ``bound`` on the number of executions, programs over the
-    action budget raise BudgetExceeded before enumeration starts.
-    """
-    _guard_budget(p, bound, action_budget)
-    _, _, th_opk, th_tgt = _encode_program(p)
-    prefix = p.init_actions
-    count = 0
-    for seq in kernel.interleavings(th_opk, th_tgt):
-        ptrs = [0] * len(p.threads)
-        tail = []
-        for t in seq:
-            tail.append(p.threads[t][ptrs[t]])
-            ptrs[t] += 1
-        yield Execution(prefix + tuple(tail))
-        count += 1
-        if bound is not None and count >= bound:
-            return
-
-
-def count_executions(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> int:
-    _guard_budget(p, None, action_budget)
-    _, _, th_opk, th_tgt = _encode_program(p)
-    return sum(1 for _ in kernel.interleavings(th_opk, th_tgt))
-
-
 @dataclass(frozen=True)
 class RaceReport:
+    """Verdict of one program; ``executions`` counts the sync orders explored."""
+
     raced: bool
     witness: Optional[Execution]
     executions: int
-    racy_executions: int
     program: ThreadProgram = field(repr=False, default=None)
 
 
 def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
-    """Exhaustively check every execution of the program for data races."""
-    _guard_budget(p, None, action_budget)
+    """Check every sync order of the program for data races; stop at the first."""
+    if p.action_count() > action_budget:
+        # the wording predates the sync-order search; it is kept because it
+        # appears in --oracle reports, which must stay byte-stable
+        raise BudgetExceeded(
+            f"program has {p.action_count()} actions (> {action_budget}); "
+            "pass an explicit bound to enumerate anyway"
+        )
     init_opk, init_tgt, th_opk, th_tgt = _encode_program(p)
-    n_exec, n_racy, witness_seq = kernel.explore(init_opk, init_tgt, th_opk, th_tgt)
+    n_orders, witness_seq = kernel.search_sync_orders(init_opk, init_tgt, th_opk, th_tgt)
     witness = None
     if witness_seq is not None:
         ptrs = [0] * len(p.threads)
@@ -335,27 +239,4 @@ def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) 
             tail.append(p.threads[t][ptrs[t]])
             ptrs[t] += 1
         witness = Execution(p.init_actions + tuple(tail))
-    return RaceReport(n_racy > 0, witness, n_exec, n_racy, p)
-
-
-def substitute_volatile(p: ThreadProgram, field_name: str) -> ThreadProgram:
-    """Replace plain reads/writes of one field with volatile variants.
-
-    Initialization writes keep their kind: a volatile field still receives a
-    default-value write during object initialization.
-    """
-
-    def sub(a: TraceAction) -> TraceAction:
-        if a.target != field_name:
-            return a
-        if a.op is Op.READ:
-            return TraceAction(a.thread, Op.VOLATILE_READ, a.target, a.seq, a.label)
-        if a.op is Op.WRITE:
-            return TraceAction(a.thread, Op.VOLATILE_WRITE, a.target, a.seq, a.label)
-        return a
-
-    return ThreadProgram(
-        tuple(sub(a) for a in p.init_actions),
-        tuple(tuple(sub(a) for a in t) for t in p.threads),
-        p.name,
-    )
+    return RaceReport(witness is not None, witness, n_orders, p)

@@ -1,0 +1,82 @@
+"""Command-line behaviour: --trace exit codes and the --oracle budget verdict."""
+
+import pytest
+
+from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check
+from threadlint.config import build_config
+
+
+def run_trace(tmp_path, capsys, text):
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    code = main(["--trace", str(path)])
+    return code, capsys.readouterr()
+
+
+def test_trace_clean_exits_0(tmp_path, capsys):
+    code, out = run_trace(tmp_path, capsys, "0 default-init x\n1 read x\n2 write y # a comment\n\n")
+    assert code == EXIT_CLEAN
+    assert out.out == "3 actions, 0 race(s)\n"
+
+
+def test_trace_racy_exits_1(tmp_path, capsys):
+    trace = "0 default-init cnt\n1 read cnt\n2 read cnt\n1 write cnt\n2 write cnt\n"
+    code, out = run_trace(tmp_path, capsys, trace)
+    assert code == EXIT_ALERTS
+    assert out.out.splitlines()[-1] == "5 actions, 3 race(s)"
+
+
+def test_long_trace_has_no_action_cap(tmp_path, capsys):
+    trace = "0 default-init x\n" + "1 read x\n" * 35 + "2 read x\n" * 35
+    code, out = run_trace(tmp_path, capsys, trace)
+    assert code == EXIT_CLEAN
+    assert out.out == "71 actions, 0 race(s)\n"
+    assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "trace,message",
+    [
+        ("1 unlock m\n", "unlocks 'm' without holding it"),
+        ("1 lock m\n2 lock m\n", "locks 'm' while thread 1 holds it"),
+        ("1 frob x\n", "unknown op 'frob'"),
+        ("1 read\n", "read requires a target"),
+        ("one read x\n", "thread must be an integer"),
+    ],
+    ids=["unlock-without-lock", "lock-held-elsewhere", "unknown-op", "missing-target", "bad-thread"],
+)
+def test_malformed_trace_exits_2(tmp_path, capsys, trace, message):
+    code, out = run_trace(tmp_path, capsys, trace)
+    assert code == EXIT_ERROR
+    assert out.out == ""
+    assert out.err.startswith("threadlint: error: ") and message in out.err
+
+
+BIG = """\
+@ThreadSafe
+public class Big {
+  private int a;
+
+  public synchronized void inc() {
+    a = a + 1;
+    a = a + 1;
+    a = a + 1;
+    a = a + 1;
+    a = a + 1;
+    a = a + 1;
+    a = a + 1;
+  }
+}
+"""
+
+
+def test_oracle_skips_a_class_over_the_action_budget(tmp_path):
+    path = tmp_path / "Big.java"
+    path.write_text(BIG)
+    report, code = oracle_check([str(path)], build_config(None))
+    assert code == EXIT_CLEAN
+    [result] = report.oracle
+    assert result.text_line() == (
+        f"{path} Big static=0 oracle=budget-exceeded agreement=skipped "
+        "(program has 33 actions (> 16); pass an explicit bound to enumerate anyway)"
+    )

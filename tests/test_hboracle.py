@@ -1,0 +1,270 @@
+"""Happens-before oracle: litmus programs per HB rule, the sync-order search
+against the reference enumerator, and the trace format."""
+
+import pytest
+from hb_reference import interleavings, reference_raced
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from threadlint.errors import BudgetExceeded, MalformedExecution
+from threadlint.hboracle import (
+    Execution,
+    Op,
+    ThreadProgram,
+    TraceAction,
+    detect_races,
+    format_trace,
+    parse_trace,
+    program_races,
+)
+
+R, W, VR, VW = Op.READ, Op.WRITE, Op.VOLATILE_READ, Op.VOLATILE_WRITE
+L, U, DI, FI, LOC = Op.LOCK, Op.UNLOCK, Op.DEFAULT_INIT, Op.FINAL_INIT, Op.LOCAL
+
+
+def sequential(p: ThreadProgram) -> Execution:
+    """Init, then each worker to completion in thread order."""
+    return Execution(p.init_actions + tuple(a for t in p.threads for a in t))
+
+
+def race_fields(races) -> set:
+    return {a.target for a, _ in races}
+
+
+# Each litmus case is (rule, program with the edge, program without it). The
+# programs differ only in the action that creates the edge.
+LITMUS = [
+    (
+        # main-thread program order carries a plain write into the init edge
+        "HB1 program order",
+        ThreadProgram.build([[(R, "x")], [(R, "x")]], init=[(W, "x"), (DI, "y")]),
+        ThreadProgram.build([[(R, "x")], [(R, "x")]], init=[(DI, "y"), (W, "x")]),
+    ),
+    (
+        "HB2 unlock->lock",
+        ThreadProgram.build(
+            [[(L, "m"), (W, "x"), (U, "m")], [(L, "m"), (W, "x"), (U, "m")]], init=[(DI, "x")]
+        ),
+        ThreadProgram.build(
+            [[(L, "m"), (W, "x"), (U, "m")], [(L, "n"), (W, "x"), (U, "n")]], init=[(DI, "x")]
+        ),
+    ),
+    (
+        "HB3 volatile write->read",
+        ThreadProgram.build([[(VR, "v"), (R, "x")], [(VR, "v"), (R, "x")]], init=[(W, "x"), (VW, "v")]),
+        ThreadProgram.build([[(VR, "w"), (R, "x")], [(VR, "w"), (R, "x")]], init=[(W, "x"), (VW, "v")]),
+    ),
+    (
+        # the edge reaches the worker's first action; program order does the rest
+        "HB4 default init",
+        ThreadProgram.build([[(LOC, None), (R, "x")], [(R, "x")]], init=[(DI, "x")]),
+        ThreadProgram.build([[(LOC, None), (R, "x")], [(R, "x")]], init=[(W, "x")]),
+    ),
+    (
+        "HB5 final init",
+        ThreadProgram.build([[(R, "x")], [(LOC, None), (R, "x")]], init=[(FI, "x")]),
+        ThreadProgram.build([[(R, "x")], [(LOC, None), (R, "x")]], init=[(W, "x")]),
+    ),
+]
+LITMUS_IDS = [case[0] for case in LITMUS]
+
+
+@pytest.mark.parametrize("rule,with_edge,without_edge", LITMUS, ids=LITMUS_IDS)
+def test_litmus_race_free_with_the_edge(rule, with_edge, without_edge):
+    report = program_races(with_edge)
+    assert not report.raced and report.witness is None
+    assert report.executions >= 1
+    assert detect_races(sequential(with_edge)) == set()
+
+
+@pytest.mark.parametrize("rule,with_edge,without_edge", LITMUS, ids=LITMUS_IDS)
+def test_litmus_racy_without_the_edge(rule, with_edge, without_edge):
+    report = program_races(without_edge)
+    assert report.raced
+    races = detect_races(report.witness)
+    assert race_fields(races) == {"x"}
+    assert detect_races(parse_trace(format_trace(report.witness))) == races
+
+
+def test_lock_order_inversion_deadlocks_without_racing():
+    p = ThreadProgram.build(
+        [
+            [(L, "a"), (L, "b"), (W, "x"), (U, "b"), (U, "a")],
+            [(L, "b"), (L, "a"), (W, "x"), (U, "a"), (U, "b")],
+        ],
+        init=[(DI, "x")],
+    )
+    runs = list(interleavings(p))
+    assert any(len(e.actions) < p.action_count() for e in runs)
+    report = program_races(p)
+    assert not report.raced
+    # one leaf per sync order, never more than there are interleavings
+    assert 1 < report.executions <= len(runs)
+
+
+DEADLOCK_ONLY_RACE = ThreadProgram.build(
+    [
+        [(L, "a"), (W, "x"), (L, "b"), (U, "b"), (U, "a")],
+        [(L, "b"), (W, "x"), (L, "a"), (U, "a"), (U, "b")],
+    ],
+    init=[(DI, "x")],
+)
+
+
+def test_race_seen_only_in_a_deadlocked_execution():
+    p = DEADLOCK_ONLY_RACE
+    complete = [e for e in interleavings(p) if len(e.actions) == p.action_count()]
+    assert complete and not any(detect_races(e) for e in complete)
+    report = program_races(p)
+    assert report.raced
+    assert len(report.witness.actions) < p.action_count()
+    assert race_fields(detect_races(report.witness)) == {"x"}
+
+
+def test_witness_is_the_same_on_every_call():
+    _, _, racy = LITMUS[1]
+    first = program_races(racy)
+    for _ in range(3):
+        again = program_races(racy)
+        assert again.witness == first.witness
+        assert again.executions == first.executions
+    rebuilt = ThreadProgram(racy.init_actions, racy.threads)
+    assert program_races(rebuilt).witness == first.witness
+
+
+def test_witness_keeps_the_init_prefix_and_program_order():
+    _, _, racy = LITMUS[1]
+    w = program_races(racy).witness
+    assert w.actions[: len(racy.init_actions)] == racy.init_actions
+    for t, actions in enumerate(racy.threads, start=1):
+        assert tuple(a for a in w.actions if a.thread == t) == actions
+
+
+def test_budget_counts_init_and_worker_actions():
+    p = ThreadProgram.build([[(R, "x")] * 8, [(R, "x")] * 8], init=[(DI, "x")])
+    with pytest.raises(BudgetExceeded) as exc:
+        program_races(p)
+    assert str(exc.value) == "program has 17 actions (> 16); pass an explicit bound to enumerate anyway"
+    assert not program_races(p, action_budget=17).raced
+
+
+def test_search_has_no_action_cap():
+    p = ThreadProgram.build([[(W, "x")] + [(R, "x")] * 40, [(R, "x")] * 40], init=[(DI, "x")])
+    report = program_races(p, action_budget=100)
+    assert report.raced and report.executions == 1
+
+
+def test_init_ops_on_worker_threads_are_rejected():
+    with pytest.raises(MalformedExecution):
+        ThreadProgram.build([[(DI, "x")], [(R, "x")]])
+
+
+# --- parity with the reference enumerator ---
+
+FIELDS = ("x", "y")
+MONITORS = ("a", "b")
+PLAIN_OPS = [(R, f) for f in FIELDS] + [(W, f) for f in FIELDS] + [(VR, "v"), (VW, "v"), (LOC, None)]
+
+
+@st.composite
+def thread_bodies(draw, max_len):
+    """A body of plain actions and lock blocks, nested at most two deep.
+
+    A body is cut to ``max_len``; cutting only a suffix keeps every unlock
+    after its lock, and a lock left held at thread end is allowed.
+    """
+
+    def block(depth):
+        out = []
+        for _ in range(draw(st.integers(0, 3 if depth == 0 else 2))):
+            if depth < 2 and draw(st.booleans()):
+                m = draw(st.sampled_from(MONITORS))
+                out += [(L, m)] + block(depth + 1) + [(U, m)]
+            else:
+                out.append(draw(st.sampled_from(PLAIN_OPS)))
+        return out
+
+    return block(0)[:max_len]
+
+
+@st.composite
+def programs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    max_total = 12 if k == 2 else 10
+    bodies = []
+    for _ in range(k):
+        bodies.append(draw(thread_bodies(max_len=max_total - sum(len(b) for b in bodies))))
+    init = []
+    for f in FIELDS:
+        kind = draw(st.sampled_from([None, DI, FI, W]))
+        if kind is not None:
+            init.append((kind, f))
+    if draw(st.booleans()):
+        init.append((VW, "v"))
+    return ThreadProgram.build(bodies, init=draw(st.permutations(init)))
+
+
+NESTED_DEADLOCK = ThreadProgram.build(
+    [
+        [(L, "a"), (L, "b"), (W, "x"), (U, "b"), (U, "a")],
+        [(L, "b"), (L, "a"), (R, "x"), (U, "a"), (U, "b")],
+        [(R, "y")],
+    ],
+    init=[(W, "y"), (DI, "x"), (VW, "v")],
+)
+HELD_AT_EXIT = ThreadProgram.build(
+    [[(L, "a"), (W, "y")], [(VR, "v"), (L, "a"), (W, "y"), (U, "a")], [(VW, "v"), (R, "x")]],
+    init=[(FI, "x"), (DI, "y")],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+@example(NESTED_DEADLOCK)
+@example(HELD_AT_EXIT)
+@example(DEADLOCK_ONLY_RACE)
+def test_search_matches_reference_enumerator(p):
+    if any(len(e.actions) < p.action_count() for e in interleavings(p)):
+        event("deadlocks")
+    event(f"{len(p.threads)} threads")
+    report = program_races(p, action_budget=p.action_count())
+    assert report.raced == reference_raced(p)
+    assert report.executions >= 1
+    if report.raced:
+        assert detect_races(parse_trace(format_trace(report.witness)))
+    else:
+        assert report.witness is None
+
+
+# --- trace format ---
+
+
+@st.composite
+def executions(draw):
+    """A valid execution built by stepping random threads, locks respected."""
+    held: dict[str, list] = {}  # monitor -> [owner, depth]
+    seqs: dict[int, int] = {}
+    actions = []
+    for _ in range(draw(st.integers(0, 20))):
+        thread = draw(st.integers(0, 3))
+        owned = [m for m, (owner, _) in held.items() if owner == thread]
+        free = [m for m in ("a", "b") if m not in held or held[m][0] == thread]
+        choices = [(op, f) for op in (R, W, VR, VW, DI, FI) for f in ("x", "v")] + [(LOC, None)]
+        choices += [(L, m) for m in free] + [(U, m) for m in owned]
+        op, target = draw(st.sampled_from(choices))
+        if op is L:
+            held.setdefault(target, [thread, 0])[1] += 1
+        elif op is U:
+            held[target][1] -= 1
+            if held[target][1] == 0:
+                del held[target]
+        seq = seqs.get(thread, 0)
+        seqs[thread] = seq + 1
+        actions.append(TraceAction(thread, op, target, seq))
+    return Execution(tuple(actions))
+
+
+@given(executions())
+def test_parse_inverts_format(e):
+    e.validate()
+    assert parse_trace(format_trace(e)) == e
