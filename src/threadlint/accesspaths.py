@@ -1,10 +1,19 @@
 """Which expressions in which methods lead to an exposed field access.
 
-A Datalog-style least fixpoint: a method provides access to ``a`` either by
-containing ``a`` directly or by calling (same-class, name + arity, no virtual
-dispatch) a method that does. Overload ambiguity resolves to all candidates,
-over-approximating, which preserves the universal quantification in the
-monitor analysis.
+A Datalog-style least fixpoint (the paper's ``providesAccess``): a method
+provides access to ``a`` either by containing ``a`` directly or by calling
+(same-class, name + arity, no virtual dispatch) a method that does. Overload
+ambiguity resolves to all candidates, over-approximating, which preserves the
+universal quantification in the monitor analysis.
+
+Evaluation is one worklist propagation rather than repeated rounds. Each
+method starts with a bitmask of the exposed accesses it contains; a method
+whose mask grows pushes it to its callers along the reversed same-class call
+graph until nothing changes, so recursion and mutual recursion need no
+special case. A mask grows at most once per access, so propagation costs
+O(calls x accesses) bit operations; the facts are then emitted once, one per
+call site and reachable access, plus one per direct containment, which makes
+the rest linear in the size of the fact relation.
 """
 
 from __future__ import annotations
@@ -76,60 +85,57 @@ def _children(node) -> list:
     return []
 
 
-def same_class_calls(cm: ClassModel, m: A.MethodDecl) -> list[tuple[A.Call, tuple[A.MethodDecl, ...]]]:
-    """Calls in ``m`` resolvable to methods of the same class.
-
-    Only unqualified and ``this``-qualified calls resolve; a call through any
-    other receiver targets a different object.
-    """
-    by_name: dict[tuple[str, int], list[A.MethodDecl]] = {}
-    for cand in cm.decl.methods:
-        by_name.setdefault((cand.name, cand.arity), []).append(cand)
-    out = []
-    if m.body is None:
-        return out
-    for e in _walk_exprs(m.body):
-        if isinstance(e, A.Call) and (e.qualifier is None or isinstance(e.qualifier, A.This)):
-            callees = by_name.get((e.name, len(e.args)))
-            if callees:
-                out.append((e, tuple(callees)))
-    return out
-
-
 def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> frozenset[AccessPathFact]:
     """Least fixpoint of the direct-containment and call-step rules."""
     if exposed is None:
         exposed = exposed_accesses(cm)
-    facts: set[AccessPathFact] = set()
-    # access -> methods already known to provide it (for the call step)
-    providers: dict[int, set[int]] = {}
-    by_method_access: set[tuple[int, int, int]] = set()
+    accesses = [a for a in exposed if a.enclosing is not None and not a.enclosing.is_constructor]
+    facts = [AccessPathFact(a.enclosing, a.expr, a) for a in accesses]
+    methods = cm.decl.methods
+    # id(m) -> bitmask over ``accesses`` of every access a call to m executes
+    reach = dict.fromkeys(map(id, methods), 0)
+    for i, a in enumerate(accesses):
+        if id(a.enclosing) in reach:
+            reach[id(a.enclosing)] |= 1 << i
 
-    def add(m: A.MethodDecl, expr: A.Expr, a: FieldAccess) -> bool:
-        key = (id(m), id(expr), id(a))
-        if key in by_method_access:
-            return False
-        by_method_access.add(key)
-        facts.add(AccessPathFact(m, expr, a))
-        providers.setdefault(id(a), set()).add(id(m))
-        return True
+    by_name: dict[tuple[str, int], list[A.MethodDecl]] = {}
+    for m in methods:
+        by_name.setdefault((m.name, m.arity), []).append(m)
+    # Only unqualified and ``this``-qualified calls resolve; a call through
+    # any other receiver targets a different object.
+    calls: list[tuple[A.MethodDecl, A.Call, list[A.MethodDecl]]] = []
+    callers: dict[int, dict[int, A.MethodDecl]] = {id(m): {} for m in methods}
+    for m in methods:
+        if m.body is None:
+            continue
+        for e in _walk_exprs(m.body):
+            if isinstance(e, A.Call) and (e.qualifier is None or isinstance(e.qualifier, A.This)):
+                callees = by_name.get((e.name, len(e.args)))
+                if callees:
+                    calls.append((m, e, callees))
+                    for k in callees:
+                        callers[id(k)][id(m)] = m
 
-    for a in exposed:
-        if a.enclosing is not None and not a.enclosing.is_constructor:
-            add(a.enclosing, a.expr, a)
+    work = [m for m in methods if reach[id(m)]]
+    while work:
+        k = work.pop()
+        rk = reach[id(k)]
+        for m in callers[id(k)].values():
+            rm = reach[id(m)]
+            if rm | rk != rm:
+                reach[id(m)] = rm | rk
+                work.append(m)
 
-    calls = {id(m): same_class_calls(cm, m) for m in cm.decl.methods}
-
-    changed = True
-    while changed:
-        changed = False
-        for m in cm.decl.methods:
-            for call, callees in calls[id(m)]:
-                for k in callees:
-                    for a in exposed:
-                        if id(k) in providers.get(id(a), ()):
-                            if add(m, call, a):
-                                changed = True
+    # An access expression is never a same-class call, so no call-step fact
+    # repeats a containment fact.
+    for m, call, callees in calls:
+        mask = 0
+        for k in callees:
+            mask |= reach[id(k)]
+        while mask:
+            low = mask & -mask
+            facts.append(AccessPathFact(m, call, accesses[low.bit_length() - 1]))
+            mask ^= low
     return frozenset(facts)
 
 

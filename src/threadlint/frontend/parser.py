@@ -11,6 +11,12 @@ rejected with a ParseError.
 
 Multi-declarator field declarations (``int a, b;``) are split into one
 FieldDecl per name.
+
+Nesting is capped at ``MAX_NESTING`` levels, counting classes, statements,
+nested expressions, and each further operand of an operator, assignment or
+selector chain (``a + b + c`` and ``a.b.c`` grow the tree one level per
+operand). Deeper input raises a ParseError instead of exhausting Python's
+recursion limit here or in the tree walks of the later phases.
 """
 
 from __future__ import annotations
@@ -29,6 +35,23 @@ MODIFIER_KEYWORDS = frozenset(
 VISIBILITY_KEYWORDS = frozenset({"public", "private", "protected"})
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="})
+
+# binary operators by precedence level, loosest first; all left-associative
+_BINARY_LEVELS: list[tuple[str, ...]] = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>", ">>>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+MAX_NESTING = 100
 
 
 class _Unsupported(ParseError):
@@ -62,6 +85,7 @@ class _Parser:
         self.toks = tokens
         self.src = src
         self.pos = 0
+        self.depth = 0  # current nesting, see MAX_NESTING
         # simple-name -> qualified-name map built from exact imports
         self.import_map: dict[str, str] = {}
         self.wildcard_packages: list[str] = []
@@ -106,6 +130,13 @@ class _Parser:
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(t.line, t.col, msg)
+
+    def nest(self) -> None:
+        """Enter one more nesting level; the caller restores ``self.depth``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.peek()
+            raise _Unsupported(t.line, t.col, f"nesting deeper than {MAX_NESTING} levels is not supported")
 
     def span_from(self, start_tok: Token, end_tok: Optional[Token] = None) -> A.SourceSpan:
         end = end_tok if end_tok is not None else self.toks[max(self.pos - 1, 0)]
@@ -284,6 +315,8 @@ class _Parser:
     def _finish_class(self, anns, mods, first: Token) -> A.ClassDecl:
         if self.at("interface") or self.at("enum"):
             raise self.error(f"{self.peek().text} declarations are not supported")
+        depth = self.depth
+        self.nest()
         self.expect("class")
         name_tok = self.expect_ident("class name")
         if self.at("<"):
@@ -306,6 +339,7 @@ class _Parser:
                 raise ParseError(first.line, first.col, f"unclosed class body for {name_tok.text!r}")
             self.parse_member(name_tok.text, fields, methods, ctors, nested)
         close = self.expect("}")
+        self.depth = depth
         return A.ClassDecl(
             span=self.span_from(first, close),
             name=name_tok.text,
@@ -422,6 +456,13 @@ class _Parser:
         return A.Block(self.span_from(open_tok, close), stmts)
 
     def parse_statement(self) -> A.Stmt:
+        depth = self.depth
+        self.nest()
+        stmt = self._parse_statement()
+        self.depth = depth
+        return stmt
+
+    def _parse_statement(self) -> A.Stmt:
         t = self.peek()
         if t.text in _UNSUPPORTED_STMT_KEYWORDS:
             raise ParseError(t.line, t.col, _UNSUPPORTED_STMT_KEYWORDS[t.text])
@@ -487,7 +528,7 @@ class _Parser:
         start = self.expect("for")
         self.expect("(")
         # for-each: for ([final] Type name : expr)
-        snap = self.pos
+        snap, depth = self.pos, self.depth
         try:
             is_final = self.accept("final") is not None
             type_text = self.parse_type()
@@ -501,7 +542,7 @@ class _Parser:
             raise
         except ParseError:
             pass
-        self.pos = snap
+        self.pos, self.depth = snap, depth
         init: Optional[A.Stmt] = None
         if not self.at(";"):
             init = self._try_parse_local_decl(in_for_header=True)
@@ -550,7 +591,7 @@ class _Parser:
         return A.Try(self.span_from(start), body, catches, finally_block)
 
     def _try_parse_local_decl(self, in_for_header: bool = False) -> Optional[A.LocalDecl]:
-        snap = self.pos
+        snap, depth = self.pos, self.depth
         start = self.peek()
         try:
             is_final = self.accept("final") is not None
@@ -582,64 +623,62 @@ class _Parser:
         except _Unsupported:
             raise
         except ParseError:
-            self.pos = snap
+            self.pos, self.depth = snap, depth
             return None
 
     # -- expressions -------------------------------------------------------------
 
     def parse_expression(self) -> A.Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> A.Expr:
+        """An expression; an assignment's value is parsed as a nested expression."""
+        depth = self.depth
+        self.nest()
         start = self.peek()
-        left = self._parse_binary(0)
+        expr = self._parse_binary(0)
         t = self.peek()
         if t.text in _ASSIGN_OPS:
-            if not isinstance(left, (A.Name, A.FieldSel, A.Index)):
+            if not isinstance(expr, (A.Name, A.FieldSel, A.Index)):
                 raise ParseError(t.line, t.col, "invalid assignment target")
             self.advance()
-            value = self._parse_assignment()
-            return A.Assign(self.span_from(start), left, t.text, value)
-        return left
+            value = self.parse_expression()
+            expr = A.Assign(self.span_from(start), expr, t.text, value)
+        self.depth = depth
+        return expr
 
-    _BINARY_LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
+    def _parse_binary(self, min_level: int) -> A.Expr:
+        """Precedence climbing over operators of ``min_level`` and tighter."""
+        depth = self.depth
         start = self.peek()
-        left = self._parse_binary(level + 1)
-        while self.peek().text in ops:
+        left = self._parse_unary()
+        while True:
+            level = _BINARY_LEVEL.get(self.peek().text)
+            if level is None or level < min_level:
+                break
+            self.nest()
             op = self.advance().text
             right = self._parse_binary(level + 1)
             left = A.Binary(self.span_from(start), op, left, right)
+        self.depth = depth
         return left
 
     def _parse_unary(self) -> A.Expr:
         t = self.peek()
         if t.text in ("+", "-", "!", "~", "++", "--"):
             self.advance()
+            depth = self.depth
+            self.nest()
             operand = self._parse_unary()
+            self.depth = depth
             return A.Unary(self.span_from(t), t.text, operand, prefix=True)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> A.Expr:
+        depth = self.depth
         start = self.peek()
         expr = self._parse_primary()
         while True:
             t = self.peek()
+            if t.text in (".", "[", "++", "--"):
+                self.nest()
             if t.text == ".":
                 nxt = self.peek(1)
                 if nxt.text == "class":
@@ -669,6 +708,7 @@ class _Parser:
                 self.advance()
                 expr = A.Unary(self.span_from(start), t.text, expr, prefix=False)
                 continue
+            self.depth = depth
             return expr
 
     def _parse_args(self) -> list[A.Expr]:

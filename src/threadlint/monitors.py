@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from threadlint.accesspaths import AccessPathFact, _walk_exprs, provides_access
+from threadlint.accesspaths import AccessPathFact, _children, _walk_exprs, provides_access
 from threadlint.cfg import Cfg, CfgNode, DomInfo, build_cfg, dominance, dominates, post_dominates
 from threadlint.classmodel import ClassModel, FieldAccess
 from threadlint.errors import UnreachableNodeError
@@ -94,8 +94,6 @@ def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
                 sources.append(node.value)
             stack.append(node.value)
             continue
-        from threadlint.accesspaths import _children
-
         stack.extend(c for c in _children(node) if c is not None)
     return sources
 
@@ -222,8 +220,6 @@ def _sync_context_map(m: A.MethodDecl, decl: A.ClassDecl) -> dict[int, tuple[Mon
             _record_expr(node.monitor, stack)
             visit(node.body, inner)
             return
-        from threadlint.accesspaths import _children
-
         for c in _children(node):
             if c is None:
                 continue
@@ -234,8 +230,6 @@ def _sync_context_map(m: A.MethodDecl, decl: A.ClassDecl) -> dict[int, tuple[Mon
 
     def _record_expr(e, stack):
         out[id(e)] = stack
-        from threadlint.accesspaths import _children
-
         for c in _children(e):
             if c is not None:
                 _record_expr(c, stack)
@@ -270,7 +264,6 @@ class MonitorAnalysis:
         self,
         cm: ClassModel,
         facts: Optional[frozenset[AccessPathFact]] = None,
-        cfgs: Optional[dict[int, tuple[Cfg, DomInfo]]] = None,
         lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
         lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
         unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
@@ -280,7 +273,7 @@ class MonitorAnalysis:
         self.lock_types = lock_types
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
-        self._cfgs = cfgs or {}
+        self._cfgs: dict[int, tuple[Cfg, DomInfo]] = {}
         self._windows: dict[int, list[LockWindow]] = {}
         self._sync_ctx: dict[int, dict[int, tuple[Monitor, ...]]] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}

@@ -17,7 +17,6 @@ from threadlint.alerts import (
     RULE_CORRECT_SYNCHRONIZATION,
 )
 from threadlint.accesspaths import AccessPathFact, provides_access
-from threadlint.cfg import Cfg, DomInfo
 from threadlint.classmodel import (
     ClassModel,
     FieldAccess,
@@ -112,7 +111,6 @@ def check_correct_synchronization(
 
 def analyze_class(
     cm: ClassModel,
-    cfgs: Optional[dict[int, tuple[Cfg, DomInfo]]] = None,
     rules: tuple[str, ...] = ALL_RULES,
     lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
     lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
@@ -132,7 +130,7 @@ def analyze_class(
     if "P3" in rules:
         facts = provides_access(cm)
         info = MonitorAnalysis(
-            cm, facts, cfgs,
+            cm, facts,
             lock_types=lock_types,
             lock_methods=lock_methods,
             unlock_methods=unlock_methods,

@@ -1,6 +1,9 @@
 """Transitive call-reachability facts (providesAccess / publicAccess)."""
 
+import ap_reference
 from conftest import model_for, model_from_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadlint.accesspaths import base_facts_only, provides_access, public_access
 from threadlint.classmodel import exposed_accesses
@@ -135,3 +138,79 @@ class Recv {
     w = next(a for a in exposed_accesses(cm) if a.field.name == "n")
     facts = [f for f in provides_access(cm) if f.access is w]
     assert sorted(f.method.name for f in facts) == ["set", "viaThis"]
+
+
+# --- parity of the worklist fixpoint with the round-robin reference ---
+
+METHOD_NAMES = ("a", "b", "c")
+
+
+def operands(depth):
+    leaves = st.sampled_from(["0", "p0", "f0", "this.f1", "peer.f0"])
+    return leaves if depth >= 2 else st.one_of(leaves, calls(depth + 1))
+
+
+@st.composite
+def calls(draw, depth=0):
+    """A call that may resolve in the class, name a missing method or arity, or go elsewhere."""
+    receiver = draw(st.sampled_from(["", "", "this.", "peer.", "other."]))
+    name = draw(st.sampled_from(METHOD_NAMES + ("missing",)))
+    args = draw(st.lists(operands(depth), max_size=2))
+    return f"{receiver}{name}({', '.join(args)})"
+
+
+@st.composite
+def statements(draw, depth=0):
+    kinds = ["write", "compound", "read", "call", "call"] + (["sync", "if"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    field = draw(st.sampled_from(["f0", "this.f1", "peer"]))
+    if kind == "write":
+        return f"{field} = {draw(operands(depth))};" if field != "peer" else "peer = null;"
+    if kind == "compound":
+        return f"{field} += {draw(operands(depth))};" if field != "peer" else "peer = this;"
+    if kind == "read":
+        return f"int v = {draw(operands(depth))};"
+    if kind == "call":
+        return f"{draw(calls(depth))};"
+    inner = " ".join(draw(st.lists(statements(depth + 1), min_size=1, max_size=3)))
+    if kind == "sync":
+        return f"synchronized (this) {{ {inner} }}"
+    return f"if (f0 > 0) {{ {inner} }} else {{ {draw(statements(depth + 1))} }}"
+
+
+@st.composite
+def thread_safe_classes(draw):
+    """Small classes with chains, (mutual) recursion, arity and type overloads, and constructors."""
+    members = []
+    for _ in range(draw(st.integers(2, 6))):
+        name = draw(st.sampled_from(METHOD_NAMES))
+        arity = draw(st.integers(0, 2))
+        ptype = draw(st.sampled_from(["int", "long"]))
+        params = ", ".join(f"{ptype} p{j}" for j in range(arity))
+        vis = draw(st.sampled_from(["public", "private"]))
+        if draw(st.integers(0, 9)) == 0:
+            members.append(f"  {vis} native int {name}({params});")
+            continue
+        body = " ".join(draw(st.lists(statements(), max_size=4)))
+        members.append(f"  {vis} int {name}({params}) {{ {body} return 0; }}")
+    if draw(st.booleans()):
+        body = " ".join(draw(st.lists(statements(), max_size=3)))
+        members.insert(0, f"  public R(int p0) {{ {body} }}")
+    fields = "  private int f0;\n  private int f1;\n  private R peer;\n"
+    return "@ThreadSafe\nclass R {\n" + fields + "\n".join(members) + "\n}\n"
+
+
+def fact_keys(facts):
+    return {(id(f.method), id(f.expr), id(f.access)) for f in facts}
+
+
+@settings(max_examples=300, deadline=None)
+@given(thread_safe_classes())
+def test_worklist_fixpoint_matches_round_robin_reference(src):
+    cm = model_from_source(src)
+    # the exposed subset, and every access including constructor ones
+    for exposed in (None, cm.field_accesses):
+        facts = provides_access(cm, exposed)
+        keys = fact_keys(facts)
+        assert len(keys) == len(facts)
+        assert keys == fact_keys(ap_reference.provides_access(cm, exposed))

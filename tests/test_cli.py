@@ -1,7 +1,12 @@
-"""Command-line behaviour: --trace exit codes and the --oracle budget verdict."""
+"""Command-line behaviour: exit codes for --trace, --oracle and over-deep input."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import threadlint
 from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check
 from threadlint.config import build_config
 
@@ -80,3 +85,22 @@ def test_oracle_skips_a_class_over_the_action_budget(tmp_path):
         f"{path} Big static=0 oracle=budget-exceeded agreement=skipped "
         "(program has 33 actions (> 16); pass an explicit bound to enumerate anyway)"
     )
+
+
+DEEP = {
+    "nested-parens": "(" * 3000 + "x" + ")" * 3000,
+    "long-sum": " + ".join(["x"] * 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_nesting_exits_2_without_traceback(tmp_path, name):
+    path = tmp_path / "Deep.java"
+    path.write_text(f"@ThreadSafe\nclass Deep {{\n  private int x;\n  public int get() {{ return {DEEP[name]}; }}\n}}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "threadlint.cli", str(path)], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith(f"{path}:4:") and "nesting deeper than 100 levels" in proc.stdout

@@ -15,6 +15,7 @@ from threadlint.frontend import (
     tokenize,
 )
 from threadlint.frontend import ast as A
+from threadlint.frontend.parser import MAX_NESTING
 
 
 def tokens_of(text):
@@ -320,6 +321,24 @@ def test_unsupported_constructs_error(src, fragment):
     with pytest.raises(ParseError) as err:
         parse_source(src)
     assert fragment in str(err.value)
+
+
+def test_nesting_limit_counts_class_statement_and_expressions():
+    # class, return statement and return expression take three levels
+    def source(parens):
+        return "class A { int f() { return " + "(" * parens + "1" + ")" * parens + "; } }"
+
+    parse_source(source(MAX_NESTING - 3))
+    with pytest.raises(ParseError) as err:
+        parse_source(source(MAX_NESTING - 2))
+    assert f"nesting deeper than {MAX_NESTING} levels" in str(err.value)
+
+
+def test_operator_and_selector_chains_count_per_operand():
+    parse_source("class A { int f() { return " + " + ".join(["x"] * (MAX_NESTING - 2)) + "; } }")
+    for deep in (" + ".join(["x"] * (MAX_NESTING - 1)), "this" + ".x" * (MAX_NESTING - 2)):
+        with pytest.raises(ParseError):
+            parse_source("class A { int f() { return " + deep + "; } }")
 
 
 def test_package_qualifies_class_names():
