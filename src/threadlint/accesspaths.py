@@ -14,12 +14,14 @@ special case. A mask grows at most once per access, so propagation costs
 O(calls x accesses) bit operations; the facts are then emitted once, one per
 call site and reachable access, plus one per direct containment, which makes
 the rest linear in the size of the fact relation.
+
+Call sites are found with the shared :func:`threadlint.frontend.ast.walk`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from threadlint.classmodel import ClassModel, FieldAccess, exposed_accesses
 from threadlint.frontend import ast as A
@@ -32,57 +34,6 @@ class AccessPathFact:
     method: A.MethodDecl
     expr: A.Expr
     access: FieldAccess
-
-
-def _walk_exprs(stmt: A.Stmt) -> Iterator[A.Expr]:
-    stack: list[object] = [stmt]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, A.Expr):
-            yield node
-        for child in _children(node):
-            if child is not None:
-                stack.append(child)
-
-
-def _children(node) -> list:
-    if isinstance(node, A.Block):
-        return list(node.stmts)
-    if isinstance(node, A.LocalDecl):
-        return [d.init for d in node.declarators]
-    if isinstance(node, A.ExprStmt):
-        return [node.expr]
-    if isinstance(node, A.If):
-        return [node.cond, node.then, node.els]
-    if isinstance(node, A.While):
-        return [node.cond, node.body]
-    if isinstance(node, A.For):
-        return [node.init, node.cond, *node.update, node.body]
-    if isinstance(node, A.ForEach):
-        return [node.iterable, node.body]
-    if isinstance(node, (A.Return, A.Throw)):
-        return [node.value] if getattr(node, "value", None) is not None else []
-    if isinstance(node, A.Sync):
-        return [node.monitor, node.body]
-    if isinstance(node, A.Try):
-        return [node.body, *[c.body for c in node.catches], node.finally_block]
-    if isinstance(node, A.FieldSel):
-        return [node.qualifier]
-    if isinstance(node, A.Call):
-        return ([node.qualifier] if node.qualifier is not None else []) + list(node.args)
-    if isinstance(node, A.New):
-        return list(node.args or []) + list(node.dims or [])
-    if isinstance(node, A.Index):
-        return [node.base, node.index]
-    if isinstance(node, A.Unary):
-        return [node.operand]
-    if isinstance(node, A.Binary):
-        return [node.left, node.right]
-    if isinstance(node, A.Assign):
-        return [node.target, node.value]
-    if isinstance(node, A.Paren):
-        return [node.inner]
-    return []
 
 
 def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> frozenset[AccessPathFact]:
@@ -108,7 +59,7 @@ def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None)
     for m in methods:
         if m.body is None:
             continue
-        for e in _walk_exprs(m.body):
+        for e in A.walk(m.body):
             if isinstance(e, A.Call) and (e.qualifier is None or isinstance(e.qualifier, A.This)):
                 callees = by_name.get((e.name, len(e.args)))
                 if callees:

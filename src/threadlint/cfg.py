@@ -13,7 +13,7 @@ graphs are small, so the near-linear algorithm is unnecessary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from threadlint.errors import UnreachableNodeError
@@ -72,13 +72,14 @@ class _Builder:
         for p in preds:
             self.edge(p, node)
 
-    def map_tree(self, expr, node: CfgNode) -> None:
-        """Associate an expression and all its descendants with a cfg node."""
-        if expr is None:
-            return
-        self.node_of[id(expr)] = node
-        for child in _expr_children(expr):
-            self.map_tree(child, node)
+    def map_tree(self, root: A.Node, node: CfgNode) -> None:
+        """Associate ``root`` and all its descendants with a cfg node."""
+        node_of = self.node_of
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            node_of[id(n)] = node
+            stack.extend(A.children(n))
 
     # -- lowering --
 
@@ -93,12 +94,7 @@ class _Builder:
         if isinstance(s, (A.LocalDecl, A.ExprStmt, A.Empty)):
             n = self.new_node("stmt", s)
             self.connect(preds, n)
-            self.node_of[id(s)] = n
-            if isinstance(s, A.LocalDecl):
-                for d in s.declarators:
-                    self.map_tree(d.init, n)
-            elif isinstance(s, A.ExprStmt):
-                self.map_tree(s.expr, n)
+            self.map_tree(s, n)
             return [n]
 
         if isinstance(s, A.If):
@@ -155,8 +151,7 @@ class _Builder:
         if isinstance(s, (A.Return, A.Throw)):
             n = self.new_node("stmt", s)
             self.connect(preds, n)
-            self.node_of[id(s)] = n
-            self.map_tree(s.value, n)
+            self.map_tree(s, n)
             self.exit_carriers[-1].append(n)
             return []
 
@@ -196,34 +191,12 @@ class _Builder:
         raise TypeError(f"unhandled statement {type(s).__name__}")
 
     def finish(self, frontier: list[CfgNode]) -> Cfg:
+        # the exit node exists even when every path loops forever
         exit_node = self.new_node("exit")
         self.connect(frontier, exit_node)
         self.connect(self.exit_carriers[0], exit_node)
-        if not self.preds[exit_node] and not frontier:
-            # every path loops forever; keep the invariant that exit exists
-            pass
         return Cfg(self.method, self.nodes, self.succs, self.preds,
                    self.entry, exit_node, self.node_of)
-
-
-def _expr_children(e) -> list:
-    if isinstance(e, A.FieldSel):
-        return [e.qualifier]
-    if isinstance(e, A.Call):
-        return ([e.qualifier] if e.qualifier is not None else []) + list(e.args)
-    if isinstance(e, A.New):
-        return list(e.args or []) + list(e.dims or [])
-    if isinstance(e, A.Index):
-        return [e.base, e.index]
-    if isinstance(e, A.Unary):
-        return [e.operand]
-    if isinstance(e, A.Binary):
-        return [e.left, e.right]
-    if isinstance(e, A.Assign):
-        return [e.target, e.value]
-    if isinstance(e, A.Paren):
-        return [e.inner]
-    return []
 
 
 def build_cfg(m: A.MethodDecl) -> Cfg:
@@ -247,8 +220,6 @@ class DomInfo:
     ipdom: dict[Hashable, Hashable]
     entry: Hashable
     exit: Hashable
-    _dom_index: dict[Hashable, int] = field(default_factory=dict)
-    _pdom_index: dict[Hashable, int] = field(default_factory=dict)
 
 
 def _reverse_postorder(entry, succs) -> list:
@@ -271,7 +242,7 @@ def _reverse_postorder(entry, succs) -> list:
     return post
 
 
-def _idoms(entry, succs, preds) -> tuple[dict, dict]:
+def _idoms(entry, succs, preds) -> dict:
     order = _reverse_postorder(entry, succs)
     index = {n: i for i, n in enumerate(order)}
     idom: dict = {entry: entry}
@@ -295,7 +266,7 @@ def _idoms(entry, succs, preds) -> tuple[dict, dict]:
             if new is not None and idom.get(b) != new:
                 idom[b] = new
                 changed = True
-    return idom, index
+    return idom
 
 
 def compute_dom_info(entry, exit_node, succs, preds) -> DomInfo:
@@ -303,16 +274,14 @@ def compute_dom_info(entry, exit_node, succs, preds) -> DomInfo:
 
     Works on any digraph given successor/predecessor adjacency maps.
     """
-    idom, dom_index = _idoms(entry, succs, preds)
-    ipdom, pdom_index = _idoms(exit_node, preds, succs)
-    return DomInfo(idom, ipdom, entry, exit_node, dom_index, pdom_index)
+    return DomInfo(_idoms(entry, succs, preds), _idoms(exit_node, preds, succs), entry, exit_node)
 
 
 def dominance(cfg: Cfg) -> DomInfo:
     return compute_dom_info(cfg.entry, cfg.exit, cfg.succs, cfg.preds)
 
 
-def _tree_query(tree: dict, index: dict, root, a, b, what: str) -> bool:
+def _tree_query(tree: dict, root, a, b, what: str) -> bool:
     for n in (a, b):
         if n != root and n not in tree:
             raise UnreachableNodeError(f"{what} undefined for {n!r}: not in the analyzed region")
@@ -328,9 +297,9 @@ def _tree_query(tree: dict, index: dict, root, a, b, what: str) -> bool:
 
 def dominates(d: DomInfo, a, b) -> bool:
     """True iff every path entry -> b passes through a (reflexive)."""
-    return _tree_query(d.idom, d._dom_index, d.entry, a, b, "dominance")
+    return _tree_query(d.idom, d.entry, a, b, "dominance")
 
 
 def post_dominates(d: DomInfo, a, b) -> bool:
     """True iff every path b -> exit passes through a (reflexive)."""
-    return _tree_query(d.ipdom, d._pdom_index, d.exit, a, b, "post-dominance")
+    return _tree_query(d.ipdom, d.exit, a, b, "post-dominance")

@@ -8,7 +8,7 @@ by the other class's own no-escaping rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -43,12 +43,6 @@ class ThreadSafeTypeAllowlist:
         for entry in (*self.qualified_prefixes, *self.exact_types):
             if not entry or entry != entry.strip():
                 raise ValueError(f"allowlist entry {entry!r} must be nonempty and trimmed")
-
-    def extended(self, *, prefixes: tuple[str, ...] = (), exact: tuple[str, ...] = ()) -> "ThreadSafeTypeAllowlist":
-        return ThreadSafeTypeAllowlist(
-            self.qualified_prefixes + tuple(p.strip() for p in prefixes),
-            self.exact_types + tuple(e.strip() for e in exact),
-        )
 
     def contains_type(self, declared: str, resolved: str) -> bool:
         base_declared = declared.split("<", 1)[0]
@@ -224,35 +218,16 @@ class _AccessCollector:
         if isinstance(e, A.Call):
             self._visit_call(e)
             return
-        if isinstance(e, A.New):
-            for a in e.args or ():
-                self.visit_expr(a)
-            for d in e.dims or ():
-                self.visit_expr(d)
-            return
-        if isinstance(e, A.Index):
-            self.visit_expr(e.base)
-            self.visit_expr(e.index)
-            return
-        if isinstance(e, A.Unary):
-            if e.op in ("++", "--"):
-                self._visit_target(e.operand, compound=True)
-            else:
-                self.visit_expr(e.operand)
-            return
-        if isinstance(e, A.Binary):
-            self.visit_expr(e.left)
-            self.visit_expr(e.right)
+        if isinstance(e, A.Unary) and e.op in ("++", "--"):
+            self._visit_target(e.operand, compound=True)
             return
         if isinstance(e, A.Assign):
-            if e.op == "=":
-                self._visit_target(e.target, compound=False)
-            else:
-                self._visit_target(e.target, compound=True)
+            self._visit_target(e.target, compound=e.op != "=")
             self.visit_expr(e.value)
             return
-        if isinstance(e, A.Paren):
-            self.visit_expr(e.inner)
+        if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
+            for c in A.children(e):
+                self.visit_expr(c)
             return
         raise TypeError(f"unhandled expression {type(e).__name__}")
 

@@ -57,16 +57,17 @@ class Config:
         return ThreadSafeTypeAllowlist(self.allowlist_prefixes, self.allowlist_types)
 
 
-_LIST_KEYS = {
-    "annotations": "annotations",
-    "allowlist_prefixes": "allowlist_prefixes",
-    "allowlist_types": "allowlist_types",
-    "lock_types": "lock_types",
-    "lock_methods": "lock_methods",
-    "unlock_methods": "unlock_methods",
-    "mutator_methods": "mutator_methods",
-    "rules": "rules",
-}
+# config-file keys naming a tuple field of Config (the file key is the field name)
+_LIST_KEYS = frozenset({
+    "annotations",
+    "allowlist_prefixes",
+    "allowlist_types",
+    "lock_types",
+    "lock_methods",
+    "unlock_methods",
+    "mutator_methods",
+    "rules",
+})
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -88,7 +89,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         elif key in _LIST_KEYS:
             if not values:
                 raise ConfigError(f"{path}:{lineno}: {key} needs at least one value")
-            overrides[_LIST_KEYS[key]] = values
+            overrides[key] = values
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return overrides

@@ -4,12 +4,16 @@ Nodes use identity equality (eq=False) so they can key dicts and sets; use
 :func:`threadlint.frontend.printer.to_source` for structural comparisons.
 Every node carries a :class:`SourceSpan` with 1-based line/column pairs and
 half-open character offsets into the original file.
+
+:func:`children` is the one child relation of statements and expressions,
+and :func:`walk` the one generic traversal built on it; every analysis that
+does not need per-kind scoping or ordering walks through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from threadlint.errors import SpanOutOfRange
 
@@ -353,8 +357,67 @@ class Ast:
             stack.extend(reversed(c.nested))
 
 
-CallableDecl = MethodDecl
-Declaration = Union[ClassDecl, FieldDecl, MethodDecl]
+def _no_children(node) -> list:
+    return []
+
+
+# Keyed on the exact node type: one dict lookup per node instead of an
+# isinstance chain, which matters because the CFG builder and the monitor
+# analysis call this once for every expression of every method.
+_CHILDREN: dict[type, Callable[[Node], list]] = {
+    Literal: _no_children,
+    Name: _no_children,
+    This: _no_children,
+    ClassLit: _no_children,
+    FieldSel: lambda n: [n.qualifier],
+    Call: lambda n: [*n.args] if n.qualifier is None else [n.qualifier, *n.args],
+    New: lambda n: [*(n.args or ()), *(n.dims or ())],
+    Index: lambda n: [n.base, n.index],
+    Unary: lambda n: [n.operand],
+    Binary: lambda n: [n.left, n.right],
+    Assign: lambda n: [n.target, n.value],
+    Paren: lambda n: [n.inner],
+    Block: lambda n: [*n.stmts],
+    LocalDecl: lambda n: [d.init for d in n.declarators if d.init is not None],
+    ExprStmt: lambda n: [n.expr],
+    If: lambda n: [n.cond, n.then] if n.els is None else [n.cond, n.then, n.els],
+    While: lambda n: [n.cond, n.body],
+    For: lambda n: [*(x for x in (n.init, n.cond) if x is not None), *n.update, n.body],
+    ForEach: lambda n: [n.iterable, n.body],
+    Return: lambda n: [] if n.value is None else [n.value],
+    Throw: lambda n: [n.value],
+    Sync: lambda n: [n.monitor, n.body],
+    Try: lambda n: [n.body, *(c.body for c in n.catches),
+                    *(() if n.finally_block is None else (n.finally_block,))],
+    Empty: _no_children,
+}
+
+
+def children(node: Node) -> list:
+    """Direct sub-statements and sub-expressions of ``node``, in source order.
+
+    Declarators and catch clauses are not nodes: a declarator contributes its
+    initializer and a catch clause its body. Absent optional parts are left
+    out, so the list never holds None. Raises TypeError for anything that is
+    not a statement or an expression.
+    """
+    try:
+        kids = _CHILDREN[type(node)]
+    except KeyError:
+        raise TypeError(f"not a statement or expression: {type(node).__name__}") from None
+    return kids(node)
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """``node`` and all its descendants, pre-order in source order.
+
+    Iterative, so depth is bounded by memory rather than the recursion limit.
+    """
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
 
 
 def reconstruct_span(ast: Ast, span: SourceSpan) -> str:

@@ -186,36 +186,21 @@ class _DriverBuilder:
             elif isinstance(e, A.FieldSel):
                 self._visit(e.qualifier, locals_, stack, out)
             return
-        if isinstance(e, A.Paren):
-            self._visit(e.inner, locals_, stack, out)
-            return
-        if isinstance(e, A.Binary):
-            self._visit(e.left, locals_, stack, out)
-            self._visit(e.right, locals_, stack, out)
-            return
-        if isinstance(e, A.Unary):
-            f = self._field_of_expr(e.operand, locals_) if e.op in ("++", "--") else None
+        if isinstance(e, A.Unary) and e.op in ("++", "--"):
+            f = self._field_of_expr(e.operand, locals_)
             if f is not None:
                 out.append(self._read_op(f))
                 out.append(self._write_op(f))
-            else:
-                self._visit(e.operand, locals_, stack, out)
-            return
+                return
         if isinstance(e, A.Assign):
             self._assign_actions(e, locals_, stack, out)
             return
-        if isinstance(e, A.New):
-            for a in e.args or ():
-                self._visit(a, locals_, stack, out)
-            for d in e.dims or ():
-                self._visit(d, locals_, stack, out)
-            return
-        if isinstance(e, A.Index):
-            self._visit(e.base, locals_, stack, out)
-            self._visit(e.index, locals_, stack, out)
-            return
         if isinstance(e, A.Call):
             self._call_actions(e, locals_, stack, out)
+            return
+        if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
+            for c in A.children(e):
+                self._visit(c, locals_, stack, out)
             return
         raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {type(e).__name__}")
 

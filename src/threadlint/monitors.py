@@ -1,10 +1,13 @@
 """Monitor identification and protection of field accesses.
 
+Protection is computed in one place, :meth:`MonitorAnalysis.protecting_monitors`.
 An access is protected by an explicit lock field when some lock()/unlock()
 call pair on that field satisfies the dominance conditions: the lock call
 dominates both the unlock call and the access, and the unlock call
-post-dominates the access. Protection by the synchronized keyword (methods,
-static methods, blocks) is recognized syntactically.
+post-dominates the access; such a window reports the monitor
+``Monitor(LOCK_FIELD, "<class_id>.<field>")``. Protection by the
+synchronized keyword (methods, static methods, blocks) is recognized
+syntactically and reports every other monitor kind.
 
 Monitor equality is syntactic-canonical: ``l`` and ``this.l`` share one
 identity; ``synchronized (this)`` and a synchronized instance method share
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from threadlint.accesspaths import AccessPathFact, _children, _walk_exprs, provides_access
+from threadlint.accesspaths import AccessPathFact, provides_access
 from threadlint.cfg import Cfg, CfgNode, DomInfo, build_cfg, dominance, dominates, post_dominates
 from threadlint.classmodel import ClassModel, FieldAccess
 from threadlint.errors import UnreachableNodeError
@@ -78,23 +81,13 @@ def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
     sources: list[A.Expr] = []
     if m.body is None:
         return sources
-    stack: list[object] = [m.body]
-    while stack:
-        node = stack.pop()
+    for node in A.walk(m.body):
         if isinstance(node, A.LocalDecl):
-            for d in node.declarators:
-                if d.name == name and d.init is not None:
-                    sources.append(d.init)
-                if d.init is not None:
-                    stack.append(d.init)
-            continue
-        if isinstance(node, A.Assign):
+            sources.extend(d.init for d in node.declarators if d.name == name and d.init is not None)
+        elif isinstance(node, A.Assign):
             t = _strip_paren(node.target)
             if isinstance(t, A.Name) and t.identifier == name:
                 sources.append(node.value)
-            stack.append(node.value)
-            continue
-        stack.extend(c for c in _children(node) if c is not None)
     return sources
 
 
@@ -147,7 +140,7 @@ def lock_windows(
         return []
     locks: dict[int, list[CfgNode]] = {}
     unlocks: dict[int, list[CfgNode]] = {}
-    for e in _walk_exprs(method.body):
+    for e in A.walk(method.body):
         if not isinstance(e, A.Call) or e.qualifier is None:
             continue
         if e.name not in lock_methods and e.name not in unlock_methods:
@@ -171,31 +164,6 @@ def lock_windows(
     return windows
 
 
-def locally_locked_on(
-    cfg: Cfg,
-    dom: DomInfo,
-    e: A.Expr,
-    lock_field: A.FieldDecl,
-    cm: ClassModel,
-    lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
-    lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
-    unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
-) -> bool:
-    """Is ``e`` inside a lock window of ``lock_field`` in this method?"""
-    node = cfg.node_for(e)
-    if node is None or cfg.method is None:
-        return False
-    for w in lock_windows(cm, cfg.method, cfg, dom, lock_types, lock_methods, unlock_methods):
-        if w.field is not lock_field:
-            continue
-        try:
-            if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
-                return True
-        except UnreachableNodeError:
-            continue
-    return False
-
-
 def _canonical_sync_monitor(expr: A.Expr, decl: A.ClassDecl) -> Monitor:
     e = _strip_paren(expr)
     if isinstance(e, A.This):
@@ -212,49 +180,17 @@ def _canonical_sync_monitor(expr: A.Expr, decl: A.ClassDecl) -> Monitor:
 def _sync_context_map(m: A.MethodDecl, decl: A.ClassDecl) -> dict[int, tuple[Monitor, ...]]:
     """id(ast node) -> monitors of every enclosing synchronized region."""
     out: dict[int, tuple[Monitor, ...]] = {}
-
-    def visit(node, stack: tuple[Monitor, ...]):
-        out[id(node)] = stack
+    stack = [] if m.body is None else [(m.body, ())]
+    while stack:
+        node, held = stack.pop()
+        out[id(node)] = held
         if isinstance(node, A.Sync):
-            inner = stack + (_canonical_sync_monitor(node.monitor, decl),)
-            _record_expr(node.monitor, stack)
-            visit(node.body, inner)
-            return
-        for c in _children(node):
-            if c is None:
-                continue
-            if isinstance(c, A.Expr):
-                _record_expr(c, stack)
-            else:
-                visit(c, stack)
-
-    def _record_expr(e, stack):
-        out[id(e)] = stack
-        for c in _children(e):
-            if c is not None:
-                _record_expr(c, stack)
-
-    if m.body is not None:
-        visit(m.body, ())
-    return out
-
-
-def locally_synchronized_on(cfg: Cfg, e: A.Expr, m: A.MethodDecl, decl: A.ClassDecl) -> frozenset[Monitor]:
-    """Monitors guarding ``e`` through the synchronized keyword.
-
-    Returns every applicable monitor: the method-level one (``this`` for
-    synchronized instance methods, the class object for static ones) plus one
-    per enclosing synchronized block; empty when none apply.
-    """
-    monitors: set[Monitor] = set()
-    if m.is_synchronized:
-        if m.is_static:
-            monitors.add(Monitor(MonitorKind.CLASS, f"Class<{decl.name}>"))
+            stack.append((node.monitor, held))
+            stack.append((node.body, held + (_canonical_sync_monitor(node.monitor, decl),)))
         else:
-            monitors.add(Monitor(MonitorKind.THIS, "this"))
-    ctx = _sync_context_map(m, decl)
-    monitors.update(ctx.get(id(e), ()))
-    return frozenset(monitors)
+            for c in A.children(node):
+                stack.append((c, held))
+    return out
 
 
 class MonitorAnalysis:
@@ -351,7 +287,3 @@ class MonitorAnalysis:
         self._monitors_cache[id(a)] = result
         return result
 
-
-def monitors(cm: ClassModel, facts: frozenset[AccessPathFact], a: FieldAccess, **kw) -> frozenset[Monitor]:
-    """Convenience wrapper over MonitorAnalysis for one-off queries."""
-    return MonitorAnalysis(cm, facts, **kw).monitors(a)

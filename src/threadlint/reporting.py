@@ -2,15 +2,15 @@
 
 Serialized output is a deterministic function of the analyzed sources: two
 runs over identical inputs produce byte-identical bytes. Wall time is kept
-on the Report object for logging but never serialized.
+on the Report object for logging but never serialized. Parse failures appear
+in every format; in SARIF they are tool execution notifications of a run
+whose invocation is marked unsuccessful.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
-
 from threadlint.alerts import ALL_RULES, Alert, RULE_DESCRIPTIONS
 
 SARIF_VERSION = "2.1.0"
@@ -150,24 +150,36 @@ def _sarif_bytes(r: Report) -> bytes:
         if a.secondary is not None:
             result["relatedLocations"] = [_sarif_location(a.secondary)]
         results.append(result)
-    doc = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "threadlint",
-                        "rules": [
-                            {"id": rid, "shortDescription": {"text": RULE_DESCRIPTIONS[rid]}}
-                            for rid in ALL_RULES
-                        ],
-                    }
-                },
-                "results": results,
+    run = {
+        "tool": {
+            "driver": {
+                "name": "threadlint",
+                "rules": [
+                    {"id": rid, "shortDescription": {"text": RULE_DESCRIPTIONS[rid]}}
+                    for rid in ALL_RULES
+                ],
             }
-        ],
+        },
+        "results": results,
     }
+    if r.errors:
+        run["invocations"] = [{
+            "executionSuccessful": False,
+            "toolExecutionNotifications": [
+                {
+                    "level": "error",
+                    "message": {"text": e.message},
+                    "locations": [{
+                        "physicalLocation": {
+                            "artifactLocation": {"uri": e.path},
+                            "region": {"startLine": e.line, "startColumn": e.col},
+                        }
+                    }],
+                }
+                for e in r.errors
+            ],
+        }]
+    doc = {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [run]}
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 

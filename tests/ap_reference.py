@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from threadlint.accesspaths import AccessPathFact, _walk_exprs
+from threadlint.accesspaths import AccessPathFact
 from threadlint.classmodel import ClassModel, FieldAccess, exposed_accesses
 from threadlint.frontend import ast as A
 
@@ -28,7 +28,7 @@ def same_class_calls(cm: ClassModel, m: A.MethodDecl) -> list[tuple[A.Call, tupl
     out = []
     if m.body is None:
         return out
-    for e in _walk_exprs(m.body):
+    for e in (n for n in A.walk(m.body) if isinstance(n, A.Expr)):
         if isinstance(e, A.Call) and (e.qualifier is None or isinstance(e.qualifier, A.This)):
             callees = by_name.get((e.name, len(e.args)))
             if callees:

@@ -1,4 +1,5 @@
-"""Command-line behaviour: exit codes for --trace, --oracle and over-deep input."""
+"""Command-line behaviour: exit codes for paths, config files, --trace, --oracle
+and over-deep input."""
 
 import os
 import subprocess
@@ -93,14 +94,58 @@ DEEP = {
 }
 
 
+def run_cli(args, cwd=None):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
+    env.pop("THREADLINT_CONFIG", None)
+    return subprocess.run(
+        [sys.executable, "-m", "threadlint.cli", *args], capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(DEEP))
 def test_deep_nesting_exits_2_without_traceback(tmp_path, name):
     path = tmp_path / "Deep.java"
     path.write_text(f"@ThreadSafe\nclass Deep {{\n  private int x;\n  public int get() {{ return {DEEP[name]}; }}\n}}\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "threadlint.cli", str(path)], capture_output=True, text=True, env=env,
-    )
+    proc = run_cli([str(path)])
     assert proc.returncode == EXIT_ERROR
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith(f"{path}:4:") and "nesting deeper than 100 levels" in proc.stdout
+
+
+CLEAN = "@ThreadSafe\nclass Clean {\n  private int n;\n  public synchronized void inc() { n = n + 1; }\n}\n"
+OPEN = "@ThreadSafe\nclass Open {\n  int n;\n}\n"
+
+# name -> (files to create, CLI arguments, exit code, text expected on stdout or stderr)
+PATH_AND_CONFIG_CASES = {
+    "clean-file": ({"Clean.java": CLEAN}, ["Clean.java"], EXIT_CLEAN, ""),
+    "alert-file": ({"Open.java": OPEN}, ["Open.java"], EXIT_ALERTS, "Open.java:3:3 P1 n"),
+    "missing-path": ({}, ["Nowhere.java"], EXIT_ERROR, "no such file or directory: Nowhere.java"),
+    "invalid-utf8": ({"Bad.java": b"class Bad { \xff }"}, ["Bad.java"], EXIT_ERROR,
+                     "Bad.java:1:1 ERROR file is not valid UTF-8"),
+    "config-unknown-key": ({"Clean.java": CLEAN, "t.cfg": "colour = red\n"},
+                           ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "t.cfg:1: unknown key 'colour'"),
+    "config-two-formats": ({"Clean.java": CLEAN, "t.cfg": "format = text, json\n"},
+                           ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "format takes exactly one value"),
+    "config-unknown-rule": ({"Clean.java": CLEAN, "t.cfg": "rules = P9\n"},
+                            ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "unknown rule 'P9'"),
+    "config-unreadable": ({"Clean.java": CLEAN}, ["--config", "missing.cfg", "Clean.java"], EXIT_ERROR,
+                          "cannot read config file missing.cfg"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_AND_CONFIG_CASES))
+def test_path_and_config_exit_codes(tmp_path, name):
+    files, args, code, expected = PATH_AND_CONFIG_CASES[name]
+    for file_name, content in files.items():
+        path = tmp_path / file_name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert expected in proc.stdout + proc.stderr
+    if code == EXIT_CLEAN:
+        assert proc.stdout == "" and proc.stderr == ""

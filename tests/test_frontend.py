@@ -1,4 +1,7 @@
-"""Lexer and parser behavior: subset coverage, spans, round-trips, errors."""
+"""Lexer and parser behavior: subset coverage, spans, round-trips, errors,
+and the completeness of the shared child relation."""
+
+import dataclasses
 
 import pytest
 
@@ -350,3 +353,80 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_source("class A {\n  int x = ;\n}")
     assert err.value.line == 2
+
+
+# --- the shared child relation ---
+
+ALL_KINDS = """
+class AllKinds {
+  private int[] data = new int[8];
+  private final Object mu = new Object();
+  private int n = (1 + 2) * 3;
+
+  public AllKinds(int start) { this.n = start; }
+
+  public boolean work(int a, boolean flag, java.util.List<Integer> xs) throws Exception {
+    int acc = 0, unset;
+    ;
+    if (flag) { acc = a; } else acc = -a;
+    if (acc > 100) return false;
+    while (acc < 10) { acc += 1; }
+    for (int i = 0, j = 1; i < 3; i++, j--) { acc += i * j; }
+    for (;;) { fail(); }
+    for (int x : xs) { acc = acc + x; }
+    synchronized (this.mu) { n = acc; }
+    try { acc = acc / a; } catch (ArithmeticException e) { acc = 0; } catch (RuntimeException e) { throw e; } finally { n = acc; }
+    try { acc++; } finally { --acc; }
+    data[acc % 8] = data[0] + 1;
+    Class k = AllKinds.class;
+    String s = "s" + 'c' + null + true + 1.5e3f;
+    helper(acc, this.n);
+    this.helper(0, n);
+    return !(acc == 4) && acc <= 5;
+  }
+
+  private void helper(int p, int q) { return; }
+  private void fail() { throw new RuntimeException(); }
+}
+"""
+
+
+def _field_children(node):
+    """Sub-nodes of ``node`` read off its dataclass fields, in field order."""
+    out = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, A.Node):
+                out.append(v)
+            elif isinstance(v, A.Declarator) and v.init is not None:
+                out.append(v.init)
+            elif isinstance(v, A.Catch):
+                out.append(v.body)
+    return out
+
+
+def test_children_cover_every_subnode_in_source_order(corpus_names):
+    asts = [parse_corpus(name) for name in corpus_names] + [parse_source(ALL_KINDS)]
+    reached = set()
+    for ast in asts:
+        for c in ast.iter_classes():
+            roots = [m.body for m in c.methods + c.constructors if m.body is not None]
+            roots += [f.initializer for f in c.fields if f.initializer is not None]
+            for root in roots:
+                for node in A.walk(root):
+                    reached.add(type(node))
+                    kids = A.children(node)
+                    assert [id(k) for k in kids] == [id(k) for k in _field_children(node)], node
+                    starts = [k.span.start for k in kids]
+                    assert starts == sorted(starts), node
+    kinds = {k for k in vars(A).values() if isinstance(k, type) and issubclass(k, (A.Stmt, A.Expr))}
+    assert reached == kinds - {A.Stmt, A.Expr}
+
+
+def test_walk_is_preorder_and_children_reject_non_nodes():
+    expr = parse_source("class A { int f() { return (a + b) * c; } }").classes[0].methods[0].body.stmts[0].value
+    names = [type(n).__name__ for n in A.walk(expr)]
+    assert names == ["Binary", "Paren", "Binary", "Name", "Name", "Name"]
+    with pytest.raises(TypeError):
+        A.children(A.Catch("E", "e", None, expr.span))

@@ -2,21 +2,31 @@
 
 from conftest import model_for, model_from_source
 
-from threadlint.cfg import build_cfg, dominance
 from threadlint.classmodel import exposed_accesses
 from threadlint.monitors import (
     Monitor,
     MonitorAnalysis,
     MonitorKind,
     is_lock_type,
-    locally_locked_on,
-    locally_synchronized_on,
     represents,
 )
 
 
 def analysis(cm, **kw):
     return MonitorAnalysis(cm, **kw)
+
+
+def locked_on(cm, m, expr, field_name):
+    """Does a lock window of ``field_name`` protect ``expr`` in ``m``?"""
+    lock = Monitor(MonitorKind.LOCK_FIELD, f"{cm.class_id}.{field_name}")
+    return lock in analysis(cm).protecting_monitors(m, expr)
+
+
+def synchronized_on(cm, m, expr):
+    """The monitors protecting ``expr`` in ``m`` through the synchronized keyword."""
+    return frozenset(
+        mon for mon in analysis(cm).protecting_monitors(m, expr) if mon.kind is not MonitorKind.LOCK_FIELD
+    )
 
 
 # --- is_lock_type ---
@@ -92,6 +102,27 @@ class A {
     assert not represents(cm, cm.decl.field_named("l2"), call.qualifier, f)
 
 
+def test_represents_sees_reassignment_inside_an_assignment_target():
+    cm = model_from_source(
+        """@ThreadSafe
+class A {
+  private final Lock l1 = null;
+  private final Lock l2 = null;
+  private final int[] data = new int[4];
+  public void f() {
+    Lock x = this.l1;
+    data[(x = this.l2).hashCode() & 3] = 1;
+    x.lock();
+    x.unlock();
+  }
+}
+"""
+    )
+    f = _method(cm, "f")
+    call = f.body.stmts[2].expr
+    assert not represents(cm, cm.decl.field_named("l1"), call.qualifier, f)
+
+
 def test_represents_rejects_parameters():
     cm = model_from_source(
         """@ThreadSafe
@@ -109,18 +140,15 @@ class A {
     assert not represents(cm, cm.decl.field_named("l"), call.qualifier, f)
 
 
-# --- locally_locked_on ---
+# --- lock windows (protecting_monitors, LOCK_FIELD monitors) ---
 
 
 def test_counter_ts_statements_locked():
     cm = model_for("CounterTS.java")
     inc = _method(cm, "inc")
-    cfg = build_cfg(inc)
-    dom = dominance(cfg)
-    lock_field = cm.decl.field_named("l")
     for stmt in inc.body.stmts[1:4]:
         expr = stmt.declarators[0].init if hasattr(stmt, "declarators") else stmt.expr
-        assert locally_locked_on(cfg, dom, expr, lock_field, cm)
+        assert locked_on(cm, inc, expr, "l")
 
 
 def test_lock_in_one_branch_does_not_protect_join():
@@ -137,10 +165,8 @@ class B {
 """
     )
     f = _method(cm, "f")
-    cfg = build_cfg(f)
-    dom = dominance(cfg)
     write = f.body.stmts[1].expr
-    assert not locally_locked_on(cfg, dom, write, cm.decl.field_named("l"), cm)
+    assert not locked_on(cm, f, write, "l")
 
 
 def test_trylock_recognized_as_locking_call():
@@ -158,10 +184,8 @@ class T {
 """
     )
     f = _method(cm, "f")
-    cfg = build_cfg(f)
-    dom = dominance(cfg)
     write = f.body.stmts[1].expr
-    assert locally_locked_on(cfg, dom, write, cm.decl.field_named("l"), cm)
+    assert locked_on(cm, f, write, "l")
 
 
 def test_missing_unlock_gives_no_window():
@@ -178,12 +202,10 @@ class M {
 """
     )
     f = _method(cm, "f")
-    cfg = build_cfg(f)
-    dom = dominance(cfg)
-    assert not locally_locked_on(cfg, dom, f.body.stmts[1].expr, cm.decl.field_named("l"), cm)
+    assert not locked_on(cm, f, f.body.stmts[1].expr, "l")
 
 
-# --- locally_synchronized_on ---
+# --- synchronized regions (protecting_monitors, other monitors) ---
 
 
 def test_synchronized_method_gives_this_monitor():
@@ -191,9 +213,8 @@ def test_synchronized_method_gives_this_monitor():
         "@ThreadSafe class S { private int n; public synchronized void f() { n = 1; } }"
     )
     f = _method(cm, "f")
-    cfg = build_cfg(f)
     target = f.body.stmts[0].expr
-    assert locally_synchronized_on(cfg, target, f, cm.decl) == {Monitor(MonitorKind.THIS, "this")}
+    assert synchronized_on(cm, f, target) == {Monitor(MonitorKind.THIS, "this")}
 
 
 def test_static_synchronized_gives_class_monitor():
@@ -201,8 +222,7 @@ def test_static_synchronized_gives_class_monitor():
         "@ThreadSafe class S { private static int n; public static synchronized void f() { n = 1; } }"
     )
     f = _method(cm, "f")
-    cfg = build_cfg(f)
-    mons = locally_synchronized_on(cfg, f.body.stmts[0].expr, f, cm.decl)
+    mons = synchronized_on(cm, f, f.body.stmts[0].expr)
     assert mons == {Monitor(MonitorKind.CLASS, "Class<S>")}
 
 
@@ -220,9 +240,8 @@ class S {
     expected = {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
     for name in ("a", "b"):
         m = _method(cm, name)
-        cfg = build_cfg(m)
         write = m.body.stmts[0].body.stmts[0].expr
-        assert locally_synchronized_on(cfg, write, m, cm.decl) == expected
+        assert synchronized_on(cm, m, write) == expected
 
 
 def test_sync_on_this_matches_synchronized_method():
@@ -238,9 +257,7 @@ class S {
     a, b = _method(cm, "a"), _method(cm, "b")
     wa = a.body.stmts[0].body.stmts[0].expr
     wb = b.body.stmts[0].expr
-    assert locally_synchronized_on(build_cfg(a), wa, a, cm.decl) == locally_synchronized_on(
-        build_cfg(b), wb, b, cm.decl
-    )
+    assert synchronized_on(cm, a, wa) == synchronized_on(cm, b, wb)
 
 
 def test_nested_sync_blocks_report_both_monitors():
@@ -256,7 +273,7 @@ class S {
     )
     f = _method(cm, "f")
     write = f.body.stmts[0].body.stmts[0].body.stmts[0].expr
-    mons = locally_synchronized_on(build_cfg(f), write, f, cm.decl)
+    mons = synchronized_on(cm, f, write)
     assert mons == {
         Monitor(MonitorKind.SYNC_EXPR, "this.a"),
         Monitor(MonitorKind.SYNC_EXPR, "this.b"),
@@ -266,7 +283,7 @@ class S {
 def test_plain_method_has_no_sync_monitor():
     cm = model_from_source("@ThreadSafe class P { private int n; public void f() { n = 1; } }")
     f = _method(cm, "f")
-    assert locally_synchronized_on(build_cfg(f), f.body.stmts[0].expr, f, cm.decl) == frozenset()
+    assert synchronized_on(cm, f, f.body.stmts[0].expr) == frozenset()
 
 
 # --- monitors (forex) ---
