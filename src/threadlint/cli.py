@@ -46,7 +46,10 @@ def discover_files(paths: list[str]) -> list[str]:
 
 
 def _parse_all(files: list[str], report: Report):
-    """Parse every file; parse failures are collected, not fatal."""
+    """Parse every file; parse failures are collected, not fatal.
+
+    ``stats.files_parsed`` counts the files that parsed.
+    """
     asts = []
     for path in files:
         try:
@@ -61,6 +64,7 @@ def _parse_all(files: list[str], report: Report):
             asts.append(parse_compilation_unit(SourceFile(path, content)))
         except ParseError as exc:
             report.errors.append(ParseFailure(path, exc.line, exc.col, exc.message))
+            continue
         report.stats.files_parsed += 1
     return asts
 

@@ -13,7 +13,7 @@ does not need per-kind scoping or ordering walks through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from threadlint.errors import SpanOutOfRange
 
@@ -31,9 +31,13 @@ PRIMITIVE_DEFAULT_LITERALS = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open slice [start, end) of one source file."""
+class SourceSpan(NamedTuple):
+    """Half-open slice [start, end) of one source file.
+
+    A ``NamedTuple`` rather than a frozen dataclass because the parser builds
+    one per node: a tuple is several times cheaper to build, and it is just
+    as immutable and hashable.
+    """
 
     file: str
     start: int

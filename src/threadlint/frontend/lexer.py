@@ -2,12 +2,22 @@
 
 Comments and whitespace are discarded; every token keeps character offsets
 plus 1-based line/column so the parser can build exact spans.
+
+Each token costs one regex match: the pattern's optional prefix swallows the
+whitespace and comments before the token, and the line count advances by the
+newlines in that prefix. The token part is optional too, so the match never
+fails and never backtracks into the prefix; a match that ends in no token
+group is the end of the input or an error at the first unlexable character.
+
+:class:`Token` is a ``NamedTuple`` because a pass builds one per token:
+a tuple is several times cheaper to build than a frozen dataclass, and it is
+just as immutable and hashable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from threadlint.errors import ParseError
 
@@ -25,31 +35,30 @@ PRIMITIVE_TYPES = frozenset(
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[\ \t\r\n\f]+)
-  | (?P<linecomment>//[^\n]*)
-  | (?P<blockcomment>/\*.*?\*/)
-  | (?P<number>
-        0[xX][0-9a-fA-F_]+[lL]?
-      | \d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-      | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-      | \d[\d_]*[eE][+-]?\d+[fFdD]?
-      | \d[\d_]*[lLfFdD]?
-    )
-  | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\.|[^"\\\n])*")
-  | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\.|[^'\\\n])')
-  | (?P<punct>
-        >>>=|>>=|<<=|>>>|>>|<<|\+\+|--|&&|\|\||<=|>=|==|!=|->|::
-      | \+=|-=|\*=|/=|%=|&=|\|=|\^=
-      | [{}()\[\];,.=<>!~?:&|+\-*/%^@]
-    )
+    (?P<skip>(?:[\ \t\r\n\f]+|//[^\n]*|/\*.*?\*/)*)
+    (?:
+        (?P<number>
+            0[xX][0-9a-fA-F_]+[lL]?
+          | \d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+          | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+          | \d[\d_]*[eE][+-]?\d+[fFdD]?
+          | \d[\d_]*[lLfFdD]?
+        )
+      | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\.|[^"\\\n])*")
+      | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\.|[^'\\\n])')
+      | (?P<punct>
+            >>>=|>>=|<<=|>>>|>>|<<|\+\+|--|&&|\|\||<=|>=|==|!=|->|::
+          | \+=|-=|\*=|/=|%=|&=|\|=|\^=
+          | [{}()\[\];,.=<>!~?:&|+\-*/%^@]
+        )
+    )?
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | number | string | char | punct | eof
     text: str
     start: int
@@ -61,36 +70,38 @@ class Token:
 def tokenize(source: str, path: str = "<string>") -> list[Token]:
     """Lex ``source`` into a token list terminated by an ``eof`` token."""
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token's own __new__ is a Python-level call
     pos = 0
     line = 1
     line_start = 0
     n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            ch = source[pos]
+    # the pattern matches at every position, so consecutive matches tile the
+    # source; the first match without a token ends the loop
+    for m in _TOKEN_RE.finditer(source):
+        start = m.end(1)
+        if start != pos:
+            nl = source.count("\n", pos, start)
+            if nl:
+                line += nl
+                line_start = source.rindex("\n", pos, start) + 1
+        kind = m.lastgroup
+        if kind == "skip":
+            if start == n:
+                break
+            col = start - line_start + 1
+            ch = source[start]
             if ch == '"':
                 raise ParseError(line, col, "unterminated string literal")
             if ch == "'":
                 raise ParseError(line, col, "unterminated character literal")
-            if source.startswith("/*", pos):
-                raise ParseError(line, col, "unterminated block comment")
             raise ParseError(line, col, f"unexpected character {ch!r}")
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "punct" and text == "/" and source.startswith("/*", pos):
-            raise ParseError(line, pos - line_start + 1, "unterminated block comment")
-        if kind in ("ws", "linecomment", "blockcomment"):
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + text.rindex("\n") + 1
-        else:
-            col = m.start() - line_start + 1
-            if kind == "word":
-                kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, m.start(), m.end(), line, col))
         pos = m.end()
-    tokens.append(Token("eof", "", n, n, line, n - line_start + 1))
+        text = source[start:pos]
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind == "punct" and text == "/" and source.startswith("/*", start):
+            raise ParseError(line, start - line_start + 1, "unterminated block comment")
+        append(new(Token, (kind, text, start, pos, line, start - line_start + 1)))
+    append(Token("eof", "", n, n, line, n - line_start + 1))
     return tokens

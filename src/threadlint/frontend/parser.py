@@ -82,7 +82,8 @@ class SourceFile:
 
 class _Parser:
     def __init__(self, tokens: list[Token], src: SourceFile):
-        self.toks = tokens
+        # two spare eof tokens let peek(k) for k <= 2 index without clamping
+        self.toks = tokens + [tokens[-1]] * 2
         self.src = src
         self.pos = 0
         self.depth = 0  # current nesting, see MAX_NESTING
@@ -93,14 +94,13 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        i = min(self.pos + k, len(self.toks) - 1)
-        return self.toks[i]
+        return self.toks[self.pos + k]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.pos].text == text
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.pos].kind == kind
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
@@ -109,7 +109,7 @@ class _Parser:
         return t
 
     def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
+        if self.toks[self.pos].text == text:
             return self.advance()
         return None
 
@@ -139,11 +139,12 @@ class _Parser:
             raise _Unsupported(t.line, t.col, f"nesting deeper than {MAX_NESTING} levels is not supported")
 
     def span_from(self, start_tok: Token, end_tok: Optional[Token] = None) -> A.SourceSpan:
-        end = end_tok if end_tok is not None else self.toks[max(self.pos - 1, 0)]
+        if end_tok is None:
+            end_tok = self.toks[self.pos - 1 if self.pos else 0]
         return A.SourceSpan(
-            self.src.path, start_tok.start, end.end,
+            self.src.path, start_tok.start, end_tok.end,
             start_tok.line, start_tok.col,
-            end.line, end.col + max(len(end.text), 0),
+            end_tok.line, end_tok.col + len(end_tok.text),
         )
 
     def zero_span(self, tok: Token) -> A.SourceSpan:

@@ -4,6 +4,12 @@ Two exposed accesses of the same field conflict when at least one modifies
 the field; a pair may be one access against itself, since two threads can
 execute the same statement. Alert granularity is per conflicting pair, so an
 unprotected, frequently-accessed field yields many alerts.
+
+:func:`conflicting_pairs` remains the definition of a conflict. The P3 check
+does not enumerate it, though: most conflicting pairs share a monitor, so it
+groups each field's accesses by their monitor set and follows only the
+modifying accesses into groups whose sets are disjoint from theirs. Its work
+grows with the alerts it reports, not with the pairs it rules out.
 """
 
 from __future__ import annotations
@@ -45,6 +51,23 @@ class ConflictPair:
         assert is_modifying(self.a)
 
 
+def _accesses_by_field(exposed: list[FieldAccess]) -> list[list[FieldAccess]]:
+    """``exposed`` split by field, fields in order of their first access."""
+    by_field: dict[int, list[FieldAccess]] = {}
+    for a in exposed:
+        by_field.setdefault(id(a.field), []).append(a)
+    return list(by_field.values())
+
+
+def _conflict(x: FieldAccess, y: FieldAccess) -> Optional[ConflictPair]:
+    """The pair of ``x`` before ``y``, modifying access first; None if neither modifies."""
+    if is_modifying(x):
+        return ConflictPair(x, y)
+    if is_modifying(y):
+        return ConflictPair(y, x)
+    return None
+
+
 def conflicting_pairs(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> list[ConflictPair]:
     """All conflicting pairs over exposed accesses, deduplicated.
 
@@ -53,17 +76,13 @@ def conflicting_pairs(cm: ClassModel, exposed: Optional[list[FieldAccess]] = Non
     """
     if exposed is None:
         exposed = exposed_accesses(cm)
-    by_field: dict[int, list[FieldAccess]] = {}
-    for a in exposed:
-        by_field.setdefault(id(a.field), []).append(a)
     pairs: list[ConflictPair] = []
-    for accesses in by_field.values():
+    for accesses in _accesses_by_field(exposed):
         for i, x in enumerate(accesses):
             for y in accesses[i:]:
-                if is_modifying(x):
-                    pairs.append(ConflictPair(x, y))
-                elif is_modifying(y):
-                    pairs.append(ConflictPair(y, x))
+                pair = _conflict(x, y)
+                if pair is not None:
+                    pairs.append(pair)
     return pairs
 
 
@@ -72,17 +91,46 @@ def check_correct_synchronization(
     facts: Optional[frozenset[AccessPathFact]] = None,
     monitor_info: Optional[MonitorAnalysis] = None,
 ) -> list[Alert]:
-    """P3: every conflicting pair must share at least one protecting monitor."""
+    """P3: every conflicting pair must share at least one protecting monitor.
+
+    Reports exactly the pairs of :func:`conflicting_pairs` whose monitor sets
+    are disjoint, in that function's order before the final sort, without
+    building the others. Monitors are asked for only on fields with a
+    modifying access, which are the accesses some conflicting pair holds.
+    """
     if monitor_info is None:
         if facts is None:
             facts = provides_access(cm)
         monitor_info = MonitorAnalysis(cm, facts)
+    # (field index, i, j) of each unguarded pair, i <= j in the field's order
+    found: list[tuple[int, int, int]] = []
+    fields = _accesses_by_field(exposed_accesses(cm))
+    for f, accesses in enumerate(fields):
+        modifying = [is_modifying(a) for a in accesses]
+        if not any(modifying):
+            continue
+        mons = [monitor_info.monitors(a) for a in accesses]
+        groups: dict[frozenset, list[int]] = {}
+        for j, m in enumerate(mons):
+            groups.setdefault(m, []).append(j)
+        for i, w in enumerate(modifying):
+            if not w:
+                continue
+            for m, members in groups.items():
+                if mons[i] & m:
+                    continue
+                for j in members:
+                    # two modifying accesses find each other; keep the pair once
+                    if j >= i:
+                        found.append((f, i, j))
+                    elif not modifying[j]:
+                        found.append((f, j, i))
+    found.sort()
     alerts = []
-    for pair in conflicting_pairs(cm):
+    for f, i, j in found:
+        pair = _conflict(fields[f][i], fields[f][j])
         ma = monitor_info.monitors(pair.a)
         mb = monitor_info.monitors(pair.b)
-        if ma & mb:
-            continue
         notes = []
         for acc, mons in ((pair.a, ma), (pair.b, mb)):
             if not mons and not monitor_info.public_facts(acc):

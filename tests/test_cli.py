@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes for paths, config files, --trace, --oracle
 and over-deep input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -149,3 +150,15 @@ def test_path_and_config_exit_codes(tmp_path, name):
     assert expected in proc.stdout + proc.stderr
     if code == EXIT_CLEAN:
         assert proc.stdout == "" and proc.stderr == ""
+
+
+def test_files_parsed_counts_only_files_that_parsed(tmp_path, capsys):
+    (tmp_path / "A.java").write_text("class A {")
+    (tmp_path / "Bad.java").write_bytes(b"class Bad { \xff }")
+    (tmp_path / "Unguarded.java").write_text(OPEN)
+    code = main(["--format", "json", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_ERROR
+    report = json.loads(out)
+    assert len(report["errors"]) == 2
+    assert report["stats"]["files_parsed"] == 1

@@ -3,9 +3,14 @@ and the completeness of the shared child relation."""
 
 import dataclasses
 
+import lex_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, corpus_source, line_of, parse_corpus
+from test_accesspaths import thread_safe_classes
+from test_raceanalysis import synchronized_classes
 
 from threadlint.errors import ParseError, SpanOutOfRange
 from threadlint.frontend import (
@@ -58,6 +63,42 @@ def test_lex_errors(src, msg):
     with pytest.raises(ParseError) as err:
         tokenize(src)
     assert msg in str(err.value)
+
+
+JAVA_FRAGMENTS = (
+    "class", "C", "{", "}", "int", "x", "=", "0", ";", "public", "void", "m", "(", ")",
+    "synchronized", "this", ".", "f", "+=", ">>>=", ">>", "<", "->", "::", "@ThreadSafe",
+    "0x1F", "0L", "1.5e3f", ".5", "3.", "1_000", "\"s\"", "\"a\\\"b\"", "'c'", "'\\n'",
+    "'\\u0041'", "\"\\u00e9\"", "$x_1", "/", "*", "/=",
+)
+
+
+@st.composite
+def lexer_inputs(draw):
+    """Java fragments with whitespace, comments, unterminated literals and stray characters."""
+    piece = st.one_of(
+        st.sampled_from(JAVA_FRAGMENTS),
+        st.text(alphabet=" \t\r\n\f", min_size=1, max_size=4),
+        st.sampled_from(["// note", "//", "/* c */", "/**/", "/* two\nlines */", "/*\n\n*/", "/* a * b / c */"]),
+    )
+    pieces = draw(st.lists(piece, max_size=30))
+    if draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from(['"open', "'x", "'", '"', "/* open", "/* open\n", "#", "`", "\\", "\u20ac", "\"a\nb\""]))
+        pieces.insert(draw(st.integers(0, len(pieces))), bad)
+    return "".join(pieces)
+
+
+def lexed(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.start, t.end, t.line, t.col) for t in tokenizer(text)]
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexer_inputs())
+def test_single_match_lexer_matches_reference(text):
+    assert lexed(tokenize, text) == lexed(lex_reference.tokenize, text)
 
 
 # --- parser: paper examples ---
@@ -219,6 +260,14 @@ def test_pretty_print_idempotent(corpus_names):
         once = to_source(parse_compilation_unit(src))
         twice = to_source(parse_compilation_unit(SourceFile(src.path, once)))
         assert once == twice
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(thread_safe_classes(), synchronized_classes()))
+def test_printer_round_trips_generated_classes(src):
+    once = to_source(parse_source(src))
+    assert to_source(parse_source(once)) == once
+    assert [t.text for t in tokenize(once)] == [t.text for t in tokenize(src)]
 
 
 # --- subset coverage ---

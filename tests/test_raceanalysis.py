@@ -1,7 +1,12 @@
 """Conflicting pairs, P3 alerts, and whole-class aggregation."""
 
+import p3_reference
 from conftest import corpus_source, line_of, model_for, model_from_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from threadlint.accesspaths import provides_access
+from threadlint.monitors import MonitorAnalysis
 from threadlint.raceanalysis import (
     analyze_class,
     check_correct_synchronization,
@@ -220,3 +225,87 @@ def test_unguarded_fixture_alerts():
     alerts = analyze_class(model_for("Unguarded.java"))
     assert all(a.rule == "P3" and a.field == "counter" for a in alerts)
     assert len(alerts) == 4  # (w, r-rhs), (w, w), (w, r-return), (w, r-peek)
+
+
+# --- pairing by monitor set against the pairwise reference ---
+
+SYNC_METHOD_NAMES = ("a", "b", "c", "d")
+WRITTEN_FIELDS = ("f0", "f1", "this.f2")
+# ro is never written, so its pairs are all read-read
+READ_FIELDS = WRITTEN_FIELDS + ("ro",)
+
+
+@st.composite
+def sync_statements(draw, depth=0):
+    kinds = ["write", "compound", "read", "read", "call", "mutate"]
+    if depth < 2:
+        kinds += ["sync_this", "sync_obj", "window", "window_try"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "write":
+        return f"{draw(st.sampled_from(WRITTEN_FIELDS))} = {draw(st.sampled_from(READ_FIELDS))} + 1;"
+    if kind == "compound":
+        return f"{draw(st.sampled_from(WRITTEN_FIELDS))} += 1;"
+    if kind == "read":
+        return f"int v = {draw(st.sampled_from(READ_FIELDS))};"
+    if kind == "call":
+        return f"{draw(st.sampled_from(['', 'this.']))}{draw(st.sampled_from(SYNC_METHOD_NAMES))}();"
+    if kind == "mutate":
+        return "items.add(1);"
+    inner = " ".join(draw(st.lists(sync_statements(depth + 1), min_size=1, max_size=3)))
+    if kind == "sync_this":
+        return f"synchronized (this) {{ {inner} }}"
+    if kind == "sync_obj":
+        return f"synchronized (lockObj) {{ {inner} }}"
+    if kind == "window":
+        return f"lock.lock(); {inner} lock.unlock();"
+    return f"lock.lock(); try {{ {inner} }} finally {{ lock.unlock(); }}"
+
+
+@st.composite
+def synchronized_classes(draw):
+    """Classes of several fields guarded by synchronized methods and blocks and lock windows.
+
+    Methods are public or private, synchronized or not, and call each other.
+    """
+    members = []
+    for name in draw(st.lists(st.sampled_from(SYNC_METHOD_NAMES), min_size=1, max_size=5)):
+        mods = draw(st.sampled_from(["public", "private"]))
+        if draw(st.booleans()):
+            mods += " synchronized"
+        body = "\n    ".join(draw(st.lists(sync_statements(), max_size=4)))
+        members.append(f"  {mods} void {name}() {{\n    {body}\n  }}")
+    fields = (
+        "  private int f0;\n  private int f1;\n  private int f2;\n  private int ro;\n"
+        "  private final List<Integer> items = new ArrayList<>();\n"
+        "  private final Object lockObj = new Object();\n"
+        "  private final ReentrantLock lock = new ReentrantLock();\n"
+    )
+    return "@ThreadSafe\nclass S {\n" + fields + "\n".join(members) + "\n}\n"
+
+
+class AssignedMonitors(MonitorAnalysis):
+    """Monitor sets fixed per access, so that accesses at one source position
+    (a compound assignment's read and write) can fall into different groups."""
+
+    def __init__(self, cm, facts, assigned):
+        super().__init__(cm, facts)
+        self.assigned = assigned
+
+    def monitors(self, a):
+        return self.assigned[id(a)]
+
+
+MONITOR_SETS = (frozenset(), frozenset({"m1"}), frozenset({"m2"}), frozenset({"m1", "m2"}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(synchronized_classes(), st.randoms(use_true_random=False))
+def test_pairing_by_monitor_set_matches_pairwise_reference(src, rng):
+    cm = model_from_source(src)
+    facts = provides_access(cm)
+    got = check_correct_synchronization(cm, facts, MonitorAnalysis(cm, facts))
+    assert got == p3_reference.check_correct_synchronization(cm, MonitorAnalysis(cm, facts))
+    # alerts tied in Alert.sort_key keep the reference's order for any monitor sets
+    assigned = {id(a): rng.choice(MONITOR_SETS) for a in cm.field_accesses}
+    got = check_correct_synchronization(cm, facts, AssignedMonitors(cm, facts, assigned))
+    assert got == p3_reference.check_correct_synchronization(cm, AssignedMonitors(cm, facts, assigned))
