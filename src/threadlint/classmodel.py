@@ -4,11 +4,16 @@ The model records every syntactic access to the class's own fields (reads,
 writes, array-element writes, mutator calls, and the declared-initializer
 write). Accesses to fields of other classes are ignored; those are governed
 by the other class's own no-escaping rule.
+
+Name binding happens here and only here: the collector scopes locals and
+parameters by block, and :meth:`ClassModel.field_of` answers, for any
+expression of the class, which own field it denotes. Monitor identification
+and the oracle driver ask it instead of resolving names themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -72,10 +77,6 @@ class FieldAccess:
     def line(self) -> int:
         return self.span.start_line
 
-    def describe(self) -> str:
-        where = "initializer" if self.enclosing is None else self.enclosing.name
-        return f"{self.kind.value} of {self.field.name} at line {self.line} in {where}"
-
 
 @dataclass(eq=False)
 class ClassModel:
@@ -84,6 +85,7 @@ class ClassModel:
     allowlist: ThreadSafeTypeAllowlist
     annotated: bool
     mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS
+    bindings: dict[int, A.FieldDecl] = field(default_factory=dict)  # id(Name|FieldSel) -> field
 
     @property
     def name(self) -> str:
@@ -93,18 +95,28 @@ class ClassModel:
     def class_id(self) -> str:
         return self.decl.qualified_name or self.decl.name
 
-    def accesses_of(self, field_name: str) -> list[FieldAccess]:
-        return [a for a in self.field_accesses if a.field.name == field_name]
+    def field_of(self, expr: A.Expr) -> Optional[A.FieldDecl]:
+        """The own field ``expr`` denotes, parentheses stripped.
+
+        None for a local, a parameter, another object's field, and any
+        expression that is not a name or a field selection.
+        """
+        return self.bindings.get(id(A.strip_parens(expr)))
 
 
 class _AccessCollector:
-    """Walks callable bodies resolving bare names against locals, then fields."""
+    """Walks callable bodies resolving bare names against locals, then fields.
+
+    Every name or field selection that resolves to an own field is recorded
+    in ``bindings``, whether or not it becomes an access of its own.
+    """
 
     def __init__(self, decl: A.ClassDecl, mutators: tuple[str, ...]):
         self.decl = decl
         self.fields = {f.name: f for f in decl.fields}
         self.mutators = frozenset(mutators)
         self.out: list[FieldAccess] = []
+        self.bindings: dict[int, A.FieldDecl] = {}
         self.scopes: list[set[str]] = []
         self.enclosing: Optional[A.MethodDecl] = None
 
@@ -113,10 +125,17 @@ class _AccessCollector:
     def _is_local(self, name: str) -> bool:
         return any(name in s for s in self.scopes)
 
-    def _own_field(self, name: str) -> Optional[A.FieldDecl]:
-        if self._is_local(name):
+    def _bind(self, e: A.Expr) -> Optional[A.FieldDecl]:
+        """The own field a ``Name`` or ``FieldSel`` denotes, recorded in ``bindings``."""
+        if isinstance(e, A.Name):
+            f = None if self._is_local(e.identifier) else self.fields.get(e.identifier)
+        elif isinstance(e, A.FieldSel):
+            f = self._selected_own_field(e)
+        else:
             return None
-        return self.fields.get(name)
+        if f is not None:
+            self.bindings[id(e)] = f
+        return f
 
     def _emit(self, f: A.FieldDecl, kind: AccessKind, expr: A.Expr,
               span: Optional[A.SourceSpan] = None, initializer: bool = False) -> None:
@@ -203,16 +222,11 @@ class _AccessCollector:
     def visit_expr(self, e: A.Expr) -> None:
         if isinstance(e, (A.Literal, A.This, A.ClassLit)):
             return
-        if isinstance(e, A.Name):
-            f = self._own_field(e.identifier)
+        if isinstance(e, (A.Name, A.FieldSel)):
+            f = self._bind(e)
             if f is not None:
                 self._emit(f, AccessKind.READ, e)
-            return
-        if isinstance(e, A.FieldSel):
-            f = self._selected_own_field(e)
-            if f is not None:
-                self._emit(f, AccessKind.READ, e)
-            else:
+            elif isinstance(e, A.FieldSel):
                 self.visit_expr(e.qualifier)
             return
         if isinstance(e, A.Call):
@@ -244,20 +258,14 @@ class _AccessCollector:
 
     def _visit_target(self, target: A.Expr, compound: bool) -> None:
         """Classify an assignment (or ++/--) target; compound targets also read."""
-        if isinstance(target, A.Name):
-            f = self._own_field(target.identifier)
+        target = A.strip_parens(target)
+        if isinstance(target, (A.Name, A.FieldSel)):
+            f = self._bind(target)
             if f is not None:
                 if compound:
                     self._emit(f, AccessKind.READ, target)
                 self._emit(f, AccessKind.WRITE, target)
-            return
-        if isinstance(target, A.FieldSel):
-            f = self._selected_own_field(target)
-            if f is not None:
-                if compound:
-                    self._emit(f, AccessKind.READ, target)
-                self._emit(f, AccessKind.WRITE, target)
-            else:
+            elif isinstance(target, A.FieldSel):
                 self.visit_expr(target.qualifier)
             return
         if isinstance(target, A.Index):
@@ -265,12 +273,8 @@ class _AccessCollector:
             indices = []
             while isinstance(base, A.Index):
                 indices.append(base.index)
-                base = base.base
-            root_field = None
-            if isinstance(base, A.Name):
-                root_field = self._own_field(base.identifier)
-            elif isinstance(base, A.FieldSel):
-                root_field = self._selected_own_field(base)
+                base = A.strip_parens(base.base)
+            root_field = self._bind(base)
             if root_field is not None:
                 self._emit(root_field, AccessKind.ARRAY_ELEMENT_WRITE, target)
             else:
@@ -281,12 +285,8 @@ class _AccessCollector:
         self.visit_expr(target)
 
     def _visit_call(self, e: A.Call) -> None:
-        q = e.qualifier
-        target_field = None
-        if isinstance(q, A.Name):
-            target_field = self._own_field(q.identifier)
-        elif isinstance(q, A.FieldSel):
-            target_field = self._selected_own_field(q)
+        q = None if e.qualifier is None else A.strip_parens(e.qualifier)
+        target_field = None if q is None else self._bind(q)
         if target_field is not None:
             if e.name in self.mutators:
                 self._emit(target_field, AccessKind.MUTATOR_CALL, e, span=e.span)
@@ -314,7 +314,7 @@ def build_class_model(
     accesses = sorted(collector.out, key=lambda a: (a.span.start, a.span.end))
     wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
     annotated = bool(decl.annotation_simple_names() & wanted)
-    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods)
+    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings)
 
 
 def is_default_initialized(f: A.FieldDecl) -> bool:

@@ -11,13 +11,13 @@ import argparse
 import os
 import sys
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 import threadlint
 from threadlint.classmodel import build_class_model
 from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
 from threadlint.errors import IoError, ParseError, ThreadlintError
-from threadlint.frontend import SourceFile, annotated_as_thread_safe, parse_compilation_unit
+from threadlint.frontend import Ast, SourceFile, annotated_as_thread_safe, parse_compilation_unit
 from threadlint.hboracle import check_class, detect_races
 from threadlint.hboracle.trace import parse_trace
 from threadlint.raceanalysis import analyze_class
@@ -45,12 +45,13 @@ def discover_files(paths: list[str]) -> list[str]:
     return files
 
 
-def _parse_all(files: list[str], report: Report):
-    """Parse every file; parse failures are collected, not fatal.
+def _parse_all(files: list[str], report: Report) -> Iterator[Ast]:
+    """Parse the files one at a time, yielding each AST in file order.
 
-    ``stats.files_parsed`` counts the files that parsed.
+    The caller analyzes an AST before the next file is read, so no more than
+    one file's AST is alive at a time. Parse failures are collected, not
+    fatal; ``stats.files_parsed`` counts the files that parsed.
     """
-    asts = []
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -61,12 +62,12 @@ def _parse_all(files: list[str], report: Report):
             report.errors.append(ParseFailure(path, 1, 1, "file is not valid UTF-8"))
             continue
         try:
-            asts.append(parse_compilation_unit(SourceFile(path, content)))
+            ast = parse_compilation_unit(SourceFile(path, content))
         except ParseError as exc:
             report.errors.append(ParseFailure(path, exc.line, exc.col, exc.message))
             continue
         report.stats.files_parsed += 1
-    return asts
+        yield ast
 
 
 def _class_alerts(decl, config: Config):
@@ -90,9 +91,7 @@ def run(paths: list[str], config: Config) -> tuple[Report, int]:
     """Discover, parse, and analyze; returns the report and an exit code."""
     started = time.perf_counter()
     report = Report()
-    files = discover_files(paths)
-    asts = _parse_all(files, report)
-    for ast in asts:
+    for ast in _parse_all(discover_files(paths), report):
         report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
         for decl in annotated_as_thread_safe(ast, config.annotations):
             report.stats.annotated_classes += 1
@@ -113,10 +112,8 @@ def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
     """
     started = time.perf_counter()
     report = Report()
-    files = discover_files(paths)
-    asts = _parse_all(files, report)
     disagreements = 0
-    for ast in asts:
+    for ast in _parse_all(discover_files(paths), report):
         report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
         for decl in annotated_as_thread_safe(ast, config.annotations):
             report.stats.annotated_classes += 1

@@ -17,8 +17,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from threadlint.errors import SpanOutOfRange
 
-VISIBILITIES = ("public", "protected", "package", "private")
-
 PRIMITIVE_DEFAULT_LITERALS = {
     "byte": ("0",),
     "short": ("0",),
@@ -422,6 +420,13 @@ def walk(node: Node) -> Iterator[Node]:
         n = stack.pop()
         yield n
         stack.extend(reversed(children(n)))
+
+
+def strip_parens(e: Expr) -> Expr:
+    """``e`` without its enclosing parentheses."""
+    while isinstance(e, Paren):
+        e = e.inner
+    return e
 
 
 def reconstruct_span(ast: Ast, span: SourceSpan) -> str:

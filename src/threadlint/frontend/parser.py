@@ -147,9 +147,6 @@ class _Parser:
             end_tok.line, end_tok.col + len(end_tok.text),
         )
 
-    def zero_span(self, tok: Token) -> A.SourceSpan:
-        return A.SourceSpan(self.src.path, tok.start, tok.start, tok.line, tok.col, tok.line, tok.col)
-
     # -- compilation unit ----------------------------------------------------
 
     def parse_unit(self) -> A.Ast:

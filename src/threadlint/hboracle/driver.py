@@ -6,6 +6,15 @@ declaration order), then worker threads each call one public method. Method
 bodies must be straight-line (no branches or loops); same-class calls are
 inlined.
 
+Binding comes from the class model, classification is the driver's own.
+Which own field a name denotes is asked of :meth:`ClassModel.field_of`, and
+a lock()/unlock() receiver, a local alias of a lock field included, is
+recognized by :func:`threadlint.monitors.represents`; so the oracle and the
+static rules never disagree about scoping. Whether an access reads or
+writes, and in which order a statement's actions run, is decided here
+independently of the static collector, so the oracle still catches a
+static classification miss.
+
 Statement-to-action mapping: every field read/write becomes a read/write
 action (volatile fields use the volatile variants), lock-field lock()/
 unlock() calls become monitor actions (namespaced ``lock:`` so an explicit
@@ -13,9 +22,10 @@ Lock object never aliases the intrinsic monitor of a synchronized block on
 the same field), synchronized methods and blocks wrap their bodies in
 monitor actions, and a statement touching no field or
 monitor contributes one ``local`` action. Mutator calls and array-element
-writes count as writes of the field. Accesses to fields of allowlisted
-(thread-safe) types are trusted to synchronize internally and contribute
-local actions only, mirroring the static exemption.
+writes (``a[i] = v``, ``a[i] += v``, ``a[i]++``) count as writes of the
+field. Accesses to fields of allowlisted (thread-safe) types are trusted to
+synchronize internally and contribute local actions only, mirroring the
+static exemption.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ from threadlint.monitors import (
     DEFAULT_LOCK_TYPES,
     DEFAULT_UNLOCK_METHODS,
     _canonical_sync_monitor,
-    is_lock_type,
+    lock_fields,
+    represents,
 )
 
 ActionSpec = tuple[Op, Optional[str]]
@@ -66,39 +77,12 @@ class _DriverBuilder:
     ):
         self.cm = cm
         self.decl = cm.decl
-        self.fields = {f.name: f for f in cm.decl.fields}
-        self.lock_types = lock_types
+        self.lock_fields = lock_fields(cm, lock_types)
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
         self.methods_by_sig = {(m.name, m.arity): m for m in cm.decl.methods}
 
     # -- field classification --
-
-    def _own_field(self, name: str, locals_: set[str]) -> Optional[A.FieldDecl]:
-        if name in locals_:
-            return None
-        return self.fields.get(name)
-
-    def _field_of_expr(self, e: A.Expr, locals_: set[str]) -> Optional[A.FieldDecl]:
-        while isinstance(e, A.Paren):
-            e = e.inner
-        if isinstance(e, A.Name):
-            return self._own_field(e.identifier, locals_)
-        if isinstance(e, A.FieldSel) and isinstance(e.qualifier, A.This):
-            return self.fields.get(e.name)
-        if (
-            isinstance(e, A.FieldSel)
-            and isinstance(e.qualifier, A.Name)
-            and e.qualifier.identifier == self.decl.name
-        ):
-            f = self.fields.get(e.name)
-            return f if f is not None and f.is_static else None
-        return None
-
-    def _is_lock_field(self, f: A.FieldDecl) -> bool:
-        return is_lock_type(f.declared_type, self.lock_types) or is_lock_type(
-            f.resolved_type, self.lock_types
-        )
 
     def _read_op(self, f: A.FieldDecl) -> ActionSpec:
         if self.cm.allowlist.contains(f):
@@ -116,24 +100,25 @@ class _DriverBuilder:
 
     # -- lowering --
 
-    def method_actions(self, m: A.MethodDecl, stack: tuple[str, ...] = ()) -> list[ActionSpec]:
+    def method_actions(self, m: A.MethodDecl, stack: tuple[A.MethodDecl, ...] = ()) -> list[ActionSpec]:
+        """Actions of one call of ``m``; ``stack`` holds the inlining callers."""
         if m.body is None:
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: no body")
-        if m.name in stack:
+        if any(c.name == m.name for c in stack):
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: recursive call chain")
-        locals_ = {p.name for p in m.params}
+        stack += (m,)
         actions: list[ActionSpec] = []
         monitor = None
         if m.is_synchronized:
             monitor = f"Class<{self.decl.name}>" if m.is_static else "this"
             actions.append((Op.LOCK, monitor))
         for s in m.body.stmts:
-            actions.extend(self._stmt_actions(s, locals_, stack + (m.name,)))
+            actions.extend(self._stmt_actions(s, stack))
         if monitor is not None:
             actions.append((Op.UNLOCK, monitor))
         return actions
 
-    def _stmt_actions(self, s: A.Stmt, locals_: set[str], stack: tuple[str, ...]) -> list[ActionSpec]:
+    def _stmt_actions(self, s: A.Stmt, stack: tuple[A.MethodDecl, ...]) -> list[ActionSpec]:
         if isinstance(s, (A.If, A.While, A.For, A.ForEach, A.Try, A.Throw)):
             raise UnsupportedForOracle(
                 f"{self.decl.name}: {type(s).__name__.lower()} statements are not oracle-supported "
@@ -144,138 +129,141 @@ class _DriverBuilder:
         if isinstance(s, A.Block):
             out: list[ActionSpec] = []
             for inner in s.stmts:
-                out.extend(self._stmt_actions(inner, locals_, stack))
+                out.extend(self._stmt_actions(inner, stack))
             return out
         if isinstance(s, A.Sync):
-            monitor = _canonical_sync_monitor(s.monitor, self.decl)
+            monitor = _canonical_sync_monitor(s.monitor, self.cm)
             out = [(Op.LOCK, monitor.identity)]
             for inner in s.body.stmts:
-                out.extend(self._stmt_actions(inner, locals_, stack))
+                out.extend(self._stmt_actions(inner, stack))
             out.append((Op.UNLOCK, monitor.identity))
             return out
         if isinstance(s, A.LocalDecl):
             out = []
             for d in s.declarators:
                 if d.init is not None:
-                    out.extend(self._expr_actions(d.init, locals_, stack))
-                locals_.add(d.name)
+                    out.extend(self._expr_actions(d.init, stack))
             return out or [(Op.LOCAL, None)]
         if isinstance(s, A.Return):
             if s.value is None:
                 return [(Op.LOCAL, None)]
-            return self._expr_actions(s.value, locals_, stack) or [(Op.LOCAL, None)]
+            return self._expr_actions(s.value, stack) or [(Op.LOCAL, None)]
         if isinstance(s, A.ExprStmt):
-            return self._expr_actions(s.expr, locals_, stack) or [(Op.LOCAL, None)]
+            return self._expr_actions(s.expr, stack) or [(Op.LOCAL, None)]
         raise UnsupportedForOracle(f"{self.decl.name}: unsupported statement {type(s).__name__}")
 
-    def _expr_actions(self, e: A.Expr, locals_: set[str], stack: tuple[str, ...]) -> list[ActionSpec]:
+    def _expr_actions(self, e: A.Expr, stack: tuple[A.MethodDecl, ...]) -> list[ActionSpec]:
         """Field and monitor actions of one expression, in evaluation order."""
         out: list[ActionSpec] = []
-        self._visit(e, locals_, stack, out)
+        self._visit(e, stack, out)
         return [a for a in out if a[0] is not Op.LOCAL] or (
             [(Op.LOCAL, None)] if out else []
         )
 
-    def _visit(self, e: A.Expr, locals_: set[str], stack, out: list[ActionSpec]) -> None:
+    def _visit(self, e: A.Expr, stack, out: list[ActionSpec]) -> None:
         if isinstance(e, (A.Literal, A.This, A.ClassLit)):
             return
         if isinstance(e, (A.Name, A.FieldSel)):
-            f = self._field_of_expr(e, locals_)
+            f = self.cm.field_of(e)
             if f is not None:
                 out.append(self._read_op(f))
             elif isinstance(e, A.FieldSel):
-                self._visit(e.qualifier, locals_, stack, out)
+                self._visit(e.qualifier, stack, out)
             return
         if isinstance(e, A.Unary) and e.op in ("++", "--"):
-            f = self._field_of_expr(e.operand, locals_)
+            target = A.strip_parens(e.operand)
+            f = self.cm.field_of(target)
             if f is not None:
                 out.append(self._read_op(f))
                 out.append(self._write_op(f))
                 return
+            if isinstance(target, A.Index):
+                self._element_write(target, None, stack, out)
+                return
         if isinstance(e, A.Assign):
-            self._assign_actions(e, locals_, stack, out)
+            self._assign_actions(e, stack, out)
             return
         if isinstance(e, A.Call):
-            self._call_actions(e, locals_, stack, out)
+            self._call_actions(e, stack, out)
             return
         if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
             for c in A.children(e):
-                self._visit(c, locals_, stack, out)
+                self._visit(c, stack, out)
             return
         raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {type(e).__name__}")
 
-    def _assign_actions(self, e: A.Assign, locals_: set[str], stack, out) -> None:
-        target = e.target
-        while isinstance(target, A.Paren):
-            target = target.inner
-        f = self._field_of_expr(target, locals_)
+    def _assign_actions(self, e: A.Assign, stack, out) -> None:
+        target = A.strip_parens(e.target)
+        f = self.cm.field_of(target)
         if f is not None:
             if e.op != "=":
                 out.append(self._read_op(f))
-            self._visit(e.value, locals_, stack, out)
+            self._visit(e.value, stack, out)
             out.append(self._write_op(f))
             return
         if isinstance(target, A.Index):
-            base = target
-            indices = []
-            while isinstance(base, A.Index):
-                indices.append(base.index)
-                base = base.base
-            root = self._field_of_expr(base, locals_)
-            for ix in indices:
-                self._visit(ix, locals_, stack, out)
-            self._visit(e.value, locals_, stack, out)
-            if root is not None:
-                out.append(self._write_op(root))
+            self._element_write(target, e.value, stack, out)
             return
         # local target: only the RHS matters
-        self._visit(e.value, locals_, stack, out)
+        self._visit(e.value, stack, out)
 
-    def _call_actions(self, e: A.Call, locals_: set[str], stack, out) -> None:
+    def _element_write(self, target: A.Index, value: Optional[A.Expr], stack, out) -> None:
+        """Indices, then the assigned value (if any), then a write of the root field."""
+        base = target
+        indices = []
+        while isinstance(base, A.Index):
+            indices.append(base.index)
+            base = A.strip_parens(base.base)
+        root = self.cm.field_of(base)
+        for ix in indices:
+            self._visit(ix, stack, out)
+        if value is not None:
+            self._visit(value, stack, out)
+        if root is not None:
+            out.append(self._write_op(root))
+
+    def _call_actions(self, e: A.Call, stack, out) -> None:
         q = e.qualifier
         if q is None or isinstance(q, A.This):
             callee = self.methods_by_sig.get((e.name, len(e.args)))
             if callee is not None:
                 for a in e.args:
-                    self._visit(a, locals_, stack, out)
+                    self._visit(a, stack, out)
                 out.extend(self.method_actions(callee, stack))
                 return
             for a in e.args:
-                self._visit(a, locals_, stack, out)
+                self._visit(a, stack, out)
             out.append((Op.LOCAL, None))  # unresolvable call: an "other" action
             return
-        f = self._field_of_expr(q, locals_)
         # lock recognition wins over the allowlist: java.util.concurrent.locks
         # types are allowlisted yet their lock()/unlock() calls are monitors
-        if f is not None and self._is_lock_field(f):
-            if e.name == "tryLock":
-                raise UnsupportedForOracle(
-                    f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
-                )
-            if e.name in self.lock_methods:
+        if e.name == "tryLock" or e.name in self.lock_methods or e.name in self.unlock_methods:
+            lf = next((f for f in self.lock_fields if represents(self.cm, f, q, stack[-1])), None)
+            if lf is not None:
+                if e.name == "tryLock":
+                    raise UnsupportedForOracle(
+                        f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
+                    )
                 for a in e.args:
-                    self._visit(a, locals_, stack, out)
-                out.append((Op.LOCK, f"lock:this.{f.name}"))
+                    self._visit(a, stack, out)
+                op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
+                out.append((op, f"lock:this.{lf.name}"))
                 return
-            if e.name in self.unlock_methods:
-                for a in e.args:
-                    self._visit(a, locals_, stack, out)
-                out.append((Op.UNLOCK, f"lock:this.{f.name}"))
-                return
+        f = self.cm.field_of(q)
         if f is not None:
             if e.name in self.cm.mutator_methods:
                 for a in e.args:
-                    self._visit(a, locals_, stack, out)
+                    self._visit(a, stack, out)
                 out.append(self._write_op(f))
             else:
                 out.append(self._read_op(f))
                 for a in e.args:
-                    self._visit(a, locals_, stack, out)
+                    self._visit(a, stack, out)
             return
         if q is not None:
-            self._visit(q, locals_, stack, out)
+            self._visit(q, stack, out)
         for a in e.args:
-            self._visit(a, locals_, stack, out)
+            self._visit(a, stack, out)
         out.append((Op.LOCAL, None))
 
     # -- init actions --

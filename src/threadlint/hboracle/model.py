@@ -126,9 +126,6 @@ class ThreadProgram:
     def action_count(self) -> int:
         return len(self.init_actions) + sum(len(t) for t in self.threads)
 
-    def worker_action_count(self) -> int:
-        return sum(len(t) for t in self.threads)
-
 
 @dataclass(frozen=True)
 class Execution:

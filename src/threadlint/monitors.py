@@ -9,9 +9,17 @@ post-dominates the access; such a window reports the monitor
 synchronized keyword (methods, static methods, blocks) is recognized
 syntactically and reports every other monitor kind.
 
-Monitor equality is syntactic-canonical: ``l`` and ``this.l`` share one
-identity; ``synchronized (this)`` and a synchronized instance method share
-the ``this`` monitor. A dominating ``tryLock()`` counts as protection even
+Names are bound by the class model (:meth:`ClassModel.field_of`), never here.
+A name shadowed by a local or a parameter is therefore not the field. A lock
+call on a local locks a field only when the local is an alias of it (see
+:func:`represents`), and on a parameter never. ``synchronized (p)`` on a
+parameter ``p`` stays its own ``syncExpr`` monitor ``p`` even when a field
+``p`` exists.
+
+Monitor equality is syntactic-canonical over those bindings: ``l``,
+``this.l`` and, for a static field, ``Cls.l`` share one identity;
+``synchronized (this)`` and a synchronized instance method share the
+``this`` monitor. A dominating ``tryLock()`` counts as protection even
 though its acquisition may fail; read-write and stamped locks are not
 recognized unless configured.
 """
@@ -68,12 +76,6 @@ def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPE
     return simple in lock_types or base in lock_types
 
 
-def _strip_paren(e: A.Expr) -> A.Expr:
-    while isinstance(e, A.Paren):
-        e = e.inner
-    return e
-
-
 def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
     """RHS expressions of every write to local ``name``; None when it is a parameter."""
     if any(p.name == name for p in m.params):
@@ -85,43 +87,33 @@ def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
         if isinstance(node, A.LocalDecl):
             sources.extend(d.init for d in node.declarators if d.name == name and d.init is not None)
         elif isinstance(node, A.Assign):
-            t = _strip_paren(node.target)
+            t = A.strip_parens(node.target)
             if isinstance(t, A.Name) and t.identifier == name:
                 sources.append(node.value)
     return sources
 
 
-def _is_field_read(e: A.Expr, field: A.FieldDecl, decl: A.ClassDecl) -> bool:
-    e = _strip_paren(e)
-    if isinstance(e, A.Name) and e.identifier == field.name:
-        return True
-    if isinstance(e, A.FieldSel) and e.name == field.name:
-        q = e.qualifier
-        if isinstance(q, A.This):
-            return True
-        if isinstance(q, A.Name) and q.identifier == decl.name and field.is_static:
-            return True
-    return False
-
-
 def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, method: A.MethodDecl) -> bool:
-    """Does ``var_expr`` (a lock-call receiver) denote ``lock_field``?
+    """Does ``var_expr`` (a lock-call receiver in ``method``) denote ``lock_field``?
 
-    True for the field itself, or for a local assigned exactly once, directly
-    from a read of the field, and never reassigned.
+    True when the class model binds it to the field itself, or for a local
+    assigned exactly once, directly from a read of the field, and never
+    reassigned. A parameter's provenance is unknown, so it never does.
     """
-    e = _strip_paren(var_expr)
-    if isinstance(e, A.FieldSel):
-        return _is_field_read(e, lock_field, cm.decl)
+    e = A.strip_parens(var_expr)
+    f = cm.field_of(e)
+    if f is not None:
+        return f is lock_field
     if isinstance(e, A.Name):
         sources = _local_write_sources(method, e.identifier)
-        if sources is None:
-            return False  # parameter: provenance unknown
-        if not sources:
-            # no local of that name: a bare name resolves to the field
-            return e.identifier == lock_field.name
-        return len(sources) == 1 and _is_field_read(sources[0], lock_field, cm.decl)
+        return sources is not None and len(sources) == 1 and cm.field_of(sources[0]) is lock_field
     return False
+
+
+def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> list[A.FieldDecl]:
+    """The class's fields whose declared or resolved type is a recognized lock type."""
+    return [f for f in cm.decl.fields
+            if is_lock_type(f.declared_type, lock_types) or is_lock_type(f.resolved_type, lock_types)]
 
 
 def lock_windows(
@@ -134,8 +126,7 @@ def lock_windows(
     unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
 ) -> list[LockWindow]:
     """All dominance-ordered lock/unlock pairs on the class's lock fields."""
-    fields = [f for f in cm.decl.fields if is_lock_type(f.declared_type, lock_types)
-              or is_lock_type(f.resolved_type, lock_types)]
+    fields = lock_fields(cm, lock_types)
     if not fields or method.body is None:
         return []
     locks: dict[int, list[CfgNode]] = {}
@@ -164,20 +155,19 @@ def lock_windows(
     return windows
 
 
-def _canonical_sync_monitor(expr: A.Expr, decl: A.ClassDecl) -> Monitor:
-    e = _strip_paren(expr)
+def _canonical_sync_monitor(expr: A.Expr, cm: ClassModel) -> Monitor:
+    e = A.strip_parens(expr)
     if isinstance(e, A.This):
         return Monitor(MonitorKind.THIS, "this")
-    if isinstance(e, A.Name) and decl.field_named(e.identifier) is not None:
-        return Monitor(MonitorKind.SYNC_EXPR, f"this.{e.identifier}")
-    if isinstance(e, A.FieldSel) and isinstance(e.qualifier, A.This) and decl.field_named(e.name) is not None:
-        return Monitor(MonitorKind.SYNC_EXPR, f"this.{e.name}")
-    if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == decl.name:
-        return Monitor(MonitorKind.CLASS, f"Class<{decl.name}>")
+    f = cm.field_of(e)
+    if f is not None:
+        return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
+    if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
+        return Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>")
     return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
 
 
-def _sync_context_map(m: A.MethodDecl, decl: A.ClassDecl) -> dict[int, tuple[Monitor, ...]]:
+def _sync_context_map(m: A.MethodDecl, cm: ClassModel) -> dict[int, tuple[Monitor, ...]]:
     """id(ast node) -> monitors of every enclosing synchronized region."""
     out: dict[int, tuple[Monitor, ...]] = {}
     stack = [] if m.body is None else [(m.body, ())]
@@ -186,7 +176,7 @@ def _sync_context_map(m: A.MethodDecl, decl: A.ClassDecl) -> dict[int, tuple[Mon
         out[id(node)] = held
         if isinstance(node, A.Sync):
             stack.append((node.monitor, held))
-            stack.append((node.body, held + (_canonical_sync_monitor(node.monitor, decl),)))
+            stack.append((node.body, held + (_canonical_sync_monitor(node.monitor, cm),)))
         else:
             for c in A.children(node):
                 stack.append((c, held))
@@ -236,7 +226,7 @@ class MonitorAnalysis:
 
     def _sync_context(self, m: A.MethodDecl) -> dict[int, tuple[Monitor, ...]]:
         if id(m) not in self._sync_ctx:
-            self._sync_ctx[id(m)] = _sync_context_map(m, self.cm.decl)
+            self._sync_ctx[id(m)] = _sync_context_map(m, self.cm)
         return self._sync_ctx[id(m)]
 
     def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[Monitor]:

@@ -14,7 +14,9 @@ from threadlint.classmodel import (
     is_default_initialized,
     is_modifying,
 )
+from threadlint.frontend import ast as A
 from threadlint.frontend import parse_source
+from threadlint.frontend.printer import canonical_text
 
 
 def kinds(accesses):
@@ -92,6 +94,66 @@ def test_static_field_access_via_class_name():
     )
     non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
     assert [(a.field.name, a.kind.value) for a in non_init] == [("total", "write")]
+
+
+def test_parenthesized_targets_and_receivers_are_accesses():
+    cm = model_from_source(
+        "@ThreadSafe class P { private int x; private final int[] a = new int[1]; "
+        "private final List<Integer> l = null; public void f() { (x)++; --((x)); (a)[0] = 1; ((a))[0]++; (l).clear(); } }"
+    )
+    non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
+    assert [(a.field.name, a.kind.value) for a in non_init] == [
+        ("x", "read"), ("x", "write"), ("x", "read"), ("x", "write"),
+        ("a", "arrayElementWrite"), ("a", "arrayElementWrite"), ("l", "mutatorCall"),
+    ]
+
+
+# --- field_of: the one own-field binding ---
+
+
+def bindings(cm, method_name):
+    """(expression text, bound field name or None) for every name, field
+    selection and parenthesized expression of one method, in source order."""
+    m = next(m for m in cm.decl.methods if m.name == method_name)
+    out = []
+    for e in A.walk(m.body):
+        if isinstance(e, (A.Name, A.FieldSel, A.Paren)):
+            f = cm.field_of(e)
+            out.append((canonical_text(e), f.name if f is not None else None))
+    return out
+
+
+SCOPES = """@ThreadSafe
+class C {
+  private int x;
+  private static int S;
+  private Object mu;
+  public void param(Object mu) { synchronized (mu) { x = (x) + C.S; } }
+  public void block() { { int x = 1; } x = 2; this.mu = null; }
+  public void loop() { for (int x = 0; x < 1; x++) { S = x; } x = S; }
+  public void local() { Object C = null; int v = C.S + x; }
+}
+"""
+
+
+def test_field_of_scopes_parameters_and_locals_by_block():
+    cm = model_from_source(SCOPES)
+    assert bindings(cm, "param") == [
+        ("mu", None), ("x", "x"), ("(x)", "x"), ("x", "x"), ("C.S", "S"), ("C", None),
+    ]
+    assert bindings(cm, "block") == [("x", "x"), ("this.mu", "mu")]
+    assert bindings(cm, "loop") == [
+        ("x", None), ("x", None), ("S", "S"), ("x", None), ("x", "x"), ("S", "S"),
+    ]
+    # a local named like the class hides it: C.S selects from the local
+    assert bindings(cm, "local") == [("C.S", None), ("C", None), ("x", "x")]
+
+
+def test_field_of_is_none_for_other_expressions():
+    cm = model_from_source(SCOPES)
+    m = next(m for m in cm.decl.methods if m.name == "param")
+    assert cm.field_of(m.body.stmts[0].body.stmts[0].expr) is None  # the assignment
+    assert all(cm.field_of(e) is None for e in A.walk(m.body) if isinstance(e, (A.Literal, A.This)))
 
 
 # --- P1 ---

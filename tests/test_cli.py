@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes for paths, config files, --trace, --oracle
-and over-deep input."""
+and over-deep input; the static run and the oracle on name-binding probes;
+streaming; and the corpus reports, pinned byte for byte."""
 
 import json
 import os
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 import threadlint
-from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check
+from threadlint import cli
+from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check, run
 from threadlint.config import build_config
 
 
@@ -132,6 +134,9 @@ PATH_AND_CONFIG_CASES = {
                             ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "unknown rule 'P9'"),
     "config-unreadable": ({"Clean.java": CLEAN}, ["--config", "missing.cfg", "Clean.java"], EXIT_ERROR,
                           "cannot read config file missing.cfg"),
+    # javac rejects a line break in a literal, escaped or not
+    "backslash-newline-in-string": ({"Esc.java": 'class Esc {\n  String s = "a\\\nb";\n}\n'}, ["Esc.java"],
+                                    EXIT_ERROR, "Esc.java:2:14 ERROR unterminated string literal"),
 }
 
 
@@ -162,3 +167,98 @@ def test_files_parsed_counts_only_files_that_parsed(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["errors"]) == 2
     assert report["stats"]["files_parsed"] == 1
+
+
+# Each probe binds a name or classifies a target where an earlier resolver
+# went wrong. name -> (class source, (rule, field) of every static alert,
+# whether the oracle finds a race); the oracle must agree with the static run.
+BINDING_PROBES = {
+    # the parameter mu is not the field mu, so a() and b() share no monitor
+    "Shadow": ("@ThreadSafe class Shadow { private final Object mu = new Object(); private int x; "
+               "public void a(Object mu) { synchronized (mu) { x = x + 1; } } "
+               "public void b() { synchronized (mu) { x = x + 1; } } }",
+               {("P3", "x")}, True),
+    # the block's local x is out of scope at x = 2
+    "BlockLocal": ("@ThreadSafe class BlockLocal { private int x; public void w() { { int x = 1; } x = 2; } "
+                   "public synchronized int get() { return x; } }",
+                   {("P3", "x")}, True),
+    # l aliases the lock field, so both methods hold the same lock
+    "Alias": ("import java.util.concurrent.locks.Lock; import java.util.concurrent.locks.ReentrantLock; "
+              "@ThreadSafe class Alias { private final Lock lock = new ReentrantLock(); private int x; "
+              "public void inc() { Lock l = lock; l.lock(); x = x + 1; l.unlock(); } "
+              "public int get() { lock.lock(); int v = x; lock.unlock(); return v; } }",
+              set(), False),
+    "ParenInc": ("@ThreadSafe class ParenInc { private int x; public void inc() { (x)++; } "
+                 "public synchronized int get() { return x; } }",
+                 {("P3", "x")}, True),
+    "ParenArr": ("@ThreadSafe class ParenArr { private final int[] a = new int[1]; public void put() { (a)[0] = 1; } "
+                 "public synchronized int get() { return a[0]; } }",
+                 {("P3", "a")}, True),
+    "ParenCall": ("import java.util.List; import java.util.ArrayList; @ThreadSafe class ParenCall { "
+                  "private final List<Integer> list = new ArrayList<>(); public void put() { (list).add(1); } "
+                  "public synchronized int size() { return list.size(); } }",
+                  {("P3", "list")}, True),
+    "ArrInc": ("@ThreadSafe class ArrInc { private final int[] a = new int[1]; public void inc() { a[0]++; } "
+               "public synchronized int get() { return a[0]; } }",
+               {("P3", "a")}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINDING_PROBES))
+def test_binding_probes_static_run_and_oracle_agree(tmp_path, name):
+    src, alerts, raced = BINDING_PROBES[name]
+    path = tmp_path / f"{name}.java"
+    path.write_text(src)
+    report, code = oracle_check([str(path)], build_config(None))
+    assert {(a.rule, a.field) for a in report.alerts} == alerts
+    [result] = report.oracle
+    assert (result.status, result.raced, result.agreement) == ("checked", raced, "ok")
+    assert code == EXIT_CLEAN
+    assert run([str(path)], build_config(None))[1] == (EXIT_ALERTS if alerts else EXIT_CLEAN)
+
+
+@pytest.mark.parametrize("check", [run, oracle_check])
+def test_each_file_is_analyzed_before_the_next_is_parsed(tmp_path, monkeypatch, check):
+    (tmp_path / "A.java").write_text(CLEAN.replace("Clean", "A"))
+    (tmp_path / "B.java").write_text(CLEAN.replace("Clean", "B"))
+    events = []
+    parse, class_alerts = cli.parse_compilation_unit, cli._class_alerts
+
+    def logged_parse(src):
+        events.append(("parse", os.path.basename(src.path)))
+        return parse(src)
+
+    def logged_class_alerts(decl, config):
+        events.append(("analyze", decl.name))
+        return class_alerts(decl, config)
+
+    monkeypatch.setattr(cli, "parse_compilation_unit", logged_parse)
+    monkeypatch.setattr(cli, "_class_alerts", logged_class_alerts)
+    check([str(tmp_path)], build_config(None))
+    assert events == [("parse", "A.java"), ("analyze", "A"), ("parse", "B.java"), ("analyze", "B")]
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
+# the project settings under which the corpus's custom lock and thread-safe types count
+CORPUS_FLAGS = ["--lock-type-add", "MyLock", "--allowlist-add", "com.example.concurrent.AtomicRegistry"]
+GOLDEN_SUFFIX = {"text": "txt", "json": "json", "sarif": "sarif"}
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["static", "oracle"])
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SUFFIX))
+def test_corpus_reports_match_golden_bytes(monkeypatch, capsysbinary, fmt, oracle):
+    """The report contract: tests/corpus gives these exact bytes. A change
+    that moves them must regenerate the golden files and say why."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    args = ["--format", fmt, *CORPUS_FLAGS, os.path.join("tests", "corpus")]
+    code = main(["--oracle", *args] if oracle else args)
+    out = capsysbinary.readouterr().out
+    golden = os.path.join(GOLDEN_DIR, f"corpus{'_oracle' if oracle else ''}.{GOLDEN_SUFFIX[fmt]}")
+    with open(golden, "rb") as fh:
+        assert out == fh.read()
+    if oracle:
+        assert code == EXIT_CLEAN and b"disagree" not in out
+    else:
+        assert code == EXIT_ALERTS

@@ -41,6 +41,19 @@ def test_tokens_have_positions():
     assert toks[5].line == 2 and toks[5].col == 1
 
 
+def test_backslash_newline_in_a_literal_fails_at_the_literal():
+    with pytest.raises(ParseError) as err:
+        tokenize('int x;\nString s = "a\\\nb";')
+    assert (err.value.line, err.value.col) == (2, 12)
+
+
+def test_escapes_and_line_breaks_keep_later_lines():
+    toks = tokenize('String s = "a\\\\";\nchar c = \'\\\'\';  /* one\ntwo */\nint x;')
+    assert [(t.text, t.line, t.col) for t in toks if t.text in (";", "int", "x")] == [
+        (";", 1, 17), (";", 2, 14), ("int", 4, 1), ("x", 4, 5), (";", 4, 6),
+    ]
+
+
 def test_comments_discarded():
     assert tokens_of("a /* b */ c // d\ne") == tokens_of("a c\ne")
 
@@ -55,6 +68,8 @@ def test_multichar_operators():
     [
         ('"unterminated', "unterminated string"),
         ("'x", "unterminated character"),
+        ('"a\\\nb"', "unterminated string"),
+        ("'\\\n'", "unterminated character"),
         ("/* never closed", "unterminated block comment"),
         ("int € = 1;", "unexpected character"),
     ],

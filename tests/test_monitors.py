@@ -8,6 +8,7 @@ from threadlint.monitors import (
     MonitorAnalysis,
     MonitorKind,
     is_lock_type,
+    lock_fields,
     represents,
 )
 
@@ -140,6 +141,38 @@ class A {
     assert not represents(cm, cm.decl.field_named("l"), call.qualifier, f)
 
 
+def test_represents_alias_in_a_block_and_not_a_shadowing_parameter():
+    cm = model_from_source(
+        """@ThreadSafe
+class A {
+  private final Lock l = null;
+  public void f() { { Lock x = l; x.lock(); x.unlock(); } }
+  public void g(Lock l) { l.lock(); l.unlock(); }
+}
+"""
+    )
+    lock_field = cm.decl.field_named("l")
+    f, g = _method(cm, "f"), _method(cm, "g")
+    assert represents(cm, lock_field, f.body.stmts[0].stmts[1].expr.qualifier, f)
+    assert not represents(cm, lock_field, g.body.stmts[0].expr.qualifier, g)
+
+
+def test_lock_fields_by_declared_or_resolved_type():
+    cm = model_from_source(
+        """import java.util.concurrent.locks.ReentrantLock;
+@ThreadSafe
+class A {
+  private final ReentrantLock a = null;
+  private final java.util.concurrent.locks.Lock b = null;
+  private final MyLock c = null;
+  private final Object d = null;
+}
+"""
+    )
+    assert [f.name for f in lock_fields(cm)] == ["a", "b"]
+    assert [f.name for f in lock_fields(cm, ("Lock", "MyLock"))] == ["b", "c"]
+
+
 # --- lock windows (protecting_monitors, LOCK_FIELD monitors) ---
 
 
@@ -242,6 +275,41 @@ class S {
         m = _method(cm, name)
         write = m.body.stmts[0].body.stmts[0].expr
         assert synchronized_on(cm, m, write) == expected
+
+
+def test_sync_block_on_a_parameter_is_not_the_field():
+    cm = model_from_source(
+        """@ThreadSafe
+class S {
+  private final Object mu = new Object();
+  private int x;
+  public void a(Object mu) { synchronized (mu) { x = x + 1; } }
+  public void b() { synchronized (mu) { x = x + 1; } }
+}
+"""
+    )
+    a, b = _method(cm, "a"), _method(cm, "b")
+    wa = a.body.stmts[0].body.stmts[0].expr
+    wb = b.body.stmts[0].body.stmts[0].expr
+    assert synchronized_on(cm, a, wa) == {Monitor(MonitorKind.SYNC_EXPR, "mu")}
+    assert synchronized_on(cm, b, wb) == {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
+
+
+def test_sync_block_on_a_class_qualified_static_field_is_the_field():
+    cm = model_from_source(
+        """@ThreadSafe
+class S {
+  private static final Object MU = new Object();
+  private static int n;
+  public void a() { synchronized (S.MU) { n = 1; } }
+  public void b() { synchronized (MU) { n = 2; } }
+}
+"""
+    )
+    expected = {Monitor(MonitorKind.SYNC_EXPR, "this.MU")}
+    for name in ("a", "b"):
+        m = _method(cm, name)
+        assert synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr) == expected
 
 
 def test_sync_on_this_matches_synchronized_method():
