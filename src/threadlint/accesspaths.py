@@ -15,7 +15,8 @@ O(calls x accesses) bit operations; the facts are then emitted once, one per
 call site and reachable access, plus one per direct containment, which makes
 the rest linear in the size of the fact relation.
 
-Call sites are found with the shared :func:`threadlint.frontend.ast.walk`.
+Call sites are the ones the class model recorded while binding names
+(:meth:`ClassModel.calls_in`); no method body is walked here.
 """
 
 from __future__ import annotations
@@ -57,10 +58,8 @@ def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None)
     calls: list[tuple[A.MethodDecl, A.Call, list[A.MethodDecl]]] = []
     callers: dict[int, dict[int, A.MethodDecl]] = {id(m): {} for m in methods}
     for m in methods:
-        if m.body is None:
-            continue
-        for e in A.walk(m.body):
-            if isinstance(e, A.Call) and (e.qualifier is None or isinstance(e.qualifier, A.This)):
+        for e in cm.calls_in(m):
+            if e.qualifier is None or isinstance(e.qualifier, A.This):
                 callees = by_name.get((e.name, len(e.args)))
                 if callees:
                     calls.append((m, e, callees))

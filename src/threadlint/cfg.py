@@ -9,6 +9,10 @@ over-approximates paths but keeps dominance sound for lock-scope queries.
 
 Dominators use the standard iterative fixpoint over reverse postorder; method
 graphs are small, so the near-linear algorithm is unnecessary.
+
+Graphs are built on demand: the monitor analysis asks for a method's CFG
+and dominator trees only when the method holds both a lock call and an
+unlock call on one lock field, the only place a lock window can exist.
 """
 
 from __future__ import annotations

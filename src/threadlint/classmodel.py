@@ -9,6 +9,12 @@ Name binding happens here and only here: the collector scopes locals and
 parameters by block, and :meth:`ClassModel.field_of` answers, for any
 expression of the class, which own field it denotes. Monitor identification
 and the oracle driver ask it instead of resolving names themselves.
+
+The same walk records, per callable, its ``Call`` nodes and its
+``synchronized`` blocks as it reaches them (:meth:`ClassModel.calls_in`,
+:meth:`ClassModel.syncs_in`), so the access-path fixpoint and the monitor
+analysis find call sites and synchronized regions without walking a body
+again.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class ClassModel:
     annotated: bool
     mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS
     bindings: dict[int, A.FieldDecl] = field(default_factory=dict)  # id(Name|FieldSel) -> field
+    calls: dict[int, list[A.Call]] = field(default_factory=dict)  # id(callable) -> its calls
+    syncs: dict[int, list[A.Sync]] = field(default_factory=dict)  # id(callable) -> its sync blocks
 
     @property
     def name(self) -> str:
@@ -103,12 +111,22 @@ class ClassModel:
         """
         return self.bindings.get(id(A.strip_parens(expr)))
 
+    def calls_in(self, m: A.MethodDecl) -> list[A.Call]:
+        """Every call in ``m``'s body, each before its receiver and arguments."""
+        return self.calls.get(id(m), [])
+
+    def syncs_in(self, m: A.MethodDecl) -> list[A.Sync]:
+        """Every ``synchronized`` block in ``m``'s body, in source order."""
+        return self.syncs.get(id(m), [])
+
 
 class _AccessCollector:
     """Walks callable bodies resolving bare names against locals, then fields.
 
     Every name or field selection that resolves to an own field is recorded
-    in ``bindings``, whether or not it becomes an access of its own.
+    in ``bindings``, whether or not it becomes an access of its own. Each
+    callable's calls and synchronized blocks are recorded in ``calls`` and
+    ``syncs`` as they are reached.
     """
 
     def __init__(self, decl: A.ClassDecl, mutators: tuple[str, ...]):
@@ -117,6 +135,10 @@ class _AccessCollector:
         self.mutators = frozenset(mutators)
         self.out: list[FieldAccess] = []
         self.bindings: dict[int, A.FieldDecl] = {}
+        self.calls: dict[int, list[A.Call]] = {}
+        self.syncs: dict[int, list[A.Sync]] = {}
+        self._calls: list[A.Call] = []
+        self._syncs: list[A.Sync] = []
         self.scopes: list[set[str]] = []
         self.enclosing: Optional[A.MethodDecl] = None
 
@@ -154,6 +176,8 @@ class _AccessCollector:
     def collect_callable(self, m: A.MethodDecl) -> None:
         self.enclosing = m
         self.scopes = [{p.name for p in m.params}]
+        self._calls = self.calls[id(m)] = []
+        self._syncs = self.syncs[id(m)] = []
         if m.body is not None:
             for s in m.body.stmts:
                 self.visit_stmt(s)
@@ -202,6 +226,7 @@ class _AccessCollector:
         elif isinstance(s, A.Throw):
             self.visit_expr(s.value)
         elif isinstance(s, A.Sync):
+            self._syncs.append(s)
             self.visit_expr(s.monitor)
             self.visit_stmt(s.body)
         elif isinstance(s, A.Try):
@@ -285,6 +310,7 @@ class _AccessCollector:
         self.visit_expr(target)
 
     def _visit_call(self, e: A.Call) -> None:
+        self._calls.append(e)
         q = None if e.qualifier is None else A.strip_parens(e.qualifier)
         target_field = None if q is None else self._bind(q)
         if target_field is not None:
@@ -314,7 +340,8 @@ def build_class_model(
     accesses = sorted(collector.out, key=lambda a: (a.span.start, a.span.end))
     wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
     annotated = bool(decl.annotation_simple_names() & wanted)
-    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings)
+    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods,
+                      collector.bindings, collector.calls, collector.syncs)
 
 
 def is_default_initialized(f: A.FieldDecl) -> bool:

@@ -132,11 +132,13 @@ class _DriverBuilder:
                 out.extend(self._stmt_actions(inner, stack))
             return out
         if isinstance(s, A.Sync):
-            monitor = _canonical_sync_monitor(s.monitor, self.cm)
-            out = [(Op.LOCK, monitor.identity)]
+            # a parameter or non-alias local guards nothing: no monitor actions
+            monitor = _canonical_sync_monitor(s.monitor, self.cm, stack[-1])
+            out = [] if monitor is None else [(Op.LOCK, monitor.identity)]
             for inner in s.body.stmts:
                 out.extend(self._stmt_actions(inner, stack))
-            out.append((Op.UNLOCK, monitor.identity))
+            if monitor is not None:
+                out.append((Op.UNLOCK, monitor.identity))
             return out
         if isinstance(s, A.LocalDecl):
             out = []

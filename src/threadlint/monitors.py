@@ -9,12 +9,23 @@ post-dominates the access; such a window reports the monitor
 synchronized keyword (methods, static methods, blocks) is recognized
 syntactically and reports every other monitor kind.
 
+The work is demand-driven, as a query engine evaluates the paper's
+dominance relation only where the query needs it. Lock and unlock calls are
+taken from the calls the class model recorded, and a method's CFG and
+dominator trees are built only when some lock field has both a lock call
+and an unlock call in it; without both no window exists, so no CFG is
+asked for. Synchronized blocks also come from the class model: an
+expression is guarded by each block whose body span contains its span,
+which is exact because the spans of one tree nest or are disjoint. Each
+block's monitor is computed once.
+
 Names are bound by the class model (:meth:`ClassModel.field_of`), never here.
 A name shadowed by a local or a parameter is therefore not the field. A lock
 call on a local locks a field only when the local is an alias of it (see
-:func:`represents`), and on a parameter never. ``synchronized (p)`` on a
-parameter ``p`` stays its own ``syncExpr`` monitor ``p`` even when a field
-``p`` exists.
+:func:`represents`), and on a parameter never. Likewise ``synchronized (p)``
+on a parameter ``p``, or on a local that is not such an alias, guards
+nothing: each thread may pass or create a different object. On an alias it
+is the field's monitor.
 
 Monitor equality is syntactic-canonical over those bindings: ``l``,
 ``this.l`` and, for a static field, ``Cls.l`` share one identity;
@@ -93,6 +104,30 @@ def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
     return sources
 
 
+def _declares_local(m: A.MethodDecl, name: str) -> bool:
+    """Does ``m`` declare a local variable, loop variable or catch parameter ``name``?"""
+    for node in () if m.body is None else A.walk(m.body):
+        if isinstance(node, A.LocalDecl):
+            declared = [d.name for d in node.declarators]
+        elif isinstance(node, A.ForEach):
+            declared = [node.var]
+        elif isinstance(node, A.Try):
+            declared = [c.var for c in node.catches]
+        else:
+            continue
+        if name in declared:
+            return True
+    return False
+
+
+def _alias_of(cm: ClassModel, method: A.MethodDecl, name: str) -> Optional[A.FieldDecl]:
+    """The own field local ``name`` aliases: assigned exactly once, from a read of it."""
+    sources = _local_write_sources(method, name)
+    if sources is None or len(sources) != 1:
+        return None
+    return cm.field_of(sources[0])
+
+
 def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, method: A.MethodDecl) -> bool:
     """Does ``var_expr`` (a lock-call receiver in ``method``) denote ``lock_field``?
 
@@ -104,10 +139,7 @@ def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, method
     f = cm.field_of(e)
     if f is not None:
         return f is lock_field
-    if isinstance(e, A.Name):
-        sources = _local_write_sources(method, e.identifier)
-        return sources is not None and len(sources) == 1 and cm.field_of(sources[0]) is lock_field
-    return False
+    return isinstance(e, A.Name) and _alias_of(cm, method, e.identifier) is lock_field
 
 
 def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> list[A.FieldDecl]:
@@ -116,50 +148,25 @@ def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES
             if is_lock_type(f.declared_type, lock_types) or is_lock_type(f.resolved_type, lock_types)]
 
 
-def lock_windows(
-    cm: ClassModel,
-    method: A.MethodDecl,
-    cfg: Cfg,
-    dom: DomInfo,
-    lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
-    lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
-    unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
-) -> list[LockWindow]:
-    """All dominance-ordered lock/unlock pairs on the class's lock fields."""
-    fields = lock_fields(cm, lock_types)
-    if not fields or method.body is None:
-        return []
-    locks: dict[int, list[CfgNode]] = {}
-    unlocks: dict[int, list[CfgNode]] = {}
-    for e in A.walk(method.body):
-        if not isinstance(e, A.Call) or e.qualifier is None:
-            continue
-        if e.name not in lock_methods and e.name not in unlock_methods:
-            continue
-        node = cfg.node_for(e)
-        if node is None:
-            continue
-        for f in fields:
-            if represents(cm, f, e.qualifier, method):
-                bucket = locks if e.name in lock_methods else unlocks
-                bucket.setdefault(id(f), []).append(node)
-    windows = []
-    for f in fields:
-        for lc in locks.get(id(f), ()):
-            for uc in unlocks.get(id(f), ()):
-                try:
-                    if dominates(dom, lc, uc):
-                        windows.append(LockWindow(lc, uc, f))
-                except UnreachableNodeError:
-                    continue
-    return windows
+def _canonical_sync_monitor(expr: A.Expr, cm: ClassModel, method: A.MethodDecl) -> Optional[Monitor]:
+    """The monitor ``synchronized (expr)`` in ``method`` takes; None when it guards nothing.
 
-
-def _canonical_sync_monitor(expr: A.Expr, cm: ClassModel) -> Monitor:
+    A parameter, or a local that is not a single-assignment alias of an own
+    field, may hold a different object in each thread, so it is no shared
+    monitor. An alias is the field's monitor.
+    """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
         return Monitor(MonitorKind.THIS, "this")
     f = cm.field_of(e)
+    if f is None and isinstance(e, A.Name):
+        name = e.identifier
+        if any(p.name == name for p in method.params):
+            return None
+        if _declares_local(method, name):
+            f = _alias_of(cm, method, name)
+            if f is None:
+                return None
     if f is not None:
         return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
     if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
@@ -167,24 +174,8 @@ def _canonical_sync_monitor(expr: A.Expr, cm: ClassModel) -> Monitor:
     return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
 
 
-def _sync_context_map(m: A.MethodDecl, cm: ClassModel) -> dict[int, tuple[Monitor, ...]]:
-    """id(ast node) -> monitors of every enclosing synchronized region."""
-    out: dict[int, tuple[Monitor, ...]] = {}
-    stack = [] if m.body is None else [(m.body, ())]
-    while stack:
-        node, held = stack.pop()
-        out[id(node)] = held
-        if isinstance(node, A.Sync):
-            stack.append((node.monitor, held))
-            stack.append((node.body, held + (_canonical_sync_monitor(node.monitor, cm),)))
-        else:
-            for c in A.children(node):
-                stack.append((c, held))
-    return out
-
-
 class MonitorAnalysis:
-    """Per-class monitor protection with cached CFGs, windows, and contexts."""
+    """Per-class monitor protection; per-method work is done on first need."""
 
     def __init__(
         self,
@@ -199,9 +190,10 @@ class MonitorAnalysis:
         self.lock_types = lock_types
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
+        self._lock_fields = lock_fields(cm, lock_types)
         self._cfgs: dict[int, tuple[Cfg, DomInfo]] = {}
         self._windows: dict[int, list[LockWindow]] = {}
-        self._sync_ctx: dict[int, dict[int, tuple[Monitor, ...]]] = {}
+        self._held: dict[int, list[tuple[A.SourceSpan, Monitor]]] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}
         self._public_facts: dict[int, list[AccessPathFact]] = {}
         for f in self.facts:
@@ -217,17 +209,55 @@ class MonitorAnalysis:
         return entry
 
     def windows_for(self, m: A.MethodDecl) -> list[LockWindow]:
-        if id(m) not in self._windows:
-            cfg, dom = self.cfg_for(m)
-            self._windows[id(m)] = lock_windows(
-                self.cm, m, cfg, dom, self.lock_types, self.lock_methods, self.unlock_methods
-            )
-        return self._windows[id(m)]
+        """All dominance-ordered lock/unlock pairs on the class's lock fields in ``m``.
 
-    def _sync_context(self, m: A.MethodDecl) -> dict[int, tuple[Monitor, ...]]:
-        if id(m) not in self._sync_ctx:
-            self._sync_ctx[id(m)] = _sync_context_map(m, self.cm)
-        return self._sync_ctx[id(m)]
+        The CFG is built only when some lock field has both a lock call and
+        an unlock call in ``m``; without both no window exists.
+        """
+        windows = self._windows.get(id(m))
+        if windows is not None:
+            return windows
+        windows = self._windows[id(m)] = []
+        if not self._lock_fields:
+            return windows
+        locks: dict[int, list[A.Call]] = {}
+        unlocks: dict[int, list[A.Call]] = {}
+        for e in self.cm.calls_in(m):
+            if e.qualifier is None:
+                continue
+            if e.name in self.lock_methods:
+                bucket = locks
+            elif e.name in self.unlock_methods:
+                bucket = unlocks
+            else:
+                continue
+            for f in self._lock_fields:
+                if represents(self.cm, f, e.qualifier, m):
+                    bucket.setdefault(id(f), []).append(e)
+        paired = [f for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
+        if not paired:
+            return windows
+        cfg, dom = self.cfg_for(m)
+        for f in paired:
+            for lc in map(cfg.node_for, locks[id(f)]):
+                for uc in map(cfg.node_for, unlocks[id(f)]):
+                    try:
+                        if dominates(dom, lc, uc):
+                            windows.append(LockWindow(lc, uc, f))
+                    except UnreachableNodeError:
+                        continue
+        return windows
+
+    def _held_syncs(self, m: A.MethodDecl) -> list[tuple[A.SourceSpan, Monitor]]:
+        """(body span, monitor) of each synchronized block in ``m`` that takes one."""
+        held = self._held.get(id(m))
+        if held is None:
+            held = self._held[id(m)] = []
+            for s in self.cm.syncs_in(m):
+                mon = _canonical_sync_monitor(s.monitor, self.cm, m)
+                if mon is not None:
+                    held.append((s.body.span, mon))
+        return held
 
     def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[Monitor]:
         """All monitors protecting the evaluation of ``expr`` inside ``m``."""
@@ -237,16 +267,21 @@ class MonitorAnalysis:
                 out.add(Monitor(MonitorKind.CLASS, f"Class<{self.cm.decl.name}>"))
             else:
                 out.add(Monitor(MonitorKind.THIS, "this"))
-        out.update(self._sync_context(m).get(id(expr), ()))
-        cfg, dom = self.cfg_for(m)
-        node = cfg.node_for(expr)
-        if node is not None:
-            for w in self.windows_for(m):
-                try:
-                    if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
-                        out.add(self._lock_field_monitor(w.field))
-                except UnreachableNodeError:
-                    continue
+        span = expr.span
+        for body, mon in self._held_syncs(m):
+            if body.contains(span):
+                out.add(mon)
+        windows = self.windows_for(m)
+        if windows:
+            cfg, dom = self.cfg_for(m)
+            node = cfg.node_for(expr)
+            if node is not None:
+                for w in windows:
+                    try:
+                        if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
+                            out.add(self._lock_field_monitor(w.field))
+                    except UnreachableNodeError:
+                        continue
         return frozenset(out)
 
     def _lock_field_monitor(self, f: A.FieldDecl) -> Monitor:

@@ -90,6 +90,8 @@ def check_correct_synchronization(
     cm: ClassModel,
     facts: Optional[frozenset[AccessPathFact]] = None,
     monitor_info: Optional[MonitorAnalysis] = None,
+    *,
+    exposed: Optional[list[FieldAccess]] = None,
 ) -> list[Alert]:
     """P3: every conflicting pair must share at least one protecting monitor.
 
@@ -97,14 +99,17 @@ def check_correct_synchronization(
     are disjoint, in that function's order before the final sort, without
     building the others. Monitors are asked for only on fields with a
     modifying access, which are the accesses some conflicting pair holds.
+    ``exposed`` is :func:`exposed_accesses` of ``cm`` when the caller has it.
     """
+    if exposed is None:
+        exposed = exposed_accesses(cm)
     if monitor_info is None:
         if facts is None:
-            facts = provides_access(cm)
+            facts = provides_access(cm, exposed)
         monitor_info = MonitorAnalysis(cm, facts)
     # (field index, i, j) of each unguarded pair, i <= j in the field's order
     found: list[tuple[int, int, int]] = []
-    fields = _accesses_by_field(exposed_accesses(cm))
+    fields = _accesses_by_field(exposed)
     for f, accesses in enumerate(fields):
         modifying = [is_modifying(a) for a in accesses]
         if not any(modifying):
@@ -176,13 +181,14 @@ def analyze_class(
     if "P2" in rules:
         alerts.extend(check_safe_publication(cm))
     if "P3" in rules:
-        facts = provides_access(cm)
+        exposed = exposed_accesses(cm)
+        facts = provides_access(cm, exposed)
         info = MonitorAnalysis(
             cm, facts,
             lock_types=lock_types,
             lock_methods=lock_methods,
             unlock_methods=unlock_methods,
         )
-        alerts.extend(check_correct_synchronization(cm, facts, info))
+        alerts.extend(check_correct_synchronization(cm, facts, info, exposed=exposed))
     alerts.sort(key=Alert.sort_key)
     return alerts

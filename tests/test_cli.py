@@ -178,6 +178,19 @@ BINDING_PROBES = {
                "public void a(Object mu) { synchronized (mu) { x = x + 1; } } "
                "public void b() { synchronized (mu) { x = x + 1; } } }",
                {("P3", "x")}, True),
+    # each caller may pass a different mu, so the block guards nothing
+    "ParamMon": ("@ThreadSafe class ParamMon { private int x; "
+                 "public void a(Object mu) { synchronized (mu) { x = x + 1; } } }",
+                 {("P3", "x")}, True),
+    # each call locks a fresh object
+    "LocalMon": ("@ThreadSafe class LocalMon { private int x; "
+                 "public void a() { Object m = new Object(); synchronized (m) { x = x + 1; } } }",
+                 {("P3", "x")}, True),
+    # m aliases the field mu, so both methods hold the same monitor
+    "AliasMon": ("@ThreadSafe class AliasMon { private final Object mu = new Object(); private int x; "
+                 "public void a() { Object m = mu; synchronized (m) { x = x + 1; } } "
+                 "public int b() { synchronized (mu) { return x; } } }",
+                 set(), False),
     # the block's local x is out of scope at x = 2
     "BlockLocal": ("@ThreadSafe class BlockLocal { private int x; public void w() { { int x = 1; } x = 2; } "
                    "public synchronized int get() { return x; } }",

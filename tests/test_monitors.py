@@ -1,8 +1,15 @@
 """Monitor identification: lock windows, synchronized regions, and forex."""
 
-from conftest import model_for, model_from_source
+import os
 
-from threadlint.classmodel import exposed_accesses
+import monitors_reference
+from conftest import CORPUS_DIR, model_from_source, model_for, parse_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from threadlint import monitors as monitors_module
+from threadlint.classmodel import build_class_model, exposed_accesses
+from threadlint.frontend import ast as A
 from threadlint.monitors import (
     Monitor,
     MonitorAnalysis,
@@ -11,6 +18,7 @@ from threadlint.monitors import (
     lock_fields,
     represents,
 )
+from threadlint.raceanalysis import analyze_class
 
 
 def analysis(cm, **kw):
@@ -291,7 +299,8 @@ class S {
     a, b = _method(cm, "a"), _method(cm, "b")
     wa = a.body.stmts[0].body.stmts[0].expr
     wb = b.body.stmts[0].body.stmts[0].expr
-    assert synchronized_on(cm, a, wa) == {Monitor(MonitorKind.SYNC_EXPR, "mu")}
+    # each caller may pass a different object, so the parameter guards nothing
+    assert synchronized_on(cm, a, wa) == frozenset()
     assert synchronized_on(cm, b, wb) == {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
 
 
@@ -417,3 +426,102 @@ class G {{
 def test_monitor_equality_is_kind_and_identity():
     assert Monitor(MonitorKind.THIS, "this") == Monitor(MonitorKind.THIS, "this")
     assert Monitor(MonitorKind.SYNC_EXPR, "this.l") != Monitor(MonitorKind.LOCK_FIELD, "this.l")
+
+
+# --- parity of the demand-driven analysis with the eager reference ---
+
+CORPUS_LOCK_TYPES = ("Lock", "ReentrantLock", "MyLock")
+
+
+def assert_protection_matches_eager_reference(cm, lock_types=CORPUS_LOCK_TYPES):
+    info = MonitorAnalysis(cm, lock_types=lock_types)
+    eager = monitors_reference.EagerMonitors(cm, lock_types=lock_types)
+    for m in [*cm.decl.constructors, *cm.decl.methods]:
+        for e in () if m.body is None else A.walk(m.body):
+            assert info.protecting_monitors(m, e) == eager.protecting_monitors(m, e), (m.name, e)
+
+
+def test_protection_matches_eager_reference_on_the_corpus():
+    names = sorted(n for n in os.listdir(CORPUS_DIR) if n.endswith(".java"))
+    for name in names:
+        for decl in parse_corpus(name).iter_classes():
+            assert_protection_matches_eager_reference(build_class_model(decl))
+
+
+MONITOR_EXPRS = ("this", "mu", "this.mu", "R.MU", "MU", "R.class", "p", "o", "a", "peer.mu", "other")
+# each method may start with these locals: a fresh object, a field alias, a lock alias
+PRELUDE = "Object o = new Object(); Object a = mu; Lock k = l1;"
+
+
+@st.composite
+def guarded_statements(draw, depth=0):
+    kinds = ["write", "read", "write"] + (["sync", "window", "try", "lockonly", "unlockonly", "mixed", "if"]
+                                           if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    field = draw(st.sampled_from(["x", "this.y"]))
+    if kind == "write":
+        return f"{field} = {field} + 1;"
+    if kind == "read":
+        return f"int v = {field};"
+    inner = " ".join(draw(st.lists(guarded_statements(depth + 1), min_size=1, max_size=3)))
+    lock = draw(st.sampled_from(["l1", "this.l2", "k"]))
+    if kind == "sync":
+        return f"synchronized ({draw(st.sampled_from(MONITOR_EXPRS))}) {{ {inner} }}"
+    if kind == "window":
+        return f"{lock}.lock(); {inner} {lock}.unlock();"
+    if kind == "try":
+        return f"{lock}.lock(); try {{ {inner} }} finally {{ {lock}.unlock(); }}"
+    if kind == "lockonly":
+        return f"{lock}.lock(); {inner}"
+    if kind == "unlockonly":
+        return f"{inner} {lock}.unlock();"
+    if kind == "mixed":
+        return f"l1.lock(); {inner} l2.unlock();"
+    return f"if (x > 0) {{ {inner} }} else {{ return; }}"
+
+
+@st.composite
+def monitored_classes(draw):
+    """Classes mixing synchronized methods and blocks with lock windows of every shape."""
+    members = []
+    for i in range(draw(st.integers(1, 4))):
+        mods = draw(st.sampled_from(["public", "public synchronized", "public static synchronized", "private"]))
+        prelude = PRELUDE if draw(st.booleans()) else ""
+        body = " ".join(draw(st.lists(guarded_statements(), min_size=1, max_size=4)))
+        members.append(f"  {mods} void m{i}(Object p) {{ {prelude} {body} }}")
+    fields = ("  private int x;\n  private int y;\n  private final Object mu = new Object();\n"
+              "  private static final Object MU = new Object();\n  private R peer;\n"
+              "  private final Lock l1 = new ReentrantLock();\n  private final Lock l2 = new ReentrantLock();\n")
+    return "@ThreadSafe\nclass R {\n" + fields + "\n".join(members) + "\n}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(monitored_classes())
+def test_protection_matches_eager_reference_on_generated_classes(src):
+    assert_protection_matches_eager_reference(model_from_source(src))
+
+
+def test_a_cfg_is_built_only_for_a_method_with_a_lock_and_an_unlock_call(monkeypatch):
+    built = []
+    build_cfg = monitors_module.build_cfg
+
+    def counting_build_cfg(m):
+        built.append(m.name)
+        return build_cfg(m)
+
+    monkeypatch.setattr(monitors_module, "build_cfg", counting_build_cfg)
+    cm = model_from_source(
+        """@ThreadSafe
+class Lazy {
+  private int n;
+  private final Lock l = null;
+  public synchronized void a() { n = 1; }
+  public void b() { synchronized (this) { n = 2; } }
+  public void c() { l.lock(); n = 3; }
+  public void d() { l.lock(); n = 4; l.unlock(); }
+}
+"""
+    )
+    alerts = analyze_class(cm)
+    assert {a.field for a in alerts} == {"n"}
+    assert built == ["d"]
