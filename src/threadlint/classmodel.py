@@ -344,18 +344,48 @@ def build_class_model(
                       collector.bindings, collector.calls, collector.syncs)
 
 
+_ZERO_DEFAULT_TYPES = frozenset({"byte", "short", "char", "int", "long", "float", "double"})
+_NUMERIC_LITERAL_KINDS = frozenset({"int", "long", "float", "double", "char"})
+
+
+def _literal_is_zero(lit: A.Literal) -> bool:
+    """True for a number or char literal whose value is zero, however spelled:
+    ``0x0L``, ``00``, ``0_0``, ``0.``, ``0e0``, ``'\\0'``, ``'\\u0000'``."""
+    if lit.kind == "char":
+        body = lit.text[1:-1]
+        if body.startswith("\\u"):
+            digits = body[2:]
+        elif body[:1] == "\\" and body[1:].isdigit():
+            digits = body[1:]  # an octal escape
+        else:
+            return body == "\x00"  # a NUL character written as is
+        return not digits.strip("0")
+    text = lit.text.replace("_", "").lower()
+    if text.startswith("0x"):
+        return not text[2:].rstrip("l").strip("0")
+    mantissa = text.rstrip("lfd").split("e", 1)[0]
+    return not mantissa.strip("0.")
+
+
 def is_default_initialized(f: A.FieldDecl) -> bool:
     """True when the declaration leaves the field at its JVM default value.
 
-    Purely syntactic: the initializer must be the literal default for the
-    declared type (``int x = 1 - 1;`` does not count).
+    The initializer must be a literal whose value is the default for the
+    declared type: zero for a numeric or char field, ``false`` for a boolean
+    and ``null`` for a reference. There is no constant folding, so
+    ``int x = 1 - 1;``, ``(0)`` and ``-0.0`` do not count.
     """
-    if f.initializer is None:
-        return True
     init = f.initializer
+    if init is None:
+        return True
     if not isinstance(init, A.Literal):
         return False
-    return init.text in A.default_literals_for(f.declared_type)
+    base = f.declared_type.split("<", 1)[0]
+    if base in _ZERO_DEFAULT_TYPES:
+        return init.kind in _NUMERIC_LITERAL_KINDS and _literal_is_zero(init)
+    if base == "boolean":
+        return init.text == "false"
+    return init.kind == "null"
 
 
 def check_no_escaping(cm: ClassModel) -> list[Alert]:

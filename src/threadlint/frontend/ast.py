@@ -17,17 +17,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from threadlint.errors import SpanOutOfRange
 
-PRIMITIVE_DEFAULT_LITERALS = {
-    "byte": ("0",),
-    "short": ("0",),
-    "int": ("0",),
-    "long": ("0", "0L", "0l"),
-    "char": ("'\\u0000'", "'\\0'"),
-    "float": ("0", "0.0", ".0", "0f", "0F", "0.0f", "0.0F"),
-    "double": ("0", "0.0", ".0", "0d", "0D", "0.0d", "0.0D"),
-    "boolean": ("false",),
-}
-
 
 class SourceSpan(NamedTuple):
     """Half-open slice [start, end) of one source file.
@@ -52,7 +41,7 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     span: SourceSpan
 
@@ -60,80 +49,80 @@ class Node:
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Literal(Expr):
     kind: str  # int | long | float | double | boolean | char | string | null
     text: str  # raw source text, e.g. "0L", "'\\u0000'"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Name(Expr):
     identifier: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class This(Expr):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldSel(Expr):
     qualifier: Expr
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ClassLit(Expr):
     type_text: str  # "Foo" in Foo.class
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Call(Expr):
     qualifier: Optional[Expr]
     name: str
     args: list[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class New(Expr):
     type_text: str
     args: Optional[list[Expr]]  # constructor arguments, None for arrays
     dims: Optional[list[Expr]]  # array dimension expressions, None otherwise
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
     prefix: bool
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Expr):
     target: Expr
     op: str  # "=", "+=", ...
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Paren(Expr):
     inner: Expr
 
@@ -141,49 +130,49 @@ class Paren(Expr):
 # --- statements ------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block(Stmt):
     stmts: list[Stmt]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Declarator:
     name: str
     init: Optional[Expr]
     span: SourceSpan
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LocalDecl(Stmt):
     type_text: str
     declarators: list[Declarator]
     is_final: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     els: Optional[Stmt]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class For(Stmt):
     init: Optional[Stmt]  # LocalDecl or ExprStmt-like list lowered to Block
     cond: Optional[Expr]
@@ -191,7 +180,7 @@ class For(Stmt):
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ForEach(Stmt):
     type_text: str
     var: str
@@ -200,23 +189,23 @@ class ForEach(Stmt):
     is_final: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Return(Stmt):
     value: Optional[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Throw(Stmt):
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Sync(Stmt):
     monitor: Expr
     body: Block
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Catch:
     type_text: str
     var: str
@@ -224,14 +213,14 @@ class Catch:
     span: SourceSpan
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Try(Stmt):
     body: Block
     catches: list[Catch]
     finally_block: Optional[Block]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Empty(Stmt):
     pass
 
@@ -239,7 +228,7 @@ class Empty(Stmt):
 # --- declarations ----------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Annotation:
     name: str  # as written: "ThreadSafe" or "javax.annotation.concurrent.ThreadSafe"
     args_src: Optional[str]  # raw "(...)" text, None when absent
@@ -250,7 +239,7 @@ class Annotation:
         return self.name.rsplit(".", 1)[-1]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Param:
     type_text: str
     name: str
@@ -258,7 +247,7 @@ class Param:
     is_final: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldDecl(Node):
     name: str
     declared_type: str  # normalized source form, e.g. "Map<String,Integer>"
@@ -284,7 +273,7 @@ class FieldDecl(Node):
         return "static" in self.modifiers
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MethodDecl(Node):
     name: str
     visibility: str  # public | protected | package | private
@@ -307,7 +296,7 @@ class MethodDecl(Node):
         return len(self.params)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ClassDecl(Node):
     name: str
     annotations: list[Annotation]
@@ -330,7 +319,7 @@ class ClassDecl(Node):
         return {a.simple_name for a in self.annotations}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ImportDecl:
     qualified: str
     wildcard: bool
@@ -342,7 +331,7 @@ class ImportDecl:
         return self.qualified.rsplit(".", 1)[-1]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Ast:
     path: str
     source: str
@@ -450,13 +439,3 @@ def annotated_as_thread_safe(ast: Ast, annotation_names: tuple[str, ...] = ("Thr
     wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
     return [c for c in ast.iter_classes() if c.annotation_simple_names() & wanted]
 
-
-def default_literals_for(type_text: str) -> tuple[str, ...]:
-    """Literal spellings of the default value for a declared type.
-
-    Reference types default to null; primitives to their JVM zero value.
-    """
-    base = type_text.split("<", 1)[0]
-    if base.endswith("[]"):
-        return ("null",)
-    return PRIMITIVE_DEFAULT_LITERALS.get(base, ("null",))

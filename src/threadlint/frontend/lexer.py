@@ -9,7 +9,8 @@ newlines in that prefix. The token part is optional too, so the match never
 fails and never backtracks into the prefix; a match that ends in no token
 group is the end of the input or an error at the first unlexable character.
 String and character literals end at a line break, escaped or not, as in
-javac, so a token never spans lines.
+javac, so a token never spans lines. A character literal may hold an octal
+escape of up to three digits, ``'\\0'`` through ``'\\377'``.
 
 :class:`Token` is a ``NamedTuple`` because a pass builds one per token:
 a tuple is several times cheaper to build than a frozen dataclass, and it is
@@ -48,7 +49,7 @@ _TOKEN_RE = re.compile(
         )
       | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
       | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\[^\n]|[^"\\\n])*")
-      | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\[^\n]|[^'\\\n])')
+      | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\[0-3][0-7][0-7]|\\[0-7][0-7]?|\\[^\n]|[^'\\\n])')
       | (?P<punct>
             >>>=|>>=|<<=|>>>|>>|<<|\+\+|--|&&|\|\||<=|>=|==|!=|->|::
           | \+=|-=|\*=|/=|%=|&=|\|=|\^=

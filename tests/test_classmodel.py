@@ -208,6 +208,33 @@ def test_p2_volatile_uninitialized_clean():
         ("double d = 0.0;", True),
         ("int y = 1 - 1;", False),  # no constant folding, by design
         ("int z = 1;", False),
+        # the value decides, not the spelling
+        ("private int a = 0x0;", True),
+        ("long b = 0x0L;", True),
+        ("int g = 00;", True),
+        ("int h = 0_0;", True),
+        ("double e = 0.;", True),
+        ("double d = 0e0;", True),
+        ("float f = 0.0e0f;", True),
+        ("char c = 0;", True),
+        ("char c = '\\0';", True),
+        ("char c = '\\000';", True),
+        ("int i = '\\u0000';", True),
+        ("int[] arr = null;", True),
+        ("int x = 0x10;", False),
+        ("long l = 0x0_1L;", False),
+        ("double d = 0.5;", False),
+        ("double d = 1e0;", False),
+        ("double d = 0.0e5d;", True),
+        ("char c = '0';", False),
+        ("char c = '\\u0041';", False),
+        ("char c = '\\\\';", False),
+        ("int p = (0);", False),
+        ("double n = -0.0;", False),
+        ("boolean b = 0;", False),
+        ("Integer boxed = 0;", False),
+        ("Object o = false;", False),
+        ("String s = \"\";", False),
     ],
 )
 def test_is_default_initialized(field_src, expected):

@@ -1,9 +1,10 @@
 """Command-line behaviour: exit codes for paths, config files, --trace, --oracle
-and over-deep input; the static run and the oracle on name-binding probes;
-streaming; and the corpus reports, pinned byte for byte."""
+and over-deep input; --timings; the static run and the oracle on name-binding
+probes; streaming; and the corpus reports, pinned byte for byte."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import threadlint
 from threadlint import cli
 from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check, run
 from threadlint.config import build_config
+from threadlint.hboracle import OracleVerdict
 
 
 def run_trace(tmp_path, capsys, text):
@@ -275,3 +277,35 @@ def test_corpus_reports_match_golden_bytes(monkeypatch, capsysbinary, fmt, oracl
         assert code == EXIT_CLEAN and b"disagree" not in out
     else:
         assert code == EXIT_ALERTS
+
+
+def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "Clean.java"
+    path.write_text(CLEAN)
+    monkeypatch.setattr(cli, "check_class", lambda cm, **kw: OracleVerdict(cm.class_id, True, None, 1, "checked"))
+    code = main(["--oracle", str(path)])
+    assert code == EXIT_ALERTS
+    assert capsys.readouterr().out.splitlines() == [f"{path} Clean static=0 oracle=race agreement=disagree"]
+
+
+def test_oracle_run_with_a_parse_failure_exits_2(tmp_path, capsys):
+    (tmp_path / "A.java").write_text("class A {")
+    (tmp_path / "Clean.java").write_text(CLEAN)
+    code = main(["--oracle", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_ERROR
+    assert f"{tmp_path / 'A.java'}:1:1 ERROR" in out
+    assert f"{tmp_path / 'Clean.java'} Clean static=0 oracle=race-free agreement=ok" in out
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["static", "oracle"])
+def test_timings_write_one_stderr_line_and_leave_stdout_alone(monkeypatch, capsysbinary, oracle):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    args = [*oracle, *CORPUS_FLAGS, os.path.join("tests", "corpus")]
+    code = main(args)
+    plain = capsysbinary.readouterr()
+    assert main(["--timings", *args]) == code
+    timed = capsysbinary.readouterr()
+    assert timed.out == plain.out and plain.err == b""
+    assert re.fullmatch(rb"wall time: \d+\.\d{3}s\n", timed.err)

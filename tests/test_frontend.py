@@ -2,8 +2,10 @@
 and the completeness of the shared child relation."""
 
 import dataclasses
+import os
 
 import lex_reference
+import parse_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from threadlint.frontend import (
     tokenize,
 )
 from threadlint.frontend import ast as A
+from threadlint.frontend import parser as P
 from threadlint.frontend.parser import MAX_NESTING
 
 
@@ -72,12 +75,23 @@ def test_multichar_operators():
         ("'\\\n'", "unterminated character"),
         ("/* never closed", "unterminated block comment"),
         ("int € = 1;", "unexpected character"),
+        ("'\\400'", "unterminated character"),  # octal escapes end at \377
+        ("'\\1234'", "unterminated character"),
     ],
 )
 def test_lex_errors(src, msg):
     with pytest.raises(ParseError) as err:
         tokenize(src)
     assert msg in str(err.value)
+
+
+@pytest.mark.parametrize("literal", ["'\\0'", "'\\7'", "'\\12'", "'\\77'", "'\\000'", "'\\377'", "'\\101'"])
+def test_octal_escapes_in_char_literals(literal):
+    assert tokens_of(f"char c = {literal};") == [
+        ("keyword", "char"), ("ident", "c"), ("punct", "="), ("char", literal), ("punct", ";"), ("eof", ""),
+    ]
+    decl = parse_source(f"class O {{ void f() {{ char c = {literal}; }} }}").classes[0].methods[0].body.stmts[0]
+    assert decl.declarators[0].init.text == literal
 
 
 JAVA_FRAGMENTS = (
@@ -494,3 +508,161 @@ def test_walk_is_preorder_and_children_reject_non_nodes():
     assert names == ["Binary", "Paren", "Binary", "Name", "Name", "Name"]
     with pytest.raises(TypeError):
         A.children(A.Catch("E", "e", None, expr.span))
+
+
+# --- parity with the reference parser ---
+
+
+def parsed(parse, text):
+    """The tree's repr, or the (line, col, message) of the ParseError."""
+    try:
+        return repr(parse(text, "P.java"))
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.message)
+
+
+def assert_parses_like_reference(text):
+    assert parsed(parse_source, text) == parsed(parse_reference.parse_source, text)
+
+
+def _corpus_texts():
+    return [corpus_source(n).content for n in sorted(os.listdir(CORPUS_DIR)) if n.endswith(".java")]
+
+
+# tokens whose insertion starts, breaks or extends a type, a declaration or an expression
+MUTATION_TOKENS = (
+    "int", "void", "final", "x", "List", "<", ">", ">>", ">>>", "[", "]", "(", ")", "{", "}",
+    ".", ",", ";", ":", "=", "+=", "?", "++", "--", "-", "!", "+", "*", "&&", "new", "this",
+    "class", "extends", "super", "0", "'c'", "\"s\"", "null", "->", "::", "switch", "return",
+    "synchronized", "for", "if", "else", "try", "finally", "@",
+)
+
+
+@st.composite
+def mutated_sources(draw):
+    """A generated class or a corpus file with one to three token-level edits."""
+    src = draw(st.one_of(thread_safe_classes(), synchronized_classes(), st.sampled_from(_corpus_texts())))
+    toks = [t.text for t in tokenize(src)][:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(("insert", "delete", "swap")))
+        if op == "insert":
+            toks.insert(i, draw(st.one_of(st.sampled_from(MUTATION_TOKENS), st.sampled_from(toks))))
+        elif op == "delete" and len(toks) > 1:
+            del toks[i]
+        elif op == "swap" and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    return " ".join(toks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(thread_safe_classes(), synchronized_classes()))
+def test_parser_matches_reference_on_generated_classes(src):
+    assert_parses_like_reference(src)
+
+
+def test_parser_matches_reference_on_corpus():
+    for text in _corpus_texts():
+        assert_parses_like_reference(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_sources())
+def test_parser_matches_reference_on_token_mutations(src):
+    assert_parses_like_reference(src)
+
+
+# each shape nests one level per repetition
+NESTING_SHAPES = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "unary": lambda n: "- " * n + "x",
+    "prefix-increment": lambda n: "++ " * n + "x",
+    "selectors": lambda n: "this" + ".x" * n,
+    "calls": lambda n: "this" + ".m()" * n,
+    "index": lambda n: "a" + "[0]" * n,
+    "postfix": lambda n: "x" + "++" * n,
+    "binary": lambda n: " + ".join(["x"] * n),
+    "mixed-binary": lambda n: " ".join(f"x {'*+<&|'[i % 5]}" for i in range(n)) + " x",
+    "assignments": lambda n: "x = " * n + "1",
+    "arguments": lambda n: "m(" * n + ")" * n,
+}
+NESTING_CONTEXTS = (
+    "class A {{ int f() {{ return {}; }} }}",
+    "class A {{ void f() {{ int v = {}; }} }}",
+    "class A {{ void f() {{ y = {}; }} }}",
+    "class A {{ void f() {{ for (int i = {}; ; ) {{ }} }} }}",
+    "class A {{ int v = {}; }}",
+)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_parser_matches_reference_at_the_nesting_limit(shape):
+    for n in range(MAX_NESTING - 3, MAX_NESTING + 2):
+        for context in NESTING_CONTEXTS:
+            assert_parses_like_reference(context.format(NESTING_SHAPES[shape](n)))
+
+
+def test_parser_matches_reference_on_nested_blocks():
+    for n in range(MAX_NESTING - 3, MAX_NESTING + 2):
+        for inner in ("", "x = 1;", "int v = 0;", "if (c) x = 1;", "for (;;) { }"):
+            assert_parses_like_reference("class A { void f() " + "{" * n + inner + "}" * n + " }")
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "a<b>c + 1;",  # a failed declaration that is a valid expression
+        "a<b>c;",
+        "a<b<c>> d = e;",
+        "a<b>>c;",
+        "a < b;",
+        "a.b.c d;",
+        "a.b.c = d;",
+        "a[] b = c;",
+        "a[i] = b;",
+        "int[] a = new int[3];",
+        "final int x = 1, y;",
+        "final x = 1;",
+        "void x;",
+        "int x = c > 0 ? 1 : 2;",
+        "int x = ;",
+        "int x = () -> 1;",
+        "List<? extends Number> l = null;",
+        "Map<String, int[]> m;",
+        "x y z;",
+        "for (int x : xs) { y = ; }",
+        "for (final List<int> x : xs) y++;",
+        "for (a.b c = d; ; ) { }",
+        "for (a<b>c; ; ) { }",
+        "for (i = 0, j = 1; i < j; i++, j--) { }",
+        "for (int x : ) { }",
+        "for (;;) ;",
+        "label: x = 1;",
+        "++x;",
+        "(x)++;",
+        "o.m(x).n[0]++;",
+        "Foo.class.getName();",
+        "int.class;",
+        "x.;",
+        "new int[2][];",
+        "-x;",
+    ],
+)
+def test_parser_matches_reference_on_statements(stmt):
+    assert_parses_like_reference("class A { void f() { " + stmt + " } }")
+
+
+def test_expression_statements_start_no_declaration(monkeypatch):
+    attempts = []
+    try_decl = P._Parser._try_parse_local_decl
+
+    def counted(self, *args, **kw):
+        attempts.append(self.pos)
+        return try_decl(self, *args, **kw)
+
+    monkeypatch.setattr(P._Parser, "_try_parse_local_decl", counted)
+    body = "x = 1; this.f = x; a[i] = 2; ++x; m(x, y); o.m(x); x++; a.b.c = d; f(g(h)).k = 3;"
+    parse_source("class A { void f() { " + body + " } }")
+    assert attempts == []
+    parse_source("class A { void f() { int y = 0; java.util.List<int[]> l; " + body + " } }")
+    assert len(attempts) == 2
