@@ -16,7 +16,10 @@ call site and reachable access, plus one per direct containment, which makes
 the rest linear in the size of the fact relation.
 
 Call sites are the ones the class model recorded while binding names
-(:meth:`ClassModel.calls_in`); no method body is walked here.
+(:meth:`ClassModel.calls_in`), and their targets are the ones it resolves
+(:meth:`ClassModel.callees`: only unqualified and ``this``-qualified calls,
+as a call through any other receiver targets a different object); no
+method body is walked here.
 """
 
 from __future__ import annotations
@@ -50,21 +53,15 @@ def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None)
         if id(a.enclosing) in reach:
             reach[id(a.enclosing)] |= 1 << i
 
-    by_name: dict[tuple[str, int], list[A.MethodDecl]] = {}
-    for m in methods:
-        by_name.setdefault((m.name, m.arity), []).append(m)
-    # Only unqualified and ``this``-qualified calls resolve; a call through
-    # any other receiver targets a different object.
     calls: list[tuple[A.MethodDecl, A.Call, list[A.MethodDecl]]] = []
     callers: dict[int, dict[int, A.MethodDecl]] = {id(m): {} for m in methods}
     for m in methods:
         for e in cm.calls_in(m):
-            if e.qualifier is None or isinstance(e.qualifier, A.This):
-                callees = by_name.get((e.name, len(e.args)))
-                if callees:
-                    calls.append((m, e, callees))
-                    for k in callees:
-                        callers[id(k)][id(m)] = m
+            callees = cm.callees(e)
+            if callees:
+                calls.append((m, e, callees))
+                for k in callees:
+                    callers[id(k)][id(m)] = m
 
     work = [m for m in methods if reach[id(m)]]
     while work:

@@ -5,10 +5,13 @@ writes, array-element writes, mutator calls, and the declared-initializer
 write). Accesses to fields of other classes are ignored; those are governed
 by the other class's own no-escaping rule.
 
-Name binding happens here and only here: the collector scopes locals and
-parameters by block, and :meth:`ClassModel.field_of` answers, for any
-expression of the class, which own field it denotes. Monitor identification
-and the oracle driver ask it instead of resolving names themselves.
+Name binding happens here and only here: the collector scopes parameters,
+locals, for-each and catch variables by block and binds every name once,
+to an own field or to the declaration in scope, whose written values it
+records. :meth:`ClassModel.field_of`, :meth:`ClassModel.denotes`,
+:meth:`ClassModel.is_local` and :meth:`ClassModel.callees` answer what an
+expression or a same-class call denotes; the other modules ask them
+instead of resolving names themselves.
 
 The same walk records, per callable, its ``Call`` nodes and its
 ``synchronized`` blocks as it reaches them (:meth:`ClassModel.calls_in`,
@@ -92,8 +95,12 @@ class ClassModel:
     annotated: bool
     mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS
     bindings: dict[int, A.FieldDecl] = field(default_factory=dict)  # id(Name|FieldSel) -> field
+    # id(local Name) -> the values written to its declaration, one list per
+    # declaration; None for a value not known
+    local_writes: dict[int, list[Optional[A.Expr]]] = field(default_factory=dict)
     calls: dict[int, list[A.Call]] = field(default_factory=dict)  # id(callable) -> its calls
     syncs: dict[int, list[A.Sync]] = field(default_factory=dict)  # id(callable) -> its sync blocks
+    overloads: dict[tuple[str, int], list[A.MethodDecl]] = field(default_factory=dict)  # (name, arity) -> methods
 
     @property
     def name(self) -> str:
@@ -111,6 +118,27 @@ class ClassModel:
         """
         return self.bindings.get(id(A.strip_parens(expr)))
 
+    def is_local(self, expr: A.Expr) -> bool:
+        """True when ``expr``, parentheses stripped, names a parameter or a local."""
+        return id(A.strip_parens(expr)) in self.local_writes
+
+    def denotes(self, expr: A.Expr) -> Optional[A.FieldDecl]:
+        """The own field ``expr`` names, or that a local holds when it is
+        assigned exactly once, from a read of the field; parentheses stripped.
+        Parameters, for-each and catch variables are written an unknown value."""
+        e = A.strip_parens(expr)
+        values = self.local_writes.get(id(e), ())
+        if len(values) == 1 and values[0] is not None:
+            return self.field_of(values[0])
+        return self.bindings.get(id(e))
+
+    def callees(self, call: A.Call) -> list[A.MethodDecl]:
+        """Every method of the call's name and arity for an unqualified or
+        ``this.`` call, parentheses stripped; none through any other receiver."""
+        if call.qualifier is not None and not isinstance(A.strip_parens(call.qualifier), A.This):
+            return []
+        return self.overloads.get((call.name, len(call.args)), [])
+
     def calls_in(self, m: A.MethodDecl) -> list[A.Call]:
         """Every call in ``m``'s body, each before its receiver and arguments."""
         return self.calls.get(id(m), [])
@@ -124,9 +152,10 @@ class _AccessCollector:
     """Walks callable bodies resolving bare names against locals, then fields.
 
     Every name or field selection that resolves to an own field is recorded
-    in ``bindings``, whether or not it becomes an access of its own. Each
-    callable's calls and synchronized blocks are recorded in ``calls`` and
-    ``syncs`` as they are reached.
+    in ``bindings``, whether or not it becomes an access of its own, and
+    every name that resolves to a local in ``local_writes``. Each callable's
+    calls and synchronized blocks are recorded in ``calls`` and ``syncs`` as
+    they are reached.
     """
 
     def __init__(self, decl: A.ClassDecl, mutators: tuple[str, ...]):
@@ -135,22 +164,29 @@ class _AccessCollector:
         self.mutators = frozenset(mutators)
         self.out: list[FieldAccess] = []
         self.bindings: dict[int, A.FieldDecl] = {}
+        self.local_writes: dict[int, list[Optional[A.Expr]]] = {}
         self.calls: dict[int, list[A.Call]] = {}
         self.syncs: dict[int, list[A.Sync]] = {}
         self._calls: list[A.Call] = []
         self._syncs: list[A.Sync] = []
-        self.scopes: list[set[str]] = []
+        self.scopes: list[dict[str, list[Optional[A.Expr]]]] = []  # name -> its declaration's writes
         self.enclosing: Optional[A.MethodDecl] = None
 
     # -- scope helpers --
 
-    def _is_local(self, name: str) -> bool:
-        return any(name in s for s in self.scopes)
+    def _local(self, name: str) -> Optional[list[Optional[A.Expr]]]:
+        """The writes of the declaration ``name`` denotes; None when no local is in scope."""
+        return next((s[name] for s in reversed(self.scopes) if name in s), None)
 
     def _bind(self, e: A.Expr) -> Optional[A.FieldDecl]:
-        """The own field a ``Name`` or ``FieldSel`` denotes, recorded in ``bindings``."""
+        """The own field a ``Name`` or ``FieldSel`` denotes, recorded in ``bindings``;
+        a local ``Name`` is recorded in ``local_writes`` instead."""
         if isinstance(e, A.Name):
-            f = None if self._is_local(e.identifier) else self.fields.get(e.identifier)
+            writes = self._local(e.identifier)
+            if writes is not None:
+                self.local_writes[id(e)] = writes
+                return None
+            f = self.fields.get(e.identifier)
         elif isinstance(e, A.FieldSel):
             f = self._selected_own_field(e)
         else:
@@ -167,7 +203,7 @@ class _AccessCollector:
 
     def collect_initializers(self) -> None:
         self.enclosing = None
-        self.scopes = [set()]
+        self.scopes = [{}]
         for f in self.decl.fields:
             if f.initializer is not None:
                 self.visit_expr(f.initializer)
@@ -175,7 +211,7 @@ class _AccessCollector:
 
     def collect_callable(self, m: A.MethodDecl) -> None:
         self.enclosing = m
-        self.scopes = [{p.name for p in m.params}]
+        self.scopes = [{p.name: [None] for p in m.params}]
         self._calls = self.calls[id(m)] = []
         self._syncs = self.syncs[id(m)] = []
         if m.body is not None:
@@ -186,7 +222,7 @@ class _AccessCollector:
 
     def visit_stmt(self, s: A.Stmt) -> None:
         if isinstance(s, A.Block):
-            self.scopes.append(set())
+            self.scopes.append({})
             for inner in s.stmts:
                 self.visit_stmt(inner)
             self.scopes.pop()
@@ -194,7 +230,7 @@ class _AccessCollector:
             for d in s.declarators:
                 if d.init is not None:
                     self.visit_expr(d.init)
-                self.scopes[-1].add(d.name)
+                self.scopes[-1][d.name] = [] if d.init is None else [d.init]
         elif isinstance(s, A.ExprStmt):
             self.visit_expr(s.expr)
         elif isinstance(s, A.If):
@@ -206,7 +242,7 @@ class _AccessCollector:
             self.visit_expr(s.cond)
             self.visit_stmt(s.body)
         elif isinstance(s, A.For):
-            self.scopes.append(set())
+            self.scopes.append({})
             if s.init is not None:
                 self.visit_stmt(s.init)
             if s.cond is not None:
@@ -216,8 +252,8 @@ class _AccessCollector:
                 self.visit_expr(e)
             self.scopes.pop()
         elif isinstance(s, A.ForEach):
-            self.scopes.append({s.var})
             self.visit_expr(s.iterable)
+            self.scopes.append({s.var: [None]})
             self.visit_stmt(s.body)
             self.scopes.pop()
         elif isinstance(s, A.Return):
@@ -232,7 +268,7 @@ class _AccessCollector:
         elif isinstance(s, A.Try):
             self.visit_stmt(s.body)
             for c in s.catches:
-                self.scopes.append({c.var})
+                self.scopes.append({c.var: [None]})
                 self.visit_stmt(c.body)
                 self.scopes.pop()
             if s.finally_block is not None:
@@ -261,7 +297,7 @@ class _AccessCollector:
             self._visit_target(e.operand, compound=True)
             return
         if isinstance(e, A.Assign):
-            self._visit_target(e.target, compound=e.op != "=")
+            self._visit_target(e.target, compound=e.op != "=", value=e.value)
             self.visit_expr(e.value)
             return
         if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
@@ -275,14 +311,15 @@ class _AccessCollector:
         q = e.qualifier
         if isinstance(q, A.This):
             return self.fields.get(e.name)
-        if isinstance(q, A.Name) and q.identifier == self.decl.name and not self._is_local(q.identifier):
+        if isinstance(q, A.Name) and q.identifier == self.decl.name and self._local(q.identifier) is None:
             f = self.fields.get(e.name)
             if f is not None and f.is_static:
                 return f
         return None
 
-    def _visit_target(self, target: A.Expr, compound: bool) -> None:
-        """Classify an assignment (or ++/--) target; compound targets also read."""
+    def _visit_target(self, target: A.Expr, compound: bool, value: Optional[A.Expr] = None) -> None:
+        """Classify an assignment (or ++/--) target; compound targets also read.
+        A local target records ``value``, or an unknown value if compound."""
         target = A.strip_parens(target)
         if isinstance(target, (A.Name, A.FieldSel)):
             f = self._bind(target)
@@ -290,6 +327,8 @@ class _AccessCollector:
                 if compound:
                     self._emit(f, AccessKind.READ, target)
                 self._emit(f, AccessKind.WRITE, target)
+            elif id(target) in self.local_writes:
+                self.local_writes[id(target)].append(None if compound else value)
             elif isinstance(target, A.FieldSel):
                 self.visit_expr(target.qualifier)
             return
@@ -340,8 +379,11 @@ def build_class_model(
     accesses = sorted(collector.out, key=lambda a: (a.span.start, a.span.end))
     wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
     annotated = bool(decl.annotation_simple_names() & wanted)
-    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods,
-                      collector.bindings, collector.calls, collector.syncs)
+    overloads: dict[tuple[str, int], list[A.MethodDecl]] = {}
+    for m in decl.methods:
+        overloads.setdefault((m.name, m.arity), []).append(m)
+    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings,
+                      collector.local_writes, collector.calls, collector.syncs, overloads)
 
 
 _ZERO_DEFAULT_TYPES = frozenset({"byte", "short", "char", "int", "long", "float", "double"})

@@ -9,8 +9,10 @@ newlines in that prefix. The token part is optional too, so the match never
 fails and never backtracks into the prefix; a match that ends in no token
 group is the end of the input or an error at the first unlexable character.
 String and character literals end at a line break, escaped or not, as in
-javac, so a token never spans lines. A character literal may hold an octal
-escape of up to three digits, ``'\\0'`` through ``'\\377'``.
+javac, so a token never spans lines. The escapes are javac's:
+``\\b \\t \\n \\f \\r \\s \\" \\' \\\\``, ``\\uXXXX`` and octal escapes of up to
+three digits, ``\\0`` through ``\\377``; a literal with any other escape is an
+error at the literal.
 
 :class:`Token` is a ``NamedTuple`` because a pass builds one per token:
 a tuple is several times cheaper to build than a frozen dataclass, and it is
@@ -48,8 +50,8 @@ _TOKEN_RE = re.compile(
           | \d[\d_]*[lLfFdD]?
         )
       | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-      | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\[^\n]|[^"\\\n])*")
-      | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\[0-3][0-7][0-7]|\\[0-7][0-7]?|\\[^\n]|[^'\\\n])')
+      | (?P<string>"(?:\\(?:u[0-9a-fA-F]{4}|[btnfrs"'\\]|[0-3][0-7][0-7]|[0-7][0-7]?)|[^"\\\n])*")
+      | (?P<char>'(?:\\(?:u[0-9a-fA-F]{4}|[btnfrs"'\\]|[0-3][0-7][0-7]|[0-7][0-7]?)|[^'\\\n])')
       | (?P<punct>
             >>>=|>>=|<<=|>>>|>>|<<|\+\+|--|&&|\|\||<=|>=|==|!=|->|::
           | \+=|-=|\*=|/=|%=|&=|\|=|\^=
@@ -59,6 +61,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# A literal that ends on its line once any character may follow a backslash:
+# when _TOKEN_RE does not lex it, one of its escapes is illegal.
+_LOOSE_LITERAL_RE = re.compile(r"""
+    "(?:\\[^\n]|[^"\\\n])*"
+  | '(?:\\u[0-9a-fA-F]{4}|\\[0-3][0-7][0-7]|\\[0-7][0-7]?|\\[^\n]|[^'\\\n])'
+""", re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -94,10 +103,11 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
                 break
             col = start - line_start + 1
             ch = source[start]
-            if ch == '"':
-                raise ParseError(line, col, "unterminated string literal")
-            if ch == "'":
-                raise ParseError(line, col, "unterminated character literal")
+            if ch in "\"'":
+                what = "string" if ch == '"' else "character"
+                if _LOOSE_LITERAL_RE.match(source, start):
+                    raise ParseError(line, col, f"illegal escape character in {what} literal")
+                raise ParseError(line, col, f"unterminated {what} literal")
             raise ParseError(line, col, f"unexpected character {ch!r}")
         pos = m.end()
         text = source[start:pos]

@@ -4,16 +4,17 @@ The driver mirrors the external usage contract of a thread-safe class: a
 main thread initializes the object (one init action per field, in
 declaration order), then worker threads each call one public method. Method
 bodies must be straight-line (no branches or loops); same-class calls are
-inlined.
+inlined, and a call that may run more than one overload makes the class
+unsupported.
 
 Binding comes from the class model, classification is the driver's own.
-Which own field a name denotes is asked of :meth:`ClassModel.field_of`, and
-a lock()/unlock() receiver, a local alias of a lock field included, is
-recognized by :func:`threadlint.monitors.represents`; so the oracle and the
-static rules never disagree about scoping. Whether an access reads or
-writes, and in which order a statement's actions run, is decided here
-independently of the static collector, so the oracle still catches a
-static classification miss.
+What a name, a lock()/unlock() receiver or a call denotes is asked of the
+class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.denotes`,
+:meth:`ClassModel.callees`), and a synchronized block's monitor of
+:func:`threadlint.monitors.sync_monitor`, so the oracle and the static rules
+never disagree about scoping. Whether an access reads or writes, and in
+which order a statement's actions run, is decided here independently of the
+static collector, so the oracle still catches a static classification miss.
 
 Statement-to-action mapping: every field read/write becomes a read/write
 action (volatile fields use the volatile variants), lock-field lock()/
@@ -47,9 +48,8 @@ from threadlint.monitors import (
     DEFAULT_LOCK_METHODS,
     DEFAULT_LOCK_TYPES,
     DEFAULT_UNLOCK_METHODS,
-    _canonical_sync_monitor,
     lock_fields,
-    represents,
+    sync_monitor,
 )
 
 ActionSpec = tuple[Op, Optional[str]]
@@ -77,10 +77,9 @@ class _DriverBuilder:
     ):
         self.cm = cm
         self.decl = cm.decl
-        self.lock_fields = lock_fields(cm, lock_types)
+        self.lock_field_ids = {id(f) for f in lock_fields(cm, lock_types)}
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
-        self.methods_by_sig = {(m.name, m.arity): m for m in cm.decl.methods}
 
     # -- field classification --
 
@@ -104,7 +103,7 @@ class _DriverBuilder:
         """Actions of one call of ``m``; ``stack`` holds the inlining callers."""
         if m.body is None:
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: no body")
-        if any(c.name == m.name for c in stack):
+        if any(c is m for c in stack):
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: recursive call chain")
         stack += (m,)
         actions: list[ActionSpec] = []
@@ -133,7 +132,7 @@ class _DriverBuilder:
             return out
         if isinstance(s, A.Sync):
             # a parameter or non-alias local guards nothing: no monitor actions
-            monitor = _canonical_sync_monitor(s.monitor, self.cm, stack[-1])
+            monitor = sync_monitor(s.monitor, self.cm)
             out = [] if monitor is None else [(Op.LOCK, monitor.identity)]
             for inner in s.body.stmts:
                 out.extend(self._stmt_actions(inner, stack))
@@ -226,13 +225,16 @@ class _DriverBuilder:
 
     def _call_actions(self, e: A.Call, stack, out) -> None:
         q = e.qualifier
+        callees = self.cm.callees(e)
+        if len(callees) > 1:
+            raise UnsupportedForOracle(f"{self.decl.name}.{e.name}: {len(callees)} overloads of arity "
+                                       f"{len(e.args)} match the call; not oracle-supported")
+        if callees:
+            for a in e.args:
+                self._visit(a, stack, out)
+            out.extend(self.method_actions(callees[0], stack))
+            return
         if q is None or isinstance(q, A.This):
-            callee = self.methods_by_sig.get((e.name, len(e.args)))
-            if callee is not None:
-                for a in e.args:
-                    self._visit(a, stack, out)
-                out.extend(self.method_actions(callee, stack))
-                return
             for a in e.args:
                 self._visit(a, stack, out)
             out.append((Op.LOCAL, None))  # unresolvable call: an "other" action
@@ -240,8 +242,8 @@ class _DriverBuilder:
         # lock recognition wins over the allowlist: java.util.concurrent.locks
         # types are allowlisted yet their lock()/unlock() calls are monitors
         if e.name == "tryLock" or e.name in self.lock_methods or e.name in self.unlock_methods:
-            lf = next((f for f in self.lock_fields if represents(self.cm, f, q, stack[-1])), None)
-            if lf is not None:
+            lf = self.cm.denotes(q)
+            if lf is not None and id(lf) in self.lock_field_ids:
                 if e.name == "tryLock":
                     raise UnsupportedForOracle(
                         f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"

@@ -13,7 +13,7 @@ participate in races.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -56,7 +56,6 @@ class TraceAction:
     op: Op
     target: Optional[str]  # field or monitor name; None only for LOCAL
     seq: int
-    label: str = ""
 
     def __post_init__(self):
         if self.op is not Op.LOCAL and not self.target:
@@ -214,7 +213,6 @@ class RaceReport:
     raced: bool
     witness: Optional[Execution]
     executions: int
-    program: ThreadProgram = field(repr=False, default=None)
 
 
 def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
@@ -236,4 +234,4 @@ def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) 
             tail.append(p.threads[t][ptrs[t]])
             ptrs[t] += 1
         witness = Execution(p.init_actions + tuple(tail))
-    return RaceReport(witness is not None, witness, n_orders, p)
+    return RaceReport(witness is not None, witness, n_orders)

@@ -19,13 +19,14 @@ expression is guarded by each block whose body span contains its span,
 which is exact because the spans of one tree nest or are disjoint. Each
 block's monitor is computed once.
 
-Names are bound by the class model (:meth:`ClassModel.field_of`), never here.
-A name shadowed by a local or a parameter is therefore not the field. A lock
-call on a local locks a field only when the local is an alias of it (see
-:func:`represents`), and on a parameter never. Likewise ``synchronized (p)``
-on a parameter ``p``, or on a local that is not such an alias, guards
-nothing: each thread may pass or create a different object. On an alias it
-is the field's monitor.
+Names are bound by the class model, never here: a lock call's receiver
+locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
+shadowed by a local or a parameter is not the field, and a local locks a
+field only when it is assigned exactly once, from a read of that field.
+Likewise ``synchronized (e)`` on a parameter, or on a local that denotes no
+field, guards nothing (:func:`sync_monitor`): each thread may pass or create
+a different object. On an alias it is the field's monitor. A for-each or
+catch variable is never an alias.
 
 Monitor equality is syntactic-canonical over those bindings: ``l``,
 ``this.l`` and, for a static field, ``Cls.l`` share one identity;
@@ -87,88 +88,27 @@ def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPE
     return simple in lock_types or base in lock_types
 
 
-def _local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
-    """RHS expressions of every write to local ``name``; None when it is a parameter."""
-    if any(p.name == name for p in m.params):
-        return None
-    sources: list[A.Expr] = []
-    if m.body is None:
-        return sources
-    for node in A.walk(m.body):
-        if isinstance(node, A.LocalDecl):
-            sources.extend(d.init for d in node.declarators if d.name == name and d.init is not None)
-        elif isinstance(node, A.Assign):
-            t = A.strip_parens(node.target)
-            if isinstance(t, A.Name) and t.identifier == name:
-                sources.append(node.value)
-    return sources
-
-
-def _declares_local(m: A.MethodDecl, name: str) -> bool:
-    """Does ``m`` declare a local variable, loop variable or catch parameter ``name``?"""
-    for node in () if m.body is None else A.walk(m.body):
-        if isinstance(node, A.LocalDecl):
-            declared = [d.name for d in node.declarators]
-        elif isinstance(node, A.ForEach):
-            declared = [node.var]
-        elif isinstance(node, A.Try):
-            declared = [c.var for c in node.catches]
-        else:
-            continue
-        if name in declared:
-            return True
-    return False
-
-
-def _alias_of(cm: ClassModel, method: A.MethodDecl, name: str) -> Optional[A.FieldDecl]:
-    """The own field local ``name`` aliases: assigned exactly once, from a read of it."""
-    sources = _local_write_sources(method, name)
-    if sources is None or len(sources) != 1:
-        return None
-    return cm.field_of(sources[0])
-
-
-def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, method: A.MethodDecl) -> bool:
-    """Does ``var_expr`` (a lock-call receiver in ``method``) denote ``lock_field``?
-
-    True when the class model binds it to the field itself, or for a local
-    assigned exactly once, directly from a read of the field, and never
-    reassigned. A parameter's provenance is unknown, so it never does.
-    """
-    e = A.strip_parens(var_expr)
-    f = cm.field_of(e)
-    if f is not None:
-        return f is lock_field
-    return isinstance(e, A.Name) and _alias_of(cm, method, e.identifier) is lock_field
-
-
 def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> list[A.FieldDecl]:
     """The class's fields whose declared or resolved type is a recognized lock type."""
     return [f for f in cm.decl.fields
             if is_lock_type(f.declared_type, lock_types) or is_lock_type(f.resolved_type, lock_types)]
 
 
-def _canonical_sync_monitor(expr: A.Expr, cm: ClassModel, method: A.MethodDecl) -> Optional[Monitor]:
-    """The monitor ``synchronized (expr)`` in ``method`` takes; None when it guards nothing.
+def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[Monitor]:
+    """The monitor ``synchronized (expr)`` takes; None when it guards nothing.
 
-    A parameter, or a local that is not a single-assignment alias of an own
-    field, may hold a different object in each thread, so it is no shared
-    monitor. An alias is the field's monitor.
+    A parameter, or a local that denotes no own field, may hold a different
+    object in each thread, so it is no shared monitor. A local alias of a
+    field is the field's monitor.
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
         return Monitor(MonitorKind.THIS, "this")
-    f = cm.field_of(e)
-    if f is None and isinstance(e, A.Name):
-        name = e.identifier
-        if any(p.name == name for p in method.params):
-            return None
-        if _declares_local(method, name):
-            f = _alias_of(cm, method, name)
-            if f is None:
-                return None
+    f = cm.denotes(e)
     if f is not None:
         return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
+    if cm.is_local(e):
+        return None
     if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
         return Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>")
     return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
@@ -231,9 +171,9 @@ class MonitorAnalysis:
                 bucket = unlocks
             else:
                 continue
-            for f in self._lock_fields:
-                if represents(self.cm, f, e.qualifier, m):
-                    bucket.setdefault(id(f), []).append(e)
+            f = self.cm.denotes(e.qualifier)
+            if f is not None:
+                bucket.setdefault(id(f), []).append(e)
         paired = [f for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
         if not paired:
             return windows
@@ -254,7 +194,7 @@ class MonitorAnalysis:
         if held is None:
             held = self._held[id(m)] = []
             for s in self.cm.syncs_in(m):
-                mon = _canonical_sync_monitor(s.monitor, self.cm, m)
+                mon = sync_monitor(s.monitor, self.cm)
                 if mon is not None:
                     held.append((s.body.span, mon))
         return held

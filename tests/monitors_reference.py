@@ -6,7 +6,7 @@ test_monitors.py, so it favours plainness over speed: every method gets a
 CFG and both dominator trees, one walk maps every node of the body to the
 monitors of its enclosing synchronized blocks, and lock and unlock calls are
 found by walking the body. Monitor and alias identification are shared with
-``src`` (``_canonical_sync_monitor``, ``represents``); only where protection
+``src`` (``sync_monitor``, ``ClassModel.denotes``); only where protection
 is looked up differs.
 """
 
@@ -23,9 +23,8 @@ from threadlint.monitors import (
     LockWindow,
     Monitor,
     MonitorKind,
-    _canonical_sync_monitor,
     lock_fields,
-    represents,
+    sync_monitor,
 )
 
 
@@ -37,7 +36,7 @@ def sync_context_map(cm: ClassModel, m: A.MethodDecl) -> dict[int, tuple[Monitor
         node, held = stack.pop()
         out[id(node)] = held
         if isinstance(node, A.Sync):
-            mon = _canonical_sync_monitor(node.monitor, cm, m)
+            mon = sync_monitor(node.monitor, cm)
             stack.append((node.monitor, held))
             stack.append((node.body, held if mon is None else held + (mon,)))
         else:
@@ -62,7 +61,7 @@ def lock_windows(cm, m, cfg, dom, lock_types, lock_methods, unlock_methods) -> l
         if node is None:
             continue
         for f in fields:
-            if represents(cm, f, e.qualifier, m):
+            if cm.denotes(e.qualifier) is f:
                 bucket = locks if e.name in lock_methods else unlocks
                 bucket.setdefault(id(f), []).append(node)
     windows = []

@@ -156,6 +156,80 @@ def test_field_of_is_none_for_other_expressions():
     assert all(cm.field_of(e) is None for e in A.walk(m.body) if isinstance(e, (A.Literal, A.This)))
 
 
+# --- denotes and is_local: locals bound to their declarations ---
+
+
+def denoted(cm, method_name):
+    """(identifier, is_local, denoted field name or None) for every bare name
+    of one method, in source order."""
+    m = next(m for m in cm.decl.methods if m.name == method_name)
+    out = []
+    for e in A.walk(m.body):
+        if isinstance(e, A.Name):
+            f = cm.denotes(e)
+            out.append((e.identifier, cm.is_local(e), f.name if f is not None else None))
+    return out
+
+
+LOCALS = """@ThreadSafe
+class D {
+  private final Object mu = new Object();
+  private final Object other = new Object();
+  private final java.util.List<Object> objs = null;
+  private int x;
+  public void foreach() { { Object o = mu; } for (Object o : objs) { o.hashCode(); } }
+  public void header() { for (Object objs : objs) { objs.hashCode(); } }
+  public void caught() { { Object e = mu; } try { x = 1; } catch (RuntimeException e) { e.hashCode(); } }
+  public void siblings() { { Object o = other; o.hashCode(); } { Object o = mu; o.hashCode(); } }
+  public void target(int[] a) { Object o = mu; a[(o = other).hashCode() & 1] = 1; o.hashCode(); }
+  public int bumped() { int n = x; int m = x; int k = x; n++; k += 1; return n + m + k; }
+  public void param(Object mu) { mu.hashCode(); (mu).hashCode(); }
+}
+"""
+
+
+def test_denotes_never_takes_a_foreach_variable_for_an_alias():
+    cm = model_from_source(LOCALS)
+    # the block's o is an alias of mu; the loop's o is another local
+    assert denoted(cm, "foreach") == [("mu", False, "mu"), ("objs", False, "objs"), ("o", True, None)]
+    # the loop variable's scope is the body, so the iterable is the field
+    assert denoted(cm, "header") == [("objs", False, "objs"), ("objs", True, None)]
+
+
+def test_denotes_never_takes_a_catch_parameter_for_an_alias():
+    cm = model_from_source(LOCALS)
+    assert denoted(cm, "caught") == [("mu", False, "mu"), ("x", False, "x"), ("e", True, None)]
+
+
+def test_same_name_locals_in_sibling_blocks_are_two_locals():
+    cm = model_from_source(LOCALS)
+    assert denoted(cm, "siblings") == [
+        ("other", False, "other"), ("o", True, "other"), ("mu", False, "mu"), ("o", True, "mu"),
+    ]
+
+
+def test_a_reassignment_inside_an_assignment_target_is_a_write():
+    cm = model_from_source(LOCALS)
+    assert denoted(cm, "target") == [
+        ("mu", False, "mu"), ("a", True, None), ("o", True, None), ("other", False, "other"), ("o", True, None),
+    ]
+
+
+def test_increments_and_compound_assignments_are_writes_of_unknown_value():
+    cm = model_from_source(LOCALS)
+    names = denoted(cm, "bumped")
+    assert names[-3:] == [("n", True, None), ("m", True, "x"), ("k", True, None)]
+
+
+def test_parameters_are_locals_that_denote_no_field():
+    cm = model_from_source(LOCALS)
+    assert denoted(cm, "param") == [("mu", True, None), ("mu", True, None)]
+    m = next(m for m in cm.decl.methods if m.name == "param")
+    paren = m.body.stmts[1].expr.qualifier
+    assert isinstance(paren, A.Paren) and cm.is_local(paren) and cm.denotes(paren) is None
+    assert not cm.is_local(m.body.stmts[0].expr)  # a call is no local
+
+
 # --- P1 ---
 
 

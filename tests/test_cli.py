@@ -216,6 +216,21 @@ BINDING_PROBES = {
     "ArrInc": ("@ThreadSafe class ArrInc { private final int[] a = new int[1]; public void inc() { a[0]++; } "
                "public synchronized int get() { return a[0]; } }",
                {("P3", "a")}, True),
+    # the two blocks declare two locals o; the second is an alias of mu
+    "Prec": ("@ThreadSafe class Prec { private final Object mu = new Object(); "
+             "private final Object other = new Object(); private int x; "
+             "public void a() { { Object o = other; } { Object o = mu; synchronized (o) { x = x + 1; } } } "
+             "public void b() { synchronized (mu) { x = x + 1; } } }",
+             set(), False),
+    # (this).f() is a same-class call, so a() writes x through f()
+    "ParenThis": ("@ThreadSafe class ParenThis { private int x; private void f() { x = x + 1; } "
+                  "public void a() { (this).f(); } public synchronized int get() { return x; } }",
+                  {("P3", "x")}, True),
+    # f(a) calls the other overload f(a, b), which is no recursion
+    "NoRec": ("@ThreadSafe class NoRec { private int x; private void f(int a) { f(a, 1); } "
+              "private void f(int a, int b) { x = x + b; } public void a() { f(0); } "
+              "public synchronized int get() { return x; } }",
+              {("P3", "x")}, True),
 }
 
 
@@ -230,6 +245,65 @@ def test_binding_probes_static_run_and_oracle_agree(tmp_path, name):
     assert (result.status, result.raced, result.agreement) == ("checked", raced, "ok")
     assert code == EXIT_CLEAN
     assert run([str(path)], build_config(None))[1] == (EXIT_ALERTS if alerts else EXIT_CLEAN)
+
+
+# Probes the oracle cannot lower (it takes no loops and no try), checked by
+# the static run alone: a for-each or catch variable is never an alias of a
+# field, even where an earlier block declares a same-name alias.
+STATIC_BINDING_PROBES = {
+    "FE": "import java.util.List; import java.util.concurrent.locks.Lock; "
+          "@ThreadSafe class FE { private final Lock lockA = null; private final List<Lock> locks = null; "
+          "private int x; "
+          "public void a() { { Lock l = lockA; } "
+          "for (Lock l : locks) { l.lock(); try { x = x + 1; } finally { l.unlock(); } } } "
+          "public void b() { lockA.lock(); try { x = x + 1; } finally { lockA.unlock(); } } }",
+    "FE2": "import java.util.List; "
+           "@ThreadSafe class FE2 { private final Object mu = new Object(); private final List<Object> objs = null; "
+           "private int x; "
+           "public void a() { { Object o = mu; } for (Object o : objs) { synchronized (o) { x = x + 1; } } } "
+           "public void b() { synchronized (mu) { x = x + 1; } } }",
+    "Catch": "@ThreadSafe class Catch { private final Object mu = new Object(); private int x; "
+             "public void a() { { Object e = mu; } "
+             "try { mu.hashCode(); } catch (RuntimeException e) { synchronized (e) { x = x + 1; } } } "
+             "public void b() { synchronized (mu) { x = x + 1; } } }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_BINDING_PROBES))
+def test_foreach_and_catch_variables_guard_nothing(tmp_path, name):
+    path = tmp_path / f"{name}.java"
+    src = STATIC_BINDING_PROBES[name]
+    path.write_text(src)
+    report, code = run([str(path)], build_config(None))
+    assert code == EXIT_ALERTS
+    assert {(a.rule, a.field) for a in report.alerts} == {("P3", "x")}
+    # the unguarded write is the one in a(), under the loop's or the catch's variable
+    assert src.index("x = x + 1") + 1 in {a.primary.start_col for a in report.alerts}
+
+
+# Calls the oracle does not inline: name -> (class source, reason in the detail)
+UNINLINED_CALLS = {
+    # argument types would pick the overload; the oracle does not resolve them
+    "Ov": ("@ThreadSafe class Ov { private int x; private void f(String s) { x = x + 1; } "
+           "private void f(Integer i) { synchronized (this) { x = x + 1; } } "
+           "public void a() { f(\"s\"); } public synchronized void b() { x = x + 1; } }",
+           "2 overloads of arity 1 match the call"),
+    "Rec": ("@ThreadSafe class Rec { private int x; private void f(int a) { g(a); } "
+            "private void g(int a) { f(a); } public void a() { f(0); } }",
+            "recursive call chain"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNINLINED_CALLS))
+def test_a_call_the_oracle_cannot_inline_makes_the_class_unsupported(tmp_path, name):
+    src, reason = UNINLINED_CALLS[name]
+    path = tmp_path / f"{name}.java"
+    path.write_text(src)
+    report, code = oracle_check([str(path)], build_config(None))
+    [result] = report.oracle
+    assert (result.status, result.agreement) == ("unsupported", "skipped")
+    assert reason in result.detail
+    assert code == EXIT_CLEAN
 
 
 @pytest.mark.parametrize("check", [run, oracle_check])

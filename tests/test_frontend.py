@@ -14,6 +14,7 @@ from conftest import CORPUS_DIR, corpus_source, line_of, parse_corpus
 from test_accesspaths import thread_safe_classes
 from test_raceanalysis import synchronized_classes
 
+from threadlint.cli import EXIT_ERROR, main
 from threadlint.errors import ParseError, SpanOutOfRange
 from threadlint.frontend import (
     SourceFile,
@@ -92,6 +93,32 @@ def test_octal_escapes_in_char_literals(literal):
     ]
     decl = parse_source(f"class O {{ void f() {{ char c = {literal}; }} }}").classes[0].methods[0].body.stmts[0]
     assert decl.declarators[0].init.text == literal
+
+
+@pytest.mark.parametrize("literal", ["'\\8'", "'\\q'", '"\\q"', '"a\\8b"', '"\\x41"', '"\\uXYZW"'])
+def test_illegal_escapes_fail_at_the_literal(literal):
+    with pytest.raises(ParseError) as err:
+        tokenize(f"int x;\n  y = {literal};")
+    what = "string" if literal[0] == '"' else "character"
+    assert (err.value.line, err.value.col) == (2, 7)
+    assert err.value.message == f"illegal escape character in {what} literal"
+
+
+def test_an_illegal_escape_exits_2_at_the_literal(tmp_path, capsys):
+    path = tmp_path / "E.java"
+    path.write_text("@ThreadSafe class E { private char c; public void f() { c = '\\8'; } }")
+    assert main([str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().out == f"{path}:1:61 ERROR illegal escape character in character literal\n"
+
+
+@pytest.mark.parametrize("body", ["\\b", "\\t", "\\n", "\\f", "\\r", "\\s", '\\"', "\\'", "\\\\",
+                                  "\\u0041", "\\0", "\\7", "\\77", "\\377"])
+def test_legal_escapes_lex_in_strings_and_chars(body):
+    assert tokens_of(f"'{body}' \"<{body}{body}>\"")[:2] == [("char", f"'{body}'"), ("string", f'"<{body}{body}>"')]
+
+
+def test_an_octal_escape_in_a_string_takes_at_most_three_digits():
+    assert tokens_of('"\\1234\\400"')[0] == ("string", '"\\1234\\400"')
 
 
 JAVA_FRAGMENTS = (

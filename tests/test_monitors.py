@@ -2,6 +2,7 @@
 
 import os
 
+import alias_reference
 import monitors_reference
 from conftest import CORPUS_DIR, model_from_source, model_for, parse_corpus
 from hypothesis import given, settings
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 from threadlint import monitors as monitors_module
 from threadlint.classmodel import build_class_model, exposed_accesses
 from threadlint.frontend import ast as A
+from threadlint.frontend.printer import canonical_text
 from threadlint.monitors import (
+    DEFAULT_LOCK_METHODS,
+    DEFAULT_UNLOCK_METHODS,
     Monitor,
     MonitorAnalysis,
     MonitorKind,
     is_lock_type,
     lock_fields,
-    represents,
+    sync_monitor,
 )
 from threadlint.raceanalysis import analyze_class
 
@@ -54,7 +58,7 @@ def test_is_lock_type_config_extension():
     assert is_lock_type("MyLock", ("Lock", "ReentrantLock", "MyLock"))
 
 
-# --- represents ---
+# --- represents: what a lock-call receiver denotes ---
 
 
 def _method(cm, name):
@@ -66,7 +70,7 @@ def test_represents_field_itself():
     inc = _method(cm, "inc")
     lock_field = cm.decl.field_named("l")
     lock_call = inc.body.stmts[0].expr  # l.lock()
-    assert represents(cm, lock_field, lock_call.qualifier, inc)
+    assert cm.denotes(lock_call.qualifier) is lock_field
 
 
 def test_represents_single_assignment_alias():
@@ -87,7 +91,7 @@ class A {
     f = _method(cm, "f")
     lock_field = cm.decl.field_named("l")
     call = f.body.stmts[1].expr
-    assert represents(cm, lock_field, call.qualifier, f)
+    assert cm.denotes(call.qualifier) is lock_field
 
 
 def test_represents_rejects_reassigned_local():
@@ -107,8 +111,8 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[2].expr
-    assert not represents(cm, cm.decl.field_named("l1"), call.qualifier, f)
-    assert not represents(cm, cm.decl.field_named("l2"), call.qualifier, f)
+    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l1")
+    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l2")
 
 
 def test_represents_sees_reassignment_inside_an_assignment_target():
@@ -129,7 +133,7 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[2].expr
-    assert not represents(cm, cm.decl.field_named("l1"), call.qualifier, f)
+    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l1")
 
 
 def test_represents_rejects_parameters():
@@ -146,7 +150,7 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[0].expr
-    assert not represents(cm, cm.decl.field_named("l"), call.qualifier, f)
+    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l")
 
 
 def test_represents_alias_in_a_block_and_not_a_shadowing_parameter():
@@ -161,8 +165,8 @@ class A {
     )
     lock_field = cm.decl.field_named("l")
     f, g = _method(cm, "f"), _method(cm, "g")
-    assert represents(cm, lock_field, f.body.stmts[0].stmts[1].expr.qualifier, f)
-    assert not represents(cm, lock_field, g.body.stmts[0].expr.qualifier, g)
+    assert cm.denotes(f.body.stmts[0].stmts[1].expr.qualifier) is lock_field
+    assert cm.denotes(g.body.stmts[0].expr.qualifier) is not lock_field
 
 
 def test_lock_fields_by_declared_or_resolved_type():
@@ -499,6 +503,109 @@ def monitored_classes(draw):
 @given(monitored_classes())
 def test_protection_matches_eager_reference_on_generated_classes(src):
     assert_protection_matches_eager_reference(model_from_source(src))
+
+
+# --- agreement of the bound locals with the old name walk ---
+
+ALIAS_FIELDS = (
+    "  private int x;\n  private final Object mu = new Object();\n  private final Object other = new Object();\n"
+    "  private static final Object MU = new Object();\n  private final int[] arr = new int[2];\n"
+    "  private final Lock l1 = new ReentrantLock();\n  private final Lock l2 = new ReentrantLock();\n"
+    "  private final java.util.List<Object> objs = null;\n  private S peer;\n"
+)
+# local names, two of them shadowing fields; the parameters are p and q
+LOCAL_NAMES = ("a", "b", "c", "mu", "l1")
+VALUES = ("mu", "this.other", "MU", "S.MU", "l1", "this.l2", "peer.mu", "new Object()", "p", "q", "zz")
+MONITORS = ("p", "q", "mu", "this.mu", "MU", "S.class", "this", "peer.mu", "zz")
+RECEIVERS = ("p", "q", "l1", "this.l2", "peer.l1", "zz")
+
+
+@st.composite
+def aliasing_statements(draw, scope, declared, fresh, depth=0):
+    """One statement that declares each local name at most once per method,
+    uses a local only in its scope and after its declaration, writes locals
+    only by ``=``, and gives every for-each and catch variable a fresh name
+    and no write (the name walk saw none of their declarations as writes).
+    ``scope`` holds the locals in scope, ``declared`` every local name the
+    method declared, ``fresh`` the count of loop and catch variables."""
+    kinds = ["write", "assign", "target", "sync", "sync", "lock", "lock"]
+    if set(LOCAL_NAMES) - declared:
+        kinds += ["decl"] * 3
+    if depth < 2:
+        kinds += ["block", "foreach", "try", "if"]
+    kind = draw(st.sampled_from(kinds))
+    writable = [n for n in scope if n in LOCAL_NAMES] + ["p", "q"]  # no loop or catch variable
+
+    def body(extra=()):
+        if depth >= 2:
+            return "x = x + 1;"
+        inner = scope + list(extra)
+        n = draw(st.integers(1, 3))
+        return " ".join(draw(aliasing_statements(inner, declared, fresh, depth + 1)) for _ in range(n))
+
+    def fresh_name():
+        fresh[0] += 1
+        return f"v{fresh[0]}"
+
+    if kind == "write":
+        return "x = x + 1;"
+    if kind == "decl":
+        name = draw(st.sampled_from(sorted(set(LOCAL_NAMES) - declared)))
+        # a read of an own field half the time, so that aliases are common
+        init = draw(st.sampled_from(VALUES[:6] if draw(st.booleans()) else (None, *VALUES, *scope)))
+        declared.add(name)
+        scope.append(name)
+        return f"Object {name};" if init is None else f"Object {name} = {init};"
+    if kind == "assign":
+        return f"{draw(st.sampled_from(writable))} = {draw(st.sampled_from((*VALUES, *scope)))};"
+    if kind == "target":
+        target, value = draw(st.sampled_from(writable)), draw(st.sampled_from((*VALUES, *scope)))
+        return f"arr[({target} = {value}).hashCode() & 1] = 1;"
+    # a monitor or receiver is a local in scope half the time
+    local = bool(scope) and draw(st.booleans())
+    if kind == "sync":
+        choices = (*scope, *(f"({n})" for n in scope)) if local else MONITORS
+        return f"synchronized ({draw(st.sampled_from(choices))}) {{ {body()} }}"
+    if kind == "lock":
+        r = draw(st.sampled_from(scope if local else RECEIVERS))
+        return f"{r}.lock(); {body()} {r}.unlock();"
+    if kind == "block":
+        return f"{{ {body()} }}"
+    if kind == "foreach":
+        v = fresh_name()
+        return f"for (Object {v} : objs) {{ {body([v])} }}"
+    if kind == "try":
+        v = fresh_name()
+        return f"try {{ {body()} }} catch (RuntimeException {v}) {{ {body([v])} }}"
+    return f"if (x > 0) {{ {body()} }} else {{ {body()} }}"
+
+
+@st.composite
+def aliasing_classes(draw):
+    """Classes whose methods keep to the terms of ``aliasing_statements``."""
+    members = []
+    for i in range(draw(st.integers(1, 3))):
+        scope, declared, fresh = [], set(), [0]
+        stmts = [draw(aliasing_statements(scope, declared, fresh)) for _ in range(draw(st.integers(1, 5)))]
+        members.append(f"  public void m{i}(Object p, Lock q) {{ {' '.join(stmts)} }}")
+    return "@ThreadSafe\nclass S {\n" + ALIAS_FIELDS + "\n".join(members) + "\n}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(aliasing_classes())
+def test_denotes_agrees_with_the_name_walk_where_each_name_is_declared_once(src):
+    cm = model_from_source(src)
+    locks = lock_fields(cm)
+    for m in cm.decl.methods:
+        for e in A.walk(m.body):
+            if isinstance(e, A.Sync):
+                want = alias_reference.sync_monitor(e.monitor, cm, m)
+                assert sync_monitor(e.monitor, cm) == want, (m.name, canonical_text(e.monitor))
+            elif isinstance(e, A.Call) and e.qualifier is not None and (
+                    e.name in DEFAULT_LOCK_METHODS or e.name in DEFAULT_UNLOCK_METHODS):
+                for f in locks:
+                    want = alias_reference.represents(cm, f, e.qualifier, m)
+                    assert (cm.denotes(e.qualifier) is f) == want, (m.name, canonical_text(e.qualifier), f.name)
 
 
 def test_a_cfg_is_built_only_for_a_method_with_a_lock_and_an_unlock_call(monkeypatch):
