@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from threadlint.errors import UnreachableNodeError
 from threadlint.frontend import ast as A
 
 
@@ -222,8 +221,6 @@ class DomInfo:
 
     idom: dict[Hashable, Hashable]
     ipdom: dict[Hashable, Hashable]
-    entry: Hashable
-    exit: Hashable
 
 
 def _reverse_postorder(entry, succs) -> list:
@@ -278,17 +275,18 @@ def compute_dom_info(entry, exit_node, succs, preds) -> DomInfo:
 
     Works on any digraph given successor/predecessor adjacency maps.
     """
-    return DomInfo(_idoms(entry, succs, preds), _idoms(exit_node, preds, succs), entry, exit_node)
+    return DomInfo(_idoms(entry, succs, preds), _idoms(exit_node, preds, succs))
 
 
 def dominance(cfg: Cfg) -> DomInfo:
     return compute_dom_info(cfg.entry, cfg.exit, cfg.succs, cfg.preds)
 
 
-def _tree_query(tree: dict, root, a, b, what: str) -> bool:
-    for n in (a, b):
-        if n != root and n not in tree:
-            raise UnreachableNodeError(f"{what} undefined for {n!r}: not in the analyzed region")
+def _tree_query(tree: dict, a, b) -> bool:
+    """True iff ``a`` is an ancestor of ``b`` (reflexive); a node outside the
+    tree has no ancestor and is no ancestor."""
+    if a not in tree or b not in tree:
+        return False
     node = b
     while True:
         if node == a:
@@ -301,9 +299,9 @@ def _tree_query(tree: dict, root, a, b, what: str) -> bool:
 
 def dominates(d: DomInfo, a, b) -> bool:
     """True iff every path entry -> b passes through a (reflexive)."""
-    return _tree_query(d.idom, d.entry, a, b, "dominance")
+    return _tree_query(d.idom, a, b)
 
 
 def post_dominates(d: DomInfo, a, b) -> bool:
     """True iff every path b -> exit passes through a (reflexive)."""
-    return _tree_query(d.ipdom, d.exit, a, b, "post-dominance")
+    return _tree_query(d.ipdom, a, b)

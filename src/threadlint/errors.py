@@ -21,10 +21,6 @@ class SpanOutOfRange(ThreadlintError):
     """A source span does not lie within the file it claims to come from."""
 
 
-class UnreachableNodeError(ThreadlintError):
-    """Dominance query on a node not reachable from entry (or not reaching exit)."""
-
-
 class MalformedExecution(ThreadlintError):
     """A trace violates per-thread program order or monitor mutual exclusion."""
 

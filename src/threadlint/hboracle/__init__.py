@@ -11,7 +11,6 @@ must be race-free here.
 from threadlint.hboracle.driver import (
     OracleVerdict,
     check_class,
-    driver_for_pair,
     two_thread_drivers,
 )
 from threadlint.hboracle.model import (
@@ -40,7 +39,6 @@ __all__ = [
     "TraceAction",
     "check_class",
     "detect_races",
-    "driver_for_pair",
     "format_trace",
     "parse_trace",
     "program_races",

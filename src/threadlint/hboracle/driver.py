@@ -292,23 +292,16 @@ class _DriverBuilder:
         return out
 
 
-def driver_for_pair(cm: ClassModel, m1: A.MethodDecl, m2: A.MethodDecl, **kw) -> ThreadProgram:
-    """Two-thread driver: main initializes, then each thread calls one method."""
-    b = _DriverBuilder(cm, **kw)
-    return ThreadProgram.build(
-        threads=[b.method_actions(m1), b.method_actions(m2)],
-        init=b.init_actions(),
-        name=f"{cm.decl.name}:{m1.name}|{m2.name}",
-    )
-
-
 def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
-    """One driver per unordered pair (with repetition) of public methods."""
-    public = [m for m in cm.decl.methods if m.is_public]
+    """One driver per unordered pair (with repetition) of public methods:
+    main initializes, then each thread calls one method of the pair."""
+    b = _DriverBuilder(cm, **kw)
+    lowered = [(m.name, b.method_actions(m)) for m in cm.decl.methods if m.is_public]
+    init = b.init_actions()
     out = []
-    for i, m1 in enumerate(public):
-        for m2 in public[i:]:
-            out.append(driver_for_pair(cm, m1, m2, **kw))
+    for i, (name1, actions1) in enumerate(lowered):
+        for name2, actions2 in lowered[i:]:
+            out.append(ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}"))
     return out
 
 

@@ -45,7 +45,6 @@ from typing import Optional
 from threadlint.accesspaths import AccessPathFact, provides_access
 from threadlint.cfg import Cfg, CfgNode, DomInfo, build_cfg, dominance, dominates, post_dominates
 from threadlint.classmodel import ClassModel, FieldAccess
-from threadlint.errors import UnreachableNodeError
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
 
@@ -181,11 +180,8 @@ class MonitorAnalysis:
         for f in paired:
             for lc in map(cfg.node_for, locks[id(f)]):
                 for uc in map(cfg.node_for, unlocks[id(f)]):
-                    try:
-                        if dominates(dom, lc, uc):
-                            windows.append(LockWindow(lc, uc, f))
-                    except UnreachableNodeError:
-                        continue
+                    if dominates(dom, lc, uc):
+                        windows.append(LockWindow(lc, uc, f))
         return windows
 
     def _held_syncs(self, m: A.MethodDecl) -> list[tuple[A.SourceSpan, Monitor]]:
@@ -217,11 +213,8 @@ class MonitorAnalysis:
             node = cfg.node_for(expr)
             if node is not None:
                 for w in windows:
-                    try:
-                        if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
-                            out.add(self._lock_field_monitor(w.field))
-                    except UnreachableNodeError:
-                        continue
+                    if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
+                        out.add(self._lock_field_monitor(w.field))
         return frozenset(out)
 
     def _lock_field_monitor(self, f: A.FieldDecl) -> Monitor:

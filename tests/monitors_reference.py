@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from threadlint.cfg import build_cfg, dominance, dominates, post_dominates
 from threadlint.classmodel import ClassModel
-from threadlint.errors import UnreachableNodeError
 from threadlint.frontend import ast as A
 from threadlint.monitors import (
     DEFAULT_LOCK_METHODS,
@@ -68,11 +67,8 @@ def lock_windows(cm, m, cfg, dom, lock_types, lock_methods, unlock_methods) -> l
     for f in fields:
         for lc in locks.get(id(f), ()):
             for uc in unlocks.get(id(f), ()):
-                try:
-                    if dominates(dom, lc, uc):
-                        windows.append(LockWindow(lc, uc, f))
-                except UnreachableNodeError:
-                    continue
+                if dominates(dom, lc, uc):
+                    windows.append(LockWindow(lc, uc, f))
     return windows
 
 
@@ -107,9 +103,6 @@ class EagerMonitors:
         if node is not None:
             owner = self.cm.decl.qualified_name or self.cm.decl.name
             for w in windows:
-                try:
-                    if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
-                        out.add(Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
-                except UnreachableNodeError:
-                    continue
+                if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
+                    out.add(Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
         return frozenset(out)

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes for paths, config files, --trace, --oracle
 and over-deep input; --timings; the static run and the oracle on name-binding
-probes; streaming; and the corpus reports, pinned byte for byte."""
+probes; streaming; and the corpus and parse-error reports, pinned byte for
+byte."""
 
 import json
 import os
@@ -351,6 +352,18 @@ def test_corpus_reports_match_golden_bytes(monkeypatch, capsysbinary, fmt, oracl
         assert code == EXIT_CLEAN and b"disagree" not in out
     else:
         assert code == EXIT_ALERTS
+
+
+def test_parse_errors_match_golden_bytes(monkeypatch, capsysbinary):
+    """Each file of tests/parse_errors has one syntax error, reported at the
+    token at fault, with exit 2 and nothing on stderr."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    code = main([os.path.join("tests", "parse_errors")])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "parse_errors.txt"), "rb") as fh:
+        assert captured.out == fh.read()
+    assert code == EXIT_ERROR and captured.err == b""
 
 
 def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):

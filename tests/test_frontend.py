@@ -548,8 +548,37 @@ def parsed(parse, text):
         return ("error", exc.line, exc.col, exc.message)
 
 
+class _CommitRecordingParser(P._Parser):
+    """The shipped parser, noting each ParseError that leaves a declaration
+    or for-each the lookahead committed to."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.committed_error = False
+
+    def _parse_local_decl(self, *args):
+        try:
+            return super()._parse_local_decl(*args)
+        except ParseError:
+            self.committed_error = True
+            raise
+
+
+def error_left_a_committed_declaration(text):
+    parser = _CommitRecordingParser(tokenize(text, "P.java"), SourceFile("P.java", text))
+    with pytest.raises(ParseError):
+        parser.parse_unit()
+    return parser.committed_error
+
+
 def assert_parses_like_reference(text):
-    assert parsed(parse_source, text) == parsed(parse_reference.parse_source, text)
+    """Same tree or same error as the reference parser. The reference
+    backtracks out of a failed declaration or for-each and reports the
+    retry's error, so where an error left a committed declaration the
+    shipped parser may differ, but only by rejecting."""
+    got = parsed(parse_source, text)
+    if got != parsed(parse_reference.parse_source, text):
+        assert isinstance(got, tuple) and error_left_a_committed_declaration(text), got
 
 
 def _corpus_texts():
@@ -635,10 +664,23 @@ def test_parser_matches_reference_on_nested_blocks():
             assert_parses_like_reference("class A { void f() " + "{" * n + inner + "}" * n + " }")
 
 
+# statements the lookahead commits to as declarations that then fail: the
+# error is at the token at fault, where the reference retried them as
+# expressions or classic for-headers and reported that retry's error
+COMMITTED_ERRORS = {
+    "a<b>c + 1;": (1, 28, "expected ';' after local declaration, found '+'"),
+    "int x = c > 0 ? 1 : 2;": (1, 36, "expected ';' after local declaration, found '?'"),
+    "int x = ;": (1, 30, "unexpected token ';' in expression"),
+    "x y z;": (1, 26, "expected ';' after local declaration, found 'z'"),
+    "for (int x : xs) { y = ; }": (1, 45, "unexpected token ';' in expression"),
+    "for (int x : ) { }": (1, 35, "unexpected token ')' in expression"),
+}
+
+
 @pytest.mark.parametrize(
     "stmt",
     [
-        "a<b>c + 1;",  # a failed declaration that is a valid expression
+        "a<b>c + 1;",  # a declaration that fails, though it is a valid expression
         "a<b>c;",
         "a<b<c>> d = e;",
         "a<b>>c;",
@@ -676,18 +718,23 @@ def test_parser_matches_reference_on_nested_blocks():
     ],
 )
 def test_parser_matches_reference_on_statements(stmt):
-    assert_parses_like_reference("class A { void f() { " + stmt + " } }")
+    text = "class A { void f() { " + stmt + " } }"
+    assert_parses_like_reference(text)
+    if stmt in COMMITTED_ERRORS:
+        line, col, message = COMMITTED_ERRORS[stmt]
+        assert parsed(parse_source, text) == ("error", line, col, message)
+        assert parsed(parse_source, text) != parsed(parse_reference.parse_source, text)
 
 
 def test_expression_statements_start_no_declaration(monkeypatch):
     attempts = []
-    try_decl = P._Parser._try_parse_local_decl
+    parse_decl = P._Parser._parse_local_decl
 
     def counted(self, *args, **kw):
         attempts.append(self.pos)
-        return try_decl(self, *args, **kw)
+        return parse_decl(self, *args, **kw)
 
-    monkeypatch.setattr(P._Parser, "_try_parse_local_decl", counted)
+    monkeypatch.setattr(P._Parser, "_parse_local_decl", counted)
     body = "x = 1; this.f = x; a[i] = 2; ++x; m(x, y); o.m(x); x++; a.b.c = d; f(g(h)).k = 3;"
     parse_source("class A { void f() { " + body + " } }")
     assert attempts == []

@@ -1,10 +1,12 @@
 """Happens-before oracle: litmus programs per HB rule, the sync-order search
-against the reference enumerator, and the trace format."""
+against the reference enumerator, driver lowering, and the trace format."""
 
 import pytest
 from hb_reference import interleavings, reference_raced
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+
+from conftest import model_from_source
 
 from threadlint.errors import BudgetExceeded, MalformedExecution
 from threadlint.hboracle import (
@@ -16,7 +18,9 @@ from threadlint.hboracle import (
     format_trace,
     parse_trace,
     program_races,
+    two_thread_drivers,
 )
+from threadlint.hboracle import driver
 
 R, W, VR, VW = Op.READ, Op.WRITE, Op.VOLATILE_READ, Op.VOLATILE_WRITE
 L, U, DI, FI, LOC = Op.LOCK, Op.UNLOCK, Op.DEFAULT_INIT, Op.FINAL_INIT, Op.LOCAL
@@ -152,6 +156,39 @@ def test_search_has_no_action_cap():
     p = ThreadProgram.build([[(W, "x")] + [(R, "x")] * 40, [(R, "x")] * 40], init=[(DI, "x")])
     report = program_races(p, action_budget=100)
     assert report.raced and report.executions == 1
+
+
+LOWERED = """@ThreadSafe class Low {
+  private int x; private volatile int v; private final Object mu = new Object();
+  private void bump() { x = x + 1; }
+  public void a() { bump(); v = 1; }
+  public synchronized void b() { bump(); }
+  public int c() { synchronized (mu) { return x + v; } }
+}"""
+
+
+def test_each_public_method_is_lowered_once(monkeypatch):
+    cm = model_from_source(LOWERED)
+    public = [m for m in cm.decl.methods if m.is_public]
+    top_level = []
+    lower = driver._DriverBuilder.method_actions
+
+    def counted(self, m, stack=()):
+        if not stack:
+            top_level.append(m.name)
+        return lower(self, m, stack)
+
+    monkeypatch.setattr(driver._DriverBuilder, "method_actions", counted)
+    drivers = two_thread_drivers(cm)
+    assert top_level == ["a", "b", "c"]
+    # each program is the one built from its own pair of methods
+    pairs = [(m1, m2) for i, m1 in enumerate(public) for m2 in public[i:]]
+    assert len(drivers) == len(pairs) == 6
+    for d, (m1, m2) in zip(drivers, pairs):
+        b = driver._DriverBuilder(cm)
+        assert d == ThreadProgram.build(
+            [b.method_actions(m1), b.method_actions(m2)], b.init_actions(), f"Low:{m1.name}|{m2.name}"
+        )
 
 
 def test_init_ops_on_worker_threads_are_rejected():
