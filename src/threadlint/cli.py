@@ -87,21 +87,50 @@ def _class_alerts(decl, config: Config):
     return cm, alerts
 
 
-def run(paths: list[str], config: Config) -> tuple[Report, int]:
-    """Discover, parse, and analyze; returns the report and an exit code."""
+def _oracle_result(cm, path: str, alerts, config: Config) -> OracleResult:
+    """The oracle's verdict on one class, judged against its static alerts."""
+    verdict = check_class(
+        cm,
+        lock_types=config.lock_types,
+        lock_methods=config.lock_methods,
+        unlock_methods=config.unlock_methods,
+    )
+    if verdict.status != "checked":
+        agreement = "skipped"
+    elif not alerts and verdict.raced:
+        agreement = "disagree"
+    else:
+        agreement = "ok"
+    return OracleResult(cm.class_id, path, len(alerts), verdict.status, verdict.raced, agreement, verdict.detail)
+
+
+def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
+    """Discover, parse and analyze one file at a time, and with ``oracle``
+    race-check each annotated class too; returns the report and an exit code."""
     started = time.perf_counter()
     report = Report()
     for ast in _parse_all(discover_files(paths), report):
         report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
         for decl in annotated_as_thread_safe(ast, config.annotations):
             report.stats.annotated_classes += 1
-            _, alerts = _class_alerts(decl, config)
+            cm, alerts = _class_alerts(decl, config)
             report.alerts.extend(alerts)
+            if oracle:
+                report.oracle.append(_oracle_result(cm, ast.path, alerts, config))
     report.finalize()
     report.stats.wall_time_s = time.perf_counter() - started
     if report.errors:
         return report, EXIT_ERROR
-    return report, EXIT_ALERTS if report.alerts else EXIT_CLEAN
+    if oracle:
+        failed = any(r.agreement == "disagree" for r in report.oracle)
+    else:
+        failed = bool(report.alerts)
+    return report, EXIT_ALERTS if failed else EXIT_CLEAN
+
+
+def run(paths: list[str], config: Config) -> tuple[Report, int]:
+    """Discover, parse, and analyze; returns the report and an exit code."""
+    return _check(paths, config, oracle=False)
 
 
 def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
@@ -110,37 +139,7 @@ def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
     A class with zero static alerts must be race-free; any counterexample is
     a disagreement. Classes the oracle cannot model are listed as skipped.
     """
-    started = time.perf_counter()
-    report = Report()
-    disagreements = 0
-    for ast in _parse_all(discover_files(paths), report):
-        report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
-        for decl in annotated_as_thread_safe(ast, config.annotations):
-            report.stats.annotated_classes += 1
-            cm, alerts = _class_alerts(decl, config)
-            report.alerts.extend(alerts)
-            verdict = check_class(
-                cm,
-                lock_types=config.lock_types,
-                lock_methods=config.lock_methods,
-                unlock_methods=config.unlock_methods,
-            )
-            if verdict.status != "checked":
-                agreement = "skipped"
-            elif not alerts and verdict.raced:
-                agreement = "disagree"
-                disagreements += 1
-            else:
-                agreement = "ok"
-            report.oracle.append(OracleResult(
-                cm.class_id, ast.path, len(alerts), verdict.status, verdict.raced,
-                agreement, verdict.detail,
-            ))
-    report.finalize()
-    report.stats.wall_time_s = time.perf_counter() - started
-    if report.errors:
-        return report, EXIT_ERROR
-    return report, EXIT_ALERTS if disagreements else EXIT_CLEAN
+    return _check(paths, config, oracle=True)
 
 
 def check_trace(path: str) -> tuple[str, int]:

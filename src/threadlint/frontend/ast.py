@@ -37,9 +37,6 @@ class SourceSpan(NamedTuple):
     def contains(self, other: "SourceSpan") -> bool:
         return self.start <= other.start and other.end <= self.end
 
-    def location(self) -> str:
-        return f"{self.file}:{self.start_line}:{self.start_col}"
-
 
 @dataclass(eq=False, slots=True)
 class Node:

@@ -287,24 +287,27 @@ class _Parser:
     # parameters and ``new`` accept the same types.
 
     def _scan_type(self, i: int, void: bool = False, dims: bool = True) -> tuple[int, bool]:
-        """Scan the type at token ``i``: a primitive keyword (``void`` only
-        with ``void``) or a dotted name, optional type arguments, then with
-        ``dims`` any ``[]`` pairs. Returns the index past the type and True,
-        or the index of the token at fault and False."""
+        """Scan the type at token ``i``: ``void`` (only with ``void``), a
+        primitive keyword, or a dotted name with optional type arguments;
+        then, except after ``void``, with ``dims`` any ``[]`` pairs. Returns
+        the index past the type and True, or the index of the token at fault
+        and False."""
         toks = self.toks
         t = toks[i]
         if t.kind == "ident":
             i += 1
             while toks[i].text == "." and toks[i + 1].kind == "ident":
                 i += 2
-        elif t.kind == "keyword" and t.text in PRIMITIVE_TYPES and (void or t.text != "void"):
+            if toks[i].text == "<":
+                i, ok = self._scan_type_args(i)
+                if not ok:
+                    return i, False
+        elif t.text == "void":
+            return (i + 1, True) if void else (i, False)
+        elif t.kind == "keyword" and t.text in PRIMITIVE_TYPES:
             i += 1
         else:
             return i, False
-        if toks[i].text == "<":
-            i, ok = self._scan_type_args(i)
-            if not ok:
-                return i, False
         if dims:
             while toks[i].text == "[" and toks[i + 1].text == "]":
                 i += 2
@@ -447,11 +450,14 @@ class _Parser:
             name_tok = self.advance()
             ctors.append(self.parse_callable(name_tok, None, mods, anns, first, is_constructor=True))
             return
+        type_tok = self.peek()
         rtype = self.parse_type(allow_void=True)
         name_tok = self.expect_ident("member name")
         if self.at("("):
             methods.append(self.parse_callable(name_tok, rtype, mods, anns, first))
             return
+        if rtype == "void":
+            raise ParseError(type_tok.line, type_tok.col, "'void' is only valid as a return type")
         # field declaration, possibly with several declarators
         while True:
             init = None

@@ -6,6 +6,10 @@ so the search visits each reachable sync order once (complete and deadlocked
 executions alike) instead of every interleaving, and stops at the first
 race. Serves as ground truth for the static rules: a class passing all three
 must be race-free here.
+
+``model`` holds the actions, executions and programs together with the
+kernel (happens-before closure, race scan and sync-order search); ``driver``
+lowers a class to two-thread programs; ``trace`` reads and writes trace files.
 """
 
 from threadlint.hboracle.driver import (
@@ -26,7 +30,7 @@ from threadlint.hboracle.model import (
 from threadlint.hboracle.trace import format_trace, parse_trace
 
 BACKEND = "pure"
-"""The one kernel there is; recorded in benchmark environment lines."""
+"""The kernel in ``model``, in pure Python; recorded in benchmark environment lines."""
 
 __all__ = [
     "BACKEND",

@@ -1,4 +1,4 @@
-"""Execution model for the happens-before oracle.
+"""Execution model and kernel of the happens-before oracle.
 
 Actions, thread programs, well-formed executions, structural data-race
 detection on one execution (happens-before from program order, monitor
@@ -9,6 +9,14 @@ are ignored: a race is a property of action identity and ordering alone.
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
 participate in races.
+
+Happens-before depends only on program order and the order of sync actions
+(lock, unlock, volatile read, volatile write): the init edges always run from
+the main-thread prefix to each worker's first action. Every interleaving with
+the same sync order therefore has the same racy pairs, and the search visits
+one interleaving per sync order. Its hot loops run on an encoding of the
+actions: each op as its ``Op.code`` and each target as a small int (-1 when
+absent). Happens-before rows are Python-int bitsets, so there is no length cap.
 """
 
 from __future__ import annotations
@@ -18,34 +26,32 @@ from enum import Enum
 from typing import Optional
 
 from threadlint.errors import BudgetExceeded, MalformedExecution
-from threadlint.hboracle import _kernel_py as kernel
 
 DEFAULT_ACTION_BUDGET = 16
+_READ, _WRITE, _VREAD, _VWRITE, _LOCK, _UNLOCK, _DEFINIT, _FININIT, _LOCAL = range(9)
+_FIELD_OPS = (_READ, _WRITE, _DEFINIT, _FININIT)
+_WRITE_OPS = (_WRITE, _DEFINIT, _FININIT)
+_SYNC_OPS = (_LOCK, _UNLOCK, _VREAD, _VWRITE)
 
 
 class Op(Enum):
-    READ = "read"
-    WRITE = "write"
-    VOLATILE_READ = "volatile-read"
-    VOLATILE_WRITE = "volatile-write"
-    LOCK = "lock"
-    UNLOCK = "unlock"
-    DEFAULT_INIT = "default-init"
-    FINAL_INIT = "final-init"
-    LOCAL = "local"
+    """An action kind: its trace-file spelling and its code in the hot loops."""
 
+    READ = "read", _READ
+    WRITE = "write", _WRITE
+    VOLATILE_READ = "volatile-read", _VREAD
+    VOLATILE_WRITE = "volatile-write", _VWRITE
+    LOCK = "lock", _LOCK
+    UNLOCK = "unlock", _UNLOCK
+    DEFAULT_INIT = "default-init", _DEFINIT
+    FINAL_INIT = "final-init", _FININIT
+    LOCAL = "local", _LOCAL
 
-OP_CODE = {
-    Op.READ: kernel.OP_READ,
-    Op.WRITE: kernel.OP_WRITE,
-    Op.VOLATILE_READ: kernel.OP_VREAD,
-    Op.VOLATILE_WRITE: kernel.OP_VWRITE,
-    Op.LOCK: kernel.OP_LOCK,
-    Op.UNLOCK: kernel.OP_UNLOCK,
-    Op.DEFAULT_INIT: kernel.OP_DEFINIT,
-    Op.FINAL_INIT: kernel.OP_FININIT,
-    Op.LOCAL: kernel.OP_LOCAL,
-}
+    def __new__(cls, value: str, code: int):
+        op = object.__new__(cls)
+        op._value_ = value
+        op.code = code
+        return op
 
 
 @dataclass(frozen=True)
@@ -66,18 +72,114 @@ class TraceAction:
         return f"t{self.thread}:{self.op.value}{tgt}@{self.seq}"
 
 
-def _check_nesting(actions: tuple[TraceAction, ...], thread: int) -> None:
-    depth: dict[str, int] = {}
-    for a in actions:
-        if a.op is Op.LOCK:
-            depth[a.target] = depth.get(a.target, 0) + 1
-        elif a.op is Op.UNLOCK:
-            if depth.get(a.target, 0) <= 0:
-                raise MalformedExecution(
-                    f"thread {thread} unlocks {a.target!r} without holding it"
-                )
-            depth[a.target] -= 1
-    # monitors may stay held at thread end (explicit Lock API allows it)
+def _acquire(held: dict, monitor, thread: int) -> bool:
+    """Take one more level of ``monitor`` for ``thread``; False if another
+    thread holds it. ``held`` maps each held monitor to [owner, depth]."""
+    h = held.get(monitor)
+    if h is None:
+        held[monitor] = [thread, 1]
+    elif h[0] != thread:
+        return False
+    else:
+        h[1] += 1
+    return True
+
+
+def _release(held: dict, monitor, thread: int) -> bool:
+    """Give up one level of ``monitor``; False if ``thread`` does not hold it."""
+    h = held.get(monitor)
+    if h is None or h[0] != thread:
+        return False
+    h[1] -= 1
+    if h[1] == 0:
+        del held[monitor]
+    return True
+
+
+def _encode(actions, ids: dict[str, int]) -> tuple[list[int], list[int]]:
+    """Op codes and target numbers of ``actions``; ``ids`` numbers new targets."""
+    ops = [a.op.code for a in actions]
+    targets = [-1 if a.target is None else ids.setdefault(a.target, len(ids)) for a in actions]
+    return ops, targets
+
+
+def _racy_pairs(thread: list[int], ops: list[int], targets: list[int]) -> list[tuple[int, int]]:
+    """All position pairs (i, j), i < j, conflicting and unordered by happens-before.
+
+    Direct edges are program order (HB1), an unlock to each later lock of the
+    monitor (HB2), a volatile write to each later volatile read of the field
+    (HB3), and an init action to the first action of every other thread that
+    starts later (HB4, HB5). Row i of the closure is a bitset of the actions
+    that i happens before.
+    """
+    n = len(ops)
+    direct: list[list[int]] = [[] for _ in range(n)]
+    last_of: dict[int, int] = {}
+    first_of: dict[int, int] = {}
+    for i in range(n):
+        t = thread[i]
+        if t in last_of:
+            direct[last_of[t]].append(i)
+        else:
+            first_of[t] = i
+        last_of[t] = i
+    for i in range(n):
+        op = ops[i]
+        if op == _UNLOCK or op == _VWRITE:
+            acquire = _LOCK if op == _UNLOCK else _VREAD
+            g = targets[i]
+            for j in range(i + 1, n):
+                if ops[j] == acquire and targets[j] == g:
+                    direct[i].append(j)
+        elif op == _DEFINIT or op == _FININIT:
+            for t, j in first_of.items():
+                if t != thread[i] and j > i:
+                    direct[i].append(j)
+    reach = [0] * n
+    for i in range(n - 1, -1, -1):
+        bits = 0
+        for j in direct[i]:
+            bits |= (1 << j) | reach[j]
+        reach[i] = bits
+    pairs = []
+    for i in range(n):
+        if ops[i] not in _FIELD_OPS:
+            continue
+        ri = reach[i]
+        i_writes = ops[i] in _WRITE_OPS
+        for j in range(i + 1, n):
+            if ops[j] not in _FIELD_OPS or thread[j] == thread[i] or targets[j] != targets[i]:
+                continue
+            if not i_writes and ops[j] not in _WRITE_OPS:
+                continue
+            if not (ri >> j) & 1:
+                pairs.append((i, j))
+    return pairs
+
+
+@dataclass(frozen=True)
+class Execution:
+    """A total interleaving of a program's actions."""
+
+    actions: tuple[TraceAction, ...]
+
+    def validate(self) -> None:
+        """Raise MalformedExecution on program-order or mutual-exclusion violations.
+
+        Monitors may stay held at the end (the explicit Lock API allows it).
+        """
+        last_seq: dict[int, int] = {}
+        held: dict[str, list[int]] = {}
+        for a in self.actions:
+            prev = last_seq.get(a.thread)
+            if prev is not None and a.seq <= prev:
+                raise MalformedExecution(f"thread {a.thread} runs seq {a.seq} after {prev}: program order violated")
+            last_seq[a.thread] = a.seq
+            if a.op is Op.LOCK and not _acquire(held, a.target, a.thread):
+                owner = held[a.target][0]
+                raise MalformedExecution(f"thread {a.thread} locks {a.target!r} while thread {owner} holds it")
+            if a.op is Op.UNLOCK and not _release(held, a.target, a.thread):
+                raise MalformedExecution(f"thread {a.thread} unlocks {a.target!r} without holding it")
 
 
 @dataclass(frozen=True)
@@ -89,21 +191,15 @@ class ThreadProgram:
     name: str = ""
 
     def __post_init__(self):
-        for a in self.init_actions:
-            if a.thread != 0:
-                raise MalformedExecution("init actions must run on the main thread (0)")
-        for t, actions in enumerate(self.threads, start=1):
+        for t, actions in enumerate((self.init_actions,) + self.threads):
             for a in actions:
                 if a.thread != t:
                     raise MalformedExecution(f"action {a} listed under thread {t}")
-                if a.op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
+                if t and a.op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
                     # the sync-order search relies on init edges leaving only
                     # the main-thread prefix
                     raise MalformedExecution(f"{a.op.value} must run on the main thread (0)")
-            if any(x.seq >= y.seq for x, y in zip(actions, actions[1:])):
-                raise MalformedExecution(f"thread {t} action seq not strictly increasing")
-            _check_nesting(actions, t)
-        _check_nesting(self.init_actions, 0)
+            Execution(actions).validate()
 
     @classmethod
     def build(
@@ -113,97 +209,99 @@ class ThreadProgram:
         name: str = "",
     ) -> "ThreadProgram":
         """Construct from (op, target) pairs; seq numbers are assigned."""
-        init_actions = tuple(
-            TraceAction(0, op, tgt, i) for i, (op, tgt) in enumerate(init or [])
-        )
-        built = tuple(
+        built = [
             tuple(TraceAction(t, op, tgt, i) for i, (op, tgt) in enumerate(spec))
-            for t, spec in enumerate(threads, start=1)
-        )
-        return cls(init_actions, built, name)
+            for t, spec in enumerate([init or [], *threads])
+        ]
+        return cls(built[0], tuple(built[1:]), name)
 
     def action_count(self) -> int:
         return len(self.init_actions) + sum(len(t) for t in self.threads)
 
 
-@dataclass(frozen=True)
-class Execution:
-    """A total interleaving of a program's actions."""
-
-    actions: tuple[TraceAction, ...]
-
-    def validate(self) -> None:
-        """Raise MalformedExecution on program-order or mutual-exclusion violations."""
-        last_seq: dict[int, int] = {}
-        held: dict[str, list[int]] = {}  # monitor -> [owner, depth]
-        for a in self.actions:
-            prev = last_seq.get(a.thread)
-            if prev is not None and a.seq <= prev:
-                raise MalformedExecution(
-                    f"thread {a.thread} runs seq {a.seq} after {prev}: program order violated"
-                )
-            last_seq[a.thread] = a.seq
-            if a.op is Op.LOCK:
-                h = held.get(a.target)
-                if h is None:
-                    held[a.target] = [a.thread, 1]
-                elif h[0] != a.thread:
-                    raise MalformedExecution(
-                        f"thread {a.thread} locks {a.target!r} while thread {h[0]} holds it"
-                    )
-                else:
-                    h[1] += 1
-            elif a.op is Op.UNLOCK:
-                h = held.get(a.target)
-                if h is None or h[0] != a.thread:
-                    raise MalformedExecution(
-                        f"thread {a.thread} unlocks {a.target!r} without holding it"
-                    )
-                h[1] -= 1
-                if h[1] == 0:
-                    del held[a.target]
-
-    def encode(self) -> tuple[int, list[int], list[int], list[int], dict[str, int]]:
-        n = len(self.actions)
-        ids: dict[str, int] = {}
-        thread = [a.thread for a in self.actions]
-        opk = [OP_CODE[a.op] for a in self.actions]
-        tgt = []
-        for a in self.actions:
-            if a.target is None:
-                tgt.append(-1)
-            else:
-                tgt.append(ids.setdefault(a.target, len(ids)))
-        return n, thread, opk, tgt, ids
-
-
 def detect_races(e: Execution) -> set[tuple[TraceAction, TraceAction]]:
     """Unordered conflicting pairs (both orientations, per race symmetry)."""
     e.validate()
-    n, thread, opk, tgt, _ = e.encode()
-    reach = kernel.hb_reach(n, thread, opk, tgt)
-    pairs = kernel.race_pairs(n, thread, opk, tgt, reach)
+    ops, targets = _encode(e.actions, {})
     out = set()
-    for i, j in pairs:
+    for i, j in _racy_pairs([a.thread for a in e.actions], ops, targets):
         a, b = e.actions[i], e.actions[j]
         out.add((a, b))
         out.add((b, a))
     return out
 
 
-def _encode_program(p: ThreadProgram):
-    ids: dict[str, int] = {}
+def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
+    """Depth-first search over the sync orders of a program, stopping at a race.
 
-    def code(a: TraceAction) -> int:
-        if a.target is None:
-            return -1
-        return ids.setdefault(a.target, len(ids))
+    ``init`` and each of ``workers`` are encoded (ops, targets). At each state
+    every worker first runs its non-sync actions up to its next sync action;
+    the search then branches over the enabled sync actions in ascending thread
+    order, so results are deterministic. A state where no worker can move (all
+    done, or every remaining one blocked on a lock) is a leaf: a complete or
+    deadlocked execution, race-checked with the init actions as a main-thread
+    (thread 0) prefix and worker t as thread 1+t.
 
-    init_opk = [OP_CODE[a.op] for a in p.init_actions]
-    init_tgt = [code(a) for a in p.init_actions]
-    th_opk = [[OP_CODE[a.op] for a in t] for t in p.threads]
-    th_tgt = [[code(a) for a in t] for t in p.threads]
-    return init_opk, init_tgt, th_opk, th_tgt
+    Returns (leaves visited, schedule of the first racy leaf or None); a
+    schedule lists the worker index of each step.
+    """
+    init_ops, init_targets = init
+    k = len(workers)
+    lens = [len(ops) for ops, _ in workers]
+    ptr = [0] * k
+    held: dict[int, list[int]] = {}
+    seq: list[int] = []
+    leaves = 0
+
+    def leaf_races() -> bool:
+        steps = [iter(zip(*w)) for w in workers]
+        tail = [next(steps[t]) for t in seq]
+        thread = [0] * len(init_ops) + [1 + t for t in seq]
+        return bool(_racy_pairs(thread, init_ops + [op for op, _ in tail], init_targets + [g for _, g in tail]))
+
+    def rec() -> bool:
+        nonlocal leaves
+        mark = len(seq)
+        saved = ptr[:]
+        for t in range(k):
+            ops = workers[t][0]
+            i = ptr[t]
+            while i < lens[t] and ops[i] not in _SYNC_OPS:
+                seq.append(t)
+                i += 1
+            ptr[t] = i
+        moved = False
+        for t in range(k):
+            i = ptr[t]
+            if i >= lens[t]:
+                continue
+            op = workers[t][0][i]
+            g = workers[t][1][i]
+            if op == _LOCK and not _acquire(held, g, t):
+                continue  # blocked
+            if op == _UNLOCK:
+                _release(held, g, t)
+            moved = True
+            ptr[t] = i + 1
+            seq.append(t)
+            if rec():
+                return True  # the racy leaf's schedule stays in seq
+            seq.pop()
+            ptr[t] = i
+            if op == _LOCK:
+                _release(held, g, t)
+            elif op == _UNLOCK:
+                _acquire(held, g, t)
+        if not moved:
+            leaves += 1
+            if leaf_races():
+                return True
+        del seq[mark:]
+        ptr[:] = saved
+        return False
+
+    raced = rec()
+    return leaves, seq if raced else None
 
 
 @dataclass(frozen=True)
@@ -217,21 +315,14 @@ class RaceReport:
 
 def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
     """Check every sync order of the program for data races; stop at the first."""
-    if p.action_count() > action_budget:
-        # the wording predates the sync-order search; it is kept because it
-        # appears in --oracle reports, which must stay byte-stable
-        raise BudgetExceeded(
-            f"program has {p.action_count()} actions (> {action_budget}); "
-            "pass an explicit bound to enumerate anyway"
-        )
-    init_opk, init_tgt, th_opk, th_tgt = _encode_program(p)
-    n_orders, witness_seq = kernel.search_sync_orders(init_opk, init_tgt, th_opk, th_tgt)
-    witness = None
-    if witness_seq is not None:
-        ptrs = [0] * len(p.threads)
-        tail = []
-        for t in witness_seq:
-            tail.append(p.threads[t][ptrs[t]])
-            ptrs[t] += 1
-        witness = Execution(p.init_actions + tuple(tail))
-    return RaceReport(witness is not None, witness, n_orders)
+    n = p.action_count()
+    if n > action_budget:
+        raise BudgetExceeded(f"program has {n} actions; the oracle explores at most {action_budget}")
+    ids: dict[str, int] = {}
+    init = _encode(p.init_actions, ids)
+    n_orders, schedule = _search_sync_orders(init, [_encode(t, ids) for t in p.threads])
+    if schedule is None:
+        return RaceReport(False, None, n_orders)
+    steps = [iter(t) for t in p.threads]
+    witness = Execution(p.init_actions + tuple(next(steps[t]) for t in schedule))
+    return RaceReport(True, witness, n_orders)

@@ -90,7 +90,7 @@ def test_oracle_skips_a_class_over_the_action_budget(tmp_path):
     [result] = report.oracle
     assert result.text_line() == (
         f"{path} Big static=0 oracle=budget-exceeded agreement=skipped "
-        "(program has 33 actions (> 16); pass an explicit bound to enumerate anyway)"
+        "(program has 33 actions; the oracle explores at most 16)"
     )
 
 
@@ -364,6 +364,16 @@ def test_parse_errors_match_golden_bytes(monkeypatch, capsysbinary):
     with open(os.path.join(GOLDEN_DIR, "parse_errors.txt"), "rb") as fh:
         assert captured.out == fh.read()
     assert code == EXIT_ERROR and captured.err == b""
+
+
+def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):
+    """The trace example of hboracle/trace.py: three races, exit 1."""
+    monkeypatch.chdir(REPO_ROOT)
+    code = main(["--trace", os.path.join("tests", "traces", "racy.trace")])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "racy_trace.txt"), "rb") as fh:
+        assert captured.out == fh.read()
+    assert code == EXIT_ALERTS and captured.err == b""
 
 
 def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):

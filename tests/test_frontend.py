@@ -27,6 +27,7 @@ from threadlint.frontend import (
 )
 from threadlint.frontend import ast as A
 from threadlint.frontend import parser as P
+from threadlint.frontend.lexer import PRIMITIVE_TYPES
 from threadlint.frontend.parser import MAX_NESTING
 
 
@@ -571,14 +572,35 @@ def error_left_a_committed_declaration(text):
     return parser.committed_error
 
 
+def error_at_a_type_javac_rejects(text, got):
+    """Whether the error ``got`` is at type arguments after a primitive
+    keyword, at ``[]`` after ``void``, or at a ``void`` member whose name no
+    ``(`` follows. The reference parser reads these as types or as a field;
+    javac and the shipped parser reject them."""
+    _, line, col, message = got
+    toks = tokenize(text, "P.java")
+    k = next(i for i, t in enumerate(toks) if (t.line, t.col) == (line, col))
+    here, before = toks[k].text, toks[k - 1].text if k else ""
+    after = [t.text for t in toks[k + 1:k + 3]]
+    return (
+        (here in PRIMITIVE_TYPES and after[:1] == ["<"])
+        or (here == "<" and before in PRIMITIVE_TYPES)
+        or (here == "[" and before == "void")
+        or (message == "'void' is only valid as a return type" and here == "void" and after[1:] != ["("])
+    )
+
+
 def assert_parses_like_reference(text):
     """Same tree or same error as the reference parser. The reference
     backtracks out of a failed declaration or for-each and reports the
     retry's error, so where an error left a committed declaration the
-    shipped parser may differ, but only by rejecting."""
+    shipped parser may differ, but only by rejecting. It may also reject
+    the types of ``error_at_a_type_javac_rejects``, which the reference
+    accepts."""
     got = parsed(parse_source, text)
     if got != parsed(parse_reference.parse_source, text):
-        assert isinstance(got, tuple) and error_left_a_committed_declaration(text), got
+        assert isinstance(got, tuple), got
+        assert error_left_a_committed_declaration(text) or error_at_a_type_javac_rejects(text, got), got
 
 
 def _corpus_texts():

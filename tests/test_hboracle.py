@@ -148,7 +148,7 @@ def test_budget_counts_init_and_worker_actions():
     p = ThreadProgram.build([[(R, "x")] * 8, [(R, "x")] * 8], init=[(DI, "x")])
     with pytest.raises(BudgetExceeded) as exc:
         program_races(p)
-    assert str(exc.value) == "program has 17 actions (> 16); pass an explicit bound to enumerate anyway"
+    assert str(exc.value) == "program has 17 actions; the oracle explores at most 16"
     assert not program_races(p, action_budget=17).raced
 
 
@@ -191,9 +191,33 @@ def test_each_public_method_is_lowered_once(monkeypatch):
         )
 
 
-def test_init_ops_on_worker_threads_are_rejected():
-    with pytest.raises(MalformedExecution):
-        ThreadProgram.build([[(DI, "x")], [(R, "x")]])
+MALFORMED = {
+    "action under the wrong thread": (
+        lambda: ThreadProgram((), ((TraceAction(1, R, "x", 0),), (TraceAction(1, R, "x", 1),))),
+        "thread 2",
+    ),
+    "default-init on a worker": (lambda: ThreadProgram.build([[(DI, "x")], [(R, "x")]]), "main thread"),
+    "final-init on a worker": (lambda: ThreadProgram.build([[(R, "x")], [(FI, "x")]]), "main thread"),
+    "unlock without lock in a worker": (
+        lambda: ThreadProgram.build([[(R, "x")], [(L, "m"), (U, "m"), (U, "m")]]),
+        "thread 2 unlocks 'm'",
+    ),
+    "unlock without lock in the init actions": (
+        lambda: ThreadProgram.build([[(R, "x")]], init=[(U, "m")]),
+        "thread 0 unlocks 'm'",
+    ),
+    "worker seq not increasing": (
+        lambda: ThreadProgram((), ((TraceAction(1, R, "x", 1), TraceAction(1, W, "x", 1)),)),
+        "thread 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("build,fragment", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_programs_are_rejected(build, fragment):
+    with pytest.raises(MalformedExecution) as exc:
+        build()
+    assert fragment in str(exc.value)
 
 
 # --- parity with the reference enumerator ---
