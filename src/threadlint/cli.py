@@ -17,7 +17,7 @@ import threadlint
 from threadlint.classmodel import build_class_model
 from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
 from threadlint.errors import IoError, ParseError, ThreadlintError
-from threadlint.frontend import Ast, SourceFile, annotated_as_thread_safe, parse_compilation_unit
+from threadlint.frontend import Ast, SourceFile, annotated_as_thread_safe, annotation_pattern, parse_compilation_unit
 from threadlint.hboracle import check_class, detect_races
 from threadlint.hboracle.trace import parse_trace
 from threadlint.raceanalysis import analyze_class
@@ -45,13 +45,17 @@ def discover_files(paths: list[str]) -> list[str]:
     return files
 
 
-def _parse_all(files: list[str], report: Report) -> Iterator[Ast]:
+def _parse_all(files: list[str], report: Report, annotations: tuple[str, ...]) -> Iterator[Ast]:
     """Parse the files one at a time, yielding each AST in file order.
 
-    The caller analyzes an AST before the next file is read, so no more than
-    one file's AST is alive at a time. Parse failures are collected, not
-    fatal; ``stats.files_parsed`` counts the files that parsed.
+    A file whose text ``annotation_pattern(annotations)`` finds nothing in
+    declares no class the rules judge, so it is decoded but neither lexed
+    nor parsed. The caller analyzes an AST before the next file is read, so
+    no more than one file's AST is alive at a time. Parse failures are
+    collected, not fatal; ``stats.files_parsed`` counts the files that
+    parsed.
     """
+    may_hold_annotation = annotation_pattern(annotations).search
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -60,6 +64,8 @@ def _parse_all(files: list[str], report: Report) -> Iterator[Ast]:
             raise IoError(f"cannot read {path}: {exc.strerror or exc}")
         except UnicodeDecodeError:
             report.errors.append(ParseFailure(path, 1, 1, "file is not valid UTF-8"))
+            continue
+        if not may_hold_annotation(content):
             continue
         try:
             ast = parse_compilation_unit(SourceFile(path, content))
@@ -109,7 +115,7 @@ def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]
     race-check each annotated class too; returns the report and an exit code."""
     started = time.perf_counter()
     report = Report()
-    for ast in _parse_all(discover_files(paths), report):
+    for ast in _parse_all(discover_files(paths), report, config.annotations):
         report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
         for decl in annotated_as_thread_safe(ast, config.annotations):
             report.stats.annotated_classes += 1

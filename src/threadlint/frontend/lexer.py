@@ -21,6 +21,7 @@ just as immutable and hashable.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -38,9 +39,12 @@ PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
 )
 
+# whitespace and comments: what the lexer skips before each token
+_SKIP = r"(?:[\ \t\r\n\f]+|//[^\n]*|/\*.*?\*/)*"
+_WORD = r"[A-Za-z_$][A-Za-z0-9_$]*"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<skip>(?:[\ \t\r\n\f]+|//[^\n]*|/\*.*?\*/)*)
+    "(?P<skip>" + _SKIP + ")" + r"""
     (?:
         (?P<number>
             0[xX][0-9a-fA-F_]+[lL]?
@@ -49,7 +53,7 @@ _TOKEN_RE = re.compile(
           | \d[\d_]*[eE][+-]?\d+[fFdD]?
           | \d[\d_]*[lLfFdD]?
         )
-      | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<word>""" + _WORD + r""")
       | (?P<string>"(?:\\(?:u[0-9a-fA-F]{4}|[btnfrs"'\\]|[0-3][0-7][0-7]|[0-7][0-7]?)|[^"\\\n])*")
       | (?P<char>'(?:\\(?:u[0-9a-fA-F]{4}|[btnfrs"'\\]|[0-3][0-7][0-7]|[0-7][0-7]?)|[^'\\\n])')
       | (?P<punct>
@@ -118,3 +122,26 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
         append(new(Token, (kind, text, start, pos, line, start - line_start + 1)))
     append(Token("eof", "", n, n, line, n - line_start + 1))
     return tokens
+
+
+@functools.lru_cache(maxsize=16)
+def annotation_pattern(names: tuple[str, ...]) -> re.Pattern:
+    """The pattern of an annotation that ``annotated_as_thread_safe`` matches
+    to one of ``names`` by simple name: ``@``, an optional dotted qualifier
+    and the simple name, with the lexer's whitespace and comments allowed
+    between the tokens. Every such annotation the parser reads matches it,
+    so a text it finds nothing in declares no class so annotated; a match
+    inside a comment or a string literal is a false lead, not an error.
+
+    A lookahead captures each gap as the lexer skips it and a backreference
+    consumes it, so the search never backtracks into a gap (an atomic group
+    needs Python 3.11)."""
+
+    def gap(group: int) -> str:
+        return "(?=(" + _SKIP + "))\\" + str(group)
+
+    simple = "|".join(re.escape(n.rsplit(".", 1)[-1]) for n in names)
+    return re.compile(
+        "@" + gap(1) + "(?:" + _WORD + gap(2) + r"\." + gap(3) + ")*(?:" + simple + ")(?![A-Za-z0-9_$])",
+        re.DOTALL,
+    )

@@ -87,7 +87,7 @@ _STATEMENT_HEADS = frozenset(
     {"{", ";", "if", "while", "for", "return", "throw", "synchronized", "try"}
 ) | frozenset(_UNSUPPORTED_STMT_KEYWORDS)
 # tokens that stand for themselves inside type arguments, besides names
-_TYPE_ARG_TOKENS = PRIMITIVE_TYPES | {"extends", "super", ",", ".", "?"}
+_TYPE_ARG_TOKENS = frozenset({"extends", "super", ",", ".", "?"})
 _CLOSERS = frozenset({">", ">>", ">>>"})
 
 _new = tuple.__new__  # SourceSpan's own __new__ is a Python-level call
@@ -315,8 +315,9 @@ class _Parser:
 
     def _scan_type_args(self, i: int) -> tuple[int, bool]:
         """Scan balanced ``<...>`` from the ``<`` at token ``i``; the contents
-        are names, primitive keywords, ``extends``, ``super``, ``, . ?`` and
-        ``[]``. Returns as ``_scan_type`` does."""
+        are names, ``extends``, ``super``, ``, . ?``, ``[]`` and primitive
+        keywords other than ``void`` that ``[]`` follows (javac rejects
+        ``List<int>``, not ``List<int[]>``). Returns as ``_scan_type`` does."""
         toks = self.toks
         i += 1
         depth = 1
@@ -326,6 +327,9 @@ class _Parser:
                 i += 1
             elif t.text == "[" and toks[i + 1].text == "]":
                 i += 2
+            elif (t.text in PRIMITIVE_TYPES and t.text != "void"
+                  and toks[i + 1].text == "[" and toks[i + 2].text == "]"):
+                i += 3
             elif t.text == "<":
                 i += 1
                 depth += 1
@@ -457,6 +461,8 @@ class _Parser:
             methods.append(self.parse_callable(name_tok, rtype, mods, anns, first))
             return
         if rtype == "void":
+            if self.at("{"):
+                raise self.error("expected '(' after method name, found '{'")
             raise ParseError(type_tok.line, type_tok.col, "'void' is only valid as a return type")
         # field declaration, possibly with several declarators
         while True:

@@ -1,4 +1,4 @@
-class ConditionalInit {
+@ThreadSafe class ConditionalInit {
   public int pick(int c) {
     int x = c > 0 ? 1 : 2;
     return x;

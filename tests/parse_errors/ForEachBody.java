@@ -1,4 +1,4 @@
-class ForEachBody {
+@ThreadSafe class ForEachBody {
   private int y;
 
   public void sum(java.util.List<Integer> xs) {

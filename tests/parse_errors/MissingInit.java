@@ -1,4 +1,4 @@
-class MissingInit {
+@ThreadSafe class MissingInit {
   public void f() {
     int x = ;
   }

@@ -1,4 +1,4 @@
-class NewPrimitiveTypeArguments {
+@ThreadSafe class NewPrimitiveTypeArguments {
   public void f() {
     Object a = new int<String>[3];
   }

@@ -1,4 +1,4 @@
-class PrimitiveTypeArguments {
+@ThreadSafe class PrimitiveTypeArguments {
   public void f() {
     int<String> x = 0;
   }

@@ -1,4 +1,4 @@
-class ThreeNames {
+@ThreadSafe class ThreeNames {
   public void f() {
     x y z;
   }

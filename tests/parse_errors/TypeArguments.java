@@ -1,3 +1,3 @@
-class TypeArguments {
+@ThreadSafe class TypeArguments {
   private java.util.Map<String, 1> counts;
 }

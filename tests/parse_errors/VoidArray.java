@@ -1,4 +1,4 @@
-class VoidArray {
+@ThreadSafe class VoidArray {
   void[] f() {
     return;
   }

@@ -1,3 +1,3 @@
-class VoidField {
+@ThreadSafe class VoidField {
   private void x;
 }

@@ -138,8 +138,8 @@ PATH_AND_CONFIG_CASES = {
     "config-unreadable": ({"Clean.java": CLEAN}, ["--config", "missing.cfg", "Clean.java"], EXIT_ERROR,
                           "cannot read config file missing.cfg"),
     # javac rejects a line break in a literal, escaped or not
-    "backslash-newline-in-string": ({"Esc.java": 'class Esc {\n  String s = "a\\\nb";\n}\n'}, ["Esc.java"],
-                                    EXIT_ERROR, "Esc.java:2:14 ERROR unterminated string literal"),
+    "backslash-newline-in-string": ({"Esc.java": '@ThreadSafe class Esc {\n  String s = "a\\\nb";\n}\n'},
+                                    ["Esc.java"], EXIT_ERROR, "Esc.java:2:14 ERROR unterminated string literal"),
 }
 
 
@@ -161,7 +161,7 @@ def test_path_and_config_exit_codes(tmp_path, name):
 
 
 def test_files_parsed_counts_only_files_that_parsed(tmp_path, capsys):
-    (tmp_path / "A.java").write_text("class A {")
+    (tmp_path / "A.java").write_text("@ThreadSafe class A {")
     (tmp_path / "Bad.java").write_bytes(b"class Bad { \xff }")
     (tmp_path / "Unguarded.java").write_text(OPEN)
     code = main(["--format", "json", str(tmp_path)])
@@ -386,13 +386,37 @@ def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, mon
 
 
 def test_oracle_run_with_a_parse_failure_exits_2(tmp_path, capsys):
-    (tmp_path / "A.java").write_text("class A {")
+    (tmp_path / "A.java").write_text("@ThreadSafe class A {")
     (tmp_path / "Clean.java").write_text(CLEAN)
     code = main(["--oracle", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_ERROR
     assert f"{tmp_path / 'A.java'}:1:1 ERROR" in out
     assert f"{tmp_path / 'Clean.java'} Clean static=0 oracle=race-free agreement=ok" in out
+
+
+def test_a_file_that_annotates_no_class_is_not_parsed(tmp_path, capsys):
+    """tests/unannotated holds a lambda and a switch, which the parser
+    rejects, in a file with no annotated class: it neither stops the run nor
+    changes the racy file's report."""
+    racy = tmp_path / "Open.java"
+    racy.write_text(OPEN)
+    alone = main([str(racy)]), capsys.readouterr().out
+    both = main([os.path.join(REPO_ROOT, "tests", "unannotated"), str(racy)]), capsys.readouterr().out
+    assert both == alone and alone[0] == EXIT_ALERTS
+
+
+@pytest.mark.parametrize(
+    "added,written",
+    [("Concurrent", "@Concurrent"), ("com.acme.Concurrent", "@com.acme.Concurrent")],
+    ids=["simple", "qualified"],
+)
+def test_an_added_annotation_passes_the_file_filter(tmp_path, capsys, added, written):
+    path = tmp_path / "Open.java"
+    path.write_text(OPEN.replace("@ThreadSafe", written))
+    assert main([str(path)]) == EXIT_CLEAN
+    assert main(["--annotation-add", added, str(path)]) == EXIT_ALERTS
+    assert f"{path}:3:3 P1 n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["static", "oracle"])

@@ -2,7 +2,9 @@
 and the completeness of the shared child relation."""
 
 import dataclasses
+import importlib.util
 import os
+import sys
 
 import lex_reference
 import parse_reference
@@ -17,8 +19,10 @@ from test_raceanalysis import synchronized_classes
 from threadlint.cli import EXIT_ERROR, main
 from threadlint.errors import ParseError, SpanOutOfRange
 from threadlint.frontend import (
+    DEFAULT_ANNOTATIONS,
     SourceFile,
     annotated_as_thread_safe,
+    annotation_pattern,
     parse_compilation_unit,
     parse_source,
     reconstruct_span,
@@ -574,19 +578,28 @@ def error_left_a_committed_declaration(text):
 
 def error_at_a_type_javac_rejects(text, got):
     """Whether the error ``got`` is at type arguments after a primitive
-    keyword, at ``[]`` after ``void``, or at a ``void`` member whose name no
+    keyword, at a primitive keyword in type arguments that no ``[]``
+    follows, at ``[]`` after ``void``, or at a ``void`` member whose name no
     ``(`` follows. The reference parser reads these as types or as a field;
-    javac and the shipped parser reject them."""
+    javac and the shipped parser reject them. An error at ``final`` counts
+    when the type after it fails at such a token, for then the declaration
+    lookahead reads no declaration."""
     _, line, col, message = got
     toks = tokenize(text, "P.java")
     k = next(i for i, t in enumerate(toks) if (t.line, t.col) == (line, col))
     here, before = toks[k].text, toks[k - 1].text if k else ""
+    if message == "unexpected token 'final' in expression":
+        end, ok = P._Parser(toks, SourceFile("P.java", text))._scan_type(k + 1)
+        return not ok and error_at_a_type_javac_rejects(text, ("error", toks[end].line, toks[end].col, ""))
     after = [t.text for t in toks[k + 1:k + 3]]
     return (
         (here in PRIMITIVE_TYPES and after[:1] == ["<"])
         or (here == "<" and before in PRIMITIVE_TYPES)
+        or (here in PRIMITIVE_TYPES and before in ("<", ",", "extends", "super")
+            and (here == "void" or after != ["[", "]"]))
         or (here == "[" and before == "void")
         or (message == "'void' is only valid as a return type" and here == "void" and after[1:] != ["("])
+        or (message == "expected '(' after method name, found '{'" and toks[k - 2].text == "void")
     )
 
 
@@ -762,3 +775,64 @@ def test_expression_statements_start_no_declaration(monkeypatch):
     assert attempts == []
     parse_source("class A { void f() { int y = 0; java.util.List<int[]> l; " + body + " } }")
     assert len(attempts) == 2
+
+
+# --- the annotation pre-filter ---
+
+# name -> (source, the configured annotation names); the parser reads a class
+# annotated with one of them, so the pre-filter must admit the source
+FILTER_ADMITS = {
+    "space": ("@ ThreadSafe class A {}", DEFAULT_ANNOTATIONS),
+    "comment": ("@/*c*/ThreadSafe class A {}", DEFAULT_ANNOTATIONS),
+    "line-comment": ("@ // c\n ThreadSafe class A {}", DEFAULT_ANNOTATIONS),
+    "qualified": ("@ javax . /*x*/ annotation // y\n .concurrent.\tThreadSafe class A {}", DEFAULT_ANNOTATIONS),
+    "after-another": ("@Deprecated @javax.annotation.concurrent.ThreadSafe(\"x\") class A {}", DEFAULT_ANNOTATIONS),
+    "nested": ("class Outer { private int n; @ThreadSafe static class Inner {} }", DEFAULT_ANNOTATIONS),
+    "added-simple": ("@Concurrent class A {}", DEFAULT_ANNOTATIONS + ("Concurrent",)),
+    "added-qualified": ("@com.acme.Concurrent class A {}", DEFAULT_ANNOTATIONS + ("com.acme.Concurrent",)),
+    "added-qualified-used-simple": ("@Concurrent class A {}", DEFAULT_ANNOTATIONS + ("com.acme.Concurrent",)),
+}
+
+# sources that name an annotation but annotate no class with it
+FILTER_SKIPS = {
+    "import-only": "import javax.annotation.concurrent.ThreadSafe;\nclass A {}",
+    "longer-name": "@ThreadSafeX class A {}",
+    "not-added": "@Concurrent class A {}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_ADMITS))
+def test_annotation_filter_admits_every_annotation_the_parser_reads(name):
+    text, names = FILTER_ADMITS[name]
+    assert annotated_as_thread_safe(parse_source(text), names)
+    assert annotation_pattern(names).search(text)
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SKIPS))
+def test_annotation_filter_skips_a_mention_that_annotates_nothing(name):
+    text = FILTER_SKIPS[name]
+    assert not annotated_as_thread_safe(parse_source(text), DEFAULT_ANNOTATIONS)
+    assert not annotation_pattern(DEFAULT_ANNOTATIONS).search(text)
+
+
+def _benchmark_workloads():
+    """The benchmark's input generator, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(CORPUS_DIR)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_file_the_annotation_filter_skips_declares_no_annotated_class():
+    workloads = _benchmark_workloads()
+    texts = {corpus_source(n).content for n in os.listdir(CORPUS_DIR) if n.endswith(".java")}
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 7):
+            texts.update(f.text for f in workloads.generate(workload, seed, "full", CORPUS_DIR))
+    may_hold = annotation_pattern(DEFAULT_ANNOTATIONS).search
+    skipped = [t for t in texts if not may_hold(t)]
+    assert skipped and len(skipped) < len(texts)
+    for text in skipped:
+        assert not annotated_as_thread_safe(parse_source(text), DEFAULT_ANNOTATIONS), text
