@@ -4,7 +4,9 @@ A Datalog-style least fixpoint (the paper's ``providesAccess``): a method
 provides access to ``a`` either by containing ``a`` directly or by calling
 (same-class, name + arity, no virtual dispatch) a method that does. Overload
 ambiguity resolves to all candidates, over-approximating, which preserves the
-universal quantification in the monitor analysis.
+universal quantification in the monitor analysis. The paper's
+``publicAccess``, the facts of public methods, is
+:meth:`threadlint.monitors.MonitorAnalysis.public_facts`.
 
 Evaluation is one worklist propagation rather than repeated rounds. Each
 method starts with a bitmask of the exposed accesses it contains; a method
@@ -24,15 +26,13 @@ method body is walked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from threadlint.classmodel import ClassModel, FieldAccess, exposed_accesses
+from threadlint.classmodel import ClassModel, FieldAccess
 from threadlint.frontend import ast as A
 
 
-@dataclass(frozen=True, eq=False)
-class AccessPathFact:
+class AccessPathFact(NamedTuple):
     """In ``method``, evaluating ``expr`` executes the field access ``access``."""
 
     method: A.MethodDecl
@@ -40,12 +40,14 @@ class AccessPathFact:
     access: FieldAccess
 
 
-def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> frozenset[AccessPathFact]:
-    """Least fixpoint of the direct-containment and call-step rules."""
+def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> list[AccessPathFact]:
+    """Least fixpoint of the direct-containment and call-step rules, each
+    fact once; over ``cm.exposed`` unless ``exposed`` is given."""
     if exposed is None:
-        exposed = exposed_accesses(cm)
+        exposed = cm.exposed
     accesses = [a for a in exposed if a.enclosing is not None and not a.enclosing.is_constructor]
-    facts = [AccessPathFact(a.enclosing, a.expr, a) for a in accesses]
+    new = tuple.__new__
+    facts = [new(AccessPathFact, (a.enclosing, a.expr, a)) for a in accesses]
     methods = cm.decl.methods
     # id(m) -> bitmask over ``accesses`` of every access a call to m executes
     reach = dict.fromkeys(map(id, methods), 0)
@@ -81,27 +83,7 @@ def provides_access(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None)
             mask |= reach[id(k)]
         while mask:
             low = mask & -mask
-            facts.append(AccessPathFact(m, call, accesses[low.bit_length() - 1]))
+            facts.append(new(AccessPathFact, (m, call, accesses[low.bit_length() - 1])))
             mask ^= low
-    return frozenset(facts)
+    return facts
 
-
-def public_access(
-    cm: ClassModel,
-    a: FieldAccess,
-    facts: Optional[frozenset[AccessPathFact]] = None,
-) -> set[A.Expr]:
-    """Expressions in public methods whose evaluation executes ``a``."""
-    if facts is None:
-        facts = provides_access(cm)
-    return {f.expr for f in facts if f.access is a and f.method.is_public}
-
-
-def base_facts_only(cm: ClassModel) -> frozenset[AccessPathFact]:
-    """The fixpoint with the recursive call rule removed (containment only)."""
-    exposed = exposed_accesses(cm)
-    return frozenset(
-        AccessPathFact(a.enclosing, a.expr, a)
-        for a in exposed
-        if a.enclosing is not None and not a.enclosing.is_constructor
-    )

@@ -101,6 +101,7 @@ class ClassModel:
     calls: dict[int, list[A.Call]] = field(default_factory=dict)  # id(callable) -> its calls
     syncs: dict[int, list[A.Sync]] = field(default_factory=dict)  # id(callable) -> its sync blocks
     overloads: dict[tuple[str, int], list[A.MethodDecl]] = field(default_factory=dict)  # (name, arity) -> methods
+    exposed: list[FieldAccess] = field(default_factory=list)  # exposed_accesses(self), set once built
 
     @property
     def name(self) -> str:
@@ -382,8 +383,10 @@ def build_class_model(
     overloads: dict[tuple[str, int], list[A.MethodDecl]] = {}
     for m in decl.methods:
         overloads.setdefault((m.name, m.arity), []).append(m)
-    return ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings,
-                      collector.local_writes, collector.calls, collector.syncs, overloads)
+    cm = ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings,
+                    collector.local_writes, collector.calls, collector.syncs, overloads)
+    cm.exposed = exposed_accesses(cm)
+    return cm
 
 
 _ZERO_DEFAULT_TYPES = frozenset({"byte", "short", "char", "int", "long", "float", "double"})

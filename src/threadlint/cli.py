@@ -155,6 +155,8 @@ def check_trace(path: str) -> tuple[str, int]:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        raise IoError(f"cannot read {path}: file is not valid UTF-8") from None
     execution = parse_trace(text, path)
     races = detect_races(execution)
     canonical = sorted(

@@ -52,6 +52,10 @@ class Config:
             raise ConfigError(
                 f"unknown output format {self.output_format!r}; expected one of {', '.join(OUTPUT_FORMATS)}"
             )
+        try:
+            self.allowlist()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def allowlist(self) -> ThreadSafeTypeAllowlist:
         return ThreadSafeTypeAllowlist(self.allowlist_prefixes, self.allowlist_types)
@@ -101,6 +105,8 @@ def load_config_file(path: str) -> dict:
             return parse_config_text(fh.read(), path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path}: file is not valid UTF-8") from None
 
 
 def build_config(

@@ -371,14 +371,16 @@ class _Parser:
 
     def _at_local_decl(self) -> int:
         """The index of the name when the tokens ahead read ``[final] Type
-        name``, else 0. Moves nothing; the caller parses a declaration
-        exactly when this is nonzero."""
+        name``; otherwise -1 when they start with ``final``, as only a
+        declaration can, and else 0. Moves nothing; the caller parses a
+        declaration exactly when this is nonzero."""
         toks = self.toks
         i = self.pos
-        if toks[i].text == "final":
-            i += 1
-        end, ok = self._scan_type(i)
-        return end if ok and toks[end].kind == "ident" else 0
+        final = toks[i].text == "final"
+        end, ok = self._scan_type(i + final)
+        if ok and toks[end].kind == "ident":
+            return end
+        return -1 if final else 0
 
     def resolve_type(self, type_text: str) -> str:
         """Qualify a type via the file's imports when possible."""
@@ -667,6 +669,10 @@ class _Parser:
         toks = self.toks
         start = toks[self.pos]
         is_final = start.text == "final"
+        if name < 0:  # no ``Type name`` after ``final``: raise at the token at fault
+            self.pos += 1
+            self.parse_type()
+            self.expect_ident()
         type_text = self._type_text(self.pos + is_final, name)
         if for_start is not None and toks[name + 1].text == ":":
             self.pos = name + 2

@@ -20,13 +20,11 @@ Statement-to-action mapping: every field read/write becomes a read/write
 action (volatile fields use the volatile variants), lock-field lock()/
 unlock() calls become monitor actions (namespaced ``lock:`` so an explicit
 Lock object never aliases the intrinsic monitor of a synchronized block on
-the same field), synchronized methods and blocks wrap their bodies in
-monitor actions, and a statement touching no field or
-monitor contributes one ``local`` action. Mutator calls and array-element
-writes (``a[i] = v``, ``a[i] += v``, ``a[i]++``) count as writes of the
-field. Accesses to fields of allowlisted (thread-safe) types are trusted to
-synchronize internally and contribute local actions only, mirroring the
-static exemption.
+the same field), and synchronized methods and blocks wrap their bodies in
+monitor actions. Mutator calls and array-element writes (``a[i] = v``,
+``a[i] += v``, ``a[i]++``) count as writes of the field. Accesses to fields
+of allowlisted (thread-safe) types are trusted to synchronize internally and
+contribute no action, mirroring the static exemption.
 """
 
 from __future__ import annotations
@@ -83,19 +81,14 @@ class _DriverBuilder:
 
     # -- field classification --
 
-    def _read_op(self, f: A.FieldDecl) -> ActionSpec:
+    def _access(self, f: A.FieldDecl, write: bool, out: list[ActionSpec]) -> None:
+        """Append the read or write of ``f``; nothing for an allowlisted field."""
         if self.cm.allowlist.contains(f):
-            return (Op.LOCAL, None)
+            return
         if f.is_volatile:
-            return (Op.VOLATILE_READ, f.name)
-        return (Op.READ, f.name)
-
-    def _write_op(self, f: A.FieldDecl) -> ActionSpec:
-        if self.cm.allowlist.contains(f):
-            return (Op.LOCAL, None)
-        if f.is_volatile:
-            return (Op.VOLATILE_WRITE, f.name)
-        return (Op.WRITE, f.name)
+            out.append((Op.VOLATILE_WRITE if write else Op.VOLATILE_READ, f.name))
+        else:
+            out.append((Op.WRITE if write else Op.READ, f.name))
 
     # -- lowering --
 
@@ -111,55 +104,40 @@ class _DriverBuilder:
         if m.is_synchronized:
             monitor = f"Class<{self.decl.name}>" if m.is_static else "this"
             actions.append((Op.LOCK, monitor))
-        for s in m.body.stmts:
-            actions.extend(self._stmt_actions(s, stack))
+        self._stmt_actions(m.body, stack, actions)
         if monitor is not None:
             actions.append((Op.UNLOCK, monitor))
         return actions
 
-    def _stmt_actions(self, s: A.Stmt, stack: tuple[A.MethodDecl, ...]) -> list[ActionSpec]:
+    def _stmt_actions(self, s: A.Stmt, stack: tuple[A.MethodDecl, ...], out: list[ActionSpec]) -> None:
+        """Append the field and monitor actions of ``s``, in evaluation order."""
         if isinstance(s, (A.If, A.While, A.For, A.ForEach, A.Try, A.Throw)):
             raise UnsupportedForOracle(
                 f"{self.decl.name}: {type(s).__name__.lower()} statements are not oracle-supported "
                 "(straight-line bodies only)"
             )
-        if isinstance(s, A.Empty):
-            return []
         if isinstance(s, A.Block):
-            out: list[ActionSpec] = []
             for inner in s.stmts:
-                out.extend(self._stmt_actions(inner, stack))
-            return out
-        if isinstance(s, A.Sync):
+                self._stmt_actions(inner, stack, out)
+        elif isinstance(s, A.Sync):
             # a parameter or non-alias local guards nothing: no monitor actions
             monitor = sync_monitor(s.monitor, self.cm)
-            out = [] if monitor is None else [(Op.LOCK, monitor.identity)]
-            for inner in s.body.stmts:
-                out.extend(self._stmt_actions(inner, stack))
+            if monitor is not None:
+                out.append((Op.LOCK, monitor.identity))
+            self._stmt_actions(s.body, stack, out)
             if monitor is not None:
                 out.append((Op.UNLOCK, monitor.identity))
-            return out
-        if isinstance(s, A.LocalDecl):
-            out = []
+        elif isinstance(s, A.LocalDecl):
             for d in s.declarators:
                 if d.init is not None:
-                    out.extend(self._expr_actions(d.init, stack))
-            return out or [(Op.LOCAL, None)]
-        if isinstance(s, A.Return):
-            if s.value is None:
-                return [(Op.LOCAL, None)]
-            return self._expr_actions(s.value, stack) or [(Op.LOCAL, None)]
-        if isinstance(s, A.ExprStmt):
-            return self._expr_actions(s.expr, stack) or [(Op.LOCAL, None)]
-        raise UnsupportedForOracle(f"{self.decl.name}: unsupported statement {type(s).__name__}")
-
-    def _expr_actions(self, e: A.Expr, stack: tuple[A.MethodDecl, ...]) -> list[ActionSpec]:
-        """Field and monitor actions of one expression, in evaluation order."""
-        out: list[ActionSpec] = []
-        self._visit(e, stack, out)
-        return [a for a in out if a[0] is not Op.LOCAL] or (
-            [(Op.LOCAL, None)] if out else []
-        )
+                    self._visit(d.init, stack, out)
+        elif isinstance(s, A.Return):
+            if s.value is not None:
+                self._visit(s.value, stack, out)
+        elif isinstance(s, A.ExprStmt):
+            self._visit(s.expr, stack, out)
+        elif not isinstance(s, A.Empty):
+            raise UnsupportedForOracle(f"{self.decl.name}: unsupported statement {type(s).__name__}")
 
     def _visit(self, e: A.Expr, stack, out: list[ActionSpec]) -> None:
         if isinstance(e, (A.Literal, A.This, A.ClassLit)):
@@ -167,7 +145,7 @@ class _DriverBuilder:
         if isinstance(e, (A.Name, A.FieldSel)):
             f = self.cm.field_of(e)
             if f is not None:
-                out.append(self._read_op(f))
+                self._access(f, False, out)
             elif isinstance(e, A.FieldSel):
                 self._visit(e.qualifier, stack, out)
             return
@@ -175,8 +153,8 @@ class _DriverBuilder:
             target = A.strip_parens(e.operand)
             f = self.cm.field_of(target)
             if f is not None:
-                out.append(self._read_op(f))
-                out.append(self._write_op(f))
+                self._access(f, False, out)
+                self._access(f, True, out)
                 return
             if isinstance(target, A.Index):
                 self._element_write(target, None, stack, out)
@@ -198,9 +176,9 @@ class _DriverBuilder:
         f = self.cm.field_of(target)
         if f is not None:
             if e.op != "=":
-                out.append(self._read_op(f))
+                self._access(f, False, out)
             self._visit(e.value, stack, out)
-            out.append(self._write_op(f))
+            self._access(f, True, out)
             return
         if isinstance(target, A.Index):
             self._element_write(target, e.value, stack, out)
@@ -221,7 +199,7 @@ class _DriverBuilder:
         if value is not None:
             self._visit(value, stack, out)
         if root is not None:
-            out.append(self._write_op(root))
+            self._access(root, True, out)
 
     def _call_actions(self, e: A.Call, stack, out) -> None:
         q = e.qualifier
@@ -234,41 +212,35 @@ class _DriverBuilder:
                 self._visit(a, stack, out)
             out.extend(self.method_actions(callees[0], stack))
             return
-        if q is None or isinstance(q, A.This):
-            for a in e.args:
-                self._visit(a, stack, out)
-            out.append((Op.LOCAL, None))  # unresolvable call: an "other" action
-            return
-        # lock recognition wins over the allowlist: java.util.concurrent.locks
-        # types are allowlisted yet their lock()/unlock() calls are monitors
-        if e.name == "tryLock" or e.name in self.lock_methods or e.name in self.unlock_methods:
-            lf = self.cm.denotes(q)
-            if lf is not None and id(lf) in self.lock_field_ids:
-                if e.name == "tryLock":
-                    raise UnsupportedForOracle(
-                        f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
-                    )
-                for a in e.args:
-                    self._visit(a, stack, out)
-                op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
-                out.append((op, f"lock:this.{lf.name}"))
-                return
-        f = self.cm.field_of(q)
-        if f is not None:
-            if e.name in self.cm.mutator_methods:
-                for a in e.args:
-                    self._visit(a, stack, out)
-                out.append(self._write_op(f))
-            else:
-                out.append(self._read_op(f))
-                for a in e.args:
-                    self._visit(a, stack, out)
-            return
         if q is not None:
+            # lock recognition wins over the allowlist: java.util.concurrent.locks
+            # types are allowlisted yet their lock()/unlock() calls are monitors
+            if e.name == "tryLock" or e.name in self.lock_methods or e.name in self.unlock_methods:
+                lf = self.cm.denotes(q)
+                if lf is not None and id(lf) in self.lock_field_ids:
+                    if e.name == "tryLock":
+                        raise UnsupportedForOracle(
+                            f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
+                        )
+                    for a in e.args:
+                        self._visit(a, stack, out)
+                    op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
+                    out.append((op, f"lock:this.{lf.name}"))
+                    return
+            f = self.cm.field_of(q)
+            if f is not None:
+                if e.name in self.cm.mutator_methods:
+                    for a in e.args:
+                        self._visit(a, stack, out)
+                    self._access(f, True, out)
+                else:
+                    self._access(f, False, out)
+                    for a in e.args:
+                        self._visit(a, stack, out)
+                return
             self._visit(q, stack, out)
         for a in e.args:
             self._visit(a, stack, out)
-        out.append((Op.LOCAL, None))
 
     # -- init actions --
 

@@ -8,7 +8,8 @@ are ignored: a race is a property of action identity and ordering alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
-participate in races.
+participate in races, so the class driver emits none and only trace files
+hold them.
 
 Happens-before depends only on program order and the order of sync actions
 (lock, unlock, volatile read, volatile write): the init edges always run from

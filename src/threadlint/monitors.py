@@ -119,14 +119,12 @@ class MonitorAnalysis:
     def __init__(
         self,
         cm: ClassModel,
-        facts: Optional[frozenset[AccessPathFact]] = None,
+        facts: Optional[list[AccessPathFact]] = None,
         lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
         lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
         unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
     ):
         self.cm = cm
-        self.facts = facts if facts is not None else provides_access(cm)
-        self.lock_types = lock_types
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
         self._lock_fields = lock_fields(cm, lock_types)
@@ -135,7 +133,7 @@ class MonitorAnalysis:
         self._held: dict[int, list[tuple[A.SourceSpan, Monitor]]] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}
         self._public_facts: dict[int, list[AccessPathFact]] = {}
-        for f in self.facts:
+        for f in provides_access(cm) if facts is None else facts:
             if f.method.is_public:
                 self._public_facts.setdefault(id(f.access), []).append(f)
 
@@ -222,6 +220,7 @@ class MonitorAnalysis:
         return Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{f.name}")
 
     def public_facts(self, a: FieldAccess) -> list[AccessPathFact]:
+        """The facts of public methods that execute ``a`` (the paper's publicAccess)."""
         return self._public_facts.get(id(a), [])
 
     def monitors(self, a: FieldAccess) -> frozenset[Monitor]:

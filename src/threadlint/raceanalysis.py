@@ -10,6 +10,10 @@ does not enumerate it, though: most conflicting pairs share a monitor, so it
 groups each field's accesses by their monitor set and follows only the
 modifying accesses into groups whose sets are disjoint from theirs. Its work
 grows with the alerts it reports, not with the pairs it rules out.
+
+Both read the exposed accesses the class model keeps (``ClassModel.exposed``).
+:func:`analyze_class` builds one :class:`MonitorAnalysis`, which evaluates
+the access-path fixpoint, and passes only that to the P3 check.
 """
 
 from __future__ import annotations
@@ -22,13 +26,12 @@ from threadlint.alerts import (
     Alert,
     RULE_CORRECT_SYNCHRONIZATION,
 )
-from threadlint.accesspaths import AccessPathFact, provides_access
+from threadlint.accesspaths import AccessPathFact
 from threadlint.classmodel import (
     ClassModel,
     FieldAccess,
     check_no_escaping,
     check_safe_publication,
-    exposed_accesses,
     is_modifying,
 )
 from threadlint.monitors import (
@@ -68,16 +71,14 @@ def _conflict(x: FieldAccess, y: FieldAccess) -> Optional[ConflictPair]:
     return None
 
 
-def conflicting_pairs(cm: ClassModel, exposed: Optional[list[FieldAccess]] = None) -> list[ConflictPair]:
-    """All conflicting pairs over exposed accesses, deduplicated.
+def conflicting_pairs(cm: ClassModel) -> list[ConflictPair]:
+    """All conflicting pairs over ``cm.exposed``, deduplicated.
 
     (a, b) and (b, a) appear once, modifying access first; self-pairs (w, w)
     are included. Volatile fields never appear: their accesses are not exposed.
     """
-    if exposed is None:
-        exposed = exposed_accesses(cm)
     pairs: list[ConflictPair] = []
-    for accesses in _accesses_by_field(exposed):
+    for accesses in _accesses_by_field(cm.exposed):
         for i, x in enumerate(accesses):
             for y in accesses[i:]:
                 pair = _conflict(x, y)
@@ -88,10 +89,8 @@ def conflicting_pairs(cm: ClassModel, exposed: Optional[list[FieldAccess]] = Non
 
 def check_correct_synchronization(
     cm: ClassModel,
-    facts: Optional[frozenset[AccessPathFact]] = None,
+    facts: Optional[list[AccessPathFact]] = None,
     monitor_info: Optional[MonitorAnalysis] = None,
-    *,
-    exposed: Optional[list[FieldAccess]] = None,
 ) -> list[Alert]:
     """P3: every conflicting pair must share at least one protecting monitor.
 
@@ -99,17 +98,13 @@ def check_correct_synchronization(
     are disjoint, in that function's order before the final sort, without
     building the others. Monitors are asked for only on fields with a
     modifying access, which are the accesses some conflicting pair holds.
-    ``exposed`` is :func:`exposed_accesses` of ``cm`` when the caller has it.
+    ``monitor_info`` is built from ``facts`` when the caller has none.
     """
-    if exposed is None:
-        exposed = exposed_accesses(cm)
     if monitor_info is None:
-        if facts is None:
-            facts = provides_access(cm, exposed)
         monitor_info = MonitorAnalysis(cm, facts)
     # (field index, i, j) of each unguarded pair, i <= j in the field's order
     found: list[tuple[int, int, int]] = []
-    fields = _accesses_by_field(exposed)
+    fields = _accesses_by_field(cm.exposed)
     for f, accesses in enumerate(fields):
         modifying = [is_modifying(a) for a in accesses]
         if not any(modifying):
@@ -181,14 +176,12 @@ def analyze_class(
     if "P2" in rules:
         alerts.extend(check_safe_publication(cm))
     if "P3" in rules:
-        exposed = exposed_accesses(cm)
-        facts = provides_access(cm, exposed)
         info = MonitorAnalysis(
-            cm, facts,
+            cm,
             lock_types=lock_types,
             lock_methods=lock_methods,
             unlock_methods=unlock_methods,
         )
-        alerts.extend(check_correct_synchronization(cm, facts, info, exposed=exposed))
+        alerts.extend(check_correct_synchronization(cm, monitor_info=info))
     alerts.sort(key=Alert.sort_key)
     return alerts

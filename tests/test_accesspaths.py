@@ -5,8 +5,9 @@ from conftest import model_for, model_from_source
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadlint.accesspaths import base_facts_only, provides_access, public_access
+from threadlint.accesspaths import provides_access
 from threadlint.classmodel import exposed_accesses
+from threadlint.monitors import MonitorAnalysis
 
 
 def fact_names(facts, access):
@@ -32,7 +33,7 @@ def test_base_case_public_method_containing_access():
     (w,) = exposed_accesses(cm)
     facts = provides_access(cm)
     assert len([f for f in facts if f.access is w]) == 1
-    assert public_access(cm, w, facts) == {w.expr}
+    assert [f.expr for f in MonitorAnalysis(cm, facts).public_facts(w)] == [w.expr]
 
 
 def test_three_method_chain_yields_three_facts():
@@ -61,7 +62,7 @@ class Hidden {
 """
     )
     (w,) = exposed_accesses(cm)
-    assert public_access(cm, w) == set()
+    assert MonitorAnalysis(cm).public_facts(w) == []
 
 
 def test_two_public_entry_points_two_expressions():
@@ -76,8 +77,8 @@ class Two {
 """
     )
     (w,) = exposed_accesses(cm)
-    exprs = public_access(cm, w)
-    assert len(exprs) == 2
+    exprs = [f.expr for f in MonitorAnalysis(cm).public_facts(w)]
+    assert len(exprs) == 2 and exprs[0] is not exprs[1]
     assert all(e.name == "raw" for e in exprs)
 
 
@@ -100,11 +101,11 @@ class R {
 def test_base_facts_are_subset_of_fixpoint(corpus_names):
     for name in corpus_names:
         cm = model_for(name)
-        base = base_facts_only(cm)
+        base_keys = {(id(a.enclosing), id(a.expr), id(a)) for a in exposed_accesses(cm)}
         full = provides_access(cm)
-        base_keys = {(id(f.method), id(f.expr), id(f.access)) for f in base}
-        full_keys = {(id(f.method), id(f.expr), id(f.access)) for f in full}
-        assert base_keys <= full_keys, name
+        # the containment facts are the ones at the access itself
+        contained = {(id(f.method), id(f.expr), id(f.access)) for f in full if f.expr is f.access.expr}
+        assert contained == base_keys, name
 
 
 def test_overload_resolution_by_arity():
@@ -212,5 +213,5 @@ def test_worklist_fixpoint_matches_round_robin_reference(src):
     for exposed in (None, cm.field_accesses):
         facts = provides_access(cm, exposed)
         keys = fact_keys(facts)
-        assert len(keys) == len(facts)
+        assert len(keys) == len(facts)  # each (method, expr, access) once
         assert keys == fact_keys(ap_reference.provides_access(cm, exposed))

@@ -137,6 +137,15 @@ PATH_AND_CONFIG_CASES = {
                             ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "unknown rule 'P9'"),
     "config-unreadable": ({"Clean.java": CLEAN}, ["--config", "missing.cfg", "Clean.java"], EXIT_ERROR,
                           "cannot read config file missing.cfg"),
+    "config-invalid-utf8": ({"Clean.java": CLEAN, "t.cfg": b"rules = P1 \xff\n"}, ["--config", "t.cfg", "Clean.java"],
+                            EXIT_ERROR, "threadlint: error: cannot read config file t.cfg: file is not valid UTF-8"),
+    "trace-invalid-utf8": ({"t.trace": b"1 read x \xff\n"}, ["--trace", "t.trace"], EXIT_ERROR,
+                           "threadlint: error: cannot read t.trace: file is not valid UTF-8"),
+    # an allowlist entry is checked when the configuration is built, before any class
+    "allowlist-empty": ({"Clean.java": CLEAN}, ["--allowlist-add=", "Clean.java"], EXIT_ERROR,
+                        "threadlint: error: allowlist entry '' must be nonempty and trimmed"),
+    "allowlist-untrimmed": ({"Clean.java": CLEAN}, ["--allowlist-add= java.x", "Clean.java"], EXIT_ERROR,
+                            "threadlint: error: allowlist entry ' java.x' must be nonempty and trimmed"),
     # javac rejects a line break in a literal, escaped or not
     "backslash-newline-in-string": ({"Esc.java": '@ThreadSafe class Esc {\n  String s = "a\\\nb";\n}\n'},
                                     ["Esc.java"], EXIT_ERROR, "Esc.java:2:14 ERROR unterminated string literal"),

@@ -581,16 +581,11 @@ def error_at_a_type_javac_rejects(text, got):
     keyword, at a primitive keyword in type arguments that no ``[]``
     follows, at ``[]`` after ``void``, or at a ``void`` member whose name no
     ``(`` follows. The reference parser reads these as types or as a field;
-    javac and the shipped parser reject them. An error at ``final`` counts
-    when the type after it fails at such a token, for then the declaration
-    lookahead reads no declaration."""
+    javac and the shipped parser reject them."""
     _, line, col, message = got
     toks = tokenize(text, "P.java")
     k = next(i for i, t in enumerate(toks) if (t.line, t.col) == (line, col))
     here, before = toks[k].text, toks[k - 1].text if k else ""
-    if message == "unexpected token 'final' in expression":
-        end, ok = P._Parser(toks, SourceFile("P.java", text))._scan_type(k + 1)
-        return not ok and error_at_a_type_javac_rejects(text, ("error", toks[end].line, toks[end].col, ""))
     after = [t.text for t in toks[k + 1:k + 3]]
     return (
         (here in PRIMITIVE_TYPES and after[:1] == ["<"])
@@ -709,6 +704,8 @@ COMMITTED_ERRORS = {
     "x y z;": (1, 26, "expected ';' after local declaration, found 'z'"),
     "for (int x : xs) { y = ; }": (1, 45, "unexpected token ';' in expression"),
     "for (int x : ) { }": (1, 35, "unexpected token ')' in expression"),
+    "for (final List<int> x : xs) y++;": (1, 38, "unexpected 'int' in type arguments"),
+    "final int[ x = 1;": (1, 31, "expected name, found '['"),
 }
 
 
@@ -727,6 +724,7 @@ COMMITTED_ERRORS = {
         "int[] a = new int[3];",
         "final int x = 1, y;",
         "final x = 1;",
+        "final int[ x = 1;",
         "void x;",
         "int x = c > 0 ? 1 : 2;",
         "int x = ;",

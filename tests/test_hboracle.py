@@ -14,6 +14,7 @@ from threadlint.hboracle import (
     Op,
     ThreadProgram,
     TraceAction,
+    check_class,
     detect_races,
     format_trace,
     parse_trace,
@@ -189,6 +190,37 @@ def test_each_public_method_is_lowered_once(monkeypatch):
         assert d == ThreadProgram.build(
             [b.method_actions(m1), b.method_actions(m2)], b.init_actions(), f"Low:{m1.name}|{m2.name}"
         )
+
+
+QUIET = """@ThreadSafe class Quiet {
+  private int x; private java.util.concurrent.ConcurrentHashMap<String, Integer> m = null;
+  public void a(int p) { int y = p + 1; y = y * 2; helper(y); peer(p).go(y); m.put("k", y); ; return; }
+  public int b() { int z = 0; x = x + 1; return z; }
+}"""
+
+
+def test_lowering_emits_only_field_and_monitor_actions():
+    cm = model_from_source(QUIET)
+    b = driver._DriverBuilder(cm)
+    ma, mb = cm.decl.methods
+    # locals, unresolved calls and an allowlisted field add nothing
+    assert b.method_actions(ma) == []
+    assert b.method_actions(mb) == [(R, "x"), (W, "x")]
+    for d in two_thread_drivers(cm) + two_thread_drivers(model_from_source(LOWERED)):
+        assert all(a.op is not LOC for t in d.threads for a in t)
+
+
+BUSY = """@ThreadSafe class Busy {
+  private int n;
+  public synchronized void inc() { int a = 1; int b = a + 1; int c = b + 1; int d = c + 1; int e = d + 1; n = n + 1; }
+  public synchronized int get() { return n; }
+}"""
+
+
+def test_statements_that_touch_no_field_cost_no_budget():
+    # inc|inc is 1 + 4 + 4 actions; five local actions per thread would make it 19
+    verdict = check_class(model_from_source(BUSY))
+    assert (verdict.status, verdict.raced, verdict.drivers_checked) == ("checked", False, 3)
 
 
 MALFORMED = {
