@@ -18,6 +18,14 @@ The same walk records, per callable, its ``Call`` nodes and its
 :meth:`ClassModel.syncs_in`), so the access-path fixpoint and the monitor
 analysis find call sites and synchronized regions without walking a body
 again.
+
+The walk is one visitor. It handles only the kinds that bind, scope,
+classify or record: names and field selections, calls, assignments and
+``++``/``--``; blocks and ``for`` loops (each a scope), local declarations,
+for-each loops and ``try`` (whose catch variables are scoped); and
+``synchronized`` blocks (recorded). Every other statement and expression is
+walked through :func:`threadlint.frontend.ast.children`, so a new node kind
+needs no line here unless it declares names.
 """
 
 from __future__ import annotations
@@ -125,12 +133,17 @@ class ClassModel:
 
     def denotes(self, expr: A.Expr) -> Optional[A.FieldDecl]:
         """The own field ``expr`` names, or that a local holds when it is
-        assigned exactly once, from a read of the field; parentheses stripped.
-        Parameters, for-each and catch variables are written an unknown value."""
+        assigned exactly once, from a read of the field or from another such
+        local; parentheses stripped. Parameters, for-each and catch variables
+        are written an unknown value, and a chain that returns to a local
+        denotes nothing."""
         e = A.strip_parens(expr)
-        values = self.local_writes.get(id(e), ())
-        if len(values) == 1 and values[0] is not None:
-            return self.field_of(values[0])
+        followed = set()
+        while (values := self.local_writes.get(id(e))) is not None:
+            if len(values) != 1 or values[0] is None or id(values) in followed:
+                return None
+            followed.add(id(values))
+            e = A.strip_parens(values[0])
         return self.bindings.get(id(e))
 
     def callees(self, call: A.Call) -> list[A.MethodDecl]:
@@ -207,7 +220,7 @@ class _AccessCollector:
         self.scopes = [{}]
         for f in self.decl.fields:
             if f.initializer is not None:
-                self.visit_expr(f.initializer)
+                self.visit(f.initializer)
                 self._emit(f, AccessKind.WRITE, f.initializer, span=f.span, initializer=True)
 
     def collect_callable(self, m: A.MethodDecl) -> None:
@@ -217,95 +230,56 @@ class _AccessCollector:
         self._syncs = self.syncs[id(m)] = []
         if m.body is not None:
             for s in m.body.stmts:
-                self.visit_stmt(s)
+                self.visit(s)
 
-    # -- statements --
+    # -- the walk --
 
-    def visit_stmt(self, s: A.Stmt) -> None:
-        if isinstance(s, A.Block):
-            self.scopes.append({})
-            for inner in s.stmts:
-                self.visit_stmt(inner)
-            self.scopes.pop()
-        elif isinstance(s, A.LocalDecl):
-            for d in s.declarators:
-                if d.init is not None:
-                    self.visit_expr(d.init)
-                self.scopes[-1][d.name] = [] if d.init is None else [d.init]
-        elif isinstance(s, A.ExprStmt):
-            self.visit_expr(s.expr)
-        elif isinstance(s, A.If):
-            self.visit_expr(s.cond)
-            self.visit_stmt(s.then)
-            if s.els is not None:
-                self.visit_stmt(s.els)
-        elif isinstance(s, A.While):
-            self.visit_expr(s.cond)
-            self.visit_stmt(s.body)
-        elif isinstance(s, A.For):
-            self.scopes.append({})
-            if s.init is not None:
-                self.visit_stmt(s.init)
-            if s.cond is not None:
-                self.visit_expr(s.cond)
-            self.visit_stmt(s.body)
-            for e in s.update:
-                self.visit_expr(e)
-            self.scopes.pop()
-        elif isinstance(s, A.ForEach):
-            self.visit_expr(s.iterable)
-            self.scopes.append({s.var: [None]})
-            self.visit_stmt(s.body)
-            self.scopes.pop()
-        elif isinstance(s, A.Return):
-            if s.value is not None:
-                self.visit_expr(s.value)
-        elif isinstance(s, A.Throw):
-            self.visit_expr(s.value)
-        elif isinstance(s, A.Sync):
-            self._syncs.append(s)
-            self.visit_expr(s.monitor)
-            self.visit_stmt(s.body)
-        elif isinstance(s, A.Try):
-            self.visit_stmt(s.body)
-            for c in s.catches:
-                self.scopes.append({c.var: [None]})
-                self.visit_stmt(c.body)
-                self.scopes.pop()
-            if s.finally_block is not None:
-                self.visit_stmt(s.finally_block)
-        elif isinstance(s, A.Empty):
-            pass
-        else:
-            raise TypeError(f"unhandled statement {type(s).__name__}")
-
-    # -- expressions --
-
-    def visit_expr(self, e: A.Expr) -> None:
-        if isinstance(e, (A.Literal, A.This, A.ClassLit)):
-            return
-        if isinstance(e, (A.Name, A.FieldSel)):
-            f = self._bind(e)
+    def visit(self, n: A.Node) -> None:
+        """Bind, scope, classify or record ``n``; walk any other kind through ``A.children``."""
+        t = type(n)
+        if t is A.Literal:
+            return  # the commonest leaf: skip the tests below
+        if t is A.Name or t is A.FieldSel:
+            f = self._bind(n)
             if f is not None:
-                self._emit(f, AccessKind.READ, e)
-            elif isinstance(e, A.FieldSel):
-                self.visit_expr(e.qualifier)
-            return
-        if isinstance(e, A.Call):
-            self._visit_call(e)
-            return
-        if isinstance(e, A.Unary) and e.op in ("++", "--"):
-            self._visit_target(e.operand, compound=True)
-            return
-        if isinstance(e, A.Assign):
-            self._visit_target(e.target, compound=e.op != "=", value=e.value)
-            self.visit_expr(e.value)
-            return
-        if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
-            for c in A.children(e):
-                self.visit_expr(c)
-            return
-        raise TypeError(f"unhandled expression {type(e).__name__}")
+                self._emit(f, AccessKind.READ, n)
+            elif t is A.FieldSel:
+                self.visit(n.qualifier)
+        elif t is A.Call:
+            self._visit_call(n)
+        elif t is A.Assign:
+            self._visit_target(n.target, compound=n.op != "=", value=n.value)
+            self.visit(n.value)
+        elif t is A.Unary and n.op in ("++", "--"):
+            self._visit_target(n.operand, compound=True)
+        elif t is A.LocalDecl:
+            for d in n.declarators:
+                if d.init is not None:
+                    self.visit(d.init)
+                self.scopes[-1][d.name] = [] if d.init is None else [d.init]
+        elif t is A.Block or t is A.For:
+            self._visit_scoped(A.children(n), {})
+        elif t is A.ForEach:
+            self.visit(n.iterable)
+            self._visit_scoped((n.body,), {n.var: [None]})
+        elif t is A.Try:
+            self.visit(n.body)
+            for c in n.catches:
+                self._visit_scoped((c.body,), {c.var: [None]})
+            if n.finally_block is not None:
+                self.visit(n.finally_block)
+        else:
+            if t is A.Sync:
+                self._syncs.append(n)
+            for c in A.children(n):
+                self.visit(c)
+
+    def _visit_scoped(self, nodes, scope: dict[str, list[Optional[A.Expr]]]) -> None:
+        """Walk ``nodes`` with ``scope`` opened around them."""
+        self.scopes.append(scope)
+        for c in nodes:
+            self.visit(c)
+        self.scopes.pop()
 
     def _selected_own_field(self, e: A.FieldSel) -> Optional[A.FieldDecl]:
         """Own field selected via ``this.x`` or ``ClassName.staticField``."""
@@ -320,34 +294,26 @@ class _AccessCollector:
 
     def _visit_target(self, target: A.Expr, compound: bool, value: Optional[A.Expr] = None) -> None:
         """Classify an assignment (or ++/--) target; compound targets also read.
-        A local target records ``value``, or an unknown value if compound."""
-        target = A.strip_parens(target)
-        if isinstance(target, (A.Name, A.FieldSel)):
-            f = self._bind(target)
-            if f is not None:
-                if compound:
-                    self._emit(f, AccessKind.READ, target)
-                self._emit(f, AccessKind.WRITE, target)
-            elif id(target) in self.local_writes:
-                self.local_writes[id(target)].append(None if compound else value)
-            elif isinstance(target, A.FieldSel):
-                self.visit_expr(target.qualifier)
-            return
-        if isinstance(target, A.Index):
-            base = target
-            indices = []
-            while isinstance(base, A.Index):
-                indices.append(base.index)
-                base = A.strip_parens(base.base)
-            root_field = self._bind(base)
-            if root_field is not None:
-                self._emit(root_field, AccessKind.ARRAY_ELEMENT_WRITE, target)
-            else:
-                self.visit_expr(base)
-            for ix in indices:
-                self.visit_expr(ix)
-            return
-        self.visit_expr(target)
+        A local target records ``value``, or an unknown value if compound;
+        an element of an own array field is an array-element write."""
+        element = target = A.strip_parens(target)
+        indices = []
+        while isinstance(target, A.Index):
+            indices.append(target.index)
+            target = A.strip_parens(target.base)
+        f = self._bind(target)
+        if f is not None and indices:
+            self._emit(f, AccessKind.ARRAY_ELEMENT_WRITE, element)
+        elif f is not None:
+            if compound:
+                self._emit(f, AccessKind.READ, target)
+            self._emit(f, AccessKind.WRITE, target)
+        elif not indices and id(target) in self.local_writes:
+            self.local_writes[id(target)].append(None if compound else value)
+        else:
+            self.visit(target)
+        for ix in reversed(indices):  # Java evaluates the leftmost index first
+            self.visit(ix)
 
     def _visit_call(self, e: A.Call) -> None:
         self._calls.append(e)
@@ -358,10 +324,10 @@ class _AccessCollector:
                 self._emit(target_field, AccessKind.MUTATOR_CALL, e, span=e.span)
             else:
                 self._emit(target_field, AccessKind.READ, q, span=q.span)
-        elif q is not None and not isinstance(q, A.This):
-            self.visit_expr(q)
+        elif q is not None:
+            self.visit(q)
         for a in e.args:
-            self.visit_expr(a)
+            self.visit(a)
 
 
 def build_class_model(

@@ -24,7 +24,15 @@ the same field), and synchronized methods and blocks wrap their bodies in
 monitor actions. Mutator calls and array-element writes (``a[i] = v``,
 ``a[i] += v``, ``a[i]++``) count as writes of the field. Accesses to fields
 of allowlisted (thread-safe) types are trusted to synchronize internally and
-contribute no action, mirroring the static exemption.
+contribute no action, mirroring the static exemption. A write to another
+object's field (``peer.n = v``) reads ``peer`` before ``v``, as Java does.
+
+One walk decides on names, field selections, assignments, ``++``/``--``,
+calls and synchronized blocks. It lowers the straight-line kinds ``Block``,
+``LocalDecl``, ``ExprStmt``, ``Return``, ``Empty``, ``New``, ``Index``,
+``Unary``, ``Binary``, ``Paren``, ``Literal``, ``This`` and ``ClassLit``
+through :func:`threadlint.frontend.ast.children`. Every other kind, a new
+one included, makes the class unsupported.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ from threadlint.monitors import (
 )
 
 ActionSpec = tuple[Op, Optional[str]]
+
+# kinds with no action of their own, lowered through ``A.children``
+_STRAIGHT_LINE = frozenset({A.Block, A.LocalDecl, A.ExprStmt, A.Return, A.Empty, A.New, A.Index, A.Unary,
+                            A.Binary, A.Paren, A.Literal, A.This, A.ClassLit})
 
 
 @dataclass(frozen=True)
@@ -104,102 +116,67 @@ class _DriverBuilder:
         if m.is_synchronized:
             monitor = f"Class<{self.decl.name}>" if m.is_static else "this"
             actions.append((Op.LOCK, monitor))
-        self._stmt_actions(m.body, stack, actions)
+        self._lower(m.body, stack, actions)
         if monitor is not None:
             actions.append((Op.UNLOCK, monitor))
         return actions
 
-    def _stmt_actions(self, s: A.Stmt, stack: tuple[A.MethodDecl, ...], out: list[ActionSpec]) -> None:
-        """Append the field and monitor actions of ``s``, in evaluation order."""
-        if isinstance(s, (A.If, A.While, A.For, A.ForEach, A.Try, A.Throw)):
-            raise UnsupportedForOracle(
-                f"{self.decl.name}: {type(s).__name__.lower()} statements are not oracle-supported "
-                "(straight-line bodies only)"
-            )
-        if isinstance(s, A.Block):
-            for inner in s.stmts:
-                self._stmt_actions(inner, stack, out)
-        elif isinstance(s, A.Sync):
+    def _lower(self, n: A.Node, stack: tuple[A.MethodDecl, ...], out: list[ActionSpec]) -> None:
+        """Append the field and monitor actions of ``n``, in evaluation order;
+        raise UnsupportedForOracle for a kind not decided on here."""
+        t = type(n)
+        if t is A.Name or t is A.FieldSel:
+            f = self.cm.field_of(n)
+            if f is not None:
+                self._access(f, False, out)
+            elif t is A.FieldSel:
+                self._lower(n.qualifier, stack, out)
+        elif t is A.Assign:
+            self._write(n.target, n.value, n.op != "=", stack, out)
+        elif t is A.Unary and n.op in ("++", "--"):
+            self._write(n.operand, None, True, stack, out)
+        elif t is A.Call:
+            self._call_actions(n, stack, out)
+        elif t is A.Sync:
             # a parameter or non-alias local guards nothing: no monitor actions
-            monitor = sync_monitor(s.monitor, self.cm)
+            monitor = sync_monitor(n.monitor, self.cm)
             if monitor is not None:
                 out.append((Op.LOCK, monitor.identity))
-            self._stmt_actions(s.body, stack, out)
+            self._lower(n.body, stack, out)
             if monitor is not None:
                 out.append((Op.UNLOCK, monitor.identity))
-        elif isinstance(s, A.LocalDecl):
-            for d in s.declarators:
-                if d.init is not None:
-                    self._visit(d.init, stack, out)
-        elif isinstance(s, A.Return):
-            if s.value is not None:
-                self._visit(s.value, stack, out)
-        elif isinstance(s, A.ExprStmt):
-            self._visit(s.expr, stack, out)
-        elif not isinstance(s, A.Empty):
-            raise UnsupportedForOracle(f"{self.decl.name}: unsupported statement {type(s).__name__}")
+        elif t in _STRAIGHT_LINE:
+            for c in A.children(n):
+                self._lower(c, stack, out)
+        elif isinstance(n, A.Stmt):
+            raise UnsupportedForOracle(
+                f"{self.decl.name}: {t.__name__.lower()} statements are not oracle-supported "
+                "(straight-line bodies only)"
+            )
+        else:
+            raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {t.__name__}")
 
-    def _visit(self, e: A.Expr, stack, out: list[ActionSpec]) -> None:
-        if isinstance(e, (A.Literal, A.This, A.ClassLit)):
-            return
-        if isinstance(e, (A.Name, A.FieldSel)):
-            f = self.cm.field_of(e)
-            if f is not None:
-                self._access(f, False, out)
-            elif isinstance(e, A.FieldSel):
-                self._visit(e.qualifier, stack, out)
-            return
-        if isinstance(e, A.Unary) and e.op in ("++", "--"):
-            target = A.strip_parens(e.operand)
-            f = self.cm.field_of(target)
-            if f is not None:
-                self._access(f, False, out)
-                self._access(f, True, out)
-                return
-            if isinstance(target, A.Index):
-                self._element_write(target, None, stack, out)
-                return
-        if isinstance(e, A.Assign):
-            self._assign_actions(e, stack, out)
-            return
-        if isinstance(e, A.Call):
-            self._call_actions(e, stack, out)
-            return
-        if isinstance(e, (A.New, A.Index, A.Unary, A.Binary, A.Paren)):
-            for c in A.children(e):
-                self._visit(c, stack, out)
-            return
-        raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {type(e).__name__}")
-
-    def _assign_actions(self, e: A.Assign, stack, out) -> None:
-        target = A.strip_parens(e.target)
-        f = self.cm.field_of(target)
-        if f is not None:
-            if e.op != "=":
-                self._access(f, False, out)
-            self._visit(e.value, stack, out)
-            self._access(f, True, out)
-            return
-        if isinstance(target, A.Index):
-            self._element_write(target, e.value, stack, out)
-            return
-        # local target: only the RHS matters
-        self._visit(e.value, stack, out)
-
-    def _element_write(self, target: A.Index, value: Optional[A.Expr], stack, out) -> None:
-        """Indices, then the assigned value (if any), then a write of the root field."""
-        base = target
+    def _write(self, target: A.Expr, value: Optional[A.Expr], compound: bool, stack, out) -> None:
+        """An assignment (``value`` set) or ``++``/``--`` of ``target``: the
+        array or receiver the target is selected from, its indices, a
+        compound read, the value, then the write. An element write of an own
+        array field is a write of the field."""
+        target = A.strip_parens(target)
         indices = []
-        while isinstance(base, A.Index):
-            indices.append(base.index)
-            base = A.strip_parens(base.base)
-        root = self.cm.field_of(base)
-        for ix in indices:
-            self._visit(ix, stack, out)
+        while isinstance(target, A.Index):
+            indices.append(target.index)
+            target = A.strip_parens(target.base)
+        f = self.cm.field_of(target)
+        if f is None:
+            self._lower(target, stack, out)  # a local reads nothing; another object's field reads its receiver
+        elif compound and not indices:
+            self._access(f, False, out)
+        for ix in reversed(indices):  # Java evaluates the leftmost index first
+            self._lower(ix, stack, out)
         if value is not None:
-            self._visit(value, stack, out)
-        if root is not None:
-            self._access(root, True, out)
+            self._lower(value, stack, out)
+        if f is not None:
+            self._access(f, True, out)
 
     def _call_actions(self, e: A.Call, stack, out) -> None:
         q = e.qualifier
@@ -209,7 +186,7 @@ class _DriverBuilder:
                                        f"{len(e.args)} match the call; not oracle-supported")
         if callees:
             for a in e.args:
-                self._visit(a, stack, out)
+                self._lower(a, stack, out)
             out.extend(self.method_actions(callees[0], stack))
             return
         if q is not None:
@@ -223,7 +200,7 @@ class _DriverBuilder:
                             f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
                         )
                     for a in e.args:
-                        self._visit(a, stack, out)
+                        self._lower(a, stack, out)
                     op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
                     out.append((op, f"lock:this.{lf.name}"))
                     return
@@ -231,16 +208,16 @@ class _DriverBuilder:
             if f is not None:
                 if e.name in self.cm.mutator_methods:
                     for a in e.args:
-                        self._visit(a, stack, out)
+                        self._lower(a, stack, out)
                     self._access(f, True, out)
                 else:
                     self._access(f, False, out)
                     for a in e.args:
-                        self._visit(a, stack, out)
+                        self._lower(a, stack, out)
                 return
-            self._visit(q, stack, out)
+            self._lower(q, stack, out)
         for a in e.args:
-            self._visit(a, stack, out)
+            self._lower(a, stack, out)
 
     # -- init actions --
 

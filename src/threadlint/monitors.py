@@ -22,7 +22,8 @@ block's monitor is computed once.
 Names are bound by the class model, never here: a lock call's receiver
 locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
 shadowed by a local or a parameter is not the field, and a local locks a
-field only when it is assigned exactly once, from a read of that field.
+field only when it is assigned exactly once, from a read of that field or
+from another such local.
 Likewise ``synchronized (e)`` on a parameter, or on a local that denotes no
 field, guards nothing (:func:`sync_monitor`): each thread may pass or create
 a different object. On an alias it is the field's monitor. A for-each or

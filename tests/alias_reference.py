@@ -53,12 +53,19 @@ def declares_local(m: A.MethodDecl, name: str) -> bool:
     return False
 
 
-def alias_of(cm: ClassModel, m: A.MethodDecl, name: str) -> Optional[A.FieldDecl]:
-    """The own field local ``name`` aliases: assigned exactly once, from a read of it."""
+def alias_of(cm: ClassModel, m: A.MethodDecl, name: str, seen: frozenset = frozenset()) -> Optional[A.FieldDecl]:
+    """The own field local ``name`` aliases: assigned exactly once, from a
+    read of it or from another local that aliases it. ``seen`` holds the
+    locals already followed; a chain back to one of them aliases nothing."""
     sources = local_write_sources(m, name)
     if sources is None or len(sources) != 1:
         return None
-    return cm.field_of(sources[0])
+    f = cm.field_of(sources[0])
+    source = A.strip_parens(sources[0])
+    seen = seen | {name}
+    if f is None and isinstance(source, A.Name) and source.identifier not in seen:
+        return alias_of(cm, m, source.identifier, seen)
+    return f
 
 
 def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, m: A.MethodDecl) -> bool:

@@ -1,5 +1,7 @@
 """Access collection, P1/P2, exposure, and modification classification."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from conftest import corpus_source, line_of, model_for, model_from_source
@@ -43,6 +45,18 @@ def test_counter_dr_accesses():
 def test_class_without_fields_has_no_accesses():
     cm = model_from_source("@ThreadSafe class N { public void f() { int x = 1; } }")
     assert cm.field_accesses == []
+
+
+def test_a_kind_the_walk_does_not_handle_is_walked_through_its_children(monkeypatch):
+    @dataclass(eq=False, slots=True)
+    class Opaque(A.Expr):  # a kind with children that no line of the collector decides on
+        inner: A.Expr
+
+    monkeypatch.setitem(A._CHILDREN, Opaque, lambda n: [n.inner])
+    decl = parse_source("@ThreadSafe class G { private int n; public int get() { return n; } }").classes[0]
+    ret = decl.methods[0].body.stmts[0]
+    ret.value = Opaque(ret.value.span, ret.value)
+    assert kinds(build_class_model(decl).field_accesses) == [("n", "read", 1)]
 
 
 def test_array_element_write():
@@ -184,6 +198,7 @@ class D {
   public void target(int[] a) { Object o = mu; a[(o = other).hashCode() & 1] = 1; o.hashCode(); }
   public int bumped() { int n = x; int m = x; int k = x; n++; k += 1; return n + m + k; }
   public void param(Object mu) { mu.hashCode(); (mu).hashCode(); }
+  public void chain() { Object a = mu; Object b = (a); Object c; Object d = c; c = d; b.hashCode(); d.hashCode(); }
 }
 """
 
@@ -212,6 +227,15 @@ def test_a_reassignment_inside_an_assignment_target_is_a_write():
     cm = model_from_source(LOCALS)
     assert denoted(cm, "target") == [
         ("mu", False, "mu"), ("a", True, None), ("o", True, None), ("other", False, "other"), ("o", True, None),
+    ]
+
+
+def test_denotes_follows_a_chain_of_single_assignment_aliases():
+    cm = model_from_source(LOCALS)
+    # b holds a, which holds mu; d and c hold each other and so nothing
+    assert denoted(cm, "chain") == [
+        ("mu", False, "mu"), ("a", True, "mu"), ("c", True, None), ("c", True, None), ("d", True, None),
+        ("b", True, "mu"), ("d", True, None),
     ]
 
 

@@ -1,7 +1,7 @@
 """Command-line behaviour: exit codes for paths, config files, --trace, --oracle
 and over-deep input; --timings; the static run and the oracle on name-binding
-probes; streaming; and the corpus and parse-error reports, pinned byte for
-byte."""
+probes; streaming; and the reports on the corpus, on the benchmark's
+generated workloads and on parse errors, pinned byte for byte."""
 
 import json
 import os
@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from test_frontend import _benchmark_workloads
 
 import threadlint
 from threadlint import cli
@@ -383,6 +384,26 @@ def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):
     with open(os.path.join(GOLDEN_DIR, "racy_trace.txt"), "rb") as fh:
         assert captured.out == fh.read()
     assert code == EXIT_ALERTS and captured.err == b""
+
+
+@pytest.mark.parametrize("workload", ["lint-callchain", "lint-wide", "oracle"])
+def test_generated_workload_reports_match_golden_bytes(tmp_path, monkeypatch, capsysbinary, workload):
+    """The report contract over the benchmark's generated inputs: the
+    ``--oracle`` text report of each workload's seed-1 smoke files, written
+    to their relative paths and checked in generation order."""
+    relpaths = []
+    for f in _benchmark_workloads().generate(workload, 1, "smoke", os.path.join(REPO_ROOT, "tests", "corpus")):
+        path = tmp_path / f.relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f.text, encoding="utf-8")
+        relpaths.append(f.relpath)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    code = main(["--oracle", *CORPUS_FLAGS, *relpaths])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "workloads", f"{workload}.txt"), "rb") as fh:
+        assert captured.out == fh.read()
+    assert code == EXIT_CLEAN and captured.err == b""
 
 
 def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):

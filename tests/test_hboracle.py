@@ -1,6 +1,8 @@
 """Happens-before oracle: litmus programs per HB rule, the sync-order search
 against the reference enumerator, driver lowering, and the trace format."""
 
+from dataclasses import dataclass
+
 import pytest
 from hb_reference import interleavings, reference_raced
 from hypothesis import event, example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import model_from_source
 
 from threadlint.errors import BudgetExceeded, MalformedExecution
+from threadlint.frontend import ast as A
 from threadlint.hboracle import (
     Execution,
     Op,
@@ -22,6 +25,7 @@ from threadlint.hboracle import (
     two_thread_drivers,
 )
 from threadlint.hboracle import driver
+from threadlint.raceanalysis import analyze_class
 
 R, W, VR, VW = Op.READ, Op.WRITE, Op.VOLATILE_READ, Op.VOLATILE_WRITE
 L, U, DI, FI, LOC = Op.LOCK, Op.UNLOCK, Op.DEFAULT_INIT, Op.FINAL_INIT, Op.LOCAL
@@ -221,6 +225,63 @@ def test_statements_that_touch_no_field_cost_no_budget():
     # inc|inc is 1 + 4 + 4 actions; five local actions per thread would make it 19
     verdict = check_class(model_from_source(BUSY))
     assert (verdict.status, verdict.raced, verdict.drivers_checked) == ("checked", False, 3)
+
+
+PEER = """@ThreadSafe class Peer { private int n; private Peer peer = null;
+  public void a() { peer.n = 1; }
+  public synchronized void b() { peer = null; }
+}"""
+
+
+def test_a_write_to_another_objects_field_reads_the_receiver():
+    verdict = check_class(model_from_source(PEER))
+    assert (verdict.status, verdict.raced) == ("checked", True)
+
+
+@pytest.mark.parametrize("write,actions", [
+    ("peer.n = n;", [(R, "peer"), (R, "n")]),
+    ("arr[n][peer.n] = 1;", [(R, "n"), (R, "peer"), (W, "arr")]),
+], ids=["receiver", "indices"])
+def test_a_write_evaluates_its_target_in_javas_order(write, actions):
+    cm = model_from_source("@ThreadSafe class Ord { private int n; private Ord peer = null; "
+                           f"private int[][] arr = null; public void a() {{ {write} }} }}")
+    assert driver._DriverBuilder(cm).method_actions(cm.decl.methods[0]) == actions
+
+
+CHAIN = """@ThreadSafe class Chain { private final Object mu = new Object(); private int x;
+  public void a() { Object a = mu; Object b = a; synchronized (b) { x = x + 1; } }
+  public void b() { synchronized (mu) { x = x + 1; } }
+}"""
+
+
+def test_an_alias_of_an_alias_is_the_fields_monitor():
+    cm = model_from_source(CHAIN)
+    assert analyze_class(cm) == []
+    verdict = check_class(cm)
+    assert (verdict.status, verdict.raced) == ("checked", False)
+
+
+def test_a_kind_the_driver_does_not_list_makes_the_class_unsupported(monkeypatch):
+    @dataclass(eq=False, slots=True)
+    class Opaque(A.Expr):  # a kind with children that no line of the driver decides on
+        inner: A.Expr
+
+    monkeypatch.setitem(A._CHILDREN, Opaque, lambda n: [n.inner])
+    cm = model_from_source("@ThreadSafe class G { private int n; public int get() { return n; } }")
+    ret = cm.decl.methods[0].body.stmts[0]
+    ret.value = Opaque(ret.value.span, ret.value)
+    verdict = check_class(cm)
+    assert (verdict.status, verdict.detail) == ("unsupported", "G: unsupported expression Opaque")
+
+
+def test_an_if_in_a_callees_synchronized_block_is_unsupported():
+    cm = model_from_source("""@ThreadSafe class Nested { private int x;
+  private void reset() { synchronized (this) { if (x > 0) { x = 0; } } }
+  public void a() { reset(); }
+}""")
+    verdict = check_class(cm)
+    assert (verdict.status, verdict.detail) == (
+        "unsupported", "Nested: if statements are not oracle-supported (straight-line bodies only)")
 
 
 MALFORMED = {
