@@ -7,12 +7,14 @@ block — normal completion or an early return/throw — passes through the
 finally block. The finally region is shared, not duplicated, which
 over-approximates paths but keeps dominance sound for lock-scope queries.
 
-Dominators use the standard iterative fixpoint over reverse postorder; method
-graphs are small, so the near-linear algorithm is unnecessary.
+Dominance is answered from its definition, on demand: a node dominates
+another when removing it cuts the other off from the entry, and
+post-dominance is the same question asked from the exit. One depth-first
+search serves both directions, and only the nodes a query asks about get one.
 
-Graphs are built on demand: the monitor analysis asks for a method's CFG
-and dominator trees only when the method holds both a lock call and an
-unlock call on one lock field, the only place a lock window can exist.
+Graphs are built on demand too: the monitor analysis asks for a method's CFG
+only when the method holds both a lock call and an unlock call on one lock
+field, the only place a lock window can exist.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class CfgNode:
 
 @dataclass(eq=False)
 class Cfg:
-    method: Optional[A.MethodDecl]
     nodes: list[CfgNode]
     succs: dict[CfgNode, list[CfgNode]]
     preds: dict[CfgNode, list[CfgNode]]
@@ -48,8 +49,7 @@ class Cfg:
 
 
 class _Builder:
-    def __init__(self, method: Optional[A.MethodDecl]):
-        self.method = method
+    def __init__(self):
         self.nodes: list[CfgNode] = []
         self.succs: dict[CfgNode, list[CfgNode]] = {}
         self.preds: dict[CfgNode, list[CfgNode]] = {}
@@ -77,12 +77,8 @@ class _Builder:
 
     def map_tree(self, root: A.Node, node: CfgNode) -> None:
         """Associate ``root`` and all its descendants with a cfg node."""
-        node_of = self.node_of
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            node_of[id(n)] = node
-            stack.extend(A.children(n))
+        for n in A.walk(root):
+            self.node_of[id(n)] = node
 
     # -- lowering --
 
@@ -198,13 +194,13 @@ class _Builder:
         exit_node = self.new_node("exit")
         self.connect(frontier, exit_node)
         self.connect(self.exit_carriers[0], exit_node)
-        return Cfg(self.method, self.nodes, self.succs, self.preds,
+        return Cfg(self.nodes, self.succs, self.preds,
                    self.entry, exit_node, self.node_of)
 
 
 def build_cfg(m: A.MethodDecl) -> Cfg:
     """Lower one callable body to a control-flow graph with unique entry/exit."""
-    b = _Builder(m)
+    b = _Builder()
     frontier = [b.entry]
     if m.body is not None:
         for s in m.body.stmts:
@@ -215,93 +211,56 @@ def build_cfg(m: A.MethodDecl) -> Cfg:
 # --- dominance --------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class DomInfo:
-    """Immediate-dominator and immediate-post-dominator trees."""
-
-    idom: dict[Hashable, Hashable]
-    ipdom: dict[Hashable, Hashable]
-
-
-def _reverse_postorder(entry, succs) -> list:
-    seen = {entry}
-    post: list = []
-    stack: list[tuple] = [(entry, iter(succs.get(entry, ())))]
+def _reach(root, edges, avoid=None) -> set:
+    """The nodes reachable from ``root`` over ``edges`` without entering ``avoid``."""
+    seen = {root}
+    stack = [root]
     while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            if nxt not in seen:
+        for nxt in edges[stack.pop()]:
+            if nxt not in seen and nxt != avoid:
                 seen.add(nxt)
-                stack.append((nxt, iter(succs.get(nxt, ()))))
-                advanced = True
-                break
-        if not advanced:
-            post.append(node)
-            stack.pop()
-    post.reverse()
-    return post
+                stack.append(nxt)
+    return seen
 
 
-def _idoms(entry, succs, preds) -> dict:
-    order = _reverse_postorder(entry, succs)
-    index = {n: i for i, n in enumerate(order)}
-    idom: dict = {entry: entry}
+class DomInfo:
+    """Dominance over one digraph, from its definition, computed on first need.
 
-    def intersect(a, b):
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for b in order[1:]:
-            new = None
-            for p in preds.get(b, ()):
-                if p in idom:
-                    new = p if new is None else intersect(p, new)
-            if new is not None and idom.get(b) != new:
-                idom[b] = new
-                changed = True
-    return idom
-
-
-def compute_dom_info(entry, exit_node, succs, preds) -> DomInfo:
-    """Dominators from ``entry`` and post-dominators from ``exit_node``.
-
-    Works on any digraph given successor/predecessor adjacency maps.
+    ``a`` dominates ``b`` when ``b`` is reachable from ``entry`` but not once
+    ``a`` is removed; post-dominance asks the same from ``exit`` over
+    ``preds``. The set each asked-about node dominates is kept.
     """
-    return DomInfo(_idoms(entry, succs, preds), _idoms(exit_node, preds, succs))
+
+    def __init__(self, entry, exit_node, succs, preds):
+        self.entry = entry
+        self.exit = exit_node
+        self.succs = succs
+        self.preds = preds
+        self._dominated: dict[tuple[bool, Hashable], set] = {}
+
+    def dominated(self, a, post: bool = False) -> set:
+        """The nodes ``a`` dominates, or post-dominates when ``post``: empty
+        when ``a`` itself is not reachable from the root."""
+        got = self._dominated.get((post, a))
+        if got is None:
+            root, edges = (self.exit, self.preds) if post else (self.entry, self.succs)
+            if a == root:
+                got = _reach(root, edges)
+            else:
+                got = self.dominated(root, post) - _reach(root, edges, avoid=a)
+            self._dominated[(post, a)] = got
+        return got
 
 
 def dominance(cfg: Cfg) -> DomInfo:
-    return compute_dom_info(cfg.entry, cfg.exit, cfg.succs, cfg.preds)
-
-
-def _tree_query(tree: dict, a, b) -> bool:
-    """True iff ``a`` is an ancestor of ``b`` (reflexive); a node outside the
-    tree has no ancestor and is no ancestor."""
-    if a not in tree or b not in tree:
-        return False
-    node = b
-    while True:
-        if node == a:
-            return True
-        parent = tree[node]
-        if parent == node:
-            return False
-        node = parent
+    return DomInfo(cfg.entry, cfg.exit, cfg.succs, cfg.preds)
 
 
 def dominates(d: DomInfo, a, b) -> bool:
     """True iff every path entry -> b passes through a (reflexive)."""
-    return _tree_query(d.idom, a, b)
+    return b in d.dominated(a)
 
 
 def post_dominates(d: DomInfo, a, b) -> bool:
     """True iff every path b -> exit passes through a (reflexive)."""
-    return _tree_query(d.ipdom, a, b)
+    return b in d.dominated(a, post=True)

@@ -25,7 +25,10 @@ monitor actions. Mutator calls and array-element writes (``a[i] = v``,
 ``a[i] += v``, ``a[i]++``) count as writes of the field. Accesses to fields
 of allowlisted (thread-safe) types are trusted to synchronize internally and
 contribute no action, mirroring the static exemption. A write to another
-object's field (``peer.n = v``) reads ``peer`` before ``v``, as Java does.
+object's field (``peer.n = v``) reads ``peer`` before ``v``, as Java does, and
+a monitor or lock reference is read before it is locked or unlocked. A public
+method that, run on its own thread, unlocks a monitor it does not hold makes
+the class unsupported.
 
 One walk decides on names, field selections, assignments, ``++``/``--``,
 calls and synchronized blocks. It lowers the straight-line kinds ``Block``,
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from threadlint.classmodel import ClassModel, is_default_initialized
-from threadlint.errors import BudgetExceeded, UnsupportedForOracle
+from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedForOracle
 from threadlint.frontend import ast as A
 from threadlint.hboracle.model import (
     DEFAULT_ACTION_BUDGET,
@@ -138,7 +141,9 @@ class _DriverBuilder:
         elif t is A.Call:
             self._call_actions(n, stack, out)
         elif t is A.Sync:
-            # a parameter or non-alias local guards nothing: no monitor actions
+            # the reference is read before it is locked; a parameter or
+            # non-alias local guards nothing: no monitor actions
+            self._lower(n.monitor, stack, out)
             monitor = sync_monitor(n.monitor, self.cm)
             if monitor is not None:
                 out.append((Op.LOCK, monitor.identity))
@@ -199,6 +204,7 @@ class _DriverBuilder:
                         raise UnsupportedForOracle(
                             f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
                         )
+                    self._lower(q, stack, out)
                     for a in e.args:
                         self._lower(a, stack, out)
                     op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
@@ -246,6 +252,11 @@ def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
     main initializes, then each thread calls one method of the pair."""
     b = _DriverBuilder(cm, **kw)
     lowered = [(m.name, b.method_actions(m)) for m in cm.decl.methods if m.is_public]
+    for name, actions in lowered:
+        try:
+            ThreadProgram.build([actions])  # the method on its own thread
+        except MalformedExecution as exc:
+            raise UnsupportedForOracle(f"{cm.decl.name}.{name}: {exc}; not oracle-supported") from None
     init = b.init_actions()
     out = []
     for i, (name1, actions1) in enumerate(lowered):

@@ -11,10 +11,10 @@ syntactically and reports every other monitor kind.
 
 The work is demand-driven, as a query engine evaluates the paper's
 dominance relation only where the query needs it. Lock and unlock calls are
-taken from the calls the class model recorded, and a method's CFG and
-dominator trees are built only when some lock field has both a lock call
-and an unlock call in it; without both no window exists, so no CFG is
-asked for. Synchronized blocks also come from the class model: an
+taken from the calls the class model recorded, and a method's CFG is
+built only when some lock field has both a lock call and an unlock call in
+it; without both no window exists, so no CFG is asked for. Dominance is
+then searched for only from the lock and unlock calls a window query names. Synchronized blocks also come from the class model: an
 expression is guarded by each block whose body span contains its span,
 which is exact because the spans of one tree nest or are disjoint. Each
 block's monitor is computed once.

@@ -3,7 +3,7 @@
 This is the evaluation the demand-driven ``threadlint.monitors.MonitorAnalysis``
 replaced. It is kept only as the reference for the parity property in
 test_monitors.py, so it favours plainness over speed: every method gets a
-CFG and both dominator trees, one walk maps every node of the body to the
+CFG and its dominance queries, one walk maps every node of the body to the
 monitors of its enclosing synchronized blocks, and lock and unlock calls are
 found by walking the body. Monitor and alias identification are shared with
 ``src`` (``sync_monitor``, ``ClassModel.denotes``); only where protection

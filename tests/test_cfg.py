@@ -5,8 +5,8 @@ import random
 from conftest import parse_corpus
 
 from threadlint.cfg import (
+    DomInfo,
     build_cfg,
-    compute_dom_info,
     dominance,
     dominates,
     post_dominates,
@@ -39,10 +39,15 @@ def all_simple_paths(succs, start, goal):
     return paths
 
 
-def brute_dominates(succs, entry, a, b):
-    paths = all_simple_paths(succs, entry, b)
-    assert paths, f"{b} unreachable from {entry}"
-    return all(a in p for p in paths)
+def brute_dominance(succs, entry, nodes):
+    """{(a, b)} where some path entry -> b exists and every one passes a.
+
+    A node no path reaches neither dominates nor is dominated."""
+    out = set()
+    for b in nodes:
+        paths = all_simple_paths(succs, entry, b)
+        out |= {(a, b) for a in nodes if paths and all(a in p for p in paths)}
+    return out
 
 
 def reverse_graph(succs, nodes):
@@ -70,41 +75,91 @@ def random_graph(rng, n):
     return succs
 
 
-def check_against_brute_force(succs, n):
-    entry, exit_node = 0, n - 1
-    nodes = list(range(n))
+def random_digraph(rng, n):
+    """Random digraph with no guarantee: nodes may be unreachable from 0 or
+    unable to reach n-1, and 0 may have predecessors."""
+    return {i: [j for j in range(n) if j != i and rng.random() < 0.2] for i in range(n)}
+
+
+def check_against_brute_force(succs, entry, exit_node):
+    """Every pair of nodes, reachable or not, gets the brute-force answer.
+    Returns the nodes unreachable from entry and those that cannot reach exit."""
+    nodes = list(succs)
     preds = reverse_graph(succs, nodes)
-    info = compute_dom_info(entry, exit_node, succs, preds)
-    reachable = [x for x in nodes if x == entry or x in info.idom]
-    co_reachable = [x for x in nodes if x == exit_node or x in info.ipdom]
-    for a in reachable:
-        for b in reachable:
-            assert dominates(info, a, b) == brute_dominates(succs, entry, a, b), (succs, a, b)
-    for a in co_reachable:
-        for b in co_reachable:
-            expected = brute_dominates(preds, exit_node, a, b)
-            assert post_dominates(info, a, b) == expected, (succs, a, b)
+    info = DomInfo(entry, exit_node, succs, preds)
+    dom = brute_dominance(succs, entry, nodes)
+    pdom = brute_dominance(preds, exit_node, nodes)
+    for a in nodes:
+        for b in nodes:
+            assert dominates(info, a, b) == ((a, b) in dom), (succs, a, b)
+            assert post_dominates(info, a, b) == ((a, b) in pdom), (succs, a, b)
+    return {b for b in nodes if (entry, b) not in dom}, {b for b in nodes if (exit_node, b) not in pdom}
 
 
 def test_dominance_matches_brute_force_small_sample():
     rng = random.Random(20240817)
     for _ in range(40):
         n = rng.randrange(4, 13)
-        check_against_brute_force(random_graph(rng, n), n)
+        assert check_against_brute_force(random_graph(rng, n), 0, n - 1) == (set(), set())
+    unreachable = dead_ends = 0
+    for _ in range(60):
+        n = rng.randrange(3, 11)
+        cut_off, stuck = check_against_brute_force(random_digraph(rng, n), 0, n - 1)
+        unreachable += len(cut_off)
+        dead_ends += len(stuck)
+    assert unreachable and dead_ends  # the sample does hold both kinds
 
 
 def test_duality_dominators_of_reverse_equal_postdominators():
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randrange(4, 13)
-        succs = random_graph(rng, n)
+        succs = random_graph(rng, n) if rng.random() < 0.5 else random_digraph(rng, n)
         preds = reverse_graph(succs, range(n))
-        info = compute_dom_info(0, n - 1, succs, preds)
-        flipped = compute_dom_info(n - 1, 0, preds, succs)
-        co_reachable = [x for x in range(n) if x == n - 1 or x in info.ipdom]
-        for a in co_reachable:
-            for b in co_reachable:
+        info = DomInfo(0, n - 1, succs, preds)
+        flipped = DomInfo(n - 1, 0, preds, succs)
+        for a in range(n):
+            for b in range(n):
                 assert post_dominates(info, a, b) == dominates(flipped, a, b)
+
+
+ABRUPT = """class P {
+  int x; Object l;
+  public int early(boolean c) {
+    l.lock();
+    try {
+      if (c) { return 1; }
+      x = 2;
+      if (x > 3) { throw new RuntimeException(); }
+    } finally {
+      l.unlock();
+    }
+    return x;
+  }
+  public void nested(int n) {
+    try {
+      try { if (n > 0) { throw new RuntimeException(); } x = 1; } finally { x = 2; }
+      return;
+    } catch (RuntimeException e) { x = 4; } finally { x = 3; }
+  }
+  public void spin() { for (;;) { x = x + 1; } }
+  public void spinOut() { for (;;) { x = 1; if (x > 2) { return; } } }
+  public int dead() { return 1; x = 2; }
+  public void deadInTry() { try { throw new RuntimeException(); x = 1; } finally { x = 2; } x = 3; }
+}"""
+
+
+def test_abrupt_exits_and_dead_code_match_brute_force():
+    cut = {}
+    for m in parse_source(ABRUPT).classes[0].methods:
+        cfg = build_cfg(m)
+        cut[m.name] = (cfg, *check_against_brute_force(cfg.succs, cfg.entry, cfg.exit))
+    for name in ("dead", "deadInTry"):  # code after return or throw is unreachable
+        cfg, unreachable, _ = cut[name]
+        assert any(n.kind == "stmt" for n in unreachable), name
+    cfg, unreachable, stuck = cut["spin"]  # nothing in an endless loop reaches the exit
+    assert unreachable == {cfg.exit} and stuck == set(cfg.nodes) - {cfg.exit}
+    assert cut["spinOut"][1:] == (set(), set())
 
 
 # --- structured lowering ---
@@ -272,3 +327,4 @@ def test_corpus_methods_build_and_exit_reachable(corpus_names):
                 dom = dominance(cfg)
                 assert dominates(dom, cfg.entry, cfg.exit)
                 assert post_dominates(dom, cfg.exit, cfg.entry)
+                check_against_brute_force(cfg.succs, cfg.entry, cfg.exit)

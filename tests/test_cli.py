@@ -376,6 +376,19 @@ def test_parse_errors_match_golden_bytes(monkeypatch, capsysbinary):
     assert code == EXIT_ERROR and captured.err == b""
 
 
+def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
+    """tests/oracle_probes: the oracle reads a monitor or lock reference
+    before it locks (``Mon`` and ``LockRef`` race on it), and a method that
+    unlocks a lock it does not hold makes its class unsupported, exit 0."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "oracle_probes.txt"), "rb") as fh:
+        assert captured.out == fh.read()
+    assert code == EXIT_CLEAN and captured.err == b""
+
+
 def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):
     """The trace example of hboracle/trace.py: three races, exit 1."""
     monkeypatch.chdir(REPO_ROOT)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import model_from_source
 
-from threadlint.errors import BudgetExceeded, MalformedExecution
+from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedForOracle
 from threadlint.frontend import ast as A
 from threadlint.hboracle import (
     Execution,
@@ -246,6 +246,33 @@ def test_a_write_evaluates_its_target_in_javas_order(write, actions):
     cm = model_from_source("@ThreadSafe class Ord { private int n; private Ord peer = null; "
                            f"private int[][] arr = null; public void a() {{ {write} }} }}")
     assert driver._DriverBuilder(cm).method_actions(cm.decl.methods[0]) == actions
+
+
+@pytest.mark.parametrize("body,actions", [
+    ("synchronized (m) { x = 1; }", [(R, "m"), (L, "this.m"), (W, "x"), (U, "this.m")]),
+    ("l.lock(); x = 1; this.l.unlock();", [(R, "l"), (L, "lock:this.l"), (W, "x"), (R, "l"), (U, "lock:this.l")]),
+    ("k.lock(); k.unlock();", [(L, "lock:this.k"), (U, "lock:this.k")]),
+], ids=["monitor", "lock", "allowlisted-lock"])
+def test_a_monitor_reference_is_read_before_it_is_locked(body, actions):
+    cm = model_from_source("@ThreadSafe class Ref { private Object m = null; private MyLock l = null; "
+                           "private final java.util.concurrent.locks.ReentrantLock k = null; private int x; "
+                           f"public void a() {{ {body} }} }}")
+    b = driver._DriverBuilder(cm, lock_types=("MyLock", "ReentrantLock"))
+    assert b.method_actions(cm.decl.methods[0]) == actions
+
+
+@pytest.mark.parametrize("methods,name", [
+    ("public void open() { l.lock(); } public void close() { l.unlock(); }", "close"),
+    ("public void inc() { l.lock(); x++; l.unlock(); l.unlock(); }", "inc"),
+], ids=["unlock-only", "unlock-twice"])
+def test_a_method_that_unlocks_a_lock_it_does_not_hold_is_unsupported(methods, name):
+    cm = model_from_source("@ThreadSafe class Bal { private final java.util.concurrent.locks.Lock l = null; "
+                           f"private int x; {methods} }}")
+    with pytest.raises(UnsupportedForOracle):
+        two_thread_drivers(cm)
+    verdict = check_class(cm)
+    assert verdict.status == "unsupported"
+    assert verdict.detail == f"Bal.{name}: thread 1 unlocks 'lock:this.l' without holding it; not oracle-supported"
 
 
 CHAIN = """@ThreadSafe class Chain { private final Object mu = new Object(); private int x;
