@@ -1,4 +1,4 @@
-"""Intra-method control-flow graphs and dominance/post-dominance queries.
+"""Intra-method control-flow graphs, their paths and dominance queries.
 
 Structured statements are lowered to edges over per-statement nodes; every
 expression maps (via ``Cfg.node_of``) to the node that evaluates it.
@@ -6,6 +6,10 @@ expression maps (via ``Cfg.node_of``) to the node that evaluates it.
 block — normal completion or an early return/throw — passes through the
 finally block. The finally region is shared, not duplicated, which
 over-approximates paths but keeps dominance sound for lock-scope queries.
+A ``catch`` handler is reached once the whole protected block completes.
+So that :func:`paths` follows only the paths Java runs, ``Cfg.exits`` keeps
+apart where an early exit goes on: through each enclosing finally block, and
+out of each synchronized block through its exit node.
 
 Dominance is answered from its definition, on demand: a node dominates
 another when removing it cuts the other off from the entry, and
@@ -19,8 +23,8 @@ field, the only place a lock window can exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Hashable, Iterable, Iterator, Optional
 
 from threadlint.frontend import ast as A
 
@@ -30,6 +34,7 @@ class CfgNode:
     index: int
     kind: str  # entry | exit | stmt | cond | loop | sync_enter | sync_exit | update
     ast: Optional[object] = None
+    exprs: list = field(default_factory=list)  # the expressions it evaluates, in order
 
     def __repr__(self):
         return f"<cfg {self.index}:{self.kind}>"
@@ -43,6 +48,10 @@ class Cfg:
     entry: CfgNode
     exit: CfgNode
     node_of: dict[int, CfgNode]  # id(ast node) -> cfg node
+    # a node an early exit leaves -> (where it goes on, and the region it enters
+    # there: the region's last nodes and the index span of its nodes)
+    exits: dict[CfgNode, tuple[list[CfgNode], tuple[frozenset, range]]]
+    early_only: set[tuple[CfgNode, CfgNode]]  # edges of ``succs`` only an early exit takes
 
     def node_for(self, ast_node) -> Optional[CfgNode]:
         return self.node_of.get(id(ast_node))
@@ -54,9 +63,10 @@ class _Builder:
         self.succs: dict[CfgNode, list[CfgNode]] = {}
         self.preds: dict[CfgNode, list[CfgNode]] = {}
         self.node_of: dict[int, CfgNode] = {}
-        # exit_carriers[-1] collects nodes whose control continues at the
-        # innermost enclosing finally block (or the method exit at level 0)
-        self.exit_carriers: list[list[CfgNode]] = [[]]
+        # exit_carriers[-1] collects (node, last): ``node`` continues at the innermost enclosing
+        # finally block (or the method exit at level 0), its early exit last passed ``last``
+        self.exit_carriers: list[list[tuple[CfgNode, CfgNode]]] = [[]]
+        self.exits, self.early_only = {}, set()
         self.entry = self.new_node("entry")
 
     def new_node(self, kind: str, ast_node=None) -> CfgNode:
@@ -76,9 +86,19 @@ class _Builder:
             self.edge(p, node)
 
     def map_tree(self, root: A.Node, node: CfgNode) -> None:
-        """Associate ``root`` and all its descendants with a cfg node."""
+        """Associate ``root`` and all its descendants with the cfg node that
+        evaluates ``root`` (a statement's children, for a statement)."""
+        node.exprs += A.children(root) if isinstance(root, A.Stmt) else [root]
         for n in A.walk(root):
             self.node_of[id(n)] = node
+
+    def route(self, carried, targets: list[CfgNode], normal: list[CfgNode], region) -> None:
+        """The early exits of ``carried`` go on at ``targets``, into ``region``;
+        their edges there from nodes not in ``normal`` are early only."""
+        for node, last in carried:
+            self.exits[last] = (targets, region)
+            if node not in normal:
+                self.early_only.update((node, t) for t in targets if t in self.succs[node])
 
     # -- lowering --
 
@@ -90,10 +110,13 @@ class _Builder:
                 frontier = self.lower_stmt(inner, frontier)
             return frontier
 
-        if isinstance(s, (A.LocalDecl, A.ExprStmt, A.Empty)):
+        if isinstance(s, (A.LocalDecl, A.ExprStmt, A.Empty, A.Return, A.Throw)):
             n = self.new_node("stmt", s)
             self.connect(preds, n)
             self.map_tree(s, n)
+            if isinstance(s, (A.Return, A.Throw)):
+                self.exit_carriers[-1].append((n, n))
+                return []
             return [n]
 
         if isinstance(s, A.If):
@@ -102,66 +125,42 @@ class _Builder:
             self.node_of[id(s)] = cond
             self.map_tree(s.cond, cond)
             then_f = self.lower_stmt(s.then, [cond])
-            if s.els is not None:
-                else_f = self.lower_stmt(s.els, [cond])
-            else:
-                else_f = [cond]
-            return then_f + else_f
+            return then_f + (self.lower_stmt(s.els, [cond]) if s.els is not None else [cond])
 
-        if isinstance(s, A.While):
+        if isinstance(s, (A.While, A.For, A.ForEach)):
+            is_for = isinstance(s, A.For)
+            if is_for and s.init is not None:
+                preds = self.lower_stmt(s.init, preds)
             head = self.new_node("loop", s)
             self.connect(preds, head)
             self.node_of[id(s)] = head
-            self.map_tree(s.cond, head)
+            cond = s.iterable if isinstance(s, A.ForEach) else s.cond
+            if cond is not None:
+                self.map_tree(cond, head)
             body_f = self.lower_stmt(s.body, [head])
-            self.connect(body_f, head)  # back edge
-            return [head]
-
-        if isinstance(s, A.For):
-            frontier = preds
-            if s.init is not None:
-                frontier = self.lower_stmt(s.init, frontier)
-            head = self.new_node("loop", s)
-            self.connect(frontier, head)
-            self.node_of[id(s)] = head
-            if s.cond is not None:
-                self.map_tree(s.cond, head)
-            body_f = self.lower_stmt(s.body, [head])
-            if s.update:
+            if is_for and s.update:
                 upd = self.new_node("update", s)
                 self.connect(body_f, upd)
                 for e in s.update:
                     self.map_tree(e, upd)
-                self.edge(upd, head)
-            else:
-                self.connect(body_f, head)
+                body_f = [upd]
+            self.connect(body_f, head)  # back edge
             # `for (;;)` never exits normally
-            return [head] if s.cond is not None else []
-
-        if isinstance(s, A.ForEach):
-            head = self.new_node("loop", s)
-            self.connect(preds, head)
-            self.node_of[id(s)] = head
-            self.map_tree(s.iterable, head)
-            body_f = self.lower_stmt(s.body, [head])
-            self.connect(body_f, head)
-            return [head]
-
-        if isinstance(s, (A.Return, A.Throw)):
-            n = self.new_node("stmt", s)
-            self.connect(preds, n)
-            self.map_tree(s, n)
-            self.exit_carriers[-1].append(n)
-            return []
+            return [head] if cond is not None else []
 
         if isinstance(s, A.Sync):
             enter = self.new_node("sync_enter", s)
             self.connect(preds, enter)
             self.node_of[id(s)] = enter
             self.map_tree(s.monitor, enter)
+            self.exit_carriers.append([])
             body_f = self.lower_stmt(s.body, [enter])
             leave = self.new_node("sync_exit", s)
             self.connect(body_f, leave)
+            # early exits leave through ``leave``; in ``succs`` they go on as they were
+            carried = self.exit_carriers.pop()
+            self.route(carried, [leave], body_f, (frozenset([leave]), range(leave.index, leave.index + 1)))
+            self.exit_carriers[-1] += [(node, leave) for node, _ in carried]
             return [leave]
 
         if isinstance(s, A.Try):
@@ -177,14 +176,20 @@ class _Builder:
             if not has_finally:
                 return frontiers
             carried = self.exit_carriers.pop()
-            fin_preds = frontiers + carried
+            fin_preds = frontiers + [node for node, _ in carried]
             if not fin_preds:
                 return []
+            first = len(self.nodes)
             fin_f = self.lower_stmt(s.finally_block, fin_preds)
             if carried:
-                # early exits continue past the finally toward the next
-                # enclosing finally or the method exit
-                self.exit_carriers[-1].extend(fin_f)
+                # early exits run the finally, then continue toward the next
+                # enclosing finally or the method exit; an empty one they pass
+                passing = [(f, f) for f in frontiers] + carried
+                if first < len(self.nodes):
+                    region = (frozenset(fin_f), range(first, len(self.nodes)))
+                    self.route(carried, self.nodes[first:first + 1], frontiers, region)
+                    passing = [(f, f) for f in fin_f]
+                self.exit_carriers[-1] += passing
             return fin_f if frontiers else []
 
         raise TypeError(f"unhandled statement {type(s).__name__}")
@@ -193,9 +198,10 @@ class _Builder:
         # the exit node exists even when every path loops forever
         exit_node = self.new_node("exit")
         self.connect(frontier, exit_node)
-        self.connect(self.exit_carriers[0], exit_node)
-        return Cfg(self.nodes, self.succs, self.preds,
-                   self.entry, exit_node, self.node_of)
+        self.connect([node for node, _ in self.exit_carriers[0]], exit_node)
+        self.route(self.exit_carriers[0], [exit_node], frontier, (frozenset(), range(0)))
+        return Cfg(self.nodes, self.succs, self.preds, self.entry, exit_node,
+                   self.node_of, self.exits, self.early_only)
 
 
 def build_cfg(m: A.MethodDecl) -> Cfg:
@@ -206,6 +212,33 @@ def build_cfg(m: A.MethodDecl) -> Cfg:
         for s in m.body.stmts:
             frontier = b.lower_stmt(s, frontier)
     return b.finish(frontier)
+
+
+def paths(cfg: Cfg) -> Iterator[list[CfgNode]]:
+    """The entry-to-exit paths of ``cfg`` that Java runs, depth first.
+
+    Each edge is taken at most once, so a loop body runs zero or one times.
+    A return or throw pushes a pending exit. In the region it enters, the path
+    goes on by normal edges inside the region and, from the region's last
+    nodes, where the exit goes on (``Cfg.exits``). Regions nest, so pending
+    exits form a stack. A path that cannot go on (``for (;;)``) ends there.
+    """
+    todo = [([cfg.entry], frozenset(), ())]
+    while todo:
+        path, used, pending = todo.pop()
+        n = path[-1]
+        moves = [(s, pending) for s in cfg.succs[n] if (n, s) not in cfg.early_only]
+        if isinstance(n.ast, (A.Return, A.Throw)):
+            targets, region = cfg.exits[n]
+            moves = [(t, pending + (region,)) for t in targets]
+        elif pending and n in pending[-1][0]:
+            targets, region = cfg.exits[n]
+            moves = [m for m in moves if m[0].index in pending[-1][1]] + [(t, pending[:-1] + (region,)) for t in targets]
+        moves = [m for m in moves if (n, m[0]) not in used]
+        if not moves:
+            yield path
+        for s, p in reversed(moves):
+            todo.append((path + [s], used | {(n, s)}, p))
 
 
 # --- dominance --------------------------------------------------------------

@@ -24,13 +24,17 @@ class SpanOutOfRange(ThreadlintError):
 class MalformedExecution(ThreadlintError):
     """A trace violates per-thread program order or monitor mutual exclusion."""
 
+    def __init__(self, message: str, action=None):
+        super().__init__(message)
+        self.action = action  # the action at fault, when there is one
+
 
 class BudgetExceeded(ThreadlintError):
-    """A program has more actions than the oracle's action budget."""
+    """A program has more actions than the oracle's action budget, or a method more paths than its path cap."""
 
 
 class UnsupportedForOracle(ThreadlintError):
-    """Class shape the trace oracle cannot model (e.g. branching method bodies)."""
+    """Class shape the trace oracle cannot model (e.g. a call that may run more than one overload)."""
 
 
 class ConfigError(ThreadlintError):

@@ -2,40 +2,33 @@
 
 The driver mirrors the external usage contract of a thread-safe class: a
 main thread initializes the object (one init action per field, in
-declaration order), then worker threads each call one public method. Method
-bodies must be straight-line (no branches or loops); same-class calls are
-inlined, and a call that may run more than one overload makes the class
-unsupported.
+declaration order), then worker threads each call one public method. A
+method runs as each path that :func:`threadlint.cfg.paths` walks; paths with
+the same actions count once, and more than ``PATH_CAP`` put the class over
+budget. A same-class call is inlined, each of the callee's action lists in
+turn; one that may run more than one overload makes the class unsupported.
 
-Binding comes from the class model, classification is the driver's own.
-What a name, a lock()/unlock() receiver or a call denotes is asked of the
-class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.denotes`,
-:meth:`ClassModel.callees`), and a synchronized block's monitor of
+What a name, a lock()/unlock() receiver, a call or a synchronized block's
+monitor denotes is asked of the class model (:meth:`ClassModel.field_of`,
+:meth:`ClassModel.denotes`, :meth:`ClassModel.callees`) and of
 :func:`threadlint.monitors.sync_monitor`, so the oracle and the static rules
 never disagree about scoping. Whether an access reads or writes, and in
-which order a statement's actions run, is decided here independently of the
+which order a node's actions run, is decided here independently of the
 static collector, so the oracle still catches a static classification miss.
 
-Statement-to-action mapping: every field read/write becomes a read/write
-action (volatile fields use the volatile variants), lock-field lock()/
-unlock() calls become monitor actions (namespaced ``lock:`` so an explicit
-Lock object never aliases the intrinsic monitor of a synchronized block on
-the same field), and synchronized methods and blocks wrap their bodies in
-monitor actions. Mutator calls and array-element writes (``a[i] = v``,
-``a[i] += v``, ``a[i]++``) count as writes of the field. Accesses to fields
-of allowlisted (thread-safe) types are trusted to synchronize internally and
-contribute no action, mirroring the static exemption. A write to another
-object's field (``peer.n = v``) reads ``peer`` before ``v``, as Java does, and
-a monitor or lock reference is read before it is locked or unlocked. A public
-method that, run on its own thread, unlocks a monitor it does not hold makes
-the class unsupported.
-
-One walk decides on names, field selections, assignments, ``++``/``--``,
-calls and synchronized blocks. It lowers the straight-line kinds ``Block``,
-``LocalDecl``, ``ExprStmt``, ``Return``, ``Empty``, ``New``, ``Index``,
-``Unary``, ``Binary``, ``Paren``, ``Literal``, ``This`` and ``ClassLit``
-through :func:`threadlint.frontend.ast.children`. Every other kind, a new
-one included, makes the class unsupported.
+Each node's expressions (``CfgNode.exprs``) are lowered in evaluation order:
+field reads and writes to read/write actions (volatile variants for volatile
+fields; mutator calls and array-element writes write the field; allowlisted
+fields add nothing), and lock-field lock()/unlock() calls, a synchronized
+block's entry and exit nodes, and a synchronized method around each path to
+monitor actions (``lock:``-namespaced for Lock objects, so they never alias
+a block's monitor on the same field). A write to another object's field
+reads the receiver before the value, and a monitor or lock reference is read
+before it is locked or unlocked. A public method that unlocks a monitor it
+does not hold makes the class unsupported. Names, field selections,
+assignments, ``++``/``--`` and calls are decided on here; ``_STRAIGHT_LINE``
+kinds are lowered through :func:`threadlint.frontend.ast.children`, and any
+other kind makes the class unsupported.
 """
 
 from __future__ import annotations
@@ -43,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from threadlint.cfg import build_cfg, paths
 from threadlint.classmodel import ClassModel, is_default_initialized
 from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedForOracle
 from threadlint.frontend import ast as A
@@ -62,10 +56,10 @@ from threadlint.monitors import (
 )
 
 ActionSpec = tuple[Op, Optional[str]]
+PATH_CAP = 32  # paths per method, each of its callees' action lists counted
 
 # kinds with no action of their own, lowered through ``A.children``
-_STRAIGHT_LINE = frozenset({A.Block, A.LocalDecl, A.ExprStmt, A.Return, A.Empty, A.New, A.Index, A.Unary,
-                            A.Binary, A.Paren, A.Literal, A.This, A.ClassLit})
+_STRAIGHT_LINE = frozenset({A.New, A.Index, A.Unary, A.Binary, A.Paren, A.Literal, A.This, A.ClassLit})
 
 
 @dataclass(frozen=True)
@@ -94,39 +88,58 @@ class _DriverBuilder:
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
 
-    # -- field classification --
+    # -- lowering: ``out`` holds the action lists of one path so far --
 
-    def _access(self, f: A.FieldDecl, write: bool, out: list[ActionSpec]) -> None:
+    def _emit(self, out: list[list[ActionSpec]], op: Op, target: str) -> None:
+        for actions in out:
+            actions.append((op, target))
+
+    def _access(self, f: A.FieldDecl, write: bool, out) -> None:
         """Append the read or write of ``f``; nothing for an allowlisted field."""
-        if self.cm.allowlist.contains(f):
-            return
-        if f.is_volatile:
-            out.append((Op.VOLATILE_WRITE if write else Op.VOLATILE_READ, f.name))
-        else:
-            out.append((Op.WRITE if write else Op.READ, f.name))
+        if not self.cm.allowlist.contains(f):
+            write_op, read_op = (Op.VOLATILE_WRITE, Op.VOLATILE_READ) if f.is_volatile else (Op.WRITE, Op.READ)
+            self._emit(out, write_op if write else read_op, f.name)
 
-    # -- lowering --
-
-    def method_actions(self, m: A.MethodDecl, stack: tuple[A.MethodDecl, ...] = ()) -> list[ActionSpec]:
-        """Actions of one call of ``m``; ``stack`` holds the inlining callers."""
+    def method_actions(self, m: A.MethodDecl, stack: tuple[A.MethodDecl, ...] = ()) -> list[tuple[ActionSpec, ...]]:
+        """The distinct action lists of one call of ``m``, in path order;
+        ``stack`` holds the inlining callers."""
         if m.body is None:
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: no body")
         if any(c is m for c in stack):
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: recursive call chain")
         stack += (m,)
-        actions: list[ActionSpec] = []
-        monitor = None
-        if m.is_synchronized:
-            monitor = f"Class<{self.decl.name}>" if m.is_static else "this"
-            actions.append((Op.LOCK, monitor))
-        self._lower(m.body, stack, actions)
-        if monitor is not None:
-            actions.append((Op.UNLOCK, monitor))
-        return actions
+        monitor = (f"Class<{self.decl.name}>" if m.is_static else "this") if m.is_synchronized else None
+        found: dict[tuple[ActionSpec, ...], None] = {}
+        walked = 0
+        for path in paths(build_cfg(m)):
+            out = [[(Op.LOCK, monitor)] if monitor else []]
+            for node in path:
+                self._lower_all(node.exprs, stack, out)
+                if node.kind in ("sync_enter", "sync_exit"):
+                    # a parameter or non-alias local guards nothing: no monitor actions
+                    sync = sync_monitor(node.ast.monitor, self.cm)
+                    if sync is not None:
+                        self._emit(out, Op.LOCK if node.kind == "sync_enter" else Op.UNLOCK, sync.identity)
+            if monitor:
+                self._emit(out, Op.UNLOCK, monitor)
+            walked += len(out)
+            self._check_cap(m, walked)
+            found.update(dict.fromkeys(map(tuple, out)))
+        return list(found)
 
-    def _lower(self, n: A.Node, stack: tuple[A.MethodDecl, ...], out: list[ActionSpec]) -> None:
-        """Append the field and monitor actions of ``n``, in evaluation order;
-        raise UnsupportedForOracle for a kind not decided on here."""
+    def _check_cap(self, m: A.MethodDecl, walked: int) -> None:
+        if walked > PATH_CAP:
+            raise BudgetExceeded(f"{self.decl.name}.{m.name} has more than {PATH_CAP} paths; "
+                                 f"the oracle walks at most {PATH_CAP}")
+
+    def _lower_all(self, exprs, stack, out) -> None:
+        for e in exprs:
+            self._lower(e, stack, out)
+
+    def _lower(self, n: A.Node, stack: tuple[A.MethodDecl, ...], out) -> None:
+        """Append the field and monitor actions of expression ``n``, in
+        evaluation order; raise UnsupportedForOracle for a kind not decided
+        on here."""
         t = type(n)
         if t is A.Name or t is A.FieldSel:
             f = self.cm.field_of(n)
@@ -140,24 +153,8 @@ class _DriverBuilder:
             self._write(n.operand, None, True, stack, out)
         elif t is A.Call:
             self._call_actions(n, stack, out)
-        elif t is A.Sync:
-            # the reference is read before it is locked; a parameter or
-            # non-alias local guards nothing: no monitor actions
-            self._lower(n.monitor, stack, out)
-            monitor = sync_monitor(n.monitor, self.cm)
-            if monitor is not None:
-                out.append((Op.LOCK, monitor.identity))
-            self._lower(n.body, stack, out)
-            if monitor is not None:
-                out.append((Op.UNLOCK, monitor.identity))
         elif t in _STRAIGHT_LINE:
-            for c in A.children(n):
-                self._lower(c, stack, out)
-        elif isinstance(n, A.Stmt):
-            raise UnsupportedForOracle(
-                f"{self.decl.name}: {t.__name__.lower()} statements are not oracle-supported "
-                "(straight-line bodies only)"
-            )
+            self._lower_all(A.children(n), stack, out)
         else:
             raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {t.__name__}")
 
@@ -176,8 +173,7 @@ class _DriverBuilder:
             self._lower(target, stack, out)  # a local reads nothing; another object's field reads its receiver
         elif compound and not indices:
             self._access(f, False, out)
-        for ix in reversed(indices):  # Java evaluates the leftmost index first
-            self._lower(ix, stack, out)
+        self._lower_all(reversed(indices), stack, out)  # Java evaluates the leftmost index first
         if value is not None:
             self._lower(value, stack, out)
         if f is not None:
@@ -190,9 +186,9 @@ class _DriverBuilder:
             raise UnsupportedForOracle(f"{self.decl.name}.{e.name}: {len(callees)} overloads of arity "
                                        f"{len(e.args)} match the call; not oracle-supported")
         if callees:
-            for a in e.args:
-                self._lower(a, stack, out)
-            out.extend(self.method_actions(callees[0], stack))
+            self._lower_all(e.args, stack, out)
+            out[:] = [actions + list(tail) for actions in out for tail in self.method_actions(callees[0], stack)]
+            self._check_cap(stack[-1], len(out))
             return
         if q is not None:
             # lock recognition wins over the allowlist: java.util.concurrent.locks
@@ -205,25 +201,20 @@ class _DriverBuilder:
                             f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
                         )
                     self._lower(q, stack, out)
-                    for a in e.args:
-                        self._lower(a, stack, out)
-                    op = Op.LOCK if e.name in self.lock_methods else Op.UNLOCK
-                    out.append((op, f"lock:this.{lf.name}"))
+                    self._lower_all(e.args, stack, out)
+                    self._emit(out, Op.LOCK if e.name in self.lock_methods else Op.UNLOCK, f"lock:this.{lf.name}")
                     return
             f = self.cm.field_of(q)
             if f is not None:
                 if e.name in self.cm.mutator_methods:
-                    for a in e.args:
-                        self._lower(a, stack, out)
+                    self._lower_all(e.args, stack, out)
                     self._access(f, True, out)
                 else:
                     self._access(f, False, out)
-                    for a in e.args:
-                        self._lower(a, stack, out)
+                    self._lower_all(e.args, stack, out)
                 return
             self._lower(q, stack, out)
-        for a in e.args:
-            self._lower(a, stack, out)
+        self._lower_all(e.args, stack, out)
 
     # -- init actions --
 
@@ -248,36 +239,41 @@ class _DriverBuilder:
 
 
 def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
-    """One driver per unordered pair (with repetition) of public methods:
-    main initializes, then each thread calls one method of the pair."""
+    """One driver per unordered pair (with repetition) of the distinct action
+    lists of the public methods: main initializes, then each thread runs one
+    list of the pair, named by the first method that has it."""
     b = _DriverBuilder(cm, **kw)
-    lowered = [(m.name, b.method_actions(m)) for m in cm.decl.methods if m.is_public]
-    for name, actions in lowered:
-        try:
-            ThreadProgram.build([actions])  # the method on its own thread
-        except MalformedExecution as exc:
-            raise UnsupportedForOracle(f"{cm.decl.name}.{name}: {exc}; not oracle-supported") from None
+    owner: dict[tuple[ActionSpec, ...], str] = {}
+    for m in cm.decl.methods:
+        if m.is_public:
+            for actions in b.method_actions(m):
+                owner.setdefault(actions, m.name)
+    lowered = list(owner.items())
     init = b.init_actions()
     out = []
-    for i, (name1, actions1) in enumerate(lowered):
-        for name2, actions2 in lowered[i:]:
-            out.append(ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}"))
+    for i, (actions1, name1) in enumerate(lowered):
+        for actions2, name2 in lowered[i:]:
+            try:
+                out.append(ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}"))
+            except MalformedExecution as exc:
+                # a list is first validated as thread 2 of a pair whose thread 1 passed
+                # (or is itself), and one thread fails only by unlocking what it does not hold
+                raise UnsupportedForOracle(f"{cm.decl.name}.{name2} unlocks {exc.action.target!r} "
+                                           "without holding it; not oracle-supported") from None
     return out
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:
     """Exhaustive race check over every two-thread driver of the class."""
-    try:
-        drivers = two_thread_drivers(cm, **kw)
-    except UnsupportedForOracle as exc:
-        return OracleVerdict(cm.class_id, False, None, 0, "unsupported", str(exc))
     checked = 0
     try:
-        for d in drivers:
+        for d in two_thread_drivers(cm, **kw):
             report = program_races(d, action_budget=action_budget)
             checked += 1
             if report.raced:
                 return OracleVerdict(cm.class_id, True, report, checked, "checked")
-    except BudgetExceeded as exc:
+    except UnsupportedForOracle as exc:
+        return OracleVerdict(cm.class_id, False, None, 0, "unsupported", str(exc))
+    except BudgetExceeded as exc:  # over the path cap (no driver checked) or the action budget
         return OracleVerdict(cm.class_id, False, None, checked, "budget-exceeded", str(exc))
     return OracleVerdict(cm.class_id, False, None, checked, "checked")

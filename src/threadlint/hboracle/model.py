@@ -180,7 +180,7 @@ class Execution:
                 owner = held[a.target][0]
                 raise MalformedExecution(f"thread {a.thread} locks {a.target!r} while thread {owner} holds it")
             if a.op is Op.UNLOCK and not _release(held, a.target, a.thread):
-                raise MalformedExecution(f"thread {a.thread} unlocks {a.target!r} without holding it")
+                raise MalformedExecution(f"thread {a.thread} unlocks {a.target!r} without holding it", a)
 
 
 @dataclass(frozen=True)

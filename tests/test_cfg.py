@@ -1,14 +1,18 @@
 """CFG lowering and dominance, checked against brute-force path enumeration."""
 
+import itertools
+import os
 import random
 
 from conftest import parse_corpus
+from paths_reference import method_runs
 
 from threadlint.cfg import (
     DomInfo,
     build_cfg,
     dominance,
     dominates,
+    paths,
     post_dominates,
 )
 from threadlint.frontend import parse_source
@@ -226,9 +230,7 @@ def test_entry_dominates_every_reachable_node():
         assert post_dominates(dom, cfg.exit, n)
 
 
-def test_try_finally_routes_early_return_through_finally():
-    cfg, dom = method_cfg(
-        """class C {
+SWAP = """class C {
   int v; Object lock;
   public int swap(int nxt) {
     lock.lock();
@@ -241,7 +243,10 @@ def test_try_finally_routes_early_return_through_finally():
     }
   }
 }"""
-    )
+
+
+def test_try_finally_routes_early_return_through_finally():
+    cfg, dom = method_cfg(SWAP)
     ret = next(n for n in cfg.nodes if n.kind == "stmt" and "return old" in _src_of(n))
     fin = next(n for n in cfg.nodes if n.kind == "stmt" and "unlock" in _src_of(n))
     write = next(n for n in cfg.nodes if n.kind == "stmt" and "v = nxt" in _src_of(n))
@@ -328,3 +333,72 @@ def test_corpus_methods_build_and_exit_reachable(corpus_names):
                 assert dominates(dom, cfg.entry, cfg.exit)
                 assert post_dominates(dom, cfg.exit, cfg.entry)
                 check_against_brute_force(cfg.succs, cfg.entry, cfg.exit)
+
+
+# --- paths Java runs, checked against a structural walk of the AST ---
+
+# early exits through nested regions: a return inside a finally, a finally
+# that branches or loops, a synchronized block inside a try and around one,
+# an empty finally (one with a synchronized block inside), a catch after a try/finally, and loops of each kind
+EXITS = """class Q {
+  int x; Object m; int[] a;
+  public int inFinally(boolean d) {
+    try { return 1; } finally { try { if (d) { return 2; } x = 1; } finally { x = 2; } x = 3; }
+  }
+  public void branchyFinally(boolean c) {
+    try { if (c) { return; } x = 1; } finally { if (x > 0) { x = 2; } while (c) { x = 3; } }
+    x = 4;
+  }
+  public int syncInTry() {
+    try { synchronized (m) { if (x > 0) { return x; } x = 1; } x = 2; } finally { x = 3; }
+    return 0;
+  }
+  public void tryInSync() {
+    synchronized (m) { try { if (x > 0) { throw new RuntimeException(); } } finally { x = 1; } x = 2; }
+  }
+  public void emptyFinally(boolean c) { try { if (c) { return; } x = 1; } finally { } x = 2; }
+  public void syncEmptyFinally() { try { synchronized (m) { if (x > 0) { return; } } } finally { } x = 1; }
+  public void caught() {
+    try { try { if (x > 0) { return; } } finally { x = 1; } } catch (RuntimeException e) { x = 2; } finally { x = 3; }
+  }
+  public void loops(int n) {
+    for (int i = 0; i < n; i++) { if (i > 2) { return; } x = i; }
+    while (x > 0) { synchronized (m) { x = x - 1; } }
+    for (int v : a) { x = v; }
+    for (;;) { x = 1; if (x > 2) { stop(); return; } }
+  }
+  void stop() { }
+}"""
+
+
+def _walked(m, limit):
+    """Up to ``limit`` paths of the method as cfg.paths gives them, in method_runs's form."""
+    cfg = build_cfg(m)
+    return [(tuple((n.kind, id(n.ast)) for n in p if n.kind not in ("entry", "exit")), p[-1] is cfg.exit)
+            for p in itertools.islice(paths(cfg), limit)]
+
+
+def _methods():
+    sources = [ABRUPT, SWAP, EXITS]
+    for d in ("corpus", "oracle_probes"):
+        folder = os.path.join(os.path.dirname(os.path.abspath(__file__)), d)
+        for name in sorted(os.listdir(folder)):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    for src in sources:
+        for decl in parse_source(src).classes:
+            yield from ((decl, m) for m in decl.methods)
+
+
+def test_paths_match_the_structural_walk():
+    checked, too_many = 0, []
+    for decl, m in _methods():
+        walked = _walked(m, 257)
+        if len(walked) > 256:  # the reference enumerates them all
+            too_many.append(f"{decl.name}.{m.name}")
+            continue
+        assert len(set(walked)) == len(walked), m.name
+        assert set(walked) == method_runs(m), m.name
+        checked += 1
+    assert checked >= 40
+    assert too_many == ["ManyIfs.set"]  # 2^20 paths

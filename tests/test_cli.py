@@ -258,9 +258,9 @@ def test_binding_probes_static_run_and_oracle_agree(tmp_path, name):
     assert run([str(path)], build_config(None))[1] == (EXIT_ALERTS if alerts else EXIT_CLEAN)
 
 
-# Probes the oracle cannot lower (it takes no loops and no try), checked by
-# the static run alone: a for-each or catch variable is never an alias of a
-# field, even where an earlier block declares a same-name alias.
+# A for-each or catch variable is never an alias of a field, even where an
+# earlier block declares a same-name alias; the oracle, which walks the loop
+# and the catch handler, confirms each race.
 STATIC_BINDING_PROBES = {
     "FE": "import java.util.List; import java.util.concurrent.locks.Lock; "
           "@ThreadSafe class FE { private final Lock lockA = null; private final List<Lock> locks = null; "
@@ -290,6 +290,8 @@ def test_foreach_and_catch_variables_guard_nothing(tmp_path, name):
     assert {(a.rule, a.field) for a in report.alerts} == {("P3", "x")}
     # the unguarded write is the one in a(), under the loop's or the catch's variable
     assert src.index("x = x + 1") + 1 in {a.primary.start_col for a in report.alerts}
+    [result] = oracle_check([str(path)], build_config(None))[0].oracle
+    assert (result.status, result.raced, result.agreement) == ("checked", True, "ok")
 
 
 # Calls the oracle does not inline: name -> (class source, reason in the detail)
@@ -378,8 +380,12 @@ def test_parse_errors_match_golden_bytes(monkeypatch, capsysbinary):
 
 def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     """tests/oracle_probes: the oracle reads a monitor or lock reference
-    before it locks (``Mon`` and ``LockRef`` race on it), and a method that
-    unlocks a lock it does not hold makes its class unsupported, exit 0."""
+    before it locks (``Mon`` and ``LockRef`` race on it), a method that
+    unlocks a lock it does not hold makes its class unsupported, and the
+    oracle walks branches, loops and early exits through ``finally``
+    (``ReturnInTry``, ``ThrowInTry`` and ``NestedFinally`` are race-free,
+    ``BranchLock`` and ``LoopWrite`` race, ``ManyIfs`` is over the path
+    cap), exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])

@@ -186,14 +186,14 @@ def test_each_public_method_is_lowered_once(monkeypatch):
     monkeypatch.setattr(driver._DriverBuilder, "method_actions", counted)
     drivers = two_thread_drivers(cm)
     assert top_level == ["a", "b", "c"]
-    # each program is the one built from its own pair of methods
+    # each program is the one built from its own pair of methods, whose
+    # straight-line bodies have one action list each
     pairs = [(m1, m2) for i, m1 in enumerate(public) for m2 in public[i:]]
     assert len(drivers) == len(pairs) == 6
     for d, (m1, m2) in zip(drivers, pairs):
         b = driver._DriverBuilder(cm)
-        assert d == ThreadProgram.build(
-            [b.method_actions(m1), b.method_actions(m2)], b.init_actions(), f"Low:{m1.name}|{m2.name}"
-        )
+        [actions1], [actions2] = b.method_actions(m1), b.method_actions(m2)
+        assert d == ThreadProgram.build([actions1, actions2], b.init_actions(), f"Low:{m1.name}|{m2.name}")
 
 
 QUIET = """@ThreadSafe class Quiet {
@@ -208,8 +208,8 @@ def test_lowering_emits_only_field_and_monitor_actions():
     b = driver._DriverBuilder(cm)
     ma, mb = cm.decl.methods
     # locals, unresolved calls and an allowlisted field add nothing
-    assert b.method_actions(ma) == []
-    assert b.method_actions(mb) == [(R, "x"), (W, "x")]
+    assert b.method_actions(ma) == [()]
+    assert b.method_actions(mb) == [((R, "x"), (W, "x"))]
     for d in two_thread_drivers(cm) + two_thread_drivers(model_from_source(LOWERED)):
         assert all(a.op is not LOC for t in d.threads for a in t)
 
@@ -245,7 +245,7 @@ def test_a_write_to_another_objects_field_reads_the_receiver():
 def test_a_write_evaluates_its_target_in_javas_order(write, actions):
     cm = model_from_source("@ThreadSafe class Ord { private int n; private Ord peer = null; "
                            f"private int[][] arr = null; public void a() {{ {write} }} }}")
-    assert driver._DriverBuilder(cm).method_actions(cm.decl.methods[0]) == actions
+    assert driver._DriverBuilder(cm).method_actions(cm.decl.methods[0]) == [tuple(actions)]
 
 
 @pytest.mark.parametrize("body,actions", [
@@ -258,7 +258,7 @@ def test_a_monitor_reference_is_read_before_it_is_locked(body, actions):
                            "private final java.util.concurrent.locks.ReentrantLock k = null; private int x; "
                            f"public void a() {{ {body} }} }}")
     b = driver._DriverBuilder(cm, lock_types=("MyLock", "ReentrantLock"))
-    assert b.method_actions(cm.decl.methods[0]) == actions
+    assert b.method_actions(cm.decl.methods[0]) == [tuple(actions)]
 
 
 @pytest.mark.parametrize("methods,name", [
@@ -272,7 +272,7 @@ def test_a_method_that_unlocks_a_lock_it_does_not_hold_is_unsupported(methods, n
         two_thread_drivers(cm)
     verdict = check_class(cm)
     assert verdict.status == "unsupported"
-    assert verdict.detail == f"Bal.{name}: thread 1 unlocks 'lock:this.l' without holding it; not oracle-supported"
+    assert verdict.detail == f"Bal.{name} unlocks 'lock:this.l' without holding it; not oracle-supported"
 
 
 CHAIN = """@ThreadSafe class Chain { private final Object mu = new Object(); private int x;
@@ -301,14 +301,34 @@ def test_a_kind_the_driver_does_not_list_makes_the_class_unsupported(monkeypatch
     assert (verdict.status, verdict.detail) == ("unsupported", "G: unsupported expression Opaque")
 
 
-def test_an_if_in_a_callees_synchronized_block_is_unsupported():
+def test_an_if_in_a_callees_synchronized_block_is_checked():
     cm = model_from_source("""@ThreadSafe class Nested { private int x;
   private void reset() { synchronized (this) { if (x > 0) { x = 0; } } }
   public void a() { reset(); }
 }""")
+    # the caller takes both of the callee's paths
+    assert driver._DriverBuilder(cm).method_actions(cm.decl.methods[1]) == [
+        ((L, "this"), (R, "x"), (W, "x"), (U, "this")), ((L, "this"), (R, "x"), (U, "this"))]
+    verdict = check_class(cm)
+    assert (verdict.status, verdict.raced, verdict.drivers_checked) == ("checked", False, 3)
+
+
+def test_a_method_over_the_path_cap_stops_at_the_cap(monkeypatch):
+    ifs = " ".join(f"if (n > {i}) {{ x = {i}; }}" for i in range(20))
+    cm = model_from_source(f"@ThreadSafe class Many {{ private int x; public void set(int n) {{ {ifs} }} }}")
+    pulled = []
+
+    def counted(cfg):
+        for p in walk(cfg):
+            pulled.append(p)
+            yield p
+
+    walk = driver.paths
+    monkeypatch.setattr(driver, "paths", counted)
     verdict = check_class(cm)
     assert (verdict.status, verdict.detail) == (
-        "unsupported", "Nested: if statements are not oracle-supported (straight-line bodies only)")
+        "budget-exceeded", f"Many.set has more than {driver.PATH_CAP} paths; the oracle walks at most {driver.PATH_CAP}")
+    assert len(pulled) == driver.PATH_CAP + 1  # of 2^20
 
 
 MALFORMED = {
