@@ -32,7 +32,10 @@ Nesting is capped at ``MAX_NESTING`` levels, counting classes, statements,
 nested expressions, and each further operand of an operator, assignment or
 selector chain (``a + b + c`` and ``a.b.c`` grow the tree one level per
 operand). Deeper input raises a ParseError instead of exhausting Python's
-recursion limit here or in the tree walks of the later phases.
+recursion limit here or in the tree walks of the later phases. A finally
+block is lowered once per way out (see ``threadlint.cfg``), so the copies
+double with each finally block around it; finally blocks are capped at
+``MAX_FINALLY_NESTING`` levels.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ _BINARY_LEVELS: list[tuple[str, ...]] = [
 _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 MAX_NESTING = 100
+MAX_FINALLY_NESTING = 8
 
 
 _UNSUPPORTED_STMT_KEYWORDS = {
@@ -129,6 +133,7 @@ class _Parser:
         self.path = src.path
         self.pos = 0
         self.depth = 0  # current nesting, see MAX_NESTING
+        self.finally_depth = 0  # finally blocks around the current token, see MAX_FINALLY_NESTING
         # simple-name -> qualified-name map built from exact imports
         self.import_map: dict[str, str] = {}
         self.wildcard_packages: list[str] = []
@@ -655,8 +660,13 @@ class _Parser:
             c_body = self.parse_block()
             catches.append(A.Catch(c_type, c_var.text, c_body, self.span_from(c_start)))
         finally_block = None
-        if self.accept("finally"):
+        if self.at("finally"):
+            if self.finally_depth >= MAX_FINALLY_NESTING:
+                raise self.error(f"finally blocks nested deeper than {MAX_FINALLY_NESTING} levels are not supported")
+            self.pos += 1
+            self.finally_depth += 1
             finally_block = self.parse_block()
+            self.finally_depth -= 1
         if not catches and finally_block is None:
             raise ParseError(start.line, start.col, "try requires at least one catch or finally")
         return A.Try(self.span_from(start), body, catches, finally_block)

@@ -87,6 +87,9 @@ class _DriverBuilder:
         self.lock_field_ids = {id(f) for f in lock_fields(cm, lock_types)}
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
+        # id(method) -> its action lists; a method that completed closes no cycle,
+        # so its lists hold under any caller
+        self._actions: dict[int, list[tuple[ActionSpec, ...]]] = {}
 
     # -- lowering: ``out`` holds the action lists of one path so far --
 
@@ -103,6 +106,9 @@ class _DriverBuilder:
     def method_actions(self, m: A.MethodDecl, stack: tuple[A.MethodDecl, ...] = ()) -> list[tuple[ActionSpec, ...]]:
         """The distinct action lists of one call of ``m``, in path order;
         ``stack`` holds the inlining callers."""
+        got = self._actions.get(id(m))
+        if got is not None:
+            return got
         if m.body is None:
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: no body")
         if any(c is m for c in stack):
@@ -125,7 +131,8 @@ class _DriverBuilder:
             walked += len(out)
             self._check_cap(m, walked)
             found.update(dict.fromkeys(map(tuple, out)))
-        return list(found)
+        got = self._actions[id(m)] = list(found)
+        return got
 
     def _check_cap(self, m: A.MethodDecl, walked: int) -> None:
         if walked > PATH_CAP:

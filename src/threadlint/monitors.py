@@ -5,7 +5,11 @@ An access is protected by an explicit lock field when some lock()/unlock()
 call pair on that field satisfies the dominance conditions: the lock call
 dominates both the unlock call and the access, and the unlock call
 post-dominates the access; such a window reports the monitor
-``Monitor(LOCK_FIELD, "<class_id>.<field>")``. Protection by the
+``Monitor(LOCK_FIELD, "<class_id>.<field>")``. A call or access inside a
+``finally`` block has one CFG node per copy of the block, so the conditions
+are asked of node sets: every path to each node of the unlock call or the
+access passes some node of the lock call, and every path from each node of
+the access to the exit passes some node of the unlock call. Protection by the
 synchronized keyword (methods, static methods, blocks) is recognized
 syntactically and reports every other monitor kind.
 
@@ -74,8 +78,8 @@ class Monitor:
 class LockWindow:
     """A lock()/unlock() pair where the lock call dominates the unlock call."""
 
-    lock_node: CfgNode
-    unlock_node: CfgNode
+    lock_nodes: frozenset[CfgNode]
+    unlock_nodes: frozenset[CfgNode]
     field: A.FieldDecl
 
 
@@ -177,10 +181,12 @@ class MonitorAnalysis:
             return windows
         cfg, dom = self.cfg_for(m)
         for f in paired:
-            for lc in map(cfg.node_for, locks[id(f)]):
-                for uc in map(cfg.node_for, unlocks[id(f)]):
-                    if dominates(dom, lc, uc):
-                        windows.append(LockWindow(lc, uc, f))
+            for lc in locks[id(f)]:
+                lock_nodes = frozenset(cfg.nodes_for(lc))
+                for uc in unlocks[id(f)]:
+                    unlock_nodes = frozenset(cfg.nodes_for(uc))
+                    if unlock_nodes and dominates(dom, lock_nodes, unlock_nodes):
+                        windows.append(LockWindow(lock_nodes, unlock_nodes, f))
         return windows
 
     def _held_syncs(self, m: A.MethodDecl) -> list[tuple[A.SourceSpan, Monitor]]:
@@ -209,10 +215,10 @@ class MonitorAnalysis:
         windows = self.windows_for(m)
         if windows:
             cfg, dom = self.cfg_for(m)
-            node = cfg.node_for(expr)
-            if node is not None:
+            nodes = cfg.nodes_for(expr)
+            if nodes:
                 for w in windows:
-                    if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
+                    if dominates(dom, w.lock_nodes, nodes) and post_dominates(dom, w.unlock_nodes, nodes):
                         out.add(self._lock_field_monitor(w.field))
         return frozenset(out)
 

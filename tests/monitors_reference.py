@@ -56,18 +56,18 @@ def lock_windows(cm, m, cfg, dom, lock_types, lock_methods, unlock_methods) -> l
             continue
         if e.name not in lock_methods and e.name not in unlock_methods:
             continue
-        node = cfg.node_for(e)
-        if node is None:
+        nodes = frozenset(cfg.nodes_for(e))
+        if not nodes:
             continue
         for f in fields:
             if cm.denotes(e.qualifier) is f:
                 bucket = locks if e.name in lock_methods else unlocks
-                bucket.setdefault(id(f), []).append(node)
+                bucket.setdefault(id(f), []).append(nodes)
     windows = []
     for f in fields:
         for lc in locks.get(id(f), ()):
             for uc in unlocks.get(id(f), ()):
-                if dominates(dom, lc, uc):
+                if all(dominates(dom, lc, [u]) for u in uc):
                     windows.append(LockWindow(lc, uc, f))
     return windows
 
@@ -99,10 +99,10 @@ class EagerMonitors:
             else:
                 out.add(Monitor(MonitorKind.THIS, "this"))
         out.update(held.get(id(expr), ()))
-        node = cfg.node_for(expr)
-        if node is not None:
+        nodes = cfg.nodes_for(expr)
+        if nodes:
             owner = self.cm.decl.qualified_name or self.cm.decl.name
             for w in windows:
-                if dominates(dom, w.lock_node, node) and post_dominates(dom, w.unlock_node, node):
+                if all(dominates(dom, w.lock_nodes, [n]) and post_dominates(dom, w.unlock_nodes, [n]) for n in nodes):
                     out.add(Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
         return frozenset(out)

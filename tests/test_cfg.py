@@ -95,8 +95,8 @@ def check_against_brute_force(succs, entry, exit_node):
     pdom = brute_dominance(preds, exit_node, nodes)
     for a in nodes:
         for b in nodes:
-            assert dominates(info, a, b) == ((a, b) in dom), (succs, a, b)
-            assert post_dominates(info, a, b) == ((a, b) in pdom), (succs, a, b)
+            assert dominates(info, frozenset({a}), [b]) == ((a, b) in dom), (succs, a, b)
+            assert post_dominates(info, frozenset({a}), [b]) == ((a, b) in pdom), (succs, a, b)
     return {b for b in nodes if (entry, b) not in dom}, {b for b in nodes if (exit_node, b) not in pdom}
 
 
@@ -114,6 +114,26 @@ def test_dominance_matches_brute_force_small_sample():
     assert unreachable and dead_ends  # the sample does hold both kinds
 
 
+def test_set_dominance_matches_brute_force():
+    """A set dominates ``b`` when some path reaches ``b`` and every one
+    passes some node of the set; post-dominance likewise toward the exit."""
+    rng = random.Random(1709)
+    sizes = set()
+    for _ in range(40):
+        n = rng.randrange(3, 11)
+        succs = random_graph(rng, n) if rng.random() < 0.5 else random_digraph(rng, n)
+        preds = reverse_graph(succs, range(n))
+        info = DomInfo(0, n - 1, succs, preds)
+        for _ in range(5):
+            a = frozenset(rng.sample(range(n), rng.randrange(0, 4)))
+            sizes.add(len(a))
+            for b in range(n):
+                for root, edges, asked in ((0, succs, dominates), (n - 1, preds, post_dominates)):
+                    runs = all_simple_paths(edges, root, b)
+                    assert asked(info, a, [b]) == (bool(runs) and all(a & set(p) for p in runs)), (succs, a, b)
+    assert sizes == {0, 1, 2, 3}
+
+
 def test_duality_dominators_of_reverse_equal_postdominators():
     rng = random.Random(7)
     for _ in range(30):
@@ -124,7 +144,7 @@ def test_duality_dominators_of_reverse_equal_postdominators():
         flipped = DomInfo(n - 1, 0, preds, succs)
         for a in range(n):
             for b in range(n):
-                assert post_dominates(info, a, b) == dominates(flipped, a, b)
+                assert post_dominates(info, frozenset({a}), [b]) == dominates(flipped, frozenset({a}), [b])
 
 
 ABRUPT = """class P {
@@ -189,8 +209,8 @@ def test_straight_line_chain():
         assert cfg.succs[a] == [b]
     for i, a in enumerate(chain):
         for b in chain[i:]:
-            assert dominates(dom, a, b)
-            assert post_dominates(dom, b, a)
+            assert dominates(dom, frozenset({a}), [b])
+            assert post_dominates(dom, frozenset({b}), [a])
 
 
 def test_diamond_dominance():
@@ -207,11 +227,11 @@ def test_diamond_dominance():
     then_n = next(n for n in cfg.nodes if n.kind == "stmt" and "a = 1" in _src_of(n))
     else_n = next(n for n in cfg.nodes if n.kind == "stmt" and "b = 2" in _src_of(n))
     join = next(n for n in cfg.nodes if n.kind == "stmt" and "c = 3" in _src_of(n))
-    assert dominates(dom, cond, join)
-    assert not dominates(dom, then_n, join)
-    assert not dominates(dom, else_n, join)
-    assert post_dominates(dom, join, cond)
-    assert not post_dominates(dom, then_n, cond)
+    assert dominates(dom, frozenset({cond}), [join])
+    assert not dominates(dom, frozenset({then_n}), [join])
+    assert not dominates(dom, frozenset({else_n}), [join])
+    assert post_dominates(dom, frozenset({join}), [cond])
+    assert not post_dominates(dom, frozenset({then_n}), [cond])
 
 
 def _src_of(node):
@@ -225,9 +245,9 @@ def test_entry_dominates_every_reachable_node():
         "class C { int x; public void f(boolean c) { if (c) { x = 1; } x = 2; } }"
     )
     for n in cfg.nodes:
-        assert dominates(dom, cfg.entry, n)
-        assert dominates(dom, n, n)  # reflexive
-        assert post_dominates(dom, cfg.exit, n)
+        assert dominates(dom, frozenset({cfg.entry}), [n])
+        assert dominates(dom, frozenset({n}), [n])  # reflexive
+        assert post_dominates(dom, frozenset({cfg.exit}), [n])
 
 
 SWAP = """class C {
@@ -251,10 +271,28 @@ def test_try_finally_routes_early_return_through_finally():
     fin = next(n for n in cfg.nodes if n.kind == "stmt" and "unlock" in _src_of(n))
     write = next(n for n in cfg.nodes if n.kind == "stmt" and "v = nxt" in _src_of(n))
     assert cfg.succs[ret] == [fin]
-    assert post_dominates(dom, fin, ret)
-    assert post_dominates(dom, fin, write)
+    assert post_dominates(dom, frozenset({fin}), [ret])
+    assert post_dominates(dom, frozenset({fin}), [write])
     lock_call = next(n for n in cfg.nodes if n.kind == "stmt" and "lock.lock" in _src_of(n))
-    assert dominates(dom, lock_call, write)
+    assert dominates(dom, frozenset({lock_call}), [write])
+
+
+def test_a_lock_in_a_try_dominates_what_only_normal_completion_reaches():
+    """ReturnInTry: the early return leaves through its own copy of the
+    finally block and never reaches ``count = 1``, so ``next.lock()``
+    dominates it."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_probes", "ReturnInTry.java")
+    with open(path, encoding="utf-8") as fh:
+        m = parse_source(fh.read()).classes[0].methods[0]
+    cfg = build_cfg(m)
+    dom = dominance(cfg)
+    next_lock = m.body.stmts[1].body.stmts[1].expr
+    count = m.body.stmts[2].expr
+    [lock_node] = cfg.nodes_for(next_lock)
+    [count_node] = cfg.nodes_for(count)
+    assert dominates(dom, frozenset({lock_node}), [count_node])
+    # the finally block is lowered once for each way out of the try
+    assert len(cfg.nodes_for(m.body.stmts[1].finally_block.stmts[0].expr)) == 2
 
 
 def test_loop_body_does_not_dominate_after_loop():
@@ -275,9 +313,9 @@ def test_loop_body_does_not_dominate_after_loop():
     )
     lock_call = next(n for n in cfg.nodes if n.kind == "stmt" and "l.lock" in _src_of(n))
     after = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 0" in _src_of(n))
-    assert not dominates(dom, lock_call, after)
+    assert not dominates(dom, frozenset({lock_call}), [after])
     head = next(n for n in cfg.nodes if n.kind == "loop")
-    assert dominates(dom, head, after)
+    assert dominates(dom, frozenset({head}), [after])
 
 
 def test_synchronized_block_single_entry_exit():
@@ -296,11 +334,11 @@ def test_synchronized_block_single_entry_exit():
     leave = next(n for n in cfg.nodes if n.kind == "sync_exit")
     for n in cfg.nodes:
         if n.kind in ("stmt", "cond") and n is not enter:
-            if dominates(dom, enter, n) and post_dominates(dom, leave, n):
+            if dominates(dom, frozenset({enter}), [n]) and post_dominates(dom, frozenset({leave}), [n]):
                 continue
     writes = [n for n in cfg.nodes if n.kind == "stmt" and "x = 1" in _src_of(n)]
-    assert writes and dominates(dom, enter, writes[0])
-    assert post_dominates(dom, leave, writes[0])
+    assert writes and dominates(dom, frozenset({enter}), [writes[0]])
+    assert post_dominates(dom, frozenset({leave}), [writes[0]])
 
 
 def test_unreachable_nodes_are_not_dominated():
@@ -308,8 +346,8 @@ def test_unreachable_nodes_are_not_dominated():
         "class C { int x; public int f() { return 1; x = 2; } }"
     )
     dead = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 2" in _src_of(n))
-    assert not dominates(dom, cfg.entry, dead)
-    assert not dominates(dom, dead, cfg.exit)
+    assert not dominates(dom, frozenset({cfg.entry}), [dead])
+    assert not dominates(dom, frozenset({dead}), [cfg.exit])
 
 
 def test_expressions_map_to_their_statement_node():
@@ -319,8 +357,9 @@ def test_expressions_map_to_their_statement_node():
     m = ast.classes[0].methods[0]
     cfg = build_cfg(m)
     stmt = m.body.stmts[1]
-    assert cfg.node_for(stmt.expr) is cfg.node_for(stmt)
-    assert cfg.node_for(stmt.expr.target) is cfg.node_for(stmt)
+    [node] = [n for n in cfg.nodes if n.ast is stmt]
+    assert cfg.nodes_for(stmt.expr) == [node]
+    assert cfg.nodes_for(stmt.expr.target) == [node]
 
 
 def test_corpus_methods_build_and_exit_reachable(corpus_names):
@@ -330,8 +369,8 @@ def test_corpus_methods_build_and_exit_reachable(corpus_names):
             for m in c.methods + c.constructors:
                 cfg = build_cfg(m)
                 dom = dominance(cfg)
-                assert dominates(dom, cfg.entry, cfg.exit)
-                assert post_dominates(dom, cfg.exit, cfg.entry)
+                assert dominates(dom, frozenset({cfg.entry}), [cfg.exit])
+                assert post_dominates(dom, frozenset({cfg.exit}), [cfg.entry])
                 check_against_brute_force(cfg.succs, cfg.entry, cfg.exit)
 
 

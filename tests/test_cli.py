@@ -101,12 +101,13 @@ DEEP = {
 }
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
     env.pop("THREADLINT_CONFIG", None)
     return subprocess.run(
         [sys.executable, "-m", "threadlint.cli", *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -118,6 +119,33 @@ def test_deep_nesting_exits_2_without_traceback(tmp_path, name):
     assert proc.returncode == EXIT_ERROR
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith(f"{path}:4:") and "nesting deeper than 100 levels" in proc.stdout
+
+
+def finally_chain(depth):
+    """A class whose method nests ``depth`` try statements, each in the
+    finally block of the one before, each with a return; the innermost
+    finally block unlocks what the method locked first."""
+    body = "l.unlock();"
+    for j in range(depth, 0, -1):
+        body = f"try {{ if (c) {{ return {j}; }} x = {j}; }} finally {{ {body} }}"
+    return ("@ThreadSafe\nclass Chain {\n  private int x;\n  private final Lock l = new ReentrantLock();\n"
+            f"  public int f(boolean c) {{\n    l.lock();\n    {body}\n    return 0;\n  }}\n}}\n")
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["static", "oracle"])
+def test_finally_blocks_nested_past_the_limit_exit_2(tmp_path, oracle):
+    """Each finally block is lowered once per way out, so the copies double
+    with each finally block around it: 8 levels are checked, 9 are a parse
+    error of the file."""
+    checked = tmp_path / "Checked.java"
+    checked.write_text(finally_chain(8))
+    proc = run_cli([*oracle, str(checked)], timeout=60)
+    assert proc.returncode == EXIT_CLEAN and proc.stderr == ""
+    deep = tmp_path / "Deep.java"
+    deep.write_text(finally_chain(9))
+    proc = run_cli([*oracle, str(deep)], timeout=60)
+    assert proc.returncode == EXIT_ERROR and "Traceback" not in proc.stderr
+    assert proc.stdout.startswith(f"{deep}:7:") and "finally blocks nested deeper than 8 levels" in proc.stdout
 
 
 CLEAN = "@ThreadSafe\nclass Clean {\n  private int n;\n  public synchronized void inc() { n = n + 1; }\n}\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadlint import monitors as monitors_module
+from threadlint.cfg import dominates
 from threadlint.classmodel import build_class_model, exposed_accesses
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
@@ -248,6 +249,67 @@ class M {
     )
     f = _method(cm, "f")
     assert not locked_on(cm, f, f.body.stmts[1].expr, "l")
+
+
+def test_an_unlock_in_a_finally_protects_through_every_copy():
+    """The read in the ``if`` reaches the exit through the early return's
+    copy of the finally block, the write through the normal copy: the
+    unlock post-dominates both only as the set of its copies."""
+    cm = model_from_source(
+        """@ThreadSafe
+class Early {
+  private int x = 0;
+  private final Lock l = null;
+  public void set() {
+    l.lock();
+    try {
+      if (x > 0) { return; }
+      x = 1;
+    } finally {
+      l.unlock();
+    }
+  }
+}
+"""
+    )
+    m = _method(cm, "set")
+    [window] = analysis(cm).windows_for(m)
+    assert len(window.unlock_nodes) == 2
+    guarded = m.body.stmts[1].body.stmts
+    assert locked_on(cm, m, guarded[0].cond, "l") and locked_on(cm, m, guarded[1].expr, "l")
+    assert analyze_class(cm) == []
+
+
+def test_an_access_in_a_finally_is_unprotected_when_one_copy_is():
+    """Only the normal copy of ``x = 1`` runs after ``l.lock()``; the early
+    return's copy runs without it."""
+    cm = model_from_source(
+        """@ThreadSafe
+class Half {
+  private int x = 0;
+  private final Lock l = null;
+  public void f(boolean c) {
+    try {
+      if (c) { return; }
+      l.lock();
+    } finally {
+      x = 1;
+    }
+    l.unlock();
+  }
+}
+"""
+    )
+    m = _method(cm, "f")
+    write = m.body.stmts[0].finally_block.stmts[0].expr
+    ma = analysis(cm)
+    cfg, dom = ma.cfg_for(m)
+    [window] = ma.windows_for(m)
+    copies = cfg.nodes_for(write)
+    assert len(copies) == 2
+    assert [dominates(dom, window.lock_nodes, [n]) for n in copies].count(True) == 1
+    assert not locked_on(cm, m, write, "l")
+    assert {a.field for a in analyze_class(cm)} == {"x"}
 
 
 # --- synchronized regions (protecting_monitors, other monitors) ---
