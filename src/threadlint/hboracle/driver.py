@@ -34,7 +34,7 @@ other kind makes the class unsupported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from threadlint.cfg import build_cfg, paths
 from threadlint.classmodel import ClassModel, is_default_initialized
@@ -245,10 +245,13 @@ class _DriverBuilder:
         return out
 
 
-def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
+def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     """One driver per unordered pair (with repetition) of the distinct action
     lists of the public methods: main initializes, then each thread runs one
-    list of the pair, named by the first method that has it."""
+    list of the pair, named by the first method that has it.
+
+    Every list is lowered and validated, in order, before this returns; each
+    pair is built only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
     for m in cm.decl.methods:
@@ -256,18 +259,16 @@ def two_thread_drivers(cm: ClassModel, **kw) -> list[ThreadProgram]:
             for actions in b.method_actions(m):
                 owner.setdefault(actions, m.name)
     lowered = list(owner.items())
+    for actions, name in lowered:
+        try:
+            ThreadProgram.build([actions])
+        except MalformedExecution as exc:
+            # one thread fails only by unlocking what it does not hold
+            raise UnsupportedForOracle(f"{cm.decl.name}.{name} unlocks {exc.action.target!r} "
+                                       "without holding it; not oracle-supported") from None
     init = b.init_actions()
-    out = []
-    for i, (actions1, name1) in enumerate(lowered):
-        for actions2, name2 in lowered[i:]:
-            try:
-                out.append(ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}"))
-            except MalformedExecution as exc:
-                # a list is first validated as thread 2 of a pair whose thread 1 passed
-                # (or is itself), and one thread fails only by unlocking what it does not hold
-                raise UnsupportedForOracle(f"{cm.decl.name}.{name2} unlocks {exc.action.target!r} "
-                                           "without holding it; not oracle-supported") from None
-    return out
+    return (ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}")
+            for i, (actions1, name1) in enumerate(lowered) for actions2, name2 in lowered[i:])
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:

@@ -33,6 +33,19 @@ field, guards nothing (:func:`sync_monitor`): each thread may pass or create
 a different object. On an alias it is the field's monitor. A for-each or
 catch variable is never an alias.
 
+The P3 query, the monitors that guard every public access path to an
+access (the paper's ``forex`` over ``publicAccess``), is one top-down meet
+over the same-class call graph, as RacerX propagates locksets: ``G(k)`` is
+the intersection of ``protecting_monitors(m, e)`` over every call site ``e``
+of a public method ``m`` whose callees reach method ``k``. One forward
+worklist over :meth:`ClassModel.calls_in` and :meth:`ClassModel.callees`
+computes it. A set only shrinks, so recursion needs no special case, and
+a method is visited again only when its set loses a monitor. An access in
+``k`` is then guarded by ``G(k)``, met with its own protection when ``k``
+is public. No access path fact is built:
+:func:`threadlint.accesspaths.provides_access` and :meth:`public_facts`
+remain the paper's definition, evaluated only when asked for.
+
 Monitor equality is syntactic-canonical over those bindings: ``l``,
 ``this.l`` and, for a static field, ``Cls.l`` share one identity;
 ``synchronized (this)`` and a synchronized instance method share the
@@ -137,10 +150,9 @@ class MonitorAnalysis:
         self._windows: dict[int, list[LockWindow]] = {}
         self._held: dict[int, list[tuple[A.SourceSpan, Monitor]]] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}
-        self._public_facts: dict[int, list[AccessPathFact]] = {}
-        for f in provides_access(cm) if facts is None else facts:
-            if f.method.is_public:
-                self._public_facts.setdefault(id(f.access), []).append(f)
+        self._facts = facts
+        self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
+        self._entry: Optional[dict[int, frozenset[Monitor]]] = None
 
     def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, DomInfo]:
         entry = self._cfgs.get(id(m))
@@ -227,27 +239,81 @@ class MonitorAnalysis:
         return Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{f.name}")
 
     def public_facts(self, a: FieldAccess) -> list[AccessPathFact]:
-        """The facts of public methods that execute ``a`` (the paper's publicAccess)."""
+        """The facts of public methods that execute ``a`` (the paper's publicAccess).
+
+        Built on first call, from the ``facts`` the analysis was given or
+        else from :func:`provides_access`; the verdict path never calls it.
+        """
+        if self._public_facts is None:
+            self._public_facts = {}
+            for f in provides_access(self.cm) if self._facts is None else self._facts:
+                if f.method.is_public:
+                    self._public_facts.setdefault(id(f.access), []).append(f)
         return self._public_facts.get(id(a), [])
+
+    def _entry_monitors(self) -> dict[int, frozenset[Monitor]]:
+        """id(k) -> G(k), the monitors held at every public call site whose
+        callees reach method ``k``; ``k`` is absent when no such site exists.
+
+        Each callee of a public method's call site meets that site's
+        protection, then each method pushes its set into its callees until
+        no set shrinks.
+        """
+        entry = self._entry
+        if entry is not None:
+            return entry
+        entry = self._entry = {}
+        cm = self.cm
+        work: list[A.MethodDecl] = []
+
+        def meet(k: A.MethodDecl, mons: frozenset[Monitor]) -> None:
+            old = entry.get(id(k))
+            new = mons if old is None else old & mons
+            if new != old:
+                entry[id(k)] = new
+                work.append(k)
+
+        for m in cm.decl.methods:
+            if m.is_public:
+                for e in cm.calls_in(m):
+                    callees = cm.callees(e)
+                    if callees:
+                        prot = self.protecting_monitors(m, e)
+                        for k in callees:
+                            meet(k, prot)
+        while work:
+            j = work.pop()
+            held = entry[id(j)]
+            for e in cm.calls_in(j):
+                for k in cm.callees(e):
+                    meet(k, held)
+        return entry
+
+    def has_public_path(self, a: FieldAccess) -> bool:
+        """Whether a public method executes ``a``: its own, or one whose call reaches it."""
+        k = a.enclosing
+        return k is not None and not k.is_constructor and (k.is_public or id(k) in self._entry_monitors())
 
     def monitors(self, a: FieldAccess) -> frozenset[Monitor]:
         """Monitors protecting every public access path to ``a`` (the paper's forex).
 
         Empty when no public path exists or when any public path is unguarded.
+        The paths are the access itself when its method is public, and the
+        public call sites whose callees reach its method, whose meet is
+        :meth:`_entry_monitors`; no path is enumerated.
         """
         cached = self._monitors_cache.get(id(a))
         if cached is not None:
             return cached
-        result: Optional[frozenset[Monitor]] = None
-        pub = self.public_facts(a)
-        if not pub:
+        k = a.enclosing
+        if k is None or k.is_constructor:
             result = frozenset()
         else:
-            for f in pub:
-                prot = self.protecting_monitors(f.method, f.expr)
-                result = prot if result is None else result & prot
-                if not result:
-                    break
+            held = self._entry_monitors().get(id(k))
+            if k.is_public:
+                local = self.protecting_monitors(k, a.expr)
+                result = local if held is None else local & held
+            else:
+                result = frozenset() if held is None else held
         self._monitors_cache[id(a)] = result
         return result
-

@@ -13,7 +13,8 @@ grows with the alerts it reports, not with the pairs it rules out.
 
 Both read the exposed accesses the class model keeps (``ClassModel.exposed``).
 :func:`analyze_class` builds one :class:`MonitorAnalysis`, which evaluates
-the access-path fixpoint, and passes only that to the P3 check.
+the paper's ``forex`` by a top-down meet over the call graph rather than
+from the access-path facts, and passes only that to the P3 check.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def check_correct_synchronization(
         mb = monitor_info.monitors(pair.b)
         notes = []
         for acc, mons in ((pair.a, ma), (pair.b, mb)):
-            if not mons and not monitor_info.public_facts(acc):
+            if not mons and not monitor_info.has_public_path(acc):
                 notes.append(f"no public access path to the {acc.kind.value} at line {acc.line}")
         if notes:
             detail = "; ".join(dict.fromkeys(notes))

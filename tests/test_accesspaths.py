@@ -1,6 +1,7 @@
 """Transitive call-reachability facts (providesAccess / publicAccess)."""
 
 import ap_reference
+import forex_reference
 from conftest import model_for, model_from_source
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +216,13 @@ def test_worklist_fixpoint_matches_round_robin_reference(src):
         keys = fact_keys(facts)
         assert len(keys) == len(facts)  # each (method, expr, access) once
         assert keys == fact_keys(ap_reference.provides_access(cm, exposed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thread_safe_classes())
+def test_top_down_meet_matches_forex_over_public_facts(src):
+    cm = model_from_source(src)
+    info = MonitorAnalysis(cm, list(ap_reference.provides_access(cm)))
+    for a in cm.exposed:
+        assert info.monitors(a) == forex_reference.monitors(info, a), a
+        assert info.has_public_path(a) == forex_reference.has_public_path(info, a), a

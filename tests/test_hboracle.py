@@ -184,7 +184,7 @@ def test_each_public_method_is_lowered_once(monkeypatch):
         return lower(self, m, stack)
 
     monkeypatch.setattr(driver._DriverBuilder, "method_actions", counted)
-    drivers = two_thread_drivers(cm)
+    drivers = list(two_thread_drivers(cm))
     assert top_level == ["a", "b", "c"]
     # each program is the one built from its own pair of methods, whose
     # straight-line bodies have one action list each
@@ -210,7 +210,7 @@ def test_lowering_emits_only_field_and_monitor_actions():
     # locals, unresolved calls and an allowlisted field add nothing
     assert b.method_actions(ma) == [()]
     assert b.method_actions(mb) == [((R, "x"), (W, "x"))]
-    for d in two_thread_drivers(cm) + two_thread_drivers(model_from_source(LOWERED)):
+    for d in list(two_thread_drivers(cm)) + list(two_thread_drivers(model_from_source(LOWERED))):
         assert all(a.op is not LOC for t in d.threads for a in t)
 
 
@@ -225,6 +225,25 @@ def test_statements_that_touch_no_field_cost_no_budget():
     # inc|inc is 1 + 4 + 4 actions; five local actions per thread would make it 19
     verdict = check_class(model_from_source(BUSY))
     assert (verdict.status, verdict.raced, verdict.drivers_checked) == ("checked", False, 3)
+
+
+def test_drivers_are_built_as_they_are_explored(monkeypatch):
+    # a|a has 2 x 9 worker actions, over the 16-action budget, and is the first pair
+    cm = model_from_source("@ThreadSafe class Big { private int n; "
+                           "public void a() { n = 1; n = 2; n = 3; n = 4; n = 5; n = 6; n = 7; n = 8; n = 9; } "
+                           "public synchronized void b() { n = 0; } public synchronized int c() { return n; } }")
+    pairs = []
+    build = ThreadProgram.build.__func__
+
+    def counted(cls, threads, init=None, name=""):
+        if len(threads) == 2:
+            pairs.append(name)
+        return build(cls, threads, init, name)
+
+    monkeypatch.setattr(ThreadProgram, "build", classmethod(counted))
+    verdict = check_class(cm)
+    assert (verdict.status, verdict.drivers_checked) == ("budget-exceeded", 0)
+    assert pairs == ["Big:a|a"]
 
 
 PEER = """@ThreadSafe class Peer { private int n; private Peer peer = null;
@@ -264,7 +283,8 @@ def test_a_monitor_reference_is_read_before_it_is_locked(body, actions):
 @pytest.mark.parametrize("methods,name", [
     ("public void open() { l.lock(); } public void close() { l.unlock(); }", "close"),
     ("public void inc() { l.lock(); x++; l.unlock(); l.unlock(); }", "inc"),
-], ids=["unlock-only", "unlock-twice"])
+    ("public void w() { x = 1; } public void close() { l.unlock(); }", "close"),
+], ids=["unlock-only", "unlock-twice", "after-a-racy-pair"])
 def test_a_method_that_unlocks_a_lock_it_does_not_hold_is_unsupported(methods, name):
     cm = model_from_source("@ThreadSafe class Bal { private final java.util.concurrent.locks.Lock l = null; "
                            f"private int x; {methods} }}")

@@ -209,6 +209,53 @@ class Mono {{
     assert p3(after) > 0
 
 
+def call_chain(n: int) -> str:
+    """A locked public entry into an ``n``-step private chain that recurses
+    to its start, a locked getter, an unlocked entry into the chain's last
+    step, and a private writer no public method reaches."""
+    steps = [f"  private void s{k}() {{ n = n + {k}; s{(k + 1) % n}(); }}" for k in range(n)]
+    return "\n".join([
+        "@ThreadSafe", "class Chain {", "  private int n;", "  private final Lock l = null;",
+        "  public void entry() { l.lock(); try { s0(); } finally { l.unlock(); } }",
+        *steps,
+        "  public int get() { l.lock(); try { return n; } finally { l.unlock(); } }",
+        f"  public void leak() {{ s{n - 1}(); }}",
+        "  private void orphan() { n = 0; }",
+        "}",
+    ])
+
+
+def test_p3_builds_no_access_path_facts(monkeypatch):
+    src = call_chain(6)
+    want = analyze_class(model_from_source(src))
+    details = {a.message.split(": ", 1)[1] for a in want if a.rule == "P3"}
+    assert details == {"no common monitor guards both accesses",
+                       f"no public access path to the write at line {line_of(src, 'n = 0;')}"}
+
+    def refuse(*args, **kw):
+        raise AssertionError("the verdict path built the fact relation")
+
+    monkeypatch.setattr("threadlint.monitors.provides_access", refuse)
+    assert analyze_class(model_from_source(src)) == want
+
+
+def test_p3_asks_protection_once_per_public_call_site_and_public_access(monkeypatch):
+    asked = []
+    protecting = MonitorAnalysis.protecting_monitors
+
+    def counted(self, m, expr):
+        asked.append((m.name, expr))
+        return protecting(self, m, expr)
+
+    monkeypatch.setattr(MonitorAnalysis, "protecting_monitors", counted)
+    cm = model_from_source(call_chain(200))
+    assert analyze_class(cm)
+    public = [m for m in cm.decl.methods if m.is_public]
+    sites = sum(len(cm.calls_in(m)) for m in public)
+    accesses = sum(1 for a in cm.exposed if a.enclosing.is_public)
+    assert len(asked) <= sites + accesses
+
+
 def test_try_finally_lock_idiom_is_clean():
     assert analyze_class(model_for("TryFinally.java")) == []
 
