@@ -10,9 +10,10 @@ universal quantification in the monitor analysis. The paper's
 
 This relation is the paper's definition, not the verdict path: it holds one
 fact per call site and reachable access, so it grows with methods x
-accesses. :meth:`threadlint.monitors.MonitorAnalysis.monitors` evaluates
-the paper's ``forex`` over it by a top-down meet over the same call graph
-and never builds it; the tests and ``perfbench``'s layer timings read it.
+accesses. :meth:`threadlint.monitors.MonitorAnalysis.monitors` never builds
+it: one lockset transfer over the same call graph gives the monitors held
+along every public call path, which contain the paper's ``forex`` over these
+facts. The tests and ``perfbench``'s layer timings read it.
 
 Evaluation is one worklist propagation rather than repeated rounds. Each
 method starts with a bitmask of the exposed accesses it contains; a method

@@ -33,16 +33,14 @@ field, guards nothing (:func:`sync_monitor`): each thread may pass or create
 a different object. On an alias it is the field's monitor. A for-each or
 catch variable is never an alias.
 
-The P3 query, the monitors that guard every public access path to an
-access (the paper's ``forex`` over ``publicAccess``), is one top-down meet
-over the same-class call graph, as RacerX propagates locksets: ``G(k)`` is
-the intersection of ``protecting_monitors(m, e)`` over every call site ``e``
-of a public method ``m`` whose callees reach method ``k``. One forward
-worklist over :meth:`ClassModel.calls_in` and :meth:`ClassModel.callees`
-computes it. A set only shrinks, so recursion needs no special case, and
-a method is visited again only when its set loses a monitor. An access in
-``k`` is then guarded by ``G(k)``, met with its own protection when ``k``
-is public. No access path fact is built:
+The P3 query, the monitors held at an access on every public path to it, is
+one top-down lockset transfer over the same-class call graph, as RacerX
+propagates locksets (:meth:`MonitorAnalysis._entry_monitors`): along one
+path the monitors add up, and across paths they meet. One forward worklist
+over :meth:`ClassModel.calls_in` and :meth:`ClassModel.callees` computes
+it; a set only shrinks, so recursion needs no special case. This contains
+the paper's ``forex`` over ``publicAccess``, which counts only the monitors
+held at the public method's own call site. No access path fact is built:
 :func:`threadlint.accesspaths.provides_access` and :meth:`public_facts`
 remain the paper's definition, evaluated only when asked for.
 
@@ -116,7 +114,9 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[Monitor]:
 
     A parameter, or a local that denotes no own field, may hold a different
     object in each thread, so it is no shared monitor. A local alias of a
-    field is the field's monitor.
+    field is the field's monitor. A class literal is the own class's monitor
+    only when its name is a suffix of the qualified class name, so
+    ``Outer.Inner.class`` is but ``q.C.class`` in package ``p`` is not.
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
@@ -126,7 +126,7 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[Monitor]:
         return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
     if cm.is_local(e):
         return None
-    if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
+    if isinstance(e, A.ClassLit) and ("." + cm.class_id).endswith("." + e.type_text):
         return Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>")
     return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
 
@@ -252,68 +252,51 @@ class MonitorAnalysis:
         return self._public_facts.get(id(a), [])
 
     def _entry_monitors(self) -> dict[int, frozenset[Monitor]]:
-        """id(k) -> G(k), the monitors held at every public call site whose
-        callees reach method ``k``; ``k`` is absent when no such site exists.
+        """id(k) -> the monitors held on every public path into method ``k``;
+        ``k`` is absent when no public method reaches it.
 
-        Each callee of a public method's call site meets that site's
-        protection, then each method pushes its set into its callees until
-        no set shrinks.
+        A public method is entered holding nothing. A call site ``e`` in a
+        method ``j`` passes ``entry(j) | protecting_monitors(j, e)`` to its
+        callees, and a callee keeps the intersection of what reaches it. A
+        callee is pushed again only when its set shrinks.
         """
         entry = self._entry
         if entry is not None:
             return entry
-        entry = self._entry = {}
         cm = self.cm
-        work: list[A.MethodDecl] = []
-
-        def meet(k: A.MethodDecl, mons: frozenset[Monitor]) -> None:
-            old = entry.get(id(k))
-            new = mons if old is None else old & mons
-            if new != old:
-                entry[id(k)] = new
-                work.append(k)
-
-        for m in cm.decl.methods:
-            if m.is_public:
-                for e in cm.calls_in(m):
-                    callees = cm.callees(e)
-                    if callees:
-                        prot = self.protecting_monitors(m, e)
-                        for k in callees:
-                            meet(k, prot)
+        work = [m for m in cm.decl.methods if m.is_public]
+        entry = self._entry = dict.fromkeys(map(id, work), frozenset())
         while work:
             j = work.pop()
             held = entry[id(j)]
             for e in cm.calls_in(j):
-                for k in cm.callees(e):
-                    meet(k, held)
+                callees = cm.callees(e)
+                if callees:
+                    passed = held | self.protecting_monitors(j, e)
+                    for k in callees:
+                        old = entry.get(id(k))
+                        new = passed if old is None else old & passed
+                        if new != old:
+                            entry[id(k)] = new
+                            work.append(k)
         return entry
 
     def has_public_path(self, a: FieldAccess) -> bool:
-        """Whether a public method executes ``a``: its own, or one whose call reaches it."""
-        k = a.enclosing
-        return k is not None and not k.is_constructor and (k.is_public or id(k) in self._entry_monitors())
+        """Whether a public method executes ``a``: its own, or one whose calls reach it."""
+        return id(a.enclosing) in self._entry_monitors()
 
     def monitors(self, a: FieldAccess) -> frozenset[Monitor]:
-        """Monitors protecting every public access path to ``a`` (the paper's forex).
+        """Monitors held at ``a`` on every public path to it; empty without one.
 
-        Empty when no public path exists or when any public path is unguarded.
-        The paths are the access itself when its method is public, and the
-        public call sites whose callees reach its method, whose meet is
-        :meth:`_entry_monitors`; no path is enumerated.
+        A thread at ``a`` holds every monitor taken along its call path, so
+        this is what its method is entered with plus the access's own
+        protection.
         """
         cached = self._monitors_cache.get(id(a))
         if cached is not None:
             return cached
         k = a.enclosing
-        if k is None or k.is_constructor:
-            result = frozenset()
-        else:
-            held = self._entry_monitors().get(id(k))
-            if k.is_public:
-                local = self.protecting_monitors(k, a.expr)
-                result = local if held is None else local & held
-            else:
-                result = frozenset() if held is None else held
+        held = self._entry_monitors().get(id(k))
+        result = frozenset() if held is None else held | self.protecting_monitors(k, a.expr)
         self._monitors_cache[id(a)] = result
         return result

@@ -12,9 +12,10 @@ modifying accesses into groups whose sets are disjoint from theirs. Its work
 grows with the alerts it reports, not with the pairs it rules out.
 
 Both read the exposed accesses the class model keeps (``ClassModel.exposed``).
-:func:`analyze_class` builds one :class:`MonitorAnalysis`, which evaluates
-the paper's ``forex`` by a top-down meet over the call graph rather than
-from the access-path facts, and passes only that to the P3 check.
+:func:`analyze_class` builds one :class:`MonitorAnalysis`, whose monitors
+are those held along every public call path, from one lockset transfer over
+the call graph rather than from the access-path facts, and passes only that
+to the P3 check.
 """
 
 from __future__ import annotations

@@ -220,9 +220,13 @@ def test_worklist_fixpoint_matches_round_robin_reference(src):
 
 @settings(max_examples=300, deadline=None)
 @given(thread_safe_classes())
-def test_top_down_meet_matches_forex_over_public_facts(src):
+def test_lockset_transfer_matches_path_enumeration(src):
+    """The transfer over the call graph gives, for every exposed access, the
+    intersection over its public call paths of the monitors taken along each,
+    and never less than the paper's forex over the public facts."""
     cm = model_from_source(src)
     info = MonitorAnalysis(cm, list(ap_reference.provides_access(cm)))
     for a in cm.exposed:
         assert info.monitors(a) == forex_reference.monitors(info, a), a
         assert info.has_public_path(a) == forex_reference.has_public_path(info, a), a
+        assert forex_reference.forex(info, a) <= info.monitors(a), a

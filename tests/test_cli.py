@@ -413,7 +413,11 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     oracle walks branches, loops and early exits through ``finally``
     (``ReturnInTry``, ``ThrowInTry`` and ``NestedFinally`` are race-free,
     ``BranchLock`` and ``LoopWrite`` race, ``ManyIfs`` is over the path
-    cap), exit 0."""
+    cap). A class literal is the own class's monitor only when it names the
+    class: ``q.ForeignClassLit.class`` in package ``p`` is another class, so
+    ``ForeignClassLit`` has a P3 alert and races, while ``Inner.class``,
+    ``NestedClassLit.Inner.class`` and ``p.NestedClassLit.Inner.class`` share
+    one monitor and ``NestedClassLit.Inner`` is race-free. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])
@@ -451,6 +455,44 @@ def test_generated_workload_reports_match_golden_bytes(tmp_path, monkeypatch, ca
     with open(os.path.join(GOLDEN_DIR, "workloads", f"{workload}.txt"), "rb") as fh:
         assert captured.out == fh.read()
     assert code == EXIT_CLEAN and captured.err == b""
+
+
+@pytest.mark.parametrize("workload", ["lint-callchain", "lint-wide", "oracle"])
+def test_full_size_workload_verdicts_match_the_generator_labels(tmp_path, workload):
+    """Ground truth over each workload's full-size seed-1 inputs, among them
+    the recursive and 100-method call chains: an annotated class has a P3
+    alert exactly when the generator built it racy, and its P1 and P2 alerts
+    name exactly the fields built to break those rules. An unannotated class
+    gets nothing. For ``oracle`` the happens-before oracle runs too, and each
+    class it checks races exactly when it is labelled racy."""
+    workloads = _benchmark_workloads()
+    paths, labels = [], []
+    for f in workloads.generate(workload, 1, "full", os.path.join(REPO_ROOT, "tests", "corpus")):
+        if f.in_repo:
+            paths.append(os.path.join(REPO_ROOT, f.relpath))
+        else:
+            path = tmp_path / f.relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f.text, encoding="utf-8")
+            paths.append(str(path))
+        labels.extend(f.classes)
+    config = build_config(None, **workloads.CONFIG_ARGS)
+    report, _ = (oracle_check if workload == "oracle" else run)(paths, config)
+    assert not report.errors
+    fields: dict[tuple[str, str], set[str]] = {}
+    for a in report.alerts:
+        fields.setdefault((a.class_id, a.rule), set()).add(a.field)
+    raced = {r.class_id: r.raced for r in report.oracle if r.status == "checked"}
+    for c in labels:
+        got = {rule: fields.get((c.name, rule), set()) for rule in ("P1", "P2", "P3")}
+        if not c.annotated:
+            assert got == {"P1": set(), "P2": set(), "P3": set()}, c
+            continue
+        assert (bool(got["P3"]), got["P1"], got["P2"]) == (c.racy, set(c.p1), set(c.p2)), c
+        if c.name in raced:
+            assert raced[c.name] == c.racy, c
+    if workload == "oracle":
+        assert raced
 
 
 def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):

@@ -239,7 +239,10 @@ def test_p3_builds_no_access_path_facts(monkeypatch):
     assert analyze_class(model_from_source(src)) == want
 
 
-def test_p3_asks_protection_once_per_public_call_site_and_public_access(monkeypatch):
+def test_p3_asks_protection_linearly_in_call_sites_and_accesses(monkeypatch):
+    """A method is visited again only when its entry set loses a monitor, so
+    each call site is asked at most once per distinct monitor plus once, and
+    each exposed access once."""
     asked = []
     protecting = MonitorAnalysis.protecting_monitors
 
@@ -250,10 +253,10 @@ def test_p3_asks_protection_once_per_public_call_site_and_public_access(monkeypa
     monkeypatch.setattr(MonitorAnalysis, "protecting_monitors", counted)
     cm = model_from_source(call_chain(200))
     assert analyze_class(cm)
-    public = [m for m in cm.decl.methods if m.is_public]
-    sites = sum(len(cm.calls_in(m)) for m in public)
-    accesses = sum(1 for a in cm.exposed if a.enclosing.is_public)
-    assert len(asked) <= sites + accesses
+    info = MonitorAnalysis(cm)
+    sites = [(m, e) for m in cm.decl.methods for e in cm.calls_in(m) if cm.callees(e)]
+    distinct = {mon for m, e in sites for mon in protecting(info, m, e)}
+    assert len(asked) <= len(sites) * (len(distinct) + 1) + len(cm.exposed)
 
 
 def test_try_finally_lock_idiom_is_clean():
