@@ -34,16 +34,10 @@ class Alert:
     secondary: Optional[SourceSpan] = None
 
     def sort_key(self):
+        """File, then position, rule, the secondary's position and field;
+        within one file, offset order is line:col order."""
         sec = self.secondary
-        return (
-            self.primary.file,
-            self.primary.start_line,
-            self.primary.start_col,
-            self.rule,
-            sec.start_line if sec else 0,
-            sec.start_col if sec else 0,
-            self.field,
-        )
+        return (self.primary.file, self.primary.start, self.rule, sec.start if sec else -1, self.field)
 
     def text_line(self) -> str:
         loc = f"{self.primary.file}:{self.primary.start_line}:{self.primary.start_col}"

@@ -446,16 +446,9 @@ def exposed_accesses(cm: ClassModel) -> list[FieldAccess]:
     """
     if not cm.annotated:
         return []
-    out = []
-    for a in cm.field_accesses:
-        if a.field.is_volatile or a.is_initializer_write:
-            continue
-        if a.enclosing is None or a.enclosing.is_constructor:
-            continue
-        if cm.allowlist.contains(a.field):
-            continue
-        out.append(a)
-    return out
+    safe = {f for f in {a.field for a in cm.field_accesses} if f.is_volatile or cm.allowlist.contains(f)}
+    return [a for a in cm.field_accesses
+            if not (a.field in safe or a.is_initializer_write or a.enclosing is None or a.enclosing.is_constructor)]
 
 
 def is_modifying(a: FieldAccess) -> bool:

@@ -2,8 +2,8 @@
 
 Nodes use identity equality (eq=False) so they can key dicts and sets; use
 :func:`threadlint.frontend.printer.to_source` for structural comparisons.
-Every node carries a :class:`SourceSpan` with 1-based line/column pairs and
-half-open character offsets into the original file.
+Every node carries a :class:`SourceSpan`: half-open character offsets into
+the original file and the file's line table, for 1-based line/column.
 
 :func:`children` is the one child relation of statements and expressions,
 and :func:`walk` the one generic traversal built on it; every analysis that
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from threadlint.errors import SpanOutOfRange
+from threadlint.frontend.lexer import LineTable
 
 
 class SourceSpan(NamedTuple):
@@ -23,16 +24,20 @@ class SourceSpan(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass because the parser builds
     one per node: a tuple is several times cheaper to build, and it is just
-    as immutable and hashable.
+    as immutable and hashable. Line and column are not stored: the
+    properties below derive them from the file's :class:`LineTable`, and
+    only reports, errors and alert messages ask.
     """
 
     file: str
     start: int
     end: int
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    lines: LineTable
+
+    start_line = property(lambda self: self.lines.line_col(self.start)[0])
+    start_col = property(lambda self: self.lines.line_col(self.start)[1])
+    end_line = property(lambda self: self.lines.line_col(self.end)[0])
+    end_col = property(lambda self: self.lines.line_col(self.end)[1])
 
     def contains(self, other: "SourceSpan") -> bool:
         return self.start <= other.start and other.end <= self.end

@@ -26,7 +26,10 @@ token after the name picks a for-each (``:``) or declarators.
 
 Each operand of an expression (its prefix operators, a primary and the
 primary's selectors) is parsed in one method, and the hot paths index the
-token list directly instead of going through the token helpers.
+token list directly instead of going through the token helpers. A token is
+the lexer's plain ``(kind, text, start, end)`` tuple, read by index. A span
+holds the offsets of its first and last tokens and the file's
+``LineTable``, which gives ``line:col`` only to an error or a report.
 
 Nesting is capped at ``MAX_NESTING`` levels, counting classes, statements,
 nested expressions, and each further operand of an operator, assignment or
@@ -45,7 +48,7 @@ from typing import Optional
 
 from threadlint.errors import ParseError
 from threadlint.frontend import ast as A
-from threadlint.frontend.lexer import PRIMITIVE_TYPES, Token, tokenize
+from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable, Token, tokenize
 from threadlint.frontend.printer import to_source
 
 MODIFIER_KEYWORDS = frozenset(
@@ -75,6 +78,7 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in
 
 MAX_NESTING = 100
 MAX_FINALLY_NESTING = 8
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels is not supported"
 
 
 _UNSUPPORTED_STMT_KEYWORDS = {
@@ -110,10 +114,6 @@ class SourceFile:
             raise ValueError("SourceFile.path must be nonempty")
 
 
-def _too_deep(t: Token) -> ParseError:
-    return ParseError(t.line, t.col, f"nesting deeper than {MAX_NESTING} levels is not supported")
-
-
 def _number_kind(text: str) -> str:
     is_hex = text[:2].lower() == "0x"
     if text[-1] in "lL":
@@ -131,6 +131,7 @@ class _Parser:
         self.toks = tokens + [tokens[-1]] * 2
         self.src = src
         self.path = src.path
+        self.lines = LineTable(src.content)
         self.pos = 0
         self.depth = 0  # current nesting, see MAX_NESTING
         self.finally_depth = 0  # finally blocks around the current token, see MAX_FINALLY_NESTING
@@ -144,11 +145,11 @@ class _Parser:
         return self.toks[self.pos]
 
     def at(self, text: str) -> bool:
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos][1] == text
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
@@ -156,45 +157,41 @@ class _Parser:
 
     def accept(self, text: str) -> Optional[Token]:
         t = self.toks[self.pos]
-        if t.text == text:
+        if t[1] == text:
             self.pos += 1
             return t
         return None
 
     def expect(self, text: str, what: str = "") -> Token:
         t = self.toks[self.pos]
-        if t.text != text:
-            found = repr(t.text) if t.kind != "eof" else "end of file"
+        if t[1] != text:
+            found = repr(t[1]) if t[0] != "eof" else "end of file"
             msg = f"expected {text!r}{' ' + what if what else ''}, found {found}"
-            raise ParseError(t.line, t.col, msg)
+            raise self.error(msg)
         self.pos += 1
         return t
 
     def expect_ident(self, what: str = "name") -> Token:
         t = self.toks[self.pos]
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, f"expected {what}, found {t.text!r}" if t.kind != "eof" else f"expected {what}, found end of file")
+        if t[0] != "ident":
+            raise self.error(f"expected {what}, found {t[1]!r}" if t[0] != "eof" else f"expected {what}, found end of file")
         self.pos += 1
         return t
 
-    def error(self, msg: str) -> ParseError:
-        t = self.toks[self.pos]
-        return ParseError(t.line, t.col, msg)
+    def error(self, msg: str, t: Optional[Token] = None) -> ParseError:
+        """A ParseError at token ``t``, by default the current one."""
+        return ParseError(*self.lines.line_col((self.toks[self.pos] if t is None else t)[2]), msg)
 
     def nest(self) -> None:
         """Enter one more nesting level; the caller restores ``self.depth``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _too_deep(self.toks[self.pos])
+            raise self.error(_TOO_DEEP)
 
     def span_from(self, start_tok: Token, end_tok: Optional[Token] = None) -> A.SourceSpan:
         if end_tok is None:
             end_tok = self.toks[self.pos - 1 if self.pos else 0]
-        return _new(_SourceSpan, (
-            self.path, start_tok.start, end_tok.end,
-            start_tok.line, start_tok.col,
-            end_tok.line, end_tok.col + len(end_tok.text),
-        ))
+        return _new(_SourceSpan, (self.path, start_tok[2], end_tok[3], self.lines))
 
     # -- compilation unit ----------------------------------------------------
 
@@ -221,7 +218,7 @@ class _Parser:
             elif not is_static:
                 self.import_map.setdefault(imp.simple_name, name)
         classes: list[A.ClassDecl] = []
-        while self.toks[self.pos].kind != "eof":
+        while self.toks[self.pos][0] != "eof":
             classes.append(self.parse_class_decl())
         ast = A.Ast(self.src.path, self.src.content, package, imports, classes)
         prefix = package + "." if package else ""
@@ -231,9 +228,9 @@ class _Parser:
 
     def parse_qualified_name(self) -> str:
         toks = self.toks
-        parts = [self.expect_ident("identifier").text]
-        while toks[self.pos].text == "." and toks[self.pos + 1].kind == "ident":
-            parts.append(toks[self.pos + 1].text)
+        parts = [self.expect_ident("identifier")[1]]
+        while toks[self.pos][1] == "." and toks[self.pos + 1][0] == "ident":
+            parts.append(toks[self.pos + 1][1])
             self.pos += 2
         return ".".join(parts)
 
@@ -250,32 +247,32 @@ class _Parser:
                 depth = 1
                 while depth:
                     t = self.advance()
-                    if t.kind == "eof":
-                        raise ParseError(open_tok.line, open_tok.col, "unclosed annotation argument list")
-                    if t.text == "(":
+                    if t[0] == "eof":
+                        raise self.error("unclosed annotation argument list", open_tok)
+                    if t[1] == "(":
                         depth += 1
-                    elif t.text == ")":
+                    elif t[1] == ")":
                         depth -= 1
                 end = self.toks[self.pos - 1]
-                args_src = self.src.content[open_tok.start : end.end]
+                args_src = self.src.content[open_tok[2] : end[3]]
             anns.append(A.Annotation(name, args_src, self.span_from(start)))
         return anns
 
     def parse_modifiers(self) -> frozenset[str]:
         toks = self.toks
         mods = []
-        while toks[self.pos].kind == "keyword" and toks[self.pos].text in MODIFIER_KEYWORDS:
+        while toks[self.pos][0] == "keyword" and toks[self.pos][1] in MODIFIER_KEYWORDS:
             tok = self.advance()
-            if tok.text in mods:
-                raise ParseError(tok.line, tok.col, f"repeated modifier {tok.text!r}")
-            mods.append(tok.text)
+            if tok[1] in mods:
+                raise self.error(f"repeated modifier {tok[1]!r}", tok)
+            mods.append(tok[1])
         vis = [m for m in mods if m in VISIBILITY_KEYWORDS]
         if len(vis) > 1:
             t = toks[self.pos - 1]
-            raise ParseError(t.line, t.col, f"conflicting visibility modifiers {vis[0]!r} and {vis[1]!r}")
+            raise self.error(f"conflicting visibility modifiers {vis[0]!r} and {vis[1]!r}", t)
         if "volatile" in mods and "final" in mods:
             t = toks[self.pos - 1]
-            raise ParseError(t.line, t.col, "a field cannot be both volatile and final")
+            raise self.error("a field cannot be both volatile and final", t)
         return frozenset(mods)
 
     @staticmethod
@@ -299,22 +296,22 @@ class _Parser:
         and False."""
         toks = self.toks
         t = toks[i]
-        if t.kind == "ident":
+        if t[0] == "ident":
             i += 1
-            while toks[i].text == "." and toks[i + 1].kind == "ident":
+            while toks[i][1] == "." and toks[i + 1][0] == "ident":
                 i += 2
-            if toks[i].text == "<":
+            if toks[i][1] == "<":
                 i, ok = self._scan_type_args(i)
                 if not ok:
                     return i, False
-        elif t.text == "void":
+        elif t[1] == "void":
             return (i + 1, True) if void else (i, False)
-        elif t.kind == "keyword" and t.text in PRIMITIVE_TYPES:
+        elif t[0] == "keyword" and t[1] in PRIMITIVE_TYPES:
             i += 1
         else:
             return i, False
         if dims:
-            while toks[i].text == "[" and toks[i + 1].text == "]":
+            while toks[i][1] == "[" and toks[i + 1][1] == "]":
                 i += 2
         return i, True
 
@@ -328,19 +325,19 @@ class _Parser:
         depth = 1
         while depth:
             t = toks[i]
-            if t.kind == "ident" or t.text in _TYPE_ARG_TOKENS:
+            if t[0] == "ident" or t[1] in _TYPE_ARG_TOKENS:
                 i += 1
-            elif t.text == "[" and toks[i + 1].text == "]":
+            elif t[1] == "[" and toks[i + 1][1] == "]":
                 i += 2
-            elif (t.text in PRIMITIVE_TYPES and t.text != "void"
-                  and toks[i + 1].text == "[" and toks[i + 2].text == "]"):
+            elif (t[1] in PRIMITIVE_TYPES and t[1] != "void"
+                  and toks[i + 1][1] == "[" and toks[i + 2][1] == "]"):
                 i += 3
-            elif t.text == "<":
+            elif t[1] == "<":
                 i += 1
                 depth += 1
-            elif t.text in _CLOSERS and len(t.text) <= depth:
+            elif t[1] in _CLOSERS and len(t[1]) <= depth:
                 i += 1
-                depth -= len(t.text)
+                depth -= len(t[1])
             else:
                 return i, False
         return i, True
@@ -352,12 +349,12 @@ class _Parser:
         if not ok:
             t = toks[end]
             if end == self.pos:
-                if t.text == "void":
-                    raise ParseError(t.line, t.col, "'void' is only valid as a return type")
-                raise ParseError(t.line, t.col, f"expected a type, found {t.text!r}")
-            if t.text in _CLOSERS:
-                raise ParseError(t.line, t.col, "unbalanced '>' in type arguments")
-            raise ParseError(t.line, t.col, f"unexpected {t.text!r} in type arguments")
+                if t[1] == "void":
+                    raise self.error("'void' is only valid as a return type", t)
+                raise self.error(f"expected a type, found {t[1]!r}", t)
+            if t[1] in _CLOSERS:
+                raise self.error("unbalanced '>' in type arguments", t)
+            raise self.error(f"unexpected {t[1]!r} in type arguments", t)
         text = self._type_text(self.pos, end)
         self.pos = end
         return text
@@ -367,8 +364,8 @@ class _Parser:
         ``extends`` and ``super`` keep one space after them."""
         toks = self.toks
         if end == i + 1:
-            return toks[i].text
-        return "".join([t.text + " " if t.text in ("extends", "super") else t.text for t in toks[i:end]])
+            return toks[i][1]
+        return "".join([t[1] + " " if t[1] in ("extends", "super") else t[1] for t in toks[i:end]])
 
     def parse_type(self, allow_void: bool = False) -> str:
         """Parse a type reference; returns its normalized (whitespace-free) text."""
@@ -381,9 +378,9 @@ class _Parser:
         declaration exactly when this is nonzero."""
         toks = self.toks
         i = self.pos
-        final = toks[i].text == "final"
+        final = toks[i][1] == "final"
         end, ok = self._scan_type(i + final)
-        if ok and toks[end].kind == "ident":
+        if ok and toks[end][0] == "ident":
             return end
         return -1 if final else 0
 
@@ -409,12 +406,12 @@ class _Parser:
 
     def _finish_class(self, anns, mods, first: Token) -> A.ClassDecl:
         if self.at("interface") or self.at("enum"):
-            raise self.error(f"{self.peek().text} declarations are not supported")
+            raise self.error(f"{self.peek()[1]} declarations are not supported")
         depth = self.depth
         self.nest()
         self.expect("class")
         name_tok = self.expect_ident("class name")
-        if self.toks[self.pos].text == "<":  # type parameters
+        if self.toks[self.pos][1] == "<":  # type parameters
             self._take_type(*self._scan_type_args(self.pos))
         extends = None
         if self.accept("extends"):
@@ -430,14 +427,14 @@ class _Parser:
         ctors: list[A.MethodDecl] = []
         nested: list[A.ClassDecl] = []
         while not self.at("}"):
-            if self.toks[self.pos].kind == "eof":
-                raise ParseError(first.line, first.col, f"unclosed class body for {name_tok.text!r}")
-            self.parse_member(name_tok.text, fields, methods, ctors, nested)
+            if self.toks[self.pos][0] == "eof":
+                raise self.error(f"unclosed class body for {name_tok[1]!r}", first)
+            self.parse_member(name_tok[1], fields, methods, ctors, nested)
         close = self.expect("}")
         self.depth = depth
         return A.ClassDecl(
             span=self.span_from(first, close),
-            name=name_tok.text,
+            name=name_tok[1],
             annotations=anns,
             fields=fields,
             methods=methods,
@@ -457,7 +454,7 @@ class _Parser:
             return
         if self.at("{"):
             raise self.error("initializer blocks are not supported")
-        if self.toks[self.pos].text == class_name and self.toks[self.pos + 1].text == "(":
+        if self.toks[self.pos][1] == class_name and self.toks[self.pos + 1][1] == "(":
             name_tok = self.advance()
             ctors.append(self.parse_callable(name_tok, None, mods, anns, first, is_constructor=True))
             return
@@ -470,7 +467,7 @@ class _Parser:
         if rtype == "void":
             if self.at("{"):
                 raise self.error("expected '(' after method name, found '{'")
-            raise ParseError(type_tok.line, type_tok.col, "'void' is only valid as a return type")
+            raise self.error("'void' is only valid as a return type", type_tok)
         # field declaration, possibly with several declarators
         while True:
             init = None
@@ -479,7 +476,7 @@ class _Parser:
             fields.append(
                 A.FieldDecl(
                     span=self.span_from(first),
-                    name=name_tok.text,
+                    name=name_tok[1],
                     declared_type=rtype,
                     resolved_type=self.resolve_type(rtype),
                     modifiers=mods,
@@ -503,7 +500,7 @@ class _Parser:
                 p_final = self.accept("final") is not None
                 p_type = self.parse_type()
                 p_name = self.expect_ident("parameter name")
-                params.append(A.Param(p_type, p_name.text, self.span_from(p_start), p_final))
+                params.append(A.Param(p_type, p_name[1], self.span_from(p_start), p_final))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -519,7 +516,7 @@ class _Parser:
             self.expect(";", "or method body")
         return A.MethodDecl(
             span=self.span_from(start),
-            name=name_tok.text,
+            name=name_tok[1],
             visibility=self.visibility_of(mods),
             is_static="static" in mods,
             is_synchronized="synchronized" in mods,
@@ -538,9 +535,9 @@ class _Parser:
         open_tok = self.expect("{")
         toks = self.toks
         stmts = []
-        while toks[self.pos].text != "}":
-            if toks[self.pos].kind == "eof":
-                raise ParseError(open_tok.line, open_tok.col, "unclosed block")
+        while toks[self.pos][1] != "}":
+            if toks[self.pos][0] == "eof":
+                raise self.error("unclosed block", open_tok)
             stmts.append(self.parse_statement())
         close = toks[self.pos]
         self.pos += 1
@@ -552,12 +549,12 @@ class _Parser:
         t = toks[self.pos]
         depth = self.depth
         if depth >= MAX_NESTING:
-            raise _too_deep(t)
+            raise self.error(_TOO_DEEP, t)
         self.depth = depth + 1
-        text = t.text
+        text = t[1]
         if text not in _STATEMENT_HEADS:
-            if t.kind == "ident" and toks[self.pos + 1].text == ":":
-                raise ParseError(t.line, t.col, "labeled statements are not supported")
+            if t[0] == "ident" and toks[self.pos + 1][1] == ":":
+                raise self.error("labeled statements are not supported", t)
             name = self._at_local_decl()
             if name:
                 stmt = self._parse_local_decl(name)
@@ -579,7 +576,7 @@ class _Parser:
             stmt = A.If(self.span_from(t), cond, then, els)
         elif text == "return":
             self.pos += 1
-            value = None if toks[self.pos].text == ";" else self.parse_expression()
+            value = None if toks[self.pos][1] == ";" else self.parse_expression()
             self.expect(";", "after return")
             stmt = A.Return(self.span_from(t), value)
         elif text == "synchronized":
@@ -609,7 +606,7 @@ class _Parser:
             self.pos += 1
             stmt = A.Empty(self.span_from(t))
         else:
-            raise ParseError(t.line, t.col, _UNSUPPORTED_STMT_KEYWORDS[text])
+            raise self.error(_UNSUPPORTED_STMT_KEYWORDS[text], t)
         self.depth = depth
         return stmt
 
@@ -658,7 +655,7 @@ class _Parser:
             c_var = self.expect_ident("exception variable")
             self.expect(")")
             c_body = self.parse_block()
-            catches.append(A.Catch(c_type, c_var.text, c_body, self.span_from(c_start)))
+            catches.append(A.Catch(c_type, c_var[1], c_body, self.span_from(c_start)))
         finally_block = None
         if self.at("finally"):
             if self.finally_depth >= MAX_FINALLY_NESTING:
@@ -668,7 +665,7 @@ class _Parser:
             finally_block = self.parse_block()
             self.finally_depth -= 1
         if not catches and finally_block is None:
-            raise ParseError(start.line, start.col, "try requires at least one catch or finally")
+            raise self.error("try requires at least one catch or finally", start)
         return A.Try(self.span_from(start), body, catches, finally_block)
 
     def _parse_local_decl(self, name: int, for_start: Optional[Token] = None) -> A.Stmt:
@@ -678,18 +675,18 @@ class _Parser:
         which is returned instead."""
         toks = self.toks
         start = toks[self.pos]
-        is_final = start.text == "final"
+        is_final = start[1] == "final"
         if name < 0:  # no ``Type name`` after ``final``: raise at the token at fault
             self.pos += 1
             self.parse_type()
             self.expect_ident()
         type_text = self._type_text(self.pos + is_final, name)
-        if for_start is not None and toks[name + 1].text == ":":
+        if for_start is not None and toks[name + 1][1] == ":":
             self.pos = name + 2
             iterable = self.parse_expression()
             self.expect(")")
             body = self.parse_statement()
-            return A.ForEach(self.span_from(for_start), type_text, toks[name].text, iterable, body, is_final)
+            return A.ForEach(self.span_from(for_start), type_text, toks[name][1], iterable, body, is_final)
         self.pos = name
         declarators = []
         while True:
@@ -697,7 +694,7 @@ class _Parser:
             init = None
             if self.accept("="):
                 init = self.parse_expression()
-            declarators.append(A.Declarator(name_tok.text, init, self.span_from(name_tok)))
+            declarators.append(A.Declarator(name_tok[1], init, self.span_from(name_tok)))
             if not self.accept(","):
                 break
         self.expect(";", "after local declaration" if for_start is None else "in for header")
@@ -711,19 +708,19 @@ class _Parser:
         start = toks[self.pos]
         depth = self.depth
         if depth >= MAX_NESTING:
-            raise _too_deep(start)
+            raise self.error(_TOO_DEEP, start)
         self.depth = depth + 1
         expr = self._parse_operand()
         t = toks[self.pos]
-        if t.text in _BINARY_LEVEL:
+        if t[1] in _BINARY_LEVEL:
             expr = self._parse_binary(0, expr, start)
             t = toks[self.pos]
-        if t.text in _ASSIGN_OPS:
+        if t[1] in _ASSIGN_OPS:
             if not isinstance(expr, (A.Name, A.FieldSel, A.Index)):
-                raise ParseError(t.line, t.col, "invalid assignment target")
+                raise self.error("invalid assignment target", t)
             self.pos += 1
             value = self.parse_expression()
-            expr = A.Assign(self.span_from(start), expr, t.text, value)
+            expr = A.Assign(self.span_from(start), expr, t[1], value)
         self.depth = depth
         return expr
 
@@ -734,19 +731,19 @@ class _Parser:
         depth = self.depth
         while True:
             t = toks[self.pos]
-            level = _BINARY_LEVEL.get(t.text)
+            level = _BINARY_LEVEL.get(t[1])
             if level is None or level < min_level:
                 break
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise _too_deep(t)
+                raise self.error(_TOO_DEEP, t)
             self.pos += 1
             r_start = toks[self.pos]
             right = self._parse_operand()
-            tighter = _BINARY_LEVEL.get(toks[self.pos].text)
+            tighter = _BINARY_LEVEL.get(toks[self.pos][1])
             if tighter is not None and tighter > level:
                 right = self._parse_binary(level + 1, right, r_start)
-            left = A.Binary(self.span_from(start), t.text, left, right)
+            left = A.Binary(self.span_from(start), t[1], left, right)
         self.depth = depth
         return left
 
@@ -759,87 +756,85 @@ class _Parser:
         depth = self.depth
         t = toks[self.pos]
         prefix = None
-        if t.text in _PREFIX_OPS:
+        if t[1] in _PREFIX_OPS:
             prefix = []
-            while t.text in _PREFIX_OPS:
+            while t[1] in _PREFIX_OPS:
                 prefix.append(t)
                 self.pos += 1
                 t = toks[self.pos]
                 self.depth += 1
                 if self.depth > MAX_NESTING:
-                    raise _too_deep(t)
-        kind = t.kind
+                    raise self.error(_TOO_DEEP, t)
+        kind = t[0]
         if kind == "ident":
             self.pos += 1
-            if toks[self.pos].text == "(":
+            if toks[self.pos][1] == "(":
                 args = self._parse_args()
-                expr = A.Call(self.span_from(t), None, t.text, args)
+                expr = A.Call(self.span_from(t), None, t[1], args)
             else:
-                expr = A.Name(_new(_SourceSpan, (
-                    self.path, t.start, t.end, t.line, t.col, t.line, t.col + len(t.text),
-                )), t.text)
+                expr = A.Name(_new(_SourceSpan, (self.path, t[2], t[3], self.lines)), t[1])
         elif kind == "number":
             self.pos += 1
-            expr = A.Literal(self.span_from(t, t), _number_kind(t.text), t.text)
+            expr = A.Literal(self.span_from(t, t), _number_kind(t[1]), t[1])
         elif kind == "string" or kind == "char":
             self.pos += 1
-            expr = A.Literal(self.span_from(t, t), kind, t.text)
-        elif t.text == "this":
+            expr = A.Literal(self.span_from(t, t), kind, t[1])
+        elif t[1] == "this":
             self.pos += 1
             expr = A.This(self.span_from(t, t))
-        elif t.text == "(":
-            if toks[self.pos + 1].text == ")" and toks[self.pos + 2].text == "->":
-                raise ParseError(t.line, t.col, "lambdas are not supported")
+        elif t[1] == "(":
+            if toks[self.pos + 1][1] == ")" and toks[self.pos + 2][1] == "->":
+                raise self.error("lambdas are not supported", t)
             self.pos += 1
             inner = self.parse_expression()
             self.expect(")")
-            if toks[self.pos].text == "->":
-                raise ParseError(t.line, t.col, "lambdas are not supported")
+            if toks[self.pos][1] == "->":
+                raise self.error("lambdas are not supported", t)
             expr = A.Paren(self.span_from(t), inner)
-        elif t.text == "true" or t.text == "false":
+        elif t[1] == "true" or t[1] == "false":
             self.pos += 1
-            expr = A.Literal(self.span_from(t, t), "boolean", t.text)
-        elif t.text == "null":
+            expr = A.Literal(self.span_from(t, t), "boolean", t[1])
+        elif t[1] == "null":
             self.pos += 1
-            expr = A.Literal(self.span_from(t, t), "null", t.text)
-        elif t.text == "new":
+            expr = A.Literal(self.span_from(t, t), "null", t[1])
+        elif t[1] == "new":
             expr = self._parse_new(t)
-        elif t.text == "->" or t.text == "::":
-            raise ParseError(t.line, t.col, "lambdas and method references are not supported")
-        elif kind == "keyword" and t.text in PRIMITIVE_TYPES:
+        elif t[1] == "->" or t[1] == "::":
+            raise self.error("lambdas and method references are not supported", t)
+        elif kind == "keyword" and t[1] in PRIMITIVE_TYPES:
             # only valid as Foo.class qualifiers, e.g. int.class — unsupported
-            raise ParseError(t.line, t.col, f"unexpected type keyword {t.text!r} in expression")
+            raise self.error(f"unexpected type keyword {t[1]!r} in expression", t)
         else:
-            raise ParseError(t.line, t.col, f"unexpected token {t.text!r} in expression" if kind != "eof" else "unexpected end of file in expression")
+            raise self.error(f"unexpected token {t[1]!r} in expression" if kind != "eof" else "unexpected end of file in expression", t)
         start = t
-        while toks[self.pos].text in _SELECTORS:
+        while toks[self.pos][1] in _SELECTORS:
             t = toks[self.pos]
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise _too_deep(t)
-            if t.text == ".":
+                raise self.error(_TOO_DEEP, t)
+            if t[1] == ".":
                 nxt = toks[self.pos + 1]
                 self.pos += 2
-                if nxt.text == "class":
+                if nxt[1] == "class":
                     expr = A.ClassLit(self.span_from(start), to_source(expr))
-                elif nxt.kind != "ident":
-                    raise ParseError(nxt.line, nxt.col, f"expected member name after '.', found {nxt.text!r}")
-                elif toks[self.pos].text == "(":
+                elif nxt[0] != "ident":
+                    raise self.error(f"expected member name after '.', found {nxt[1]!r}", nxt)
+                elif toks[self.pos][1] == "(":
                     args = self._parse_args()
-                    expr = A.Call(self.span_from(start), expr, nxt.text, args)
+                    expr = A.Call(self.span_from(start), expr, nxt[1], args)
                 else:
-                    expr = A.FieldSel(self.span_from(start), expr, nxt.text)
-            elif t.text == "[":
+                    expr = A.FieldSel(self.span_from(start), expr, nxt[1])
+            elif t[1] == "[":
                 self.pos += 1
                 index = self.parse_expression()
                 self.expect("]")
                 expr = A.Index(self.span_from(start), expr, index)
             else:
                 self.pos += 1
-                expr = A.Unary(self.span_from(start), t.text, expr, False)
+                expr = A.Unary(self.span_from(start), t[1], expr, False)
         if prefix:
             for op in reversed(prefix):
-                expr = A.Unary(self.span_from(op), op.text, expr, True)
+                expr = A.Unary(self.span_from(op), op[1], expr, True)
         self.depth = depth
         return expr
 
@@ -890,9 +885,7 @@ def parse_compilation_unit(src: SourceFile) -> A.Ast:
     Raises ParseError (with 1-based line/col) on malformed input or syntax
     outside the supported subset.
     """
-    tokens = tokenize(src.content, src.path)
-    parser = _Parser(tokens, src)
-    return parser.parse_unit()
+    return _Parser(tokenize(src.content, src.path), src).parse_unit()
 
 
 def parse_source(content: str, path: str = "<string>") -> A.Ast:

@@ -4,6 +4,8 @@ This is the tokenizer that the single-match lexer in
 ``threadlint.frontend.lexer`` replaced. It is kept only as the reference for
 the parity property in test_frontend.py, so it stays as it was: whitespace
 runs and comments are separate matches, and lines are counted over each.
+The one change since: a line ends at ``\n``, ``\r`` or ``\r\n`` (JLS §3.4),
+in line comments, in literals and in the line count, as in the lexer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from threadlint.frontend.lexer import KEYWORDS
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[\ \t\r\n\f]+)
-  | (?P<linecomment>//[^\n]*)
+  | (?P<linecomment>//[^\r\n]*)
   | (?P<blockcomment>/\*.*?\*/)
   | (?P<number>
         0[xX][0-9a-fA-F_]+[lL]?
@@ -26,8 +28,8 @@ _TOKEN_RE = re.compile(
       | \d[\d_]*[lLfFdD]?
     )
   | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\.|[^"\\\n])*")
-  | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\.|[^'\\\n])')
+  | (?P<string>"(?:\\u[0-9a-fA-F]{4}|\\[^\r\n]|[^"\\\r\n])*")
+  | (?P<char>'(?:\\u[0-9a-fA-F]{4}|\\[^\r\n]|[^'\\\r\n])')
   | (?P<punct>
         >>>=|>>=|<<=|>>>|>>|<<|\+\+|--|&&|\|\||<=|>=|==|!=|->|::
       | \+=|-=|\*=|/=|%=|&=|\|=|\^=
@@ -36,6 +38,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,10 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
         if kind == "punct" and text == "/" and source.startswith("/*", pos):
             raise ParseError(line, pos - line_start + 1, "unterminated block comment")
         if kind in ("ws", "linecomment", "blockcomment"):
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + text.rindex("\n") + 1
+            ends = [e.end() for e in _LINE_END.finditer(text)]
+            if ends:
+                line += len(ends)
+                line_start = m.start() + ends[-1]
         else:
             col = m.start() - line_start + 1
             if kind == "word":

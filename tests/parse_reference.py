@@ -6,15 +6,17 @@ This is the parser that the lookahead parser in
 the parity property in test_frontend.py, so it stays as it was: it takes its
 tokens from the same ``tokenize`` and builds the same AST nodes, and a
 property checks that both parsers give the same tree or the same error.
+Since tokens became plain tuples, it reads them through ``Token``, which
+adds the line and column of each token's start.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from threadlint.errors import ParseError
 from threadlint.frontend import ast as A
-from threadlint.frontend.lexer import PRIMITIVE_TYPES, Token, tokenize
+from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable, tokenize
 from threadlint.frontend.parser import SourceFile
 
 MODIFIER_KEYWORDS = frozenset(
@@ -43,6 +45,15 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in
 MAX_NESTING = 100
 
 
+class Token(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    end: int
+    line: int
+    col: int
+
+
 class _Unsupported(ParseError):
     """Raised for constructs outside the subset; never backtracked over."""
 
@@ -62,6 +73,7 @@ class _Parser:
         # two spare eof tokens let peek(k) for k <= 2 index without clamping
         self.toks = tokens + [tokens[-1]] * 2
         self.src = src
+        self.lines = LineTable(src.content)
         self.pos = 0
         self.depth = 0  # current nesting, see MAX_NESTING
         # simple-name -> qualified-name map built from exact imports
@@ -118,11 +130,7 @@ class _Parser:
     def span_from(self, start_tok: Token, end_tok: Optional[Token] = None) -> A.SourceSpan:
         if end_tok is None:
             end_tok = self.toks[self.pos - 1 if self.pos else 0]
-        return A.SourceSpan(
-            self.src.path, start_tok.start, end_tok.end,
-            start_tok.line, start_tok.col,
-            end_tok.line, end_tok.col + len(end_tok.text),
-        )
+        return A.SourceSpan(self.src.path, start_tok.start, end_tok.end, self.lines)
 
     # -- compilation unit ----------------------------------------------------
 
@@ -356,10 +364,7 @@ class _Parser:
             end = self.toks[self.pos - 1]
             fields.append(
                 A.FieldDecl(
-                    span=A.SourceSpan(
-                        self.src.path, first.start, end.end,
-                        first.line, first.col, end.line, end.col + len(end.text),
-                    ),
+                    span=A.SourceSpan(self.src.path, first.start, end.end, self.lines),
                     name=name_tok.text,
                     declared_type=rtype,
                     resolved_type=self.resolve_type(rtype),
@@ -373,11 +378,7 @@ class _Parser:
                 continue
             semi = self.expect(";", "after field declaration")
             last = fields[-1]
-            last.span = A.SourceSpan(
-                last.span.file, last.span.start, semi.end,
-                last.span.start_line, last.span.start_col,
-                semi.line, semi.col + 1,
-            )
+            last.span = A.SourceSpan(last.span.file, last.span.start, semi.end, self.lines)
             break
 
     def parse_callable(self, name_tok, rtype, mods, anns, start, is_constructor=False) -> A.MethodDecl:
@@ -584,8 +585,7 @@ class _Parser:
                 declarators.append(
                     A.Declarator(
                         name_tok.text, init,
-                        A.SourceSpan(self.src.path, name_tok.start, end.end,
-                                     name_tok.line, name_tok.col, end.line, end.col + len(end.text)),
+                        A.SourceSpan(self.src.path, name_tok.start, end.end, self.lines),
                     )
                 )
                 if not self.accept(","):
@@ -790,7 +790,8 @@ def parse_compilation_unit(src: SourceFile) -> A.Ast:
     Raises ParseError (with 1-based line/col) on malformed input or syntax
     outside the supported subset.
     """
-    tokens = tokenize(src.content, src.path)
+    lines = LineTable(src.content)
+    tokens = [Token(*t, *lines.line_col(t[2])) for t in tokenize(src.content, src.path)]
     parser = _Parser(tokens, src)
     return parser.parse_unit()
 

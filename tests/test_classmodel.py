@@ -384,6 +384,20 @@ class M {
     assert [(a.field.name, a.kind.value) for a in exposed_accesses(bare)] == [("map", "read")]
 
 
+def test_exposed_asks_the_allowlist_once_per_field(monkeypatch):
+    asked = []
+    contains_type = ThreadSafeTypeAllowlist.contains_type
+    monkeypatch.setattr(ThreadSafeTypeAllowlist, "contains_type",
+                        lambda self, *types: asked.append(types) or contains_type(self, *types))
+    cm = model_from_source(
+        "@ThreadSafe class C { private int n; private int[] a; volatile int v;"
+        " public void f() { n = n + a[n]; a[0] = v + n; v = n; } }"
+    )
+    asked.clear()
+    assert len(exposed_accesses(cm)) == 7
+    assert sorted(asked) == [("int", "int"), ("int[]", "int[]")]
+
+
 def test_exposed_requires_annotation():
     cm = model_from_source("class P { int n; public void f() { n = 1; } }")
     assert not cm.annotated

@@ -2,6 +2,7 @@
 and the completeness of the shared child relation."""
 
 import dataclasses
+import gc
 import importlib.util
 import os
 import sys
@@ -30,24 +31,29 @@ from threadlint.frontend import (
     tokenize,
 )
 from threadlint.frontend import ast as A
+from threadlint.frontend import lexer
 from threadlint.frontend import parser as P
-from threadlint.frontend.lexer import PRIMITIVE_TYPES
+from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable
 from threadlint.frontend.parser import MAX_NESTING
 
 
 def tokens_of(text):
-    return [(t.kind, t.text) for t in tokenize(text)]
+    return [(kind, tok) for kind, tok, _, _ in tokenize(text)]
+
+
+def positions(text):
+    """Each token's text with the line and column of its start."""
+    lines = LineTable(text)
+    return [(tok, *lines.line_col(start)) for _, tok, start, _ in tokenize(text)]
 
 
 # --- lexer ---
 
 
 def test_tokens_have_positions():
-    toks = tokenize("int x = 0;\nx = 1;")
-    assert [(t.text, t.line, t.col) for t in toks[:4]] == [
-        ("int", 1, 1), ("x", 1, 5), ("=", 1, 7), ("0", 1, 9),
-    ]
-    assert toks[5].line == 2 and toks[5].col == 1
+    toks = positions("int x = 0;\nx = 1;")
+    assert toks[:4] == [("int", 1, 1), ("x", 1, 5), ("=", 1, 7), ("0", 1, 9)]
+    assert toks[5] == ("x", 2, 1)
 
 
 def test_backslash_newline_in_a_literal_fails_at_the_literal():
@@ -57,8 +63,8 @@ def test_backslash_newline_in_a_literal_fails_at_the_literal():
 
 
 def test_escapes_and_line_breaks_keep_later_lines():
-    toks = tokenize('String s = "a\\\\";\nchar c = \'\\\'\';  /* one\ntwo */\nint x;')
-    assert [(t.text, t.line, t.col) for t in toks if t.text in (";", "int", "x")] == [
+    toks = positions('String s = "a\\\\";\nchar c = \'\\\'\';  /* one\ntwo */\nint x;')
+    assert [t for t in toks if t[0] in (";", "int", "x")] == [
         (";", 1, 17), (";", 2, 14), ("int", 4, 1), ("x", 4, 5), (";", 4, 6),
     ]
 
@@ -68,7 +74,7 @@ def test_comments_discarded():
 
 
 def test_multichar_operators():
-    texts = [t.text for t in tokenize("a >>>= b >>= c <<= d >>> e && f")][:-1]
+    texts = [t[1] for t in tokenize("a >>>= b >>= c <<= d >>> e && f")][:-1]
     assert ">>>=" in texts and ">>=" in texts and "<<=" in texts and ">>>" in texts
 
 
@@ -149,9 +155,18 @@ def lexer_inputs(draw):
     return "".join(pieces)
 
 
-def lexed(tokenizer, text):
+def lexed(text):
+    """The tokens with the line and column the line table gives their starts."""
     try:
-        return [(t.kind, t.text, t.start, t.end, t.line, t.col) for t in tokenizer(text)]
+        lines = LineTable(text)
+        return [(*t, *lines.line_col(t[2])) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.message)
+
+
+def lexed_by_reference(text):
+    try:
+        return [(t.kind, t.text, t.start, t.end, t.line, t.col) for t in lex_reference.tokenize(text)]
     except ParseError as exc:
         return ("error", exc.line, exc.col, exc.message)
 
@@ -159,7 +174,111 @@ def lexed(tokenizer, text):
 @settings(max_examples=400, deadline=None)
 @given(lexer_inputs())
 def test_single_match_lexer_matches_reference(text):
-    assert lexed(tokenize, text) == lexed(lex_reference.tokenize, text)
+    assert lexed(text) == lexed_by_reference(text)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"])
+def test_each_line_end_starts_a_line_as_in_javac(eol):
+    """``\\n``, ``\\r`` and ``\\r\\n`` each end one line (JLS §3.4): in a line
+    comment, in the line table and so in every span and error."""
+    text = eol.join(["int a; // note", "int b;", "", "  /* x", "y */ int c;"])
+    assert positions(text) == [
+        ("int", 1, 1), ("a", 1, 5), (";", 1, 6), ("int", 2, 1), ("b", 2, 5), (";", 2, 6),
+        ("int", 5, 6), ("c", 5, 10), (";", 5, 11), ("", 5, 12),
+    ]
+    cls = eol.join(["@ThreadSafe class A { private int x; // note",
+                    "public void inc() { x = x + 1; }", "public int get() { return x; } }"])
+    inc, get = parse_source(cls).classes[0].methods
+    assert (inc.span.start_line, inc.span.start_col, inc.span.end_line, inc.span.end_col) == (2, 1, 2, 33)
+    assert (get.span.start_line, get.span.start_col, get.span.end_line, get.span.end_col) == (3, 1, 3, 31)
+    with pytest.raises(ParseError) as err:
+        tokenize(eol.join(["int x;", '  String s = "a' + eol + 'b";']))
+    assert (err.value.line, err.value.col, err.value.message) == (2, 14, "unterminated string literal")
+
+
+def _calls_while(fn, *args) -> int:
+    """The number of Python and built-in calls that ``fn(*args)`` makes; the
+    collector is off, so no gc callback counts."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    old, gc_was_on = sys.getprofile(), gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+        if gc_was_on:
+            gc.enable()
+    return calls
+
+
+def test_lexing_makes_no_call_per_token():
+    """Ten times the tokens cost tokenize not one more call, Python or
+    built-in, and each token is a plain tuple: no token object is built."""
+    line = "  public int f(int[] a) { x = a[0] + 'c' + 1.5e3f; return this.y; } // n\n"
+    assert _calls_while(tokenize, line * 10) == _calls_while(tokenize, line * 100)
+    assert {type(t) for t in tokenize(line * 10)} == {tuple}
+
+
+class _NoToken:
+    """Stands in for a token type; building one fails."""
+
+    def __new__(cls, *args):
+        raise AssertionError("a token object was built")
+
+
+def test_parsing_builds_no_token_object(monkeypatch):
+    monkeypatch.setattr(lexer, "Token", _NoToken)
+    monkeypatch.setattr(P, "Token", _NoToken)
+    ast = parse_corpus("Mixed.java")
+    assert ast.classes and all(type(t) is tuple for t in tokenize(ast.source))
+
+
+def _spans(obj):
+    """Every span in the tree under ``obj``: nodes, declarators, catch
+    clauses, parameters, annotations and imports."""
+    if isinstance(obj, A.SourceSpan):
+        yield obj
+    elif isinstance(obj, list):
+        for x in obj:
+            yield from _spans(x)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _spans(getattr(obj, f.name))
+
+
+def _sources_with_spans():
+    probes = os.path.join(os.path.dirname(CORPUS_DIR), "oracle_probes")
+    texts = [corpus_source(n).content for n in sorted(os.listdir(CORPUS_DIR)) if n.endswith(".java")]
+    for name in sorted(os.listdir(probes)):
+        with open(os.path.join(probes, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    workloads = _benchmark_workloads()
+    for workload in workloads.WORKLOADS:
+        texts.extend(f.text for f in workloads.generate(workload, 1, "full", CORPUS_DIR))
+    return texts
+
+
+def test_every_span_has_the_line_and_column_the_token_positions_give():
+    """Each span's ``line:col`` pairs are those the reference lexer gives its
+    first token's start and its last token's end, which is what the spans
+    stored before they became offsets only."""
+    checked = 0
+    for text in _sources_with_spans():
+        assert "\r" not in text
+        tokens = lex_reference.tokenize(text)
+        starts = {t.start: (t.line, t.col) for t in tokens}
+        ends = {t.end: (t.line, t.col + len(t.text)) for t in tokens}
+        for span in _spans(parse_source(text)):
+            got = (span.start_line, span.start_col, span.end_line, span.end_col)
+            assert got == (*starts[span.start], *ends[span.end]), span
+            checked += 1
+    assert checked > 100_000
 
 
 # --- parser: paper examples ---
@@ -218,7 +337,7 @@ def test_reconstruct_statement_span():
 
 def test_reconstruct_zero_width_span():
     ast = parse_corpus("CounterDR.java")
-    span = A.SourceSpan(ast.path, 5, 5, 1, 6, 1, 6)
+    span = A.SourceSpan(ast.path, 5, 5, LineTable(ast.source))
     assert reconstruct_span(ast, span) == ""
 
 
@@ -226,7 +345,7 @@ def test_reconstruct_span_crossing_statements():
     src = corpus_source("CounterDR.java")
     ast = parse_compilation_unit(src)
     stmts = ast.classes[0].methods[0].body.stmts
-    span = A.SourceSpan(ast.path, stmts[0].span.start, stmts[1].span.end, 0, 0, 0, 0)
+    span = A.SourceSpan(ast.path, stmts[0].span.start, stmts[1].span.end, LineTable(ast.source))
     text = reconstruct_span(ast, span)
     assert text.startswith("int temp = cnt;") and text.endswith("temp += 1;")
 
@@ -234,9 +353,9 @@ def test_reconstruct_span_crossing_statements():
 def test_reconstruct_out_of_range():
     ast = parse_corpus("CounterDR.java")
     with pytest.raises(SpanOutOfRange):
-        reconstruct_span(ast, A.SourceSpan(ast.path, 0, 10**6, 1, 1, 1, 1))
+        reconstruct_span(ast, A.SourceSpan(ast.path, 0, 10**6, LineTable(ast.source)))
     with pytest.raises(SpanOutOfRange):
-        reconstruct_span(ast, A.SourceSpan("other.java", 0, 1, 1, 1, 1, 2))
+        reconstruct_span(ast, A.SourceSpan("other.java", 0, 1, LineTable(ast.source)))
 
 
 # --- round-trip and determinism properties ---
@@ -328,7 +447,7 @@ def test_pretty_print_idempotent(corpus_names):
 def test_printer_round_trips_generated_classes(src):
     once = to_source(parse_source(src))
     assert to_source(parse_source(once)) == once
-    assert [t.text for t in tokenize(once)] == [t.text for t in tokenize(src)]
+    assert [t[1] for t in tokenize(once)] == [t[1] for t in tokenize(src)]
 
 
 # --- subset coverage ---
@@ -583,10 +702,12 @@ def error_at_a_type_javac_rejects(text, got):
     ``(`` follows. The reference parser reads these as types or as a field;
     javac and the shipped parser reject them."""
     _, line, col, message = got
-    toks = tokenize(text, "P.java")
-    k = next(i for i, t in enumerate(toks) if (t.line, t.col) == (line, col))
-    here, before = toks[k].text, toks[k - 1].text if k else ""
-    after = [t.text for t in toks[k + 1:k + 3]]
+    lines = LineTable(text)
+    tokens = tokenize(text, "P.java")
+    k = next(i for i, t in enumerate(tokens) if lines.line_col(t[2]) == (line, col))
+    toks = [t[1] for t in tokens]
+    here, before = toks[k], toks[k - 1] if k else ""
+    after = toks[k + 1:k + 3]
     return (
         (here in PRIMITIVE_TYPES and after[:1] == ["<"])
         or (here == "<" and before in PRIMITIVE_TYPES)
@@ -594,7 +715,7 @@ def error_at_a_type_javac_rejects(text, got):
             and (here == "void" or after != ["[", "]"]))
         or (here == "[" and before == "void")
         or (message == "'void' is only valid as a return type" and here == "void" and after[1:] != ["("])
-        or (message == "expected '(' after method name, found '{'" and toks[k - 2].text == "void")
+        or (message == "expected '(' after method name, found '{'" and toks[k - 2] == "void")
     )
 
 
@@ -628,7 +749,7 @@ MUTATION_TOKENS = (
 def mutated_sources(draw):
     """A generated class or a corpus file with one to three token-level edits."""
     src = draw(st.one_of(thread_safe_classes(), synchronized_classes(), st.sampled_from(_corpus_texts())))
-    toks = [t.text for t in tokenize(src)][:-1]
+    toks = [t[1] for t in tokenize(src)][:-1]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(toks) - 1))
         op = draw(st.sampled_from(("insert", "delete", "swap")))
