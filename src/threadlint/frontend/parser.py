@@ -90,6 +90,13 @@ _UNSUPPORTED_STMT_KEYWORDS = {
     "case": "switch statements are not supported",
     "default": "switch statements are not supported",
 }
+# operators outside the subset that follow a complete operand: the parser
+# stops before them and reports them where it expected another token
+_UNSUPPORTED_OPERATORS = {
+    "?": "conditional expressions are not supported",
+    "instanceof": "instanceof expressions are not supported",
+    "::": "method references are not supported",
+}
 # first tokens that decide a statement's kind on their own
 _STATEMENT_HEADS = frozenset(
     {"{", ";", "if", "while", "for", "return", "throw", "synchronized", "try"}
@@ -167,7 +174,7 @@ class _Parser:
         if t[1] != text:
             found = repr(t[1]) if t[0] != "eof" else "end of file"
             msg = f"expected {text!r}{' ' + what if what else ''}, found {found}"
-            raise self.error(msg)
+            raise self.error(_UNSUPPORTED_OPERATORS.get(t[1], msg))
         self.pos += 1
         return t
 
@@ -802,8 +809,7 @@ class _Parser:
         elif t[1] == "->" or t[1] == "::":
             raise self.error("lambdas and method references are not supported", t)
         elif kind == "keyword" and t[1] in PRIMITIVE_TYPES:
-            # only valid as Foo.class qualifiers, e.g. int.class — unsupported
-            raise self.error(f"unexpected type keyword {t[1]!r} in expression", t)
+            raise self.error(self._primitive_in_expression(), t)
         else:
             raise self.error(f"unexpected token {t[1]!r} in expression" if kind != "eof" else "unexpected end of file in expression", t)
         start = t
@@ -817,6 +823,8 @@ class _Parser:
                 self.pos += 2
                 if nxt[1] == "class":
                     expr = A.ClassLit(self.span_from(start), to_source(expr))
+                elif nxt[1] == "<":
+                    raise self.error("explicit type arguments are not supported", nxt)
                 elif nxt[0] != "ident":
                     raise self.error(f"expected member name after '.', found {nxt[1]!r}", nxt)
                 elif toks[self.pos][1] == "(":
@@ -837,6 +845,14 @@ class _Parser:
                 expr = A.Unary(self.span_from(op), op[1], expr, True)
         self.depth = depth
         return expr
+
+    def _primitive_in_expression(self) -> str:
+        """The error for the primitive type keyword at the current token,
+        which starts no supported operand, as in the cast ``(long) a``."""
+        toks, pos = self.toks, self.pos
+        if toks[pos - 1][1] == "(" and toks[pos + 1][1] in (")", "["):
+            return "cast expressions are not supported"
+        return f"unexpected type keyword {toks[pos][1]!r} in expression"
 
     def _parse_args(self) -> list[A.Expr]:
         self.expect("(")

@@ -5,12 +5,18 @@ runs over identical inputs produce byte-identical bytes. Wall time is kept
 on the Report object for logging but never serialized. Parse failures appear
 in every format; in SARIF they are tool execution notifications of a run
 whose invocation is marked unsuccessful.
+
+JSON and SARIF have a fixed shape, so each record is one ``str.format``
+template, built at import with its keys sorted, and filled with strings
+from ``json``'s C encoder. The bytes are those of ``json.dumps(doc,
+indent=2, sort_keys=True)`` of the documented shape (README "Output
+formats"), whose indenting encoder is pure Python.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str  # json.dumps' C string encoder
 from threadlint.alerts import ALL_RULES, Alert, RULE_DESCRIPTIONS
 
 SARIF_VERSION = "2.1.0"
@@ -71,116 +77,154 @@ class Report:
             self.stats.rule_counts[a.rule] += 1
 
 
-def _span_dict(span) -> dict:
-    return {
-        "file": span.file,
-        "line": span.start_line,
-        "col": span.start_col,
-        "end_line": span.end_line,
-        "end_col": span.end_col,
-    }
+def _list(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array of rendered ``items``, or with ``brackets="{}"`` an
+    object of rendered members, whose closing bracket is indented ``depth``
+    levels, as ``json.dumps(indent=2)`` writes it."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _alert_dict(a: Alert) -> dict:
-    d = {
-        "rule": a.rule,
-        "class": a.class_id,
-        "field": a.field,
-        "message": a.message,
-        **_span_dict(a.primary),
-    }
-    if a.secondary is not None:
-        d["secondary"] = _span_dict(a.secondary)
-    return d
+def _const(s: str) -> str:
+    """A constant JSON string, escaped for a ``str.format`` template."""
+    return _str(s).replace("{", "{{").replace("}", "}}")
+
+
+def _template(shape: dict, depth: int) -> str:
+    """The ``str.format`` template of the JSON object ``shape`` whose
+    closing brace is indented ``depth`` levels, with its keys sorted as
+    ``json.dumps(indent=2, sort_keys=True)`` sorts them. In ``shape``, an
+    int is the index of the format argument that fills the value; a bool or
+    a str is a constant; a dict is a nested object and a list an array of
+    them."""
+    pad = "  " * (depth + 1)
+    items = [f"{pad}{_const(key)}: {_value(shape[key], depth + 1)}" for key in sorted(shape)]
+    return "{{\n" + ",\n".join(items) + "\n" + "  " * depth + "}}"
+
+
+def _value(v, depth: int) -> str:
+    if isinstance(v, bool):  # before int: bool is a subclass of int
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return f"{{{v}}}"
+    if isinstance(v, str):
+        return _const(v)
+    if isinstance(v, dict):
+        return _template(v, depth)
+    return _list([_template(x, depth + 1) for x in v], depth)
+
+
+# -- JSON ---------------------------------------------------------------------
+# Record templates open at the nesting of their list's items: the document
+# is level 0, its lists close at level 1 and their items at level 2.
+
+
+def _span(i: int) -> dict:
+    return {"file": i, "line": i + 1, "col": i + 2, "end_line": i + 3, "end_col": i + 4}
+
+
+_ALERT = {"rule": 0, "class": 1, "field": 2, "message": 3, **_span(4)}
+_JSON_ALERT = _template(_ALERT, 2).format
+_JSON_ALERT_SECONDARY = _template({**_ALERT, "secondary": _span(9)}, 2).format
+_JSON_ERROR = _template({"file": 0, "line": 1, "col": 2, "message": 3}, 2).format
+_JSON_ORACLE = _template(
+    {"class": 0, "file": 1, "static_alerts": 2, "status": 3, "raced": 4, "agreement": 5, "detail": 6}, 2
+).format
+_JSON_DOC = {
+    "alerts": 0,
+    "stats": {"files_parsed": 1, "classes_analyzed": 2, "annotated_classes": 3, "rule_counts": 4},
+    "errors": 5,
+}
+_JSON_PLAIN = _template(_JSON_DOC, 0).format
+_JSON_WITH_ORACLE = _template({**_JSON_DOC, "oracle": 6}, 0).format
+
+
+def _line_cols(span) -> tuple[int, int, int, int]:
+    """Start line and column, then end line and column."""
+    return span.lines.line_col(span.start) + span.lines.line_col(span.end)
 
 
 def _json_bytes(r: Report) -> bytes:
-    doc = {
-        "alerts": [_alert_dict(a) for a in r.alerts],
-        "stats": {
-            "files_parsed": r.stats.files_parsed,
-            "classes_analyzed": r.stats.classes_analyzed,
-            "annotated_classes": r.stats.annotated_classes,
-            "rule_counts": r.stats.rule_counts,
-        },
-        "errors": [
-            {"file": e.path, "line": e.line, "col": e.col, "message": e.message}
-            for e in r.errors
-        ],
-    }
+    alerts = []
+    for a in r.alerts:
+        p, s = a.primary, a.secondary
+        head = (_str(a.rule), _str(a.class_id), _str(a.field), _str(a.message), _str(p.file), *_line_cols(p))
+        if s is None:
+            alerts.append(_JSON_ALERT(*head))
+        else:
+            alerts.append(_JSON_ALERT_SECONDARY(*head, _str(s.file), *_line_cols(s)))
+    errors = [_JSON_ERROR(_str(e.path), e.line, e.col, _str(e.message)) for e in r.errors]
+    st = r.stats
+    counts = [f"{_str(rule)}: {n}" for rule, n in sorted(st.rule_counts.items())]
+    args = (
+        _list(alerts, 1), st.files_parsed, st.classes_analyzed, st.annotated_classes,
+        _list(counts, 2, "{}"), _list(errors, 1),
+    )
     if r.oracle:
-        doc["oracle"] = [
-            {
-                "class": o.class_id,
-                "file": o.file,
-                "static_alerts": o.static_alerts,
-                "status": o.status,
-                "raced": o.raced,
-                "agreement": o.agreement,
-                "detail": o.detail,
-            }
+        oracle = [
+            _JSON_ORACLE(
+                _str(o.class_id), _str(o.file), o.static_alerts, _str(o.status),
+                "true" if o.raced else "false", _str(o.agreement), _str(o.detail),
+            )
             for o in r.oracle
         ]
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        doc = _JSON_WITH_ORACLE(*args, _list(oracle, 1))
+    else:
+        doc = _JSON_PLAIN(*args)
+    return (doc + "\n").encode("utf-8")
 
 
-def _sarif_location(span) -> dict:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": span.file},
-            "region": {
-                "startLine": span.start_line,
-                "startColumn": span.start_col,
-                "endLine": span.end_line,
-                "endColumn": span.end_col,
-            },
+# -- SARIF --------------------------------------------------------------------
+# The run is the item of ``runs`` at level 2, so its results and its
+# invocation open at level 4, and the invocation's notifications at level 6.
+
+
+def _location(i: int) -> dict:
+    region = {"startLine": i + 1, "startColumn": i + 2, "endLine": i + 3, "endColumn": i + 4}
+    return {"physicalLocation": {"artifactLocation": {"uri": i}, "region": region}}
+
+
+_RESULT = {"ruleId": 0, "level": "warning", "message": {"text": 1}, "locations": [_location(2)]}
+_SARIF_RESULT = _template(_RESULT, 4).format
+_SARIF_RESULT_RELATED = _template({**_RESULT, "relatedLocations": [_location(7)]}, 4).format
+_SARIF_NOTIFICATION = _template({
+    "level": "error",
+    "message": {"text": 0},
+    "locations": [{
+        "physicalLocation": {"artifactLocation": {"uri": 1}, "region": {"startLine": 2, "startColumn": 3}}
+    }],
+}, 6).format
+_RUN = {
+    "tool": {
+        "driver": {
+            "name": "threadlint",
+            "rules": [{"id": rid, "shortDescription": {"text": RULE_DESCRIPTIONS[rid]}} for rid in ALL_RULES],
         }
-    }
+    },
+    "results": 0,
+}
+_FAILED_RUN = {**_RUN, "invocations": [{"executionSuccessful": False, "toolExecutionNotifications": 1}]}
+_SARIF_PLAIN = _template({"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [_RUN]}, 0).format
+_SARIF_FAILED = _template({"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [_FAILED_RUN]}, 0).format
 
 
 def _sarif_bytes(r: Report) -> bytes:
     results = []
     for a in r.alerts:
-        result = {
-            "ruleId": a.rule,
-            "level": "warning",
-            "message": {"text": f"[{a.class_id}.{a.field}] {a.message}"},
-            "locations": [_sarif_location(a.primary)],
-        }
-        if a.secondary is not None:
-            result["relatedLocations"] = [_sarif_location(a.secondary)]
-        results.append(result)
-    run = {
-        "tool": {
-            "driver": {
-                "name": "threadlint",
-                "rules": [
-                    {"id": rid, "shortDescription": {"text": RULE_DESCRIPTIONS[rid]}}
-                    for rid in ALL_RULES
-                ],
-            }
-        },
-        "results": results,
-    }
+        p, s = a.primary, a.secondary
+        head = (_str(a.rule), _str(f"[{a.class_id}.{a.field}] {a.message}"), _str(p.file), *_line_cols(p))
+        if s is None:
+            results.append(_SARIF_RESULT(*head))
+        else:
+            results.append(_SARIF_RESULT_RELATED(*head, _str(s.file), *_line_cols(s)))
     if r.errors:
-        run["invocations"] = [{
-            "executionSuccessful": False,
-            "toolExecutionNotifications": [
-                {
-                    "level": "error",
-                    "message": {"text": e.message},
-                    "locations": [{
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": e.path},
-                            "region": {"startLine": e.line, "startColumn": e.col},
-                        }
-                    }],
-                }
-                for e in r.errors
-            ],
-        }]
-    doc = {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [run]}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        notes = [_SARIF_NOTIFICATION(_str(e.message), _str(e.path), e.line, e.col) for e in r.errors]
+        doc = _SARIF_FAILED(_list(results, 3), _list(notes, 5))
+    else:
+        doc = _SARIF_PLAIN(_list(results, 3))
+    return (doc + "\n").encode("utf-8")
 
 
 def _text_bytes(r: Report) -> bytes:

@@ -66,6 +66,13 @@ _UNSUPPORTED_STMT_KEYWORDS = {
     "case": "switch statements are not supported",
     "default": "switch statements are not supported",
 }
+# operators outside the subset that follow a complete operand, named where
+# another token was expected
+_UNSUPPORTED_OPERATORS = {
+    "?": "conditional expressions are not supported",
+    "instanceof": "instanceof expressions are not supported",
+    "::": "method references are not supported",
+}
 
 
 class _Parser:
@@ -107,7 +114,7 @@ class _Parser:
         if t.text != text:
             found = repr(t.text) if t.kind != "eof" else "end of file"
             msg = f"expected {text!r}{' ' + what if what else ''}, found {found}"
-            raise ParseError(t.line, t.col, msg)
+            raise ParseError(t.line, t.col, _UNSUPPORTED_OPERATORS.get(t.text, msg))
         return self.advance()
 
     def expect_ident(self, what: str = "name") -> Token:
@@ -663,6 +670,8 @@ class _Parser:
 
                     expr = A.ClassLit(self.span_from(start), to_source(expr))
                     continue
+                if nxt.text == "<":
+                    raise ParseError(nxt.line, nxt.col, "explicit type arguments are not supported")
                 if nxt.kind != "ident":
                     raise ParseError(nxt.line, nxt.col, f"expected member name after '.', found {nxt.text!r}")
                 self.advance()
@@ -745,7 +754,8 @@ class _Parser:
                 return A.Call(self.span_from(t), None, t.text, args)
             return A.Name(self.span_from(t), t.text)
         if t.kind == "keyword" and t.text in PRIMITIVE_TYPES:
-            # only valid as Foo.class qualifiers, e.g. int.class — unsupported
+            if self.toks[self.pos - 1].text == "(" and self.peek(1).text in (")", "["):
+                raise ParseError(t.line, t.col, "cast expressions are not supported")
             raise ParseError(t.line, t.col, f"unexpected type keyword {t.text!r} in expression")
         raise ParseError(t.line, t.col, f"unexpected token {t.text!r} in expression" if t.kind != "eof" else "unexpected end of file in expression")
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+import report_reference
 from test_frontend import _benchmark_workloads
 
 import threadlint
@@ -406,6 +407,24 @@ def test_parse_errors_match_golden_bytes(monkeypatch, capsysbinary):
     assert code == EXIT_ERROR and captured.err == b""
 
 
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_parse_errors_match_golden_bytes_in_json_and_sarif(monkeypatch, capsysbinary, fmt):
+    """The error path of both structured formats: JSON's ``errors`` list and
+    SARIF's unsuccessful invocation with one notification per file. The
+    golden is the reference encoder's rendering of the same report."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    parse_errors = os.path.join("tests", "parse_errors")
+    code = main(["--format", fmt, parse_errors])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, f"parse_errors.{fmt}"), "rb") as fh:
+        golden = fh.read()
+    assert captured.out == golden
+    assert code == EXIT_ERROR and captured.err == b""
+    report, _ = run([parse_errors], build_config(None))
+    assert report_reference.reference_bytes(report, fmt) == golden
+
+
 def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     """tests/oracle_probes: the oracle reads a monitor or lock reference
     before it locks (``Mon`` and ``LockRef`` race on it), a method that
@@ -417,7 +436,10 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     class: ``q.ForeignClassLit.class`` in package ``p`` is another class, so
     ``ForeignClassLit`` has a P3 alert and races, while ``Inner.class``,
     ``NestedClassLit.Inner.class`` and ``p.NestedClassLit.Inner.class`` share
-    one monitor and ``NestedClassLit.Inner`` is race-free. Exit 0."""
+    one monitor and ``NestedClassLit.Inner`` is race-free. A string literal
+    is its own monitor: ``"a b"`` and ``"ab"`` are two strings, so
+    ``StringLitMonitors`` has a P3 alert and races, while
+    ``StringLitShared`` locks ``"a b"`` twice and is race-free. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])

@@ -820,7 +820,7 @@ def test_parser_matches_reference_on_nested_blocks():
 # expressions or classic for-headers and reported that retry's error
 COMMITTED_ERRORS = {
     "a<b>c + 1;": (1, 28, "expected ';' after local declaration, found '+'"),
-    "int x = c > 0 ? 1 : 2;": (1, 36, "expected ';' after local declaration, found '?'"),
+    "int x = c > 0 ? 1 : 2;": (1, 36, "conditional expressions are not supported"),
     "int x = ;": (1, 30, "unexpected token ';' in expression"),
     "x y z;": (1, 26, "expected ';' after local declaration, found 'z'"),
     "for (int x : xs) { y = ; }": (1, 45, "unexpected token ';' in expression"),
@@ -878,6 +878,26 @@ def test_parser_matches_reference_on_statements(stmt):
         line, col, message = COMMITTED_ERRORS[stmt]
         assert parsed(parse_source, text) == ("error", line, col, message)
         assert parsed(parse_source, text) != parsed(parse_reference.parse_source, text)
+
+
+# each unsupported expression, at the token that names it
+UNSUPPORTED_EXPRESSIONS = {
+    "x = c ? 1 : 2;": (28, "conditional expressions are not supported"),
+    "f(o instanceof String);": (26, "instanceof expressions are not supported"),
+    "f(Integer::valueOf);": (31, "method references are not supported"),
+    "x = (long) a;": (27, "cast expressions are not supported"),
+    "x = (int[]) o;": (27, "cast expressions are not supported"),
+    "o = Collections.<String>emptyList();": (38, "explicit type arguments are not supported"),
+}
+
+
+@pytest.mark.parametrize("stmt", sorted(UNSUPPORTED_EXPRESSIONS))
+def test_unsupported_expressions_are_named(stmt):
+    """The error names the construct, where both parsers agree."""
+    text = "class A { void f() { " + stmt + " } }"
+    col, message = UNSUPPORTED_EXPRESSIONS[stmt]
+    assert parsed(parse_source, text) == ("error", 1, col, message)
+    assert parsed(parse_reference.parse_source, text) == ("error", 1, col, message)
 
 
 def test_expression_statements_start_no_declaration(monkeypatch):

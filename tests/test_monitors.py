@@ -370,6 +370,37 @@ class S {
     assert synchronized_on(cm, b, wb) == {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
 
 
+def test_sync_block_on_a_string_literal_keeps_the_literal_apart():
+    """Whitespace inside a literal is part of the string: ``"a b"`` and
+    ``"ab"`` are two monitors. Whitespace and ``#`` are spelled as unicode
+    escapes, so the identity is one word of the trace grammar, and
+    whitespace outside the literal still does not count."""
+    cm = model_from_source(
+        """@ThreadSafe
+class S {
+  private int x;
+  public void a() { synchronized ("a b") { x = 1; } }
+  public void b() { synchronized ("ab") { x = 2; } }
+  public void c() { synchronized ( "a b" ) { x = 3; } }
+  public void d() { synchronized ('#') { x = 4; } }
+  public void e() { synchronized ("a\\tb".trim()) { x = 5; } }
+}
+"""
+    )
+    got = {}
+    for name in "abcde":
+        m = _method(cm, name)
+        [mon] = synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr)
+        got[name] = mon.identity
+    assert got == {
+        "a": '"a\\u0020b"',
+        "b": '"ab"',
+        "c": '"a\\u0020b"',
+        "d": "'\\u0023'",
+        "e": '"a\\tb".trim()',
+    }
+
+
 def test_sync_block_on_a_class_qualified_static_field_is_the_field():
     cm = model_from_source(
         """@ThreadSafe

@@ -1,12 +1,22 @@
-"""Report serialization: determinism and parse failures in every format."""
+"""Report serialization: determinism, parse failures in every format, and
+the JSON and SARIF bytes against the reference encoder."""
 
 import json
+import os
 
 import pytest
+from conftest import CORPUS_DIR
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from report_reference import reference_bytes
+from test_frontend import _benchmark_workloads
 
-from threadlint.cli import EXIT_ERROR, main, run
+from threadlint.alerts import Alert
+from threadlint.cli import EXIT_ERROR, main, oracle_check, run
 from threadlint.config import build_config
-from threadlint.reporting import ParseFailure, Report, serialize_report
+from threadlint.frontend.ast import SourceSpan
+from threadlint.frontend.lexer import LineTable
+from threadlint.reporting import OracleResult, ParseFailure, Report, Stats, serialize_report
 
 ONE_ALERT = "@ThreadSafe\nclass Open {\n  int n;\n}\n"
 BROKEN = "@ThreadSafe\nclass Broken {\n  private int n;\n"
@@ -71,3 +81,81 @@ def test_report_with_alert_and_error_is_deterministic(tmp_path, fmt):
     data = serialize_report(first, fmt)
     assert data == serialize_report(second, fmt)
     assert b"Broken.java" in data and b"Open.java" in data
+
+
+# --- the writer against the reference encoder ---
+
+# characters json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII, astral and lone-surrogate code points, besides plain ones and
+# the braces of the writer's format templates
+_TRICKY = '"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f{}\xe9\u20ac\u2028\U0001f600\ud800\udbff\udc00\udfff'
+texts = st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=8)
+counts = st.integers(-3, 2**40)
+
+
+@st.composite
+def spans(draw, file=None):
+    source = draw(st.text(alphabet="ab\n\r", max_size=20))
+    start = draw(st.integers(0, len(source)))
+    end = draw(st.integers(start, len(source)))
+    return SourceSpan(draw(texts) if file is None else file, start, end, LineTable(source))
+
+
+@st.composite
+def alerts(draw):
+    return Alert(
+        rule=draw(st.one_of(st.sampled_from(("P1", "P2", "P3")), texts)),
+        primary=draw(spans()),
+        field=draw(texts),
+        message=draw(texts),
+        class_id=draw(texts),
+        secondary=draw(st.none() | spans()),
+    )
+
+
+failures = st.builds(ParseFailure, texts, counts, counts, texts)
+oracle_rows = st.builds(OracleResult, texts, texts, counts, texts, st.booleans(), texts, texts)
+stats = st.builds(
+    Stats, counts, counts, counts, st.dictionaries(st.one_of(st.sampled_from(("P1", "P2", "P3")), texts), counts),
+)
+reports = st.builds(
+    Report, st.lists(alerts(), max_size=3), stats, st.lists(failures, max_size=3), st.lists(oracle_rows, max_size=3),
+)
+
+_SPAN = SourceSpan("A.java", 2, 7, LineTable("ab\ncdef\r\ngh"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(reports)
+@example(Report())
+@example(Report(
+    alerts=[Alert("P1", _SPAN, "f", "m", "A"), Alert("P3", _SPAN, "g", "\"q\"", "A", secondary=_SPAN)],
+    errors=[ParseFailure("B.java", 1, 2, "expected '}'")],
+    oracle=[OracleResult("A", "A.java", 1, "checked", True, "ok"), OracleResult("B", "B.java", 0, "checked", False, "ok")],
+))
+def test_json_and_sarif_bytes_match_the_reference_encoder(report):
+    for fmt in ("json", "sarif"):
+        assert serialize_report(report, fmt) == reference_bytes(report, fmt)
+
+
+@pytest.mark.parametrize("with_oracle", [False, True], ids=["static", "oracle"])
+@pytest.mark.parametrize("workload", ["lint-callchain", "lint-wide", "oracle"])
+def test_workload_reports_match_the_reference_encoder(tmp_path, workload, with_oracle):
+    """Every per-file report of each workload's full-size seed-1 files, as
+    the benchmark writes them, in both structured formats."""
+    workloads = _benchmark_workloads()
+    config = build_config(None, **workloads.CONFIG_ARGS)
+    check = oracle_check if with_oracle else run
+    repo_root = os.path.dirname(os.path.dirname(CORPUS_DIR))
+    checked = 0
+    for f in workloads.generate(workload, 1, "full", CORPUS_DIR):
+        path = os.path.join(repo_root, f.relpath) if f.in_repo else str(tmp_path / f.relpath)
+        if not f.in_repo:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f.text)
+        report, _ = check([path], config)
+        for fmt in ("json", "sarif"):
+            assert serialize_report(report, fmt) == reference_bytes(report, fmt), (path, fmt)
+        checked += bool(report.alerts)
+    assert checked
