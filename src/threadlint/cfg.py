@@ -1,4 +1,4 @@
-"""Intra-method control-flow graphs, their paths and dominance queries.
+"""Intra-method control-flow graphs, their paths and hold counts.
 
 Structured statements are lowered to edges over per-statement nodes; each
 node lists the expressions it evaluates (``CfgNode.exprs``), and
@@ -12,13 +12,14 @@ several nodes. Early exits leave a ``synchronized`` block through an exit
 node of their own. A ``catch`` handler is reached once the whole protected
 block completes.
 
-Dominance is answered from its definition, on demand: a set of nodes
-dominates another node when removing the set cuts that node off from the
-entry, and post-dominance is the same question asked from the exit. One
-depth-first search serves both directions, and only the node sets a query
-asks about get one.
+Lock windows are hold counts: :func:`fewest` gives each node the fewest
+holds on any path to it from the entry, where each node adds its gain (a
+lock call one, an unlock call minus one) and a count never falls below 0,
+as a must-lockset that counts reentrant holds. Asked from the exit over the
+predecessors, with each unlock call adding one, it gives the fewest unlock
+calls on any path out.
 
-Graphs are built on demand too: the monitor analysis asks for a method's CFG
+Graphs are built on demand: the monitor analysis asks for a method's CFG
 only when the method holds both a lock call and an unlock call on one lock
 field, the only place a lock window can exist.
 """
@@ -26,7 +27,7 @@ field, the only place a lock window can exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from threadlint.frontend import ast as A
 
@@ -208,61 +209,27 @@ def paths(cfg: Cfg) -> Iterator[list[CfgNode]]:
             todo.append((path + [s], used | {(n, s)}))
 
 
-# --- dominance --------------------------------------------------------------
+# --- hold counts ------------------------------------------------------------
 
 
-def _reach(root, edges, avoid=frozenset()) -> set:
-    """The nodes reachable from ``root`` over ``edges`` without entering ``avoid``."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for nxt in edges[stack.pop()]:
-            if nxt not in seen and nxt not in avoid:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def fewest(cfg: Cfg, gain: Mapping[CfgNode, int], backward: bool = False) -> dict[CfgNode, int]:
+    """The fewest holds on any path from the entry to each node it reaches,
+    counted before the node runs; from the exit over ``preds`` when
+    ``backward``.
 
-
-class DomInfo:
-    """Dominance over one digraph, from its definition, computed on first need.
-
-    A set of nodes ``a`` dominates ``b`` when ``b`` is reachable from
-    ``entry`` but not once the nodes of ``a`` are removed: every path to
-    ``b`` passes some node of ``a``. Post-dominance asks the same from
-    ``exit`` over ``preds``. The set each asked-about node set dominates is
-    kept.
+    A node adds ``gain.get(node, 0)`` to the count of the path that leaves
+    it, and a count never falls below 0. Counts join by their minimum and
+    only fall once set, so a loop ends without a cap. A node no path
+    reaches gets no count.
     """
-
-    def __init__(self, entry, exit_node, succs, preds):
-        self.entry = entry
-        self.exit = exit_node
-        self.succs = succs
-        self.preds = preds
-        self._dominated: dict[tuple[bool, frozenset], set] = {}
-
-    def dominated(self, a: frozenset, post: bool = False) -> set:
-        """The nodes ``a`` dominates, or post-dominates when ``post``: empty
-        when no node of ``a`` is reachable from the root."""
-        got = self._dominated.get((post, a))
-        if got is None:
-            root, edges = (self.exit, self.preds) if post else (self.entry, self.succs)
-            if root in a:
-                got = _reach(root, edges)
-            else:
-                got = self.dominated(frozenset([root]), post) - _reach(root, edges, avoid=a)
-            self._dominated[(post, a)] = got
-        return got
-
-
-def dominance(cfg: Cfg) -> DomInfo:
-    return DomInfo(cfg.entry, cfg.exit, cfg.succs, cfg.preds)
-
-
-def dominates(d: DomInfo, a: frozenset, b: Iterable) -> bool:
-    """True iff every path entry -> a node of b passes through some node of a (reflexive)."""
-    return d.dominated(a).issuperset(b)
-
-
-def post_dominates(d: DomInfo, a: frozenset, b: Iterable) -> bool:
-    """True iff every path from a node of b -> exit passes through some node of a (reflexive)."""
-    return d.dominated(a, post=True).issuperset(b)
+    root, edges = (cfg.exit, cfg.preds) if backward else (cfg.entry, cfg.succs)
+    count = {root: 0}
+    work = [root]
+    while work:
+        n = work.pop()
+        out = max(count[n] + gain.get(n, 0), 0)
+        for s in edges[n]:
+            if out < count.get(s, out + 1):
+                count[s] = out
+                work.append(s)
+    return count

@@ -60,6 +60,9 @@ VISIBILITY_KEYWORDS = frozenset({"public", "private", "protected"})
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="})
 _PREFIX_OPS = frozenset({"+", "-", "!", "~", "++", "--"})
 _SELECTORS = frozenset({".", "[", "++", "--"})
+# tokens that can start the operand of a cast but follow no parenthesized expression
+_CAST_OPERAND_KINDS = frozenset({"ident", "number", "string", "char"})
+_CAST_OPERAND_WORDS = frozenset({"(", "this", "new", "true", "false", "null"})
 
 # binary operators by precedence level, loosest first; all left-associative
 _BINARY_LEVELS: list[tuple[str, ...]] = [
@@ -119,6 +122,13 @@ class SourceFile:
     def __post_init__(self):
         if not self.path:
             raise ValueError("SourceFile.path must be nonempty")
+
+
+def _is_name(e: A.Expr) -> bool:
+    """A simple or qualified name, as a cast to a class type puts in parentheses."""
+    while type(e) is A.FieldSel:
+        e = e.qualifier
+    return type(e) is A.Name
 
 
 def _number_kind(text: str) -> str:
@@ -793,10 +803,14 @@ class _Parser:
             if toks[self.pos + 1][1] == ")" and toks[self.pos + 2][1] == "->":
                 raise self.error("lambdas are not supported", t)
             self.pos += 1
+            first = toks[self.pos]
             inner = self.parse_expression()
             self.expect(")")
-            if toks[self.pos][1] == "->":
+            nxt = toks[self.pos]
+            if nxt[1] == "->":
                 raise self.error("lambdas are not supported", t)
+            if _is_name(inner) and (nxt[0] in _CAST_OPERAND_KINDS or nxt[1] in _CAST_OPERAND_WORDS):
+                raise self.error("cast expressions are not supported", first)
             expr = A.Paren(self.span_from(t), inner)
         elif t[1] == "true" or t[1] == "false":
             self.pos += 1
@@ -848,8 +862,14 @@ class _Parser:
 
     def _primitive_in_expression(self) -> str:
         """The error for the primitive type keyword at the current token,
-        which starts no supported operand, as in the cast ``(long) a``."""
+        which starts no supported operand, as in the cast ``(long) a`` or
+        the class literal ``int.class``."""
         toks, pos = self.toks, self.pos
+        after = pos + 1
+        while toks[after][1] == "[" and toks[after + 1][1] == "]":
+            after += 2
+        if toks[after][1] == "." and toks[after + 1][1] == "class":
+            return "primitive class literals are not supported"
         if toks[pos - 1][1] == "(" and toks[pos + 1][1] in (")", "["):
             return "cast expressions are not supported"
         return f"unexpected type keyword {toks[pos][1]!r} in expression"

@@ -1,27 +1,30 @@
 """Monitor identification and protection of field accesses.
 
 Protection is computed in one place, :meth:`MonitorAnalysis.protecting_monitors`.
-An access is protected by an explicit lock field when some lock()/unlock()
-call pair on that field satisfies the dominance conditions: the lock call
-dominates both the unlock call and the access, and the unlock call
-post-dominates the access; such a window reports the monitor
-``Monitor(LOCK_FIELD, "<class_id>.<field>")``. A call or access inside a
-``finally`` block has one CFG node per copy of the block, so the conditions
-are asked of node sets: every path to each node of the unlock call or the
-access passes some node of the lock call, and every path from each node of
-the access to the exit passes some node of the unlock call. Protection by the
-synchronized keyword (methods, static methods, blocks) is recognized
-syntactically and reports every other monitor kind.
+An access is protected by an explicit lock field when every CFG node of it
+lies in the field's lock window (:class:`LockWindow`): the nodes held at
+least once on every path in and released on every path out. Holds are
+counted, as the field's lock is reentrant: along a path each lock call
+(``lock``, ``lockInterruptibly``, ``tryLock``) adds one and each unlock call
+takes one away, and :func:`threadlint.cfg.fewest` gives the fewest holds on
+any path to each node. So an unlock between a lock call and the access ends
+the window, and ``lock(); lock(); x = 1; unlock(); unlock();`` keeps ``x``
+guarded. "Released on every path out" is the paper's post-dominating
+``unlock()``: every path from the node to the exit passes an unlock call of
+the field. A lock or unlock statement is inside its own window. Such a
+window reports the monitor ``Monitor(LOCK_FIELD, "<class_id>.<field>")``.
+A call or access inside a ``finally`` block has one CFG node per copy of
+the block, and each copy is asked about. Protection by the synchronized
+keyword (methods, static methods, blocks) is recognized syntactically and
+reports every other monitor kind.
 
-The work is demand-driven, as a query engine evaluates the paper's
-dominance relation only where the query needs it. Lock and unlock calls are
-taken from the calls the class model recorded, and a method's CFG is
-built only when some lock field has both a lock call and an unlock call in
-it; without both no window exists, so no CFG is asked for. Dominance is
-then searched for only from the lock and unlock calls a window query names. Synchronized blocks also come from the class model: an
-expression is guarded by each block whose body span contains its span,
-which is exact because the spans of one tree nest or are disjoint. Each
-block's monitor is computed once.
+The work is demand-driven. Lock and unlock calls are taken from the calls
+the class model recorded, and a method's CFG and windows are built only
+when some lock field has both a lock call and an unlock call in it; without
+both no window exists, so no CFG is asked for. Synchronized blocks also
+come from the class model: an expression is guarded by each block whose
+body span contains its span, which is exact because the spans of one tree
+nest or are disjoint. Each block's monitor is computed once.
 
 Names are bound by the class model, never here: a lock call's receiver
 locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
@@ -47,19 +50,20 @@ remain the paper's definition, evaluated only when asked for.
 Monitor equality is syntactic-canonical over those bindings: ``l``,
 ``this.l`` and, for a static field, ``Cls.l`` share one identity;
 ``synchronized (this)`` and a synchronized instance method share the
-``this`` monitor. A dominating ``tryLock()`` counts as protection even
-though its acquisition may fail; read-write and stamped locks are not
+``this`` monitor. A ``tryLock()`` counts as a hold even though its
+acquisition may fail; read-write and stamped locks are not
 recognized unless configured.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from threadlint.accesspaths import AccessPathFact, provides_access
-from threadlint.cfg import Cfg, CfgNode, DomInfo, build_cfg, dominance, dominates, post_dominates
+from threadlint.cfg import Cfg, CfgNode, build_cfg, fewest
 from threadlint.classmodel import ClassModel, FieldAccess
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
@@ -87,11 +91,29 @@ class Monitor:
 
 @dataclass(frozen=True)
 class LockWindow:
-    """A lock()/unlock() pair where the lock call dominates the unlock call."""
+    """The nodes of one method where ``field`` is held at least once on
+    every path in and released on every path out."""
 
-    lock_nodes: frozenset[CfgNode]
-    unlock_nodes: frozenset[CfgNode]
+    nodes: frozenset[CfgNode]
     field: A.FieldDecl
+
+
+def lock_window(cfg: Cfg, field: A.FieldDecl, locks: list[A.Call], unlocks: list[A.Call]) -> LockWindow:
+    """The window of ``field`` in ``cfg``, given its lock and unlock calls.
+
+    A node is held when every path in leaves at least one hold or when it
+    locks, and released when every path out passes an unlock call or when
+    it unlocks; so the lock and unlock statements lie inside. A node that
+    cannot reach the exit is never released.
+    """
+    locked = [n for c in locks for n in cfg.nodes_for(c)]
+    unlocked = [n for c in unlocks for n in cfg.nodes_for(c)]
+    gain = Counter(locked)
+    gain.subtract(unlocked)
+    held = fewest(cfg, gain)
+    released = fewest(cfg, Counter(unlocked), backward=True)
+    return LockWindow(frozenset(n for n, c in held.items() if n in released
+                                and (c or n in locked) and (released[n] or n in unlocked)), field)
 
 
 def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> bool:
@@ -146,7 +168,7 @@ class MonitorAnalysis:
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
         self._lock_fields = lock_fields(cm, lock_types)
-        self._cfgs: dict[int, tuple[Cfg, DomInfo]] = {}
+        self._cfgs: dict[int, tuple[Cfg, list[LockWindow]]] = {}
         self._windows: dict[int, list[LockWindow]] = {}
         self._held: dict[int, list[tuple[A.SourceSpan, Monitor]]] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}
@@ -154,26 +176,11 @@ class MonitorAnalysis:
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
         self._entry: Optional[dict[int, frozenset[Monitor]]] = None
 
-    def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, DomInfo]:
-        entry = self._cfgs.get(id(m))
-        if entry is None:
-            cfg = build_cfg(m)
-            entry = (cfg, dominance(cfg))
-            self._cfgs[id(m)] = entry
-        return entry
-
-    def windows_for(self, m: A.MethodDecl) -> list[LockWindow]:
-        """All dominance-ordered lock/unlock pairs on the class's lock fields in ``m``.
-
-        The CFG is built only when some lock field has both a lock call and
-        an unlock call in ``m``; without both no window exists.
-        """
-        windows = self._windows.get(id(m))
-        if windows is not None:
-            return windows
-        windows = self._windows[id(m)] = []
+    def _lock_calls(self, m: A.MethodDecl) -> list[tuple[A.FieldDecl, list[A.Call], list[A.Call]]]:
+        """(field, lock calls, unlock calls) of each lock field with both
+        kinds of call in ``m``, in field order."""
         if not self._lock_fields:
-            return windows
+            return []
         locks: dict[int, list[A.Call]] = {}
         unlocks: dict[int, list[A.Call]] = {}
         for e in self.cm.calls_in(m):
@@ -188,17 +195,22 @@ class MonitorAnalysis:
             f = self.cm.denotes(e.qualifier)
             if f is not None:
                 bucket.setdefault(id(f), []).append(e)
-        paired = [f for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
-        if not paired:
-            return windows
-        cfg, dom = self.cfg_for(m)
-        for f in paired:
-            for lc in locks[id(f)]:
-                lock_nodes = frozenset(cfg.nodes_for(lc))
-                for uc in unlocks[id(f)]:
-                    unlock_nodes = frozenset(cfg.nodes_for(uc))
-                    if unlock_nodes and dominates(dom, lock_nodes, unlock_nodes):
-                        windows.append(LockWindow(lock_nodes, unlock_nodes, f))
+        return [(f, locks[id(f)], unlocks[id(f)]) for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
+
+    def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, list[LockWindow]]:
+        """``m``'s CFG and its lock windows, built on first need."""
+        got = self._cfgs.get(id(m))
+        if got is None:
+            cfg = build_cfg(m)
+            got = self._cfgs[id(m)] = (cfg, [lock_window(cfg, *p) for p in self._lock_calls(m)])
+        return got
+
+    def windows_for(self, m: A.MethodDecl) -> list[LockWindow]:
+        """One window per lock field with both a lock call and an unlock
+        call in ``m``; the CFG is built only when there is one."""
+        windows = self._windows.get(id(m))
+        if windows is None:
+            windows = self._windows[id(m)] = self.cfg_for(m)[1] if self._lock_calls(m) else []
         return windows
 
     def _held_syncs(self, m: A.MethodDecl) -> list[tuple[A.SourceSpan, Monitor]]:
@@ -226,12 +238,10 @@ class MonitorAnalysis:
                 out.add(mon)
         windows = self.windows_for(m)
         if windows:
-            cfg, dom = self.cfg_for(m)
-            nodes = cfg.nodes_for(expr)
-            if nodes:
-                for w in windows:
-                    if dominates(dom, w.lock_nodes, nodes) and post_dominates(dom, w.unlock_nodes, nodes):
-                        out.add(self._lock_field_monitor(w.field))
+            nodes = self.cfg_for(m)[0].nodes_for(expr)
+            for w in windows:
+                if nodes and w.nodes.issuperset(nodes):
+                    out.add(self._lock_field_monitor(w.field))
         return frozenset(out)
 
     def _lock_field_monitor(self, f: A.FieldDecl) -> Monitor:

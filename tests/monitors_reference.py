@@ -3,16 +3,21 @@
 This is the evaluation the demand-driven ``threadlint.monitors.MonitorAnalysis``
 replaced. It is kept only as the reference for the parity property in
 test_monitors.py, so it favours plainness over speed: every method gets a
-CFG and its dominance queries, one walk maps every node of the body to the
-monitors of its enclosing synchronized blocks, and lock and unlock calls are
-found by walking the body. Monitor and alias identification are shared with
-``src`` (``sync_monitor``, ``ClassModel.denotes``); only where protection
-is looked up differs.
+CFG and a window for every lock field, one walk maps every node of the body
+to the monitors of its enclosing synchronized blocks, and lock and unlock
+calls are found by walking the body. Windows are found by other means than
+``threadlint.cfg.fewest``: the holds on the way in by an explicit-state
+search over (node, holds) pairs (:func:`hold_states`), the unlock on every
+way out by plain reachability of the exit around the unlock calls. Monitor
+and alias identification are shared with ``src`` (``sync_monitor``,
+``ClassModel.denotes``); only where protection is looked up differs.
 """
 
 from __future__ import annotations
 
-from threadlint.cfg import build_cfg, dominance, dominates, post_dominates
+from collections import Counter
+
+from threadlint.cfg import build_cfg
 from threadlint.classmodel import ClassModel
 from threadlint.frontend import ast as A
 from threadlint.monitors import (
@@ -44,36 +49,84 @@ def sync_context_map(cm: ClassModel, m: A.MethodDecl) -> dict[int, tuple[Monitor
     return out
 
 
-def lock_windows(cm, m, cfg, dom, lock_types, lock_methods, unlock_methods) -> list[LockWindow]:
-    """All dominance-ordered lock/unlock pairs on the class's lock fields."""
+def hold_states(succs, root, gain) -> dict:
+    """node -> every hold count some path from ``root`` brings to it, counted
+    before the node runs, by an explicit-state search over (node, holds)
+    pairs. Leaving a node adds its gain, and a count never falls below 0.
+
+    A count saturates at the cap, the sum of the positive gains. This loses
+    no fewest count. Along a simple path to a node each gain is added once,
+    so its count is at most the cap, and so is the fewest count. A count cut
+    down to the cap only stands in for a higher one: from such a state at a
+    node, the fewest-hold path to that node (at most the cap) followed by
+    the same rest arrives with as few holds or fewer.
+    """
+    cap = sum(g for g in gain.values() if g > 0)
+    seen = {(root, 0)}
+    stack = [(root, 0)]
+    while stack:
+        n, h = stack.pop()
+        out = min(cap, max(0, h + gain.get(n, 0)))
+        for s in succs[n]:
+            if (s, out) not in seen:
+                seen.add((s, out))
+                stack.append((s, out))
+    states: dict = {}
+    for n, h in seen:
+        states.setdefault(n, set()).add(h)
+    return states
+
+
+def _reaches(succs, start, goal, avoid=frozenset()) -> bool:
+    """Whether some path leaves ``start`` and reaches ``goal`` without entering ``avoid``."""
+    seen = set()
+    stack = [s for s in succs[start] if s not in avoid]
+    while stack:
+        n = stack.pop()
+        if n is goal:
+            return True
+        if n not in seen:
+            seen.add(n)
+            stack.extend(s for s in succs[n] if s not in avoid)
+    return False
+
+
+def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[LockWindow]:
+    """A window for every lock field: the nodes where it is held on every
+    path in (or that lock it) and unlocked on every path out (or that unlock
+    it)."""
     fields = lock_fields(cm, lock_types)
     if not fields or m.body is None:
         return []
-    locks: dict[int, list] = {}
-    unlocks: dict[int, list] = {}
+    locked: dict[int, list] = {id(f): [] for f in fields}
+    unlocked: dict[int, list] = {id(f): [] for f in fields}
     for e in A.walk(m.body):
         if not isinstance(e, A.Call) or e.qualifier is None:
             continue
         if e.name not in lock_methods and e.name not in unlock_methods:
             continue
-        nodes = frozenset(cfg.nodes_for(e))
-        if not nodes:
-            continue
         for f in fields:
             if cm.denotes(e.qualifier) is f:
-                bucket = locks if e.name in lock_methods else unlocks
-                bucket.setdefault(id(f), []).append(nodes)
+                bucket = locked if e.name in lock_methods else unlocked
+                bucket[id(f)].extend(cfg.nodes_for(e))
     windows = []
     for f in fields:
-        for lc in locks.get(id(f), ()):
-            for uc in unlocks.get(id(f), ()):
-                if all(dominates(dom, lc, [u]) for u in uc):
-                    windows.append(LockWindow(lc, uc, f))
+        locks, unlocks = locked[id(f)], unlocked[id(f)]
+        gain = Counter(locks)
+        gain.subtract(unlocks)
+        states = hold_states(cfg.succs, cfg.entry, gain)
+        nodes = frozenset(
+            n for n in cfg.nodes
+            if n in states and (min(states[n]) >= 1 or n in locks)
+            and _reaches(cfg.succs, n, cfg.exit)
+            and (n in unlocks or not _reaches(cfg.succs, n, cfg.exit, avoid=frozenset(unlocks)))
+        )
+        windows.append(LockWindow(nodes, f))
     return windows
 
 
 class EagerMonitors:
-    """Every method's CFG, dominance, windows and sync map, built up front."""
+    """Every method's CFG, windows and sync map, built up front."""
 
     def __init__(
         self,
@@ -86,12 +139,11 @@ class EagerMonitors:
         self.per_method = {}
         for m in [*cm.decl.constructors, *cm.decl.methods]:
             cfg = build_cfg(m)
-            dom = dominance(cfg)
-            windows = lock_windows(cm, m, cfg, dom, lock_types, lock_methods, unlock_methods)
-            self.per_method[id(m)] = (cfg, dom, windows, sync_context_map(cm, m))
+            windows = lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods)
+            self.per_method[id(m)] = (cfg, windows, sync_context_map(cm, m))
 
     def protecting_monitors(self, m: A.MethodDecl, expr) -> frozenset[Monitor]:
-        cfg, dom, windows, held = self.per_method[id(m)]
+        cfg, windows, held = self.per_method[id(m)]
         out: set[Monitor] = set()
         if m.is_synchronized:
             if m.is_static:
@@ -103,6 +155,6 @@ class EagerMonitors:
         if nodes:
             owner = self.cm.decl.qualified_name or self.cm.decl.name
             for w in windows:
-                if all(dominates(dom, w.lock_nodes, [n]) and post_dominates(dom, w.unlock_nodes, [n]) for n in nodes):
+                if all(n in w.nodes for n in nodes):
                     out.add(Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
         return frozenset(out)

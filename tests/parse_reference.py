@@ -738,10 +738,18 @@ class _Parser:
             if self.peek(1).text == ")" and self.peek(2).text == "->":
                 raise _Unsupported(t.line, t.col, "lambdas are not supported")
             self.advance()
+            first = self.peek()
             inner = self.parse_expression()
             self.expect(")")
             if self.at("->"):
                 raise _Unsupported(t.line, t.col, "lambdas are not supported")
+            nxt = self.peek()
+            named = inner
+            while isinstance(named, A.FieldSel):
+                named = named.qualifier
+            if isinstance(named, A.Name) and (nxt.kind in ("ident", "number", "string", "char")
+                                              or nxt.text in ("(", "this", "new", "true", "false", "null")):
+                raise ParseError(first.line, first.col, "cast expressions are not supported")
             return A.Paren(self.span_from(t), inner)
         if t.text == "new":
             return self._parse_new(t)
@@ -754,6 +762,11 @@ class _Parser:
                 return A.Call(self.span_from(t), None, t.text, args)
             return A.Name(self.span_from(t), t.text)
         if t.kind == "keyword" and t.text in PRIMITIVE_TYPES:
+            k = 1
+            while self.peek(k).text == "[" and self.peek(k + 1).text == "]":
+                k += 2
+            if self.peek(k).text == "." and self.peek(k + 1).text == "class":
+                raise ParseError(t.line, t.col, "primitive class literals are not supported")
             if self.toks[self.pos - 1].text == "(" and self.peek(1).text in (")", "["):
                 raise ParseError(t.line, t.col, "cast expressions are not supported")
             raise ParseError(t.line, t.col, f"unexpected type keyword {t.text!r} in expression")

@@ -1,20 +1,14 @@
-"""CFG lowering and dominance, checked against brute-force path enumeration."""
+"""CFG lowering and hold counts, checked against an explicit-state search."""
 
 import itertools
 import os
 import random
 
 from conftest import parse_corpus
+from monitors_reference import hold_states
 from paths_reference import method_runs
 
-from threadlint.cfg import (
-    DomInfo,
-    build_cfg,
-    dominance,
-    dominates,
-    paths,
-    post_dominates,
-)
+from threadlint.cfg import Cfg, build_cfg, fewest, paths
 from threadlint.frontend import parse_source
 
 
@@ -22,36 +16,10 @@ def method_cfg(src: str, method: str = None, class_index: int = 0):
     ast = parse_source(src)
     decl = ast.classes[class_index]
     m = decl.methods[0] if method is None else next(x for x in decl.methods if x.name == method)
-    cfg = build_cfg(m)
-    return cfg, dominance(cfg)
+    return build_cfg(m)
 
 
-# --- brute-force oracle over simple paths ---
-
-
-def all_simple_paths(succs, start, goal):
-    paths = []
-    stack = [(start, (start,))]
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            paths.append(path)
-            continue
-        for nxt in succs.get(node, ()):
-            if nxt not in path:
-                stack.append((nxt, path + (nxt,)))
-    return paths
-
-
-def brute_dominance(succs, entry, nodes):
-    """{(a, b)} where some path entry -> b exists and every one passes a.
-
-    A node no path reaches neither dominates nor is dominated."""
-    out = set()
-    for b in nodes:
-        paths = all_simple_paths(succs, entry, b)
-        out |= {(a, b) for a in nodes if paths and all(a in p for p in paths)}
-    return out
+# --- fewest against the explicit-state search over (node, holds) pairs ---
 
 
 def reverse_graph(succs, nodes):
@@ -60,6 +28,11 @@ def reverse_graph(succs, nodes):
         for m in outs:
             preds[m].append(n)
     return preds
+
+
+def digraph(succs, entry, exit_node) -> Cfg:
+    nodes = list(succs)
+    return Cfg(nodes, succs, reverse_graph(succs, nodes), entry, exit_node)
 
 
 def random_graph(rng, n):
@@ -85,66 +58,40 @@ def random_digraph(rng, n):
     return {i: [j for j in range(n) if j != i and rng.random() < 0.2] for i in range(n)}
 
 
-def check_against_brute_force(succs, entry, exit_node):
-    """Every pair of nodes, reachable or not, gets the brute-force answer.
-    Returns the nodes unreachable from entry and those that cannot reach exit."""
-    nodes = list(succs)
-    preds = reverse_graph(succs, nodes)
-    info = DomInfo(entry, exit_node, succs, preds)
-    dom = brute_dominance(succs, entry, nodes)
-    pdom = brute_dominance(preds, exit_node, nodes)
-    for a in nodes:
-        for b in nodes:
-            assert dominates(info, frozenset({a}), [b]) == ((a, b) in dom), (succs, a, b)
-            assert post_dominates(info, frozenset({a}), [b]) == ((a, b) in pdom), (succs, a, b)
-    return {b for b in nodes if (entry, b) not in dom}, {b for b in nodes if (exit_node, b) not in pdom}
+def random_gain(rng, nodes):
+    return {v: rng.choice((-2, -1, -1, 0, 1, 1, 2)) for v in nodes if rng.random() < 0.6}
 
 
-def test_dominance_matches_brute_force_small_sample():
+def check_fewest(cfg, gain):
+    """In both directions, ``fewest`` gives each node the least count the
+    search brings to it, and no count to a node the search never reaches.
+    Returns the nodes with no forward count and those with no backward one."""
+    got = []
+    for backward, root, edges in ((False, cfg.entry, cfg.succs), (True, cfg.exit, cfg.preds)):
+        counts = fewest(cfg, gain, backward)
+        assert counts == {n: min(hs) for n, hs in hold_states(edges, root, gain).items()}, (edges, gain, backward)
+        got.append(set(cfg.nodes) - counts.keys())
+    return tuple(got)
+
+
+def test_fewest_matches_the_explicit_state_search_on_random_digraphs():
     rng = random.Random(20240817)
-    for _ in range(40):
-        n = rng.randrange(4, 13)
-        assert check_against_brute_force(random_graph(rng, n), 0, n - 1) == (set(), set())
     unreachable = dead_ends = 0
-    for _ in range(60):
-        n = rng.randrange(3, 11)
-        cut_off, stuck = check_against_brute_force(random_digraph(rng, n), 0, n - 1)
-        unreachable += len(cut_off)
-        dead_ends += len(stuck)
+    seen = set()
+    for i in range(200):
+        n = rng.randrange(3, 12)
+        gain = random_gain(rng, range(n))
+        if i % 2:
+            cfg = digraph(random_graph(rng, n), 0, n - 1)
+            assert check_fewest(cfg, gain) == (set(), set())
+        else:
+            cfg = digraph(random_digraph(rng, n), 0, n - 1)
+            cut_off, stuck = check_fewest(cfg, gain)
+            unreachable += len(cut_off)
+            dead_ends += len(stuck)
+        seen.update(fewest(cfg, gain).values())
     assert unreachable and dead_ends  # the sample does hold both kinds
-
-
-def test_set_dominance_matches_brute_force():
-    """A set dominates ``b`` when some path reaches ``b`` and every one
-    passes some node of the set; post-dominance likewise toward the exit."""
-    rng = random.Random(1709)
-    sizes = set()
-    for _ in range(40):
-        n = rng.randrange(3, 11)
-        succs = random_graph(rng, n) if rng.random() < 0.5 else random_digraph(rng, n)
-        preds = reverse_graph(succs, range(n))
-        info = DomInfo(0, n - 1, succs, preds)
-        for _ in range(5):
-            a = frozenset(rng.sample(range(n), rng.randrange(0, 4)))
-            sizes.add(len(a))
-            for b in range(n):
-                for root, edges, asked in ((0, succs, dominates), (n - 1, preds, post_dominates)):
-                    runs = all_simple_paths(edges, root, b)
-                    assert asked(info, a, [b]) == (bool(runs) and all(a & set(p) for p in runs)), (succs, a, b)
-    assert sizes == {0, 1, 2, 3}
-
-
-def test_duality_dominators_of_reverse_equal_postdominators():
-    rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randrange(4, 13)
-        succs = random_graph(rng, n) if rng.random() < 0.5 else random_digraph(rng, n)
-        preds = reverse_graph(succs, range(n))
-        info = DomInfo(0, n - 1, succs, preds)
-        flipped = DomInfo(n - 1, 0, preds, succs)
-        for a in range(n):
-            for b in range(n):
-                assert post_dominates(info, frozenset({a}), [b]) == dominates(flipped, frozenset({a}), [b])
+    assert {0, 1, 2, 3} <= seen
 
 
 ABRUPT = """class P {
@@ -174,10 +121,11 @@ ABRUPT = """class P {
 
 
 def test_abrupt_exits_and_dead_code_match_brute_force():
+    rng = random.Random(11)
     cut = {}
     for m in parse_source(ABRUPT).classes[0].methods:
         cfg = build_cfg(m)
-        cut[m.name] = (cfg, *check_against_brute_force(cfg.succs, cfg.entry, cfg.exit))
+        cut[m.name] = (cfg, *check_fewest(cfg, random_gain(rng, cfg.nodes)))
     for name in ("dead", "deadInTry"):  # code after return or throw is unreachable
         cfg, unreachable, _ = cut[name]
         assert any(n.kind == "stmt" for n in unreachable), name
@@ -186,11 +134,11 @@ def test_abrupt_exits_and_dead_code_match_brute_force():
     assert cut["spinOut"][1:] == (set(), set())
 
 
-# --- structured lowering ---
+# --- structured lowering, read through hold counts ---
 
 
 def test_straight_line_chain():
-    cfg, dom = method_cfg(
+    cfg = method_cfg(
         """class C {
   int cnt; Object l;
   public void inc() {
@@ -207,14 +155,14 @@ def test_straight_line_chain():
     chain = [cfg.entry] + stmt_nodes + [cfg.exit]
     for a, b in zip(chain, chain[1:]):
         assert cfg.succs[a] == [b]
-    for i, a in enumerate(chain):
-        for b in chain[i:]:
-            assert dominates(dom, frozenset({a}), [b])
-            assert post_dominates(dom, frozenset({b}), [a])
+    # each node adds one, so every path passes every node before and after
+    one_each = dict.fromkeys(chain, 1)
+    assert fewest(cfg, one_each) == {n: i for i, n in enumerate(chain)}
+    assert fewest(cfg, one_each, backward=True) == {n: len(chain) - 1 - i for i, n in enumerate(chain)}
 
 
-def test_diamond_dominance():
-    cfg, dom = method_cfg(
+def test_diamond_branches():
+    cfg = method_cfg(
         """class C {
   int a; int b; int c;
   public void f(boolean cond) {
@@ -227,11 +175,12 @@ def test_diamond_dominance():
     then_n = next(n for n in cfg.nodes if n.kind == "stmt" and "a = 1" in _src_of(n))
     else_n = next(n for n in cfg.nodes if n.kind == "stmt" and "b = 2" in _src_of(n))
     join = next(n for n in cfg.nodes if n.kind == "stmt" and "c = 3" in _src_of(n))
-    assert dominates(dom, frozenset({cond}), [join])
-    assert not dominates(dom, frozenset({then_n}), [join])
-    assert not dominates(dom, frozenset({else_n}), [join])
-    assert post_dominates(dom, frozenset({join}), [cond])
-    assert not post_dominates(dom, frozenset({then_n}), [cond])
+    assert fewest(cfg, {cond: 1})[join] == 1
+    assert fewest(cfg, {then_n: 1})[join] == 0
+    assert fewest(cfg, {else_n: 1})[join] == 0
+    assert fewest(cfg, {then_n: 1, else_n: 1})[join] == 1  # every path takes one branch
+    assert fewest(cfg, {join: 1}, backward=True)[cond] == 1
+    assert fewest(cfg, {then_n: 1}, backward=True)[cond] == 0
 
 
 def _src_of(node):
@@ -240,14 +189,12 @@ def _src_of(node):
     return to_source(node.ast) if node.ast is not None else ""
 
 
-def test_entry_dominates_every_reachable_node():
-    cfg, dom = method_cfg(
+def test_every_node_follows_the_entry_and_leads_to_the_exit():
+    cfg = method_cfg(
         "class C { int x; public void f(boolean c) { if (c) { x = 1; } x = 2; } }"
     )
-    for n in cfg.nodes:
-        assert dominates(dom, frozenset({cfg.entry}), [n])
-        assert dominates(dom, frozenset({n}), [n])  # reflexive
-        assert post_dominates(dom, frozenset({cfg.exit}), [n])
+    assert fewest(cfg, {cfg.entry: 1}) == {n: int(n is not cfg.entry) for n in cfg.nodes}
+    assert fewest(cfg, {cfg.exit: 1}, backward=True) == {n: int(n is not cfg.exit) for n in cfg.nodes}
 
 
 SWAP = """class C {
@@ -266,37 +213,40 @@ SWAP = """class C {
 
 
 def test_try_finally_routes_early_return_through_finally():
-    cfg, dom = method_cfg(SWAP)
+    cfg = method_cfg(SWAP)
     ret = next(n for n in cfg.nodes if n.kind == "stmt" and "return old" in _src_of(n))
     fin = next(n for n in cfg.nodes if n.kind == "stmt" and "unlock" in _src_of(n))
     write = next(n for n in cfg.nodes if n.kind == "stmt" and "v = nxt" in _src_of(n))
     assert cfg.succs[ret] == [fin]
-    assert post_dominates(dom, frozenset({fin}), [ret])
-    assert post_dominates(dom, frozenset({fin}), [write])
+    released = fewest(cfg, {fin: 1}, backward=True)
+    assert released[ret] == released[write] == 1
     lock_call = next(n for n in cfg.nodes if n.kind == "stmt" and "lock.lock" in _src_of(n))
-    assert dominates(dom, frozenset({lock_call}), [write])
+    held = fewest(cfg, {lock_call: 1, fin: -1})
+    assert held[write] == held[ret] == held[fin] == 1 and held[cfg.exit] == 0
 
 
-def test_a_lock_in_a_try_dominates_what_only_normal_completion_reaches():
+def test_a_lock_in_a_try_holds_only_on_normal_completion():
     """ReturnInTry: the early return leaves through its own copy of the
     finally block and never reaches ``count = 1``, so ``next.lock()``
-    dominates it."""
+    holds there, and not in the early copy of the finally block."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_probes", "ReturnInTry.java")
     with open(path, encoding="utf-8") as fh:
         m = parse_source(fh.read()).classes[0].methods[0]
     cfg = build_cfg(m)
-    dom = dominance(cfg)
     next_lock = m.body.stmts[1].body.stmts[1].expr
     count = m.body.stmts[2].expr
     [lock_node] = cfg.nodes_for(next_lock)
     [count_node] = cfg.nodes_for(count)
-    assert dominates(dom, frozenset({lock_node}), [count_node])
+    held = fewest(cfg, {lock_node: 1})
+    assert held[count_node] == 1
     # the finally block is lowered once for each way out of the try
-    assert len(cfg.nodes_for(m.body.stmts[1].finally_block.stmts[0].expr)) == 2
+    normal, early = cfg.nodes_for(m.body.stmts[1].finally_block.stmts[0].expr)
+    assert (held[normal], held[early]) == (1, 0)
 
 
 def test_loop_body_does_not_dominate_after_loop():
-    cfg, dom = method_cfg(
+    """A lock in a loop body does not hold after the loop."""
+    cfg = method_cfg(
         """class C {
   int x; Object l;
   public void f(int n) {
@@ -313,13 +263,15 @@ def test_loop_body_does_not_dominate_after_loop():
     )
     lock_call = next(n for n in cfg.nodes if n.kind == "stmt" and "l.lock" in _src_of(n))
     after = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 0" in _src_of(n))
-    assert not dominates(dom, frozenset({lock_call}), [after])
+    write = next(n for n in cfg.nodes if n.kind == "stmt" and "x = i" in _src_of(n))
     head = next(n for n in cfg.nodes if n.kind == "loop")
-    assert dominates(dom, frozenset({head}), [after])
+    held = fewest(cfg, {lock_call: 1})  # never unlocked: the count still settles
+    assert held[after] == held[head] == 0 and held[write] == 1
+    assert fewest(cfg, {head: 1})[after] == 1
 
 
 def test_synchronized_block_single_entry_exit():
-    cfg, dom = method_cfg(
+    cfg = method_cfg(
         """class C {
   int x; Object mu;
   public void f(boolean c) {
@@ -330,24 +282,24 @@ def test_synchronized_block_single_entry_exit():
   }
 }"""
     )
-    enter = next(n for n in cfg.nodes if n.kind == "sync_enter")
-    leave = next(n for n in cfg.nodes if n.kind == "sync_exit")
-    for n in cfg.nodes:
-        if n.kind in ("stmt", "cond") and n is not enter:
-            if dominates(dom, frozenset({enter}), [n]) and post_dominates(dom, frozenset({leave}), [n]):
-                continue
-    writes = [n for n in cfg.nodes if n.kind == "stmt" and "x = 1" in _src_of(n)]
-    assert writes and dominates(dom, frozenset({enter}), [writes[0]])
-    assert post_dominates(dom, frozenset({leave}), [writes[0]])
+    [enter] = [n for n in cfg.nodes if n.kind == "sync_enter"]
+    [leave] = [n for n in cfg.nodes if n.kind == "sync_exit"]
+    held = fewest(cfg, {enter: 1, leave: -1})
+    released = fewest(cfg, {leave: 1}, backward=True)
+    inside = [n for n in cfg.nodes if n.kind in ("stmt", "cond") and "x = 3" not in _src_of(n)]
+    assert len(inside) == 3 and all(held[n] == released[n] == 1 for n in inside)
+    after = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 3" in _src_of(n))
+    assert held[after] == released[after] == 0
 
 
 def test_unreachable_nodes_are_not_dominated():
-    cfg, dom = method_cfg(
+    """An unreachable node gets no count, and a hold it adds reaches nothing."""
+    cfg = method_cfg(
         "class C { int x; public int f() { return 1; x = 2; } }"
     )
     dead = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 2" in _src_of(n))
-    assert not dominates(dom, frozenset({cfg.entry}), [dead])
-    assert not dominates(dom, frozenset({dead}), [cfg.exit])
+    assert dead not in fewest(cfg, {cfg.entry: 1})
+    assert fewest(cfg, {dead: 1})[cfg.exit] == 0
 
 
 def test_expressions_map_to_their_statement_node():
@@ -363,15 +315,14 @@ def test_expressions_map_to_their_statement_node():
 
 
 def test_corpus_methods_build_and_exit_reachable(corpus_names):
+    rng = random.Random(3)
     for name in corpus_names:
         ast = parse_corpus(name)
         for c in ast.iter_classes():
             for m in c.methods + c.constructors:
                 cfg = build_cfg(m)
-                dom = dominance(cfg)
-                assert dominates(dom, frozenset({cfg.entry}), [cfg.exit])
-                assert post_dominates(dom, frozenset({cfg.exit}), [cfg.entry])
-                check_against_brute_force(cfg.succs, cfg.entry, cfg.exit)
+                assert cfg.exit in fewest(cfg, {}) and cfg.entry in fewest(cfg, {}, backward=True)
+                check_fewest(cfg, random_gain(rng, cfg.nodes))
 
 
 # --- paths Java runs, checked against a structural walk of the AST ---

@@ -439,7 +439,12 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     one monitor and ``NestedClassLit.Inner`` is race-free. A string literal
     is its own monitor: ``"a b"`` and ``"ab"`` are two strings, so
     ``StringLitMonitors`` has a P3 alert and races, while
-    ``StringLitShared`` locks ``"a b"`` twice and is race-free. Exit 0."""
+    ``StringLitShared`` locks ``"a b"`` twice and is race-free. An unlock
+    between a lock call and an access ends the window, so ``Relock`` and
+    ``RelockTry`` have P3 alerts and race, while holds are counted, so
+    ``Reentrant`` is guarded after one of its two unlocks. ``LeakOnReturn``
+    keeps the lock on an early return: no unlock follows the write on every
+    path out, so P3 reports it, and the oracle finds no race. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])
@@ -447,6 +452,22 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     with open(os.path.join(GOLDEN_DIR, "oracle_probes.txt"), "rb") as fh:
         assert captured.out == fh.read()
     assert code == EXIT_CLEAN and captured.err == b""
+
+
+def test_oracle_probes_match_golden_bytes_in_json(monkeypatch, capsysbinary):
+    """The same report in JSON, oracle rows included; the golden is the
+    reference encoder's rendering of it."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    probes = os.path.join("tests", "oracle_probes")
+    code = main(["--oracle", "--format", "json", "--lock-type-add", "MyLock", probes])
+    captured = capsysbinary.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "oracle_probes.json"), "rb") as fh:
+        golden = fh.read()
+    assert captured.out == golden
+    assert code == EXIT_CLEAN and captured.err == b""
+    report, _ = oracle_check([probes], build_config(None, lock_type_add=("MyLock",)))
+    assert report_reference.reference_bytes(report, "json") == golden
 
 
 def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):

@@ -887,6 +887,11 @@ UNSUPPORTED_EXPRESSIONS = {
     "f(Integer::valueOf);": (31, "method references are not supported"),
     "x = (long) a;": (27, "cast expressions are not supported"),
     "x = (int[]) o;": (27, "cast expressions are not supported"),
+    "x = (String) o;": (27, "cast expressions are not supported"),
+    "x = (java.lang.Object) new Object();": (27, "cast expressions are not supported"),
+    "f((Object) null, (Runnable) this);": (25, "cast expressions are not supported"),
+    "c = int.class;": (26, "primitive class literals are not supported"),
+    "c = long[].class;": (26, "primitive class literals are not supported"),
     "o = Collections.<String>emptyList();": (38, "explicit type arguments are not supported"),
 }
 
