@@ -8,8 +8,10 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import threading
 import time
 from typing import Iterator, Optional
 
@@ -110,9 +112,48 @@ def _oracle_result(cm, path: str, alerts, config: Config) -> OracleResult:
     return OracleResult(cm.class_id, path, len(alerts), verdict.status, verdict.raced, agreement, verdict.detail)
 
 
+# The pipeline builds no reference cycles: reference counting frees each
+# file's AST, class model and CFGs, so the cyclic collector's passes over
+# them free nothing. _check pauses it for its whole run. Calls may overlap
+# in threads, so one depth count decides: the first call in records whether
+# the collector was on, and the last call out restores that.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+def _pause_gc() -> None:
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+
+
+def _resume_gc() -> None:
+    global _gc_depth
+    with _gc_lock:
+        _gc_depth -= 1
+        if _gc_depth == 0 and _gc_was_enabled:
+            gc.enable()
+
+
 def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
     """Discover, parse and analyze one file at a time, and with ``oracle``
-    race-check each annotated class too; returns the report and an exit code."""
+    race-check each annotated class too; returns the report and an exit code.
+
+    The cyclic garbage collector is paused meanwhile and resumed only after
+    ``_check_files`` has returned, so that no collection walks the last
+    file's still-bound AST and class model."""
+    _pause_gc()
+    try:
+        return _check_files(paths, config, oracle)
+    finally:
+        _resume_gc()
+
+
+def _check_files(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
     started = time.perf_counter()
     report = Report()
     for ast in _parse_all(discover_files(paths), report, config.annotations):

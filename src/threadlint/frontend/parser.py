@@ -803,9 +803,15 @@ class _Parser:
             if toks[self.pos + 1][1] == ")" and toks[self.pos + 2][1] == "->":
                 raise self.error("lambdas are not supported", t)
             self.pos += 1
-            first = toks[self.pos]
-            inner = self.parse_expression()
-            self.expect(")")
+            i = self.pos
+            first = toks[i]
+            try:
+                inner = self.parse_expression()
+                self.expect(")")
+            except ParseError:
+                if self._is_generic_cast(i):
+                    raise self.error("cast expressions are not supported", first) from None
+                raise
             nxt = toks[self.pos]
             if nxt[1] == "->":
                 raise self.error("lambdas are not supported", t)
@@ -859,6 +865,18 @@ class _Parser:
                 expr = A.Unary(self.span_from(op), op[1], expr, True)
         self.depth = depth
         return expr
+
+    def _is_generic_cast(self, i: int) -> bool:
+        """Whether token ``i``, just after a ``(``, starts a type with type
+        arguments that ``)`` and a cast's operand follow, as in
+        ``(List<String>) o``. Parsed as an expression, such a type fails as
+        a comparison, so only the error path asks."""
+        toks = self.toks
+        end, ok = self._scan_type(i)
+        if not ok or toks[end][1] != ")" or not any(toks[j][1] == "<" for j in range(i, end)):
+            return False
+        nxt = toks[end + 1]
+        return nxt[0] in _CAST_OPERAND_KINDS or nxt[1] in _CAST_OPERAND_WORDS
 
     def _primitive_in_expression(self) -> str:
         """The error for the primitive type keyword at the current token,

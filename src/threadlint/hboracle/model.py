@@ -301,7 +301,10 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
         ptr[:] = saved
         return False
 
-    raced = rec()
+    try:
+        raced = rec()
+    finally:
+        del rec  # rec's closure holds rec; unbinding it frees the search by reference counting
     return leaves, seq if raced else None
 
 

@@ -739,8 +739,14 @@ class _Parser:
                 raise _Unsupported(t.line, t.col, "lambdas are not supported")
             self.advance()
             first = self.peek()
-            inner = self.parse_expression()
-            self.expect(")")
+            snap = self.pos
+            try:
+                inner = self.parse_expression()
+                self.expect(")")
+            except ParseError:
+                if self._generic_cast_at(snap):
+                    raise ParseError(first.line, first.col, "cast expressions are not supported") from None
+                raise
             if self.at("->"):
                 raise _Unsupported(t.line, t.col, "lambdas are not supported")
             nxt = self.peek()
@@ -771,6 +777,21 @@ class _Parser:
                 raise ParseError(t.line, t.col, "cast expressions are not supported")
             raise ParseError(t.line, t.col, f"unexpected type keyword {t.text!r} in expression")
         raise ParseError(t.line, t.col, f"unexpected token {t.text!r} in expression" if t.kind != "eof" else "unexpected end of file in expression")
+
+    def _generic_cast_at(self, pos: int) -> bool:
+        """Whether a type with type arguments starts at ``pos``, followed by
+        ``)`` and a token that starts a cast's operand."""
+        saved = self.pos, self.depth
+        self.pos = pos
+        try:
+            generic = "<" in self.parse_type() and self.accept(")") is not None
+            after = self.peek()
+        except ParseError:
+            return False
+        finally:
+            self.pos, self.depth = saved
+        return generic and (after.kind in ("ident", "number", "string", "char")
+                            or after.text in ("(", "this", "new", "true", "false", "null"))
 
     def _parse_new(self, start: Token) -> A.Expr:
         self.advance()

@@ -3,11 +3,15 @@ and over-deep input; --timings; the static run and the oracle on name-binding
 probes; streaming; and the reports on the corpus, on the benchmark's
 generated workloads and on parse errors, pinned byte for byte."""
 
+import contextlib
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+from collections import Counter
 
 import pytest
 import report_reference
@@ -16,8 +20,10 @@ from test_frontend import _benchmark_workloads
 import threadlint
 from threadlint import cli
 from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check, run
-from threadlint.config import build_config
+from threadlint.config import OUTPUT_FORMATS, build_config
+from threadlint.errors import IoError
 from threadlint.hboracle import OracleVerdict
+from threadlint.reporting import serialize_report
 
 
 def run_trace(tmp_path, capsys, text):
@@ -500,6 +506,21 @@ def test_generated_workload_reports_match_golden_bytes(tmp_path, monkeypatch, ca
     assert code == EXIT_CLEAN and captured.err == b""
 
 
+def _written(tmp_path, files) -> list[str]:
+    """The paths of generated workload files: a corpus file in place, any
+    other written under ``tmp_path``."""
+    paths = []
+    for f in files:
+        if f.in_repo:
+            paths.append(os.path.join(REPO_ROOT, f.relpath))
+        else:
+            path = tmp_path / f.relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f.text, encoding="utf-8")
+            paths.append(str(path))
+    return paths
+
+
 @pytest.mark.parametrize("workload", ["lint-callchain", "lint-wide", "oracle"])
 def test_full_size_workload_verdicts_match_the_generator_labels(tmp_path, workload):
     """Ground truth over each workload's full-size seed-1 inputs, among them
@@ -509,16 +530,9 @@ def test_full_size_workload_verdicts_match_the_generator_labels(tmp_path, worklo
     gets nothing. For ``oracle`` the happens-before oracle runs too, and each
     class it checks races exactly when it is labelled racy."""
     workloads = _benchmark_workloads()
-    paths, labels = [], []
-    for f in workloads.generate(workload, 1, "full", os.path.join(REPO_ROOT, "tests", "corpus")):
-        if f.in_repo:
-            paths.append(os.path.join(REPO_ROOT, f.relpath))
-        else:
-            path = tmp_path / f.relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(f.text, encoding="utf-8")
-            paths.append(str(path))
-        labels.extend(f.classes)
+    files = workloads.generate(workload, 1, "full", os.path.join(REPO_ROOT, "tests", "corpus"))
+    paths = _written(tmp_path, files)
+    labels = [c for f in files for c in f.classes]
     config = build_config(None, **workloads.CONFIG_ARGS)
     report, _ = (oracle_check if workload == "oracle" else run)(paths, config)
     assert not report.errors
@@ -592,3 +606,138 @@ def test_timings_write_one_stderr_line_and_leave_stdout_alone(monkeypatch, capsy
     timed = capsysbinary.readouterr()
     assert timed.out == plain.out and plain.err == b""
     assert re.fullmatch(rb"wall time: \d+\.\d{3}s\n", timed.err)
+
+
+# --- the paused cyclic garbage collector ---
+
+
+@pytest.fixture
+def collector_setting():
+    """The cyclic collector's setting, restored after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_checking_leaves_no_cyclic_garbage(tmp_path, collector_setting):
+    """Reference counting frees everything a check builds, so pausing the
+    collector during a run leaks nothing: with the collector off, checking
+    and serializing every input set, with and without the oracle, leaves no
+    object that only a collection would free."""
+    workloads = _benchmark_workloads()
+    corpus = os.path.join(REPO_ROOT, "tests", "corpus")
+    inputs = [[os.path.join(REPO_ROOT, "tests", d)] for d in ("corpus", "oracle_probes", "parse_errors", "unannotated")]
+    inputs += [_written(tmp_path / w, workloads.generate(w, 1, "full", corpus)) for w in workloads.WORKLOADS]
+    config = build_config(None, **workloads.CONFIG_ARGS)
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for paths in inputs:
+            for check in (run, oracle_check):
+                report, _ = check(paths, config)
+                for fmt in OUTPUT_FORMATS:
+                    serialize_report(report, fmt)
+        gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+    assert not garbage, f"cyclic garbage by type: {dict(garbage.most_common())}"
+
+
+def test_no_collection_starts_inside_a_run(tmp_path, collector_setting):
+    """The largest annotated full-size lint-wide file allocates enough to
+    trigger collections many times over; none starts while ``run`` is on
+    the stack. The one that the allocations made meanwhile are due starts
+    in the caller, after ``run`` has returned."""
+    workloads = _benchmark_workloads()
+    files = workloads.generate("lint-wide", 1, "full", os.path.join(REPO_ROOT, "tests", "corpus"))
+    annotated = [f for f in files if any(c.annotated for c in f.classes)]
+    largest = max(annotated, key=lambda f: len(f.text))
+    paths = _written(tmp_path, [largest])
+    config = build_config(None, **workloads.CONFIG_ARGS)
+    gc.enable()
+    starts = []
+
+    def count(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not run.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        report, _ = run(paths, config)
+    finally:
+        gc.callbacks.remove(count)
+    assert report.stats.annotated_classes and not report.errors
+    assert starts == []
+
+
+# name -> (files to create, the paths to check, the error the check raises or None)
+COLLECTOR_CASES = {
+    "clean": ({"Clean.java": CLEAN}, ["Clean.java"], None),
+    "missing-path": ({}, ["Missing.java"], IoError),
+    "parse-failure": ({"A.java": "@ThreadSafe class A {"}, ["A.java"], None),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("check", [run, oracle_check], ids=["run", "oracle"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_the_callers_collector_setting_comes_back(tmp_path, collector_setting, case, check, enabled):
+    files, args, error = COLLECTOR_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        check([str(tmp_path / a) for a in args], build_config(None))
+    assert gc.isenabled() == enabled
+
+
+def test_overlapping_checks_in_two_threads_restore_the_collector(tmp_path, monkeypatch, collector_setting):
+    """Thread ``first`` enters while the collector is on, ``second`` while
+    ``first`` has it paused; both analyze a class at once, and ``first``
+    returns before ``second``. The collector stays paused until ``second``
+    returns too, and is on afterwards. A check that saved and restored the
+    setting on its own would resume it when ``first`` returns, or would
+    leave it off because ``second`` found it off."""
+    path = tmp_path / "Clean.java"
+    path.write_text(CLEAN)
+    gc.enable()
+    barrier = threading.Barrier(2, timeout=30)
+    first_in, first_done = threading.Event(), threading.Event()
+    seen = {}
+    class_alerts = cli._class_alerts
+
+    def overlapping(decl, config):
+        name = threading.current_thread().name
+        if name == "first":
+            first_in.set()
+        barrier.wait()
+        seen[name] = gc.isenabled()
+        if name == "second":
+            assert first_done.wait(30)
+            seen["second, first done"] = gc.isenabled()
+        return class_alerts(decl, config)
+
+    def check(name):
+        run([str(path)], build_config(None))
+        if name == "first":
+            first_done.set()
+
+    monkeypatch.setattr(cli, "_class_alerts", overlapping)
+    threads = {name: threading.Thread(target=check, args=(name,), name=name) for name in ("first", "second")}
+    threads["first"].start()
+    assert first_in.wait(30)
+    threads["second"].start()
+    for t in threads.values():
+        t.join(60)
+        assert not t.is_alive()
+    assert seen == {"first": False, "second": False, "second, first done": False}
+    assert gc.isenabled()

@@ -838,6 +838,10 @@ COMMITTED_ERRORS = {
         "a<b<c>> d = e;",
         "a<b>>c;",
         "a < b;",
+        "x = (a < b);",
+        "x = (a < b) + c;",
+        "x = (a<b>) - c;",
+        "x = (List<String>) o.f;",
         "a.b.c d;",
         "a.b.c = d;",
         "a[] b = c;",
@@ -890,6 +894,9 @@ UNSUPPORTED_EXPRESSIONS = {
     "x = (String) o;": (27, "cast expressions are not supported"),
     "x = (java.lang.Object) new Object();": (27, "cast expressions are not supported"),
     "f((Object) null, (Runnable) this);": (25, "cast expressions are not supported"),
+    "x = (java.util.List<String>) o;": (27, "cast expressions are not supported"),
+    "x = (List<String>) o;": (27, "cast expressions are not supported"),
+    "x = (Map<String, Integer>) o;": (27, "cast expressions are not supported"),
     "c = int.class;": (26, "primitive class literals are not supported"),
     "c = long[].class;": (26, "primitive class literals are not supported"),
     "o = Collections.<String>emptyList();": (38, "explicit type arguments are not supported"),
