@@ -2,7 +2,8 @@
 
 Structured statements are lowered to edges over per-statement nodes; each
 node lists the expressions it evaluates (``CfgNode.exprs``), and
-``Cfg.nodes_for`` finds the nodes that evaluate a given expression. The
+``Cfg.nodes_for`` finds the nodes that evaluate a given expression by its
+span: one bisect over the sorted starts of the nodes' expressions. The
 successor edges are exactly the paths Java runs, as javac compiles
 ``finally``: a ``try``'s finally block is lowered once for normal completion
 and once more for its early exits (a return or throw in the protected block
@@ -26,7 +27,9 @@ field, the only place a lock window can exist.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from threadlint.frontend import ast as A
@@ -50,27 +53,47 @@ class Cfg:
     preds: dict[CfgNode, list[CfgNode]]
     entry: CfgNode
     exit: CfgNode
-    _first: Optional[dict[int, CfgNode]] = None  # id(ast node) -> the first node that evaluates it
-    _copies: Optional[dict[CfgNode, list[CfgNode]]] = None  # a first node -> all of its copies
+    # the sorted starts and the ends of the first lowering's top-level
+    # expressions, with the node that evaluates each; a node -> its copies
+    _starts: Optional[list[int]] = None
+    _index: Optional[list[tuple[int, CfgNode]]] = None
+    _copies: Optional[dict[CfgNode, list[CfgNode]]] = None
 
     def nodes_for(self, ast_node) -> list[CfgNode]:
-        """The nodes that evaluate ``ast_node``: one per copy of the code
-        that holds it, none when no copy is lowered."""
-        if self._first is None:
-            # an expression belongs to one statement, so the copies of a node
-            # are the nodes whose first expression is the same
-            self._first, self._copies = {}, {}
-            for n in self.nodes:
-                if n.exprs:
-                    first = self._first.get(id(n.exprs[0]))
-                    if first is None:
-                        for e in n.exprs:
-                            for d in A.walk(e):
-                                self._first[id(d)] = n
-                    else:
-                        self._copies.setdefault(first, [first]).append(n)
-        first = self._first.get(id(ast_node))
-        return [] if first is None else self._copies.get(first, [first])
+        """The nodes that evaluate the expression ``ast_node`` of this
+        graph's method: one per copy of the code that holds it, none when no
+        copy is lowered."""
+        if self._starts is None:
+            self._build_index()
+        _, start, end, _ = ast_node.span
+        i = bisect_right(self._starts, start) - 1
+        if i < 0:
+            return []
+        top_end, first = self._index[i]
+        if end > top_end:
+            return []
+        return self._copies.get(first, [first])
+
+    def _build_index(self) -> None:
+        # The top-level expressions of different nodes are disjoint, and the
+        # spans of one tree nest or are disjoint, so an expression lies in the
+        # one whose start is the last at or before its own. The copies of a
+        # node are the nodes whose first expression is the same.
+        index: list[tuple[int, int, CfgNode]] = []
+        firsts: dict[int, CfgNode] = {}
+        copies: dict[CfgNode, list[CfgNode]] = {}
+        for n in self.nodes:
+            if n.exprs:
+                first = firsts.get(id(n.exprs[0]))
+                if first is None:
+                    firsts[id(n.exprs[0])] = n
+                    index += [(e.span.start, e.span.end, n) for e in n.exprs]
+                else:
+                    copies.setdefault(first, [first]).append(n)
+        index.sort(key=itemgetter(0))
+        self._starts = [start for start, _, _ in index]
+        self._index = [(end, n) for _, end, n in index]
+        self._copies = copies
 
 
 class _Builder:

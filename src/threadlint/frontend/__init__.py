@@ -10,7 +10,7 @@ from threadlint.frontend.ast import (
     annotated_as_thread_safe,
     reconstruct_span,
 )
-from threadlint.frontend.lexer import Token, annotation_pattern, tokenize
+from threadlint.frontend.lexer import Token, Tokens, annotation_pattern, tokenize
 from threadlint.frontend.parser import SourceFile, parse_compilation_unit, parse_source
 from threadlint.frontend.printer import canonical_text, to_source
 
@@ -26,6 +26,7 @@ __all__ = [
     "SourceFile",
     "SourceSpan",
     "Token",
+    "Tokens",
     "annotated_as_thread_safe",
     "annotation_pattern",
     "canonical_text",

@@ -1,17 +1,24 @@
 """Tokenizer for the supported Java subset.
 
-Comments and whitespace are discarded. A token is a plain tuple
-``(kind, text, start, end)`` of half-open character offsets; a
+Comments and whitespace are discarded. ``tokenize`` returns the tokens as
+:class:`Tokens`: four parallel columns of kinds, texts and half-open
+character offsets, the ``eof`` token included, which the parser indexes by
+token number; iterating it yields ``(kind, text, start, end)`` tuples. A
 :class:`LineTable` turns an offset into a 1-based ``line:col`` when a report
 or an error needs one.
 
 The lexer runs no Python statement per token. One pattern runs under
 ``findall``; its groups are the whitespace and comments skipped and the
-optional token after them, so each match starts where the last ended, and
-the first with no token is the end of the input or an error there. Offsets
-are running sums of the pieces' lengths. A kind is looked up by text
-(keywords, punctuators), else by first character. Only an unterminated
-block comment lexes as a ``/*`` token, an error too.
+token after them, or the empty string, so each match starts where the last
+ended, and the first with an empty token is the end of the input or an error
+there. The pattern has no optional group, and its one repeat of an
+alternation is entered only after a comment, so sre lexes a token that
+follows whitespace alone without its slow general repeat. The token
+alternatives start with identifiers, the most common tokens, and end in the
+empty string. No possessive quantifier or atomic group is used: Python 3.10
+has neither. Offsets are running sums of the pieces' lengths. A kind is
+looked up by text (keywords, punctuators), else by first character. Only an
+unterminated block comment lexes as a ``/*`` token, an error too.
 
 A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` (JLS §3.4). String and character
 literals end at a line end, escaped or not, as in javac, so a token never
@@ -45,26 +52,33 @@ PRIMITIVE_TYPES = frozenset(
 _PUNCTUATORS = """>>>= >>= <<= >>> >> << ++ -- && || <= >= == != -> :: += -= *= /= %= &= |= ^=
     { } ( ) [ ] ; , . = < > ! ~ ? : & | + - * / % ^ @""".split()
 
-# whitespace and comments: what the lexer skips before each token
-_SKIP = r"(?:[\ \t\r\n\f]+|//[^\r\n]*|/\*.*?\*/)*"
+# whitespace and comments: what the lexer skips before each token; the
+# repeat over comments is entered only once a first comment has matched
+_WS = r"[\ \t\r\n\f]*"
+_COMMENT = r"(?://[^\r\n]*|/\*.*?\*/)"
+_SKIP = _WS + "(?:" + _COMMENT + _WS + "(?:" + _COMMENT + _WS + ")*|)"
 _WORD = r"[A-Za-z_$][A-Za-z0-9_$]*"
 _ESCAPE = r"""\\(?:u[0-9a-fA-F]{4}|[btnfrs"'\\]|[0-3][0-7][0-7]|[0-7][0-7]?)"""
 
+# The token alternatives, most frequent first where no earlier one can take
+# a prefix of a later one's match: multi-character punctuators longest first
+# before the single-character class, ``.5`` before ``.`` and ``/*`` before
+# ``/``. The last alternative is empty: the end of the input or an error.
 _TOKEN_RE = re.compile(
-    "(" + _SKIP + ")" + r"""
-    (
-        0[xX][0-9a-fA-F_]+[lL]?
-      | \d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+    "(" + _SKIP + ")(" + _WORD + "|"
+    + "|".join(re.escape(p) for p in sorted(_PUNCTUATORS, key=len, reverse=True) if len(p) > 1)
+    + r"""
       | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+      | /\*
+      | [""" + "".join(re.escape(p) for p in _PUNCTUATORS if len(p) == 1) + r"""]
+      | 0[xX][0-9a-fA-F_]+[lL]?
+      | \d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
       | \d[\d_]*[eE][+-]?\d+[fFdD]?
       | \d[\d_]*[lLfFdD]?
-      | """ + _WORD + r"""
       | "(?:""" + _ESCAPE + r"""|[^"\\\r\n])*"
       | '(?:""" + _ESCAPE + r"""|[^'\\\r\n])'
-      | /\*
-      | """ + "|".join(map(re.escape, sorted(_PUNCTUATORS, key=len, reverse=True))) + r"""
-    )?
-    """,
+      |
+    )""",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -82,8 +96,30 @@ _FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"
 
 _LINE_END = re.compile(r"\r\n?|\n")
 
-# (kind, text, start, end); kind is ident | keyword | number | string | char | punct | eof
+# (kind, text, start, end), as iterating Tokens yields; kind is
+# ident | keyword | number | string | char | punct | eof
 Token = tuple[str, str, int, int]
+
+
+class Tokens:
+    """The tokens of one source text, the ``eof`` token last, as four
+    parallel lists: token ``i`` is ``kinds[i]``, ``texts[i]`` and the
+    half-open character offsets ``starts[i]`` to ``ends[i]``. Iterating
+    yields each token as a :data:`Token` tuple."""
+
+    __slots__ = ("kinds", "texts", "starts", "ends")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], ends: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        return zip(self.kinds, self.texts, self.starts, self.ends)
 
 
 class LineTable:
@@ -114,8 +150,8 @@ class LineTable:
         return f"LineTable(<{len(self.source)} characters>)"
 
 
-def tokenize(source: str, path: str = "<string>") -> list[Token]:
-    """Lex ``source`` into a token list terminated by an ``eof`` token."""
+def tokenize(source: str, path: str = "<string>") -> Tokens:
+    """Lex ``source`` into its tokens, an ``eof`` token last."""
     pieces = _TOKEN_RE.findall(source)
     offsets = list(accumulate(map(len, chain.from_iterable(pieces)), initial=0))
     texts = list(map(itemgetter(1), pieces))
@@ -134,8 +170,13 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
             message = f"unexpected character {source[pos]!r}"
         raise ParseError(*LineTable(source).line_col(pos), message)
     del texts[k:]
-    kinds = map(_KIND.get, texts, map(_FIRST.get, map(itemgetter(0), texts)))
-    return [*zip(kinds, texts, offsets[1:2 * k:2], offsets[2:2 * k + 1:2]), ("eof", "", n, n)]
+    kinds = list(map(_KIND.get, texts, map(_FIRST.get, map(itemgetter(0), texts))))
+    kinds.append("eof")
+    texts.append("")
+    starts = offsets[1:2 * k + 2:2]  # the last is n, the eof token's start
+    ends = offsets[2:2 * k + 1:2]
+    ends.append(n)
+    return Tokens(kinds, texts, starts, ends)
 
 
 @functools.lru_cache(maxsize=16)

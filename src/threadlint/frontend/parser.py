@@ -26,9 +26,10 @@ token after the name picks a for-each (``:``) or declarators.
 
 Each operand of an expression (its prefix operators, a primary and the
 primary's selectors) is parsed in one method, and the hot paths index the
-token list directly instead of going through the token helpers. A token is
-the lexer's plain ``(kind, text, start, end)`` tuple, read by index. A span
-holds the offsets of its first and last tokens and the file's
+token columns directly instead of going through the token helpers. A token
+is its index into the lexer's ``Tokens`` columns, read as ``texts[i]``,
+``kinds[i]``, ``starts[i]`` and ``ends[i]``; no token object is built. A
+span holds the offsets of its first and last tokens and the file's
 ``LineTable``, which gives ``line:col`` only to an error or a report.
 
 Nesting is capped at ``MAX_NESTING`` levels, counting classes, statements,
@@ -48,7 +49,7 @@ from typing import Optional
 
 from threadlint.errors import ParseError
 from threadlint.frontend import ast as A
-from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable, Token, tokenize
+from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable, Tokens, tokenize
 from threadlint.frontend.printer import to_source
 
 MODIFIER_KEYWORDS = frozenset(
@@ -143,9 +144,13 @@ def _number_kind(text: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], src: SourceFile):
+    def __init__(self, tokens: Tokens, src: SourceFile):
         # two spare eof tokens let a lookahead index pos + 2 without clamping
-        self.toks = tokens + [tokens[-1]] * 2
+        n = tokens.ends[-1]
+        self.kinds = tokens.kinds + ["eof", "eof"]
+        self.texts = tokens.texts + ["", ""]
+        self.starts = tokens.starts + [n, n]
+        self.ends = tokens.ends + [n, n]
         self.src = src
         self.path = src.path
         self.lines = LineTable(src.content)
@@ -157,47 +162,47 @@ class _Parser:
         self.wildcard_packages: list[str] = []
 
     # -- token plumbing ------------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    # A token is an index into the columns; the helpers return the index of
+    # the token they consume.
 
     def at(self, text: str) -> bool:
-        return self.toks[self.pos][1] == text
+        return self.texts[self.pos] == text
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t[0] != "eof":
-            self.pos += 1
+    def advance(self) -> int:
+        t = self.pos
+        if self.kinds[t] != "eof":
+            self.pos = t + 1
         return t
 
     # accept and expect take nonempty texts, so the token they consume is never eof
 
-    def accept(self, text: str) -> Optional[Token]:
-        t = self.toks[self.pos]
-        if t[1] == text:
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
             self.pos += 1
-            return t
-        return None
+            return True
+        return False
 
-    def expect(self, text: str, what: str = "") -> Token:
-        t = self.toks[self.pos]
-        if t[1] != text:
-            found = repr(t[1]) if t[0] != "eof" else "end of file"
-            msg = f"expected {text!r}{' ' + what if what else ''}, found {found}"
-            raise self.error(_UNSUPPORTED_OPERATORS.get(t[1], msg))
-        self.pos += 1
+    def expect(self, text: str, what: str = "") -> int:
+        t = self.pos
+        found = self.texts[t]
+        if found != text:
+            shown = repr(found) if self.kinds[t] != "eof" else "end of file"
+            msg = f"expected {text!r}{' ' + what if what else ''}, found {shown}"
+            raise self.error(_UNSUPPORTED_OPERATORS.get(found, msg))
+        self.pos = t + 1
         return t
 
-    def expect_ident(self, what: str = "name") -> Token:
-        t = self.toks[self.pos]
-        if t[0] != "ident":
-            raise self.error(f"expected {what}, found {t[1]!r}" if t[0] != "eof" else f"expected {what}, found end of file")
-        self.pos += 1
+    def expect_ident(self, what: str = "name") -> int:
+        t = self.pos
+        kind = self.kinds[t]
+        if kind != "ident":
+            raise self.error(f"expected {what}, found {self.texts[t]!r}" if kind != "eof" else f"expected {what}, found end of file")
+        self.pos = t + 1
         return t
 
-    def error(self, msg: str, t: Optional[Token] = None) -> ParseError:
+    def error(self, msg: str, t: Optional[int] = None) -> ParseError:
         """A ParseError at token ``t``, by default the current one."""
-        return ParseError(*self.lines.line_col((self.toks[self.pos] if t is None else t)[2]), msg)
+        return ParseError(*self.lines.line_col(self.starts[self.pos if t is None else t]), msg)
 
     def nest(self) -> None:
         """Enter one more nesting level; the caller restores ``self.depth``."""
@@ -205,10 +210,10 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.error(_TOO_DEEP)
 
-    def span_from(self, start_tok: Token, end_tok: Optional[Token] = None) -> A.SourceSpan:
+    def span_from(self, start_tok: int, end_tok: Optional[int] = None) -> A.SourceSpan:
         if end_tok is None:
-            end_tok = self.toks[self.pos - 1 if self.pos else 0]
-        return _new(_SourceSpan, (self.path, start_tok[2], end_tok[3], self.lines))
+            end_tok = self.pos - 1 if self.pos else 0
+        return _new(_SourceSpan, (self.path, self.starts[start_tok], self.ends[end_tok], self.lines))
 
     # -- compilation unit ----------------------------------------------------
 
@@ -221,7 +226,7 @@ class _Parser:
         imports: list[A.ImportDecl] = []
         while self.at("import"):
             start = self.advance()
-            is_static = self.accept("static") is not None
+            is_static = self.accept("static")
             name = self.parse_qualified_name()
             wildcard = False
             if self.accept("."):
@@ -235,7 +240,7 @@ class _Parser:
             elif not is_static:
                 self.import_map.setdefault(imp.simple_name, name)
         classes: list[A.ClassDecl] = []
-        while self.toks[self.pos][0] != "eof":
+        while self.kinds[self.pos] != "eof":
             classes.append(self.parse_class_decl())
         ast = A.Ast(self.src.path, self.src.content, package, imports, classes)
         prefix = package + "." if package else ""
@@ -244,10 +249,10 @@ class _Parser:
         return ast
 
     def parse_qualified_name(self) -> str:
-        toks = self.toks
-        parts = [self.expect_ident("identifier")[1]]
-        while toks[self.pos][1] == "." and toks[self.pos + 1][0] == "ident":
-            parts.append(toks[self.pos + 1][1])
+        kinds, texts = self.kinds, self.texts
+        parts = [texts[self.expect_ident("identifier")]]
+        while texts[self.pos] == "." and kinds[self.pos + 1] == "ident":
+            parts.append(texts[self.pos + 1])
             self.pos += 2
         return ".".join(parts)
 
@@ -264,32 +269,29 @@ class _Parser:
                 depth = 1
                 while depth:
                     t = self.advance()
-                    if t[0] == "eof":
+                    if self.kinds[t] == "eof":
                         raise self.error("unclosed annotation argument list", open_tok)
-                    if t[1] == "(":
+                    if self.texts[t] == "(":
                         depth += 1
-                    elif t[1] == ")":
+                    elif self.texts[t] == ")":
                         depth -= 1
-                end = self.toks[self.pos - 1]
-                args_src = self.src.content[open_tok[2] : end[3]]
+                args_src = self.src.content[self.starts[open_tok] : self.ends[self.pos - 1]]
             anns.append(A.Annotation(name, args_src, self.span_from(start)))
         return anns
 
     def parse_modifiers(self) -> frozenset[str]:
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         mods = []
-        while toks[self.pos][0] == "keyword" and toks[self.pos][1] in MODIFIER_KEYWORDS:
+        while kinds[self.pos] == "keyword" and texts[self.pos] in MODIFIER_KEYWORDS:
             tok = self.advance()
-            if tok[1] in mods:
-                raise self.error(f"repeated modifier {tok[1]!r}", tok)
-            mods.append(tok[1])
+            if texts[tok] in mods:
+                raise self.error(f"repeated modifier {texts[tok]!r}", tok)
+            mods.append(texts[tok])
         vis = [m for m in mods if m in VISIBILITY_KEYWORDS]
         if len(vis) > 1:
-            t = toks[self.pos - 1]
-            raise self.error(f"conflicting visibility modifiers {vis[0]!r} and {vis[1]!r}", t)
+            raise self.error(f"conflicting visibility modifiers {vis[0]!r} and {vis[1]!r}", self.pos - 1)
         if "volatile" in mods and "final" in mods:
-            t = toks[self.pos - 1]
-            raise self.error("a field cannot be both volatile and final", t)
+            raise self.error("a field cannot be both volatile and final", self.pos - 1)
         return frozenset(mods)
 
     @staticmethod
@@ -311,24 +313,24 @@ class _Parser:
         then, except after ``void``, with ``dims`` any ``[]`` pairs. Returns
         the index past the type and True, or the index of the token at fault
         and False."""
-        toks = self.toks
-        t = toks[i]
-        if t[0] == "ident":
+        kinds, texts = self.kinds, self.texts
+        kind = kinds[i]
+        if kind == "ident":
             i += 1
-            while toks[i][1] == "." and toks[i + 1][0] == "ident":
+            while texts[i] == "." and kinds[i + 1] == "ident":
                 i += 2
-            if toks[i][1] == "<":
+            if texts[i] == "<":
                 i, ok = self._scan_type_args(i)
                 if not ok:
                     return i, False
-        elif t[1] == "void":
+        elif texts[i] == "void":
             return (i + 1, True) if void else (i, False)
-        elif t[0] == "keyword" and t[1] in PRIMITIVE_TYPES:
+        elif kind == "keyword" and texts[i] in PRIMITIVE_TYPES:
             i += 1
         else:
             return i, False
         if dims:
-            while toks[i][1] == "[" and toks[i + 1][1] == "]":
+            while texts[i] == "[" and texts[i + 1] == "]":
                 i += 2
         return i, True
 
@@ -337,24 +339,24 @@ class _Parser:
         are names, ``extends``, ``super``, ``, . ?``, ``[]`` and primitive
         keywords other than ``void`` that ``[]`` follows (javac rejects
         ``List<int>``, not ``List<int[]>``). Returns as ``_scan_type`` does."""
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         i += 1
         depth = 1
         while depth:
-            t = toks[i]
-            if t[0] == "ident" or t[1] in _TYPE_ARG_TOKENS:
+            text = texts[i]
+            if kinds[i] == "ident" or text in _TYPE_ARG_TOKENS:
                 i += 1
-            elif t[1] == "[" and toks[i + 1][1] == "]":
+            elif text == "[" and texts[i + 1] == "]":
                 i += 2
-            elif (t[1] in PRIMITIVE_TYPES and t[1] != "void"
-                  and toks[i + 1][1] == "[" and toks[i + 2][1] == "]"):
+            elif (text in PRIMITIVE_TYPES and text != "void"
+                  and texts[i + 1] == "[" and texts[i + 2] == "]"):
                 i += 3
-            elif t[1] == "<":
+            elif text == "<":
                 i += 1
                 depth += 1
-            elif t[1] in _CLOSERS and len(t[1]) <= depth:
+            elif text in _CLOSERS and len(text) <= depth:
                 i += 1
-                depth -= len(t[1])
+                depth -= len(text)
             else:
                 return i, False
         return i, True
@@ -362,16 +364,15 @@ class _Parser:
     def _take_type(self, end: int, ok: bool) -> str:
         """Move past the type scanned from here to ``end`` and return its
         normalized text, or raise the error at the token at fault."""
-        toks = self.toks
         if not ok:
-            t = toks[end]
+            text = self.texts[end]
             if end == self.pos:
-                if t[1] == "void":
-                    raise self.error("'void' is only valid as a return type", t)
-                raise self.error(f"expected a type, found {t[1]!r}", t)
-            if t[1] in _CLOSERS:
-                raise self.error("unbalanced '>' in type arguments", t)
-            raise self.error(f"unexpected {t[1]!r} in type arguments", t)
+                if text == "void":
+                    raise self.error("'void' is only valid as a return type", end)
+                raise self.error(f"expected a type, found {text!r}", end)
+            if text in _CLOSERS:
+                raise self.error("unbalanced '>' in type arguments", end)
+            raise self.error(f"unexpected {text!r} in type arguments", end)
         text = self._type_text(self.pos, end)
         self.pos = end
         return text
@@ -379,10 +380,10 @@ class _Parser:
     def _type_text(self, i: int, end: int) -> str:
         """The whitespace-free text of the type in tokens ``i`` to ``end``;
         ``extends`` and ``super`` keep one space after them."""
-        toks = self.toks
+        texts = self.texts
         if end == i + 1:
-            return toks[i][1]
-        return "".join([t[1] + " " if t[1] in ("extends", "super") else t[1] for t in toks[i:end]])
+            return texts[i]
+        return "".join([t + " " if t in ("extends", "super") else t for t in texts[i:end]])
 
     def parse_type(self, allow_void: bool = False) -> str:
         """Parse a type reference; returns its normalized (whitespace-free) text."""
@@ -393,11 +394,10 @@ class _Parser:
         name``; otherwise -1 when they start with ``final``, as only a
         declaration can, and else 0. Moves nothing; the caller parses a
         declaration exactly when this is nonzero."""
-        toks = self.toks
         i = self.pos
-        final = toks[i][1] == "final"
+        final = self.texts[i] == "final"
         end, ok = self._scan_type(i + final)
-        if ok and toks[end][0] == "ident":
+        if ok and self.kinds[end] == "ident":
             return end
         return -1 if final else 0
 
@@ -416,19 +416,19 @@ class _Parser:
     # -- class members ---------------------------------------------------------
 
     def parse_class_decl(self) -> A.ClassDecl:
-        first = self.peek()
+        first = self.pos
         anns = self.parse_annotations()
         mods = self.parse_modifiers()
         return self._finish_class(anns, mods, first)
 
-    def _finish_class(self, anns, mods, first: Token) -> A.ClassDecl:
+    def _finish_class(self, anns, mods, first: int) -> A.ClassDecl:
         if self.at("interface") or self.at("enum"):
-            raise self.error(f"{self.peek()[1]} declarations are not supported")
+            raise self.error(f"{self.texts[self.pos]} declarations are not supported")
         depth = self.depth
         self.nest()
         self.expect("class")
-        name_tok = self.expect_ident("class name")
-        if self.toks[self.pos][1] == "<":  # type parameters
+        name = self.texts[self.expect_ident("class name")]
+        if self.at("<"):  # type parameters
             self._take_type(*self._scan_type_args(self.pos))
         extends = None
         if self.accept("extends"):
@@ -444,14 +444,14 @@ class _Parser:
         ctors: list[A.MethodDecl] = []
         nested: list[A.ClassDecl] = []
         while not self.at("}"):
-            if self.toks[self.pos][0] == "eof":
-                raise self.error(f"unclosed class body for {name_tok[1]!r}", first)
-            self.parse_member(name_tok[1], fields, methods, ctors, nested)
+            if self.kinds[self.pos] == "eof":
+                raise self.error(f"unclosed class body for {name!r}", first)
+            self.parse_member(name, fields, methods, ctors, nested)
         close = self.expect("}")
         self.depth = depth
         return A.ClassDecl(
             span=self.span_from(first, close),
-            name=name_tok[1],
+            name=name,
             annotations=anns,
             fields=fields,
             methods=methods,
@@ -463,7 +463,8 @@ class _Parser:
         )
 
     def parse_member(self, class_name, fields, methods, ctors, nested) -> None:
-        first = self.peek()
+        texts = self.texts
+        first = self.pos
         anns = self.parse_annotations()
         mods = self.parse_modifiers()
         if self.at("class") or self.at("interface") or self.at("enum"):
@@ -471,11 +472,11 @@ class _Parser:
             return
         if self.at("{"):
             raise self.error("initializer blocks are not supported")
-        if self.toks[self.pos][1] == class_name and self.toks[self.pos + 1][1] == "(":
+        if texts[self.pos] == class_name and texts[self.pos + 1] == "(":
             name_tok = self.advance()
             ctors.append(self.parse_callable(name_tok, None, mods, anns, first, is_constructor=True))
             return
-        type_tok = self.peek()
+        type_tok = self.pos
         rtype = self.parse_type(allow_void=True)
         name_tok = self.expect_ident("member name")
         if self.at("("):
@@ -493,7 +494,7 @@ class _Parser:
             fields.append(
                 A.FieldDecl(
                     span=self.span_from(first),
-                    name=name_tok[1],
+                    name=texts[name_tok],
                     declared_type=rtype,
                     resolved_type=self.resolve_type(rtype),
                     modifiers=mods,
@@ -513,11 +514,11 @@ class _Parser:
         params: list[A.Param] = []
         if not self.at(")"):
             while True:
-                p_start = self.peek()
-                p_final = self.accept("final") is not None
+                p_start = self.pos
+                p_final = self.accept("final")
                 p_type = self.parse_type()
-                p_name = self.expect_ident("parameter name")
-                params.append(A.Param(p_type, p_name[1], self.span_from(p_start), p_final))
+                p_name = self.texts[self.expect_ident("parameter name")]
+                params.append(A.Param(p_type, p_name, self.span_from(p_start), p_final))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -533,7 +534,7 @@ class _Parser:
             self.expect(";", "or method body")
         return A.MethodDecl(
             span=self.span_from(start),
-            name=name_tok[1],
+            name=self.texts[name_tok],
             visibility=self.visibility_of(mods),
             is_static="static" in mods,
             is_synchronized="synchronized" in mods,
@@ -550,27 +551,27 @@ class _Parser:
 
     def parse_block(self) -> A.Block:
         open_tok = self.expect("{")
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         stmts = []
-        while toks[self.pos][1] != "}":
-            if toks[self.pos][0] == "eof":
+        while texts[self.pos] != "}":
+            if kinds[self.pos] == "eof":
                 raise self.error("unclosed block", open_tok)
             stmts.append(self.parse_statement())
-        close = toks[self.pos]
-        self.pos += 1
+        close = self.pos
+        self.pos = close + 1
         return A.Block(self.span_from(open_tok, close), stmts)
 
     def parse_statement(self) -> A.Stmt:
         """One statement, dispatched on its first token; see the module docstring."""
-        toks = self.toks
-        t = toks[self.pos]
+        texts = self.texts
+        t = self.pos
         depth = self.depth
         if depth >= MAX_NESTING:
             raise self.error(_TOO_DEEP, t)
         self.depth = depth + 1
-        text = t[1]
+        text = texts[t]
         if text not in _STATEMENT_HEADS:
-            if t[0] == "ident" and toks[self.pos + 1][1] == ":":
+            if self.kinds[t] == "ident" and texts[t + 1] == ":":
                 raise self.error("labeled statements are not supported", t)
             name = self._at_local_decl()
             if name:
@@ -582,7 +583,7 @@ class _Parser:
         elif text == "{":
             stmt = self.parse_block()
         elif text == "if":
-            self.pos += 1
+            self.pos = t + 1
             self.expect("(")
             cond = self.parse_expression()
             self.expect(")")
@@ -592,12 +593,12 @@ class _Parser:
                 els = self.parse_statement()
             stmt = A.If(self.span_from(t), cond, then, els)
         elif text == "return":
-            self.pos += 1
-            value = None if toks[self.pos][1] == ";" else self.parse_expression()
+            self.pos = t + 1
+            value = None if texts[t + 1] == ";" else self.parse_expression()
             self.expect(";", "after return")
             stmt = A.Return(self.span_from(t), value)
         elif text == "synchronized":
-            self.pos += 1
+            self.pos = t + 1
             self.expect("(", "after synchronized")
             monitor = self.parse_expression()
             self.expect(")")
@@ -606,7 +607,7 @@ class _Parser:
         elif text == "for":
             stmt = self._parse_for()
         elif text == "while":
-            self.pos += 1
+            self.pos = t + 1
             self.expect("(")
             cond = self.parse_expression()
             self.expect(")")
@@ -615,12 +616,12 @@ class _Parser:
         elif text == "try":
             stmt = self._parse_try()
         elif text == "throw":
-            self.pos += 1
+            self.pos = t + 1
             value = self.parse_expression()
             self.expect(";", "after throw")
             stmt = A.Throw(self.span_from(t), value)
         elif text == ";":
-            self.pos += 1
+            self.pos = t + 1
             stmt = A.Empty(self.span_from(t))
         else:
             raise self.error(_UNSUPPORTED_STMT_KEYWORDS[text], t)
@@ -639,7 +640,7 @@ class _Parser:
         elif self.at(";"):
             self.pos += 1
         else:
-            e_start = self.peek()
+            e_start = self.pos
             exprs = [self.parse_expression()]
             while self.accept(","):
                 exprs.append(self.parse_expression())
@@ -669,10 +670,10 @@ class _Parser:
             c_type = self.parse_type()
             while self.accept("|"):  # multi-catch types
                 c_type += "|" + self.parse_type()
-            c_var = self.expect_ident("exception variable")
+            c_var = self.texts[self.expect_ident("exception variable")]
             self.expect(")")
             c_body = self.parse_block()
-            catches.append(A.Catch(c_type, c_var[1], c_body, self.span_from(c_start)))
+            catches.append(A.Catch(c_type, c_var, c_body, self.span_from(c_start)))
         finally_block = None
         if self.at("finally"):
             if self.finally_depth >= MAX_FINALLY_NESTING:
@@ -685,25 +686,25 @@ class _Parser:
             raise self.error("try requires at least one catch or finally", start)
         return A.Try(self.span_from(start), body, catches, finally_block)
 
-    def _parse_local_decl(self, name: int, for_start: Optional[Token] = None) -> A.Stmt:
+    def _parse_local_decl(self, name: int, for_start: Optional[int] = None) -> A.Stmt:
         """The local declaration whose first name ``_at_local_decl`` found at
         token ``name``. In the header of the for loop that starts at
         ``for_start``, a ``:`` after the name makes the whole loop a for-each,
         which is returned instead."""
-        toks = self.toks
-        start = toks[self.pos]
-        is_final = start[1] == "final"
+        texts = self.texts
+        start = self.pos
+        is_final = texts[start] == "final"
         if name < 0:  # no ``Type name`` after ``final``: raise at the token at fault
             self.pos += 1
             self.parse_type()
             self.expect_ident()
-        type_text = self._type_text(self.pos + is_final, name)
-        if for_start is not None and toks[name + 1][1] == ":":
+        type_text = self._type_text(start + is_final, name)
+        if for_start is not None and texts[name + 1] == ":":
             self.pos = name + 2
             iterable = self.parse_expression()
             self.expect(")")
             body = self.parse_statement()
-            return A.ForEach(self.span_from(for_start), type_text, toks[name][1], iterable, body, is_final)
+            return A.ForEach(self.span_from(for_start), type_text, texts[name], iterable, body, is_final)
         self.pos = name
         declarators = []
         while True:
@@ -711,7 +712,7 @@ class _Parser:
             init = None
             if self.accept("="):
                 init = self.parse_expression()
-            declarators.append(A.Declarator(name_tok[1], init, self.span_from(name_tok)))
+            declarators.append(A.Declarator(texts[name_tok], init, self.span_from(name_tok)))
             if not self.accept(","):
                 break
         self.expect(";", "after local declaration" if for_start is None else "in for header")
@@ -721,46 +722,46 @@ class _Parser:
 
     def parse_expression(self) -> A.Expr:
         """An expression; an assignment's value is parsed as a nested expression."""
-        toks = self.toks
-        start = toks[self.pos]
+        texts = self.texts
+        start = self.pos
         depth = self.depth
         if depth >= MAX_NESTING:
             raise self.error(_TOO_DEEP, start)
         self.depth = depth + 1
         expr = self._parse_operand()
-        t = toks[self.pos]
-        if t[1] in _BINARY_LEVEL:
+        op = texts[self.pos]
+        if op in _BINARY_LEVEL:
             expr = self._parse_binary(0, expr, start)
-            t = toks[self.pos]
-        if t[1] in _ASSIGN_OPS:
+            op = texts[self.pos]
+        if op in _ASSIGN_OPS:
             if not isinstance(expr, (A.Name, A.FieldSel, A.Index)):
-                raise self.error("invalid assignment target", t)
+                raise self.error("invalid assignment target")
             self.pos += 1
             value = self.parse_expression()
-            expr = A.Assign(self.span_from(start), expr, t[1], value)
+            expr = A.Assign(self.span_from(start), expr, op, value)
         self.depth = depth
         return expr
 
-    def _parse_binary(self, min_level: int, left: A.Expr, start: Token) -> A.Expr:
-        """Precedence climbing: extend ``left``, which begins at ``start``,
-        over operators of ``min_level`` and tighter."""
-        toks = self.toks
+    def _parse_binary(self, min_level: int, left: A.Expr, start: int) -> A.Expr:
+        """Precedence climbing: extend ``left``, which begins at token
+        ``start``, over operators of ``min_level`` and tighter."""
+        texts = self.texts
         depth = self.depth
         while True:
-            t = toks[self.pos]
-            level = _BINARY_LEVEL.get(t[1])
+            t = self.pos
+            op = texts[t]
+            level = _BINARY_LEVEL.get(op)
             if level is None or level < min_level:
                 break
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise self.error(_TOO_DEEP, t)
-            self.pos += 1
-            r_start = toks[self.pos]
+            self.pos = r_start = t + 1
             right = self._parse_operand()
-            tighter = _BINARY_LEVEL.get(toks[self.pos][1])
+            tighter = _BINARY_LEVEL.get(texts[self.pos])
             if tighter is not None and tighter > level:
                 right = self._parse_binary(level + 1, right, r_start)
-            left = A.Binary(self.span_from(start), t[1], left, right)
+            left = A.Binary(self.span_from(start), op, left, right)
         self.depth = depth
         return left
 
@@ -769,100 +770,102 @@ class _Parser:
         selectors (``.name``, ``.m(...)``, ``.class``, ``[i]``, postfix
         ``++``/``--``). Each prefix operator and each selector nests one level
         further than what it wraps."""
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         depth = self.depth
-        t = toks[self.pos]
+        t = self.pos
+        text = texts[t]
         prefix = None
-        if t[1] in _PREFIX_OPS:
+        if text in _PREFIX_OPS:
             prefix = []
-            while t[1] in _PREFIX_OPS:
+            while text in _PREFIX_OPS:
                 prefix.append(t)
-                self.pos += 1
-                t = toks[self.pos]
+                t += 1
+                self.pos = t
+                text = texts[t]
                 self.depth += 1
                 if self.depth > MAX_NESTING:
                     raise self.error(_TOO_DEEP, t)
-        kind = t[0]
+        kind = kinds[t]
         if kind == "ident":
-            self.pos += 1
-            if toks[self.pos][1] == "(":
+            self.pos = t + 1
+            if texts[t + 1] == "(":
                 args = self._parse_args()
-                expr = A.Call(self.span_from(t), None, t[1], args)
+                expr = A.Call(self.span_from(t), None, text, args)
             else:
-                expr = A.Name(_new(_SourceSpan, (self.path, t[2], t[3], self.lines)), t[1])
+                expr = A.Name(_new(_SourceSpan, (self.path, self.starts[t], self.ends[t], self.lines)), text)
         elif kind == "number":
-            self.pos += 1
-            expr = A.Literal(self.span_from(t, t), _number_kind(t[1]), t[1])
+            self.pos = t + 1
+            expr = A.Literal(self.span_from(t, t), _number_kind(text), text)
         elif kind == "string" or kind == "char":
-            self.pos += 1
-            expr = A.Literal(self.span_from(t, t), kind, t[1])
-        elif t[1] == "this":
-            self.pos += 1
+            self.pos = t + 1
+            expr = A.Literal(self.span_from(t, t), kind, text)
+        elif text == "this":
+            self.pos = t + 1
             expr = A.This(self.span_from(t, t))
-        elif t[1] == "(":
-            if toks[self.pos + 1][1] == ")" and toks[self.pos + 2][1] == "->":
+        elif text == "(":
+            if texts[t + 1] == ")" and texts[t + 2] == "->":
                 raise self.error("lambdas are not supported", t)
-            self.pos += 1
-            i = self.pos
-            first = toks[i]
+            first = self.pos = t + 1
             try:
                 inner = self.parse_expression()
                 self.expect(")")
             except ParseError:
-                if self._is_generic_cast(i):
+                if self._is_generic_cast(first):
                     raise self.error("cast expressions are not supported", first) from None
                 raise
-            nxt = toks[self.pos]
-            if nxt[1] == "->":
+            nxt = self.pos
+            if texts[nxt] == "->":
                 raise self.error("lambdas are not supported", t)
-            if _is_name(inner) and (nxt[0] in _CAST_OPERAND_KINDS or nxt[1] in _CAST_OPERAND_WORDS):
+            if _is_name(inner) and (kinds[nxt] in _CAST_OPERAND_KINDS or texts[nxt] in _CAST_OPERAND_WORDS):
                 raise self.error("cast expressions are not supported", first)
             expr = A.Paren(self.span_from(t), inner)
-        elif t[1] == "true" or t[1] == "false":
-            self.pos += 1
-            expr = A.Literal(self.span_from(t, t), "boolean", t[1])
-        elif t[1] == "null":
-            self.pos += 1
-            expr = A.Literal(self.span_from(t, t), "null", t[1])
-        elif t[1] == "new":
+        elif text == "true" or text == "false":
+            self.pos = t + 1
+            expr = A.Literal(self.span_from(t, t), "boolean", text)
+        elif text == "null":
+            self.pos = t + 1
+            expr = A.Literal(self.span_from(t, t), "null", text)
+        elif text == "new":
             expr = self._parse_new(t)
-        elif t[1] == "->" or t[1] == "::":
+        elif text == "->" or text == "::":
             raise self.error("lambdas and method references are not supported", t)
-        elif kind == "keyword" and t[1] in PRIMITIVE_TYPES:
+        elif kind == "keyword" and text in PRIMITIVE_TYPES:
             raise self.error(self._primitive_in_expression(), t)
         else:
-            raise self.error(f"unexpected token {t[1]!r} in expression" if kind != "eof" else "unexpected end of file in expression", t)
+            raise self.error(f"unexpected token {text!r} in expression" if kind != "eof" else "unexpected end of file in expression", t)
         start = t
-        while toks[self.pos][1] in _SELECTORS:
-            t = toks[self.pos]
+        while texts[self.pos] in _SELECTORS:
+            t = self.pos
+            text = texts[t]
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise self.error(_TOO_DEEP, t)
-            if t[1] == ".":
-                nxt = toks[self.pos + 1]
-                self.pos += 2
-                if nxt[1] == "class":
+            if text == ".":
+                nxt = t + 1
+                name = texts[nxt]
+                self.pos = t + 2
+                if name == "class":
                     expr = A.ClassLit(self.span_from(start), to_source(expr))
-                elif nxt[1] == "<":
+                elif name == "<":
                     raise self.error("explicit type arguments are not supported", nxt)
-                elif nxt[0] != "ident":
-                    raise self.error(f"expected member name after '.', found {nxt[1]!r}", nxt)
-                elif toks[self.pos][1] == "(":
+                elif kinds[nxt] != "ident":
+                    raise self.error(f"expected member name after '.', found {name!r}", nxt)
+                elif texts[t + 2] == "(":
                     args = self._parse_args()
-                    expr = A.Call(self.span_from(start), expr, nxt[1], args)
+                    expr = A.Call(self.span_from(start), expr, name, args)
                 else:
-                    expr = A.FieldSel(self.span_from(start), expr, nxt[1])
-            elif t[1] == "[":
-                self.pos += 1
+                    expr = A.FieldSel(self.span_from(start), expr, name)
+            elif text == "[":
+                self.pos = t + 1
                 index = self.parse_expression()
                 self.expect("]")
                 expr = A.Index(self.span_from(start), expr, index)
             else:
-                self.pos += 1
-                expr = A.Unary(self.span_from(start), t[1], expr, False)
+                self.pos = t + 1
+                expr = A.Unary(self.span_from(start), text, expr, False)
         if prefix:
             for op in reversed(prefix):
-                expr = A.Unary(self.span_from(op), op[1], expr, True)
+                expr = A.Unary(self.span_from(op), texts[op], expr, True)
         self.depth = depth
         return expr
 
@@ -871,26 +874,25 @@ class _Parser:
         arguments that ``)`` and a cast's operand follow, as in
         ``(List<String>) o``. Parsed as an expression, such a type fails as
         a comparison, so only the error path asks."""
-        toks = self.toks
+        texts = self.texts
         end, ok = self._scan_type(i)
-        if not ok or toks[end][1] != ")" or not any(toks[j][1] == "<" for j in range(i, end)):
+        if not ok or texts[end] != ")" or "<" not in texts[i:end]:
             return False
-        nxt = toks[end + 1]
-        return nxt[0] in _CAST_OPERAND_KINDS or nxt[1] in _CAST_OPERAND_WORDS
+        return self.kinds[end + 1] in _CAST_OPERAND_KINDS or texts[end + 1] in _CAST_OPERAND_WORDS
 
     def _primitive_in_expression(self) -> str:
         """The error for the primitive type keyword at the current token,
         which starts no supported operand, as in the cast ``(long) a`` or
         the class literal ``int.class``."""
-        toks, pos = self.toks, self.pos
+        texts, pos = self.texts, self.pos
         after = pos + 1
-        while toks[after][1] == "[" and toks[after + 1][1] == "]":
+        while texts[after] == "[" and texts[after + 1] == "]":
             after += 2
-        if toks[after][1] == "." and toks[after + 1][1] == "class":
+        if texts[after] == "." and texts[after + 1] == "class":
             return "primitive class literals are not supported"
-        if toks[pos - 1][1] == "(" and toks[pos + 1][1] in (")", "["):
+        if texts[pos - 1] == "(" and texts[pos + 1] in (")", "["):
             return "cast expressions are not supported"
-        return f"unexpected type keyword {toks[pos][1]!r} in expression"
+        return f"unexpected type keyword {texts[pos]!r} in expression"
 
     def _parse_args(self) -> list[A.Expr]:
         self.expect("(")
@@ -902,7 +904,7 @@ class _Parser:
         self.expect(")")
         return args
 
-    def _parse_new(self, start: Token) -> A.Expr:
+    def _parse_new(self, start: int) -> A.Expr:
         self.pos += 1
         end, ok = self._scan_type(self.pos, dims=False)
         if end == self.pos:

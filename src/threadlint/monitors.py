@@ -24,7 +24,10 @@ when some lock field has both a lock call and an unlock call in it; without
 both no window exists, so no CFG is asked for. Synchronized blocks also
 come from the class model: an expression is guarded by each block whose
 body span contains its span, which is exact because the spans of one tree
-nest or are disjoint. Each block's monitor is computed once.
+nest or are disjoint. Each method's protection is one table, built once: the
+synchronized method's monitor, each block's body offsets and monitor, and
+each window's nodes and monitor; a query builds no monitor, and in a method
+with neither blocks nor windows it returns the method's monitors as they are.
 
 Names are bound by the class model, never here: a lock call's receiver
 locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
@@ -88,6 +91,10 @@ class Monitor:
     def __str__(self):
         return self.identity
 
+    def __hash__(self):
+        # equal monitors have equal identities; an Enum member hashes in Python
+        return hash(self.identity)
+
 
 @dataclass(frozen=True)
 class LockWindow:
@@ -96,6 +103,11 @@ class LockWindow:
 
     nodes: frozenset[CfgNode]
     field: A.FieldDecl
+
+
+# a method's protection: (synchronized-method monitors, [(body start, body
+# end, monitor)] of its synchronized blocks, [(nodes, monitor)] of its windows)
+_Protection = tuple[frozenset[Monitor], list[tuple[int, int, Monitor]], list[tuple[frozenset[CfgNode], Monitor]]]
 
 
 def lock_window(cfg: Cfg, field: A.FieldDecl, locks: list[A.Call], unlocks: list[A.Call]) -> LockWindow:
@@ -170,7 +182,7 @@ class MonitorAnalysis:
         self._lock_fields = lock_fields(cm, lock_types)
         self._cfgs: dict[int, tuple[Cfg, list[LockWindow]]] = {}
         self._windows: dict[int, list[LockWindow]] = {}
-        self._held: dict[int, list[tuple[A.SourceSpan, Monitor]]] = {}
+        self._tables: dict[int, _Protection] = {}
         self._monitors_cache: dict[int, frozenset[Monitor]] = {}
         self._facts = facts
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
@@ -213,40 +225,46 @@ class MonitorAnalysis:
             windows = self._windows[id(m)] = self.cfg_for(m)[1] if self._lock_calls(m) else []
         return windows
 
-    def _held_syncs(self, m: A.MethodDecl) -> list[tuple[A.SourceSpan, Monitor]]:
-        """(body span, monitor) of each synchronized block in ``m`` that takes one."""
-        held = self._held.get(id(m))
-        if held is None:
-            held = self._held[id(m)] = []
-            for s in self.cm.syncs_in(m):
-                mon = sync_monitor(s.monitor, self.cm)
+    def _protection(self, m: A.MethodDecl) -> _Protection:
+        """``m``'s protection table, built on first need: the monitors of a
+        synchronized method, then the ``(start, end, monitor)`` of each
+        synchronized block's body that takes one, then the ``(nodes,
+        monitor)`` of each lock window."""
+        table = self._tables.get(id(m))
+        if table is None:
+            cm = self.cm
+            base: frozenset[Monitor] = frozenset()
+            if m.is_synchronized:
+                base = frozenset({Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>") if m.is_static
+                                  else Monitor(MonitorKind.THIS, "this")})
+            blocks = []
+            for s in cm.syncs_in(m):
+                mon = sync_monitor(s.monitor, cm)
                 if mon is not None:
-                    held.append((s.body.span, mon))
-        return held
+                    blocks.append((s.body.span.start, s.body.span.end, mon))
+            owner = cm.decl.qualified_name or cm.decl.name
+            windows = [(w.nodes, Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
+                       for w in self.windows_for(m)]
+            table = self._tables[id(m)] = (base, blocks, windows)
+        return table
 
     def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[Monitor]:
         """All monitors protecting the evaluation of ``expr`` inside ``m``."""
-        out: set[Monitor] = set()
-        if m.is_synchronized:
-            if m.is_static:
-                out.add(Monitor(MonitorKind.CLASS, f"Class<{self.cm.decl.name}>"))
-            else:
-                out.add(Monitor(MonitorKind.THIS, "this"))
-        span = expr.span
-        for body, mon in self._held_syncs(m):
-            if body.contains(span):
+        base, blocks, windows = self._protection(m)
+        if not blocks and not windows:
+            return base
+        out = set(base)
+        _, start, end, _ = expr.span
+        for body_start, body_end, mon in blocks:
+            if body_start <= start and end <= body_end:
                 out.add(mon)
-        windows = self.windows_for(m)
         if windows:
             nodes = self.cfg_for(m)[0].nodes_for(expr)
-            for w in windows:
-                if nodes and w.nodes.issuperset(nodes):
-                    out.add(self._lock_field_monitor(w.field))
+            if nodes:
+                for window, mon in windows:
+                    if window.issuperset(nodes):
+                        out.add(mon)
         return frozenset(out)
-
-    def _lock_field_monitor(self, f: A.FieldDecl) -> Monitor:
-        owner = self.cm.decl.qualified_name or self.cm.decl.name
-        return Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{f.name}")
 
     def public_facts(self, a: FieldAccess) -> list[AccessPathFact]:
         """The facts of public methods that execute ``a`` (the paper's publicAccess).

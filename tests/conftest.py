@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -33,6 +35,30 @@ def model_for(name: str, class_index: int = 0, allowlist: ThreadSafeTypeAllowlis
 def model_from_source(src: str, path: str = "<test>.java", class_index: int = 0, **kw):
     ast = parse_compilation_unit(SourceFile(path, src))
     return build_class_model(ast.classes[class_index], **kw)
+
+
+def benchmark_workloads():
+    """The benchmark's input generator, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(CORPUS_DIR)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def full_size_sources() -> list[str]:
+    """The texts of the corpus, the oracle probes and the three full-size
+    workloads at seed 1."""
+    probes = os.path.join(os.path.dirname(CORPUS_DIR), "oracle_probes")
+    texts = [corpus_source(n).content for n in sorted(os.listdir(CORPUS_DIR)) if n.endswith(".java")]
+    for name in sorted(os.listdir(probes)):
+        with open(os.path.join(probes, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    workloads = benchmark_workloads()
+    for workload in workloads.WORKLOADS:
+        texts.extend(f.text for f in workloads.generate(workload, 1, "full", CORPUS_DIR))
+    return texts
 
 
 def line_of(text: str, needle: str) -> int:

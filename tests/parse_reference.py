@@ -6,8 +6,10 @@ This is the parser that the lookahead parser in
 the parity property in test_frontend.py, so it stays as it was: it takes its
 tokens from the same ``tokenize`` and builds the same AST nodes, and a
 property checks that both parsers give the same tree or the same error.
-Since tokens became plain tuples, it reads them through ``Token``, which
-adds the line and column of each token's start.
+Since tokens became columns, it reads each through ``Token``, which adds the
+line and column of the token's start. One change since: a primitive keyword
+in type arguments must be followed by ``[]``, as in the shipped type scanner
+and in javac.
 """
 
 from __future__ import annotations
@@ -249,7 +251,9 @@ class _Parser:
         return text
 
     def _parse_type_args(self) -> str:
-        """Opaque balanced ``<...>`` text; raises when the contents are not type-like."""
+        """Opaque balanced ``<...>`` text; raises when the contents are not
+        type-like. A primitive keyword other than ``void`` is type-like only
+        before ``[]``: javac rejects ``List<int>``, not ``List<int[]>``."""
         self.expect("<")
         parts = ["<"]
         depth = 1
@@ -257,9 +261,13 @@ class _Parser:
             t = self.peek()
             if t.kind in ("ident",):
                 parts.append(self.advance().text)
-            elif t.kind == "keyword" and (t.text in PRIMITIVE_TYPES or t.text in ("extends", "super")):
+            elif t.text in ("extends", "super"):
                 self.advance()
-                parts.append(t.text + " " if t.text in ("extends", "super") else t.text)
+                parts.append(t.text + " ")
+            elif (t.kind == "keyword" and t.text in PRIMITIVE_TYPES and t.text != "void"
+                  and self.peek(1).text == "[" and self.peek(2).text == "]"):
+                self.advance()
+                parts.append(t.text)
             elif t.text in (",", ".", "?"):
                 self.advance()
                 parts.append(t.text)

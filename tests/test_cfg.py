@@ -4,11 +4,12 @@ import itertools
 import os
 import random
 
-from conftest import parse_corpus
+from conftest import full_size_sources, parse_corpus
 from monitors_reference import hold_states
 from paths_reference import method_runs
 
 from threadlint.cfg import Cfg, build_cfg, fewest, paths
+from threadlint.frontend import ast as A
 from threadlint.frontend import parse_source
 
 
@@ -312,6 +313,58 @@ def test_expressions_map_to_their_statement_node():
     [node] = [n for n in cfg.nodes if n.ast is stmt]
     assert cfg.nodes_for(stmt.expr) == [node]
     assert cfg.nodes_for(stmt.expr.target) == [node]
+
+
+def nodes_for_by_walk(cfg: Cfg):
+    """``Cfg.nodes_for`` as it was before it bisected spans: every
+    subexpression of a node's first lowering indexed by identity, the copies
+    of a node being the nodes whose first expression is the same."""
+    first, copies = {}, {}
+    for n in cfg.nodes:
+        if n.exprs:
+            f = first.get(id(n.exprs[0]))
+            if f is None:
+                for e in n.exprs:
+                    for d in A.walk(e):
+                        first[id(d)] = n
+            else:
+                copies.setdefault(f, [f]).append(n)
+
+    def nodes_for(e):
+        f = first.get(id(e))
+        return [] if f is None else copies.get(f, [f])
+
+    return nodes_for
+
+
+def test_nodes_for_agrees_with_the_walk_over_every_expression():
+    """Over every expression of every lowered method of the corpus, the
+    oracle probes and the three full-size workloads, the span bisect gives
+    the nodes the identity walk gives, finally copies and unlowered finally
+    blocks included."""
+    checked = copied = 0
+    for text in full_size_sources():
+        for c in parse_source(text).iter_classes():
+            for m in c.methods + c.constructors:
+                if m.body is None:
+                    continue
+                cfg = build_cfg(m)
+                by_walk = nodes_for_by_walk(cfg)
+                for e in A.walk(m.body):
+                    if isinstance(e, A.Expr):
+                        got = cfg.nodes_for(e)
+                        assert got == by_walk(e), (m.name, e)
+                        checked += 1
+                        copied += len(got) > 1
+    assert checked > 50_000 and copied > 0
+
+
+def test_nodes_for_finds_nothing_in_a_finally_block_never_lowered():
+    m = parse_source("class C { int x; void f() { try { for (;;) { x = 1; } } finally { x = 2; } } }").classes[0].methods[0]
+    cfg = build_cfg(m)
+    write = m.body.stmts[0].finally_block.stmts[0].expr
+    assert cfg.nodes_for(write) == cfg.nodes_for(write.target) == nodes_for_by_walk(cfg)(write) == []
+    assert len(cfg.nodes_for(m.body.stmts[0].body.stmts[0].body.stmts[0].expr)) == 1
 
 
 def test_corpus_methods_build_and_exit_reachable(corpus_names):

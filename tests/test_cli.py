@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 import report_reference
-from test_frontend import _benchmark_workloads
+from conftest import benchmark_workloads
 
 import threadlint
 from threadlint import cli
@@ -492,7 +492,7 @@ def test_generated_workload_reports_match_golden_bytes(tmp_path, monkeypatch, ca
     ``--oracle`` text report of each workload's seed-1 smoke files, written
     to their relative paths and checked in generation order."""
     relpaths = []
-    for f in _benchmark_workloads().generate(workload, 1, "smoke", os.path.join(REPO_ROOT, "tests", "corpus")):
+    for f in benchmark_workloads().generate(workload, 1, "smoke", os.path.join(REPO_ROOT, "tests", "corpus")):
         path = tmp_path / f.relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(f.text, encoding="utf-8")
@@ -529,7 +529,7 @@ def test_full_size_workload_verdicts_match_the_generator_labels(tmp_path, worklo
     name exactly the fields built to break those rules. An unannotated class
     gets nothing. For ``oracle`` the happens-before oracle runs too, and each
     class it checks races exactly when it is labelled racy."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     files = workloads.generate(workload, 1, "full", os.path.join(REPO_ROOT, "tests", "corpus"))
     paths = _written(tmp_path, files)
     labels = [c for f in files for c in f.classes]
@@ -624,7 +624,7 @@ def test_checking_leaves_no_cyclic_garbage(tmp_path, collector_setting):
     collector during a run leaks nothing: with the collector off, checking
     and serializing every input set, with and without the oracle, leaves no
     object that only a collection would free."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     corpus = os.path.join(REPO_ROOT, "tests", "corpus")
     inputs = [[os.path.join(REPO_ROOT, "tests", d)] for d in ("corpus", "oracle_probes", "parse_errors", "unannotated")]
     inputs += [_written(tmp_path / w, workloads.generate(w, 1, "full", corpus)) for w in workloads.WORKLOADS]
@@ -652,7 +652,7 @@ def test_no_collection_starts_inside_a_run(tmp_path, collector_setting):
     trigger collections many times over; none starts while ``run`` is on
     the stack. The one that the allocations made meanwhile are due starts
     in the caller, after ``run`` has returned."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     files = workloads.generate("lint-wide", 1, "full", os.path.join(REPO_ROOT, "tests", "corpus"))
     annotated = [f for f in files if any(c.annotated for c in f.classes)]
     largest = max(annotated, key=lambda f: len(f.text))

@@ -5,11 +5,10 @@ import json
 import os
 
 import pytest
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, benchmark_workloads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from report_reference import reference_bytes
-from test_frontend import _benchmark_workloads
 
 from threadlint.alerts import Alert
 from threadlint.cli import EXIT_ERROR, main, oracle_check, run
@@ -143,7 +142,7 @@ def test_json_and_sarif_bytes_match_the_reference_encoder(report):
 def test_workload_reports_match_the_reference_encoder(tmp_path, workload, with_oracle):
     """Every per-file report of each workload's full-size seed-1 files, as
     the benchmark writes them, in both structured formats."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     config = build_config(None, **workloads.CONFIG_ARGS)
     check = oracle_check if with_oracle else run
     repo_root = os.path.dirname(os.path.dirname(CORPUS_DIR))
