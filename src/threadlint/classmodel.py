@@ -54,6 +54,15 @@ MODIFYING_KINDS = frozenset(
 )
 
 
+def base_type(type_text: str) -> Optional[str]:
+    """``type_text`` without its type arguments; None for an array type,
+    ``AtomicReference<String>[]`` as well as ``AtomicReference[]``: an array
+    of thread-safe elements or of locks is neither itself."""
+    if type_text.endswith("[]"):
+        return None
+    return type_text.split("<", 1)[0]
+
+
 @dataclass(frozen=True)
 class ThreadSafeTypeAllowlist:
     """Types whose instances are trusted to synchronize internally."""
@@ -67,10 +76,10 @@ class ThreadSafeTypeAllowlist:
                 raise ValueError(f"allowlist entry {entry!r} must be nonempty and trimmed")
 
     def contains_type(self, declared: str, resolved: str) -> bool:
-        base_declared = declared.split("<", 1)[0]
-        base_resolved = resolved.split("<", 1)[0]
-        if base_declared.endswith("[]") or base_resolved.endswith("[]"):
-            return False  # an array of thread-safe elements is not itself thread-safe
+        base_declared = base_type(declared)
+        base_resolved = base_type(resolved)
+        if base_declared is None or base_resolved is None:
+            return False
         if base_declared in self.exact_types or base_resolved in self.exact_types:
             return True
         return any(base_resolved.startswith(p) for p in self.qualified_prefixes)

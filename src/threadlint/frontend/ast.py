@@ -95,6 +95,7 @@ class New(Expr):
     type_text: str
     args: Optional[list[Expr]]  # constructor arguments, None for arrays
     dims: Optional[list[Expr]]  # array dimension expressions, None otherwise
+    empty_dims: int = 0  # the ``[]`` after the sized dimensions
 
 
 @dataclass(eq=False, slots=True)
@@ -310,12 +311,6 @@ class ClassDecl(Node):
     extends: Optional[str] = None
     implements: list[str] = field(default_factory=list)
     qualified_name: str = ""
-
-    def field_named(self, name: str) -> Optional[FieldDecl]:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
 
     def annotation_simple_names(self) -> set[str]:
         return {a.simple_name for a in self.annotations}

@@ -916,16 +916,20 @@ class _Parser:
                 raise self.error("anonymous classes are not supported")
             return A.New(self.span_from(start), type_text, args, None)
         if self.at("["):
+            # the sized dimensions, then the empty ones; a later ``[e]`` indexes
+            texts = self.texts
             dims = []
-            while self.accept("["):
-                if self.at("]"):
-                    self.advance()
-                    continue
+            while texts[self.pos] == "[" and texts[self.pos + 1] != "]":
+                self.pos += 1
                 dims.append(self.parse_expression())
                 self.expect("]")
+            empty = 0
+            while texts[self.pos] == "[" and texts[self.pos + 1] == "]":
+                self.pos += 2
+                empty += 1
             if self.at("{"):
                 raise self.error("array initializer expressions are not supported")
-            return A.New(self.span_from(start), type_text, None, dims)
+            return A.New(self.span_from(start), type_text, None, dims, empty)
         raise self.error("expected '(' or '[' after new")
 
 

@@ -167,8 +167,8 @@ def _render(n) -> str:
     if isinstance(n, A.New):
         if n.args is not None:
             return f"new {n.type_text}(" + ", ".join(_render(a) for a in n.args) + ")"
-        dims = "".join(f"[{_render(d)}]" for d in (n.dims or []))
-        return f"new {n.type_text}{dims}"
+        dims = "".join(f"[{_render(d)}]" for d in n.dims)
+        return f"new {n.type_text}{dims}{'[]' * n.empty_dims}"
     if isinstance(n, A.Index):
         return f"{_render(n.base)}[{_render(n.index)}]"
     if isinstance(n, A.Unary):

@@ -12,7 +12,9 @@ What a name, a lock()/unlock() receiver, a call or a synchronized block's
 monitor denotes is asked of the class model (:meth:`ClassModel.field_of`,
 :meth:`ClassModel.denotes`, :meth:`ClassModel.callees`) and of
 :func:`threadlint.monitors.sync_monitor`, so the oracle and the static rules
-never disagree about scoping. Whether an access reads or writes, and in
+never disagree about scoping. Every monitor is named by the function the
+static rules name it with (``sync_monitor``, ``method_monitor``,
+``lock_monitor``), so an action's target is the monitor P3 holds. Whether an access reads or writes, and in
 which order a node's actions run, is decided here independently of the
 static collector, so the oracle still catches a static classification miss.
 
@@ -21,8 +23,8 @@ field reads and writes to read/write actions (volatile variants for volatile
 fields; mutator calls and array-element writes write the field; allowlisted
 fields add nothing), and lock-field lock()/unlock() calls, a synchronized
 block's entry and exit nodes, and a synchronized method around each path to
-monitor actions (``lock:``-namespaced for Lock objects, so they never alias
-a block's monitor on the same field). A write to another object's field
+monitor actions (a lock field's ``lock_monitor``, which never aliases a
+block's monitor on the same field). A write to another object's field
 reads the receiver before the value, and a monitor or lock reference is read
 before it is locked or unlocked. A public method that unlocks a monitor it
 does not hold makes the class unsupported. Names, field selections,
@@ -52,6 +54,8 @@ from threadlint.monitors import (
     DEFAULT_LOCK_TYPES,
     DEFAULT_UNLOCK_METHODS,
     lock_fields,
+    lock_monitor,
+    method_monitor,
     sync_monitor,
 )
 
@@ -114,7 +118,7 @@ class _DriverBuilder:
         if any(c is m for c in stack):
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: recursive call chain")
         stack += (m,)
-        monitor = (f"Class<{self.decl.name}>" if m.is_static else "this") if m.is_synchronized else None
+        monitor = method_monitor(m, self.cm)
         found: dict[tuple[ActionSpec, ...], None] = {}
         walked = 0
         for path in paths(build_cfg(m)):
@@ -125,7 +129,7 @@ class _DriverBuilder:
                     # a parameter or non-alias local guards nothing: no monitor actions
                     sync = sync_monitor(node.ast.monitor, self.cm)
                     if sync is not None:
-                        self._emit(out, Op.LOCK if node.kind == "sync_enter" else Op.UNLOCK, sync.identity)
+                        self._emit(out, Op.LOCK if node.kind == "sync_enter" else Op.UNLOCK, sync)
             if monitor:
                 self._emit(out, Op.UNLOCK, monitor)
             walked += len(out)
@@ -209,7 +213,7 @@ class _DriverBuilder:
                         )
                     self._lower(q, stack, out)
                     self._lower_all(e.args, stack, out)
-                    self._emit(out, Op.LOCK if e.name in self.lock_methods else Op.UNLOCK, f"lock:this.{lf.name}")
+                    self._emit(out, Op.LOCK if e.name in self.lock_methods else Op.UNLOCK, lock_monitor(lf))
                     return
             f = self.cm.field_of(q)
             if f is not None:

@@ -1,8 +1,20 @@
 """Monitor identification and protection of field accesses.
 
+A monitor is its name, a string that the static rules and the oracle's
+thread programs both use (README, "What counts as a monitor"). Only these
+functions write one:
+
+- :func:`method_monitor`: the object's own monitor for a synchronized
+  instance method, the class's for a static one;
+- :func:`sync_monitor`: the same two for ``synchronized (this)`` and the own
+  class's literal, the field's for an own field, and else the
+  :func:`canonical_text` of the expression;
+- :func:`lock_monitor`: a lock field's lock, kept apart by a prefix from
+  the monitor ``synchronized`` on the same field takes.
+
 Protection is computed in one place, :meth:`MonitorAnalysis.protecting_monitors`.
 An access is protected by an explicit lock field when every CFG node of it
-lies in the field's lock window (:class:`LockWindow`): the nodes held at
+lies in the field's lock window (:func:`lock_window`): the nodes held at
 least once on every path in and released on every path out. Holds are
 counted, as the field's lock is reentrant: along a path each lock call
 (``lock``, ``lockInterruptibly``, ``tryLock``) adds one and each unlock call
@@ -12,11 +24,11 @@ the window, and ``lock(); lock(); x = 1; unlock(); unlock();`` keeps ``x``
 guarded. "Released on every path out" is the paper's post-dominating
 ``unlock()``: every path from the node to the exit passes an unlock call of
 the field. A lock or unlock statement is inside its own window. Such a
-window reports the monitor ``Monitor(LOCK_FIELD, "<class_id>.<field>")``.
+window reports the field's ``lock_monitor``.
 A call or access inside a ``finally`` block has one CFG node per copy of
 the block, and each copy is asked about. Protection by the synchronized
 keyword (methods, static methods, blocks) is recognized syntactically and
-reports every other monitor kind.
+reports every other monitor.
 
 The work is demand-driven. Lock and unlock calls are taken from the calls
 the class model recorded, and a method's CFG and windows are built only
@@ -24,10 +36,11 @@ when some lock field has both a lock call and an unlock call in it; without
 both no window exists, so no CFG is asked for. Synchronized blocks also
 come from the class model: an expression is guarded by each block whose
 body span contains its span, which is exact because the spans of one tree
-nest or are disjoint. Each method's protection is one table, built once: the
-synchronized method's monitor, each block's body offsets and monitor, and
-each window's nodes and monitor; a query builds no monitor, and in a method
-with neither blocks nor windows it returns the method's monitors as they are.
+nest or are disjoint. Each method's protection is one record, built once: the
+synchronized method's monitor, each block's body offsets and monitor, the
+CFG when there is a window, and each window's nodes and monitor; a query
+builds no monitor, and in a method with neither blocks nor windows it
+returns the method's monitors as they are.
 
 Names are bound by the class model, never here: a lock call's receiver
 locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
@@ -61,13 +74,11 @@ recognized unless configured.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from threadlint.accesspaths import AccessPathFact, provides_access
 from threadlint.cfg import Cfg, CfgNode, build_cfg, fewest
-from threadlint.classmodel import ClassModel, FieldAccess
+from threadlint.classmodel import ClassModel, FieldAccess, base_type
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
 
@@ -76,42 +87,10 @@ DEFAULT_LOCK_METHODS = ("lock", "lockInterruptibly", "tryLock")
 DEFAULT_UNLOCK_METHODS = ("unlock",)
 
 
-class MonitorKind(Enum):
-    LOCK_FIELD = "lockField"
-    THIS = "thisMonitor"
-    CLASS = "classMonitor"
-    SYNC_EXPR = "syncExpr"
-
-
-@dataclass(frozen=True)
-class Monitor:
-    kind: MonitorKind
-    identity: str
-
-    def __str__(self):
-        return self.identity
-
-    def __hash__(self):
-        # equal monitors have equal identities; an Enum member hashes in Python
-        return hash(self.identity)
-
-
-@dataclass(frozen=True)
-class LockWindow:
-    """The nodes of one method where ``field`` is held at least once on
-    every path in and released on every path out."""
-
-    nodes: frozenset[CfgNode]
-    field: A.FieldDecl
-
-
-# a method's protection: (synchronized-method monitors, [(body start, body
-# end, monitor)] of its synchronized blocks, [(nodes, monitor)] of its windows)
-_Protection = tuple[frozenset[Monitor], list[tuple[int, int, Monitor]], list[tuple[frozenset[CfgNode], Monitor]]]
-
-
-def lock_window(cfg: Cfg, field: A.FieldDecl, locks: list[A.Call], unlocks: list[A.Call]) -> LockWindow:
-    """The window of ``field`` in ``cfg``, given its lock and unlock calls.
+def lock_window(cfg: Cfg, locks: list[A.Call], unlocks: list[A.Call]) -> frozenset[CfgNode]:
+    """The window of one lock field in ``cfg``, given its lock and unlock
+    calls: the nodes where it is held at least once on every path in and
+    released on every path out.
 
     A node is held when every path in leaves at least one hold or when it
     locks, and released when every path out passes an unlock call or when
@@ -124,17 +103,14 @@ def lock_window(cfg: Cfg, field: A.FieldDecl, locks: list[A.Call], unlocks: list
     gain.subtract(unlocked)
     held = fewest(cfg, gain)
     released = fewest(cfg, Counter(unlocked), backward=True)
-    return LockWindow(frozenset(n for n, c in held.items() if n in released
-                                and (c or n in locked) and (released[n] or n in unlocked)), field)
+    return frozenset(n for n, c in held.items() if n in released
+                     and (c or n in locked) and (released[n] or n in unlocked))
 
 
 def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> bool:
     """True when the simple or qualified form names a recognized lock type."""
-    base = type_name.split("<", 1)[0]
-    if base.endswith("[]"):
-        return False
-    simple = base.rsplit(".", 1)[-1]
-    return simple in lock_types or base in lock_types
+    base = base_type(type_name)
+    return base is not None and (base.rsplit(".", 1)[-1] in lock_types or base in lock_types)
 
 
 def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> list[A.FieldDecl]:
@@ -143,7 +119,20 @@ def lock_fields(cm: ClassModel, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES
             if is_lock_type(f.declared_type, lock_types) or is_lock_type(f.resolved_type, lock_types)]
 
 
-def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[Monitor]:
+def method_monitor(m: A.MethodDecl, cm: ClassModel) -> Optional[str]:
+    """The monitor synchronized method ``m`` takes; None when ``m`` is not synchronized."""
+    if not m.is_synchronized:
+        return None
+    return f"Class<{cm.decl.name}>" if m.is_static else "this"
+
+
+def lock_monitor(f: A.FieldDecl) -> str:
+    """The monitor the lock and unlock calls of lock field ``f`` take and
+    release, apart from the one ``synchronized (f)`` takes."""
+    return f"lock:this.{f.name}"
+
+
+def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
     """The monitor ``synchronized (expr)`` takes; None when it guards nothing.
 
     A parameter, or a local that denotes no own field, may hold a different
@@ -154,15 +143,21 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[Monitor]:
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
-        return Monitor(MonitorKind.THIS, "this")
+        return "this"
     f = cm.denotes(e)
     if f is not None:
-        return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
+        return f"this.{f.name}"
     if cm.is_local(e):
         return None
     if isinstance(e, A.ClassLit) and ("." + cm.class_id).endswith("." + e.type_text):
-        return Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>")
-    return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
+        return f"Class<{cm.decl.name}>"
+    return canonical_text(e)
+
+
+# a method's protection record: the synchronized method's monitors, the
+# (body start, body end, monitor) of each synchronized block that takes one,
+# the CFG when some lock field has a window, and each window's (nodes, monitor)
+_Protection = tuple[frozenset[str], list[tuple[int, int, str]], Optional[Cfg], list[tuple[frozenset[CfgNode], str]]]
 
 
 class MonitorAnalysis:
@@ -180,13 +175,10 @@ class MonitorAnalysis:
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
         self._lock_fields = lock_fields(cm, lock_types)
-        self._cfgs: dict[int, tuple[Cfg, list[LockWindow]]] = {}
-        self._windows: dict[int, list[LockWindow]] = {}
-        self._tables: dict[int, _Protection] = {}
-        self._monitors_cache: dict[int, frozenset[Monitor]] = {}
+        self._records: dict[int, _Protection] = {}
         self._facts = facts
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
-        self._entry: Optional[dict[int, frozenset[Monitor]]] = None
+        self._entry: Optional[dict[int, frozenset[str]]] = None
 
     def _lock_calls(self, m: A.MethodDecl) -> list[tuple[A.FieldDecl, list[A.Call], list[A.Call]]]:
         """(field, lock calls, unlock calls) of each lock field with both
@@ -209,48 +201,39 @@ class MonitorAnalysis:
                 bucket.setdefault(id(f), []).append(e)
         return [(f, locks[id(f)], unlocks[id(f)]) for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
 
-    def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, list[LockWindow]]:
-        """``m``'s CFG and its lock windows, built on first need."""
-        got = self._cfgs.get(id(m))
-        if got is None:
-            cfg = build_cfg(m)
-            got = self._cfgs[id(m)] = (cfg, [lock_window(cfg, *p) for p in self._lock_calls(m)])
-        return got
-
-    def windows_for(self, m: A.MethodDecl) -> list[LockWindow]:
-        """One window per lock field with both a lock call and an unlock
-        call in ``m``; the CFG is built only when there is one."""
-        windows = self._windows.get(id(m))
-        if windows is None:
-            windows = self._windows[id(m)] = self.cfg_for(m)[1] if self._lock_calls(m) else []
-        return windows
-
     def _protection(self, m: A.MethodDecl) -> _Protection:
-        """``m``'s protection table, built on first need: the monitors of a
-        synchronized method, then the ``(start, end, monitor)`` of each
-        synchronized block's body that takes one, then the ``(nodes,
-        monitor)`` of each lock window."""
-        table = self._tables.get(id(m))
-        if table is None:
+        """``m``'s protection record, built once; the CFG is built only when
+        some lock field has both a lock call and an unlock call in ``m``."""
+        record = self._records.get(id(m))
+        if record is None:
             cm = self.cm
-            base: frozenset[Monitor] = frozenset()
-            if m.is_synchronized:
-                base = frozenset({Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>") if m.is_static
-                                  else Monitor(MonitorKind.THIS, "this")})
+            mon = method_monitor(m, cm)
+            base = frozenset() if mon is None else frozenset((mon,))
             blocks = []
             for s in cm.syncs_in(m):
                 mon = sync_monitor(s.monitor, cm)
                 if mon is not None:
                     blocks.append((s.body.span.start, s.body.span.end, mon))
-            owner = cm.decl.qualified_name or cm.decl.name
-            windows = [(w.nodes, Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
-                       for w in self.windows_for(m)]
-            table = self._tables[id(m)] = (base, blocks, windows)
-        return table
+            calls = self._lock_calls(m)
+            cfg = build_cfg(m) if calls else None
+            windows = [(lock_window(cfg, locks, unlocks), lock_monitor(f)) for f, locks, unlocks in calls]
+            record = self._records[id(m)] = (base, blocks, cfg, windows)
+        return record
 
-    def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[Monitor]:
+    def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, list[tuple[frozenset[CfgNode], str]]]:
+        """``m``'s CFG and the ``(nodes, monitor)`` of its lock windows; a
+        method without a window gets a new CFG, which is not kept."""
+        _, _, cfg, windows = self._protection(m)
+        return (build_cfg(m) if cfg is None else cfg), windows
+
+    def windows_for(self, m: A.MethodDecl) -> list[tuple[frozenset[CfgNode], str]]:
+        """The ``(nodes, monitor)`` of one window per lock field with both a
+        lock call and an unlock call in ``m``."""
+        return self._protection(m)[3]
+
+    def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[str]:
         """All monitors protecting the evaluation of ``expr`` inside ``m``."""
-        base, blocks, windows = self._protection(m)
+        base, blocks, cfg, windows = self._protection(m)
         if not blocks and not windows:
             return base
         out = set(base)
@@ -259,7 +242,7 @@ class MonitorAnalysis:
             if body_start <= start and end <= body_end:
                 out.add(mon)
         if windows:
-            nodes = self.cfg_for(m)[0].nodes_for(expr)
+            nodes = cfg.nodes_for(expr)
             if nodes:
                 for window, mon in windows:
                     if window.issuperset(nodes):
@@ -279,7 +262,7 @@ class MonitorAnalysis:
                     self._public_facts.setdefault(id(f.access), []).append(f)
         return self._public_facts.get(id(a), [])
 
-    def _entry_monitors(self) -> dict[int, frozenset[Monitor]]:
+    def _entry_monitors(self) -> dict[int, frozenset[str]]:
         """id(k) -> the monitors held on every public path into method ``k``;
         ``k`` is absent when no public method reaches it.
 
@@ -313,18 +296,13 @@ class MonitorAnalysis:
         """Whether a public method executes ``a``: its own, or one whose calls reach it."""
         return id(a.enclosing) in self._entry_monitors()
 
-    def monitors(self, a: FieldAccess) -> frozenset[Monitor]:
+    def monitors(self, a: FieldAccess) -> frozenset[str]:
         """Monitors held at ``a`` on every public path to it; empty without one.
 
         A thread at ``a`` holds every monitor taken along its call path, so
         this is what its method is entered with plus the access's own
         protection.
         """
-        cached = self._monitors_cache.get(id(a))
-        if cached is not None:
-            return cached
         k = a.enclosing
         held = self._entry_monitors().get(id(k))
-        result = frozenset() if held is None else held | self.protecting_monitors(k, a.expr)
-        self._monitors_cache[id(a)] = result
-        return result
+        return frozenset() if held is None else held | self.protecting_monitors(k, a.expr)

@@ -98,8 +98,9 @@ def check_correct_synchronization(
 
     Reports exactly the pairs of :func:`conflicting_pairs` whose monitor sets
     are disjoint, in that function's order before the final sort, without
-    building the others. Monitors are asked for only on fields with a
-    modifying access, which are the accesses some conflicting pair holds.
+    building the others. Monitors are asked for once per access, and only
+    on fields with a modifying access, which are the accesses some
+    conflicting pair holds; the alerts reuse those sets.
     ``monitor_info`` is built from ``facts`` when the caller has none.
     """
     if monitor_info is None:
@@ -107,11 +108,12 @@ def check_correct_synchronization(
     # (field index, i, j) of each unguarded pair, i <= j in the field's order
     found: list[tuple[int, int, int]] = []
     fields = _accesses_by_field(cm.exposed)
+    field_mons: dict[int, list[frozenset]] = {}
     for f, accesses in enumerate(fields):
         modifying = [is_modifying(a) for a in accesses]
         if not any(modifying):
             continue
-        mons = [monitor_info.monitors(a) for a in accesses]
+        mons = field_mons[f] = [monitor_info.monitors(a) for a in accesses]
         groups: dict[frozenset, list[int]] = {}
         for j, m in enumerate(mons):
             groups.setdefault(m, []).append(j)
@@ -131,8 +133,9 @@ def check_correct_synchronization(
     alerts = []
     for f, i, j in found:
         pair = _conflict(fields[f][i], fields[f][j])
-        ma = monitor_info.monitors(pair.a)
-        mb = monitor_info.monitors(pair.b)
+        ma, mb = field_mons[f][i], field_mons[f][j]
+        if pair.a is not fields[f][i]:
+            ma, mb = mb, ma
         notes = []
         for acc, mons in ((pair.a, ma), (pair.b, mb)):
             if not mons and not monitor_info.has_public_path(acc):

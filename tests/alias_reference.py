@@ -17,7 +17,6 @@ from typing import Optional
 from threadlint.classmodel import ClassModel
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
-from threadlint.monitors import Monitor, MonitorKind
 
 
 def local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:
@@ -77,11 +76,11 @@ def represents(cm: ClassModel, lock_field: A.FieldDecl, var_expr: A.Expr, m: A.M
     return isinstance(e, A.Name) and alias_of(cm, m, e.identifier) is lock_field
 
 
-def sync_monitor(expr: A.Expr, cm: ClassModel, m: A.MethodDecl) -> Optional[Monitor]:
+def sync_monitor(expr: A.Expr, cm: ClassModel, m: A.MethodDecl) -> Optional[str]:
     """The monitor ``synchronized (expr)`` in ``m`` takes; None when it guards nothing."""
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
-        return Monitor(MonitorKind.THIS, "this")
+        return "this"
     f = cm.field_of(e)
     if f is None and isinstance(e, A.Name):
         name = e.identifier
@@ -92,7 +91,7 @@ def sync_monitor(expr: A.Expr, cm: ClassModel, m: A.MethodDecl) -> Optional[Moni
             if f is None:
                 return None
     if f is not None:
-        return Monitor(MonitorKind.SYNC_EXPR, f"this.{f.name}")
+        return f"this.{f.name}"
     if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
-        return Monitor(MonitorKind.CLASS, f"Class<{cm.decl.name}>")
-    return Monitor(MonitorKind.SYNC_EXPR, canonical_text(e))
+        return f"Class<{cm.decl.name}>"
+    return canonical_text(e)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from threadlint.classmodel import FieldAccess
-from threadlint.monitors import Monitor, MonitorAnalysis
+from threadlint.monitors import MonitorAnalysis
 
 
-def _paths_meet(info: MonitorAnalysis, a: FieldAccess) -> Optional[frozenset[Monitor]]:
+def _paths_meet(info: MonitorAnalysis, a: FieldAccess) -> Optional[frozenset[str]]:
     """The intersection over public paths to ``a`` of the monitors taken along
     each; None when no public path exists."""
     cm = info.cm
@@ -30,9 +30,9 @@ def _paths_meet(info: MonitorAnalysis, a: FieldAccess) -> Optional[frozenset[Mon
     if k is None or k.is_constructor:
         return None
     edges = [(j, e, callee) for j in cm.decl.methods for e in cm.calls_in(j) for callee in cm.callees(e)]
-    result: Optional[frozenset[Monitor]] = None
+    result: Optional[frozenset[str]] = None
 
-    def back(head, held: frozenset[Monitor], on_path: frozenset[int]) -> None:
+    def back(head, held: frozenset[str], on_path: frozenset[int]) -> None:
         nonlocal result
         if head.is_public:
             result = held if result is None else result & held
@@ -44,7 +44,7 @@ def _paths_meet(info: MonitorAnalysis, a: FieldAccess) -> Optional[frozenset[Mon
     return result
 
 
-def monitors(info: MonitorAnalysis, a: FieldAccess) -> frozenset[Monitor]:
+def monitors(info: MonitorAnalysis, a: FieldAccess) -> frozenset[str]:
     """Monitors held at ``a`` on every public call path to it; empty without one."""
     result = _paths_meet(info, a)
     return frozenset() if result is None else result
@@ -54,9 +54,9 @@ def has_public_path(info: MonitorAnalysis, a: FieldAccess) -> bool:
     return _paths_meet(info, a) is not None
 
 
-def forex(info: MonitorAnalysis, a: FieldAccess) -> frozenset[Monitor]:
+def forex(info: MonitorAnalysis, a: FieldAccess) -> frozenset[str]:
     """The paper's ``forex`` over ``publicAccess``; empty without a public fact."""
-    result: Optional[frozenset[Monitor]] = None
+    result: Optional[frozenset[str]] = None
     for f in info.public_facts(a):
         prot = info.protecting_monitors(f.method, f.expr)
         result = prot if result is None else result & prot

@@ -10,7 +10,7 @@ calls are found by walking the body. Windows are found by other means than
 search over (node, holds) pairs (:func:`hold_states`), the unlock on every
 way out by plain reachability of the exit around the unlock calls. Monitor
 and alias identification are shared with ``src`` (``sync_monitor``,
-``ClassModel.denotes``); only where protection is looked up differs.
+``method_monitor``, ``lock_monitor``, ``ClassModel.denotes``); only where protection is looked up differs.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from threadlint.monitors import (
     DEFAULT_LOCK_METHODS,
     DEFAULT_LOCK_TYPES,
     DEFAULT_UNLOCK_METHODS,
-    LockWindow,
-    Monitor,
-    MonitorKind,
     lock_fields,
+    lock_monitor,
+    method_monitor,
     sync_monitor,
 )
 
 
-def sync_context_map(cm: ClassModel, m: A.MethodDecl) -> dict[int, tuple[Monitor, ...]]:
+def sync_context_map(cm: ClassModel, m: A.MethodDecl) -> dict[int, tuple[str, ...]]:
     """id(ast node) -> monitors of every enclosing synchronized block."""
-    out: dict[int, tuple[Monitor, ...]] = {}
+    out: dict[int, tuple[str, ...]] = {}
     stack = [] if m.body is None else [(m.body, ())]
     while stack:
         node, held = stack.pop()
@@ -91,10 +90,10 @@ def _reaches(succs, start, goal, avoid=frozenset()) -> bool:
     return False
 
 
-def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[LockWindow]:
-    """A window for every lock field: the nodes where it is held on every
-    path in (or that lock it) and unlocked on every path out (or that unlock
-    it)."""
+def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[tuple[frozenset, A.FieldDecl]]:
+    """A (nodes, field) window for every lock field: the nodes where it is
+    held on every path in (or that lock it) and unlocked on every path out
+    (or that unlock it)."""
     fields = lock_fields(cm, lock_types)
     if not fields or m.body is None:
         return []
@@ -121,7 +120,7 @@ def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[L
             and _reaches(cfg.succs, n, cfg.exit)
             and (n in unlocks or not _reaches(cfg.succs, n, cfg.exit, avoid=frozenset(unlocks)))
         )
-        windows.append(LockWindow(nodes, f))
+        windows.append((nodes, f))
     return windows
 
 
@@ -142,19 +141,15 @@ class EagerMonitors:
             windows = lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods)
             self.per_method[id(m)] = (cfg, windows, sync_context_map(cm, m))
 
-    def protecting_monitors(self, m: A.MethodDecl, expr) -> frozenset[Monitor]:
+    def protecting_monitors(self, m: A.MethodDecl, expr) -> frozenset[str]:
         cfg, windows, held = self.per_method[id(m)]
-        out: set[Monitor] = set()
+        out: set[str] = set()
         if m.is_synchronized:
-            if m.is_static:
-                out.add(Monitor(MonitorKind.CLASS, f"Class<{self.cm.decl.name}>"))
-            else:
-                out.add(Monitor(MonitorKind.THIS, "this"))
+            out.add(method_monitor(m, self.cm))
         out.update(held.get(id(expr), ()))
         nodes = cfg.nodes_for(expr)
         if nodes:
-            owner = self.cm.decl.qualified_name or self.cm.decl.name
-            for w in windows:
-                if all(n in w.nodes for n in nodes):
-                    out.add(Monitor(MonitorKind.LOCK_FIELD, f"{owner}.{w.field.name}"))
+            for window, f in windows:
+                if all(n in window for n in nodes):
+                    out.add(lock_monitor(f))
         return frozenset(out)

@@ -818,15 +818,18 @@ class _Parser:
             return A.New(self.span_from(start), type_text, args, None)
         if self.at("["):
             dims = []
-            while self.accept("["):
-                if self.at("]"):
-                    self.advance()
-                    continue
+            while self.at("[") and self.peek(1).text != "]":
+                self.advance()
                 dims.append(self.parse_expression())
                 self.expect("]")
+            empty = 0
+            while self.at("[") and self.peek(1).text == "]":
+                self.advance()
+                self.advance()
+                empty += 1
             if self.at("{"):
                 raise self.error("array initializer expressions are not supported")
-            return A.New(self.span_from(start), type_text, None, dims)
+            return A.New(self.span_from(start), type_text, None, dims, empty)
         raise self.error("expected '(' or '[' after new")
 
 

@@ -450,5 +450,11 @@ def test_allowlist_rejects_arrays_and_matches_prefix():
     assert al.contains_type("SafeBox", "com.acme.SafeBox")
     assert not al.contains_type("SafeBox[]", "com.acme.SafeBox[]")
     assert not al.contains_type("HashMap", "java.util.HashMap")
+    # an array of a generic thread-safe type is an array too
+    ref = "java.util.concurrent.atomic.AtomicReference<String>"
+    assert al.contains_type("AtomicReference<String>", ref)
+    assert not al.contains_type("AtomicReference<String>[]", ref + "[]")
+    assert not al.contains_type("AtomicReference<String>[][]", ref + "[][]")
+    assert al.contains_type("AtomicReference<int[]>", "java.util.concurrent.atomic.AtomicReference<int[]>")
     with pytest.raises(ValueError):
         ThreadSafeTypeAllowlist(("",), ())

@@ -450,7 +450,9 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     ``RelockTry`` have P3 alerts and race, while holds are counted, so
     ``Reentrant`` is guarded after one of its two unlocks. ``LeakOnReturn``
     keeps the lock on an early return: no unlock follows the write on every
-    path out, so P3 reports it, and the oracle finds no race. Exit 0."""
+    path out, so P3 reports it, and the oracle finds no race. An array of a
+    generic thread-safe type is not thread-safe, so ``GenericArray`` has P3
+    alerts and races. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])
@@ -460,20 +462,28 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     assert code == EXIT_CLEAN and captured.err == b""
 
 
-def test_oracle_probes_match_golden_bytes_in_json(monkeypatch, capsysbinary):
-    """The same report in JSON, oracle rows included; the golden is the
-    reference encoder's rendering of it."""
+def assert_oracle_probes_match_golden_bytes(fmt, monkeypatch, capsysbinary):
+    """The probes' report in ``fmt``, oracle rows included; the golden is
+    the reference encoder's rendering of it."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     probes = os.path.join("tests", "oracle_probes")
-    code = main(["--oracle", "--format", "json", "--lock-type-add", "MyLock", probes])
+    code = main(["--oracle", "--format", fmt, "--lock-type-add", "MyLock", probes])
     captured = capsysbinary.readouterr()
-    with open(os.path.join(GOLDEN_DIR, "oracle_probes.json"), "rb") as fh:
+    with open(os.path.join(GOLDEN_DIR, f"oracle_probes.{fmt}"), "rb") as fh:
         golden = fh.read()
     assert captured.out == golden
     assert code == EXIT_CLEAN and captured.err == b""
     report, _ = oracle_check([probes], build_config(None, lock_type_add=("MyLock",)))
-    assert report_reference.reference_bytes(report, "json") == golden
+    assert report_reference.reference_bytes(report, fmt) == golden
+
+
+def test_oracle_probes_match_golden_bytes_in_json(monkeypatch, capsysbinary):
+    assert_oracle_probes_match_golden_bytes("json", monkeypatch, capsysbinary)
+
+
+def test_oracle_probes_match_golden_bytes_in_sarif(monkeypatch, capsysbinary):
+    assert_oracle_probes_match_golden_bytes("sarif", monkeypatch, capsysbinary)
 
 
 def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):

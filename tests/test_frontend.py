@@ -472,6 +472,16 @@ def test_printer_round_trips_generated_classes(src):
     assert [t[1] for t in tokenize(once)] == [t[1] for t in tokenize(src)]
 
 
+@pytest.mark.parametrize("expr", ["new int[n][]", "new int[2][n][][]", "new Object[n][]", "new int[][n]"])
+def test_printer_keeps_unsized_array_dimensions(expr):
+    """Empty ``[]`` follow the sized dimensions; a sized one after them
+    indexes the new array."""
+    src = f"class A {{ void f(int n) {{ Object o = {expr}; }} }}"
+    once = to_source(parse_source(src))
+    assert [t[1] for t in tokenize(once)] == [t[1] for t in tokenize(src)]
+    assert parsed(parse_source, src) == parsed(parse_reference.parse_source, src)
+
+
 # --- subset coverage ---
 
 

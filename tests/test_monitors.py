@@ -4,23 +4,25 @@ import os
 
 import alias_reference
 import monitors_reference
-from conftest import CORPUS_DIR, model_from_source, model_for, parse_corpus
+from conftest import CORPUS_DIR, full_size_sources, model_from_source, model_for, parse_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadlint import monitors as monitors_module
 from threadlint.classmodel import build_class_model, exposed_accesses
+from threadlint.errors import BudgetExceeded, UnsupportedForOracle
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
-from threadlint.hboracle import check_class
+from threadlint.frontend import parse_source
+from threadlint.hboracle import Op, check_class
+from threadlint.hboracle.driver import _DriverBuilder
 from threadlint.monitors import (
     DEFAULT_LOCK_METHODS,
     DEFAULT_UNLOCK_METHODS,
-    Monitor,
     MonitorAnalysis,
-    MonitorKind,
     is_lock_type,
     lock_fields,
+    lock_monitor,
     sync_monitor,
 )
 from threadlint.raceanalysis import analyze_class
@@ -30,17 +32,19 @@ def analysis(cm, **kw):
     return MonitorAnalysis(cm, **kw)
 
 
+def field_named(cm, name):
+    return next(f for f in cm.decl.fields if f.name == name)
+
+
 def locked_on(cm, m, expr, field_name):
     """Does a lock window of ``field_name`` protect ``expr`` in ``m``?"""
-    lock = Monitor(MonitorKind.LOCK_FIELD, f"{cm.class_id}.{field_name}")
-    return lock in analysis(cm).protecting_monitors(m, expr)
+    return lock_monitor(field_named(cm, field_name)) in analysis(cm).protecting_monitors(m, expr)
 
 
 def synchronized_on(cm, m, expr):
     """The monitors protecting ``expr`` in ``m`` through the synchronized keyword."""
-    return frozenset(
-        mon for mon in analysis(cm).protecting_monitors(m, expr) if mon.kind is not MonitorKind.LOCK_FIELD
-    )
+    locks = {lock_monitor(f) for f in lock_fields(cm)}
+    return frozenset(analysis(cm).protecting_monitors(m, expr) - locks)
 
 
 # --- is_lock_type ---
@@ -52,6 +56,8 @@ def test_is_lock_type_defaults():
     assert is_lock_type("java.util.concurrent.locks.ReentrantLock")
     assert not is_lock_type("int")
     assert not is_lock_type("Lock[]")
+    assert not is_lock_type("MyLock<T>[]", ("MyLock",))
+    assert is_lock_type("MyLock<T>", ("MyLock",))
 
 
 def test_is_lock_type_config_extension():
@@ -69,7 +75,7 @@ def _method(cm, name):
 def test_represents_field_itself():
     cm = model_for("CounterTS.java")
     inc = _method(cm, "inc")
-    lock_field = cm.decl.field_named("l")
+    lock_field = field_named(cm, "l")
     lock_call = inc.body.stmts[0].expr  # l.lock()
     assert cm.denotes(lock_call.qualifier) is lock_field
 
@@ -90,7 +96,7 @@ class A {
 """
     )
     f = _method(cm, "f")
-    lock_field = cm.decl.field_named("l")
+    lock_field = field_named(cm, "l")
     call = f.body.stmts[1].expr
     assert cm.denotes(call.qualifier) is lock_field
 
@@ -112,8 +118,8 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[2].expr
-    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l1")
-    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l2")
+    assert cm.denotes(call.qualifier) is not field_named(cm, "l1")
+    assert cm.denotes(call.qualifier) is not field_named(cm, "l2")
 
 
 def test_represents_sees_reassignment_inside_an_assignment_target():
@@ -134,7 +140,7 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[2].expr
-    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l1")
+    assert cm.denotes(call.qualifier) is not field_named(cm, "l1")
 
 
 def test_represents_rejects_parameters():
@@ -151,7 +157,7 @@ class A {
     )
     f = _method(cm, "f")
     call = f.body.stmts[0].expr
-    assert cm.denotes(call.qualifier) is not cm.decl.field_named("l")
+    assert cm.denotes(call.qualifier) is not field_named(cm, "l")
 
 
 def test_represents_alias_in_a_block_and_not_a_shadowing_parameter():
@@ -164,7 +170,7 @@ class A {
 }
 """
     )
-    lock_field = cm.decl.field_named("l")
+    lock_field = field_named(cm, "l")
     f, g = _method(cm, "f"), _method(cm, "g")
     assert cm.denotes(f.body.stmts[0].stmts[1].expr.qualifier) is lock_field
     assert cm.denotes(g.body.stmts[0].expr.qualifier) is not lock_field
@@ -186,7 +192,7 @@ class A {
     assert [f.name for f in lock_fields(cm, ("Lock", "MyLock"))] == ["b", "c"]
 
 
-# --- lock windows (protecting_monitors, LOCK_FIELD monitors) ---
+# --- lock windows (protecting_monitors, lock_monitor monitors) ---
 
 
 def test_counter_ts_statements_locked():
@@ -273,9 +279,9 @@ class Early {
 """
     )
     m = _method(cm, "set")
-    cfg, [window] = analysis(cm).cfg_for(m)
+    cfg, [(window, _)] = analysis(cm).cfg_for(m)
     unlock_copies = cfg.nodes_for(m.body.stmts[1].finally_block.stmts[0].expr)
-    assert len(unlock_copies) == 2 and window.nodes.issuperset(unlock_copies)
+    assert len(unlock_copies) == 2 and window.issuperset(unlock_copies)
     guarded = m.body.stmts[1].body.stmts
     assert locked_on(cm, m, guarded[0].cond, "l") and locked_on(cm, m, guarded[1].expr, "l")
     assert analyze_class(cm) == []
@@ -304,11 +310,11 @@ class Half {
     m = _method(cm, "f")
     write = m.body.stmts[0].finally_block.stmts[0].expr
     ma = analysis(cm)
-    cfg, [window] = ma.cfg_for(m)
-    assert ma.windows_for(m) == [window]
+    cfg, [(window, mon)] = ma.cfg_for(m)
+    assert ma.windows_for(m) == [(window, mon)] and mon == "lock:this.l"
     copies = cfg.nodes_for(write)
     assert len(copies) == 2
-    assert [n in window.nodes for n in copies].count(True) == 1
+    assert [n in window for n in copies].count(True) == 1
     assert not locked_on(cm, m, write, "l")
     assert {a.field for a in analyze_class(cm)} == {"x"}
 
@@ -322,7 +328,7 @@ def test_synchronized_method_gives_this_monitor():
     )
     f = _method(cm, "f")
     target = f.body.stmts[0].expr
-    assert synchronized_on(cm, f, target) == {Monitor(MonitorKind.THIS, "this")}
+    assert synchronized_on(cm, f, target) == {"this"}
 
 
 def test_static_synchronized_gives_class_monitor():
@@ -331,7 +337,7 @@ def test_static_synchronized_gives_class_monitor():
     )
     f = _method(cm, "f")
     mons = synchronized_on(cm, f, f.body.stmts[0].expr)
-    assert mons == {Monitor(MonitorKind.CLASS, "Class<S>")}
+    assert mons == {"Class<S>"}
 
 
 def test_sync_block_canonicalizes_bare_and_this_qualified():
@@ -345,7 +351,7 @@ class S {
 }
 """
     )
-    expected = {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
+    expected = {"this.mu"}
     for name in ("a", "b"):
         m = _method(cm, name)
         write = m.body.stmts[0].body.stmts[0].expr
@@ -368,7 +374,7 @@ class S {
     wb = b.body.stmts[0].body.stmts[0].expr
     # each caller may pass a different object, so the parameter guards nothing
     assert synchronized_on(cm, a, wa) == frozenset()
-    assert synchronized_on(cm, b, wb) == {Monitor(MonitorKind.SYNC_EXPR, "this.mu")}
+    assert synchronized_on(cm, b, wb) == {"this.mu"}
 
 
 def test_sync_block_on_a_string_literal_keeps_the_literal_apart():
@@ -391,8 +397,7 @@ class S {
     got = {}
     for name in "abcde":
         m = _method(cm, name)
-        [mon] = synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr)
-        got[name] = mon.identity
+        [got[name]] = synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr)
     assert got == {
         "a": '"a\\u0020b"',
         "b": '"ab"',
@@ -413,7 +418,7 @@ class S {
 }
 """
     )
-    expected = {Monitor(MonitorKind.SYNC_EXPR, "this.MU")}
+    expected = {"this.MU"}
     for name in ("a", "b"):
         m = _method(cm, name)
         assert synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr) == expected
@@ -449,10 +454,7 @@ class S {
     f = _method(cm, "f")
     write = f.body.stmts[0].body.stmts[0].body.stmts[0].expr
     mons = synchronized_on(cm, f, write)
-    assert mons == {
-        Monitor(MonitorKind.SYNC_EXPR, "this.a"),
-        Monitor(MonitorKind.SYNC_EXPR, "this.b"),
-    }
+    assert mons == {"this.a", "this.b"}
 
 
 def test_plain_method_has_no_sync_monitor():
@@ -468,7 +470,7 @@ def test_test_class_write_y_monitored_by_lock_field():
     cm = model_for("Test.java")
     (write_y,) = exposed_accesses(cm)
     mons = analysis(cm).monitors(write_y)
-    assert mons == {Monitor(MonitorKind.LOCK_FIELD, "Test.lock")}
+    assert mons == {"lock:this.lock"}
 
 
 def test_one_unlocked_public_path_empties_monitors():
@@ -486,7 +488,7 @@ class Half {
     write = next(a for a in accesses if a.kind.value == "write")
     read = next(a for a in accesses if a.kind.value == "read")
     info = analysis(cm)
-    assert info.monitors(write) == {Monitor(MonitorKind.LOCK_FIELD, "Half.l")}
+    assert info.monitors(write) == {"lock:this.l"}
     assert info.monitors(read) == frozenset()
 
 
@@ -521,9 +523,24 @@ class G {{
     assert analysis(cm2).monitors(w2) <= analysis(cm1).monitors(w1)
 
 
-def test_monitor_equality_is_kind_and_identity():
-    assert Monitor(MonitorKind.THIS, "this") == Monitor(MonitorKind.THIS, "this")
-    assert Monitor(MonitorKind.SYNC_EXPR, "this.l") != Monitor(MonitorKind.LOCK_FIELD, "this.l")
+def test_a_lock_fields_lock_and_a_block_on_it_are_two_monitors():
+    """``l.lock()`` takes the Lock object's own lock, ``synchronized (l)``
+    the intrinsic monitor of the same object: one guards nothing the other
+    takes."""
+    cm = model_from_source(
+        """@ThreadSafe
+class Two {
+  private int n;
+  private final Lock l = null;
+  public void a() { l.lock(); n = 1; l.unlock(); }
+  public void b() { synchronized (l) { n = 2; } }
+}
+"""
+    )
+    sync = _method(cm, "b").body.stmts[0]
+    assert sync_monitor(sync.monitor, cm) == "this.l"
+    assert lock_monitor(field_named(cm, "l")) == "lock:this.l"
+    assert {a.field for a in analyze_class(cm)} == {"n"}
 
 
 # --- parity of the demand-driven analysis with the eager reference ---
@@ -544,6 +561,32 @@ def test_protection_matches_eager_reference_on_the_corpus():
     for name in names:
         for decl in parse_corpus(name).iter_classes():
             assert_protection_matches_eager_reference(build_class_model(decl))
+
+
+def test_every_monitor_p3_holds_is_one_the_oracle_takes():
+    """One spelling per monitor: in every class of the corpus, the oracle
+    probes and the seed-1 full-size workloads, each monitor in a public
+    method's protection record is the target of a lock action in the action
+    lists the oracle lowers for that method, where it lowers them."""
+    kinds = set()
+    for text in full_size_sources():
+        for decl in parse_source(text).iter_classes():
+            cm = build_class_model(decl)
+            info = MonitorAnalysis(cm, lock_types=CORPUS_LOCK_TYPES)
+            driver = _DriverBuilder(cm, lock_types=CORPUS_LOCK_TYPES)
+            for m in cm.decl.methods:
+                if not m.is_public:
+                    continue
+                try:
+                    lists = driver.method_actions(m)
+                except (UnsupportedForOracle, BudgetExceeded):
+                    continue
+                locked = {target for actions in lists for op, target in actions if op is Op.LOCK}
+                base, blocks, _, windows = info._protection(m)
+                held = {*base, *(mon for _, _, mon in blocks), *(mon for _, mon in windows)}
+                assert held <= locked, (cm.class_id, m.name, held - locked)
+                kinds.update(mon.split(".", 1)[0].split("<", 1)[0] for mon in held)
+    assert {"this", "Class", "lock:this"} <= kinds and len(kinds) > 3, kinds
 
 
 MONITOR_EXPRS = ("this", "mu", "this.mu", "R.MU", "MU", "R.class", "p", "o", "a", "peer.mu", "other")
