@@ -10,19 +10,18 @@ and once more for its early exits (a return or throw in the protected block
 or a handler), and that copy goes on toward the next enclosing way out.
 Since a finally block may be lowered twice, an expression in one may have
 several nodes. Early exits leave a ``synchronized`` block through an exit
-node of their own. A ``catch`` handler is reached once the whole protected
-block completes.
+node of their own. A ``catch`` handler is reached from the start of the
+protected block, for an exception its first step throws, and once the whole
+block completes; so a lock the block takes is not held in its handlers.
 
 Lock windows are hold counts: :func:`fewest` gives each node the fewest
 holds on any path to it from the entry, where each node adds its gain (a
 lock call one, an unlock call minus one) and a count never falls below 0,
-as a must-lockset that counts reentrant holds. Asked from the exit over the
-predecessors, with each unlock call adding one, it gives the fewest unlock
-calls on any path out.
+as a must-lockset that counts reentrant holds.
 
 Graphs are built on demand: the monitor analysis asks for a method's CFG
-only when the method holds both a lock call and an unlock call on one lock
-field, the only place a lock window can exist.
+only when the method holds a lock call on a lock field, the only place a
+lock window can exist.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class CfgNode:
 class Cfg:
     nodes: list[CfgNode]
     succs: dict[CfgNode, list[CfgNode]]
-    preds: dict[CfgNode, list[CfgNode]]
     entry: CfgNode
     exit: CfgNode
     # the sorted starts and the ends of the first lowering's top-level
@@ -100,7 +98,6 @@ class _Builder:
     def __init__(self):
         self.nodes: list[CfgNode] = []
         self.succs: dict[CfgNode, list[CfgNode]] = {}
-        self.preds: dict[CfgNode, list[CfgNode]] = {}
         # early[-1] collects where the early exits (a return or throw, and the finally
         # copies and synchronized exits it ran since) stand; they go on at the innermost
         # enclosing finally block or synchronized exit, or the method exit at level 0
@@ -111,30 +108,25 @@ class _Builder:
         n = CfgNode(len(self.nodes), kind, ast_node, exprs)
         self.nodes.append(n)
         self.succs[n] = []
-        self.preds[n] = []
         return n
 
-    def edge(self, a: CfgNode, b: CfgNode) -> None:
-        if b not in self.succs[a]:
-            self.succs[a].append(b)
-            self.preds[b].append(a)
-
-    def connect(self, preds: Iterable[CfgNode], node: CfgNode) -> None:
-        for p in preds:
-            self.edge(p, node)
+    def connect(self, sources: Iterable[CfgNode], node: CfgNode) -> None:
+        for p in sources:
+            if node not in self.succs[p]:
+                self.succs[p].append(node)
 
     # -- lowering --
 
-    def lower_stmt(self, s: A.Stmt, preds: list[CfgNode]) -> list[CfgNode]:
+    def lower_stmt(self, s: A.Stmt, sources: list[CfgNode]) -> list[CfgNode]:
         if isinstance(s, A.Block):
-            frontier = preds
+            frontier = sources
             for inner in s.stmts:
                 frontier = self.lower_stmt(inner, frontier)
             return frontier
 
         if isinstance(s, (A.LocalDecl, A.ExprStmt, A.Empty, A.Return, A.Throw)):
             n = self.new_node("stmt", s, A.children(s))
-            self.connect(preds, n)
+            self.connect(sources, n)
             if isinstance(s, (A.Return, A.Throw)):
                 self.early[-1].append(n)
                 return []
@@ -142,17 +134,17 @@ class _Builder:
 
         if isinstance(s, A.If):
             cond = self.new_node("cond", s, [s.cond])
-            self.connect(preds, cond)
+            self.connect(sources, cond)
             then_f = self.lower_stmt(s.then, [cond])
             return then_f + (self.lower_stmt(s.els, [cond]) if s.els is not None else [cond])
 
         if isinstance(s, (A.While, A.For, A.ForEach)):
             is_for = isinstance(s, A.For)
             if is_for and s.init is not None:
-                preds = self.lower_stmt(s.init, preds)
+                sources = self.lower_stmt(s.init, sources)
             cond = s.iterable if isinstance(s, A.ForEach) else s.cond
             head = self.new_node("loop", s, [cond] if cond is not None else [])
-            self.connect(preds, head)
+            self.connect(sources, head)
             body_f = self.lower_stmt(s.body, [head])
             if is_for and s.update:
                 upd = self.new_node("update", s, s.update)
@@ -164,7 +156,7 @@ class _Builder:
 
         if isinstance(s, A.Sync):
             enter = self.new_node("sync_enter", s, [s.monitor])
-            self.connect(preds, enter)
+            self.connect(sources, enter)
             self.early.append([])
             body_f = self.lower_stmt(s.body, [enter])
             leave = self.new_node("sync_exit", s)
@@ -180,12 +172,13 @@ class _Builder:
             has_finally = s.finally_block is not None
             if has_finally:
                 self.early.append([])
-            body_f = self.lower_stmt(s.body, preds)
+            body_f = self.lower_stmt(s.body, sources)
             frontier = list(body_f)
             for c in s.catches:
-                # conservative: the handler is reachable once the protected
-                # block completes (exceptional edges mid-block are not modeled)
-                frontier += self.lower_stmt(c.body, list(body_f))
+                # a handler runs in place of the block, when its first step
+                # throws (a lock call that fails, say), or once it completes;
+                # a throw from the middle of the block is not modeled
+                frontier += self.lower_stmt(c.body, sources + body_f)
             if not has_finally:
                 return frontier
             early = self.early.pop()
@@ -202,7 +195,7 @@ class _Builder:
         # the exit node exists even when every path loops forever
         exit_node = self.new_node("exit")
         self.connect(frontier + self.early[0], exit_node)
-        return Cfg(self.nodes, self.succs, self.preds, self.entry, exit_node)
+        return Cfg(self.nodes, self.succs, self.entry, exit_node)
 
 
 def build_cfg(m: A.MethodDecl) -> Cfg:
@@ -235,23 +228,22 @@ def paths(cfg: Cfg) -> Iterator[list[CfgNode]]:
 # --- hold counts ------------------------------------------------------------
 
 
-def fewest(cfg: Cfg, gain: Mapping[CfgNode, int], backward: bool = False) -> dict[CfgNode, int]:
+def fewest(cfg: Cfg, gain: Mapping[CfgNode, int]) -> dict[CfgNode, int]:
     """The fewest holds on any path from the entry to each node it reaches,
-    counted before the node runs; from the exit over ``preds`` when
-    ``backward``.
+    counted before the node runs.
 
     A node adds ``gain.get(node, 0)`` to the count of the path that leaves
     it, and a count never falls below 0. Counts join by their minimum and
     only fall once set, so a loop ends without a cap. A node no path
     reaches gets no count.
     """
-    root, edges = (cfg.exit, cfg.preds) if backward else (cfg.entry, cfg.succs)
-    count = {root: 0}
-    work = [root]
+    succs = cfg.succs
+    count = {cfg.entry: 0}
+    work = [cfg.entry]
     while work:
         n = work.pop()
         out = max(count[n] + gain.get(n, 0), 0)
-        for s in edges[n]:
+        for s in succs[n]:
             if out < count.get(s, out + 1):
                 count[s] = out
                 work.append(s)

@@ -15,16 +15,23 @@ functions write one:
 Protection is computed in one place, :meth:`MonitorAnalysis.protecting_monitors`.
 An access is protected by an explicit lock field when every CFG node of it
 lies in the field's lock window (:func:`lock_window`): the nodes held at
-least once on every path in and released on every path out. Holds are
-counted, as the field's lock is reentrant: along a path each lock call
-(``lock``, ``lockInterruptibly``, ``tryLock``) adds one and each unlock call
-takes one away, and :func:`threadlint.cfg.fewest` gives the fewest holds on
-any path to each node. So an unlock between a lock call and the access ends
-the window, and ``lock(); lock(); x = 1; unlock(); unlock();`` keeps ``x``
-guarded. "Released on every path out" is the paper's post-dominating
-``unlock()``: every path from the node to the exit passes an unlock call of
-the field. A lock or unlock statement is inside its own window. Such a
-window reports the field's ``lock_monitor``.
+least once on every path in. Holds are counted, as the field's lock is
+reentrant: along a path each lock call (``lock``, ``lockInterruptibly``,
+``tryLock``) adds one and each unlock call takes one away, and
+:func:`threadlint.cfg.fewest` gives the fewest holds on any path to each
+node. So an unlock between a lock call and the access ends the window, and
+``lock(); lock(); x = 1; unlock(); unlock();`` keeps ``x`` guarded. What
+happens after the access does not matter: a thread that holds the lock there
+shuts out every other thread that takes it until it lets go, so a later
+unlock adds nothing to mutual exclusion at the access, and one that never
+comes (an early ``return`` past it, a lock with no unlock) leaves the access
+guarded all the same. The paper's post-dominating ``unlock()`` is not asked
+for. It also kept out the paths where the lock was never taken, and those
+are kept out by other means: only a lock call that is a statement of its
+own holds, and a ``catch`` handler is reached from the start of its ``try``
+block (:mod:`threadlint.cfg`), so a ``lockInterruptibly()`` that throws
+holds nothing in the handler. A lock or unlock statement is inside its own
+window. Such a window reports the field's ``lock_monitor``.
 A call or access inside a ``finally`` block has one CFG node per copy of
 the block, and each copy is asked about. Protection by the synchronized
 keyword (methods, static methods, blocks) is recognized syntactically and
@@ -32,13 +39,13 @@ reports every other monitor.
 
 The work is demand-driven. Lock and unlock calls are taken from the calls
 the class model recorded, and a method's CFG and windows are built only
-when some lock field has both a lock call and an unlock call in it; without
-both no window exists, so no CFG is asked for. Synchronized blocks also
-come from the class model: an expression is guarded by each block whose
-body span contains its span, which is exact because the spans of one tree
-nest or are disjoint. Each method's protection is one record, built once: the
-synchronized method's monitor, each block's body offsets and monitor, the
-CFG when there is a window, and each window's nodes and monitor; a query
+when some lock field has a lock call in it; without one no window exists,
+so no CFG is asked for. Synchronized blocks also come from the class
+model: an expression is guarded by each block whose body span contains its
+span, which is exact because the spans of one tree nest or are disjoint.
+Each method's protection is one record, built once: the synchronized
+method's monitor, each block's body offsets and monitor, the CFG when
+there is a window, and each window's nodes and monitor; a query
 builds no monitor, and in a method with neither blocks nor windows it
 returns the method's monitors as they are.
 
@@ -66,9 +73,9 @@ remain the paper's definition, evaluated only when asked for.
 Monitor equality is syntactic-canonical over those bindings: ``l``,
 ``this.l`` and, for a static field, ``Cls.l`` share one identity;
 ``synchronized (this)`` and a synchronized instance method share the
-``this`` monitor. A ``tryLock()`` counts as a hold even though its
-acquisition may fail; read-write and stamped locks are not
-recognized unless configured.
+``this`` monitor. A ``tryLock()`` statement counts as a hold even though
+its acquisition may fail, and a ``tryLock()`` whose result is tested counts
+as none; read-write and stamped locks are not recognized unless configured.
 """
 
 from __future__ import annotations
@@ -89,22 +96,18 @@ DEFAULT_UNLOCK_METHODS = ("unlock",)
 
 def lock_window(cfg: Cfg, locks: list[A.Call], unlocks: list[A.Call]) -> frozenset[CfgNode]:
     """The window of one lock field in ``cfg``, given its lock and unlock
-    calls: the nodes where it is held at least once on every path in and
-    released on every path out.
+    calls: the nodes where every path in leaves at least one hold, and the
+    nodes that lock; so the lock and unlock statements lie inside.
 
-    A node is held when every path in leaves at least one hold or when it
-    locks, and released when every path out passes an unlock call or when
-    it unlocks; so the lock and unlock statements lie inside. A node that
-    cannot reach the exit is never released.
+    Only a lock call that is a statement of its own takes a hold. One whose
+    result is used, as in ``if (l.tryLock())``, holds the lock on one branch
+    only, which a count per node cannot tell from the other, so it takes none.
     """
-    locked = [n for c in locks for n in cfg.nodes_for(c)]
-    unlocked = [n for c in unlocks for n in cfg.nodes_for(c)]
+    locked = [n for c in locks for n in cfg.nodes_for(c)
+              if isinstance(n.ast, A.ExprStmt) and n.ast.expr is c]
     gain = Counter(locked)
-    gain.subtract(unlocked)
-    held = fewest(cfg, gain)
-    released = fewest(cfg, Counter(unlocked), backward=True)
-    return frozenset(n for n, c in held.items() if n in released
-                     and (c or n in locked) and (released[n] or n in unlocked))
+    gain.subtract(n for c in unlocks for n in cfg.nodes_for(c))
+    return frozenset(n for n, c in fewest(cfg, gain).items() if c or n in locked)
 
 
 def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> bool:
@@ -181,8 +184,8 @@ class MonitorAnalysis:
         self._entry: Optional[dict[int, frozenset[str]]] = None
 
     def _lock_calls(self, m: A.MethodDecl) -> list[tuple[A.FieldDecl, list[A.Call], list[A.Call]]]:
-        """(field, lock calls, unlock calls) of each lock field with both
-        kinds of call in ``m``, in field order."""
+        """(field, lock calls, unlock calls) of each lock field with a lock
+        call in ``m``, in field order."""
         if not self._lock_fields:
             return []
         locks: dict[int, list[A.Call]] = {}
@@ -199,11 +202,11 @@ class MonitorAnalysis:
             f = self.cm.denotes(e.qualifier)
             if f is not None:
                 bucket.setdefault(id(f), []).append(e)
-        return [(f, locks[id(f)], unlocks[id(f)]) for f in self._lock_fields if id(f) in locks and id(f) in unlocks]
+        return [(f, locks[id(f)], unlocks.get(id(f), [])) for f in self._lock_fields if id(f) in locks]
 
     def _protection(self, m: A.MethodDecl) -> _Protection:
         """``m``'s protection record, built once; the CFG is built only when
-        some lock field has both a lock call and an unlock call in ``m``."""
+        some lock field has a lock call in ``m``."""
         record = self._records.get(id(m))
         if record is None:
             cm = self.cm
@@ -227,8 +230,8 @@ class MonitorAnalysis:
         return (build_cfg(m) if cfg is None else cfg), windows
 
     def windows_for(self, m: A.MethodDecl) -> list[tuple[frozenset[CfgNode], str]]:
-        """The ``(nodes, monitor)`` of one window per lock field with both a
-        lock call and an unlock call in ``m``."""
+        """The ``(nodes, monitor)`` of one window per lock field with a lock
+        call in ``m``."""
         return self._protection(m)[3]
 
     def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[str]:

@@ -6,11 +6,10 @@ test_monitors.py, so it favours plainness over speed: every method gets a
 CFG and a window for every lock field, one walk maps every node of the body
 to the monitors of its enclosing synchronized blocks, and lock and unlock
 calls are found by walking the body. Windows are found by other means than
-``threadlint.cfg.fewest``: the holds on the way in by an explicit-state
-search over (node, holds) pairs (:func:`hold_states`), the unlock on every
-way out by plain reachability of the exit around the unlock calls. Monitor
-and alias identification are shared with ``src`` (``sync_monitor``,
-``method_monitor``, ``lock_monitor``, ``ClassModel.denotes``); only where protection is looked up differs.
+``threadlint.cfg.fewest``, by an explicit-state search over (node, holds)
+pairs (:func:`hold_states`). Monitor and alias identification are shared
+with ``src`` (``sync_monitor``, ``method_monitor``, ``lock_monitor``,
+``ClassModel.denotes``); only where protection is looked up differs.
 """
 
 from __future__ import annotations
@@ -76,27 +75,14 @@ def hold_states(succs, root, gain) -> dict:
     return states
 
 
-def _reaches(succs, start, goal, avoid=frozenset()) -> bool:
-    """Whether some path leaves ``start`` and reaches ``goal`` without entering ``avoid``."""
-    seen = set()
-    stack = [s for s in succs[start] if s not in avoid]
-    while stack:
-        n = stack.pop()
-        if n is goal:
-            return True
-        if n not in seen:
-            seen.add(n)
-            stack.extend(s for s in succs[n] if s not in avoid)
-    return False
-
-
 def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[tuple[frozenset, A.FieldDecl]]:
     """A (nodes, field) window for every lock field: the nodes where it is
-    held on every path in (or that lock it) and unlocked on every path out
-    (or that unlock it)."""
+    held on every path in, and those that lock it. A lock call holds only
+    as an expression statement of its own."""
     fields = lock_fields(cm, lock_types)
     if not fields or m.body is None:
         return []
+    statements = {id(s.expr) for s in A.walk(m.body) if isinstance(s, A.ExprStmt)}
     locked: dict[int, list] = {id(f): [] for f in fields}
     unlocked: dict[int, list] = {id(f): [] for f in fields}
     for e in A.walk(m.body):
@@ -106,20 +92,18 @@ def lock_windows(cm, m, cfg, lock_types, lock_methods, unlock_methods) -> list[t
             continue
         for f in fields:
             if cm.denotes(e.qualifier) is f:
-                bucket = locked if e.name in lock_methods else unlocked
-                bucket[id(f)].extend(cfg.nodes_for(e))
+                if e.name in lock_methods:
+                    if id(e) in statements:
+                        locked[id(f)].extend(cfg.nodes_for(e))
+                else:
+                    unlocked[id(f)].extend(cfg.nodes_for(e))
     windows = []
     for f in fields:
         locks, unlocks = locked[id(f)], unlocked[id(f)]
         gain = Counter(locks)
         gain.subtract(unlocks)
         states = hold_states(cfg.succs, cfg.entry, gain)
-        nodes = frozenset(
-            n for n in cfg.nodes
-            if n in states and (min(states[n]) >= 1 or n in locks)
-            and _reaches(cfg.succs, n, cfg.exit)
-            and (n in unlocks or not _reaches(cfg.succs, n, cfg.exit, avoid=frozenset(unlocks)))
-        )
+        nodes = frozenset(n for n in cfg.nodes if n in states and (min(states[n]) >= 1 or n in locks))
         windows.append((nodes, f))
     return windows
 

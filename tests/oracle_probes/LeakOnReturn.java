@@ -2,9 +2,9 @@ import java.util.concurrent.locks.Lock;
 import java.util.concurrent.locks.ReentrantLock;
 import javax.annotation.concurrent.ThreadSafe;
 
-// the early return keeps the lock, so no unlock post-dominates the write and
-// P3 reports it; every write still runs under the lock, and a thread that
-// leaks it blocks the other one, so the oracle finds no race
+// the early return keeps the lock, and no unlock follows the write on that
+// path; the write still runs under the lock, and a thread that leaks it only
+// blocks the other one, so P3 reports nothing and the oracle finds no race
 @ThreadSafe
 class LeakOnReturn {
   private int x = 0;

@@ -829,6 +829,8 @@ class _Parser:
                 empty += 1
             if self.at("{"):
                 raise self.error("array initializer expressions are not supported")
+            if not dims:
+                raise self.error("array dimension missing")
             return A.New(self.span_from(start), type_text, None, dims, empty)
         raise self.error("expected '(' or '[' after new")
 

@@ -7,8 +7,8 @@ cfg.py names them, ``(kind, statement)``, and ``outcome`` is ``NORMAL``,
 ``EXIT`` (a return or throw on its way out) or ``STUCK`` (an endless loop
 that cannot go on). A loop runs zero or one times. A return or throw runs
 each enclosing finally block and leaves each synchronized block through its
-exit. A catch handler may run once the whole protected block has completed,
-which is cfg.py's model of exceptions.
+exit. A catch handler may run in place of the protected block or once the
+whole block has completed, which is cfg.py's model of exceptions.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def runs(s: A.Stmt) -> list[tuple[tuple, str]]:
         leave = (("sync_exit", s),)
         return [((("sync_enter", s),) + steps + (() if how == STUCK else leave), how) for steps, how in runs(s.body)]
     if isinstance(s, A.Try):
-        done = _then(runs(s.body), lambda: _DONE + [r for c in s.catches for r in runs(c.body)])
+        handlers = [r for c in s.catches for r in runs(c.body)]
+        done = handlers + _then(runs(s.body), lambda: _DONE + handlers)
         if s.finally_block is None:
             return done
         fin = runs(s.finally_block)

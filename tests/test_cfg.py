@@ -23,17 +23,8 @@ def method_cfg(src: str, method: str = None, class_index: int = 0):
 # --- fewest against the explicit-state search over (node, holds) pairs ---
 
 
-def reverse_graph(succs, nodes):
-    preds = {n: [] for n in nodes}
-    for n, outs in succs.items():
-        for m in outs:
-            preds[m].append(n)
-    return preds
-
-
 def digraph(succs, entry, exit_node) -> Cfg:
-    nodes = list(succs)
-    return Cfg(nodes, succs, reverse_graph(succs, nodes), entry, exit_node)
+    return Cfg(list(succs), succs, entry, exit_node)
 
 
 def random_graph(rng, n):
@@ -64,34 +55,29 @@ def random_gain(rng, nodes):
 
 
 def check_fewest(cfg, gain):
-    """In both directions, ``fewest`` gives each node the least count the
-    search brings to it, and no count to a node the search never reaches.
-    Returns the nodes with no forward count and those with no backward one."""
-    got = []
-    for backward, root, edges in ((False, cfg.entry, cfg.succs), (True, cfg.exit, cfg.preds)):
-        counts = fewest(cfg, gain, backward)
-        assert counts == {n: min(hs) for n, hs in hold_states(edges, root, gain).items()}, (edges, gain, backward)
-        got.append(set(cfg.nodes) - counts.keys())
-    return tuple(got)
+    """``fewest`` gives each node the least count the search brings to it,
+    and no count to a node the search never reaches. Returns the nodes with
+    no count."""
+    counts = fewest(cfg, gain)
+    assert counts == {n: min(hs) for n, hs in hold_states(cfg.succs, cfg.entry, gain).items()}, (cfg.succs, gain)
+    return set(cfg.nodes) - counts.keys()
 
 
 def test_fewest_matches_the_explicit_state_search_on_random_digraphs():
     rng = random.Random(20240817)
-    unreachable = dead_ends = 0
+    unreachable = 0
     seen = set()
     for i in range(200):
         n = rng.randrange(3, 12)
         gain = random_gain(rng, range(n))
         if i % 2:
             cfg = digraph(random_graph(rng, n), 0, n - 1)
-            assert check_fewest(cfg, gain) == (set(), set())
+            assert check_fewest(cfg, gain) == set()
         else:
             cfg = digraph(random_digraph(rng, n), 0, n - 1)
-            cut_off, stuck = check_fewest(cfg, gain)
-            unreachable += len(cut_off)
-            dead_ends += len(stuck)
+            unreachable += len(check_fewest(cfg, gain))
         seen.update(fewest(cfg, gain).values())
-    assert unreachable and dead_ends  # the sample does hold both kinds
+    assert unreachable  # the sample does hold unreachable nodes
     assert {0, 1, 2, 3} <= seen
 
 
@@ -126,13 +112,13 @@ def test_abrupt_exits_and_dead_code_match_brute_force():
     cut = {}
     for m in parse_source(ABRUPT).classes[0].methods:
         cfg = build_cfg(m)
-        cut[m.name] = (cfg, *check_fewest(cfg, random_gain(rng, cfg.nodes)))
+        cut[m.name] = (cfg, check_fewest(cfg, random_gain(rng, cfg.nodes)))
     for name in ("dead", "deadInTry"):  # code after return or throw is unreachable
-        cfg, unreachable, _ = cut[name]
+        cfg, unreachable = cut[name]
         assert any(n.kind == "stmt" for n in unreachable), name
-    cfg, unreachable, stuck = cut["spin"]  # nothing in an endless loop reaches the exit
-    assert unreachable == {cfg.exit} and stuck == set(cfg.nodes) - {cfg.exit}
-    assert cut["spinOut"][1:] == (set(), set())
+    cfg, unreachable = cut["spin"]  # an endless loop never reaches the exit
+    assert unreachable == {cfg.exit}
+    assert cut["spinOut"][1] == set()
 
 
 # --- structured lowering, read through hold counts ---
@@ -159,7 +145,6 @@ def test_straight_line_chain():
     # each node adds one, so every path passes every node before and after
     one_each = dict.fromkeys(chain, 1)
     assert fewest(cfg, one_each) == {n: i for i, n in enumerate(chain)}
-    assert fewest(cfg, one_each, backward=True) == {n: len(chain) - 1 - i for i, n in enumerate(chain)}
 
 
 def test_diamond_branches():
@@ -180,8 +165,6 @@ def test_diamond_branches():
     assert fewest(cfg, {then_n: 1})[join] == 0
     assert fewest(cfg, {else_n: 1})[join] == 0
     assert fewest(cfg, {then_n: 1, else_n: 1})[join] == 1  # every path takes one branch
-    assert fewest(cfg, {join: 1}, backward=True)[cond] == 1
-    assert fewest(cfg, {then_n: 1}, backward=True)[cond] == 0
 
 
 def _src_of(node):
@@ -195,7 +178,8 @@ def test_every_node_follows_the_entry_and_leads_to_the_exit():
         "class C { int x; public void f(boolean c) { if (c) { x = 1; } x = 2; } }"
     )
     assert fewest(cfg, {cfg.entry: 1}) == {n: int(n is not cfg.entry) for n in cfg.nodes}
-    assert fewest(cfg, {cfg.exit: 1}, backward=True) == {n: int(n is not cfg.exit) for n in cfg.nodes}
+    walked = list(paths(cfg))
+    assert all(p[-1] is cfg.exit for p in walked) and {n for p in walked for n in p} == set(cfg.nodes)
 
 
 SWAP = """class C {
@@ -219,8 +203,6 @@ def test_try_finally_routes_early_return_through_finally():
     fin = next(n for n in cfg.nodes if n.kind == "stmt" and "unlock" in _src_of(n))
     write = next(n for n in cfg.nodes if n.kind == "stmt" and "v = nxt" in _src_of(n))
     assert cfg.succs[ret] == [fin]
-    released = fewest(cfg, {fin: 1}, backward=True)
-    assert released[ret] == released[write] == 1
     lock_call = next(n for n in cfg.nodes if n.kind == "stmt" and "lock.lock" in _src_of(n))
     held = fewest(cfg, {lock_call: 1, fin: -1})
     assert held[write] == held[ret] == held[fin] == 1 and held[cfg.exit] == 0
@@ -243,6 +225,27 @@ def test_a_lock_in_a_try_holds_only_on_normal_completion():
     # the finally block is lowered once for each way out of the try
     normal, early = cfg.nodes_for(m.body.stmts[1].finally_block.stmts[0].expr)
     assert (held[normal], held[early]) == (1, 0)
+
+
+def test_a_lock_in_a_try_holds_in_no_handler():
+    """A handler may run in place of the block, when its first step throws,
+    so a lock the block takes holds neither in the handler nor after it."""
+    m = parse_source(
+        """class C {
+  int x; Object l;
+  public void f() {
+    try { l.lockInterruptibly(); x = 1; } catch (InterruptedException e) { x = 2; }
+    x = 3;
+  }
+}"""
+    ).classes[0].methods[0]
+    cfg = build_cfg(m)
+    t = m.body.stmts[0]
+    [lock_node] = cfg.nodes_for(t.body.stmts[0].expr)
+    stmts = (t.body.stmts[1], t.catches[0].body.stmts[0], m.body.stmts[1])
+    body, handler, after = (cfg.nodes_for(s.expr)[0] for s in stmts)
+    held = fewest(cfg, {lock_node: 1})
+    assert (held[body], held[handler], held[after]) == (1, 0, 0)
 
 
 def test_loop_body_does_not_dominate_after_loop():
@@ -286,11 +289,10 @@ def test_synchronized_block_single_entry_exit():
     [enter] = [n for n in cfg.nodes if n.kind == "sync_enter"]
     [leave] = [n for n in cfg.nodes if n.kind == "sync_exit"]
     held = fewest(cfg, {enter: 1, leave: -1})
-    released = fewest(cfg, {leave: 1}, backward=True)
     inside = [n for n in cfg.nodes if n.kind in ("stmt", "cond") and "x = 3" not in _src_of(n)]
-    assert len(inside) == 3 and all(held[n] == released[n] == 1 for n in inside)
+    assert len(inside) == 3 and all(held[n] == 1 for n in inside)
     after = next(n for n in cfg.nodes if n.kind == "stmt" and "x = 3" in _src_of(n))
-    assert held[after] == released[after] == 0
+    assert held[after] == held[cfg.exit] == 0
 
 
 def test_unreachable_nodes_are_not_dominated():
@@ -374,7 +376,7 @@ def test_corpus_methods_build_and_exit_reachable(corpus_names):
         for c in ast.iter_classes():
             for m in c.methods + c.constructors:
                 cfg = build_cfg(m)
-                assert cfg.exit in fewest(cfg, {}) and cfg.entry in fewest(cfg, {}, backward=True)
+                assert cfg.exit in fewest(cfg, {})
                 check_fewest(cfg, random_gain(rng, cfg.nodes))
 
 

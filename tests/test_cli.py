@@ -448,9 +448,10 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     ``StringLitShared`` locks ``"a b"`` twice and is race-free. An unlock
     between a lock call and an access ends the window, so ``Relock`` and
     ``RelockTry`` have P3 alerts and race, while holds are counted, so
-    ``Reentrant`` is guarded after one of its two unlocks. ``LeakOnReturn``
-    keeps the lock on an early return: no unlock follows the write on every
-    path out, so P3 reports it, and the oracle finds no race. An array of a
+    ``Reentrant`` is guarded after one of its two unlocks. A window needs no
+    unlock: ``LeakOnReturn`` keeps the lock on an early return and
+    ``LockOnly.set`` never unlocks, yet each write runs under the lock, so
+    neither has a P3 alert and the oracle finds no race. An array of a
     generic thread-safe type is not thread-safe, so ``GenericArray`` has P3
     alerts and races. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
@@ -484,6 +485,16 @@ def test_oracle_probes_match_golden_bytes_in_json(monkeypatch, capsysbinary):
 
 def test_oracle_probes_match_golden_bytes_in_sarif(monkeypatch, capsysbinary):
     assert_oracle_probes_match_golden_bytes("sarif", monkeypatch, capsysbinary)
+
+
+def test_no_probe_class_the_oracle_finds_race_free_has_a_p3_alert():
+    """A P3 alert on a class the oracle checks and finds race-free is one no
+    race confirms; among the probes, leaked locks included, there is none."""
+    probes = os.path.join(REPO_ROOT, "tests", "oracle_probes")
+    report, _ = oracle_check([probes], build_config(None, lock_type_add=("MyLock",)))
+    race_free = {r.class_id for r in report.oracle if r.status == "checked" and not r.raced}
+    assert {"LeakOnReturn", "LockOnly"} <= race_free
+    assert {a.class_id for a in report.alerts if a.rule == "P3"} & race_free == set()
 
 
 def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):

@@ -472,10 +472,9 @@ def test_printer_round_trips_generated_classes(src):
     assert [t[1] for t in tokenize(once)] == [t[1] for t in tokenize(src)]
 
 
-@pytest.mark.parametrize("expr", ["new int[n][]", "new int[2][n][][]", "new Object[n][]", "new int[][n]"])
+@pytest.mark.parametrize("expr", ["new int[n][]", "new int[2][n][][]", "new Object[n][]"])
 def test_printer_keeps_unsized_array_dimensions(expr):
-    """Empty ``[]`` follow the sized dimensions; a sized one after them
-    indexes the new array."""
+    """Empty ``[]`` follow the sized dimensions."""
     src = f"class A {{ void f(int n) {{ Object o = {expr}; }} }}"
     once = to_source(parse_source(src))
     assert [t[1] for t in tokenize(once)] == [t[1] for t in tokenize(src)]
@@ -942,6 +941,30 @@ def test_unsupported_expressions_are_named(stmt):
     col, message = UNSUPPORTED_EXPRESSIONS[stmt]
     assert parsed(parse_source, text) == ("error", 1, col, message)
     assert parsed(parse_reference.parse_source, text) == ("error", 1, col, message)
+
+
+# array creations as javac reads them: with no sized dimension an
+# initializer must follow, and without one the error is at the next token
+ARRAY_CREATIONS = {
+    "o = new Object[];": ("error", 1, 38, "array dimension missing"),
+    "o = new int[][];": ("error", 1, 37, "array dimension missing"),
+    "o = new int[][n];": ("error", 1, 35, "array dimension missing"),
+    "f(new java.util.List<String>[]);": ("error", 1, 52, "array dimension missing"),
+    "o = new int[] {1};": ("error", 1, 36, "array initializer expressions are not supported"),
+    "o = new int[n][];": "ok",
+    "o = new int[n][m][];": "ok",
+}
+
+
+@pytest.mark.parametrize("stmt", sorted(ARRAY_CREATIONS))
+def test_an_array_creation_needs_a_dimension_or_an_initializer(stmt):
+    text = "class A { void f() { " + stmt + " } }"
+    want = ARRAY_CREATIONS[stmt]
+    got = [parsed(parse, text) for parse in (parse_source, parse_reference.parse_source)]
+    if want == "ok":
+        assert all(isinstance(tree, str) for tree in got)
+    else:
+        assert got == [want, want]
 
 
 def test_expression_statements_start_no_declaration(monkeypatch):

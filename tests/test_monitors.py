@@ -240,7 +240,9 @@ class T {
     assert locked_on(cm, f, write, "l")
 
 
-def test_missing_unlock_gives_no_window():
+def test_a_lock_with_no_unlock_guards_what_follows_it():
+    """The thread that reaches ``n = 1`` holds ``l``, and every other thread
+    that takes ``l`` waits for it, whether or not it ever lets go."""
     cm = model_from_source(
         """@ThreadSafe
 class M {
@@ -254,7 +256,56 @@ class M {
 """
     )
     f = _method(cm, "f")
-    assert not locked_on(cm, f, f.body.stmts[1].expr, "l")
+    assert locked_on(cm, f, f.body.stmts[1].expr, "l")
+
+
+def p3_lines(src):
+    """The source lines of every access a P3 alert names."""
+    alerts = [a for a in analyze_class(model_from_source(src)) if a.rule == "P3"]
+    return {s.start_line for a in alerts for s in (a.primary, a.secondary) if s is not None}
+
+
+LOCKED_GET = "  public int get() { l.lock(); try { return x; } finally { l.unlock(); } }\n"
+
+
+def test_a_failed_trylock_guards_nothing():
+    """The Lock javadoc's idiom: ``x = 2`` runs when ``tryLock()`` failed,
+    so it races with another thread's locked write. A ``tryLock()`` whose
+    result is tested takes no hold, on either branch, so ``x = 1`` is
+    reported too."""
+    src = (
+        "@ThreadSafe\nclass T {\n  private int x;\n  private final Lock l = new ReentrantLock();\n"
+        "  public void set() {\n"
+        "    if (l.tryLock()) {\n"
+        "      try { x = 1; } finally { l.unlock(); }\n"
+        "    } else {\n"
+        "      x = 2;\n"
+        "    }\n"
+        "  }\n" + LOCKED_GET + "}\n"
+    )
+    assert p3_lines(src) >= {7, 9}
+    cm = model_from_source(src)
+    assert analysis(cm).windows_for(_method(cm, "set")) == [(frozenset(), "lock:this.l")]
+
+
+def test_an_interrupted_lock_guards_nothing_in_its_handler():
+    """``lockInterruptibly()`` throws without taking the lock, so the
+    handler's ``x = 0`` races with another thread's locked write, while
+    ``x = 1`` after it is guarded."""
+    src = (
+        "@ThreadSafe\nclass I {\n  private int x;\n  private final Lock l = new ReentrantLock();\n"
+        "  public void set() throws InterruptedException {\n"
+        "    try { l.lockInterruptibly(); } catch (InterruptedException e) { x = 0; return; }\n"
+        "    try { x = 1; } finally { l.unlock(); }\n"
+        "  }\n" + LOCKED_GET + "}\n"
+    )
+    assert 6 in p3_lines(src)
+    cm = model_from_source(src)
+    set_ = _method(cm, "set")
+    handler, after = set_.body.stmts[0].catches[0].body.stmts[0], set_.body.stmts[1].body.stmts[0]
+    assert not locked_on(cm, set_, handler.expr, "l") and locked_on(cm, set_, after.expr, "l")
+    verdict = check_class(cm)
+    assert verdict.status == "checked" and verdict.raced
 
 
 def test_an_unlock_in_a_finally_protects_through_every_copy():
@@ -645,55 +696,80 @@ def test_protection_matches_eager_reference_on_generated_classes(src):
 ACCESSES = ("x = x + 1;", "int v = x;", "this.x = this.x + 1;", "int v = this.x;")
 
 
-def window_body(draw, depth):
-    """What a lock window runs: accesses, a branch, and a nested window of
-    the same lock, which takes a second hold."""
+def window_body(draw, depth, unlocks):
+    """What a lock window runs: accesses, a branch, an early return, which
+    may leave the lock held, and a nested window of the same lock, which
+    takes a second hold."""
     parts = []
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["access", "if", "window"] if depth < 2 else ["access"]))
+        kind = draw(st.sampled_from(["access", "if", "return", "window"] if depth < 2 else ["access"]))
         if kind == "access":
             parts.append(draw(st.sampled_from(ACCESSES)))
         elif kind == "if":
-            parts.append(f"if (c) {{ {window_body(draw, depth + 1)} }}")
+            parts.append(f"if (c) {{ {window_body(draw, depth + 1, unlocks)} }}")
+        elif kind == "return":
+            parts.append("if (c) { return; }")
         else:
-            parts.append(window_statement(draw, depth + 1))
+            parts.append(window_statement(draw, depth + 1, unlocks))
     return " ".join(parts)
 
 
-def window_statement(draw, depth=0):
-    """``monitored_classes()``'s window and try shapes, on the one lock field."""
+def window_statement(draw, depth=0, unlocks=True):
+    """``monitored_classes()``'s window and try shapes, on the one lock
+    field, a ``lock()`` with no unlock, and a ``lockInterruptibly()`` whose
+    handler, which runs without the lock, may access ``x`` and returns; only
+    the last two when not ``unlocks``."""
     lock = draw(st.sampled_from(["l1", "this.l1"]))
-    body = window_body(draw, depth)
-    if draw(st.booleans()):
+    body = window_body(draw, depth, unlocks)
+    shape = draw(st.sampled_from(["try", "window", "leak", "interrupt"] if unlocks else ["leak", "interrupt"]))
+    if shape == "try":
         return f"{lock}.lock(); try {{ {body} }} finally {{ {lock}.unlock(); }}"
-    return f"{lock}.lock(); {body} {lock}.unlock();"
+    if shape == "interrupt":
+        handler = draw(st.sampled_from(("",) + ACCESSES))
+        unlock = f" {lock}.unlock();" if unlocks else ""
+        return (f"try {{ {lock}.lockInterruptibly(); }} catch (InterruptedException e) {{ {handler} return; }} "
+                f"{body}{unlock}")
+    if shape == "window":
+        return f"{lock}.lock(); {body} {lock}.unlock();"
+    return f"{lock}.lock(); {body}"
 
 
 @st.composite
 def lock_window_classes(draw):
     """Public methods that run two or three lock windows of one lock in a
     row, with at most one access between two windows, which no window
-    guards: ``lock(); unlock(); x = x + 1; lock(); unlock();``."""
+    guards unless the one before leaks its lock: ``lock(); unlock(); x = x +
+    1; lock(); unlock();``. A window leaks by an early return or by a
+    ``lock()`` with no unlock, and a method may never unlock at all. A
+    ``lockInterruptibly()`` that throws runs its handler without the lock."""
     methods = []
     for i in range(draw(st.integers(1, 2))):
-        steps = [window_statement(draw)]
+        unlocks = draw(st.booleans())
+        steps = [window_statement(draw, unlocks=unlocks)]
         for _ in range(draw(st.integers(1, 2))):
-            steps += [draw(st.sampled_from(("",) + ACCESSES)), window_statement(draw)]
+            steps += [draw(st.sampled_from(("",) + ACCESSES)), window_statement(draw, unlocks=unlocks)]
         methods.append(f"  public void m{i}(boolean c) {{ {' '.join(steps)} }}")
     fields = "  private int x;\n  private final Lock l1 = new ReentrantLock();\n"
     return "@ThreadSafe\nclass R {\n" + fields + "\n".join(methods) + "\n}\n"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def oracle_and_p3(src):
+    """The oracle's verdict, at twice its default action budget so that more
+    of these classes are decided, and whether P3 reports an alert."""
+    cm = model_from_source(src)
+    return check_class(cm, action_budget=32), any(a.rule == "P3" for a in analyze_class(cm))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(lock_window_classes())
 def test_every_race_the_oracle_finds_gets_a_p3_alert(src):
-    """Soundness against the oracle, at twice its default action budget so
-    that more of these classes are decided: a race found in a checked class
-    means P3 reports an alert."""
-    cm = model_from_source(src)
-    verdict = check_class(cm, action_budget=32)
-    if verdict.status == "checked" and verdict.raced:
-        assert any(a.rule == "P3" for a in analyze_class(cm)), src
+    """P3 against the oracle, both ways: a class it checks gets a P3 alert
+    exactly when the oracle finds a race, so each race is reported (no lock
+    call that failed counts as a hold) and a leaked lock, which needs no
+    unlock to shut the other thread out, reports none."""
+    verdict, p3 = oracle_and_p3(src)
+    if verdict.status == "checked":
+        assert p3 == verdict.raced, src
 
 
 # --- agreement of the bound locals with the old name walk ---
@@ -799,7 +875,7 @@ def test_denotes_agrees_with_the_name_walk_where_each_name_is_declared_once(src)
                     assert (cm.denotes(e.qualifier) is f) == want, (m.name, canonical_text(e.qualifier), f.name)
 
 
-def test_a_cfg_is_built_only_for_a_method_with_a_lock_and_an_unlock_call(monkeypatch):
+def test_a_cfg_is_built_only_for_a_method_with_a_lock_call(monkeypatch):
     built = []
     build_cfg = monitors_module.build_cfg
 
@@ -817,9 +893,10 @@ class Lazy {
   public void b() { synchronized (this) { n = 2; } }
   public void c() { l.lock(); n = 3; }
   public void d() { l.lock(); n = 4; l.unlock(); }
+  public void e() { l.unlock(); n = 5; }
 }
 """
     )
     alerts = analyze_class(cm)
     assert {a.field for a in alerts} == {"n"}
-    assert built == ["d"]
+    assert built == ["c", "d"]
