@@ -8,7 +8,8 @@ race. Serves as ground truth for the static rules: a class passing all three
 must be race-free here.
 
 ``model`` holds the actions, executions and programs together with the
-kernel (happens-before closure, race scan and sync-order search); ``driver``
+kernel (an incremental happens-before step that race-checks each action as
+it is appended, and the sync-order search that runs it); ``driver``
 lowers a class to two-thread programs; ``trace`` reads and writes trace files.
 """
 

@@ -254,25 +254,26 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     lists of the public methods: main initializes, then each thread runs one
     list of the pair, named by the first method that has it.
 
-    Every list is lowered and validated, in order, before this returns; each
-    pair is built only when the iterator reaches it."""
+    Every list is lowered, built as thread 1 and as thread 2, and validated,
+    in order, before this returns; each pair is made from those built threads
+    only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
     for m in cm.decl.methods:
         if m.is_public:
             for actions in b.method_actions(m):
                 owner.setdefault(actions, m.name)
-    lowered = list(owner.items())
-    for actions, name in lowered:
+    slots = []  # ((the list as thread 1, as thread 2), name), for every pair that has the list
+    for actions, name in owner.items():
         try:
-            ThreadProgram.build([actions])
+            slots.append((ThreadProgram.build([actions, actions]).threads, name))
         except MalformedExecution as exc:
             # one thread fails only by unlocking what it does not hold
             raise UnsupportedForOracle(f"{cm.decl.name}.{name} unlocks {exc.action.target!r} "
                                        "without holding it; not oracle-supported") from None
-    init = b.init_actions()
-    return (ThreadProgram.build([actions1, actions2], init, f"{cm.decl.name}:{name1}|{name2}")
-            for i, (actions1, name1) in enumerate(lowered) for actions2, name2 in lowered[i:])
+    init = ThreadProgram.build([], b.init_actions()).init_actions
+    return (ThreadProgram(init, (first, second), f"{cm.decl.name}:{name1}|{name2}")
+            for i, ((first, _), name1) in enumerate(slots) for (_, second), name2 in slots[i:])
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:

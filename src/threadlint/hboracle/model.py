@@ -15,9 +15,14 @@ Happens-before depends only on program order and the order of sync actions
 (lock, unlock, volatile read, volatile write): the init edges always run from
 the main-thread prefix to each worker's first action. Every interleaving with
 the same sync order therefore has the same racy pairs, and the search visits
-one interleaving per sync order. Its hot loops run on an encoding of the
-actions: each op as its ``Op.code`` and each target as a small int (-1 when
-absent). Happens-before rows are Python-int bitsets, so there is no length cap.
+one interleaving per sync order. One incremental step computes happens-before:
+it appends an action, takes the set of actions before it from its direct
+predecessors, and returns the earlier accesses it races with. The search runs
+it once per action it appends and undoes it on backtrack, so a prefix shared
+by many sync orders is checked once; ``detect_races`` runs it once per action
+of a trace. The hot loops run on an encoding of the actions: each op as its
+``Op.code`` and each target as a small int (-1 when absent). Sets of actions
+are Python-int bitsets, so there is no length cap.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from threadlint.errors import BudgetExceeded, MalformedExecution
 
 DEFAULT_ACTION_BUDGET = 16
 _READ, _WRITE, _VREAD, _VWRITE, _LOCK, _UNLOCK, _DEFINIT, _FININIT, _LOCAL = range(9)
-_FIELD_OPS = (_READ, _WRITE, _DEFINIT, _FININIT)
-_WRITE_OPS = (_WRITE, _DEFINIT, _FININIT)
 _SYNC_OPS = (_LOCK, _UNLOCK, _VREAD, _VWRITE)
 
 
@@ -104,58 +107,79 @@ def _encode(actions, ids: dict[str, int]) -> tuple[list[int], list[int]]:
     return ops, targets
 
 
-def _racy_pairs(thread: list[int], ops: list[int], targets: list[int]) -> list[tuple[int, int]]:
-    """All position pairs (i, j), i < j, conflicting and unordered by happens-before.
+_START = -1  # the clock of every thread that has not yet run: the init actions so far
 
-    Direct edges are program order (HB1), an unlock to each later lock of the
-    monitor (HB2), a volatile write to each later volatile read of the field
-    (HB3), and an init action to the first action of every other thread that
-    starts later (HB4, HB5). Row i of the closure is a bitset of the actions
-    that i happens before.
+
+class _HappensBefore:
+    """Happens-before of an execution that grows, and shrinks, at its end.
+
+    An action is a bit, its position in the execution, and a set of actions
+    is a Python-int bitset. ``step`` appends one action. What happens before
+    it is its thread's last action (HB1), the earlier unlocks of the monitor
+    it locks (HB2) or the earlier volatile writes of the field it reads
+    (HB3), and, for a thread's first action, the earlier init actions (HB4,
+    HB5), each with all that happens before that action. An earlier
+    conflicting access of the same field outside that set races with it; an
+    access by the same thread is always inside it. Each step logs the
+    entries it replaces, so ``undo`` takes steps back.
     """
-    n = len(ops)
-    direct: list[list[int]] = [[] for _ in range(n)]
-    last_of: dict[int, int] = {}
-    first_of: dict[int, int] = {}
-    for i in range(n):
-        t = thread[i]
-        if t in last_of:
-            direct[last_of[t]].append(i)
-        else:
-            first_of[t] = i
-        last_of[t] = i
-    for i in range(n):
-        op = ops[i]
+
+    __slots__ = ("clock", "unlocks", "vwrites", "reads", "writes", "log")
+
+    def __init__(self):
+        # thread -> its last action and all that happens before it, None
+        # (or absent) until the thread runs; _START -> the init actions and
+        # all before them, which a thread's first action comes after
+        self.clock: dict[int, Optional[int]] = {_START: 0}
+        self.unlocks: dict[int, int] = {}  # monitor -> its unlocks and all before them
+        self.vwrites: dict[int, int] = {}  # volatile field -> its writes and all before them
+        self.reads: dict[int, int] = {}  # field -> its reads
+        self.writes: dict[int, int] = {}  # field -> its writes, init actions included
+        self.log: list[tuple[dict, int, Optional[int]]] = []
+
+    def step(self, i: int, t: int, op: int, g: int) -> int:
+        """Append action ``i`` of thread ``t`` with op code ``op`` and target
+        ``g``; return the bitset of the earlier actions it races with."""
+        clock, log = self.clock, self.log
+        last = clock.get(t)
+        before = clock[_START] if last is None else last
+        if op == _LOCK:
+            before |= self.unlocks.get(g, 0)
+        elif op == _VREAD:
+            before |= self.vwrites.get(g, 0)
+        bit = 1 << i
+        mine = before | bit
+        log.append((clock, t, last))
+        clock[t] = mine
+        if op == _READ:
+            reads = self.reads
+            r = reads.get(g, 0)
+            log.append((reads, g, r))
+            reads[g] = r | bit
+            return self.writes.get(g, 0) & ~before
+        if op == _WRITE or op == _DEFINIT or op == _FININIT:
+            writes = self.writes
+            w = writes.get(g, 0)
+            log.append((writes, g, w))
+            writes[g] = w | bit
+            if op != _WRITE:
+                inits = clock[_START]
+                log.append((clock, _START, inits))
+                clock[_START] = inits | mine
+            return (w | self.reads.get(g, 0)) & ~before
         if op == _UNLOCK or op == _VWRITE:
-            acquire = _LOCK if op == _UNLOCK else _VREAD
-            g = targets[i]
-            for j in range(i + 1, n):
-                if ops[j] == acquire and targets[j] == g:
-                    direct[i].append(j)
-        elif op == _DEFINIT or op == _FININIT:
-            for t, j in first_of.items():
-                if t != thread[i] and j > i:
-                    direct[i].append(j)
-    reach = [0] * n
-    for i in range(n - 1, -1, -1):
-        bits = 0
-        for j in direct[i]:
-            bits |= (1 << j) | reach[j]
-        reach[i] = bits
-    pairs = []
-    for i in range(n):
-        if ops[i] not in _FIELD_OPS:
-            continue
-        ri = reach[i]
-        i_writes = ops[i] in _WRITE_OPS
-        for j in range(i + 1, n):
-            if ops[j] not in _FIELD_OPS or thread[j] == thread[i] or targets[j] != targets[i]:
-                continue
-            if not i_writes and ops[j] not in _WRITE_OPS:
-                continue
-            if not (ri >> j) & 1:
-                pairs.append((i, j))
-    return pairs
+            released = self.unlocks if op == _UNLOCK else self.vwrites
+            old = released.get(g, 0)
+            log.append((released, g, old))
+            released[g] = old | mine
+        return 0
+
+    def undo(self, mark: int) -> None:
+        """Restore every entry logged after the first ``mark`` log entries."""
+        log = self.log
+        for table, key, old in reversed(log[mark:]):
+            table[key] = old
+        del log[mark:]
 
 
 @dataclass(frozen=True)
@@ -224,11 +248,17 @@ def detect_races(e: Execution) -> set[tuple[TraceAction, TraceAction]]:
     """Unordered conflicting pairs (both orientations, per race symmetry)."""
     e.validate()
     ops, targets = _encode(e.actions, {})
+    hb = _HappensBefore()
     out = set()
-    for i, j in _racy_pairs([a.thread for a in e.actions], ops, targets):
-        a, b = e.actions[i], e.actions[j]
-        out.add((a, b))
-        out.add((b, a))
+    for j, b in enumerate(e.actions):
+        racy = hb.step(j, b.thread, ops[j], targets[j])
+        hb.log.clear()  # nothing is undone here, and the log keeps every replaced bitset alive
+        while racy:
+            low = racy & -racy
+            a = e.actions[low.bit_length() - 1]
+            out.add((a, b))
+            out.add((b, a))
+            racy ^= low
     return out
 
 
@@ -240,8 +270,14 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
     the search then branches over the enabled sync actions in ascending thread
     order, so results are deterministic. A state where no worker can move (all
     done, or every remaining one blocked on a lock) is a leaf: a complete or
-    deadlocked execution, race-checked with the init actions as a main-thread
-    (thread 0) prefix and worker t as thread 1+t.
+    deadlocked execution, with the init actions as a main-thread (thread 0)
+    prefix and worker t as thread 1+t.
+
+    Each action is race-checked once, by the happens-before step that appends
+    it, and the step is undone on backtrack. A leaf is racy when a step on its
+    path found a race. Every leaf below a racy prefix is racy and no earlier
+    leaf is, so the search returns at the first leaf below the first racy
+    step.
 
     Returns (leaves visited, schedule of the first racy leaf or None); a
     schedule lists the worker index of each step.
@@ -252,22 +288,24 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
     ptr = [0] * k
     held: dict[int, list[int]] = {}
     seq: list[int] = []
+    hb = _HappensBefore()
+    step, undo, log = hb.step, hb.undo, hb.log
+    for i, (op, g) in enumerate(zip(init_ops, init_targets)):
+        step(i, 0, op, g)  # one thread: no race
+    base = len(init_ops)
     leaves = 0
-
-    def leaf_races() -> bool:
-        steps = [iter(zip(*w)) for w in workers]
-        tail = [next(steps[t]) for t in seq]
-        thread = [0] * len(init_ops) + [1 + t for t in seq]
-        return bool(_racy_pairs(thread, init_ops + [op for op, _ in tail], init_targets + [g for _, g in tail]))
+    raced = False
 
     def rec() -> bool:
-        nonlocal leaves
-        mark = len(seq)
+        nonlocal leaves, raced
+        mark, log_mark = len(seq), len(log)
         saved = ptr[:]
         for t in range(k):
-            ops = workers[t][0]
+            ops, targets = workers[t]
             i = ptr[t]
             while i < lens[t] and ops[i] not in _SYNC_OPS:
+                if step(base + len(seq), 1 + t, ops[i], targets[i]):
+                    raced = True
                 seq.append(t)
                 i += 1
             ptr[t] = i
@@ -284,10 +322,13 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
                 _release(held, g, t)
             moved = True
             ptr[t] = i + 1
+            step_mark = len(log)
+            step(base + len(seq), 1 + t, op, g)  # a sync action races with nothing
             seq.append(t)
             if rec():
                 return True  # the racy leaf's schedule stays in seq
             seq.pop()
+            undo(step_mark)
             ptr[t] = i
             if op == _LOCK:
                 _release(held, g, t)
@@ -295,17 +336,18 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
                 _acquire(held, g, t)
         if not moved:
             leaves += 1
-            if leaf_races():
+            if raced:
                 return True
         del seq[mark:]
+        undo(log_mark)
         ptr[:] = saved
         return False
 
     try:
-        raced = rec()
+        found = rec()
     finally:
         del rec  # rec's closure holds rec; unbinding it frees the search by reference counting
-    return leaves, seq if raced else None
+    return leaves, seq if found else None
 
 
 @dataclass(frozen=True)
