@@ -7,10 +7,11 @@ executions alike) instead of every interleaving, and stops at the first
 race. Serves as ground truth for the static rules: a class passing all three
 must be race-free here.
 
-``model`` holds the actions, executions and programs together with the
-kernel (an incremental happens-before step that race-checks each action as
-it is appended, and the sync-order search that runs it); ``driver``
-lowers a class to two-thread programs; ``trace`` reads and writes trace files.
+``model`` holds programs (a worker thread is its (op, target) list) and
+executions, each checked when it is made, and the kernel (an incremental
+happens-before step that race-checks each appended action, and the sync-order
+search that runs it); ``driver`` lowers a class to two-thread programs;
+``trace`` reads and writes trace files.
 """
 
 from threadlint.hboracle.driver import (

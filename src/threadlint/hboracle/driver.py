@@ -44,6 +44,7 @@ from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedFor
 from threadlint.frontend import ast as A
 from threadlint.hboracle.model import (
     DEFAULT_ACTION_BUDGET,
+    ActionSpec,
     Op,
     RaceReport,
     ThreadProgram,
@@ -59,7 +60,6 @@ from threadlint.monitors import (
     sync_monitor,
 )
 
-ActionSpec = tuple[Op, Optional[str]]
 PATH_CAP = 32  # paths per method, each of its callees' action lists counted
 
 # kinds with no action of their own, lowered through ``A.children``
@@ -254,26 +254,25 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     lists of the public methods: main initializes, then each thread runs one
     list of the pair, named by the first method that has it.
 
-    Every list is lowered, built as thread 1 and as thread 2, and validated,
-    in order, before this returns; each pair is made from those built threads
-    only when the iterator reaches it."""
+    Every list is lowered and checked, in order, before this returns; each
+    pair is made from the checked lists only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
     for m in cm.decl.methods:
         if m.is_public:
             for actions in b.method_actions(m):
                 owner.setdefault(actions, m.name)
-    slots = []  # ((the list as thread 1, as thread 2), name), for every pair that has the list
     for actions, name in owner.items():
         try:
-            slots.append((ThreadProgram.build([actions, actions]).threads, name))
+            ThreadProgram((), (actions,))
         except MalformedExecution as exc:
             # one thread fails only by unlocking what it does not hold
             raise UnsupportedForOracle(f"{cm.decl.name}.{name} unlocks {exc.action.target!r} "
                                        "without holding it; not oracle-supported") from None
-    init = ThreadProgram.build([], b.init_actions()).init_actions
+    init = tuple(b.init_actions())
+    lists = list(owner.items())
     return (ThreadProgram(init, (first, second), f"{cm.decl.name}:{name1}|{name2}")
-            for i, ((first, _), name1) in enumerate(slots) for (_, second), name2 in slots[i:])
+            for i, (first, name1) in enumerate(lists) for second, name2 in lists[i:])
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:

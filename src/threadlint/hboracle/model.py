@@ -1,10 +1,11 @@
 """Execution model and kernel of the happens-before oracle.
 
-Actions, thread programs, well-formed executions, structural data-race
-detection on one execution (happens-before from program order, monitor
-order, volatile order, initialization order, and transitivity), and the race
-check of a whole program by a search over its sync orders. Value semantics
-are ignored: a race is a property of action identity and ordering alone.
+Thread programs (an (op, target) list per thread) and executions (actions
+interleaved), each checked when it is made; structural data-race detection
+on one execution (happens-before from program order, monitor order, volatile
+order, initialization order, and transitivity); and the race check of a
+whole program by a search over its sync orders. Value semantics are
+ignored: a race is a property of action identity and ordering alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
@@ -20,9 +21,10 @@ it appends an action, takes the set of actions before it from its direct
 predecessors, and returns the earlier accesses it races with. The search runs
 it once per action it appends and undoes it on backtrack, so a prefix shared
 by many sync orders is checked once; ``detect_races`` runs it once per action
-of a trace. The hot loops run on an encoding of the actions: each op as its
-``Op.code`` and each target as a small int (-1 when absent). Sets of actions
-are Python-int bitsets, so there is no length cap.
+of a trace. The hot loops run on one encoding of (op, target) pairs: each op
+as its ``Op.code`` and each target as a small int (-1 when absent). Sets of
+actions are Python-int bitsets, so there is no length cap. A program's
+actions become ``TraceAction``s only in a racy witness.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class Op(Enum):
         return op
 
 
+ActionSpec = tuple[Op, Optional[str]]  # an action of a thread program: its op and target
+
+
 @dataclass(frozen=True)
 class TraceAction:
     """One operation executed by one thread; ``seq`` is its program-order index."""
@@ -66,10 +71,6 @@ class TraceAction:
     op: Op
     target: Optional[str]  # field or monitor name; None only for LOCAL
     seq: int
-
-    def __post_init__(self):
-        if self.op is not Op.LOCAL and not self.target:
-            raise ValueError(f"{self.op.value} action requires a target")
 
     def __str__(self):
         tgt = f"({self.target})" if self.target else ""
@@ -101,9 +102,9 @@ def _release(held: dict, monitor, thread: int) -> bool:
 
 
 def _encode(actions, ids: dict[str, int]) -> tuple[list[int], list[int]]:
-    """Op codes and target numbers of ``actions``; ``ids`` numbers new targets."""
-    ops = [a.op.code for a in actions]
-    targets = [-1 if a.target is None else ids.setdefault(a.target, len(ids)) for a in actions]
+    """Op codes and target numbers of (op, target) pairs; ``ids`` numbers new targets."""
+    ops = [op.code for op, _ in actions]
+    targets = [-1 if g is None else ids.setdefault(g, len(ids)) for _, g in actions]
     return ops, targets
 
 
@@ -184,18 +185,19 @@ class _HappensBefore:
 
 @dataclass(frozen=True)
 class Execution:
-    """A total interleaving of a program's actions."""
+    """A total interleaving of a program's actions. Making one raises
+    MalformedExecution on a missing target or a program-order or
+    mutual-exclusion violation; monitors may stay held at the end (the
+    explicit Lock API allows it)."""
 
     actions: tuple[TraceAction, ...]
 
-    def validate(self) -> None:
-        """Raise MalformedExecution on program-order or mutual-exclusion violations.
-
-        Monitors may stay held at the end (the explicit Lock API allows it).
-        """
+    def __post_init__(self):
         last_seq: dict[int, int] = {}
         held: dict[str, list[int]] = {}
         for a in self.actions:
+            if a.op is not Op.LOCAL and not a.target:
+                raise MalformedExecution(f"{a.op.value} action requires a target")
             prev = last_seq.get(a.thread)
             if prev is not None and a.seq <= prev:
                 raise MalformedExecution(f"thread {a.thread} runs seq {a.seq} after {prev}: program order violated")
@@ -209,36 +211,35 @@ class Execution:
 
 @dataclass(frozen=True)
 class ThreadProgram:
-    """Per-thread action lists plus a main thread running init actions first."""
+    """A main thread's init actions, then one (op, target) list per worker;
+    action i of thread t (0 for main, 1 + k for worker k) is ``TraceAction(t,
+    op, target, i)``. Making one raises MalformedExecution on a missing
+    target, an init op on a worker, or an unlock without a hold."""
 
-    init_actions: tuple[TraceAction, ...]
-    threads: tuple[tuple[TraceAction, ...], ...]
+    init_actions: tuple[ActionSpec, ...]
+    threads: tuple[tuple[ActionSpec, ...], ...]
     name: str = ""
 
     def __post_init__(self):
-        for t, actions in enumerate((self.init_actions,) + self.threads):
-            for a in actions:
-                if a.thread != t:
-                    raise MalformedExecution(f"action {a} listed under thread {t}")
-                if t and a.op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
+        for t, actions in enumerate((self.init_actions, *self.threads)):
+            held: dict[str, list[int]] = {}
+            for i, (op, target) in enumerate(actions):
+                if op is not Op.LOCAL and not target:
+                    raise MalformedExecution(f"{op.value} action requires a target")
+                if t and op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
                     # the sync-order search relies on init edges leaving only
                     # the main-thread prefix
-                    raise MalformedExecution(f"{a.op.value} must run on the main thread (0)")
-            Execution(actions).validate()
+                    raise MalformedExecution(f"{op.value} must run on the main thread (0)")
+                if op is Op.LOCK:
+                    _acquire(held, target, t)  # one thread never blocks itself
+                elif op is Op.UNLOCK and not _release(held, target, t):
+                    raise MalformedExecution(f"thread {t} unlocks {target!r} without holding it", TraceAction(t, op, target, i))
 
     @classmethod
-    def build(
-        cls,
-        threads: list[list[tuple[Op, Optional[str]]]],
-        init: Optional[list[tuple[Op, Optional[str]]]] = None,
-        name: str = "",
-    ) -> "ThreadProgram":
-        """Construct from (op, target) pairs; seq numbers are assigned."""
-        built = [
-            tuple(TraceAction(t, op, tgt, i) for i, (op, tgt) in enumerate(spec))
-            for t, spec in enumerate([init or [], *threads])
-        ]
-        return cls(built[0], tuple(built[1:]), name)
+    def build(cls, threads: list[list[ActionSpec]], init: Optional[list[ActionSpec]] = None,
+              name: str = "") -> "ThreadProgram":
+        """Construct from lists of (op, target) pairs."""
+        return cls(tuple(init or ()), tuple(map(tuple, threads)), name)
 
     def action_count(self) -> int:
         return len(self.init_actions) + sum(len(t) for t in self.threads)
@@ -246,8 +247,7 @@ class ThreadProgram:
 
 def detect_races(e: Execution) -> set[tuple[TraceAction, TraceAction]]:
     """Unordered conflicting pairs (both orientations, per race symmetry)."""
-    e.validate()
-    ops, targets = _encode(e.actions, {})
+    ops, targets = _encode([(a.op, a.target) for a in e.actions], {})
     hb = _HappensBefore()
     out = set()
     for j, b in enumerate(e.actions):
@@ -369,6 +369,9 @@ def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) 
     n_orders, schedule = _search_sync_orders(init, [_encode(t, ids) for t in p.threads])
     if schedule is None:
         return RaceReport(False, None, n_orders)
-    steps = [iter(t) for t in p.threads]
-    witness = Execution(p.init_actions + tuple(next(steps[t]) for t in schedule))
-    return RaceReport(True, witness, n_orders)
+    steps = [iter(enumerate(actions)) for actions in (p.init_actions, *p.threads)]
+    witness = []
+    for t in [0] * len(p.init_actions) + [1 + w for w in schedule]:
+        i, (op, g) = next(steps[t])
+        witness.append(TraceAction(t, op, g, i))
+    return RaceReport(True, Execution(tuple(witness)), n_orders)

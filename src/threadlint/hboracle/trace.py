@@ -4,7 +4,8 @@ Grammar (one action per line, '#' starts a comment, blank lines ignored):
 
     <thread> <op> [<target>]
 
-``thread`` is a nonnegative integer (0 is the initializing main thread).
+``thread`` is a nonnegative integer in ASCII digits (0 is the initializing
+main thread).
 ``op`` is one of: read, write, volatile-read, volatile-write, lock, unlock,
 default-init, final-init, local. ``target`` names the field or monitor and
 is required for every op except local.
@@ -27,7 +28,7 @@ _OP_BY_NAME = {op.value: op for op in Op}
 
 
 def parse_trace(text: str, path: str = "<trace>") -> Execution:
-    """Parse a trace file into an Execution (validated)."""
+    """Parse a trace file into an Execution, which checks itself when it is made."""
     actions: list[TraceAction] = []
     next_seq: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -37,12 +38,9 @@ def parse_trace(text: str, path: str = "<trace>") -> Execution:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise MalformedExecution(f"{path}:{lineno}: expected '<thread> <op> [<target>]', got {raw!r}")
-        try:
-            thread = int(parts[0])
-        except ValueError:
-            raise MalformedExecution(f"{path}:{lineno}: thread must be an integer, got {parts[0]!r}")
-        if thread < 0:
-            raise MalformedExecution(f"{path}:{lineno}: thread must be nonnegative")
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise MalformedExecution(f"{path}:{lineno}: thread must be a nonnegative integer, got {parts[0]!r}")
+        thread = int(parts[0])
         op = _OP_BY_NAME.get(parts[1])
         if op is None:
             raise MalformedExecution(f"{path}:{lineno}: unknown op {parts[1]!r}")
@@ -52,9 +50,7 @@ def parse_trace(text: str, path: str = "<trace>") -> Execution:
         seq = next_seq.get(thread, 0)
         next_seq[thread] = seq + 1
         actions.append(TraceAction(thread, op, target, seq))
-    e = Execution(tuple(actions))
-    e.validate()
-    return e
+    return Execution(tuple(actions))
 
 
 def format_trace(e: Execution) -> str:

@@ -2,7 +2,7 @@
 
 Two references, both kept only for those properties, so they favour
 plainness over speed and reuse nothing of ``threadlint.hboracle`` but its
-data types:
+data types. Each builds its ``TraceAction``s from the program's lists:
 
 - the exhaustive enumerator of every interleaving, which the sync-order
   search replaced, with the race check by the full happens-before closure;
@@ -20,6 +20,14 @@ from threadlint.hboracle import Execution, Op, ThreadProgram, TraceAction
 _FIELD_OPS = (Op.READ, Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT)
 _WRITE_OPS = (Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT)
 _SYNC_OPS = (Op.LOCK, Op.UNLOCK, Op.VOLATILE_READ, Op.VOLATILE_WRITE)
+
+
+def trace_actions(p: ThreadProgram) -> tuple[tuple[TraceAction, ...], ...]:
+    """The init actions as thread 0, then worker k's list as thread 1 + k."""
+    return tuple(
+        tuple(TraceAction(t, op, target, i) for i, (op, target) in enumerate(actions))
+        for t, actions in enumerate((p.init_actions, *p.threads))
+    )
 
 
 def racy_pairs(actions: tuple[TraceAction, ...]) -> list[tuple[int, int]]:
@@ -108,7 +116,7 @@ def interleavings(p: ThreadProgram) -> Iterator[Execution]:
     ascending order at each step, and an execution shorter than the program
     is a deadlocked one.
     """
-    threads = p.threads
+    init, *threads = trace_actions(p)
     ptr = [0] * len(threads)
     held: dict[str, list[int]] = {}  # monitor -> [owner thread, depth]
     tail: list = []
@@ -135,7 +143,7 @@ def interleavings(p: ThreadProgram) -> Iterator[Execution]:
             elif a.op is Op.UNLOCK:
                 _take(held, a, t)
         if not progressed:
-            yield Execution(p.init_actions + tuple(tail))
+            yield Execution(init + tuple(tail))
 
     yield from rec()
 
@@ -153,7 +161,7 @@ def search_sync_orders(p: ThreadProgram) -> tuple[int, Optional[Execution]]:
     ascending thread order. A state where no worker can move is a leaf, and
     the search stops at the first leaf whose execution has a racy pair.
     """
-    threads = p.threads
+    init, *threads = trace_actions(p)
     ptr = [0] * len(threads)
     held: dict[str, list[int]] = {}
     tail: list[TraceAction] = []
@@ -191,7 +199,7 @@ def search_sync_orders(p: ThreadProgram) -> tuple[int, Optional[Execution]]:
                 _take(held, a, t)
         if not moved:
             leaves += 1
-            e = Execution(p.init_actions + tuple(tail))
+            e = Execution(init + tuple(tail))
             if racy_pairs(e.actions):
                 return e
         del tail[mark:]

@@ -61,9 +61,14 @@ def test_long_trace_has_no_action_cap(tmp_path, capsys):
         ("1 lock m\n2 lock m\n", "locks 'm' while thread 1 holds it"),
         ("1 frob x\n", "unknown op 'frob'"),
         ("1 read\n", "read requires a target"),
-        ("one read x\n", "thread must be an integer"),
+        ("one read x\n", "thread must be a nonnegative integer"),
+        ("+1 read x\n", "thread must be a nonnegative integer, got '+1'"),
+        ("1_0 read x\n", "thread must be a nonnegative integer, got '1_0'"),
+        ("\u0661 read x\n", "thread must be a nonnegative integer, got '\u0661'"),
+        ("-0 read x\n", "thread must be a nonnegative integer, got '-0'"),
     ],
-    ids=["unlock-without-lock", "lock-held-elsewhere", "unknown-op", "missing-target", "bad-thread"],
+    ids=["unlock-without-lock", "lock-held-elsewhere", "unknown-op", "missing-target", "bad-thread",
+         "plus-sign", "underscore", "non-ascii-digit", "minus-zero"],
 )
 def test_malformed_trace_exits_2(tmp_path, capsys, trace, message):
     code, out = run_trace(tmp_path, capsys, trace)

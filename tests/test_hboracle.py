@@ -2,11 +2,12 @@
 and the race check against the references, driver lowering, and the trace
 format."""
 
+import os
 import time
 from dataclasses import dataclass
 
 import pytest
-from hb_reference import interleavings, reference_raced, reference_races, search_sync_orders
+from hb_reference import interleavings, reference_raced, reference_races, search_sync_orders, trace_actions
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ L, U, DI, FI, LOC = Op.LOCK, Op.UNLOCK, Op.DEFAULT_INIT, Op.FINAL_INIT, Op.LOCAL
 
 def sequential(p: ThreadProgram) -> Execution:
     """Init, then each worker to completion in thread order."""
-    return Execution(p.init_actions + tuple(a for t in p.threads for a in t))
+    return Execution(tuple(a for t in trace_actions(p) for a in t))
 
 
 def race_fields(races) -> set:
@@ -147,8 +148,9 @@ def test_witness_is_the_same_on_every_call():
 def test_witness_keeps_the_init_prefix_and_program_order():
     _, _, racy = LITMUS[1]
     w = program_races(racy).witness
-    assert w.actions[: len(racy.init_actions)] == racy.init_actions
-    for t, actions in enumerate(racy.threads, start=1):
+    init, *threads = trace_actions(racy)
+    assert w.actions[: len(init)] == init
+    for t, actions in enumerate(threads, start=1):
         assert tuple(a for a in w.actions if a.thread == t) == actions
 
 
@@ -214,7 +216,7 @@ def test_lowering_emits_only_field_and_monitor_actions():
     assert b.method_actions(ma) == [()]
     assert b.method_actions(mb) == [((R, "x"), (W, "x"))]
     for d in list(two_thread_drivers(cm)) + list(two_thread_drivers(model_from_source(LOWERED))):
-        assert all(a.op is not LOC for t in d.threads for a in t)
+        assert all(op is not LOC for t in d.threads for op, _ in t)
 
 
 BUSY = """@ThreadSafe class Busy {
@@ -355,10 +357,8 @@ def test_a_method_over_the_path_cap_stops_at_the_cap(monkeypatch):
 
 
 MALFORMED = {
-    "action under the wrong thread": (
-        lambda: ThreadProgram((), ((TraceAction(1, R, "x", 0),), (TraceAction(1, R, "x", 1),))),
-        "thread 2",
-    ),
+    "missing target": (lambda: ThreadProgram.build([[(R, None)]]), "read action requires a target"),
+    "missing target in an execution": (lambda: Execution((TraceAction(1, W, None, 0),)), "write action requires a target"),
     "default-init on a worker": (lambda: ThreadProgram.build([[(DI, "x")], [(R, "x")]]), "main thread"),
     "final-init on a worker": (lambda: ThreadProgram.build([[(R, "x")], [(FI, "x")]]), "main thread"),
     "unlock without lock in a worker": (
@@ -369,9 +369,10 @@ MALFORMED = {
         lambda: ThreadProgram.build([[(R, "x")]], init=[(U, "m")]),
         "thread 0 unlocks 'm'",
     ),
+    # a program numbers its actions by position; an execution lists its own
     "worker seq not increasing": (
-        lambda: ThreadProgram((), ((TraceAction(1, R, "x", 1), TraceAction(1, W, "x", 1)),)),
-        "thread 1",
+        lambda: Execution((TraceAction(1, R, "x", 1), TraceAction(1, W, "x", 1))),
+        "thread 1 runs seq 1 after 1",
     ),
 }
 
@@ -521,7 +522,6 @@ def executions(draw):
 
 @given(executions())
 def test_parse_inverts_format(e):
-    e.validate()
     assert parse_trace(format_trace(e)) == e
 
 
@@ -558,3 +558,39 @@ def test_a_long_trace_is_checked_within_a_second(tmp_path, monkeypatch):
     assert elapsed < 1.0
     monkeypatch.setattr(cli, "detect_races", reference_races)
     assert cli.check_trace(str(path)) == (out, code)
+
+
+def test_trace_actions_are_made_for_a_witness_only(tmp_path, monkeypatch):
+    """A program stays (op, target) lists until it races: checking a
+    race-free class makes no TraceAction and a racy one only its witness's.
+    A trace file makes one Execution, which checks itself once."""
+    made, checked = [], []
+    make_action, make_execution = TraceAction.__init__, Execution.__post_init__
+
+    def action_made(self, *args):
+        make_action(self, *args)
+        made.append(self)
+
+    def execution_made(self):
+        checked.append(self)
+        make_execution(self)
+
+    monkeypatch.setattr(TraceAction, "__init__", action_made)
+    monkeypatch.setattr(Execution, "__post_init__", execution_made)
+
+    def probe(name):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_probes", f"{name}.java")
+        with open(path, encoding="utf-8") as fh:
+            return model_from_source(fh.read(), path)
+
+    verdict = check_class(probe("LeakOnReturn"))
+    assert (verdict.status, verdict.raced, verdict.drivers_checked) == ("checked", False, 6)
+    assert made == [] and checked == []
+    verdict = check_class(probe("Mon"))
+    assert (verdict.raced, verdict.drivers_checked) == (True, 2)
+    assert made == list(verdict.witness.witness.actions) and len(checked) == 1
+    path = tmp_path / "long.trace"
+    path.write_text(long_trace(2000))
+    checked.clear()
+    assert cli.check_trace(str(path))[1] == 1
+    assert len(checked) == 1
