@@ -30,6 +30,19 @@ OUTPUT_FORMATS = ("text", "json", "sarif")
 ENV_CONFIG_PATH = "THREADLINT_CONFIG"
 
 
+# config-file keys naming a tuple field of Config (the file key is the field name)
+_LIST_KEYS = (
+    "annotations",
+    "allowlist_prefixes",
+    "allowlist_types",
+    "lock_types",
+    "lock_methods",
+    "unlock_methods",
+    "mutator_methods",
+    "rules",
+)
+
+
 @dataclass(frozen=True)
 class Config:
     annotations: tuple[str, ...] = DEFAULT_ANNOTATIONS
@@ -52,26 +65,14 @@ class Config:
             raise ConfigError(
                 f"unknown output format {self.output_format!r}; expected one of {', '.join(OUTPUT_FORMATS)}"
             )
-        try:
-            self.allowlist()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for key in _LIST_KEYS:
+            for entry in getattr(self, key):
+                if not entry or entry != entry.strip():
+                    name = "allowlist" if key.startswith("allowlist") else key
+                    raise ConfigError(f"{name} entry {entry!r} must be nonempty and trimmed")
 
     def allowlist(self) -> ThreadSafeTypeAllowlist:
         return ThreadSafeTypeAllowlist(self.allowlist_prefixes, self.allowlist_types)
-
-
-# config-file keys naming a tuple field of Config (the file key is the field name)
-_LIST_KEYS = frozenset({
-    "annotations",
-    "allowlist_prefixes",
-    "allowlist_types",
-    "lock_types",
-    "lock_methods",
-    "unlock_methods",
-    "mutator_methods",
-    "rules",
-})
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:

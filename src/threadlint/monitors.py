@@ -7,7 +7,8 @@ functions write one:
 - :func:`method_monitor`: the object's own monitor for a synchronized
   instance method, the class's for a static one;
 - :func:`sync_monitor`: the same two for ``synchronized (this)`` and the own
-  class's literal, the field's for an own field, and else the
+  class's literal, the field's for an own field, none for an expression
+  that reads a parameter or a local or makes an object, and else the
   :func:`canonical_text` of the expression;
 - :func:`lock_monitor`: a lock field's lock, kept apart by a prefix from
   the monitor ``synchronized`` on the same field takes.
@@ -54,9 +55,10 @@ locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
 shadowed by a local or a parameter is not the field, and a local locks a
 field only when it is assigned exactly once, from a read of that field or
 from another such local.
-Likewise ``synchronized (e)`` on a parameter, or on a local that denotes no
-field, guards nothing (:func:`sync_monitor`): each thread may pass or create
-a different object. On an alias it is the field's monitor. A for-each or
+Likewise ``synchronized (e)`` on a parameter, on a local that denotes no
+field, or on any other expression that reads one or makes an object, guards
+nothing (:func:`sync_monitor`): each thread may pass or create a different
+object. On an alias it is the field's monitor. A for-each or
 catch variable is never an alias.
 
 The P3 query, the monitors held at an access on every public path to it, is
@@ -138,11 +140,13 @@ def lock_monitor(f: A.FieldDecl) -> str:
 def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
     """The monitor ``synchronized (expr)`` takes; None when it guards nothing.
 
-    A parameter, or a local that denotes no own field, may hold a different
-    object in each thread, so it is no shared monitor. A local alias of a
-    field is the field's monitor. A class literal is the own class's monitor
-    only when its name is a suffix of the qualified class name, so
-    ``Outer.Inner.class`` is but ``q.C.class`` in package ``p`` is not.
+    A local alias of a field is the field's monitor. A class literal is the
+    own class's monitor only when its name is a suffix of the qualified class
+    name, so ``Outer.Inner.class`` is but ``q.C.class`` in package ``p`` is
+    not. Any other expression that reads a parameter or a local, such as
+    ``h.lock`` or ``locks[i]``, or that makes an object, may give a different
+    object in each thread, so it is no shared monitor; the rest are named by
+    their text.
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
@@ -150,10 +154,10 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
     f = cm.denotes(e)
     if f is not None:
         return f"this.{f.name}"
-    if cm.is_local(e):
-        return None
     if isinstance(e, A.ClassLit) and ("." + cm.class_id).endswith("." + e.type_text):
         return f"Class<{cm.decl.name}>"
+    if any(isinstance(n, A.New) or cm.is_local(n) for n in A.walk(e)):
+        return None
     return canonical_text(e)
 
 

@@ -7,9 +7,11 @@ unprotected, frequently-accessed field yields many alerts.
 
 :func:`conflicting_pairs` remains the definition of a conflict. The P3 check
 does not enumerate it, though: most conflicting pairs share a monitor, so it
-groups each field's accesses by their monitor set and follows only the
-modifying accesses into groups whose sets are disjoint from theirs. Its work
-grows with the alerts it reports, not with the pairs it rules out.
+takes one field at a time, groups the field's accesses by their monitor set
+and follows only the modifying accesses into groups whose sets are disjoint
+from theirs; each unguarded pair then becomes an alert, modifying access
+first. Its work grows with the alerts it reports, not with the pairs it
+rules out.
 
 Both read the exposed accesses the class model keeps (``ClassModel.exposed``).
 :func:`analyze_class` builds one :class:`MonitorAnalysis`, whose monitors
@@ -64,15 +66,6 @@ def _accesses_by_field(exposed: list[FieldAccess]) -> list[list[FieldAccess]]:
     return list(by_field.values())
 
 
-def _conflict(x: FieldAccess, y: FieldAccess) -> Optional[ConflictPair]:
-    """The pair of ``x`` before ``y``, modifying access first; None if neither modifies."""
-    if is_modifying(x):
-        return ConflictPair(x, y)
-    if is_modifying(y):
-        return ConflictPair(y, x)
-    return None
-
-
 def conflicting_pairs(cm: ClassModel) -> list[ConflictPair]:
     """All conflicting pairs over ``cm.exposed``, deduplicated.
 
@@ -83,9 +76,10 @@ def conflicting_pairs(cm: ClassModel) -> list[ConflictPair]:
     for accesses in _accesses_by_field(cm.exposed):
         for i, x in enumerate(accesses):
             for y in accesses[i:]:
-                pair = _conflict(x, y)
-                if pair is not None:
-                    pairs.append(pair)
+                if is_modifying(x):
+                    pairs.append(ConflictPair(x, y))
+                elif is_modifying(y):
+                    pairs.append(ConflictPair(y, x))
     return pairs
 
 
@@ -98,66 +92,57 @@ def check_correct_synchronization(
 
     Reports exactly the pairs of :func:`conflicting_pairs` whose monitor sets
     are disjoint, in that function's order before the final sort, without
-    building the others. Monitors are asked for once per access, and only
-    on fields with a modifying access, which are the accesses some
-    conflicting pair holds; the alerts reuse those sets.
+    building the others. One pass per field that some access modifies asks
+    each access's monitors once, groups the accesses by monitor set, and
+    takes each pair from a modifying access to a group whose set is
+    disjoint from its own; the alerts reuse those sets.
     ``monitor_info`` is built from ``facts`` when the caller has none.
     """
     if monitor_info is None:
         monitor_info = MonitorAnalysis(cm, facts)
-    # (field index, i, j) of each unguarded pair, i <= j in the field's order
-    found: list[tuple[int, int, int]] = []
-    fields = _accesses_by_field(cm.exposed)
-    field_mons: dict[int, list[frozenset]] = {}
-    for f, accesses in enumerate(fields):
+    alerts = []
+    for accesses in _accesses_by_field(cm.exposed):
         modifying = [is_modifying(a) for a in accesses]
         if not any(modifying):
             continue
-        mons = field_mons[f] = [monitor_info.monitors(a) for a in accesses]
+        mons = [monitor_info.monitors(a) for a in accesses]
         groups: dict[frozenset, list[int]] = {}
         for j, m in enumerate(mons):
             groups.setdefault(m, []).append(j)
+        # (i, j) of each unguarded pair, i <= j in the field's order; two
+        # modifying accesses find each other, and the set keeps them once
+        unguarded: set[tuple[int, int]] = set()
         for i, w in enumerate(modifying):
-            if not w:
-                continue
-            for m, members in groups.items():
-                if mons[i] & m:
-                    continue
-                for j in members:
-                    # two modifying accesses find each other; keep the pair once
-                    if j >= i:
-                        found.append((f, i, j))
-                    elif not modifying[j]:
-                        found.append((f, j, i))
-    found.sort()
-    alerts = []
-    for f, i, j in found:
-        pair = _conflict(fields[f][i], fields[f][j])
-        ma, mb = field_mons[f][i], field_mons[f][j]
-        if pair.a is not fields[f][i]:
-            ma, mb = mb, ma
-        notes = []
-        for acc, mons in ((pair.a, ma), (pair.b, mb)):
-            if not mons and not monitor_info.has_public_path(acc):
-                notes.append(f"no public access path to the {acc.kind.value} at line {acc.line}")
-        if notes:
-            detail = "; ".join(dict.fromkeys(notes))
-        else:
-            detail = "no common monitor guards both accesses"
-        message = (
-            f"conflicting accesses to field '{pair.a.field.name}' "
-            f"({pair.a.kind.value} at line {pair.a.line}, {pair.b.kind.value} at line {pair.b.line}): {detail}"
-        )
-        alerts.append(
-            Alert(
-                rule=RULE_CORRECT_SYNCHRONIZATION,
-                primary=pair.a.span,
-                secondary=pair.b.span,
-                field=pair.a.field.name,
-                message=message,
-                class_id=cm.class_id,
+            if w:
+                for m, members in groups.items():
+                    if not mons[i] & m:
+                        unguarded.update((min(i, j), max(i, j)) for j in members)
+        for i, j in sorted(unguarded):
+            if not modifying[i]:  # the modifying access first
+                i, j = j, i
+            a, b = accesses[i], accesses[j]
+            notes = []
+            for acc, m in ((a, mons[i]), (b, mons[j])):
+                if not m and not monitor_info.has_public_path(acc):
+                    notes.append(f"no public access path to the {acc.kind.value} at line {acc.line}")
+            if notes:
+                detail = "; ".join(dict.fromkeys(notes))
+            else:
+                detail = "no common monitor guards both accesses"
+            message = (
+                f"conflicting accesses to field '{a.field.name}' "
+                f"({a.kind.value} at line {a.line}, {b.kind.value} at line {b.line}): {detail}"
             )
-        )
+            alerts.append(
+                Alert(
+                    rule=RULE_CORRECT_SYNCHRONIZATION,
+                    primary=a.span,
+                    secondary=b.span,
+                    field=a.field.name,
+                    message=message,
+                    class_id=cm.class_id,
+                )
+            )
     alerts.sort(key=Alert.sort_key)
     return alerts
 

@@ -94,4 +94,10 @@ def sync_monitor(expr: A.Expr, cm: ClassModel, m: A.MethodDecl) -> Optional[str]
         return f"this.{f.name}"
     if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
         return f"Class<{cm.decl.name}>"
+    for node in A.walk(e):
+        if isinstance(node, A.New):
+            return None
+        if isinstance(node, A.Name) and cm.field_of(node) is None and (
+                any(p.name == node.identifier for p in m.params) or declares_local(m, node.identifier)):
+            return None
     return canonical_text(e)

@@ -187,6 +187,13 @@ PATH_AND_CONFIG_CASES = {
                         "threadlint: error: allowlist entry '' must be nonempty and trimmed"),
     "allowlist-untrimmed": ({"Clean.java": CLEAN}, ["--allowlist-add= java.x", "Clean.java"], EXIT_ERROR,
                             "threadlint: error: allowlist entry ' java.x' must be nonempty and trimmed"),
+    # so is every other list entry, named by its config key
+    "lock-type-untrimmed": ({"Clean.java": CLEAN}, ["--lock-type-add= MyLock", "Clean.java"], EXIT_ERROR,
+                            "threadlint: error: lock_types entry ' MyLock' must be nonempty and trimmed"),
+    "annotation-empty": ({"Clean.java": CLEAN}, ["--annotation-add=", "Clean.java"], EXIT_ERROR,
+                         "threadlint: error: annotations entry '' must be nonempty and trimmed"),
+    "mutator-untrimmed": ({"Clean.java": CLEAN}, ["--mutator-add=push ", "Clean.java"], EXIT_ERROR,
+                          "threadlint: error: mutator_methods entry 'push ' must be nonempty and trimmed"),
     # javac rejects a line break in a literal, escaped or not
     "backslash-newline-in-string": ({"Esc.java": '@ThreadSafe class Esc {\n  String s = "a\\\nb";\n}\n'},
                                     ["Esc.java"], EXIT_ERROR, "Esc.java:2:14 ERROR unterminated string literal"),
@@ -208,6 +215,56 @@ def test_path_and_config_exit_codes(tmp_path, name):
     assert expected in proc.stdout + proc.stderr
     if code == EXIT_CLEAN:
         assert proc.stdout == "" and proc.stderr == ""
+
+
+# config-file key -> (its value in the file, the Config field it sets, what that field holds)
+CONFIG_KEYS = {
+    "annotations": ("Immutable, ThreadSafe", "annotations", ("Immutable", "ThreadSafe")),
+    "allowlist_prefixes": ("com.example., org.x.", "allowlist_prefixes", ("com.example.", "org.x.")),
+    "allowlist_types": ("a.B,c.D", "allowlist_types", ("a.B", "c.D")),
+    "lock_types": ("MyLock", "lock_types", ("MyLock",)),
+    "lock_methods": ("acquire, lock", "lock_methods", ("acquire", "lock")),
+    "unlock_methods": ("release", "unlock_methods", ("release",)),
+    "mutator_methods": ("push , pop", "mutator_methods", ("push", "pop")),
+    "rules": ("P3, P1", "rules", ("P3", "P1")),
+    "format": ("sarif", "output_format", "sarif"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_a_config_file_key_replaces_its_default(tmp_path, key):
+    value, attr, want = CONFIG_KEYS[key]
+    path = tmp_path / "t.cfg"
+    path.write_text(f"# threadlint settings\n\n{key} = {value}  # one key\n")
+    assert getattr(build_config(None), attr) != want
+    assert getattr(build_config(str(path)), attr) == want
+
+
+def test_add_flags_extend_the_config_files_lists(tmp_path):
+    path = tmp_path / "t.cfg"
+    path.write_text("annotations = Immutable\nallowlist_prefixes = com.example.\nallowlist_types = a.B\n"
+                    "lock_types = MyLock\nmutator_methods = push\n")
+    config = build_config(str(path), annotation_add=("ThreadSafe",), allowlist_add=("org.x.", "c.D"),
+                          lock_type_add=("Lock",), mutator_add=("pop",))
+    assert config.annotations == ("Immutable", "ThreadSafe")
+    assert config.allowlist_prefixes == ("com.example.", "org.x.")
+    assert config.allowlist_types == ("a.B", "c.D")
+    assert config.lock_types == ("MyLock", "Lock")
+    assert config.mutator_methods == ("push", "pop")
+
+
+def test_a_config_file_annotation_replaces_thread_safe(tmp_path, monkeypatch, capsys):
+    """With ``annotations = Immutable``, an ``@Immutable`` class is checked
+    and an ``@ThreadSafe`` class no longer is."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    (tmp_path / "A.java").write_text("@Immutable\nclass Imm {\n  int n;\n}\n"
+                                     "@ThreadSafe\nclass Ts {\n  int m;\n}\n")
+    (tmp_path / "t.cfg").write_text("annotations = Immutable\n")
+    code = main(["--config", "t.cfg", "A.java"])
+    out = capsys.readouterr().out
+    assert code == EXIT_ALERTS
+    assert [line.split(" ", 3)[:3] for line in out.splitlines()] == [["A.java:3:3", "P1", "n"]]
 
 
 def test_files_parsed_counts_only_files_that_parsed(tmp_path, capsys):
@@ -458,7 +515,10 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     ``LockOnly.set`` never unlocks, yet each write runs under the lock, so
     neither has a P3 alert and the oracle finds no race. An array of a
     generic thread-safe type is not thread-safe, so ``GenericArray`` has P3
-    alerts and races. Exit 0."""
+    alerts and races. A ``synchronized`` expression that reads a parameter
+    (``h.lock``, ``locks[i]``) or makes an object (``new Object()``) may
+    give each thread a different object, so ``ParamHolder``, ``ParamIndex``
+    and ``NewMonitor`` have P3 alerts and race. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])

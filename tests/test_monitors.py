@@ -594,6 +594,39 @@ class Two {
     assert {a.field for a in analyze_class(cm)} == {"n"}
 
 
+def test_a_monitor_built_on_a_parameter_or_a_local_or_a_new_object_guards_nothing():
+    """An expression that reads a parameter or a local, or that makes an
+    object, may give each thread a different object; one built on none of
+    these keeps its text as its name."""
+    cm = model_from_source(
+        """@ThreadSafe
+class Names {
+  private final Object[] locks = new Object[2];
+  private Object getLock() { return locks[0]; }
+  public void a(Holder h, int i) {
+    Object m = getLock();
+    synchronized (h.lock) { }
+    synchronized (locks[i]) { }
+    synchronized (new Object()) { }
+    synchronized (m.toString()) { }
+    synchronized ((h)) { }
+  }
+  public void b() {
+    synchronized ("a b") { }
+    synchronized (Other.LOCK) { }
+    synchronized (locks[0]) { }
+    synchronized (getLock()) { }
+  }
+}
+"""
+    )
+    a, b = ([sync_monitor(s.monitor, cm) for s in _method(cm, m).body.stmts if isinstance(s, A.Sync)]
+            for m in ("a", "b"))
+    assert a == [None] * 5
+    # canonical text spells the space in a string literal as an escape
+    assert b == ['"a\\u0020b"', "Other.LOCK", "locks[0]", "getLock()"]
+
+
 # --- parity of the demand-driven analysis with the eager reference ---
 
 CORPUS_LOCK_TYPES = ("Lock", "ReentrantLock", "MyLock")
@@ -783,7 +816,7 @@ ALIAS_FIELDS = (
 # local names, two of them shadowing fields; the parameters are p and q
 LOCAL_NAMES = ("a", "b", "c", "mu", "l1")
 VALUES = ("mu", "this.other", "MU", "S.MU", "l1", "this.l2", "peer.mu", "new Object()", "p", "q", "zz")
-MONITORS = ("p", "q", "mu", "this.mu", "MU", "S.class", "this", "peer.mu", "zz")
+MONITORS = ("p", "q", "mu", "this.mu", "MU", "S.class", "this", "peer.mu", "zz", "p.hashCode()", "new Object()")
 RECEIVERS = ("p", "q", "l1", "this.l2", "peer.l1", "zz")
 
 
@@ -831,7 +864,7 @@ def aliasing_statements(draw, scope, declared, fresh, depth=0):
     # a monitor or receiver is a local in scope half the time
     local = bool(scope) and draw(st.booleans())
     if kind == "sync":
-        choices = (*scope, *(f"({n})" for n in scope)) if local else MONITORS
+        choices = (*scope, *(f"({n})" for n in scope), *(f"{n}.hashCode()" for n in scope)) if local else MONITORS
         return f"synchronized ({draw(st.sampled_from(choices))}) {{ {body()} }}"
     if kind == "lock":
         r = draw(st.sampled_from(scope if local else RECEIVERS))
