@@ -20,8 +20,6 @@ from threadlint.classmodel import build_class_model
 from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
 from threadlint.errors import IoError, ParseError, ThreadlintError
 from threadlint.frontend import Ast, SourceFile, annotated_as_thread_safe, annotation_pattern, parse_compilation_unit
-from threadlint.hboracle import check_class, detect_races
-from threadlint.hboracle.trace import parse_trace
 from threadlint.raceanalysis import analyze_class
 from threadlint.reporting import OracleResult, ParseFailure, Report, serialize_report
 
@@ -97,6 +95,7 @@ def _class_alerts(decl, config: Config):
 
 def _oracle_result(cm, path: str, alerts, config: Config) -> OracleResult:
     """The oracle's verdict on one class, judged against its static alerts."""
+    from threadlint.hboracle import check_class  # loaded only when the oracle runs
     verdict = check_class(
         cm,
         lock_types=config.lock_types,
@@ -191,6 +190,7 @@ def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
 
 def check_trace(path: str) -> tuple[str, int]:
     """Race-check a standalone trace file."""
+    from threadlint.hboracle import detect_races, parse_trace
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

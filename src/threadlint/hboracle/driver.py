@@ -8,15 +8,18 @@ the same actions count once, and more than ``PATH_CAP`` put the class over
 budget. A same-class call is inlined, each of the callee's action lists in
 turn; one that may run more than one overload makes the class unsupported.
 
-What a name, a lock()/unlock() receiver, a call or a synchronized block's
-monitor denotes is asked of the class model (:meth:`ClassModel.field_of`,
-:meth:`ClassModel.denotes`, :meth:`ClassModel.callees`) and of
-:func:`threadlint.monitors.sync_monitor`, so the oracle and the static rules
-never disagree about scoping. Every monitor is named by the function the
-static rules name it with (``sync_monitor``, ``method_monitor``,
-``lock_monitor``), so an action's target is the monitor P3 holds. Whether an access reads or writes, and in
-which order a node's actions run, is decided here independently of the
-static collector, so the oracle still catches a static classification miss.
+What a name, a call or a synchronized block's monitor denotes is asked of
+the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
+and of :func:`threadlint.monitors.sync_monitor`, and which call locks or
+unlocks which lock field of :meth:`MonitorAnalysis.lock_call`, the rule P3's
+windows are built from; so the oracle and the static rules never disagree
+about scoping or configuration. A ``tryLock()`` that ``lock_call``
+recognizes makes the class unsupported, as it may fail to acquire. Every
+monitor is named by the function the static rules name it with, so an
+action's target is the monitor P3 holds. Whether an access reads or
+writes, and in which order a node's actions run, is decided here
+independently of the static collector, so the oracle still catches a
+static classification miss.
 
 Each node's expressions (``CfgNode.exprs``) are lowered in evaluation order:
 field reads and writes to read/write actions (volatile variants for volatile
@@ -50,15 +53,7 @@ from threadlint.hboracle.model import (
     ThreadProgram,
     program_races,
 )
-from threadlint.monitors import (
-    DEFAULT_LOCK_METHODS,
-    DEFAULT_LOCK_TYPES,
-    DEFAULT_UNLOCK_METHODS,
-    lock_fields,
-    lock_monitor,
-    method_monitor,
-    sync_monitor,
-)
+from threadlint.monitors import MonitorAnalysis, lock_monitor, method_monitor, sync_monitor
 
 PATH_CAP = 32  # paths per method, each of its callees' action lists counted
 
@@ -79,18 +74,10 @@ class OracleVerdict:
 
 
 class _DriverBuilder:
-    def __init__(
-        self,
-        cm: ClassModel,
-        lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
-        lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
-        unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
-    ):
+    def __init__(self, cm: ClassModel, **lock_kw):
         self.cm = cm
         self.decl = cm.decl
-        self.lock_field_ids = {id(f) for f in lock_fields(cm, lock_types)}
-        self.lock_methods = lock_methods
-        self.unlock_methods = unlock_methods
+        self.monitors = MonitorAnalysis(cm, **lock_kw)  # asked only which call locks or unlocks what
         # id(method) -> its action lists; a method that completed closes no cycle,
         # so its lists hold under any caller
         self._actions: dict[int, list[tuple[ActionSpec, ...]]] = {}
@@ -204,17 +191,15 @@ class _DriverBuilder:
         if q is not None:
             # lock recognition wins over the allowlist: java.util.concurrent.locks
             # types are allowlisted yet their lock()/unlock() calls are monitors
-            if e.name == "tryLock" or e.name in self.lock_methods or e.name in self.unlock_methods:
-                lf = self.cm.denotes(q)
-                if lf is not None and id(lf) in self.lock_field_ids:
-                    if e.name == "tryLock":
-                        raise UnsupportedForOracle(
-                            f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported"
-                        )
-                    self._lower(q, stack, out)
-                    self._lower_all(e.args, stack, out)
-                    self._emit(out, Op.LOCK if e.name in self.lock_methods else Op.UNLOCK, lock_monitor(lf))
-                    return
+            lock = self.monitors.lock_call(e)
+            if lock is not None:
+                if e.name == "tryLock":
+                    raise UnsupportedForOracle(f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported")
+                lf, locks = lock
+                self._lower(q, stack, out)
+                self._lower_all(e.args, stack, out)
+                self._emit(out, Op.LOCK if locks else Op.UNLOCK, lock_monitor(lf))
+                return
             f = self.cm.field_of(q)
             if f is not None:
                 if e.name in self.cm.mutator_methods:

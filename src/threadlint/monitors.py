@@ -7,89 +7,71 @@ functions write one:
 - :func:`method_monitor`: the object's own monitor for a synchronized
   instance method, the class's for a static one;
 - :func:`sync_monitor`: the same two for ``synchronized (this)`` and the own
-  class's literal, the field's for an own field, none for an expression
-  that reads a parameter or a local or makes an object, and else the
-  :func:`canonical_text` of the expression;
+  class's literal, the field's for an own field, an alias of one or a
+  getter of an own final field (:func:`returned_field`), none for an
+  expression that reads a parameter or a local, makes an object or calls a
+  method, and else the :func:`canonical_text` of the expression;
 - :func:`lock_monitor`: a lock field's lock, kept apart by a prefix from
   the monitor ``synchronized`` on the same field takes.
 
+Which call locks or unlocks which lock field is decided in one place,
+:meth:`MonitorAnalysis.lock_call`: the configured lock or unlock method on
+a receiver that :meth:`ClassModel.denotes` binds to a lock field. P3's lock
+windows and the oracle's lock actions are both built from it. Names are
+bound by the class model, never here, so a name shadowed by a local or a
+parameter is not the field, and a local is a field's alias only when it is
+assigned exactly once, from a read of that field or from another such
+local; a for-each or catch variable never is.
+
 Protection is computed in one place, :meth:`MonitorAnalysis.protecting_monitors`.
-An access is protected by an explicit lock field when every CFG node of it
-lies in the field's lock window (:func:`lock_window`): the nodes held at
-least once on every path in. Holds are counted, as the field's lock is
-reentrant: along a path each lock call (``lock``, ``lockInterruptibly``,
-``tryLock``) adds one and each unlock call takes one away, and
+An access is protected by a lock field when every CFG node of it lies in
+the field's lock window (:func:`lock_window`): the nodes held at least once
+on every path in. Holds are counted, as the lock is reentrant: along a path
+each lock call adds one and each unlock call takes one away, and
 :func:`threadlint.cfg.fewest` gives the fewest holds on any path to each
 node. So an unlock between a lock call and the access ends the window, and
 ``lock(); lock(); x = 1; unlock(); unlock();`` keeps ``x`` guarded. What
 happens after the access does not matter: a thread that holds the lock there
-shuts out every other thread that takes it until it lets go, so a later
-unlock adds nothing to mutual exclusion at the access, and one that never
-comes (an early ``return`` past it, a lock with no unlock) leaves the access
-guarded all the same. The paper's post-dominating ``unlock()`` is not asked
-for. It also kept out the paths where the lock was never taken, and those
-are kept out by other means: only a lock call that is a statement of its
-own holds, and a ``catch`` handler is reached from the start of its ``try``
-block (:mod:`threadlint.cfg`), so a ``lockInterruptibly()`` that throws
-holds nothing in the handler. A lock or unlock statement is inside its own
-window. Such a window reports the field's ``lock_monitor``.
-A call or access inside a ``finally`` block has one CFG node per copy of
-the block, and each copy is asked about. Protection by the synchronized
-keyword (methods, static methods, blocks) is recognized syntactically and
-reports every other monitor.
+shuts out every other thread that takes it until it lets go, so the
+paper's post-dominating ``unlock()`` is not asked for, and an early
+``return`` past the unlock leaves the access guarded all the same. The
+paths where the lock was never taken are kept out by other means: only a
+lock call that is a statement of its own holds, so a tested ``tryLock()``
+holds on neither branch, and a ``catch`` handler is reached from the start
+of its ``try`` block (:mod:`threadlint.cfg`). A ``tryLock()`` statement
+counts as a hold though it may fail. A call or access inside a ``finally``
+block has one CFG node per copy of the block, and each copy is asked about.
+Protection by the synchronized keyword is recognized syntactically: an
+expression is guarded by each block whose body span contains its span,
+which is exact because the spans of one tree nest or are disjoint.
 
-The work is demand-driven. Lock and unlock calls are taken from the calls
-the class model recorded, and a method's CFG and windows are built only
-when some lock field has a lock call in it; without one no window exists,
-so no CFG is asked for. Synchronized blocks also come from the class
-model: an expression is guarded by each block whose body span contains its
-span, which is exact because the spans of one tree nest or are disjoint.
-Each method's protection is one record, built once: the synchronized
-method's monitor, each block's body offsets and monitor, the CFG when
-there is a window, and each window's nodes and monitor; a query
-builds no monitor, and in a method with neither blocks nor windows it
-returns the method's monitors as they are.
-
-Names are bound by the class model, never here: a lock call's receiver
-locks the lock field :meth:`ClassModel.denotes` gives for it, so a name
-shadowed by a local or a parameter is not the field, and a local locks a
-field only when it is assigned exactly once, from a read of that field or
-from another such local.
-Likewise ``synchronized (e)`` on a parameter, on a local that denotes no
-field, or on any other expression that reads one or makes an object, guards
-nothing (:func:`sync_monitor`): each thread may pass or create a different
-object. On an alias it is the field's monitor. A for-each or
-catch variable is never an alias.
+The work is demand-driven. Each method's protection is one record, built
+once: the synchronized method's monitor, each block's body offsets and
+monitor, and, only when some lock field has a lock call in the method, its
+CFG and each window's nodes and monitor. A query builds no monitor.
 
 The P3 query, the monitors held at an access on every public path to it, is
 one top-down lockset transfer over the same-class call graph, as RacerX
 propagates locksets (:meth:`MonitorAnalysis._entry_monitors`): along one
-path the monitors add up, and across paths they meet. One forward worklist
-over :meth:`ClassModel.calls_in` and :meth:`ClassModel.callees` computes
-it; a set only shrinks, so recursion needs no special case. This contains
-the paper's ``forex`` over ``publicAccess``, which counts only the monitors
-held at the public method's own call site. No access path fact is built:
+path the monitors add up, and across paths they meet; a set only shrinks,
+so recursion needs no special case. This contains the paper's ``forex``
+over ``publicAccess``. No access path fact is built:
 :func:`threadlint.accesspaths.provides_access` and :meth:`public_facts`
-remain the paper's definition, evaluated only when asked for.
-
-Monitor equality is syntactic-canonical over those bindings: ``l``,
-``this.l`` and, for a static field, ``Cls.l`` share one identity;
-``synchronized (this)`` and a synchronized instance method share the
-``this`` monitor. A ``tryLock()`` statement counts as a hold even though
-its acquisition may fail, and a ``tryLock()`` whose result is tested counts
-as none; read-write and stamped locks are not recognized unless configured.
+remain the paper's definition, loaded and evaluated only when asked for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from threadlint.accesspaths import AccessPathFact, provides_access
 from threadlint.cfg import Cfg, CfgNode, build_cfg, fewest
 from threadlint.classmodel import ClassModel, FieldAccess, base_type
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
+
+if TYPE_CHECKING:
+    from threadlint.accesspaths import AccessPathFact
 
 DEFAULT_LOCK_TYPES = ("Lock", "ReentrantLock")
 DEFAULT_LOCK_METHODS = ("lock", "lockInterruptibly", "tryLock")
@@ -140,25 +122,42 @@ def lock_monitor(f: A.FieldDecl) -> str:
 def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
     """The monitor ``synchronized (expr)`` takes; None when it guards nothing.
 
-    A local alias of a field is the field's monitor. A class literal is the
+    A local alias of a field is the field's monitor, and so is a call of a
+    getter that returns it (:func:`returned_field`). A class literal is the
     own class's monitor only when its name is a suffix of the qualified class
     name, so ``Outer.Inner.class`` is but ``q.C.class`` in package ``p`` is
     not. Any other expression that reads a parameter or a local, such as
-    ``h.lock`` or ``locks[i]``, or that makes an object, may give a different
-    object in each thread, so it is no shared monitor; the rest are named by
-    their text.
+    ``h.lock`` or ``locks[i]``, that makes an object, or that calls a method,
+    may give a different object in each thread, so it is no shared monitor;
+    the rest are named by their text.
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
         return "this"
-    f = cm.denotes(e)
+    f = cm.denotes(e) if type(e) is not A.Call else returned_field(e, cm)
     if f is not None:
         return f"this.{f.name}"
     if isinstance(e, A.ClassLit) and ("." + cm.class_id).endswith("." + e.type_text):
         return f"Class<{cm.decl.name}>"
-    if any(isinstance(n, A.New) or cm.is_local(n) for n in A.walk(e)):
+    if any(isinstance(n, (A.New, A.Call)) or cm.is_local(n) for n in A.walk(e)):
         return None
     return canonical_text(e)
+
+
+def returned_field(call: A.Call, cm: ClassModel) -> Optional[A.FieldDecl]:
+    """The own final field that every ``return`` of ``call``'s one callee
+    denotes, so that each call gives the same object; None otherwise."""
+    callees = cm.callees(call)
+    if len(callees) != 1 or callees[0].body is None:
+        return None
+    got = None
+    for r in A.walk(callees[0].body):
+        if type(r) is A.Return:
+            f = None if r.value is None else cm.denotes(r.value)
+            if f is None or not f.is_final or got not in (None, f):
+                return None
+            got = f
+    return got
 
 
 # a method's protection record: the synchronized method's monitors, the
@@ -181,32 +180,39 @@ class MonitorAnalysis:
         self.cm = cm
         self.lock_methods = lock_methods
         self.unlock_methods = unlock_methods
-        self._lock_fields = lock_fields(cm, lock_types)
+        self._lock_fields = {id(f): f for f in lock_fields(cm, lock_types)}
         self._records: dict[int, _Protection] = {}
         self._facts = facts
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
         self._entry: Optional[dict[int, frozenset[str]]] = None
+
+    def lock_call(self, e: A.Call) -> Optional[tuple[A.FieldDecl, bool]]:
+        """(lock field, True) when call ``e`` is a configured lock method on a
+        receiver that denotes a lock field, (lock field, False) when it is an
+        unlock method there, and None for any other call."""
+        if e.qualifier is None or not self._lock_fields:
+            return None
+        if e.name in self.lock_methods:
+            locks = True
+        elif e.name in self.unlock_methods:
+            locks = False
+        else:
+            return None
+        f = self.cm.denotes(e.qualifier)
+        return None if f is None or id(f) not in self._lock_fields else (f, locks)
 
     def _lock_calls(self, m: A.MethodDecl) -> list[tuple[A.FieldDecl, list[A.Call], list[A.Call]]]:
         """(field, lock calls, unlock calls) of each lock field with a lock
         call in ``m``, in field order."""
         if not self._lock_fields:
             return []
-        locks: dict[int, list[A.Call]] = {}
-        unlocks: dict[int, list[A.Call]] = {}
+        calls: dict[int, tuple[list[A.Call], list[A.Call]]] = {}
         for e in self.cm.calls_in(m):
-            if e.qualifier is None:
-                continue
-            if e.name in self.lock_methods:
-                bucket = locks
-            elif e.name in self.unlock_methods:
-                bucket = unlocks
-            else:
-                continue
-            f = self.cm.denotes(e.qualifier)
-            if f is not None:
-                bucket.setdefault(id(f), []).append(e)
-        return [(f, locks[id(f)], unlocks.get(id(f), [])) for f in self._lock_fields if id(f) in locks]
+            got = self.lock_call(e)
+            if got is not None:
+                f, locks = got
+                calls.setdefault(id(f), ([], []))[0 if locks else 1].append(e)
+        return [(f, *calls[i]) for i, f in self._lock_fields.items() if i in calls and calls[i][0]]
 
     def _protection(self, m: A.MethodDecl) -> _Protection:
         """``m``'s protection record, built once; the CFG is built only when
@@ -263,6 +269,8 @@ class MonitorAnalysis:
         else from :func:`provides_access`; the verdict path never calls it.
         """
         if self._public_facts is None:
+            from threadlint.accesspaths import provides_access  # the paper's relation, read by tests only
+
             self._public_facts = {}
             for f in provides_access(self.cm) if self._facts is None else self._facts:
                 if f.method.is_public:

@@ -23,14 +23,13 @@ to the P3 check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from threadlint.alerts import (
     ALL_RULES,
     Alert,
     RULE_CORRECT_SYNCHRONIZATION,
 )
-from threadlint.accesspaths import AccessPathFact
 from threadlint.classmodel import (
     ClassModel,
     FieldAccess,
@@ -44,6 +43,9 @@ from threadlint.monitors import (
     DEFAULT_UNLOCK_METHODS,
     MonitorAnalysis,
 )
+
+if TYPE_CHECKING:
+    from threadlint.accesspaths import AccessPathFact
 
 
 @dataclass(eq=False)

@@ -92,12 +92,38 @@ def sync_monitor(expr: A.Expr, cm: ClassModel, m: A.MethodDecl) -> Optional[str]
                 return None
     if f is not None:
         return f"this.{f.name}"
+    if isinstance(e, A.Call):
+        f = getter_field(cm, e)
+        return None if f is None else f"this.{f.name}"
     if isinstance(e, A.ClassLit) and e.type_text.rsplit(".", 1)[-1] == cm.decl.name:
         return f"Class<{cm.decl.name}>"
     for node in A.walk(e):
-        if isinstance(node, A.New):
+        if isinstance(node, (A.New, A.Call)):
             return None
         if isinstance(node, A.Name) and cm.field_of(node) is None and (
                 any(p.name == node.identifier for p in m.params) or declares_local(m, node.identifier)):
             return None
     return canonical_text(e)
+
+
+def getter_field(cm: ClassModel, call: A.Call) -> Optional[A.FieldDecl]:
+    """The own final field that every ``return`` of the one same-class
+    method ``call`` may run returns, by the name walk; None otherwise."""
+    q = call.qualifier
+    if q is not None and not isinstance(A.strip_parens(q), A.This):
+        return None
+    matches = [k for k in cm.decl.methods if k.name == call.name and len(k.params) == len(call.args)]
+    if len(matches) != 1 or matches[0].body is None:
+        return None
+    k = matches[0]
+    got = set()
+    for r in A.walk(k.body):
+        if isinstance(r, A.Return):
+            v = None if r.value is None else A.strip_parens(r.value)
+            f = None if v is None else cm.field_of(v)
+            if f is None and isinstance(v, A.Name) and declares_local(k, v.identifier):
+                f = alias_of(cm, k, v.identifier)
+            if f is None or not f.is_final:
+                return None
+            got.add(id(f))
+    return f if len(got) == 1 else None

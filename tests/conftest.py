@@ -37,14 +37,19 @@ def model_from_source(src: str, path: str = "<test>.java", class_index: int = 0,
     return build_class_model(ast.classes[class_index], **kw)
 
 
-def benchmark_workloads():
-    """The benchmark's input generator, loaded from its file."""
-    path = os.path.join(os.path.dirname(os.path.dirname(CORPUS_DIR)), "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def benchmark_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file as ``perfbench_<name>``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(CORPUS_DIR)), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_workloads():
+    """The benchmark's input generator, loaded from its file."""
+    return benchmark_module("workloads")
 
 
 def full_size_sources() -> list[str]:

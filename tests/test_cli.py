@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 import report_reference
-from conftest import benchmark_workloads
+from conftest import benchmark_module, benchmark_workloads
 
 import threadlint
 from threadlint import cli
@@ -518,7 +518,10 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     alerts and races. A ``synchronized`` expression that reads a parameter
     (``h.lock``, ``locks[i]``) or makes an object (``new Object()``) may
     give each thread a different object, so ``ParamHolder``, ``ParamIndex``
-    and ``NewMonitor`` have P3 alerts and race. Exit 0."""
+    and ``NewMonitor`` have P3 alerts and race; so does a call, such as
+    ``Fresh``'s ``getLock()`` that returns ``new Object()``, unless it is a
+    getter of an own final field, as ``FinalGetter.monitor()`` is, which
+    shares ``mu``'s monitor, so ``FinalGetter`` is race-free. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])
@@ -560,6 +563,41 @@ def test_no_probe_class_the_oracle_finds_race_free_has_a_p3_alert():
     race_free = {r.class_id for r in report.oracle if r.status == "checked" and not r.raced}
     assert {"LeakOnReturn", "LockOnly"} <= race_free
     assert {a.class_id for a in report.alerts if a.rule == "P3"} & race_free == set()
+
+
+TRY_LOCK = """import java.util.concurrent.locks.Lock;
+import java.util.concurrent.locks.ReentrantLock;
+import javax.annotation.concurrent.ThreadSafe;
+
+@ThreadSafe
+class TryLock {
+  private int x;
+  private final Lock l = new ReentrantLock();
+  public void a() { l.tryLock(); x = 1; }
+  public void b() { l.lock(); try { x = 2; } finally { l.unlock(); } }
+}
+"""
+
+
+def test_a_try_lock_is_refused_only_as_a_configured_lock_method(tmp_path, capsys):
+    """The oracle recognizes lock calls by P3's rule. Where ``tryLock`` is no
+    lock method, ``a()``'s write is unguarded in both: P3 reports it and
+    the oracle finds the race. Where it is one (the default), P3 counts the
+    statement as a hold, and the oracle skips the class, since the
+    acquisition may fail."""
+    path = tmp_path / "TryLock.java"
+    path.write_text(TRY_LOCK)
+    config = tmp_path / "locks.cfg"
+    config.write_text("lock_methods = lock, lockInterruptibly\n")
+    assert main(["--oracle", "--config", str(config), str(path)]) == EXIT_CLEAN
+    *alerts, row = capsys.readouterr().out.splitlines()
+    assert alerts and all(" P3 x " in a for a in alerts)
+    assert row == f"{path} TryLock static={len(alerts)} oracle=race agreement=ok"
+    assert main(["--oracle", str(path)]) == EXIT_CLEAN
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path} TryLock static=0 oracle=unsupported agreement=skipped "
+        "(TryLock: tryLock acquisition may fail; not oracle-supported)"
+    ]
 
 
 def test_racy_trace_matches_golden_bytes(monkeypatch, capsysbinary):
@@ -641,7 +679,7 @@ def test_full_size_workload_verdicts_match_the_generator_labels(tmp_path, worklo
 def test_oracle_race_on_a_statically_clean_class_is_a_disagreement(tmp_path, monkeypatch, capsys):
     path = tmp_path / "Clean.java"
     path.write_text(CLEAN)
-    monkeypatch.setattr(cli, "check_class", lambda cm, **kw: OracleVerdict(cm.class_id, True, None, 1, "checked"))
+    monkeypatch.setattr("threadlint.hboracle.check_class", lambda cm, **kw: OracleVerdict(cm.class_id, True, None, 1, "checked"))
     code = main(["--oracle", str(path)])
     assert code == EXIT_ALERTS
     assert capsys.readouterr().out.splitlines() == [f"{path} Clean static=0 oracle=race agreement=disagree"]
@@ -827,3 +865,36 @@ def test_overlapping_checks_in_two_threads_restore_the_collector(tmp_path, monke
         assert not t.is_alive()
     assert seen == {"first": False, "second": False, "second, first done": False}
     assert gc.isenabled()
+
+
+# --- what the static path loads, and the benchmark it serves ---
+
+
+def test_importing_the_cli_loads_neither_the_oracle_nor_the_fact_layer():
+    """``--oracle`` and ``--trace`` import the oracle when they run, and only
+    ``MonitorAnalysis.public_facts`` reads the access-path facts, so a
+    static run compiles neither."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
+    listed = "import sys, threadlint.cli; print(*sorted(m for m in sys.modules if m.startswith('threadlint')))"
+    proc = subprocess.run([sys.executable, "-c", listed], capture_output=True, text=True, env=env, check=True)
+    loaded = proc.stdout.split()
+    assert "threadlint.cli" in loaded and "threadlint.monitors" in loaded
+    assert [m for m in loaded if m.startswith("threadlint.hboracle") or m == "threadlint.accesspaths"] == []
+
+
+def test_the_traced_benchmark_resolves_every_entry_point_and_runs(monkeypatch):
+    """The traced benchmark reaches each layer through the names in
+    ``perfbench/layers.py``; a name that no longer resolves, or a traced
+    pass that no longer reproduces the CLI, fails here and not only in the
+    benchmark job."""
+    monkeypatch.setitem(sys.modules, "measure", benchmark_module("measure"))  # layers.py imports it by name
+    _, absent = benchmark_module("layers").resolve_entry_points()
+    assert absent == {}
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "oracle", "--seed", "1",
+         "--seconds", "0.5", "--trace", "1", "--size", "smoke"],
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [result] = [doc for doc in map(json.loads, proc.stdout.splitlines()) if "correct" in doc]
+    assert (result["correct"], result["failed"]) == (True, 0)

@@ -556,7 +556,7 @@ def test_a_long_trace_is_checked_within_a_second(tmp_path, monkeypatch):
     assert out.endswith("12002 actions, 4 race(s)\n") and code == 1
     # the whole closure took 5.1 s on this trace (Python 3.11, 2 vCPUs); the step takes 0.05 s
     assert elapsed < 1.0
-    monkeypatch.setattr(cli, "detect_races", reference_races)
+    monkeypatch.setattr("threadlint.hboracle.detect_races", reference_races)
     assert cli.check_trace(str(path)) == (out, code)
 
 

@@ -432,7 +432,8 @@ def test_sync_block_on_a_string_literal_keeps_the_literal_apart():
     """Whitespace inside a literal is part of the string: ``"a b"`` and
     ``"ab"`` are two monitors. Whitespace and ``#`` are spelled as unicode
     escapes, so the identity is one word of the trace grammar, and
-    whitespace outside the literal still does not count."""
+    whitespace outside the literal still does not count. A call on a
+    literal guards nothing: each call may give a new object."""
     cm = model_from_source(
         """@ThreadSafe
 class S {
@@ -441,20 +442,22 @@ class S {
   public void b() { synchronized ("ab") { x = 2; } }
   public void c() { synchronized ( "a b" ) { x = 3; } }
   public void d() { synchronized ('#') { x = 4; } }
-  public void e() { synchronized ("a\\tb".trim()) { x = 5; } }
+  public void e() { synchronized ("a\\tb") { x = 5; } }
+  public void f() { synchronized ("a\\tb".trim()) { x = 6; } }
 }
 """
     )
     got = {}
-    for name in "abcde":
+    for name in "abcdef":
         m = _method(cm, name)
-        [got[name]] = synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr)
+        got[name] = synchronized_on(cm, m, m.body.stmts[0].body.stmts[0].expr)
     assert got == {
-        "a": '"a\\u0020b"',
-        "b": '"ab"',
-        "c": '"a\\u0020b"',
-        "d": "'\\u0023'",
-        "e": '"a\\tb".trim()',
+        "a": {'"a\\u0020b"'},
+        "b": {'"ab"'},
+        "c": {'"a\\u0020b"'},
+        "d": {"'\\u0023'"},
+        "e": {'"a\\tb"'},
+        "f": frozenset(),
     }
 
 
@@ -595,8 +598,9 @@ class Two {
 
 
 def test_a_monitor_built_on_a_parameter_or_a_local_or_a_new_object_guards_nothing():
-    """An expression that reads a parameter or a local, or that makes an
-    object, may give each thread a different object; one built on none of
+    """An expression that reads a parameter or a local, that makes an
+    object, or that calls a method other than a getter of an own final
+    field, may give each thread a different object; one built on none of
     these keeps its text as its name."""
     cm = model_from_source(
         """@ThreadSafe
@@ -624,7 +628,7 @@ class Names {
             for m in ("a", "b"))
     assert a == [None] * 5
     # canonical text spells the space in a string literal as an escape
-    assert b == ['"a\\u0020b"', "Other.LOCK", "locks[0]", "getLock()"]
+    assert b == ['"a\\u0020b"', "Other.LOCK", "locks[0]", None]
 
 
 # --- parity of the demand-driven analysis with the eager reference ---
@@ -906,6 +910,30 @@ def test_denotes_agrees_with_the_name_walk_where_each_name_is_declared_once(src)
                 for f in locks:
                     want = alias_reference.represents(cm, f, e.qualifier, m)
                     assert (cm.denotes(e.qualifier) is f) == want, (m.name, canonical_text(e.qualifier), f.name)
+
+
+def test_lock_call_names_the_lock_field_and_whether_it_locks():
+    """A configured lock or unlock method on a receiver that denotes a lock
+    field; any other method, receiver or field is no lock call."""
+    src = """@ThreadSafe
+class Calls {
+  private final Lock l = null;
+  private final Object o = null;
+  public void a(Lock p) {
+    Lock k = l;
+    l.lock(); this.l.unlock(); k.lockInterruptibly(); l.tryLock();
+    o.lock(); p.lock(); l.newCondition(); lock();
+  }
+  private void lock() { }
+}
+"""
+    cm = model_from_source(src)
+    calls = [s.expr for s in _method(cm, "a").body.stmts if isinstance(s, A.ExprStmt)]
+    l = field_named(cm, "l")
+    got = [MonitorAnalysis(cm).lock_call(c) for c in calls]
+    assert got == [(l, True), (l, False), (l, True), (l, True), None, None, None, None]
+    narrow = MonitorAnalysis(cm, lock_methods=("lock",), unlock_methods=("unlock", "tryLock"))
+    assert [narrow.lock_call(c) for c in calls[:4]] == [(l, True), (l, False), None, (l, False)]
 
 
 def test_a_cfg_is_built_only_for_a_method_with_a_lock_call(monkeypatch):

@@ -235,7 +235,7 @@ def test_p3_builds_no_access_path_facts(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("the verdict path built the fact relation")
 
-    monkeypatch.setattr("threadlint.monitors.provides_access", refuse)
+    monkeypatch.setattr("threadlint.accesspaths.provides_access", refuse)
     assert analyze_class(model_from_source(src)) == want
 
 
