@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from threadlint.frontend.ast import SourceSpan
 
@@ -19,8 +18,7 @@ RULE_DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     """One rule violation at a precise source location.
 
     P3 alerts carry the other conflicting access in ``secondary``.

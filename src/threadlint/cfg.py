@@ -27,35 +27,38 @@ lock window can exist.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from threadlint.frontend import ast as A
 
 
-@dataclass(eq=False)
 class CfgNode:
-    index: int
-    kind: str  # entry | exit | stmt | cond | loop | sync_enter | sync_exit | update
-    ast: Optional[object]
-    exprs: Sequence  # the expressions it evaluates, in order
+    __slots__ = ("index", "kind", "ast", "exprs")
+
+    def __init__(self, index: int, kind: str, ast: Optional[object], exprs: Sequence):
+        self.index = index
+        self.kind = kind  # entry | exit | stmt | cond | loop | sync_enter | sync_exit | update
+        self.ast = ast
+        self.exprs = exprs  # the expressions it evaluates, in order
 
     def __repr__(self):
         return f"<cfg {self.index}:{self.kind}>"
 
 
-@dataclass(eq=False)
 class Cfg:
-    nodes: list[CfgNode]
-    succs: dict[CfgNode, list[CfgNode]]
-    entry: CfgNode
-    exit: CfgNode
-    # the sorted starts and the ends of the first lowering's top-level
-    # expressions, with the node that evaluates each; a node -> its copies
-    _starts: Optional[list[int]] = None
-    _index: Optional[list[tuple[int, CfgNode]]] = None
-    _copies: Optional[dict[CfgNode, list[CfgNode]]] = None
+    __slots__ = ("nodes", "succs", "entry", "exit", "_starts", "_index", "_copies")
+
+    def __init__(self, nodes: list[CfgNode], succs: dict[CfgNode, list[CfgNode]], entry: CfgNode, exit: CfgNode):
+        self.nodes = nodes
+        self.succs = succs
+        self.entry = entry
+        self.exit = exit
+        # the sorted starts and the ends of the first lowering's top-level
+        # expressions, with the node that evaluates each; a node -> its copies
+        self._starts: Optional[list[int]] = None
+        self._index: Optional[list[tuple[int, CfgNode]]] = None
+        self._copies: Optional[dict[CfgNode, list[CfgNode]]] = None
 
     def nodes_for(self, ast_node) -> list[CfgNode]:
         """The nodes that evaluate the expression ``ast_node`` of this

@@ -30,7 +30,6 @@ needs no line here unless it declares names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -63,17 +62,18 @@ def base_type(type_text: str) -> Optional[str]:
     return type_text.split("<", 1)[0]
 
 
-@dataclass(frozen=True)
 class ThreadSafeTypeAllowlist:
     """Types whose instances are trusted to synchronize internally."""
 
-    qualified_prefixes: tuple[str, ...] = DEFAULT_ALLOWLIST_PREFIXES
-    exact_types: tuple[str, ...] = ()
+    __slots__ = ("qualified_prefixes", "exact_types")
 
-    def __post_init__(self):
-        for entry in (*self.qualified_prefixes, *self.exact_types):
+    def __init__(self, qualified_prefixes: tuple[str, ...] = DEFAULT_ALLOWLIST_PREFIXES,
+                 exact_types: tuple[str, ...] = ()):
+        for entry in (*qualified_prefixes, *exact_types):
             if not entry or entry != entry.strip():
                 raise ValueError(f"allowlist entry {entry!r} must be nonempty and trimmed")
+        self.qualified_prefixes = qualified_prefixes
+        self.exact_types = exact_types
 
     def contains_type(self, declared: str, resolved: str) -> bool:
         base_declared = base_type(declared)
@@ -88,37 +88,55 @@ class ThreadSafeTypeAllowlist:
         return self.contains_type(f.declared_type, f.resolved_type)
 
 
-@dataclass(eq=False)
 class FieldAccess:
     """A read or write of an own field at one source location."""
 
-    field: A.FieldDecl
-    kind: AccessKind
-    span: A.SourceSpan
-    enclosing: Optional[A.MethodDecl]  # None inside a field initializer
-    expr: A.Expr
-    is_initializer_write: bool = False
+    __slots__ = ("field", "kind", "span", "enclosing", "expr", "is_initializer_write")
+
+    def __init__(self, field: A.FieldDecl, kind: AccessKind, span: A.SourceSpan,
+                 enclosing: Optional[A.MethodDecl], expr: A.Expr, is_initializer_write: bool = False):
+        self.field = field
+        self.kind = kind
+        self.span = span
+        self.enclosing = enclosing  # None inside a field initializer
+        self.expr = expr
+        self.is_initializer_write = is_initializer_write
 
     @property
     def line(self) -> int:
         return self.span.start_line
 
 
-@dataclass(eq=False)
 class ClassModel:
-    decl: A.ClassDecl
-    field_accesses: list[FieldAccess]
-    allowlist: ThreadSafeTypeAllowlist
-    annotated: bool
-    mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS
-    bindings: dict[int, A.FieldDecl] = field(default_factory=dict)  # id(Name|FieldSel) -> field
-    # id(local Name) -> the values written to its declaration, one list per
-    # declaration; None for a value not known
-    local_writes: dict[int, list[Optional[A.Expr]]] = field(default_factory=dict)
-    calls: dict[int, list[A.Call]] = field(default_factory=dict)  # id(callable) -> its calls
-    syncs: dict[int, list[A.Sync]] = field(default_factory=dict)  # id(callable) -> its sync blocks
-    overloads: dict[tuple[str, int], list[A.MethodDecl]] = field(default_factory=dict)  # (name, arity) -> methods
-    exposed: list[FieldAccess] = field(default_factory=list)  # exposed_accesses(self), set once built
+    __slots__ = ("decl", "field_accesses", "allowlist", "annotated", "mutator_methods", "bindings",
+                 "local_writes", "calls", "syncs", "overloads", "exposed")
+
+    def __init__(
+        self,
+        decl: A.ClassDecl,
+        field_accesses: list[FieldAccess],
+        allowlist: ThreadSafeTypeAllowlist,
+        annotated: bool,
+        mutator_methods: tuple[str, ...],
+        bindings: dict[int, A.FieldDecl],
+        local_writes: dict[int, list[Optional[A.Expr]]],
+        calls: dict[int, list[A.Call]],
+        syncs: dict[int, list[A.Sync]],
+        overloads: dict[tuple[str, int], list[A.MethodDecl]],
+    ):
+        self.decl = decl
+        self.field_accesses = field_accesses
+        self.allowlist = allowlist
+        self.annotated = annotated
+        self.mutator_methods = mutator_methods
+        self.bindings = bindings  # id(Name|FieldSel) -> field
+        # id(local Name) -> the values written to its declaration, one list per
+        # declaration; None for a value not known
+        self.local_writes = local_writes
+        self.calls = calls  # id(callable) -> its calls
+        self.syncs = syncs  # id(callable) -> its sync blocks
+        self.overloads = overloads  # (name, arity) -> methods
+        self.exposed: list[FieldAccess] = []  # exposed_accesses(self), set once built
 
     @property
     def name(self) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 import threading
 import time
@@ -29,17 +30,37 @@ EXIT_ERROR = 2
 
 
 def discover_files(paths: list[str]) -> list[str]:
-    """All .java files under the given paths, sorted for determinism."""
+    """All .java files under the given paths, each directory's sorted for
+    determinism. A file named more than once, directly, under a directory,
+    or through another spelling or a link, is kept once, under the first of
+    its names: files are told apart by device and inode. A path costs one
+    ``stat``, and so does each file found under a directory."""
     files: list[str] = []
+    seen: set = set()
+
+    def add(path: str, st: os.stat_result) -> None:
+        key = (st.st_dev, st.st_ino) if st.st_ino else path  # some file systems give no inode
+        if key not in seen:
+            seen.add(key)
+            files.append(path)
+
     for p in paths:
-        if os.path.isfile(p):
-            files.append(p)
-        elif os.path.isdir(p):
+        try:
+            st = os.stat(p)
+        except (OSError, ValueError):  # ValueError: a NUL in the path
+            raise IoError(f"no such file or directory: {p}") from None
+        if stat.S_ISREG(st.st_mode):
+            add(p, st)
+        elif stat.S_ISDIR(st.st_mode):
             for root, dirs, names in os.walk(p):
                 dirs.sort()
                 for name in sorted(names):
                     if name.endswith(".java"):
-                        files.append(os.path.join(root, name))
+                        path = os.path.join(root, name)
+                        try:
+                            add(path, os.stat(path))
+                        except OSError:  # e.g. a broken link: reading it reports the error
+                            files.append(path)
         else:
             raise IoError(f"no such file or directory: {p}")
     return files

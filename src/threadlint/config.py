@@ -8,7 +8,6 @@ default config file path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from threadlint.alerts import ALL_RULES
@@ -43,28 +42,39 @@ _LIST_KEYS = (
 )
 
 
-@dataclass(frozen=True)
 class Config:
-    annotations: tuple[str, ...] = DEFAULT_ANNOTATIONS
-    allowlist_prefixes: tuple[str, ...] = DEFAULT_ALLOWLIST_PREFIXES
-    allowlist_types: tuple[str, ...] = ()
-    lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES
-    lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS
-    unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS
-    mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS
-    rules: tuple[str, ...] = ALL_RULES
-    output_format: str = "text"
+    __slots__ = (*_LIST_KEYS, "output_format")
 
-    def __post_init__(self):
-        if not self.rules:
+    def __init__(
+        self,
+        annotations: tuple[str, ...] = DEFAULT_ANNOTATIONS,
+        allowlist_prefixes: tuple[str, ...] = DEFAULT_ALLOWLIST_PREFIXES,
+        allowlist_types: tuple[str, ...] = (),
+        lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES,
+        lock_methods: tuple[str, ...] = DEFAULT_LOCK_METHODS,
+        unlock_methods: tuple[str, ...] = DEFAULT_UNLOCK_METHODS,
+        mutator_methods: tuple[str, ...] = DEFAULT_MUTATOR_METHODS,
+        rules: tuple[str, ...] = ALL_RULES,
+        output_format: str = "text",
+    ):
+        if not rules:
             raise ConfigError("rules must be a nonempty subset of P1, P2, P3")
-        for r in self.rules:
+        for r in rules:
             if r not in ALL_RULES:
                 raise ConfigError(f"unknown rule {r!r}; expected one of {', '.join(ALL_RULES)}")
-        if self.output_format not in OUTPUT_FORMATS:
+        if output_format not in OUTPUT_FORMATS:
             raise ConfigError(
-                f"unknown output format {self.output_format!r}; expected one of {', '.join(OUTPUT_FORMATS)}"
+                f"unknown output format {output_format!r}; expected one of {', '.join(OUTPUT_FORMATS)}"
             )
+        self.annotations = annotations
+        self.allowlist_prefixes = allowlist_prefixes
+        self.allowlist_types = allowlist_types
+        self.lock_types = lock_types
+        self.lock_methods = lock_methods
+        self.unlock_methods = unlock_methods
+        self.mutator_methods = mutator_methods
+        self.rules = rules
+        self.output_format = output_format
         for key in _LIST_KEYS:
             for entry in getattr(self, key):
                 if not entry or entry != entry.strip():
@@ -126,23 +136,20 @@ def build_config(
     are exact type names.
     """
     overrides = load_config_file(file_path) if file_path else {}
-    cfg = Config(**overrides)
+    cfg = Config(**overrides)  # the file's values are checked, also those a flag replaces
+    flags: dict = {}
     if rules:
-        cfg = replace(cfg, rules=tuple(dict.fromkeys(rules)))
+        flags["rules"] = tuple(dict.fromkeys(rules))
     if output_format:
-        cfg = replace(cfg, output_format=output_format)
-    if annotation_add:
-        cfg = replace(cfg, annotations=cfg.annotations + tuple(annotation_add))
-    if lock_type_add:
-        cfg = replace(cfg, lock_types=cfg.lock_types + tuple(lock_type_add))
-    if mutator_add:
-        cfg = replace(cfg, mutator_methods=cfg.mutator_methods + tuple(mutator_add))
-    if allowlist_add:
-        prefixes = tuple(e for e in allowlist_add if e.endswith("."))
-        exact = tuple(e for e in allowlist_add if not e.endswith("."))
-        cfg = replace(
-            cfg,
-            allowlist_prefixes=cfg.allowlist_prefixes + prefixes,
-            allowlist_types=cfg.allowlist_types + exact,
-        )
-    return cfg
+        flags["output_format"] = output_format
+    added = (
+        ("annotations", annotation_add),
+        ("lock_types", lock_type_add),
+        ("mutator_methods", mutator_add),
+        ("allowlist_prefixes", tuple(e for e in allowlist_add if e.endswith("."))),
+        ("allowlist_types", tuple(e for e in allowlist_add if not e.endswith("."))),
+    )
+    for key, entries in added:
+        if entries:
+            flags[key] = getattr(cfg, key) + tuple(entries)
+    return Config(**{**overrides, **flags}) if flags else cfg

@@ -44,7 +44,6 @@ double with each finally block around it; finally blocks are capped at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from threadlint.errors import ParseError
@@ -113,16 +112,16 @@ _new = tuple.__new__  # SourceSpan's own __new__ is a Python-level call
 _SourceSpan = A.SourceSpan
 
 
-@dataclass(frozen=True)
 class SourceFile:
     """One UTF-8 Java source file."""
 
-    path: str
-    content: str
+    __slots__ = ("path", "content")
 
-    def __post_init__(self):
-        if not self.path:
+    def __init__(self, path: str, content: str):
+        if not path:
             raise ValueError("SourceFile.path must be nonempty")
+        self.path = path
+        self.content = content
 
 
 def _is_name(e: A.Expr) -> bool:

@@ -38,8 +38,7 @@ other kind makes the class unsupported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from threadlint.cfg import build_cfg, paths
 from threadlint.classmodel import ClassModel, is_default_initialized
@@ -61,8 +60,7 @@ PATH_CAP = 32  # paths per method, each of its callees' action lists counted
 _STRAIGHT_LINE = frozenset({A.New, A.Index, A.Unary, A.Binary, A.Paren, A.Literal, A.This, A.ClassLit})
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Exhaustive two-thread race check of one class."""
 
     class_id: str

@@ -29,9 +29,8 @@ actions become ``TraceAction``s only in a racy witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from threadlint.errors import BudgetExceeded, MalformedExecution
 
@@ -63,8 +62,7 @@ class Op(Enum):
 ActionSpec = tuple[Op, Optional[str]]  # an action of a thread program: its op and target
 
 
-@dataclass(frozen=True)
-class TraceAction:
+class TraceAction(NamedTuple):
     """One operation executed by one thread; ``seq`` is its program-order index."""
 
     thread: int
@@ -183,19 +181,19 @@ class _HappensBefore:
         del log[mark:]
 
 
-@dataclass(frozen=True)
 class Execution:
     """A total interleaving of a program's actions. Making one raises
     MalformedExecution on a missing target or a program-order or
     mutual-exclusion violation; monitors may stay held at the end (the
-    explicit Lock API allows it)."""
+    explicit Lock API allows it). Two executions are equal when their
+    actions are."""
 
-    actions: tuple[TraceAction, ...]
+    __slots__ = ("actions",)
 
-    def __post_init__(self):
+    def __init__(self, actions: tuple[TraceAction, ...]):
         last_seq: dict[int, int] = {}
         held: dict[str, list[int]] = {}
-        for a in self.actions:
+        for a in actions:
             if a.op is not Op.LOCAL and not a.target:
                 raise MalformedExecution(f"{a.op.value} action requires a target")
             prev = last_seq.get(a.thread)
@@ -207,21 +205,27 @@ class Execution:
                 raise MalformedExecution(f"thread {a.thread} locks {a.target!r} while thread {owner} holds it")
             if a.op is Op.UNLOCK and not _release(held, a.target, a.thread):
                 raise MalformedExecution(f"thread {a.thread} unlocks {a.target!r} without holding it", a)
+        self.actions = actions
+
+    def __eq__(self, other):
+        return self.actions == other.actions if type(other) is Execution else NotImplemented
+
+    def __hash__(self):
+        return hash(self.actions)
 
 
-@dataclass(frozen=True)
 class ThreadProgram:
     """A main thread's init actions, then one (op, target) list per worker;
     action i of thread t (0 for main, 1 + k for worker k) is ``TraceAction(t,
     op, target, i)``. Making one raises MalformedExecution on a missing
-    target, an init op on a worker, or an unlock without a hold."""
+    target, an init op on a worker, or an unlock without a hold. Two
+    programs are equal when their lists and names are."""
 
-    init_actions: tuple[ActionSpec, ...]
-    threads: tuple[tuple[ActionSpec, ...], ...]
-    name: str = ""
+    __slots__ = ("init_actions", "threads", "name")
 
-    def __post_init__(self):
-        for t, actions in enumerate((self.init_actions, *self.threads)):
+    def __init__(self, init_actions: tuple[ActionSpec, ...], threads: tuple[tuple[ActionSpec, ...], ...],
+                 name: str = ""):
+        for t, actions in enumerate((init_actions, *threads)):
             held: dict[str, list[int]] = {}
             for i, (op, target) in enumerate(actions):
                 if op is not Op.LOCAL and not target:
@@ -234,6 +238,17 @@ class ThreadProgram:
                     _acquire(held, target, t)  # one thread never blocks itself
                 elif op is Op.UNLOCK and not _release(held, target, t):
                     raise MalformedExecution(f"thread {t} unlocks {target!r} without holding it", TraceAction(t, op, target, i))
+        self.init_actions = init_actions
+        self.threads = threads
+        self.name = name
+
+    def __eq__(self, other):
+        if type(other) is not ThreadProgram:
+            return NotImplemented
+        return (self.init_actions, self.threads, self.name) == (other.init_actions, other.threads, other.name)
+
+    def __hash__(self):
+        return hash((self.init_actions, self.threads, self.name))
 
     @classmethod
     def build(cls, threads: list[list[ActionSpec]], init: Optional[list[ActionSpec]] = None,
@@ -350,8 +365,7 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
     return leaves, seq if found else None
 
 
-@dataclass(frozen=True)
-class RaceReport:
+class RaceReport(NamedTuple):
     """Verdict of one program; ``executions`` counts the sync orders explored."""
 
     raced: bool

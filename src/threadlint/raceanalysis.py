@@ -22,7 +22,6 @@ to the P3 check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from threadlint.alerts import (
@@ -48,16 +47,16 @@ if TYPE_CHECKING:
     from threadlint.accesspaths import AccessPathFact
 
 
-@dataclass(eq=False)
 class ConflictPair:
     """Two exposed accesses of one field, the modifying one first (a may be b)."""
 
-    a: FieldAccess
-    b: FieldAccess
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        assert self.a.field is self.b.field
-        assert is_modifying(self.a)
+    def __init__(self, a: FieldAccess, b: FieldAccess):
+        assert a.field is b.field
+        assert is_modifying(a)
+        self.a = a
+        self.b = b
 
 
 def _accesses_by_field(exposed: list[FieldAccess]) -> list[list[FieldAccess]]:

@@ -15,25 +15,28 @@ formats"), whose indenting encoder is pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str  # json.dumps' C string encoder
+from typing import NamedTuple, Optional
+
 from threadlint.alerts import ALL_RULES, Alert, RULE_DESCRIPTIONS
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
-@dataclass
 class Stats:
-    files_parsed: int = 0
-    classes_analyzed: int = 0
-    annotated_classes: int = 0
-    rule_counts: dict = field(default_factory=lambda: {r: 0 for r in ALL_RULES})
-    wall_time_s: float = 0.0  # not serialized: reports must be byte-stable
+    __slots__ = ("files_parsed", "classes_analyzed", "annotated_classes", "rule_counts", "wall_time_s")
+
+    def __init__(self, files_parsed: int = 0, classes_analyzed: int = 0, annotated_classes: int = 0,
+                 rule_counts: Optional[dict] = None, wall_time_s: float = 0.0):
+        self.files_parsed = files_parsed
+        self.classes_analyzed = classes_analyzed
+        self.annotated_classes = annotated_classes
+        self.rule_counts = {r: 0 for r in ALL_RULES} if rule_counts is None else rule_counts
+        self.wall_time_s = wall_time_s  # not serialized: reports must be byte-stable
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):
     path: str
     line: int
     col: int
@@ -43,8 +46,7 @@ class ParseFailure:
         return f"{self.path}:{self.line}:{self.col} ERROR {self.message}"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     class_id: str
     file: str
     static_alerts: int
@@ -63,12 +65,15 @@ class OracleResult:
         return line
 
 
-@dataclass
 class Report:
-    alerts: list[Alert] = field(default_factory=list)
-    stats: Stats = field(default_factory=Stats)
-    errors: list[ParseFailure] = field(default_factory=list)
-    oracle: list[OracleResult] = field(default_factory=list)
+    __slots__ = ("alerts", "stats", "errors", "oracle")
+
+    def __init__(self, alerts: Optional[list[Alert]] = None, stats: Optional[Stats] = None,
+                 errors: Optional[list[ParseFailure]] = None, oracle: Optional[list[OracleResult]] = None):
+        self.alerts = [] if alerts is None else alerts
+        self.stats = Stats() if stats is None else stats
+        self.errors = [] if errors is None else errors
+        self.oracle = [] if oracle is None else oracle
 
     def finalize(self) -> None:
         self.alerts.sort(key=Alert.sort_key)

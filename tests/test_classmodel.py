@@ -1,7 +1,5 @@
 """Access collection, P1/P2, exposure, and modification classification."""
 
-from dataclasses import dataclass
-
 import pytest
 
 from conftest import corpus_source, line_of, model_for, model_from_source
@@ -48,9 +46,12 @@ def test_class_without_fields_has_no_accesses():
 
 
 def test_a_kind_the_walk_does_not_handle_is_walked_through_its_children(monkeypatch):
-    @dataclass(eq=False, slots=True)
     class Opaque(A.Expr):  # a kind with children that no line of the collector decides on
-        inner: A.Expr
+        __slots__ = ("inner",)
+
+        def __init__(self, span, inner):
+            self.span = span
+            self.inner = inner
 
     monkeypatch.setitem(A._CHILDREN, Opaque, lambda n: [n.inner])
     decl = parse_source("@ThreadSafe class G { private int n; public int get() { return n; } }").classes[0]

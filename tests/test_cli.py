@@ -279,6 +279,36 @@ def test_files_parsed_counts_only_files_that_parsed(tmp_path, capsys):
     assert report["stats"]["files_parsed"] == 1
 
 
+def test_a_file_named_more_than_once_is_checked_once(monkeypatch, capsysbinary):
+    """A directory and files inside it, also under another spelling, give
+    the directory's report: each file is kept once, under its first name."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
+    corpus = os.path.join("tests", "corpus")
+    counter = os.path.join(corpus, "CounterDR.java")
+    code = main([*CORPUS_FLAGS, corpus, counter, os.path.join(".", counter)])
+    with open(os.path.join(GOLDEN_DIR, "corpus.txt"), "rb") as fh:
+        assert (code, capsysbinary.readouterr().out) == (EXIT_ALERTS, fh.read())
+    once = cli.discover_files([corpus])
+    files = cli.discover_files([counter, corpus, os.path.join(".", counter)])
+    assert files == [counter] + [f for f in once if f != counter]
+
+
+def test_a_link_names_its_target_and_a_path_costs_one_stat(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text(CLEAN)
+    (tmp_path / "B.java").symlink_to(tmp_path / "A.java")
+    real_stat, stats = os.stat, []
+
+    def counted(path, *args, **kw):
+        stats.append(path)
+        return real_stat(path, *args, **kw)
+
+    monkeypatch.setattr(os, "stat", counted)
+    a = str(tmp_path / "A.java")
+    assert cli.discover_files([a]) == [a] and len(stats) == 1
+    assert cli.discover_files([str(tmp_path / "B.java"), str(tmp_path)]) == [str(tmp_path / "B.java")]
+
+
 # Each probe binds a name or classifies a target where an earlier resolver
 # went wrong. name -> (class source, (rule, field) of every static alert,
 # whether the oracle finds a race); the oracle must agree with the static run.
@@ -880,6 +910,18 @@ def test_importing_the_cli_loads_neither_the_oracle_nor_the_fact_layer():
     loaded = proc.stdout.split()
     assert "threadlint.cli" in loaded and "threadlint.monitors" in loaded
     assert [m for m in loaded if m.startswith("threadlint.hboracle") or m == "threadlint.accesspaths"] == []
+
+
+def test_a_fresh_run_and_the_oracle_load_no_generated_code():
+    """What a fresh ``threadlint`` pays before its first file (the benchmark's
+    ``setup_s`` snippet), then the oracle's import, loads neither
+    ``dataclasses`` nor the ``inspect`` it brings: every class in ``src/`` is
+    declared without code generation."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
+    snippet = ("import sys, threadlint.cli; threadlint.cli.build_config(None); import threadlint.hboracle; "
+               "print(*sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_the_traced_benchmark_resolves_every_entry_point_and_runs(monkeypatch):

@@ -1,8 +1,8 @@
 """Lexer and parser behavior: subset coverage, spans, round-trips, errors,
 and the completeness of the shared child relation."""
 
-import dataclasses
 import gc
+import inspect
 import os
 import sys
 
@@ -281,9 +281,9 @@ def _spans(obj):
     elif isinstance(obj, list):
         for x in obj:
             yield from _spans(x)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _spans(getattr(obj, f.name))
+    elif isinstance(obj, A.Syntax):
+        for name in obj._fields:
+            yield from _spans(getattr(obj, name))
 
 
 def test_every_span_has_the_line_and_column_the_token_positions_give():
@@ -652,10 +652,10 @@ class AllKinds {
 
 
 def _field_children(node):
-    """Sub-nodes of ``node`` read off its dataclass fields, in field order."""
+    """Sub-nodes of ``node`` read off its fields, in field order."""
     out = []
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in node._fields:
+        value = getattr(node, name)
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, A.Node):
                 out.append(v)
@@ -682,6 +682,23 @@ def test_children_cover_every_subnode_in_source_order(corpus_names):
                     assert starts == sorted(starts), node
     kinds = {k for k in vars(A).values() if isinstance(k, type) and issubclass(k, (A.Stmt, A.Expr))}
     assert reached == kinds - {A.Stmt, A.Expr}
+
+
+# every kind a tree holds: the statements and expressions, and the rest
+TREE_KINDS = [*A._CHILDREN, A.Declarator, A.Catch, A.Param, A.Annotation, A.FieldDecl, A.MethodDecl,
+              A.ClassDecl, A.ImportDecl, A.Ast]
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS, ids=lambda k: k.__name__)
+def test_a_kind_stores_each_init_parameter_in_its_own_slot(kind):
+    """``_fields`` lists the ``__init__`` parameters in order, an instance has
+    no ``__dict__``, and each argument lands in the field of its name."""
+    params = list(inspect.signature(kind.__init__).parameters)[1:]
+    assert kind._fields == tuple(params)
+    sentinels = [object() for _ in params]
+    node = kind(*sentinels)
+    assert not hasattr(node, "__dict__")
+    assert all(getattr(node, name) is s for name, s in zip(kind._fields, sentinels))
 
 
 def test_walk_is_preorder_and_children_reject_non_nodes():

@@ -4,7 +4,6 @@ format."""
 
 import os
 import time
-from dataclasses import dataclass
 
 import pytest
 from hb_reference import interleavings, reference_raced, reference_races, search_sync_orders, trace_actions
@@ -238,14 +237,14 @@ def test_drivers_are_built_as_they_are_explored(monkeypatch):
                            "public void a() { n = 1; n = 2; n = 3; n = 4; n = 5; n = 6; n = 7; n = 8; n = 9; } "
                            "public synchronized void b() { n = 0; } public synchronized int c() { return n; } }")
     pairs = []
-    check = ThreadProgram.__post_init__
+    make = ThreadProgram.__init__
 
-    def counted(self):
-        if self.name:  # only a pair is named
-            pairs.append(self.name)
-        check(self)
+    def counted(self, init_actions, threads, name=""):
+        if name:  # only a pair is named
+            pairs.append(name)
+        make(self, init_actions, threads, name)
 
-    monkeypatch.setattr(ThreadProgram, "__post_init__", counted)
+    monkeypatch.setattr(ThreadProgram, "__init__", counted)
     verdict = check_class(cm)
     assert (verdict.status, verdict.drivers_checked) == ("budget-exceeded", 0)
     assert pairs == ["Big:a|a"]
@@ -314,9 +313,12 @@ def test_an_alias_of_an_alias_is_the_fields_monitor():
 
 
 def test_a_kind_the_driver_does_not_list_makes_the_class_unsupported(monkeypatch):
-    @dataclass(eq=False, slots=True)
     class Opaque(A.Expr):  # a kind with children that no line of the driver decides on
-        inner: A.Expr
+        __slots__ = ("inner",)
+
+        def __init__(self, span, inner):
+            self.span = span
+            self.inner = inner
 
     monkeypatch.setitem(A._CHILDREN, Opaque, lambda n: [n.inner])
     cm = model_from_source("@ThreadSafe class G { private int n; public int get() { return n; } }")
@@ -565,18 +567,19 @@ def test_trace_actions_are_made_for_a_witness_only(tmp_path, monkeypatch):
     race-free class makes no TraceAction and a racy one only its witness's.
     A trace file makes one Execution, which checks itself once."""
     made, checked = [], []
-    make_action, make_execution = TraceAction.__init__, Execution.__post_init__
+    make_action, make_execution = TraceAction.__new__, Execution.__init__
 
-    def action_made(self, *args):
-        make_action(self, *args)
-        made.append(self)
+    def action_made(cls, *args):
+        action = make_action(cls, *args)
+        made.append(action)
+        return action
 
-    def execution_made(self):
+    def execution_made(self, actions):
         checked.append(self)
-        make_execution(self)
+        make_execution(self, actions)
 
-    monkeypatch.setattr(TraceAction, "__init__", action_made)
-    monkeypatch.setattr(Execution, "__post_init__", execution_made)
+    monkeypatch.setattr(TraceAction, "__new__", action_made)
+    monkeypatch.setattr(Execution, "__init__", execution_made)
 
     def probe(name):
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_probes", f"{name}.java")

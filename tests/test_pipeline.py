@@ -22,6 +22,7 @@ from threadlint.reporting import serialize_report
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 MUTANTS = 400
+PAIRS = 200
 STATEMENT_EDITS = ("swap", "unsync", "duplicate", "move")
 TOKENS = ("synchronized", "lock", ".", "(", ")", "{", "}", ";", "=", "x", "this", "return", "new", "try")
 
@@ -99,6 +100,21 @@ def mutate(text: str, rng: random.Random) -> tuple[str, str]:
             return kind, " ".join(toks)
 
 
+def _checked(check, paths: list[str], config, shown: str):
+    """``check``'s report on ``paths``, serialized in every format, or None
+    for a ``ThreadlintError``; any other exception fails, showing ``shown``."""
+    try:
+        report, code = check(paths, config)
+        for fmt in OUTPUT_FORMATS:
+            serialize_report(report, fmt)
+    except ThreadlintError:
+        return None
+    except Exception as exc:
+        raise AssertionError(f"{check.__name__} raised {exc!r} on this input:\n{shown}") from exc
+    assert code in (EXIT_CLEAN, EXIT_ALERTS, EXIT_ERROR), shown
+    return report
+
+
 def test_no_mutant_of_the_corpus_or_the_probes_ends_in_a_traceback(tmp_path):
     """Each mutant, through ``run`` and ``oracle_check``, gives exit 0, 1 or
     2 and a report in every format, or else raises a ``ThreadlintError``;
@@ -112,18 +128,30 @@ def test_no_mutant_of_the_corpus_or_the_probes_ends_in_a_traceback(tmp_path):
         _, text = mutate(rng.choice(sources), rng)
         path.write_text(text, encoding="utf-8")
         for check in (run, oracle_check):
-            try:
-                report, code = check([str(path)], config)
-                for fmt in OUTPUT_FORMATS:
-                    serialize_report(report, fmt)
-            except ThreadlintError:
-                continue
-            except Exception as exc:
-                raise AssertionError(f"{check.__name__} raised {exc!r} on this mutant:\n{text}") from exc
-            assert code in (EXIT_CLEAN, EXIT_ALERTS, EXIT_ERROR), text
-            parsed += check is run and not report.errors
+            report = _checked(check, [str(path)], config, text)
+            parsed += check is run and report is not None and not report.errors
     print(f"{parsed} of {MUTANTS} mutants parsed")
     assert parsed > MUTANTS // 2
+
+
+def test_no_pair_of_mutants_ends_in_a_traceback(tmp_path):
+    """Two mutants checked together with the oracle give what one file never
+    gives: a report with parse errors next to alerts and oracle rows. Many
+    pairs do."""
+    config = build_config(os.path.join(TESTS, "corpus.cfg"))
+    rng = random.Random(31)
+    sources = _sources()
+    paths = [str(tmp_path / "A.java"), str(tmp_path / "B.java")]
+    mixed = 0
+    for _ in range(PAIRS):
+        texts = [mutate(rng.choice(sources), rng)[1] for _ in paths]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        report = _checked(oracle_check, paths, config, "\n\n".join(texts))
+        mixed += report is not None and bool(report.errors and report.alerts and report.oracle)
+    print(f"{mixed} of {PAIRS} pairs mixed parse errors and oracle rows")
+    assert mixed >= PAIRS // 5
 
 
 def test_every_statement_edit_keeps_to_the_grammar():
