@@ -371,13 +371,11 @@ def build_class_model(
     for m in decl.methods:
         collector.collect_callable(m)
     accesses = sorted(collector.out, key=lambda a: (a.span.start, a.span.end))
-    wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
-    annotated = bool(decl.annotation_simple_names() & wanted)
     overloads: dict[tuple[str, int], list[A.MethodDecl]] = {}
     for m in decl.methods:
         overloads.setdefault((m.name, m.arity), []).append(m)
-    cm = ClassModel(decl, accesses, allowlist, annotated, mutator_methods, collector.bindings,
-                    collector.local_writes, collector.calls, collector.syncs, overloads)
+    cm = ClassModel(decl, accesses, allowlist, decl.has_annotation(annotation_names), mutator_methods,
+                    collector.bindings, collector.local_writes, collector.calls, collector.syncs, overloads)
     cm.exposed = exposed_accesses(cm)
     return cm
 

@@ -14,13 +14,13 @@ import stat
 import sys
 import threading
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 import threadlint
 from threadlint.classmodel import build_class_model
 from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
 from threadlint.errors import IoError, ParseError, ThreadlintError
-from threadlint.frontend import Ast, SourceFile, annotated_as_thread_safe, annotation_pattern, parse_compilation_unit
+from threadlint.frontend import SourceFile, annotated_as_thread_safe, annotation_pattern, parse_compilation_unit
 from threadlint.raceanalysis import analyze_class
 from threadlint.reporting import OracleResult, ParseFailure, Report, serialize_report
 
@@ -34,7 +34,9 @@ def discover_files(paths: list[str]) -> list[str]:
     determinism. A file named more than once, directly, under a directory,
     or through another spelling or a link, is kept once, under the first of
     its names: files are told apart by device and inode. A path costs one
-    ``stat``, and so does each file found under a directory."""
+    ``stat``, and so does each entry found under a directory. Such an entry
+    that is no regular file (a FIFO, a socket, a link to one) is never
+    opened; one that cannot be stat'ed, such as a broken link, is kept."""
     files: list[str] = []
     seen: set = set()
 
@@ -58,43 +60,15 @@ def discover_files(paths: list[str]) -> list[str]:
                     if name.endswith(".java"):
                         path = os.path.join(root, name)
                         try:
-                            add(path, os.stat(path))
-                        except OSError:  # e.g. a broken link: reading it reports the error
+                            st = os.stat(path)
+                        except OSError:
                             files.append(path)
+                            continue
+                        if stat.S_ISREG(st.st_mode):
+                            add(path, st)
         else:
-            raise IoError(f"no such file or directory: {p}")
+            raise IoError(f"not a regular file or directory: {p}")
     return files
-
-
-def _parse_all(files: list[str], report: Report, annotations: tuple[str, ...]) -> Iterator[Ast]:
-    """Parse the files one at a time, yielding each AST in file order.
-
-    A file whose text ``annotation_pattern(annotations)`` finds nothing in
-    declares no class the rules judge, so it is decoded but neither lexed
-    nor parsed. The caller analyzes an AST before the next file is read, so
-    no more than one file's AST is alive at a time. Parse failures are
-    collected, not fatal; ``stats.files_parsed`` counts the files that
-    parsed.
-    """
-    may_hold_annotation = annotation_pattern(annotations).search
-    for path in files:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                content = fh.read()
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc.strerror or exc}")
-        except UnicodeDecodeError:
-            report.errors.append(ParseFailure(path, 1, 1, "file is not valid UTF-8"))
-            continue
-        if not may_hold_annotation(content):
-            continue
-        try:
-            ast = parse_compilation_unit(SourceFile(path, content))
-        except ParseError as exc:
-            report.errors.append(ParseFailure(path, exc.line, exc.col, exc.message))
-            continue
-        report.stats.files_parsed += 1
-        yield ast
 
 
 def _class_alerts(decl, config: Config):
@@ -160,31 +134,21 @@ def _resume_gc() -> None:
 
 
 def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
-    """Discover, parse and analyze one file at a time, and with ``oracle``
-    race-check each annotated class too; returns the report and an exit code.
-
-    The cyclic garbage collector is paused meanwhile and resumed only after
-    ``_check_files`` has returned, so that no collection walks the last
-    file's still-bound AST and class model."""
-    _pause_gc()
-    try:
-        return _check_files(paths, config, oracle)
-    finally:
-        _resume_gc()
-
-
-def _check_files(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
+    """Discover the files and check each with ``_check_file``; returns the
+    report and an exit code. Only a path argument that is missing, or is no
+    regular file or directory, raises ``IoError``. The cyclic garbage
+    collector is paused meanwhile; each file's AST and class models are
+    locals of ``_check_file``, freed before it resumes."""
     started = time.perf_counter()
     report = Report()
-    for ast in _parse_all(discover_files(paths), report, config.annotations):
-        report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
-        for decl in annotated_as_thread_safe(ast, config.annotations):
-            report.stats.annotated_classes += 1
-            cm, alerts = _class_alerts(decl, config)
-            report.alerts.extend(alerts)
-            if oracle:
-                report.oracle.append(_oracle_result(cm, ast.path, alerts, config))
-    report.finalize()
+    may_hold_annotation = annotation_pattern(config.annotations).search
+    _pause_gc()
+    try:
+        for path in discover_files(paths):
+            _check_file(path, report, config, oracle, may_hold_annotation)
+        report.finalize()
+    finally:
+        _resume_gc()
     report.stats.wall_time_s = time.perf_counter() - started
     if report.errors:
         return report, EXIT_ERROR
@@ -193,6 +157,37 @@ def _check_files(paths: list[str], config: Config, oracle: bool) -> tuple[Report
     else:
         failed = bool(report.alerts)
     return report, EXIT_ALERTS if failed else EXIT_CLEAN
+
+
+def _check_file(path: str, report: Report, config: Config, oracle: bool, may_hold_annotation) -> None:
+    """Read, pre-filter, parse and analyze one file into ``report``, and with
+    ``oracle`` race-check each annotated class too. A file that cannot be
+    read, is not valid UTF-8 or does not parse adds one ``ParseFailure``
+    row. One whose text ``may_hold_annotation`` finds nothing in declares
+    no class the rules judge, so it is decoded but not parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+        if not may_hold_annotation(content):
+            return
+        ast = parse_compilation_unit(SourceFile(path, content))
+    except OSError as exc:
+        report.errors.append(ParseFailure(path, 1, 1, f"cannot read: {exc.strerror or exc}"))
+        return
+    except UnicodeDecodeError:
+        report.errors.append(ParseFailure(path, 1, 1, "file is not valid UTF-8"))
+        return
+    except ParseError as exc:
+        report.errors.append(ParseFailure(path, exc.line, exc.col, exc.message))
+        return
+    report.stats.files_parsed += 1
+    report.stats.classes_analyzed += sum(1 for _ in ast.iter_classes())
+    for decl in annotated_as_thread_safe(ast, config.annotations):
+        report.stats.annotated_classes += 1
+        cm, alerts = _class_alerts(decl, config)
+        report.alerts.extend(alerts)
+        if oracle:
+            report.oracle.append(_oracle_result(cm, path, alerts, config))
 
 
 def run(paths: list[str], config: Config) -> tuple[Report, int]:

@@ -433,8 +433,12 @@ class ClassDecl(Node):
         self.implements = [] if implements is None else implements
         self.qualified_name = qualified_name
 
-    def annotation_simple_names(self) -> set[str]:
-        return {a.simple_name for a in self.annotations}
+    def has_annotation(self, annotation_names: tuple[str, ...]) -> bool:
+        """Whether the class carries one of the annotations, matched by
+        simple name: ``@ThreadSafe`` and ``@javax.annotation.concurrent.ThreadSafe``
+        both match ``ThreadSafe`` and ``javax.annotation.concurrent.ThreadSafe``."""
+        wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
+        return any(a.simple_name in wanted for a in self.annotations)
 
 
 class ImportDecl(Syntax):
@@ -554,11 +558,7 @@ def reconstruct_span(ast: Ast, span: SourceSpan) -> str:
 
 
 def annotated_as_thread_safe(ast: Ast, annotation_names: tuple[str, ...] = ("ThreadSafe",)) -> list[ClassDecl]:
-    """Classes (nested included) carrying one of the configured annotations.
-
-    Matching is by simple name: ``@ThreadSafe`` and
-    ``@javax.annotation.concurrent.ThreadSafe`` both match the default set.
-    """
-    wanted = {n.rsplit(".", 1)[-1] for n in annotation_names}
-    return [c for c in ast.iter_classes() if c.annotation_simple_names() & wanted]
+    """Classes (nested included) carrying one of the configured annotations,
+    by ``ClassDecl.has_annotation``."""
+    return [c for c in ast.iter_classes() if c.has_annotation(annotation_names)]
 

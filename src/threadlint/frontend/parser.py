@@ -158,7 +158,6 @@ class _Parser:
         self.finally_depth = 0  # finally blocks around the current token, see MAX_FINALLY_NESTING
         # simple-name -> qualified-name map built from exact imports
         self.import_map: dict[str, str] = {}
-        self.wildcard_packages: list[str] = []
 
     # -- token plumbing ------------------------------------------------------
     # A token is an index into the columns; the helpers return the index of
@@ -234,9 +233,7 @@ class _Parser:
             self.expect(";", "after import")
             imp = A.ImportDecl(name, wildcard, is_static, self.span_from(start))
             imports.append(imp)
-            if wildcard:
-                self.wildcard_packages.append(name)
-            elif not is_static:
+            if not (wildcard or is_static):
                 self.import_map.setdefault(imp.simple_name, name)
         classes: list[A.ClassDecl] = []
         while self.kinds[self.pos] != "eof":
@@ -401,15 +398,15 @@ class _Parser:
         return -1 if final else 0
 
     def resolve_type(self, type_text: str) -> str:
-        """Qualify a type via the file's imports when possible."""
+        """Qualify a type via the file's single-type imports. A name that only
+        a wildcard import may cover stays as written: which package declares
+        it is not known, so it is not guessed."""
         base = type_text.split("<", 1)[0].rstrip("[]")
         suffix = type_text[len(base):]
         if "." in base or base in PRIMITIVE_TYPES:
             return type_text
         if base in self.import_map:
             return self.import_map[base] + suffix
-        if len(self.wildcard_packages) == 1:
-            return self.wildcard_packages[0] + "." + base + suffix
         return type_text
 
     # -- class members ---------------------------------------------------------

@@ -15,7 +15,7 @@ from threadlint.classmodel import (
     is_modifying,
 )
 from threadlint.frontend import ast as A
-from threadlint.frontend import parse_source
+from threadlint.frontend import annotated_as_thread_safe, parse_source
 from threadlint.frontend.printer import canonical_text
 
 
@@ -24,6 +24,21 @@ def kinds(accesses):
 
 
 # --- build_class_model ---
+
+
+@pytest.mark.parametrize("names,expected", [
+    (("ThreadSafe",), {"A", "D"}),
+    (("javax.annotation.concurrent.ThreadSafe",), {"A", "D"}),
+    (("GuardedClass",), {"B"}),
+    (("ThreadSafe", "GuardedClass"), {"A", "B", "D"}),
+])
+def test_the_model_and_the_frontend_read_annotations_alike(names, expected):
+    """A class model is annotated exactly when ``annotated_as_thread_safe``
+    lists its class: both read ``ClassDecl.has_annotation``."""
+    ast = parse_source("@ThreadSafe class A { @GuardedClass class B { } class C { } }\n"
+                       "@javax.annotation.concurrent.ThreadSafe class D { }\n@Other class E { }")
+    assert {c.name for c in annotated_as_thread_safe(ast, names)} == expected
+    assert {c.name for c in ast.iter_classes() if build_class_model(c, annotation_names=names).annotated} == expected
 
 
 def test_counter_dr_accesses():

@@ -4,6 +4,7 @@ probes; streaming; and the reports on the corpus, on the benchmark's
 generated workloads and on parse errors, pinned byte for byte."""
 
 import contextlib
+import errno
 import gc
 import json
 import os
@@ -309,6 +310,49 @@ def test_a_link_names_its_target_and_a_path_costs_one_stat(tmp_path, monkeypatch
     assert cli.discover_files([str(tmp_path / "B.java"), str(tmp_path)]) == [str(tmp_path / "B.java")]
 
 
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["static", "oracle"])
+def test_a_file_that_cannot_be_read_is_a_report_row(tmp_path, monkeypatch, fmt, oracle):
+    """A directory holds a copy of the corpus's ``Unguarded.java``, a broken
+    link, a file that is not valid UTF-8 and, where the platform has them, a
+    FIFO. Each discovered file that cannot be checked is one error row, and
+    the run goes on. The FIFO is no regular file, so it is never opened, and
+    reading it cannot hang the run. ``Unguarded.java`` gets the alerts and
+    the oracle row it gets alone, and the run exits 2."""
+    src, d = "src", tmp_path / "src"
+    d.mkdir()
+    with open(os.path.join(REPO_ROOT, "tests", "corpus", "Unguarded.java"), encoding="utf-8") as fh:
+        (d / "Unguarded.java").write_text(fh.read(), encoding="utf-8")
+    (d / "Broken.java").symlink_to(tmp_path / "Gone.java")
+    (d / "Bad.java").write_bytes(b"@ThreadSafe class Bad { \xff }")
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(d / "Pipe.java")
+    proc = run_cli([*oracle, "--format", fmt, src], cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_ERROR, "")
+    monkeypatch.chdir(tmp_path)
+    check = oracle_check if oracle else run
+    config = build_config(None, output_format=fmt)
+    report, code = check([src], config)
+    assert proc.stdout == serialize_report(report, fmt).decode("utf-8") and code == EXIT_ERROR
+    assert [e.text_line() for e in report.errors] == [
+        f"{os.path.join(src, 'Bad.java')}:1:1 ERROR file is not valid UTF-8",
+        f"{os.path.join(src, 'Broken.java')}:1:1 ERROR cannot read: {os.strerror(errno.ENOENT)}",
+    ]
+    alone, _ = check([os.path.join(src, "Unguarded.java")], config)
+    assert [a.text_line() for a in report.alerts] == [a.text_line() for a in alone.alerts] != []
+    assert report.oracle == alone.oracle and bool(report.oracle) == bool(oracle)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_named_as_a_path_stops_the_run(tmp_path):
+    """A path argument is the one input that stops the run without a
+    report: a FIFO is neither a regular file nor a directory."""
+    os.mkfifo(tmp_path / "Pipe.java")
+    proc = run_cli(["Pipe.java"], cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "threadlint: error: not a regular file or directory: Pipe.java\n"
+
+
 # Each probe binds a name or classifies a target where an earlier resolver
 # went wrong. name -> (class source, (rule, field) of every static alert,
 # whether the oracle finds a race); the oracle must agree with the static run.
@@ -551,7 +595,9 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     and ``NewMonitor`` have P3 alerts and race; so does a call, such as
     ``Fresh``'s ``getLock()`` that returns ``new Object()``, unless it is a
     getter of an own final field, as ``FinalGetter.monitor()`` is, which
-    shares ``mu``'s monitor, so ``FinalGetter`` is race-free. Exit 0."""
+    shares ``mu``'s monitor, so ``FinalGetter`` is race-free. A wildcard
+    import names no type, so ``WildcardImport``'s ``Box`` field is not taken
+    for a ``java.util.concurrent`` type: P3 alerts, and a race. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])

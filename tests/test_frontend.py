@@ -568,6 +568,25 @@ class G {
     assert f1.declared_type == "java.util.List<int[]>"
 
 
+def test_a_wildcard_import_qualifies_no_type():
+    """``import java.util.concurrent.*;`` does not say that ``Box`` is
+    declared in ``java.util.concurrent``, so its name is not qualified, and
+    no allowlist prefix trusts it; an exact import still qualifies."""
+    src = """
+import java.util.concurrent.*;
+import java.util.concurrent.atomic.AtomicLong;
+
+class G {
+  private Box box;
+  private Box[] boxes;
+  private AtomicLong n;
+}
+"""
+    box, boxes, n = parse_source(src).classes[0].fields
+    assert (box.resolved_type, boxes.resolved_type) == ("Box", "Box[]")
+    assert n.resolved_type == "java.util.concurrent.atomic.AtomicLong"
+
+
 @pytest.mark.parametrize(
     "src,fragment",
     [
