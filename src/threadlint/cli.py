@@ -18,7 +18,7 @@ from typing import Optional
 
 import threadlint
 from threadlint.classmodel import build_class_model
-from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config
+from threadlint.config import ENV_CONFIG_PATH, OUTPUT_FORMATS, Config, build_config, read_text
 from threadlint.errors import IoError, ParseError, ThreadlintError
 from threadlint.frontend import SourceFile, annotated_as_thread_safe, annotation_pattern, parse_compilation_unit
 from threadlint.raceanalysis import analyze_class
@@ -161,21 +161,17 @@ def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]
 
 def _check_file(path: str, report: Report, config: Config, oracle: bool, may_hold_annotation) -> None:
     """Read, pre-filter, parse and analyze one file into ``report``, and with
-    ``oracle`` race-check each annotated class too. A file that cannot be
-    read, is not valid UTF-8 or does not parse adds one ``ParseFailure``
-    row. One whose text ``may_hold_annotation`` finds nothing in declares
-    no class the rules judge, so it is decoded but not parsed."""
+    ``oracle`` race-check each annotated class too. A file that ``read_text``
+    refuses or that does not parse adds one ``ParseFailure`` row. One whose
+    text ``may_hold_annotation`` finds nothing in declares no class the rules
+    judge, so it is decoded but not parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
+        content = read_text(path)
         if not may_hold_annotation(content):
             return
         ast = parse_compilation_unit(SourceFile(path, content))
-    except OSError as exc:
-        report.errors.append(ParseFailure(path, 1, 1, f"cannot read: {exc.strerror or exc}"))
-        return
-    except UnicodeDecodeError:
-        report.errors.append(ParseFailure(path, 1, 1, "file is not valid UTF-8"))
+    except IoError as exc:
+        report.errors.append(ParseFailure(path, 1, 1, str(exc)))
         return
     except ParseError as exc:
         report.errors.append(ParseFailure(path, exc.line, exc.col, exc.message))
@@ -207,14 +203,7 @@ def oracle_check(paths: list[str], config: Config) -> tuple[Report, int]:
 def check_trace(path: str) -> tuple[str, int]:
     """Race-check a standalone trace file."""
     from threadlint.hboracle import detect_races, parse_trace
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}")
-    except UnicodeDecodeError:
-        raise IoError(f"cannot read {path}: file is not valid UTF-8") from None
-    execution = parse_trace(text, path)
+    execution = parse_trace(read_text(path, f" {path}"), path)
     races = detect_races(execution)
     canonical = sorted(
         {tuple(sorted((str(a), str(b)))) for a, b in races}
@@ -257,13 +246,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.trace:
+        if args.trace is not None:
             out, code = check_trace(args.trace)
             sys.stdout.write(out)
             return code
         if not args.paths:
             build_arg_parser().error("at least one path is required (or --trace FILE)")
-        config_path = args.config or os.environ.get(ENV_CONFIG_PATH) or None
+        config_path = args.config if args.config is not None else os.environ.get(ENV_CONFIG_PATH) or None
         config = build_config(
             config_path,
             rules=tuple(args.rules) if args.rules else None,
@@ -273,10 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             annotation_add=tuple(args.annotation_add),
             mutator_add=tuple(args.mutator_add),
         )
-        if args.oracle:
-            report, code = oracle_check(args.paths, config)
-        else:
-            report, code = run(args.paths, config)
+        report, code = (oracle_check if args.oracle else run)(args.paths, config)
         sys.stdout.buffer.write(serialize_report(report, config.output_format))
         sys.stdout.flush()
         if args.timings:

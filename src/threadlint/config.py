@@ -8,6 +8,8 @@ default config file path.
 
 from __future__ import annotations
 
+import os
+import stat
 from typing import Optional
 
 from threadlint.alerts import ALL_RULES
@@ -16,7 +18,7 @@ from threadlint.classmodel import (
     DEFAULT_MUTATOR_METHODS,
     ThreadSafeTypeAllowlist,
 )
-from threadlint.errors import ConfigError
+from threadlint.errors import ConfigError, IoError
 from threadlint.frontend import DEFAULT_ANNOTATIONS
 from threadlint.monitors import (
     DEFAULT_LOCK_METHODS,
@@ -110,14 +112,20 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return overrides
 
 
-def load_config_file(path: str) -> dict:
+def read_text(path: str, what: str = "") -> str:
+    """The text of the regular file ``path``, as UTF-8: the one way threadlint opens a file a user
+    names. Anything else (a FIFO, a directory, a device) is refused unread, so none can block a run."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), path)
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise IoError(f"cannot read{what}: not a regular file")
+        with open(fd, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+        raise IoError(f"cannot read{what}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise ConfigError(f"cannot read config file {path}: file is not valid UTF-8") from None
+        raise IoError(f"cannot read{what}: file is not valid UTF-8") from None
 
 
 def build_config(
@@ -135,7 +143,8 @@ def build_config(
     ``--allowlist-add`` entries ending in '.' are package prefixes; the rest
     are exact type names.
     """
-    overrides = load_config_file(file_path) if file_path else {}
+    what = f" config file {file_path}"
+    overrides = {} if file_path is None else parse_config_text(read_text(file_path, what), file_path)
     cfg = Config(**overrides)  # the file's values are checked, also those a flag replaces
     flags: dict = {}
     if rules:

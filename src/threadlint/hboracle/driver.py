@@ -6,7 +6,8 @@ declaration order), then worker threads each call one public method. A
 method runs as each path that :func:`threadlint.cfg.paths` walks; paths with
 the same actions count once, and more than ``PATH_CAP`` put the class over
 budget. A same-class call is inlined, each of the callee's action lists in
-turn; one that may run more than one overload makes the class unsupported.
+turn; one that may run more than one overload makes the class unsupported,
+and calls nested too deep to inline put it over budget.
 
 What a name, a call or a synchronized block's monitor denotes is asked of
 the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
@@ -241,10 +242,14 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     pair is made from the checked lists only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
-    for m in cm.decl.methods:
-        if m.is_public:
-            for actions in b.method_actions(m):
-                owner.setdefault(actions, m.name)
+    try:
+        for m in cm.decl.methods:
+            if m.is_public:
+                for actions in b.method_actions(m):
+                    owner.setdefault(actions, m.name)
+    except RecursionError:  # each inlined call takes several Python frames
+        raise BudgetExceeded(f"{cm.decl.name}.{m.name}: same-class calls nest deeper "
+                             "than the oracle can inline") from None
     for actions, name in owner.items():
         try:
             ThreadProgram((), (actions,))

@@ -108,16 +108,50 @@ def test_oracle_skips_a_class_over_the_action_budget(tmp_path):
     )
 
 
+def call_chain(n):
+    """A class whose synchronized ``m0`` calls private ``m1``, each ``m<i>``
+    the next, and ``m<n>`` writes ``x``; a synchronized getter reads it."""
+    calls = "".join(f"  private void m{i}() {{ m{i + 1}(); }}\n" for i in range(1, n))
+    return ("@ThreadSafe\nclass Chain {\n  private int x;\n  public synchronized void m0() { m1(); }\n"
+            f"{calls}  private void m{n}() {{ x = 1; }}\n  public synchronized int get() {{ return x; }}\n}}\n")
+
+
+def test_a_call_chain_too_deep_to_inline_is_over_budget(tmp_path):
+    """The oracle inlines each same-class call by recursion, so a chain of
+    400 calls is over its budget, in process and from the command line in
+    every format, with no traceback. A chain of 100, the longest the
+    benchmark generates, is checked and race-free."""
+    short, deep = tmp_path / "Short.java", tmp_path / "Deep.java"
+    short.write_text(call_chain(100))
+    deep.write_text(call_chain(400))
+    config = build_config(None)
+    report, code = oracle_check([str(short)], config)
+    assert code == EXIT_CLEAN and [(r.status, r.raced) for r in report.oracle] == [("checked", False)]
+    report, code = oracle_check([str(deep)], config)
+    assert code == EXIT_CLEAN
+    assert [r.text_line() for r in report.oracle] == [
+        f"{deep} Chain static=0 oracle=budget-exceeded agreement=skipped "
+        "(Chain.m0: same-class calls nest deeper than the oracle can inline)"
+    ]
+    for fmt in OUTPUT_FORMATS:
+        proc = run_cli(["--oracle", "--format", fmt, str(deep)], timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_CLEAN, "")
+        assert proc.stdout == serialize_report(report, fmt).decode("utf-8")
+
+
 DEEP = {
     "nested-parens": "(" * 3000 + "x" + ")" * 3000,
     "long-sum": " + ".join(["x"] * 5000),
 }
 
 
-def run_cli(args, cwd=None, timeout=None):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_cli(args, cwd=None, timeout=None, config_env=None):
+    """Run the CLI in a fresh interpreter, as a user would, with
+    ``$THREADLINT_CONFIG`` set to ``config_env`` or else unset."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
     env.pop("THREADLINT_CONFIG", None)
+    if config_env is not None:
+        env["THREADLINT_CONFIG"] = config_env
     return subprocess.run(
         [sys.executable, "-m", "threadlint.cli", *args], capture_output=True, text=True, env=env, cwd=cwd,
         timeout=timeout,
@@ -170,7 +204,7 @@ PATH_AND_CONFIG_CASES = {
     "alert-file": ({"Open.java": OPEN}, ["Open.java"], EXIT_ALERTS, "Open.java:3:3 P1 n"),
     "missing-path": ({}, ["Nowhere.java"], EXIT_ERROR, "no such file or directory: Nowhere.java"),
     "invalid-utf8": ({"Bad.java": b"class Bad { \xff }"}, ["Bad.java"], EXIT_ERROR,
-                     "Bad.java:1:1 ERROR file is not valid UTF-8"),
+                     "Bad.java:1:1 ERROR cannot read: file is not valid UTF-8"),
     "config-unknown-key": ({"Clean.java": CLEAN, "t.cfg": "colour = red\n"},
                            ["--config", "t.cfg", "Clean.java"], EXIT_ERROR, "t.cfg:1: unknown key 'colour'"),
     "config-two-formats": ({"Clean.java": CLEAN, "t.cfg": "format = text, json\n"},
@@ -183,6 +217,10 @@ PATH_AND_CONFIG_CASES = {
                             EXIT_ERROR, "threadlint: error: cannot read config file t.cfg: file is not valid UTF-8"),
     "trace-invalid-utf8": ({"t.trace": b"1 read x \xff\n"}, ["--trace", "t.trace"], EXIT_ERROR,
                            "threadlint: error: cannot read t.trace: file is not valid UTF-8"),
+    # an empty path names no file; it does not fall back to $THREADLINT_CONFIG or the defaults
+    "config-empty": ({"Clean.java": CLEAN}, ["--config", "", "Clean.java"], EXIT_ERROR,
+                     "threadlint: error: cannot read config file : No such file or directory"),
+    "trace-empty": ({}, ["--trace", ""], EXIT_ERROR, "threadlint: error: cannot read : No such file or directory"),
     # an allowlist entry is checked when the configuration is built, before any class
     "allowlist-empty": ({"Clean.java": CLEAN}, ["--allowlist-add=", "Clean.java"], EXIT_ERROR,
                         "threadlint: error: allowlist entry '' must be nonempty and trimmed"),
@@ -216,6 +254,45 @@ def test_path_and_config_exit_codes(tmp_path, name):
     assert expected in proc.stdout + proc.stderr
     if code == EXIT_CLEAN:
         assert proc.stdout == "" and proc.stderr == ""
+
+
+def test_an_empty_config_option_is_not_the_environments_config(tmp_path):
+    """``--config ""`` names no file even when ``$THREADLINT_CONFIG`` names a
+    valid one; an empty ``$THREADLINT_CONFIG`` is as if it were unset."""
+    (tmp_path / "Clean.java").write_text(CLEAN)
+    (tmp_path / "t.cfg").write_text("rules = P3\n")
+    proc = run_cli(["--config", "", "Clean.java"], cwd=tmp_path, timeout=60, config_env="t.cfg")
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "threadlint: error: cannot read config file : No such file or directory\n"
+    proc = run_cli(["Clean.java"], cwd=tmp_path, timeout=60, config_env="")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CLEAN, "", "")
+
+
+@pytest.mark.parametrize("way", ["--trace", "--config", "THREADLINT_CONFIG"])
+@pytest.mark.parametrize("kind", ["fifo", "directory", "dev-null"])
+def test_an_input_that_is_no_regular_file_is_refused_unread(tmp_path, kind, way):
+    """A FIFO with no writer, a directory or a device, named as the trace,
+    the config file or ``$THREADLINT_CONFIG``, stops the run at once with
+    exit 2 and one error line: nothing is read from it, so nothing blocks."""
+    name = {"fifo": "in.fifo", "directory": "in.dir", "dev-null": os.devnull}[kind]
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(tmp_path / name)
+    elif kind == "directory":
+        (tmp_path / name).mkdir()
+    (tmp_path / "Clean.java").write_text(CLEAN)
+    if way == "--trace":
+        proc = run_cli(["--trace", name], cwd=tmp_path, timeout=60)
+        what = name
+    elif way == "--config":
+        proc = run_cli(["--config", name, "Clean.java"], cwd=tmp_path, timeout=60)
+        what = f"config file {name}"
+    else:
+        proc = run_cli(["Clean.java"], cwd=tmp_path, timeout=60, config_env=name)
+        what = f"config file {name}"
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == f"threadlint: error: cannot read {what}: not a regular file\n"
 
 
 # config-file key -> (its value in the file, the Config field it sets, what that field holds)
@@ -335,7 +412,7 @@ def test_a_file_that_cannot_be_read_is_a_report_row(tmp_path, monkeypatch, fmt, 
     report, code = check([src], config)
     assert proc.stdout == serialize_report(report, fmt).decode("utf-8") and code == EXIT_ERROR
     assert [e.text_line() for e in report.errors] == [
-        f"{os.path.join(src, 'Bad.java')}:1:1 ERROR file is not valid UTF-8",
+        f"{os.path.join(src, 'Bad.java')}:1:1 ERROR cannot read: file is not valid UTF-8",
         f"{os.path.join(src, 'Broken.java')}:1:1 ERROR cannot read: {os.strerror(errno.ENOENT)}",
     ]
     alone, _ = check([os.path.join(src, "Unguarded.java")], config)

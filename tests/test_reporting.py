@@ -66,7 +66,7 @@ def test_cli_sarif_lists_every_parse_failure(tmp_path, capsys):
     notes = invocation["toolExecutionNotifications"]
     uris = [n["locations"][0]["physicalLocation"]["artifactLocation"]["uri"] for n in notes]
     assert uris == [str(tmp_path / "A.java"), str(tmp_path / "B.java")]
-    assert notes[1]["message"]["text"] == "file is not valid UTF-8"
+    assert notes[1]["message"]["text"] == "cannot read: file is not valid UTF-8"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
