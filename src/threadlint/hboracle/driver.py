@@ -5,9 +5,9 @@ main thread initializes the object (one init action per field, in
 declaration order), then worker threads each call one public method. A
 method runs as each path that :func:`threadlint.cfg.paths` walks; paths with
 the same actions count once, and more than ``PATH_CAP`` put the class over
-budget. A same-class call is inlined, each of the callee's action lists in
-turn; one that may run more than one overload makes the class unsupported,
-and calls nested too deep to inline put it over budget.
+budget. Each method is lowered once, after its same-class callees, so a call
+inlines the callee's finished action lists, each in turn; a call that may
+run more than one overload, or a cycle of calls, makes the class unsupported.
 
 What a name, a call or a synchronized block's monitor denotes is asked of
 the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
@@ -77,9 +77,9 @@ class _DriverBuilder:
         self.cm = cm
         self.decl = cm.decl
         self.monitors = MonitorAnalysis(cm, **lock_kw)  # asked only which call locks or unlocks what
-        # id(method) -> its action lists; a method that completed closes no cycle,
-        # so its lists hold under any caller
+        # id(method) -> its action lists, lowered once, after its callees
         self._actions: dict[int, list[tuple[ActionSpec, ...]]] = {}
+        self._lowering: Optional[A.MethodDecl] = None  # the method the path cap names
 
     # -- lowering: ``out`` holds the action lists of one path so far --
 
@@ -93,24 +93,35 @@ class _DriverBuilder:
             write_op, read_op = (Op.VOLATILE_WRITE, Op.VOLATILE_READ) if f.is_volatile else (Op.WRITE, Op.READ)
             self._emit(out, write_op if write else read_op, f.name)
 
-    def method_actions(self, m: A.MethodDecl, stack: tuple[A.MethodDecl, ...] = ()) -> list[tuple[ActionSpec, ...]]:
-        """The distinct action lists of one call of ``m``, in path order;
-        ``stack`` holds the inlining callers."""
-        got = self._actions.get(id(m))
-        if got is not None:
-            return got
+    def method_actions(self, m: A.MethodDecl) -> list[tuple[ActionSpec, ...]]:
+        """The distinct action lists of one call of ``m``, in path order; its same-class
+        callees are lowered first, depth first, and a callee on the walk closes a cycle."""
+        walk = {id(m): (m, iter(self.cm.calls_in(m)))}  # id -> (method, calls left), callers first
+        while id(m) not in self._actions:
+            k, calls = next(reversed(walk.values()))
+            for c in (cs[0] for cs in map(self.cm.callees, calls) if len(cs) == 1):
+                if id(c) in walk:
+                    raise UnsupportedForOracle(f"{self.decl.name}.{c.name}: recursive call chain")
+                if id(c) not in self._actions:
+                    walk[id(c)] = (c, iter(self.cm.calls_in(c)))
+                    break
+            else:
+                walk.popitem()
+                self._actions[id(k)] = self._lower_method(k)
+        return self._actions[id(m)]
+
+    def _lower_method(self, m: A.MethodDecl) -> list[tuple[ActionSpec, ...]]:
+        """``m``'s distinct action lists, its callees' lists already in ``_actions``."""
         if m.body is None:
             raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: no body")
-        if any(c is m for c in stack):
-            raise UnsupportedForOracle(f"{self.decl.name}.{m.name}: recursive call chain")
-        stack += (m,)
+        self._lowering = m
         monitor = method_monitor(m, self.cm)
         found: dict[tuple[ActionSpec, ...], None] = {}
         walked = 0
         for path in paths(build_cfg(m)):
             out = [[(Op.LOCK, monitor)] if monitor else []]
             for node in path:
-                self._lower_all(node.exprs, stack, out)
+                self._lower_all(node.exprs, out)
                 if node.kind in ("sync_enter", "sync_exit"):
                     # a parameter or non-alias local guards nothing: no monitor actions
                     sync = sync_monitor(node.ast.monitor, self.cm)
@@ -121,19 +132,18 @@ class _DriverBuilder:
             walked += len(out)
             self._check_cap(m, walked)
             found.update(dict.fromkeys(map(tuple, out)))
-        got = self._actions[id(m)] = list(found)
-        return got
+        return list(found)
 
     def _check_cap(self, m: A.MethodDecl, walked: int) -> None:
         if walked > PATH_CAP:
             raise BudgetExceeded(f"{self.decl.name}.{m.name} has more than {PATH_CAP} paths; "
                                  f"the oracle walks at most {PATH_CAP}")
 
-    def _lower_all(self, exprs, stack, out) -> None:
+    def _lower_all(self, exprs, out) -> None:
         for e in exprs:
-            self._lower(e, stack, out)
+            self._lower(e, out)
 
-    def _lower(self, n: A.Node, stack: tuple[A.MethodDecl, ...], out) -> None:
+    def _lower(self, n: A.Node, out) -> None:
         """Append the field and monitor actions of expression ``n``, in
         evaluation order; raise UnsupportedForOracle for a kind not decided
         on here."""
@@ -143,19 +153,19 @@ class _DriverBuilder:
             if f is not None:
                 self._access(f, False, out)
             elif t is A.FieldSel:
-                self._lower(n.qualifier, stack, out)
+                self._lower(n.qualifier, out)
         elif t is A.Assign:
-            self._write(n.target, n.value, n.op != "=", stack, out)
+            self._write(n.target, n.value, n.op != "=", out)
         elif t is A.Unary and n.op in ("++", "--"):
-            self._write(n.operand, None, True, stack, out)
+            self._write(n.operand, None, True, out)
         elif t is A.Call:
-            self._call_actions(n, stack, out)
+            self._call_actions(n, out)
         elif t in _STRAIGHT_LINE:
-            self._lower_all(A.children(n), stack, out)
+            self._lower_all(A.children(n), out)
         else:
             raise UnsupportedForOracle(f"{self.decl.name}: unsupported expression {t.__name__}")
 
-    def _write(self, target: A.Expr, value: Optional[A.Expr], compound: bool, stack, out) -> None:
+    def _write(self, target: A.Expr, value: Optional[A.Expr], compound: bool, out) -> None:
         """An assignment (``value`` set) or ``++``/``--`` of ``target``: the
         array or receiver the target is selected from, its indices, a
         compound read, the value, then the write. An element write of an own
@@ -167,25 +177,25 @@ class _DriverBuilder:
             target = A.strip_parens(target.base)
         f = self.cm.field_of(target)
         if f is None:
-            self._lower(target, stack, out)  # a local reads nothing; another object's field reads its receiver
+            self._lower(target, out)  # a local reads nothing; another object's field reads its receiver
         elif compound and not indices:
             self._access(f, False, out)
-        self._lower_all(reversed(indices), stack, out)  # Java evaluates the leftmost index first
+        self._lower_all(reversed(indices), out)  # Java evaluates the leftmost index first
         if value is not None:
-            self._lower(value, stack, out)
+            self._lower(value, out)
         if f is not None:
             self._access(f, True, out)
 
-    def _call_actions(self, e: A.Call, stack, out) -> None:
+    def _call_actions(self, e: A.Call, out) -> None:
         q = e.qualifier
         callees = self.cm.callees(e)
         if len(callees) > 1:
             raise UnsupportedForOracle(f"{self.decl.name}.{e.name}: {len(callees)} overloads of arity "
                                        f"{len(e.args)} match the call; not oracle-supported")
         if callees:
-            self._lower_all(e.args, stack, out)
-            out[:] = [actions + list(tail) for actions in out for tail in self.method_actions(callees[0], stack)]
-            self._check_cap(stack[-1], len(out))
+            self._lower_all(e.args, out)
+            out[:] = [actions + list(tail) for actions in out for tail in self._actions[id(callees[0])]]
+            self._check_cap(self._lowering, len(out))
             return
         if q is not None:
             # lock recognition wins over the allowlist: java.util.concurrent.locks
@@ -195,21 +205,21 @@ class _DriverBuilder:
                 if e.name == "tryLock":
                     raise UnsupportedForOracle(f"{self.decl.name}: tryLock acquisition may fail; not oracle-supported")
                 lf, locks = lock
-                self._lower(q, stack, out)
-                self._lower_all(e.args, stack, out)
+                self._lower(q, out)
+                self._lower_all(e.args, out)
                 self._emit(out, Op.LOCK if locks else Op.UNLOCK, lock_monitor(lf))
                 return
             f = self.cm.field_of(q)
             if f is not None:
                 if e.name in self.cm.mutator_methods:
-                    self._lower_all(e.args, stack, out)
+                    self._lower_all(e.args, out)
                     self._access(f, True, out)
                 else:
                     self._access(f, False, out)
-                    self._lower_all(e.args, stack, out)
+                    self._lower_all(e.args, out)
                 return
-            self._lower(q, stack, out)
-        self._lower_all(e.args, stack, out)
+            self._lower(q, out)
+        self._lower_all(e.args, out)
 
     # -- init actions --
 
@@ -242,14 +252,10 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     pair is made from the checked lists only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
-    try:
-        for m in cm.decl.methods:
-            if m.is_public:
-                for actions in b.method_actions(m):
-                    owner.setdefault(actions, m.name)
-    except RecursionError:  # each inlined call takes several Python frames
-        raise BudgetExceeded(f"{cm.decl.name}.{m.name}: same-class calls nest deeper "
-                             "than the oracle can inline") from None
+    for m in cm.decl.methods:
+        if m.is_public:
+            for actions in b.method_actions(m):
+                owner.setdefault(actions, m.name)
     for actions, name in owner.items():
         try:
             ThreadProgram((), (actions,))

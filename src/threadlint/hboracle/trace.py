@@ -40,7 +40,10 @@ def parse_trace(text: str, path: str = "<trace>") -> Execution:
             raise MalformedExecution(f"{path}:{lineno}: expected '<thread> <op> [<target>]', got {raw!r}")
         if not (parts[0].isascii() and parts[0].isdigit()):
             raise MalformedExecution(f"{path}:{lineno}: thread must be a nonnegative integer, got {parts[0]!r}")
-        thread = int(parts[0])
+        try:
+            thread = int(parts[0])
+        except ValueError:  # more digits than int() converts
+            raise MalformedExecution(f"{path}:{lineno}: thread number has too many digits ({len(parts[0])})") from None
         op = _OP_BY_NAME.get(parts[1])
         if op is None:
             raise MalformedExecution(f"{path}:{lineno}: unknown op {parts[1]!r}")

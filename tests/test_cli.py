@@ -16,14 +16,14 @@ from collections import Counter
 
 import pytest
 import report_reference
-from conftest import benchmark_module, benchmark_workloads
+from conftest import benchmark_module, benchmark_workloads, model_from_source
 
 import threadlint
 from threadlint import cli
 from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, main, oracle_check, run
 from threadlint.config import OUTPUT_FORMATS, build_config
 from threadlint.errors import IoError
-from threadlint.hboracle import OracleVerdict
+from threadlint.hboracle import OracleVerdict, check_class
 from threadlint.reporting import serialize_report
 
 
@@ -116,25 +116,24 @@ def call_chain(n):
             f"{calls}  private void m{n}() {{ x = 1; }}\n  public synchronized int get() {{ return x; }}\n}}\n")
 
 
-def test_a_call_chain_too_deep_to_inline_is_over_budget(tmp_path):
-    """The oracle inlines each same-class call by recursion, so a chain of
-    400 calls is over its budget, in process and from the command line in
-    every format, with no traceback. A chain of 100, the longest the
-    benchmark generates, is checked and race-free."""
-    short, deep = tmp_path / "Short.java", tmp_path / "Deep.java"
-    short.write_text(call_chain(100))
-    deep.write_text(call_chain(400))
-    config = build_config(None)
-    report, code = oracle_check([str(short)], config)
-    assert code == EXIT_CLEAN and [(r.status, r.raced) for r in report.oracle] == [("checked", False)]
-    report, code = oracle_check([str(deep)], config)
+def nested(depth, f):
+    """``f()`` called from ``depth`` Python frames further down the stack."""
+    return f() if depth == 0 else nested(depth - 1, f)
+
+
+def test_a_long_call_chain_is_checked_from_any_stack_depth(tmp_path):
+    """The oracle lowers each method once, callees first, so a chain of 400
+    calls is checked and race-free, in process from 600 frames down as from
+    the top, and from the command line in every format."""
+    src, path = call_chain(400), tmp_path / "Deep.java"
+    path.write_text(src)
+    cm = model_from_source(src)
+    assert nested(600, lambda: check_class(cm)) == check_class(cm) == ("Chain", False, None, 3, "checked", "")
+    report, code = oracle_check([str(path)], build_config(None))
     assert code == EXIT_CLEAN
-    assert [r.text_line() for r in report.oracle] == [
-        f"{deep} Chain static=0 oracle=budget-exceeded agreement=skipped "
-        "(Chain.m0: same-class calls nest deeper than the oracle can inline)"
-    ]
+    assert [r.text_line() for r in report.oracle] == [f"{path} Chain static=0 oracle=race-free agreement=ok"]
     for fmt in OUTPUT_FORMATS:
-        proc = run_cli(["--oracle", "--format", fmt, str(deep)], timeout=60)
+        proc = run_cli(["--oracle", "--format", fmt, str(path)], timeout=60)
         assert (proc.returncode, proc.stderr) == (EXIT_CLEAN, "")
         assert proc.stdout == serialize_report(report, fmt).decode("utf-8")
 

@@ -177,19 +177,20 @@ LOWERED = """@ThreadSafe class Low {
 
 
 def test_each_public_method_is_lowered_once(monkeypatch):
+    """Every method, public or a callee, is lowered once, after its callees,
+    however many callers inline it."""
     cm = model_from_source(LOWERED)
     public = [m for m in cm.decl.methods if m.is_public]
-    top_level = []
-    lower = driver._DriverBuilder.method_actions
+    lowered = []
+    lower = driver._DriverBuilder._lower_method
 
-    def counted(self, m, stack=()):
-        if not stack:
-            top_level.append(m.name)
-        return lower(self, m, stack)
+    def counted(self, m):
+        lowered.append(m.name)
+        return lower(self, m)
 
-    monkeypatch.setattr(driver._DriverBuilder, "method_actions", counted)
+    monkeypatch.setattr(driver._DriverBuilder, "_lower_method", counted)
     drivers = list(two_thread_drivers(cm))
-    assert top_level == ["a", "b", "c"]
+    assert lowered == ["bump", "a", "b", "c"]
     # each program is the one built from its own pair of methods, whose
     # straight-line bodies have one action list each
     pairs = [(m1, m2) for i, m1 in enumerate(public) for m2 in public[i:]]

@@ -7,12 +7,14 @@ windows and the oracle's lowering see them: two statements swapped, a
 unlock moved before another statement. A few are token edits, which mostly
 stop at the parser. Trace files get line mutants: a target dropped, an
 unknown op, a bad thread, an unbalanced unlock. The mutants are drawn from
-a fixed seed, so a failure names the same input on every run.
+a fixed seed, so a failure names the same input on every run. A chain of
+400 same-class calls and a cycle of calls go through the same checks.
 """
 
 import os
 import random
 
+from test_cli import UNINLINED_CALLS, call_chain
 from threadlint.cli import EXIT_ALERTS, EXIT_CLEAN, EXIT_ERROR, check_trace, oracle_check, run
 from threadlint.config import OUTPUT_FORMATS, build_config
 from threadlint.errors import ThreadlintError
@@ -154,6 +156,20 @@ def test_no_pair_of_mutants_ends_in_a_traceback(tmp_path):
     assert mixed >= PAIRS // 5
 
 
+def test_a_deep_call_chain_and_a_call_cycle_end_in_a_report(tmp_path):
+    """The oracle checks the chain and finds the cycle unsupported; neither
+    depends on how deep the Python stack may grow."""
+    config = build_config(None)
+    inputs = [("Chain", call_chain(400), "checked"), ("Rec", UNINLINED_CALLS["Rec"][0], "unsupported")]
+    for name, text, status in inputs:
+        path = tmp_path / f"{name}.java"
+        path.write_text(text, encoding="utf-8")
+        for check in (run, oracle_check):
+            report = _checked(check, [str(path)], config, text)
+            assert report is not None and not report.errors, text
+        assert [r.status for r in report.oracle] == [status]
+
+
 def test_every_statement_edit_keeps_to_the_grammar():
     rng = random.Random(1)
     kinds = set()
@@ -188,7 +204,7 @@ def mutate_trace(text: str, rng: random.Random) -> str:
     elif kind == "unknown-op":
         lines[i] = " ".join([parts[0], rng.choice(("acquire", "READ", "")), *parts[2:]])
     elif kind == "bad-thread":
-        lines[i] = " ".join([rng.choice(("-1", "+1", "x", "\u0661", "99999999999999999999")), *parts[1:]])
+        lines[i] = " ".join([rng.choice(("-1", "+1", "x", "\u0661", "99999999999999999999", "1" * 5000)), *parts[1:]])
     elif kind == "unlock":
         lines.insert(i, f"{rng.randint(0, 2)} unlock {rng.choice(('m', 'x', 'n'))}")
     else:
