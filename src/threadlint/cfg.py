@@ -19,9 +19,11 @@ holds on any path to it from the entry, where each node adds its gain (a
 lock call one, an unlock call minus one) and a count never falls below 0,
 as a must-lockset that counts reentrant holds.
 
-Graphs are built on demand: the monitor analysis asks for a method's CFG
-only when the method holds a lock call on a lock field, the only place a
-lock window can exist.
+Graphs are built on demand, once per method, and kept by the class model
+(:meth:`threadlint.classmodel.ClassModel.cfg`): the monitor analysis asks
+for a method's CFG only when the method holds a lock call on a lock field,
+the only place a lock window can exist, and the oracle's driver for each
+method it lowers.
 """
 
 from __future__ import annotations
@@ -215,17 +217,30 @@ def paths(cfg: Cfg) -> Iterator[list[CfgNode]]:
     """The entry-to-exit paths of ``cfg``, the paths Java runs, depth first.
 
     Each edge is taken at most once, so a loop body runs zero or one times.
-    A path that cannot go on (``for (;;)``) ends there.
+    A path that cannot go on (``for (;;)``) ends there. One path is walked
+    and backtracked in place, so the work is linear in the edges walked and
+    in the length of each path given out, which is a copy.
     """
-    todo = [([cfg.entry], frozenset())]
-    while todo:
-        path, used = todo.pop()
+    succs = cfg.succs
+    path = [cfg.entry]
+    used: set[tuple[CfgNode, CfgNode]] = set()  # the edges of ``path``
+    left: list[Iterator[CfgNode]] = []  # left[i]: the moves from path[i] not yet taken
+    while path:
         n = path[-1]
-        moves = [s for s in cfg.succs[n] if (n, s) not in used]
-        if not moves:
-            yield path
-        for s in reversed(moves):
-            todo.append((path + [s], used | {(n, s)}))
+        if len(left) < len(path):  # n was just reached
+            moves = [s for s in succs[n] if (n, s) not in used]
+            if not moves:
+                yield path[:]
+            left.append(iter(moves))
+        s = next(left[-1], None)
+        if s is None:
+            left.pop()
+            path.pop()
+            if path:
+                used.remove((path[-1], n))
+        else:
+            used.add((n, s))
+            path.append(s)
 
 
 # --- hold counts ------------------------------------------------------------

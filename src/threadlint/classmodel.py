@@ -34,6 +34,7 @@ from enum import Enum
 from typing import Optional
 
 from threadlint.alerts import Alert, RULE_NO_ESCAPING, RULE_SAFE_PUBLICATION
+from threadlint.cfg import Cfg, build_cfg
 from threadlint.frontend import ast as A
 from threadlint.frontend import DEFAULT_ANNOTATIONS
 
@@ -109,7 +110,7 @@ class FieldAccess:
 
 class ClassModel:
     __slots__ = ("decl", "field_accesses", "allowlist", "annotated", "mutator_methods", "bindings",
-                 "local_writes", "calls", "syncs", "overloads", "exposed")
+                 "local_writes", "calls", "syncs", "overloads", "exposed", "cfgs")
 
     def __init__(
         self,
@@ -137,6 +138,7 @@ class ClassModel:
         self.syncs = syncs  # id(callable) -> its sync blocks
         self.overloads = overloads  # (name, arity) -> methods
         self.exposed: list[FieldAccess] = []  # exposed_accesses(self), set once built
+        self.cfgs: dict[int, Cfg] = {}  # id(callable) -> its CFG, built on first need
 
     @property
     def name(self) -> str:
@@ -187,6 +189,14 @@ class ClassModel:
     def syncs_in(self, m: A.MethodDecl) -> list[A.Sync]:
         """Every ``synchronized`` block in ``m``'s body, in source order."""
         return self.syncs.get(id(m), [])
+
+    def cfg(self, m: A.MethodDecl) -> Cfg:
+        """``m``'s control-flow graph, built on first need and kept, so P3's
+        lock windows and the oracle's paths share one."""
+        g = self.cfgs.get(id(m))
+        if g is None:
+            g = self.cfgs[id(m)] = build_cfg(m)
+        return g
 
 
 class _AccessCollector:

@@ -1,8 +1,9 @@
 """Happens-before trace oracle.
 
 Checks small thread programs for data races under the happens-before rules.
-Happens-before depends only on program order and the order of sync actions,
-so the search visits each reachable sync order once (complete and deadlocked
+Happens-before depends only on program order and the order of dependent sync
+actions, so the search explores one sync order of each class of orders that
+differ only in adjacent sync actions that commute (complete and deadlocked
 executions alike) instead of every interleaving, and stops at the first
 race. Serves as ground truth for the static rules: a class passing all three
 must be race-free here.
@@ -10,7 +11,8 @@ must be race-free here.
 ``model`` holds programs (a worker thread is its (op, target) list) and
 executions, each checked when it is made, and the kernel (an incremental
 happens-before step that race-checks each appended action, and the sync-order
-search that runs it); ``driver`` lowers a class to two-thread programs;
+search with sleep sets that runs it); ``driver`` lowers a class to two-thread
+programs, checking each distinct action list once;
 ``trace`` reads and writes trace files.
 """
 

@@ -9,6 +9,13 @@ budget. Each method is lowered once, after its same-class callees, so a call
 inlines the callee's finished action lists, each in turn; a call that may
 run more than one overload, or a cycle of calls, makes the class unsupported.
 
+Each class's work is done once: a method's paths are walked on the CFG the
+class model keeps (:meth:`ClassModel.cfg`), which P3's lock windows share;
+whether a field is allowlisted, and so which ops its accesses lower to, is
+asked once per field; and each distinct action list and the init list are
+checked once (:func:`check_actions`), so the pairs are made from them
+without checking them again.
+
 What a name, a call or a synchronized block's monitor denotes is asked of
 the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
 and of :func:`threadlint.monitors.sync_monitor`, and which call locks or
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from threadlint.cfg import build_cfg, paths
+from threadlint.cfg import paths
 from threadlint.classmodel import ClassModel, is_default_initialized
 from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedForOracle
 from threadlint.frontend import ast as A
@@ -51,6 +58,7 @@ from threadlint.hboracle.model import (
     Op,
     RaceReport,
     ThreadProgram,
+    check_actions,
     program_races,
 )
 from threadlint.monitors import MonitorAnalysis, lock_monitor, method_monitor, sync_monitor
@@ -77,6 +85,10 @@ class _DriverBuilder:
         self.cm = cm
         self.decl = cm.decl
         self.monitors = MonitorAnalysis(cm, **lock_kw)  # asked only which call locks or unlocks what
+        # id(field) -> its (read, write) ops; None for an allowlisted field, which adds no action
+        self._ops = {id(f): None if cm.allowlist.contains(f) else
+                     (Op.VOLATILE_READ, Op.VOLATILE_WRITE) if f.is_volatile else (Op.READ, Op.WRITE)
+                     for f in cm.decl.fields}
         # id(method) -> its action lists, lowered once, after its callees
         self._actions: dict[int, list[tuple[ActionSpec, ...]]] = {}
         self._lowering: Optional[A.MethodDecl] = None  # the method the path cap names
@@ -89,9 +101,9 @@ class _DriverBuilder:
 
     def _access(self, f: A.FieldDecl, write: bool, out) -> None:
         """Append the read or write of ``f``; nothing for an allowlisted field."""
-        if not self.cm.allowlist.contains(f):
-            write_op, read_op = (Op.VOLATILE_WRITE, Op.VOLATILE_READ) if f.is_volatile else (Op.WRITE, Op.READ)
-            self._emit(out, write_op if write else read_op, f.name)
+        ops = self._ops[id(f)]
+        if ops is not None:
+            self._emit(out, ops[write], f.name)
 
     def method_actions(self, m: A.MethodDecl) -> list[tuple[ActionSpec, ...]]:
         """The distinct action lists of one call of ``m``, in path order; its same-class
@@ -118,7 +130,7 @@ class _DriverBuilder:
         monitor = method_monitor(m, self.cm)
         found: dict[tuple[ActionSpec, ...], None] = {}
         walked = 0
-        for path in paths(build_cfg(m)):
+        for path in paths(self.cm.cfg(m)):
             out = [[(Op.LOCK, monitor)] if monitor else []]
             for node in path:
                 self._lower_all(node.exprs, out)
@@ -248,8 +260,9 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     lists of the public methods: main initializes, then each thread runs one
     list of the pair, named by the first method that has it.
 
-    Every list is lowered and checked, in order, before this returns; each
-    pair is made from the checked lists only when the iterator reaches it."""
+    Every list and the init list are lowered and checked once, in order,
+    before this returns; each pair is made from the checked lists, without
+    checking them again, only when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
     for m in cm.decl.methods:
@@ -258,14 +271,15 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
                 owner.setdefault(actions, m.name)
     for actions, name in owner.items():
         try:
-            ThreadProgram((), (actions,))
+            check_actions(1, actions)
         except MalformedExecution as exc:
             # one thread fails only by unlocking what it does not hold
             raise UnsupportedForOracle(f"{cm.decl.name}.{name} unlocks {exc.action.target!r} "
                                        "without holding it; not oracle-supported") from None
     init = tuple(b.init_actions())
+    check_actions(0, init)
     lists = list(owner.items())
-    return (ThreadProgram(init, (first, second), f"{cm.decl.name}:{name1}|{name2}")
+    return (ThreadProgram.of_checked(init, (first, second), f"{cm.decl.name}:{name1}|{name2}")
             for i, (first, name1) in enumerate(lists) for second, name2 in lists[i:])
 
 

@@ -4,8 +4,9 @@ Thread programs (an (op, target) list per thread) and executions (actions
 interleaved), each checked when it is made; structural data-race detection
 on one execution (happens-before from program order, monitor order, volatile
 order, initialization order, and transitivity); and the race check of a
-whole program by a search over its sync orders. Value semantics are
-ignored: a race is a property of action identity and ordering alone.
+whole program by a search over its sync orders, one of each class of
+equivalent orders. Value semantics are ignored: a race is a property of
+action identity and ordering alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
@@ -16,7 +17,10 @@ Happens-before depends only on program order and the order of sync actions
 (lock, unlock, volatile read, volatile write): the init edges always run from
 the main-thread prefix to each worker's first action. Every interleaving with
 the same sync order therefore has the same racy pairs, and the search visits
-one interleaving per sync order. One incremental step computes happens-before:
+one interleaving per sync order. Sync orders that differ only in the order of
+adjacent sync actions that commute (a lock and an unlock of different
+monitors, say) have the same happens-before too, and sleep sets explore one
+order of each such class. One incremental step computes happens-before:
 it appends an action, takes the set of actions before it from its direct
 predecessors, and returns the earlier accesses it races with. The search runs
 it once per action it appends and undoes it on backtrack, so a prefix shared
@@ -181,12 +185,37 @@ class _HappensBefore:
         del log[mark:]
 
 
+def _check_action(t: int, op: Op, target: Optional[str]) -> None:
+    """Raise MalformedExecution for an action of thread ``t`` with no target,
+    or for an init action off the main thread (0)."""
+    if op is not Op.LOCAL and not target:
+        raise MalformedExecution(f"{op.value} action requires a target")
+    if t and (op is Op.DEFAULT_INIT or op is Op.FINAL_INIT):
+        # init edges leave only the main thread: the sync-order search runs
+        # its init actions as a prefix, and the happens-before step folds an
+        # init action into the clock every thread that has not run starts from
+        raise MalformedExecution(f"{op.value} must run on the main thread (0)")
+
+
+def check_actions(t: int, actions: tuple[ActionSpec, ...]) -> None:
+    """Raise MalformedExecution when the (op, target) list of thread ``t``
+    has an action with no target, an init action off the main thread (0),
+    or an unlock of a monitor the thread does not hold."""
+    held: dict[str, list[int]] = {}
+    for i, (op, target) in enumerate(actions):
+        _check_action(t, op, target)
+        if op is Op.LOCK:
+            _acquire(held, target, t)  # one thread never blocks itself
+        elif op is Op.UNLOCK and not _release(held, target, t):
+            raise MalformedExecution(f"thread {t} unlocks {target!r} without holding it", TraceAction(t, op, target, i))
+
+
 class Execution:
     """A total interleaving of a program's actions. Making one raises
-    MalformedExecution on a missing target or a program-order or
-    mutual-exclusion violation; monitors may stay held at the end (the
-    explicit Lock API allows it). Two executions are equal when their
-    actions are."""
+    MalformedExecution on a missing target, an init action off the main
+    thread (0), or a program-order or mutual-exclusion violation; monitors
+    may stay held at the end (the explicit Lock API allows it). Two
+    executions are equal when their actions are."""
 
     __slots__ = ("actions",)
 
@@ -194,8 +223,7 @@ class Execution:
         last_seq: dict[int, int] = {}
         held: dict[str, list[int]] = {}
         for a in actions:
-            if a.op is not Op.LOCAL and not a.target:
-                raise MalformedExecution(f"{a.op.value} action requires a target")
+            _check_action(a.thread, a.op, a.target)
             prev = last_seq.get(a.thread)
             if prev is not None and a.seq <= prev:
                 raise MalformedExecution(f"thread {a.thread} runs seq {a.seq} after {prev}: program order violated")
@@ -217,30 +245,31 @@ class Execution:
 class ThreadProgram:
     """A main thread's init actions, then one (op, target) list per worker;
     action i of thread t (0 for main, 1 + k for worker k) is ``TraceAction(t,
-    op, target, i)``. Making one raises MalformedExecution on a missing
-    target, an init op on a worker, or an unlock without a hold. Two
-    programs are equal when their lists and names are."""
+    op, target, i)``. Making one checks each list with :func:`check_actions`;
+    :meth:`of_checked` makes one of lists already checked. Two programs are
+    equal when their lists and names are."""
 
     __slots__ = ("init_actions", "threads", "name")
 
     def __init__(self, init_actions: tuple[ActionSpec, ...], threads: tuple[tuple[ActionSpec, ...], ...],
                  name: str = ""):
         for t, actions in enumerate((init_actions, *threads)):
-            held: dict[str, list[int]] = {}
-            for i, (op, target) in enumerate(actions):
-                if op is not Op.LOCAL and not target:
-                    raise MalformedExecution(f"{op.value} action requires a target")
-                if t and op in (Op.DEFAULT_INIT, Op.FINAL_INIT):
-                    # the sync-order search relies on init edges leaving only
-                    # the main-thread prefix
-                    raise MalformedExecution(f"{op.value} must run on the main thread (0)")
-                if op is Op.LOCK:
-                    _acquire(held, target, t)  # one thread never blocks itself
-                elif op is Op.UNLOCK and not _release(held, target, t):
-                    raise MalformedExecution(f"thread {t} unlocks {target!r} without holding it", TraceAction(t, op, target, i))
+            check_actions(t, actions)
         self.init_actions = init_actions
         self.threads = threads
         self.name = name
+
+    @classmethod
+    def of_checked(cls, init_actions: tuple[ActionSpec, ...], threads: tuple[tuple[ActionSpec, ...], ...],
+                   name: str = "") -> "ThreadProgram":
+        """A program whose lists each passed :func:`check_actions` as their
+        thread (any worker number for a worker's list), made without
+        checking them again."""
+        p = object.__new__(cls)
+        p.init_actions = init_actions
+        p.threads = threads
+        p.name = name
+        return p
 
     def __eq__(self, other):
         if type(other) is not ThreadProgram:
@@ -277,8 +306,22 @@ def detect_races(e: Execution) -> set[tuple[TraceAction, TraceAction]]:
     return out
 
 
+def _commute(op: int, g: int, op2: int, g2: int) -> bool:
+    """Whether two sync actions of different threads commute: either order
+    gives the same happens-before and leaves the other action enabled. They
+    do unless they lock or unlock one monitor, or access one volatile field
+    and one of them writes it."""
+    if g != g2:
+        return True
+    locks = op == _LOCK or op == _UNLOCK
+    if locks != (op2 == _LOCK or op2 == _UNLOCK):
+        return True  # a monitor and a volatile field that share a name
+    return not locks and op == _VREAD and op2 == _VREAD
+
+
 def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
-    """Depth-first search over the sync orders of a program, stopping at a race.
+    """Depth-first search over the sync orders of a program, one per class of
+    equivalent orders, stopping at a race.
 
     ``init`` and each of ``workers`` are encoded (ops, targets). At each state
     every worker first runs its non-sync actions up to its next sync action;
@@ -288,11 +331,21 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
     deadlocked execution, with the init actions as a main-thread (thread 0)
     prefix and worker t as thread 1+t.
 
+    Sync orders that differ only in the order of adjacent sync actions that
+    commute (:func:`_commute`) have the same happens-before, so the same
+    racy pairs. Sleep sets (Godefroid, 1996) explore fewer of them: once the
+    branch on thread t's sync action returns, that action sleeps in the later
+    sibling branches and below them, until an action it does not commute
+    with runs. A sleeping action is not branched on, and a state whose
+    enabled actions all sleep is no leaf. A sleep set is a bitmask of
+    threads: each sleeping thread has not moved since its action fell asleep.
+
     Each action is race-checked once, by the happens-before step that appends
     it, and the step is undone on backtrack. A leaf is racy when a step on its
-    path found a race. Every leaf below a racy prefix is racy and no earlier
-    leaf is, so the search returns at the first leaf below the first racy
-    step.
+    path found a race. Every order the sleep sets prune is equivalent to one
+    that comes earlier in the full search, so the first racy leaf of the full
+    search is still explored, and no leaf before it is racy: the search
+    returns at that leaf, the same witness as without sleep sets.
 
     Returns (leaves visited, schedule of the first racy leaf or None); a
     schedule lists the worker index of each step.
@@ -311,10 +364,11 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
     leaves = 0
     raced = False
 
-    def rec() -> bool:
+    def rec(sleep: int) -> bool:
         nonlocal leaves, raced
         mark, log_mark = len(seq), len(log)
         saved = ptr[:]
+        was_raced = raced
         for t in range(k):
             ops, targets = workers[t]
             i = ptr[t]
@@ -324,23 +378,39 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
                 seq.append(t)
                 i += 1
             ptr[t] = i
-        moved = False
+        enabled = False
         for t in range(k):
             i = ptr[t]
             if i >= lens[t]:
                 continue
             op = workers[t][0][i]
             g = workers[t][1][i]
-            if op == _LOCK and not _acquire(held, g, t):
-                continue  # blocked
-            if op == _UNLOCK:
+            if op == _LOCK:
+                h = held.get(g)
+                if h is not None and h[0] != t:
+                    continue  # blocked
+            enabled = True
+            bit = 1 << t
+            if sleep & bit:
+                continue  # an earlier branch explored an equivalent order
+            below = 0  # the sleepers whose actions commute with this one sleep on
+            rest = sleep
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                j = ptr[u]
+                if _commute(op, g, workers[u][0][j], workers[u][1][j]):
+                    below |= low
+                rest ^= low
+            if op == _LOCK:
+                _acquire(held, g, t)
+            elif op == _UNLOCK:
                 _release(held, g, t)
-            moved = True
             ptr[t] = i + 1
             step_mark = len(log)
             step(base + len(seq), 1 + t, op, g)  # a sync action races with nothing
             seq.append(t)
-            if rec():
+            if rec(below):
                 return True  # the racy leaf's schedule stays in seq
             seq.pop()
             undo(step_mark)
@@ -349,24 +419,28 @@ def _search_sync_orders(init, workers) -> tuple[int, Optional[list[int]]]:
                 _release(held, g, t)
             elif op == _UNLOCK:
                 _acquire(held, g, t)
-        if not moved:
+            sleep |= bit
+        if not enabled:
             leaves += 1
             if raced:
                 return True
+        raced = was_raced
         del seq[mark:]
         undo(log_mark)
         ptr[:] = saved
         return False
 
     try:
-        found = rec()
+        found = rec(0)
     finally:
         del rec  # rec's closure holds rec; unbinding it frees the search by reference counting
     return leaves, seq if found else None
 
 
 class RaceReport(NamedTuple):
-    """Verdict of one program; ``executions`` counts the sync orders explored."""
+    """Verdict of one program; ``executions`` counts the sync orders explored
+    to their end, complete or deadlocked: one per class of equivalent orders
+    up to the first race, so never more than the program has."""
 
     raced: bool
     witness: Optional[Execution]
@@ -374,7 +448,8 @@ class RaceReport(NamedTuple):
 
 
 def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
-    """Check every sync order of the program for data races; stop at the first."""
+    """Check one sync order of each class of equivalent orders of the program
+    for data races; stop at the first."""
     n = p.action_count()
     if n > action_budget:
         raise BudgetExceeded(f"program has {n} actions; the oracle explores at most {action_budget}")

@@ -7,8 +7,9 @@ Grammar (one action per line, '#' starts a comment, blank lines ignored):
 ``thread`` is a nonnegative integer in ASCII digits (0 is the initializing
 main thread).
 ``op`` is one of: read, write, volatile-read, volatile-write, lock, unlock,
-default-init, final-init, local. ``target`` names the field or monitor and
-is required for every op except local.
+default-init, final-init, local; default-init and final-init run on thread
+0 only. ``target`` names the field or monitor and is required for every op
+except local.
 
 Example (two threads racing on cnt after a default init):
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
-from threadlint.cfg import Cfg, CfgNode, build_cfg, fewest
+from threadlint.cfg import Cfg, CfgNode, fewest
 from threadlint.classmodel import ClassModel, FieldAccess, base_type
 from threadlint.frontend import ast as A
 from threadlint.frontend.printer import canonical_text
@@ -228,16 +228,15 @@ class MonitorAnalysis:
                 if mon is not None:
                     blocks.append((s.body.span.start, s.body.span.end, mon))
             calls = self._lock_calls(m)
-            cfg = build_cfg(m) if calls else None
+            cfg = cm.cfg(m) if calls else None
             windows = [(lock_window(cfg, locks, unlocks), lock_monitor(f)) for f, locks, unlocks in calls]
             record = self._records[id(m)] = (base, blocks, cfg, windows)
         return record
 
     def cfg_for(self, m: A.MethodDecl) -> tuple[Cfg, list[tuple[frozenset[CfgNode], str]]]:
-        """``m``'s CFG and the ``(nodes, monitor)`` of its lock windows; a
-        method without a window gets a new CFG, which is not kept."""
-        _, _, cfg, windows = self._protection(m)
-        return (build_cfg(m) if cfg is None else cfg), windows
+        """``m``'s CFG, the class model's (:meth:`ClassModel.cfg`), and the
+        ``(nodes, monitor)`` of its lock windows."""
+        return self.cm.cfg(m), self._protection(m)[3]
 
     def windows_for(self, m: A.MethodDecl) -> list[tuple[frozenset[CfgNode], str]]:
         """The ``(nodes, monitor)`` of one window per lock field with a lock

@@ -1,7 +1,8 @@
-"""Reference paths: a structural walk of a method's AST.
+"""Reference paths: a structural walk of a method's AST, and the copying
+walk of a CFG that ``threadlint.cfg.paths`` replaced.
 
-This is what ``threadlint.cfg.paths`` must agree with, kept only for the
-parity test in test_cfg.py. It never looks at the CFG. Each statement gives
+The structural walk is what ``threadlint.cfg.paths`` must agree with as a
+set, kept only for the parity test in test_cfg.py. It never looks at the CFG. Each statement gives
 its runs, ``(steps, outcome)``: ``steps`` names the nodes a run passes as
 cfg.py names them, ``(kind, statement)``, and ``outcome`` is ``NORMAL``,
 ``EXIT`` (a return or throw on its way out) or ``STUCK`` (an endless loop
@@ -12,6 +13,8 @@ whole block has completed, which is cfg.py's model of exceptions.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from threadlint.frontend import ast as A
 
@@ -70,3 +73,20 @@ def method_runs(m: A.MethodDecl) -> set[tuple[tuple, bool]]:
     """Each run of ``m`` as (the ids-and-kinds of its steps, whether it ends)."""
     body = runs(m.body) if m.body is not None else _DONE
     return {(tuple((kind, id(s)) for kind, s in steps), how != STUCK) for steps, how in body}
+
+
+def copying_paths(cfg) -> Iterator[list]:
+    """The entry-to-exit paths of ``cfg`` in ``threadlint.cfg.paths``'s
+    order, each edge at most once per path: a stack of whole paths, each
+    with its own copy of the path and of its used edges, so one path costs
+    time quadratic in its length. The order of the paths fixes the order of
+    the oracle's action lists, so ``paths`` must give the same lists."""
+    todo = [([cfg.entry], frozenset())]
+    while todo:
+        path, used = todo.pop()
+        n = path[-1]
+        moves = [s for s in cfg.succs[n] if (n, s) not in used]
+        if not moves:
+            yield path
+        for s in reversed(moves):
+            todo.append((path + [s], used | {(n, s)}))

@@ -6,7 +6,7 @@ import random
 
 from conftest import full_size_sources, parse_corpus
 from monitors_reference import hold_states
-from paths_reference import method_runs
+from paths_reference import copying_paths, method_runs
 
 from threadlint.cfg import Cfg, build_cfg, fewest, paths
 from threadlint.frontend import ast as A
@@ -447,3 +447,42 @@ def test_paths_match_the_structural_walk():
         checked += 1
     assert checked >= 40
     assert too_many == ["ManyIfs.set"]  # 2^20 paths
+
+
+def test_paths_come_in_the_copying_walks_order():
+    """The same paths, in the same order, as the walk that copied the path
+    and its used edges at every step, on every method of the corpus, the
+    oracle probes and the three full-size workloads at seed 1."""
+    methods = 0
+    for text in full_size_sources():
+        for c in parse_source(text).iter_classes():
+            for m in c.methods + c.constructors:
+                cfg = build_cfg(m)
+                assert list(itertools.islice(paths(cfg), 300)) == list(itertools.islice(copying_paths(cfg), 300)), m.name
+                methods += 1
+    assert methods > 1000
+
+
+class _CountingSuccs(dict):
+    """A CFG's successor map that counts the walk's lookups in it."""
+
+    lookups = 0
+
+    def __getitem__(self, n):
+        self.lookups += 1
+        return dict.__getitem__(self, n)
+
+
+def _walk_steps(statements: int) -> int:
+    """Lookups and path nodes that walking a straight-line method takes."""
+    body = " ".join(f"x = {i};" for i in range(statements))
+    cfg = method_cfg(f"class S {{ int x; public void m() {{ {body} }} }}")
+    cfg.succs = _CountingSuccs(cfg.succs)
+    [path] = paths(cfg)
+    return cfg.succs.lookups + len(path)
+
+
+def test_walking_a_path_grows_linearly_with_its_length():
+    # a straight line of n statements is one path of n + 2 nodes
+    assert _walk_steps(1000) == 2 * 1002
+    assert _walk_steps(2000) == 2 * 2002

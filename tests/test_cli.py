@@ -673,7 +673,10 @@ def test_oracle_probes_match_golden_bytes(monkeypatch, capsysbinary):
     getter of an own final field, as ``FinalGetter.monitor()`` is, which
     shares ``mu``'s monitor, so ``FinalGetter`` is race-free. A wildcard
     import names no type, so ``WildcardImport``'s ``Box`` field is not taken
-    for a ``java.util.concurrent`` type: P3 alerts, and a race. Exit 0."""
+    for a ``java.util.concurrent`` type: P3 alerts, and a race. Lock
+    striping: ``Striped`` guards each field with its own lock and is
+    race-free, while ``StripedMiss`` writes one field under the other
+    field's lock, which P3 and the oracle both catch. Exit 0."""
     monkeypatch.chdir(REPO_ROOT)
     monkeypatch.delenv("THREADLINT_CONFIG", raising=False)
     code = main(["--oracle", "--lock-type-add", "MyLock", os.path.join("tests", "oracle_probes")])

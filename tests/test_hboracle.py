@@ -238,14 +238,13 @@ def test_drivers_are_built_as_they_are_explored(monkeypatch):
                            "public void a() { n = 1; n = 2; n = 3; n = 4; n = 5; n = 6; n = 7; n = 8; n = 9; } "
                            "public synchronized void b() { n = 0; } public synchronized int c() { return n; } }")
     pairs = []
-    make = ThreadProgram.__init__
+    make = ThreadProgram.of_checked
 
-    def counted(self, init_actions, threads, name=""):
-        if name:  # only a pair is named
-            pairs.append(name)
-        make(self, init_actions, threads, name)
+    def counted(cls, init_actions, threads, name=""):
+        pairs.append(name)
+        return make(init_actions, threads, name)
 
-    monkeypatch.setattr(ThreadProgram, "__init__", counted)
+    monkeypatch.setattr(ThreadProgram, "of_checked", classmethod(counted))
     verdict = check_class(cm)
     assert (verdict.status, verdict.drivers_checked) == ("budget-exceeded", 0)
     assert pairs == ["Big:a|a"]
@@ -364,6 +363,10 @@ MALFORMED = {
     "missing target in an execution": (lambda: Execution((TraceAction(1, W, None, 0),)), "write action requires a target"),
     "default-init on a worker": (lambda: ThreadProgram.build([[(DI, "x")], [(R, "x")]]), "main thread"),
     "final-init on a worker": (lambda: ThreadProgram.build([[(R, "x")], [(FI, "x")]]), "main thread"),
+    "default-init on a worker in an execution": (
+        lambda: Execution((TraceAction(0, DI, "x", 0), TraceAction(1, DI, "y", 0))),
+        "default-init must run on the main thread (0)",
+    ),
     "unlock without lock in a worker": (
         lambda: ThreadProgram.build([[(R, "x")], [(L, "m"), (U, "m"), (U, "m")]]),
         "thread 2 unlocks 'm'",
@@ -391,7 +394,8 @@ def test_malformed_programs_are_rejected(build, fragment):
 
 FIELDS = ("x", "y")
 MONITORS = ("a", "b")
-PLAIN_OPS = [(R, f) for f in FIELDS] + [(W, f) for f in FIELDS] + [(VR, "v"), (VW, "v"), (LOC, None)]
+VOLATILES = ("v", "u")  # accesses of different volatile fields commute
+PLAIN_OPS = [(op, f) for op in (R, W) for f in FIELDS] + [(op, v) for op in (VR, VW) for v in VOLATILES] + [(LOC, None)]
 
 
 @st.composite
@@ -427,8 +431,9 @@ def programs(draw):
         kind = draw(st.sampled_from([None, DI, FI, W]))
         if kind is not None:
             init.append((kind, f))
-    if draw(st.booleans()):
-        init.append((VW, "v"))
+    for v in VOLATILES:
+        if draw(st.booleans()):
+            init.append((VW, v))
     return ThreadProgram.build(bodies, init=draw(st.permutations(init)))
 
 
@@ -471,10 +476,55 @@ def test_search_matches_reference_enumerator(p):
 @example(DEADLOCK_ONLY_RACE)
 def test_search_matches_the_leaf_checking_search(p):
     # the race check carried down the search stops at the same leaf as
-    # checking each leaf's whole happens-before closure
+    # checking each leaf's whole happens-before closure of every sync order;
+    # the sleep sets explore one order of each class, at least one leaf
     report = program_races(p, action_budget=p.action_count())
     leaves, witness = search_sync_orders(p)
-    assert (report.raced, report.executions, report.witness) == (witness is not None, leaves, witness)
+    assert (report.raced, report.witness) == (witness is not None, witness)
+    assert 1 <= report.executions <= leaves
+
+
+def blocks(monitor: str, field: str, m: int) -> list:
+    return [(L, monitor), (R, field), (W, field), (U, monitor)] * m
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_blocks_on_different_monitors_explore_one_order(m):
+    # every sync order has the same happens-before; without sleep sets
+    # C(4m, 2m) orders: 924, 12,870 and 184,756
+    p = ThreadProgram.build([blocks("a", "x", m), blocks("b", "y", m)], init=[(DI, "x"), (DI, "y")])
+    report = program_races(p, action_budget=10**6)
+    assert (report.raced, report.executions) == (False, 1)
+
+
+def test_volatile_reads_of_one_field_explore_one_order():
+    p = ThreadProgram.build([[(VR, "v")] * 6, [(VR, "v")] * 6], init=[(VW, "v")])
+    report = program_races(p, action_budget=10**6)
+    assert (report.raced, report.executions) == (False, 1)
+
+
+def test_lock_striping_explores_one_order_per_class():
+    # a pair of methods on different locks, or a lock and a volatile
+    # access, has one class of sync orders; two on one lock or a volatile
+    # write and an access of its field have two. Every sync order: 27
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_probes", "Striped.java"),
+              encoding="utf-8") as fh:
+        cm = model_from_source(fh.read())
+    orders = {d.name: program_races(d).executions for d in two_thread_drivers(cm)}
+    assert orders == {
+        "Striped:bumpEven|bumpEven": 2, "Striped:bumpEven|bumpOdd": 1, "Striped:bumpEven|close": 1,
+        "Striped:bumpEven|isOpen": 1, "Striped:bumpOdd|bumpOdd": 2, "Striped:bumpOdd|close": 1,
+        "Striped:bumpOdd|isOpen": 1, "Striped:close|close": 2, "Striped:close|isOpen": 2,
+        "Striped:isOpen|isOpen": 1,
+    }
+
+
+def test_a_monitor_and_a_volatile_field_of_one_name_commute():
+    # the search branches on the order of the two writes of v, not on where
+    # the lock of the monitor v falls between them
+    p = ThreadProgram.build([[(L, "v"), (U, "v")], [(VW, "v")], [(VW, "v")]])
+    report = program_races(p, action_budget=10**6)
+    assert (report.raced, report.executions) == (False, 2)
 
 
 def test_the_search_steps_each_shared_prefix_once(monkeypatch):
@@ -508,7 +558,8 @@ def executions(draw):
         thread = draw(st.integers(0, 3))
         owned = [m for m, (owner, _) in held.items() if owner == thread]
         free = [m for m in ("a", "b") if m not in held or held[m][0] == thread]
-        choices = [(op, f) for op in (R, W, VR, VW, DI, FI) for f in ("x", "v")] + [(LOC, None)]
+        ops = (R, W, VR, VW, DI, FI) if thread == 0 else (R, W, VR, VW)  # init runs on the main thread
+        choices = [(op, f) for op in ops for f in ("x", "v")] + [(LOC, None)]
         choices += [(L, m) for m in free] + [(U, m) for m in owned]
         op, target = draw(st.sampled_from(choices))
         if op is L:
@@ -534,6 +585,25 @@ def test_parse_inverts_format(e):
 @example(sequential(LITMUS[2][1]))  # ordered by volatile write->read alone
 def test_detect_races_matches_the_closure(e):
     assert detect_races(e) == reference_races(e)
+
+
+WORKER_INIT_TRACE = "0 default-init x\n1 write x\n1 default-init y\n2 read x\n"
+
+
+def test_an_init_action_on_a_worker_is_refused_in_a_trace(tmp_path, capsys):
+    # folded into the clock a thread starts from, the worker's init action
+    # would order its write of x before thread 2's read and hide the race
+    with pytest.raises(MalformedExecution) as exc:
+        parse_trace(WORKER_INIT_TRACE)
+    assert str(exc.value) == "default-init must run on the main thread (0)"
+    path = tmp_path / "init.trace"
+    path.write_text(WORKER_INIT_TRACE)
+    assert cli.main(["--trace", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "threadlint: error: default-init must run on the main thread (0)\n"
+    lines = WORKER_INIT_TRACE.splitlines()
+    path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    assert cli.check_trace(str(path)) == ("race t1:write(x)@0 <-> t2:read(x)@0\n3 actions, 1 race(s)\n", 1)
 
 
 def long_trace(rounds: int) -> str:

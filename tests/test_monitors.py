@@ -8,7 +8,7 @@ from conftest import CORPUS_DIR, full_size_sources, model_from_source, model_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadlint import monitors as monitors_module
+from threadlint import classmodel as classmodel_module
 from threadlint.classmodel import build_class_model, exposed_accesses
 from threadlint.errors import BudgetExceeded, UnsupportedForOracle
 from threadlint.frontend import ast as A
@@ -938,13 +938,13 @@ class Calls {
 
 def test_a_cfg_is_built_only_for_a_method_with_a_lock_call(monkeypatch):
     built = []
-    build_cfg = monitors_module.build_cfg
+    build_cfg = classmodel_module.build_cfg
 
     def counting_build_cfg(m):
         built.append(m.name)
         return build_cfg(m)
 
-    monkeypatch.setattr(monitors_module, "build_cfg", counting_build_cfg)
+    monkeypatch.setattr(classmodel_module, "build_cfg", counting_build_cfg)
     cm = model_from_source(
         """@ThreadSafe
 class Lazy {
@@ -961,3 +961,6 @@ class Lazy {
     alerts = analyze_class(cm)
     assert {a.field for a in alerts} == {"n"}
     assert built == ["c", "d"]
+    # the oracle lowers every method on the CFGs P3 built and builds the rest
+    assert check_class(cm).status == "unsupported"  # e unlocks a lock it does not hold
+    assert built == ["c", "d", "a", "b", "e"]

@@ -6,7 +6,8 @@ windows and the oracle's lowering see them: two statements swapped, a
 ``synchronized`` block dropped for its body, a lock call duplicated, an
 unlock moved before another statement. A few are token edits, which mostly
 stop at the parser. Trace files get line mutants: a target dropped, an
-unknown op, a bad thread, an unbalanced unlock. The mutants are drawn from
+unknown op, a bad thread, an unbalanced unlock, an init action on a worker
+thread. The mutants are drawn from
 a fixed seed, so a failure names the same input on every run. A chain of
 400 same-class calls and a cycle of calls go through the same checks.
 """
@@ -198,7 +199,7 @@ def mutate_trace(text: str, rng: random.Random) -> str:
     lines = text.splitlines()
     i = rng.randrange(len(lines))
     parts = lines[i].split()
-    kind = rng.choice(("drop-target", "unknown-op", "bad-thread", "unlock", "swap"))
+    kind = rng.choice(("drop-target", "unknown-op", "bad-thread", "unlock", "worker-init", "swap"))
     if kind == "drop-target":
         lines[i] = " ".join(parts[:2])
     elif kind == "unknown-op":
@@ -207,6 +208,8 @@ def mutate_trace(text: str, rng: random.Random) -> str:
         lines[i] = " ".join([rng.choice(("-1", "+1", "x", "\u0661", "99999999999999999999", "1" * 5000)), *parts[1:]])
     elif kind == "unlock":
         lines.insert(i, f"{rng.randint(0, 2)} unlock {rng.choice(('m', 'x', 'n'))}")
+    elif kind == "worker-init":
+        lines.insert(i, f"{rng.randint(1, 2)} {rng.choice(('default-init', 'final-init'))} {rng.choice(('x', 'y'))}")
     else:
         j = rng.randrange(len(lines))
         lines[i], lines[j] = lines[j], lines[i]
