@@ -14,6 +14,10 @@ node of their own. A ``catch`` handler is reached from the start of the
 protected block, for an exception its first step throws, and once the whole
 block completes; so a lock the block takes is not held in its handlers.
 
+The builder dispatches on each statement's exact type, the commonest
+first, and adds an edge once however often its source stands in a
+frontier: ``if (c) {} else {}`` leaves ``c`` there twice.
+
 Lock windows are hold counts: :func:`fewest` gives each node the fewest
 holds on any path to it from the entry, where each node adds its gain (a
 lock call one, an unlock call minus one) and a count never falls below 0,
@@ -58,7 +62,7 @@ class Cfg:
         self.exit = exit
         # the sorted starts and the ends of the first lowering's top-level
         # expressions, with the node that evaluates each; a node -> its copies
-        self._starts: Optional[list[int]] = None
+        self._starts: Optional[Sequence[int]] = None
         self._index: Optional[list[tuple[int, CfgNode]]] = None
         self._copies: Optional[dict[CfgNode, list[CfgNode]]] = None
 
@@ -86,16 +90,19 @@ class Cfg:
         firsts: dict[int, CfgNode] = {}
         copies: dict[CfgNode, list[CfgNode]] = {}
         for n in self.nodes:
-            if n.exprs:
-                first = firsts.get(id(n.exprs[0]))
-                if first is None:
-                    firsts[id(n.exprs[0])] = n
-                    index += [(e.span.start, e.span.end, n) for e in n.exprs]
+            exprs = n.exprs
+            if exprs:
+                first = firsts.setdefault(id(exprs[0]), n)
+                if first is n:
+                    for e in exprs:
+                        _, start, end, _ = e.span
+                        index.append((start, end, n))
                 else:
                     copies.setdefault(first, [first]).append(n)
         index.sort(key=itemgetter(0))
-        self._starts = [start for start, _, _ in index]
-        self._index = [(end, n) for _, end, n in index]
+        starts, ends, nodes = zip(*index) if index else ((), (), ())
+        self._starts = starts
+        self._index = list(zip(ends, nodes))
         self._copies = copies
 
 
@@ -123,43 +130,30 @@ class _Builder:
     # -- lowering --
 
     def lower_stmt(self, s: A.Stmt, sources: list[CfgNode]) -> list[CfgNode]:
-        if isinstance(s, A.Block):
+        t = type(s)  # exact types, commonest first
+        if t is A.ExprStmt:
+            n = self.new_node("stmt", s, [s.expr])
+            self.connect(sources, n)
+            return [n]
+
+        if t is A.Block:
             frontier = sources
             for inner in s.stmts:
                 frontier = self.lower_stmt(inner, frontier)
             return frontier
 
-        if isinstance(s, (A.LocalDecl, A.ExprStmt, A.Empty, A.Return, A.Throw)):
+        if t is A.LocalDecl or t is A.Empty:
             n = self.new_node("stmt", s, A.children(s))
             self.connect(sources, n)
-            if isinstance(s, (A.Return, A.Throw)):
-                self.early[-1].append(n)
-                return []
             return [n]
 
-        if isinstance(s, A.If):
+        if t is A.If:
             cond = self.new_node("cond", s, [s.cond])
             self.connect(sources, cond)
             then_f = self.lower_stmt(s.then, [cond])
             return then_f + (self.lower_stmt(s.els, [cond]) if s.els is not None else [cond])
 
-        if isinstance(s, (A.While, A.For, A.ForEach)):
-            is_for = isinstance(s, A.For)
-            if is_for and s.init is not None:
-                sources = self.lower_stmt(s.init, sources)
-            cond = s.iterable if isinstance(s, A.ForEach) else s.cond
-            head = self.new_node("loop", s, [cond] if cond is not None else [])
-            self.connect(sources, head)
-            body_f = self.lower_stmt(s.body, [head])
-            if is_for and s.update:
-                upd = self.new_node("update", s, s.update)
-                self.connect(body_f, upd)
-                body_f = [upd]
-            self.connect(body_f, head)  # back edge
-            # `for (;;)` never exits normally
-            return [head] if cond is not None else []
-
-        if isinstance(s, A.Sync):
+        if t is A.Sync:
             enter = self.new_node("sync_enter", s, [s.monitor])
             self.connect(sources, enter)
             self.early.append([])
@@ -173,7 +167,23 @@ class _Builder:
                 self.early[-1].append(leave_early)
             return [leave]
 
-        if isinstance(s, A.Try):
+        if t is A.For or t is A.While or t is A.ForEach:
+            is_for = t is A.For
+            if is_for and s.init is not None:
+                sources = self.lower_stmt(s.init, sources)
+            cond = s.iterable if t is A.ForEach else s.cond
+            head = self.new_node("loop", s, [cond] if cond is not None else [])
+            self.connect(sources, head)
+            body_f = self.lower_stmt(s.body, [head])
+            if is_for and s.update:
+                upd = self.new_node("update", s, s.update)
+                self.connect(body_f, upd)
+                body_f = [upd]
+            self.connect(body_f, head)  # back edge
+            # `for (;;)` never exits normally
+            return [head] if cond is not None else []
+
+        if t is A.Try:
             has_finally = s.finally_block is not None
             if has_finally:
                 self.early.append([])
@@ -194,7 +204,13 @@ class _Builder:
                 self.early[-1] += self.lower_stmt(s.finally_block, early)
             return normal
 
-        raise TypeError(f"unhandled statement {type(s).__name__}")
+        if t is A.Return or t is A.Throw:
+            n = self.new_node("stmt", s, A.children(s))
+            self.connect(sources, n)
+            self.early[-1].append(n)
+            return []
+
+        raise TypeError(f"unhandled statement {t.__name__}")
 
     def finish(self, frontier: list[CfgNode]) -> Cfg:
         # the exit node exists even when every path loops forever
@@ -260,7 +276,11 @@ def fewest(cfg: Cfg, gain: Mapping[CfgNode, int]) -> dict[CfgNode, int]:
     work = [cfg.entry]
     while work:
         n = work.pop()
-        out = max(count[n] + gain.get(n, 0), 0)
+        out = count[n]
+        if n in gain:
+            out += gain[n]
+            if out < 0:
+                out = 0
         for s in succs[n]:
             if out < count.get(s, out + 1):
                 count[s] = out

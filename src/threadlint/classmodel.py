@@ -8,7 +8,10 @@ by the other class's own no-escaping rule.
 Name binding happens here and only here: the collector scopes parameters,
 locals, for-each and catch variables by block and binds every name once,
 to an own field or to the declaration in scope, whose written values it
-records. :meth:`ClassModel.field_of`, :meth:`ClassModel.denotes`,
+records. The names in scope are one flat table, name -> declaration, so a
+name is bound by one lookup however deeply blocks nest; each declaration
+logs what it hides, and a closing scope undoes its part of the log.
+:meth:`ClassModel.field_of`, :meth:`ClassModel.denotes`,
 :meth:`ClassModel.is_local` and :meth:`ClassModel.callees` answer what an
 expression or a same-class call denotes; the other modules ask them
 instead of resolving names themselves.
@@ -19,18 +22,22 @@ The same walk records, per callable, its ``Call`` nodes and its
 analysis find call sites and synchronized regions without walking a body
 again.
 
-The walk is one visitor. It handles only the kinds that bind, scope,
-classify or record: names and field selections, calls, assignments and
-``++``/``--``; blocks and ``for`` loops (each a scope), local declarations,
-for-each loops and ``try`` (whose catch variables are scoped); and
-``synchronized`` blocks (recorded). Every other statement and expression is
-walked through :func:`threadlint.frontend.ast.children`, so a new node kind
-needs no line here unless it declares names.
+The walk is one visitor, which dispatches on each node's exact type, the
+commonest kinds first. It handles the kinds that bind, scope, classify or
+record: names and field selections, calls, assignments and ``++``/``--``;
+blocks and ``for`` loops (each a scope), local declarations, for-each loops
+and ``try`` (whose catch variables are scoped); and ``synchronized`` blocks
+(recorded). It also walks the common kinds that do none of this, binary
+expressions, expression statements, parentheses, ``if`` and ``return``,
+child by child. Every other statement and expression is walked through
+:func:`threadlint.frontend.ast.children`, so a new node kind needs no line
+here unless it declares names.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from threadlint.alerts import Alert, RULE_NO_ESCAPING, RULE_SAFE_PUBLICATION
@@ -47,11 +54,6 @@ class AccessKind(Enum):
     WRITE = "write"
     ARRAY_ELEMENT_WRITE = "arrayElementWrite"
     MUTATOR_CALL = "mutatorCall"
-
-
-MODIFYING_KINDS = frozenset(
-    {AccessKind.WRITE, AccessKind.ARRAY_ELEMENT_WRITE, AccessKind.MUTATOR_CALL}
-)
 
 
 def base_type(type_text: str) -> Optional[str]:
@@ -220,25 +222,38 @@ class _AccessCollector:
         self.syncs: dict[int, list[A.Sync]] = {}
         self._calls: list[A.Call] = []
         self._syncs: list[A.Sync] = []
-        self.scopes: list[dict[str, list[Optional[A.Expr]]]] = []  # name -> its declaration's writes
+        self.locals: dict[str, list[Optional[A.Expr]]] = {}  # name -> its declaration's writes
+        self.shadowed: list[tuple[str, Optional[list[Optional[A.Expr]]]]] = []  # (name, the writes it hid)
         self.enclosing: Optional[A.MethodDecl] = None
 
     # -- scope helpers --
 
-    def _local(self, name: str) -> Optional[list[Optional[A.Expr]]]:
-        """The writes of the declaration ``name`` denotes; None when no local is in scope."""
-        return next((s[name] for s in reversed(self.scopes) if name in s), None)
+    def _declare(self, name: str, writes: list[Optional[A.Expr]]) -> None:
+        """Put a declaration of ``name`` in scope until the innermost open scope closes."""
+        self.shadowed.append((name, self.locals.get(name)))
+        self.locals[name] = writes
+
+    def _close(self, mark: int) -> None:
+        """Close the scopes opened since ``shadowed`` held ``mark`` entries."""
+        shadowed, scope = self.shadowed, self.locals
+        while len(shadowed) > mark:
+            name, writes = shadowed.pop()
+            if writes is None:
+                del scope[name]
+            else:
+                scope[name] = writes
 
     def _bind(self, e: A.Expr) -> Optional[A.FieldDecl]:
         """The own field a ``Name`` or ``FieldSel`` denotes, recorded in ``bindings``;
         a local ``Name`` is recorded in ``local_writes`` instead."""
-        if isinstance(e, A.Name):
-            writes = self._local(e.identifier)
+        t = type(e)
+        if t is A.Name:
+            writes = self.locals.get(e.identifier)
             if writes is not None:
                 self.local_writes[id(e)] = writes
                 return None
             f = self.fields.get(e.identifier)
-        elif isinstance(e, A.FieldSel):
+        elif t is A.FieldSel:
             f = self._selected_own_field(e)
         else:
             return None
@@ -254,7 +269,7 @@ class _AccessCollector:
 
     def collect_initializers(self) -> None:
         self.enclosing = None
-        self.scopes = [{}]
+        self.locals = {}
         for f in self.decl.fields:
             if f.initializer is not None:
                 self.visit(f.initializer)
@@ -262,7 +277,8 @@ class _AccessCollector:
 
     def collect_callable(self, m: A.MethodDecl) -> None:
         self.enclosing = m
-        self.scopes = [{p.name: [None] for p in m.params}]
+        self.locals = {p.name: [None] for p in m.params}
+        self.shadowed = []
         self._calls = self.calls[id(m)] = []
         self._syncs = self.syncs[id(m)] = []
         if m.body is not None:
@@ -272,37 +288,67 @@ class _AccessCollector:
     # -- the walk --
 
     def visit(self, n: A.Node) -> None:
-        """Bind, scope, classify or record ``n``; walk any other kind through ``A.children``."""
+        """Bind, scope, classify or record ``n``, the commonest kinds first;
+        walk the common kinds that do none of this child by child, and any
+        other kind through ``A.children``."""
         t = type(n)
-        if t is A.Literal:
-            return  # the commonest leaf: skip the tests below
-        if t is A.Name or t is A.FieldSel:
-            f = self._bind(n)
+        if t is A.Name:
+            writes = self.locals.get(n.identifier)
+            if writes is not None:
+                self.local_writes[id(n)] = writes
+                return
+            f = self.fields.get(n.identifier)
             if f is not None:
-                self._emit(f, AccessKind.READ, n)
-            elif t is A.FieldSel:
-                self.visit(n.qualifier)
-        elif t is A.Call:
-            self._visit_call(n)
+                self.bindings[id(n)] = f
+                self.out.append(FieldAccess(f, AccessKind.READ, n.span, self.enclosing, n))
+        elif t is A.ExprStmt:
+            self.visit(n.expr)
+        elif t is A.Literal:
+            pass  # a leaf
+        elif t is A.Binary:
+            self.visit(n.left)
+            self.visit(n.right)
+        elif t is A.Block or t is A.For:
+            mark = len(self.shadowed)
+            for c in n.stmts if t is A.Block else A.children(n):
+                self.visit(c)
+            if len(self.shadowed) > mark:
+                self._close(mark)
         elif t is A.Assign:
             self._visit_target(n.target, compound=n.op != "=", value=n.value)
             self.visit(n.value)
-        elif t is A.Unary and n.op in ("++", "--"):
-            self._visit_target(n.operand, compound=True)
+        elif t is A.Call:
+            self._visit_call(n)
         elif t is A.LocalDecl:
             for d in n.declarators:
                 if d.init is not None:
                     self.visit(d.init)
-                self.scopes[-1][d.name] = [] if d.init is None else [d.init]
-        elif t is A.Block or t is A.For:
-            self._visit_scoped(A.children(n), {})
+                self._declare(d.name, [] if d.init is None else [d.init])
+        elif t is A.If:
+            self.visit(n.cond)
+            self.visit(n.then)
+            if n.els is not None:
+                self.visit(n.els)
+        elif t is A.Paren:
+            self.visit(n.inner)
+        elif t is A.Return:
+            if n.value is not None:
+                self.visit(n.value)
+        elif t is A.FieldSel:
+            f = self._bind(n)
+            if f is not None:
+                self._emit(f, AccessKind.READ, n)
+            else:
+                self.visit(n.qualifier)
+        elif t is A.Unary and n.op in ("++", "--"):
+            self._visit_target(n.operand, compound=True)
         elif t is A.ForEach:
             self.visit(n.iterable)
-            self._visit_scoped((n.body,), {n.var: [None]})
+            self._visit_scoped(n.body, n.var)
         elif t is A.Try:
             self.visit(n.body)
             for c in n.catches:
-                self._visit_scoped((c.body,), {c.var: [None]})
+                self._visit_scoped(c.body, c.var)
             if n.finally_block is not None:
                 self.visit(n.finally_block)
         else:
@@ -311,19 +357,20 @@ class _AccessCollector:
             for c in A.children(n):
                 self.visit(c)
 
-    def _visit_scoped(self, nodes, scope: dict[str, list[Optional[A.Expr]]]) -> None:
-        """Walk ``nodes`` with ``scope`` opened around them."""
-        self.scopes.append(scope)
-        for c in nodes:
-            self.visit(c)
-        self.scopes.pop()
+    def _visit_scoped(self, body: A.Stmt, var: str) -> None:
+        """Walk ``body`` with the variable ``var``, written an unknown value, in scope."""
+        mark = len(self.shadowed)
+        self._declare(var, [None])
+        self.visit(body)
+        self._close(mark)
 
     def _selected_own_field(self, e: A.FieldSel) -> Optional[A.FieldDecl]:
         """Own field selected via ``this.x`` or ``ClassName.staticField``."""
         q = e.qualifier
-        if isinstance(q, A.This):
+        t = type(q)
+        if t is A.This:
             return self.fields.get(e.name)
-        if isinstance(q, A.Name) and q.identifier == self.decl.name and self._local(q.identifier) is None:
+        if t is A.Name and q.identifier == self.decl.name and q.identifier not in self.locals:
             f = self.fields.get(e.name)
             if f is not None and f.is_static:
                 return f
@@ -335,7 +382,7 @@ class _AccessCollector:
         an element of an own array field is an array-element write."""
         element = target = A.strip_parens(target)
         indices = []
-        while isinstance(target, A.Index):
+        while type(target) is A.Index:
             indices.append(target.index)
             target = A.strip_parens(target.base)
         f = self._bind(target)
@@ -367,6 +414,10 @@ class _AccessCollector:
             self.visit(a)
 
 
+# an access's place in the file: its span's start, then its end
+_SOURCE_ORDER = attrgetter("span.start", "span.end")
+
+
 def build_class_model(
     decl: A.ClassDecl,
     allowlist: ThreadSafeTypeAllowlist = ThreadSafeTypeAllowlist(),
@@ -380,7 +431,7 @@ def build_class_model(
         collector.collect_callable(ctor)
     for m in decl.methods:
         collector.collect_callable(m)
-    accesses = sorted(collector.out, key=lambda a: (a.span.start, a.span.end))
+    accesses = sorted(collector.out, key=_SOURCE_ORDER)
     overloads: dict[tuple[str, int], list[A.MethodDecl]] = {}
     for m in decl.methods:
         overloads.setdefault((m.name, m.arity), []).append(m)
@@ -487,5 +538,7 @@ def exposed_accesses(cm: ClassModel) -> list[FieldAccess]:
 
 
 def is_modifying(a: FieldAccess) -> bool:
-    """Writes, array-element writes, and configured mutator calls modify a field."""
-    return a.kind in MODIFYING_KINDS
+    """Writes, array-element writes, and configured mutator calls modify a
+    field: every kind but a read. An identity test, as an Enum member's hash
+    is a Python-level call."""
+    return a.kind is not AccessKind.READ

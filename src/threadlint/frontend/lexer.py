@@ -7,17 +7,20 @@ token number; iterating it yields ``(kind, text, start, end)`` tuples. A
 :class:`LineTable` turns an offset into a 1-based ``line:col`` when a report
 or an error needs one.
 
-The lexer runs no Python statement per token. One pattern runs under
-``findall``; its groups are the whitespace and comments skipped and the
-token after them, or the empty string, so each match starts where the last
-ended, and the first with an empty token is the end of the input or an error
-there. The pattern has no optional group, and its one repeat of an
-alternation is entered only after a comment, so sre lexes a token that
-follows whitespace alone without its slow general repeat. The token
-alternatives start with identifiers, the most common tokens, and end in the
-empty string. No possessive quantifier or atomic group is used: Python 3.10
-has neither. Offsets are running sums of the pieces' lengths. A kind is
-looked up by text (keywords, punctuators), else by first character. Only an
+The lexer runs no Python statement per token, only one per distinct
+identifier or literal text. One pattern runs under ``findall``; its groups
+are the whitespace and comments skipped and the token after them, or the
+empty string, so each match starts where the last ended, and the first with
+an empty token is the end of the input or an error there. The pattern has
+no optional group, and its one repeat of an alternation is entered only
+after a comment, so sre lexes a token that follows whitespace alone without
+its slow general repeat. The token alternatives start with identifiers, the
+most common tokens, and end in the empty string. No possessive quantifier
+or atomic group is used: Python 3.10 has neither. Offsets are running sums
+of the pieces' lengths. Each token's kind is one lookup in a kind table
+made per call: it is seeded with the keywords and punctuators, and a text
+it lacks, an identifier or a literal, gets its first character's kind the
+first time it is seen and keeps it for the rest of the call. Only an
 unterminated block comment lexes as a ``/*`` token, an error too.
 
 A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` (JLS §3.4). String and character
@@ -93,6 +96,18 @@ _LOOSE_LITERAL_RE = re.compile(r"""
 _KIND = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(_PUNCTUATORS, "punct")
 _FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", "ident")
           | dict.fromkeys("0123456789.", "number") | {'"': "string", "'": "char"})
+
+
+class _KindTable(dict):
+    """Token text -> kind, seeded with ``_KIND``; a text it lacks gets its
+    first character's kind, kept for the text's next occurrence."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        kind = self[text] = _FIRST.get(text[0])
+        return kind
+
 
 _LINE_END = re.compile(r"\r\n?|\n")
 
@@ -170,7 +185,7 @@ def tokenize(source: str, path: str = "<string>") -> Tokens:
             message = f"unexpected character {source[pos]!r}"
         raise ParseError(*LineTable(source).line_col(pos), message)
     del texts[k:]
-    kinds = list(map(_KIND.get, texts, map(_FIRST.get, map(itemgetter(0), texts))))
+    kinds = list(map(_KindTable(_KIND).__getitem__, texts))
     kinds.append("eof")
     texts.append("")
     starts = offsets[1:2 * k + 2:2]  # the last is n, the eof token's start

@@ -48,7 +48,10 @@ which is exact because the spans of one tree nest or are disjoint.
 The work is demand-driven. Each method's protection is one record, built
 once: the synchronized method's monitor, each block's body offsets and
 monitor, and, only when some lock field has a lock call in the method, its
-CFG and each window's nodes and monitor. A query builds no monitor.
+CFG and each window's nodes and monitor. A query builds no monitor. The
+P3 query keeps one set per method, the monitors it is entered with plus
+its own, and answers every access outside the method's blocks and windows
+with that set; only an access in a block or a window is looked up there.
 
 The P3 query, the monitors held at an access on every public path to it, is
 one top-down lockset transfer over the same-class call graph, as RacerX
@@ -62,7 +65,6 @@ remain the paper's definition, loaded and evaluated only when asked for.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 from threadlint.cfg import Cfg, CfgNode, fewest
@@ -88,10 +90,15 @@ def lock_window(cfg: Cfg, locks: list[A.Call], unlocks: list[A.Call]) -> frozens
     only, which a count per node cannot tell from the other, so it takes none.
     """
     locked = [n for c in locks for n in cfg.nodes_for(c)
-              if isinstance(n.ast, A.ExprStmt) and n.ast.expr is c]
-    gain = Counter(locked)
-    gain.subtract(n for c in unlocks for n in cfg.nodes_for(c))
-    return frozenset(n for n, c in fewest(cfg, gain).items() if c or n in locked)
+              if type(n.ast) is A.ExprStmt and n.ast.expr is c]
+    gain = dict.fromkeys(locked, 0)
+    for n in locked:
+        gain[n] += 1
+    for c in unlocks:
+        for n in cfg.nodes_for(c):
+            gain[n] = gain.get(n, 0) - 1
+    count = fewest(cfg, gain)
+    return frozenset([n for n, c in count.items() if c] + [n for n in locked if n in count])
 
 
 def is_lock_type(type_name: str, lock_types: tuple[str, ...] = DEFAULT_LOCK_TYPES) -> bool:
@@ -160,6 +167,24 @@ def returned_field(call: A.Call, cm: ClassModel) -> Optional[A.FieldDecl]:
     return got
 
 
+def _inner_monitors(blocks: list[tuple[int, int, str]], cfg: Optional[Cfg],
+                    windows: list[tuple[frozenset[CfgNode], str]], expr: A.Expr) -> set[str]:
+    """The monitors of the synchronized blocks whose bodies contain ``expr``
+    and of the lock windows that hold every CFG node of it."""
+    out = set()
+    _, start, end, _ = expr.span
+    for body_start, body_end, mon in blocks:
+        if body_start <= start and end <= body_end:
+            out.add(mon)
+    if windows:
+        nodes = cfg.nodes_for(expr)
+        if nodes:
+            for window, mon in windows:
+                if window.issuperset(nodes):
+                    out.add(mon)
+    return out
+
+
 # a method's protection record: the synchronized method's monitors, the
 # (body start, body end, monitor) of each synchronized block that takes one,
 # the CFG when some lock field has a window, and each window's (nodes, monitor)
@@ -185,6 +210,9 @@ class MonitorAnalysis:
         self._facts = facts
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
         self._entry: Optional[dict[int, frozenset[str]]] = None
+        # id(method) -> (its entry monitors and its own monitor, its blocks,
+        # CFG and windows when it has any), for the methods monitors() asked
+        self._held: dict[int, tuple[frozenset[str], Optional[tuple]]] = {}
 
     def lock_call(self, e: A.Call) -> Optional[tuple[A.FieldDecl, bool]]:
         """(lock field, True) when call ``e`` is a configured lock method on a
@@ -248,18 +276,8 @@ class MonitorAnalysis:
         base, blocks, cfg, windows = self._protection(m)
         if not blocks and not windows:
             return base
-        out = set(base)
-        _, start, end, _ = expr.span
-        for body_start, body_end, mon in blocks:
-            if body_start <= start and end <= body_end:
-                out.add(mon)
-        if windows:
-            nodes = cfg.nodes_for(expr)
-            if nodes:
-                for window, mon in windows:
-                    if window.issuperset(nodes):
-                        out.add(mon)
-        return frozenset(out)
+        inner = _inner_monitors(blocks, cfg, windows, expr)
+        return base | inner if inner else base
 
     def public_facts(self, a: FieldAccess) -> list[AccessPathFact]:
         """The facts of public methods that execute ``a`` (the paper's publicAccess).
@@ -315,8 +333,22 @@ class MonitorAnalysis:
 
         A thread at ``a`` holds every monitor taken along its call path, so
         this is what its method is entered with plus the access's own
-        protection.
+        protection. The first is one set per method, kept with the method's
+        monitor in it, which answers every access outside the method's
+        synchronized blocks and lock windows.
         """
         k = a.enclosing
-        held = self._entry_monitors().get(id(k))
-        return frozenset() if held is None else held | self.protecting_monitors(k, a.expr)
+        at = self._held.get(id(k))
+        if at is None:
+            entered = self._entry_monitors().get(id(k))
+            if entered is None:
+                at = (frozenset(), None)
+            else:
+                base, blocks, cfg, windows = self._protection(k)
+                at = (entered | base, (blocks, cfg, windows) if blocks or windows else None)
+            self._held[id(k)] = at
+        held, inner = at
+        if inner is None:
+            return held
+        inner = _inner_monitors(*inner, a.expr)
+        return held | inner if inner else held

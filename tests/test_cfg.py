@@ -167,6 +167,18 @@ def test_diamond_branches():
     assert fewest(cfg, {then_n: 1, else_n: 1})[join] == 1  # every path takes one branch
 
 
+def test_empty_branches_join_through_one_edge_per_pair():
+    """``if (c) {} else {}`` leaves its cond node twice in the frontier, and
+    so does ``if (c) {}``; the statement after each gets one edge from it,
+    and the paths are the copying walk's, each once."""
+    cfg = method_cfg("class C { int x; public void f(boolean c) { if (c) {} else {} if (c) {} x = 1; } }")
+    first, second = (n for n in cfg.nodes if n.kind == "cond")
+    [join] = (n for n in cfg.nodes if n.kind == "stmt")
+    assert cfg.succs[first] == [second] and cfg.succs[second] == [join]
+    assert all(len(set(succs)) == len(succs) for succs in cfg.succs.values())
+    assert list(paths(cfg)) == list(copying_paths(cfg)) == [[cfg.entry, first, second, join, cfg.exit]]
+
+
 def _src_of(node):
     from threadlint.frontend.printer import to_source
 

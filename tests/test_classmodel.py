@@ -1,10 +1,14 @@
 """Access collection, P1/P2, exposure, and modification classification."""
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import corpus_source, line_of, model_for, model_from_source
+import binder_reference
+from conftest import corpus_source, full_size_sources, line_of, model_for, model_from_source
+from test_accesspaths import thread_safe_classes
 
 from threadlint.classmodel import (
+    DEFAULT_MUTATOR_METHODS,
     AccessKind,
     ThreadSafeTypeAllowlist,
     build_class_model,
@@ -268,6 +272,86 @@ def test_parameters_are_locals_that_denote_no_field():
     paren = m.body.stmts[1].expr.qualifier
     assert isinstance(paren, A.Paren) and cm.is_local(paren) and cm.denotes(paren) is None
     assert not cm.is_local(m.body.stmts[0].expr)  # a call is no local
+
+
+# --- the flat scope table binds as the scope-list binder did ---
+
+
+def assert_binds_as_the_scope_list_binder(decl):
+    """``build_class_model`` records, for every class, the bindings, local
+    writes, calls, synchronized blocks and field accesses, in the same order,
+    that the reference binder's walk records; the locals bound to one
+    declaration share one writes list in both, list for list."""
+    cm = build_class_model(decl)
+    ref = binder_reference.collect(decl, DEFAULT_MUTATOR_METHODS)
+    assert cm.bindings == ref.bindings
+    assert cm.calls == ref.calls
+    assert cm.syncs == ref.syncs
+    assert cm.local_writes.keys() == ref.local_writes.keys()
+    lists = {}  # id(a writes list here) -> id(the reference's list for the same names)
+    for key, writes in cm.local_writes.items():
+        want = ref.local_writes[key]
+        assert lists.setdefault(id(writes), id(want)) == id(want)
+        assert len(writes) == len(want) and all(v is w for v, w in zip(writes, want))
+    assert len(set(lists.values())) == len(lists)
+
+    def rows(accesses):
+        return [(a.field, a.kind, a.span, a.enclosing, a.expr, a.is_initializer_write) for a in accesses]
+
+    assert rows(cm.field_accesses) == rows(sorted(ref.out, key=lambda a: (a.span.start, a.span.end)))
+
+
+SHADOWS = """@ThreadSafe
+class H {
+  private int x;
+  private int i;
+  private int a;
+  private static int S;
+  private final Object mu = new Object();
+  private int[] arr = new int[2];
+  public void nested() { { int x = 1; { x = x + 1; { x++; int i = x; } i = x; } } x = 2; }
+  public void siblings() { { int x = 1; x += this.x; } { int x = 2; x = x + 1; } x = 3; }
+  public void forinit() { for (int i = 0; i < x; i++) { x = i; } i = 1; for (i = 0; i < 2; i++) { arr[i] = i; } }
+  public void foreach(int[] arr) { for (int x : arr) { x = 1; mu.hashCode(); } x = arr[0]; }
+  public void caught() { try { x = 1; } catch (RuntimeException x) { x.hashCode(); } finally { x = 3; } }
+  public void declarators() { int a = 1, b = a; b = a + this.a; a = b; }
+  public void twice() { int x = 1; int x = x + 1; x = 2; { int x = 3; x++; } x++; }
+  public void twiceParam(int x) { int x = 2; x = 3; }
+  public void twiceInBlock() { { Object x = mu; Object x = x; x.hashCode(); } x = 1; }
+  public void shadowsClass() { Object H = mu; H.S = 1; { int S = H.S; } S = H.S; }
+}
+"""
+
+
+def test_hand_cases_bind_as_the_scope_list_binder():
+    cm = model_from_source(SHADOWS)
+    for decl in parse_source(SHADOWS).iter_classes():
+        assert_binds_as_the_scope_list_binder(decl)
+    # a name declared twice in one block denotes the later declaration
+    # until the block closes; past it, the name is the field again
+    assert denoted(cm, "twiceInBlock") == [("mu", False, "mu"), ("x", True, "mu"), ("x", True, "mu"),
+                                           ("x", False, "x")]
+    assert denoted(cm, "forinit")[-6:] == [
+        ("i", False, "i"), ("i", False, "i"), ("i", False, "i"), ("arr", False, "arr"), ("i", False, "i"),
+        ("i", False, "i"),
+    ]
+
+
+def test_every_class_of_the_inputs_binds_as_the_scope_list_binder():
+    """The corpus, the oracle probes and the three full-size workloads at seed 1."""
+    classes = 0
+    for text in full_size_sources():
+        for decl in parse_source(text).iter_classes():
+            assert_binds_as_the_scope_list_binder(decl)
+            classes += 1
+    assert classes > 100
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(thread_safe_classes())
+def test_generated_classes_bind_as_the_scope_list_binder(src):
+    for decl in parse_source(src).iter_classes():
+        assert_binds_as_the_scope_list_binder(decl)
 
 
 # --- P1 ---
