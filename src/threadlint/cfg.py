@@ -62,7 +62,7 @@ class Cfg:
         self.exit = exit
         # the sorted starts and the ends of the first lowering's top-level
         # expressions, with the node that evaluates each; a node -> its copies
-        self._starts: Optional[Sequence[int]] = None
+        self._starts: Optional[list[int]] = None
         self._index: Optional[list[tuple[int, CfgNode]]] = None
         self._copies: Optional[dict[CfgNode, list[CfgNode]]] = None
 
@@ -100,9 +100,8 @@ class Cfg:
                 else:
                     copies.setdefault(first, [first]).append(n)
         index.sort(key=itemgetter(0))
-        starts, ends, nodes = zip(*index) if index else ((), (), ())
-        self._starts = starts
-        self._index = list(zip(ends, nodes))
+        self._starts = list(map(itemgetter(0), index))
+        self._index = list(map(itemgetter(1, 2), index))
         self._copies = copies
 
 

@@ -167,10 +167,17 @@ def returned_field(call: A.Call, cm: ClassModel) -> Optional[A.FieldDecl]:
     return got
 
 
-def _inner_monitors(blocks: list[tuple[int, int, str]], cfg: Optional[Cfg],
-                    windows: list[tuple[frozenset[CfgNode], str]], expr: A.Expr) -> set[str]:
+# a method's protection record: the synchronized method's monitors, the
+# (body start, body end, monitor) of each synchronized block that takes one,
+# the CFG when some lock field has a window, and each window's (nodes, monitor)
+_Protection = tuple[frozenset[str], list[tuple[int, int, str]], Optional[Cfg], list[tuple[frozenset[CfgNode], str]]]
+
+
+def _inner_monitors(record: _Protection, expr: A.Expr) -> set[str]:
     """The monitors of the synchronized blocks whose bodies contain ``expr``
-    and of the lock windows that hold every CFG node of it."""
+    and of the lock windows that hold every CFG node of it, from its
+    method's protection record."""
+    _, blocks, cfg, windows = record
     out = set()
     _, start, end, _ = expr.span
     for body_start, body_end, mon in blocks:
@@ -183,12 +190,6 @@ def _inner_monitors(blocks: list[tuple[int, int, str]], cfg: Optional[Cfg],
                 if window.issuperset(nodes):
                     out.add(mon)
     return out
-
-
-# a method's protection record: the synchronized method's monitors, the
-# (body start, body end, monitor) of each synchronized block that takes one,
-# the CFG when some lock field has a window, and each window's (nodes, monitor)
-_Protection = tuple[frozenset[str], list[tuple[int, int, str]], Optional[Cfg], list[tuple[frozenset[CfgNode], str]]]
 
 
 class MonitorAnalysis:
@@ -210,9 +211,9 @@ class MonitorAnalysis:
         self._facts = facts
         self._public_facts: Optional[dict[int, list[AccessPathFact]]] = None
         self._entry: Optional[dict[int, frozenset[str]]] = None
-        # id(method) -> (its entry monitors and its own monitor, its blocks,
-        # CFG and windows when it has any), for the methods monitors() asked
-        self._held: dict[int, tuple[frozenset[str], Optional[tuple]]] = {}
+        # id(method) -> (its entry monitors and its own monitor, its
+        # protection record when it has blocks or windows), as monitors() asks
+        self._held: dict[int, tuple[frozenset[str], Optional[_Protection]]] = {}
 
     def lock_call(self, e: A.Call) -> Optional[tuple[A.FieldDecl, bool]]:
         """(lock field, True) when call ``e`` is a configured lock method on a
@@ -273,10 +274,11 @@ class MonitorAnalysis:
 
     def protecting_monitors(self, m: A.MethodDecl, expr: A.Expr) -> frozenset[str]:
         """All monitors protecting the evaluation of ``expr`` inside ``m``."""
-        base, blocks, cfg, windows = self._protection(m)
+        record = self._protection(m)
+        base, blocks, _, windows = record
         if not blocks and not windows:
             return base
-        inner = _inner_monitors(blocks, cfg, windows, expr)
+        inner = _inner_monitors(record, expr)
         return base | inner if inner else base
 
     def public_facts(self, a: FieldAccess) -> list[AccessPathFact]:
@@ -344,11 +346,13 @@ class MonitorAnalysis:
             if entered is None:
                 at = (frozenset(), None)
             else:
-                base, blocks, cfg, windows = self._protection(k)
-                at = (entered | base, (blocks, cfg, windows) if blocks or windows else None)
+                record = self._protection(k)
+                base, blocks, _, windows = record
+                held = entered | base if entered and base else entered or base
+                at = (held, record if blocks or windows else None)
             self._held[id(k)] = at
-        held, inner = at
-        if inner is None:
+        held, record = at
+        if record is None:
             return held
-        inner = _inner_monitors(*inner, a.expr)
+        inner = _inner_monitors(record, a.expr)
         return held | inner if inner else held
