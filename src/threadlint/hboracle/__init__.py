@@ -10,9 +10,11 @@ must be race-free here.
 
 ``model`` holds programs (a worker thread is its (op, target) list) and
 executions, each checked when it is made, and the kernel (an incremental
-happens-before step that race-checks each appended action, and the sync-order
-search with sleep sets that runs it); ``driver`` lowers a class to two-thread
-programs, checking each distinct action list once;
+happens-before step that race-checks each appended action, the sync-order
+search with sleep sets that runs it, and a lockset filter that clears a
+program whose conflicting plain accesses all hold a common monitor);
+``driver`` lowers a class to two-thread programs, checking each distinct
+action list once, and searches only the programs the filter cannot clear;
 ``trace`` reads and writes trace files.
 """
 

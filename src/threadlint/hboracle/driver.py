@@ -14,7 +14,9 @@ class model keeps (:meth:`ClassModel.cfg`), which P3's lock windows share;
 whether a field is allowlisted, and so which ops its accesses lower to, is
 asked once per field; and each distinct action list and the init list are
 checked once (:func:`check_actions`), so the pairs are made from them
-without checking them again.
+without checking them again. :func:`check_class` summarizes each of these
+lists once (:func:`plain_accesses`) and searches the sync orders of a pair
+only when the lockset filter (:func:`may_race`) cannot clear it.
 
 What a name, a call or a synchronized block's monitor denotes is asked of
 the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
@@ -59,6 +61,9 @@ from threadlint.hboracle.model import (
     RaceReport,
     ThreadProgram,
     check_actions,
+    check_budget,
+    may_race,
+    plain_accesses,
     program_races,
 )
 from threadlint.monitors import MonitorAnalysis, lock_monitor, method_monitor, sync_monitor
@@ -284,14 +289,28 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:
-    """Exhaustive race check over every two-thread driver of the class."""
+    """Exhaustive race check over every two-thread driver of the class, in
+    order: each is checked against the action budget, and searched only when
+    :func:`may_race` cannot clear it. The search would find no race in a
+    cleared driver, so the verdict is that of searching every driver. The
+    init list and each distinct action list are summarized once."""
     checked = 0
+    summaries: dict[int, dict] = {}  # id(list) -> its plain accesses; the drivers share the lists
+
+    def accesses(t: int, actions) -> dict:
+        s = summaries.get(id(actions))
+        if s is None:
+            s = summaries[id(actions)] = plain_accesses(t, actions)
+        return s
+
     try:
         for d in two_thread_drivers(cm, **kw):
-            report = program_races(d, action_budget=action_budget)
+            check_budget(d, action_budget)
             checked += 1
-            if report.raced:
-                return OracleVerdict(cm.class_id, True, report, checked, "checked")
+            if may_race(d, accesses):
+                report = program_races(d, action_budget=action_budget)
+                if report.raced:
+                    return OracleVerdict(cm.class_id, True, report, checked, "checked")
     except UnsupportedForOracle as exc:
         return OracleVerdict(cm.class_id, False, None, 0, "unsupported", str(exc))
     except BudgetExceeded as exc:  # over the path cap (no driver checked) or the action budget

@@ -3,10 +3,11 @@
 Thread programs (an (op, target) list per thread) and executions (actions
 interleaved), each checked when it is made; structural data-race detection
 on one execution (happens-before from program order, monitor order, volatile
-order, initialization order, and transitivity); and the race check of a
-whole program by a search over its sync orders, one of each class of
-equivalent orders. Value semantics are ignored: a race is a property of
-action identity and ordering alone.
+order, initialization order, and transitivity); the race check of a whole
+program by a search over its sync orders, one of each class of equivalent
+orders; and a lockset filter that clears, without a search, a program whose
+conflicting plain accesses all hold a common monitor. Value semantics are
+ignored: a race is a property of action identity and ordering alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
@@ -101,6 +102,55 @@ def _release(held: dict, monitor, thread: int) -> bool:
     if h[1] == 0:
         del held[monitor]
     return True
+
+
+def plain_accesses(t: int, actions) -> dict[str, tuple[set, set]]:
+    """Each field that the (op, target) list of thread ``t`` reads or writes
+    plainly -> (the sets of monitors the thread holds at its reads, at its
+    writes). The main thread (0) counts as holding none: the search runs its
+    init actions as a prefix that takes no lock, so a monitor it holds at
+    its end excludes no worker."""
+    out: dict[str, tuple[set, set]] = {}
+    held: dict = {}
+    for op, target in actions:
+        if op is Op.READ or op is Op.WRITE:
+            sets = out.get(target)
+            if sets is None:
+                sets = out[target] = (set(), set())
+            sets[op is Op.WRITE].add(frozenset(held) if t else frozenset())
+        elif op is Op.LOCK:
+            _acquire(held, target, t)  # one thread never blocks itself
+        elif op is Op.UNLOCK:
+            _release(held, target, t)
+    return out
+
+
+def _unguarded(a: dict, b: dict) -> bool:
+    """Whether two threads' plain accesses of one field, at least one a
+    write, hold no common monitor."""
+    for field, (reads, writes) in a.items():
+        other = b.get(field)
+        if other is not None:
+            reads2, writes2 = other
+            if any(h.isdisjoint(h2) for h in writes for h2 in reads2 | writes2) or \
+                    any(h.isdisjoint(h2) for h in reads for h2 in writes2):
+                return True
+    return False
+
+
+def may_race(p: ThreadProgram, accesses=plain_accesses) -> bool:
+    """False only when no execution of ``p`` races: every two threads' plain
+    accesses of one field, at least one a write, hold a common monitor, and
+    the main thread's plain accesses conflict with no worker's.
+    ``accesses(t, actions)`` summarizes thread ``t``'s list as
+    :func:`plain_accesses` does.
+
+    Of two critical sections on one monitor, one ends with an unlock before
+    the other's lock (HB2), or the other never runs, so two accesses inside
+    them are ordered. Volatile and monitor actions race with nothing, and a
+    default or final init runs before every worker (HB4, HB5)."""
+    summaries = [accesses(t, actions) for t, actions in enumerate((p.init_actions, *p.threads))]
+    return any(_unguarded(a, b) for i, a in enumerate(summaries) for b in summaries[i + 1:])
 
 
 def _encode(actions, ids: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -447,12 +497,17 @@ class RaceReport(NamedTuple):
     executions: int
 
 
-def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
-    """Check one sync order of each class of equivalent orders of the program
-    for data races; stop at the first."""
+def check_budget(p: ThreadProgram, action_budget: int) -> None:
+    """Raise BudgetExceeded when ``p`` has more than ``action_budget`` actions."""
     n = p.action_count()
     if n > action_budget:
         raise BudgetExceeded(f"program has {n} actions; the oracle explores at most {action_budget}")
+
+
+def program_races(p: ThreadProgram, action_budget: int = DEFAULT_ACTION_BUDGET) -> RaceReport:
+    """Check one sync order of each class of equivalent orders of the program
+    for data races; stop at the first."""
+    check_budget(p, action_budget)
     ids: dict[str, int] = {}
     init = _encode(p.init_actions, ids)
     n_orders, schedule = _search_sync_orders(init, [_encode(t, ids) for t in p.threads])

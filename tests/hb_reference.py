@@ -1,21 +1,36 @@
 """Reference oracles for the parity properties in test_hboracle.py.
 
-Two references, both kept only for those properties, so they favour
-plainness over speed and reuse nothing of ``threadlint.hboracle`` but its
-data types. Each builds its ``TraceAction``s from the program's lists:
+Two references of the search, both kept only for those properties, so
+they favour plainness over speed and reuse nothing of ``threadlint.hboracle``
+but its data types. Each builds its ``TraceAction``s from the program's
+lists:
 
 - the exhaustive enumerator of every interleaving, which the sync-order
   search replaced, with the race check by the full happens-before closure;
 - the sync-order search as it was before happens-before was carried down
   it: the same depth-first search, which race-checks each leaf by building
   the whole closure of the leaf's execution.
+
+A third, ``check_every_driver``, is the class check as it was before the
+lockset filter: it searches every driver with the oracle's own search, so
+that its verdicts can be compared with ``check_class``'s.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from threadlint.hboracle import Execution, Op, ThreadProgram, TraceAction
+from threadlint.errors import BudgetExceeded, UnsupportedForOracle
+from threadlint.hboracle import (
+    DEFAULT_ACTION_BUDGET,
+    Execution,
+    Op,
+    OracleVerdict,
+    ThreadProgram,
+    TraceAction,
+    program_races,
+    two_thread_drivers,
+)
 
 _FIELD_OPS = (Op.READ, Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT)
 _WRITE_OPS = (Op.WRITE, Op.DEFAULT_INIT, Op.FINAL_INIT)
@@ -208,3 +223,19 @@ def search_sync_orders(p: ThreadProgram) -> tuple[int, Optional[Execution]]:
 
     witness = rec()
     return leaves, witness
+
+
+def check_every_driver(cm, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:
+    """``check_class`` without the lockset filter: every driver is searched."""
+    checked = 0
+    try:
+        for d in two_thread_drivers(cm, **kw):
+            report = program_races(d, action_budget=action_budget)
+            checked += 1
+            if report.raced:
+                return OracleVerdict(cm.class_id, True, report, checked, "checked")
+    except UnsupportedForOracle as exc:
+        return OracleVerdict(cm.class_id, False, None, 0, "unsupported", str(exc))
+    except BudgetExceeded as exc:
+        return OracleVerdict(cm.class_id, False, None, checked, "budget-exceeded", str(exc))
+    return OracleVerdict(cm.class_id, False, None, checked, "checked")

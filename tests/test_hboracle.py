@@ -6,14 +6,26 @@ import os
 import time
 
 import pytest
-from hb_reference import interleavings, reference_raced, reference_races, search_sync_orders, trace_actions
+from hb_reference import (
+    check_every_driver,
+    interleavings,
+    reference_raced,
+    reference_races,
+    search_sync_orders,
+    trace_actions,
+)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import model_from_source
+from conftest import full_size_sources, model_from_source
+from test_accesspaths import thread_safe_classes
+from test_raceanalysis import synchronized_classes
 
 from threadlint import cli
+from threadlint.classmodel import build_class_model
+from threadlint.config import build_config
 from threadlint.errors import BudgetExceeded, MalformedExecution, UnsupportedForOracle
+from threadlint.frontend import SourceFile, annotated_as_thread_safe, parse_compilation_unit
 from threadlint.frontend import ast as A
 from threadlint.hboracle import (
     Execution,
@@ -482,6 +494,86 @@ def test_search_matches_the_leaf_checking_search(p):
     leaves, witness = search_sync_orders(p)
     assert (report.raced, report.witness) == (witness is not None, witness)
     assert 1 <= report.executions <= leaves
+
+
+# --- the lockset filter: a program it clears never races ---
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(programs())
+@example(NESTED_DEADLOCK)
+@example(HELD_AT_EXIT)
+@example(DEADLOCK_ONLY_RACE)
+def test_a_program_the_lockset_filter_clears_never_races(p):
+    if model.may_race(p):
+        event("may race")
+    else:
+        event("cleared")
+        assert not reference_raced(p)
+
+
+LOCKSET_CASES = [
+    # (why, init, workers, may race, races)
+    ("one monitor at both writes", [(DI, "x")],
+     [[(L, "a"), (W, "x"), (U, "a")], [(L, "a"), (W, "x"), (U, "a")]], False, False),
+    ("different monitors", [(DI, "x")],
+     [[(L, "a"), (W, "x"), (U, "a")], [(L, "b"), (R, "x"), (U, "b")]], True, True),
+    ("still held after a reentrant unlock", [(DI, "x")],
+     [[(L, "a"), (L, "a"), (U, "a"), (W, "x"), (U, "a")], [(L, "a"), (R, "x"), (U, "a")]], False, False),
+    ("held at exit by a worker", [(DI, "x")],
+     [[(L, "a"), (W, "x")], [(L, "a"), (R, "x"), (U, "a")]], False, False),
+    ("reads only", [(DI, "x")], [[(R, "x")], [(R, "x")]], False, False),
+    ("volatile accesses", [(VW, "v")], [[(VW, "v")], [(VR, "v"), (VW, "v")]], False, False),
+    ("final and default inits", [(FI, "x"), (DI, "y")], [[(R, "x"), (W, "y")], [(L, "a"), (U, "a")]], False, False),
+    ("a plain init write", [(W, "x")],
+     [[(L, "a"), (R, "x"), (U, "a")], [(L, "a"), (R, "x"), (U, "a")]], True, True),
+    ("a plain init write under a monitor", [(L, "a"), (W, "x"), (U, "a")],
+     [[(L, "a"), (R, "x"), (U, "a")], []], True, False),  # the main thread counts as holding none
+    ("a plain init read", [(R, "x")], [[(W, "x")], []], True, True),
+    ("a plain init write ordered by a later init", [(W, "x"), (DI, "y")], [[(W, "x")], []], True, False),
+]
+
+
+@pytest.mark.parametrize("why, init, workers, may, races", LOCKSET_CASES, ids=[c[0] for c in LOCKSET_CASES])
+def test_the_lockset_filter_clears_only_guarded_conflicts(why, init, workers, may, races):
+    p = ThreadProgram.build(workers, init=init)
+    assert model.may_race(p) == may
+    assert program_races(p).raced == reference_raced(p) == races
+
+
+CORPUS_FLAGS = {"lock_type_add": ("MyLock",), "allowlist_add": ("com.example.concurrent.AtomicRegistry",)}
+
+
+def oracle_models(text: str, config):
+    """The class model of each ``@ThreadSafe`` class of a file, as the CLI builds it."""
+    ast = parse_compilation_unit(SourceFile("<parity>.java", text))
+    for decl in annotated_as_thread_safe(ast, config.annotations):
+        yield build_class_model(decl, allowlist=config.allowlist(), annotation_names=config.annotations,
+                                mutator_methods=config.mutator_methods)
+
+
+def assert_same_verdicts(texts, config) -> int:
+    """``check_class`` gives the verdict of searching every driver on each
+    class of ``texts``; returns the number of classes."""
+    kw = {"lock_types": config.lock_types, "lock_methods": config.lock_methods,
+          "unlock_methods": config.unlock_methods}
+    n = 0
+    for text in texts:
+        for cm in oracle_models(text, config):
+            assert check_class(cm, **kw) == check_every_driver(cm, **kw), cm.class_id
+            n += 1
+    return n
+
+
+def test_the_filter_keeps_every_verdict_on_the_full_size_inputs():
+    # the corpus, the oracle probes and the three full-size workloads at seed 1
+    assert assert_same_verdicts(full_size_sources(), build_config(None, **CORPUS_FLAGS)) > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(thread_safe_classes(), synchronized_classes()))
+def test_the_filter_keeps_every_verdict_on_generated_classes(src):
+    assert assert_same_verdicts([src], build_config(None)) == 1
 
 
 def blocks(monitor: str, field: str, m: int) -> list:

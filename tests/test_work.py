@@ -1,4 +1,5 @@
-"""Work counted, not timed: the Python-level calls a run makes into threadlint.
+"""Work counted, not timed: the Python-level calls a run makes into
+threadlint, and the drivers the oracle searches.
 
 Timing assertions flake on shared runners; a count of calls does not. The
 counter sees every call of a function defined in the package, on a
@@ -16,10 +17,11 @@ import pytest
 from conftest import benchmark_workloads
 
 import threadlint
-from threadlint import cli
+from threadlint import cli, hboracle
 from threadlint.config import build_config
 from threadlint.frontend import SourceFile, parse_compilation_unit
 from threadlint.frontend import ast as A
+from threadlint.hboracle import driver
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(threadlint.__file__)) + os.sep
 
@@ -89,3 +91,32 @@ def test_lint_calls_grow_linearly_and_stay_within_the_measured_cost_per_node(tmp
     assert 1.9 < large_nodes / small_nodes < 2.1
     assert large / small <= 2.2, (small, large)
     assert large / large_nodes <= CALLS_PER_NODE[variant] * SLACK, (large, large_nodes)
+
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.mark.parametrize("inputs, flags, searched, drivers", [
+    ("oracle_probes", {"lock_type_add": ("MyLock",)}, 15, 64),
+    ("corpus", {"lock_type_add": ("MyLock",), "allowlist_add": ("com.example.concurrent.AtomicRegistry",)}, 2, 22),
+])
+def test_the_oracle_searches_only_the_drivers_that_may_race(monkeypatch, inputs, flags, searched, drivers):
+    """``oracle_check`` searches the sync orders of a driver only where the
+    lockset filter cannot clear it: the counts measured when the filter
+    came in, of the drivers searched and of all drivers checked."""
+    searches, verdicts = [], []
+    search, check = driver.program_races, hboracle.check_class
+
+    def counted_search(d, **kw):
+        searches.append(d.name)
+        return search(d, **kw)
+
+    def counted_check(cm, **kw):
+        verdicts.append(check(cm, **kw))
+        return verdicts[-1]
+
+    monkeypatch.setattr(driver, "program_races", counted_search)
+    monkeypatch.setattr(hboracle, "check_class", counted_check)
+    _, code = cli.oracle_check([os.path.join(TESTS_DIR, inputs)], build_config(None, **flags))
+    assert code == cli.EXIT_CLEAN
+    assert (len(searches), sum(v.drivers_checked for v in verdicts)) == (searched, drivers)
