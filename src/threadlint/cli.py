@@ -29,16 +29,22 @@ EXIT_ALERTS = 1
 EXIT_ERROR = 2
 
 
-def discover_files(paths: list[str]) -> list[str]:
+def discover_files(paths: list[str]) -> tuple[list[str], list[ParseFailure]]:
     """All .java files under the given paths, each directory's sorted for
-    determinism. A file named more than once, directly, under a directory,
-    or through another spelling or a link, is kept once, under the first of
-    its names: files are told apart by device and inode. A path costs one
-    ``stat``, and so does each entry found under a directory. Such an entry
-    that is no regular file (a FIFO, a socket, a link to one) is never
-    opened; one that cannot be stat'ed, such as a broken link, is kept."""
+    determinism, and one ``cannot read`` row per directory that cannot be
+    listed, a path or one under it; the walk goes on past such a directory.
+    A file named more than once, directly, under a directory, or through
+    another spelling or a link, is kept once, under the first of its names:
+    files are told apart by device and inode. A path costs one ``stat``, and
+    so does each entry found under a directory. Such an entry that is no
+    regular file (a FIFO, a socket, a link to one) is never opened; one that
+    cannot be stat'ed, such as a broken link, is kept."""
     files: list[str] = []
+    unlisted: list[ParseFailure] = []
     seen: set = set()
+
+    def unlistable(exc: OSError) -> None:
+        unlisted.append(ParseFailure(exc.filename, 1, 1, f"cannot read: {exc.strerror or exc}"))
 
     def add(path: str, st: os.stat_result) -> None:
         key = (st.st_dev, st.st_ino) if st.st_ino else path  # some file systems give no inode
@@ -54,7 +60,7 @@ def discover_files(paths: list[str]) -> list[str]:
         if stat.S_ISREG(st.st_mode):
             add(p, st)
         elif stat.S_ISDIR(st.st_mode):
-            for root, dirs, names in os.walk(p):
+            for root, dirs, names in os.walk(p, onerror=unlistable):
                 dirs.sort()
                 for name in sorted(names):
                     if name.endswith(".java"):
@@ -68,7 +74,7 @@ def discover_files(paths: list[str]) -> list[str]:
                             add(path, st)
         else:
             raise IoError(f"not a regular file or directory: {p}")
-    return files
+    return files, unlisted
 
 
 def _class_alerts(decl, config: Config):
@@ -136,15 +142,18 @@ def _resume_gc() -> None:
 def _check(paths: list[str], config: Config, oracle: bool) -> tuple[Report, int]:
     """Discover the files and check each with ``_check_file``; returns the
     report and an exit code. Only a path argument that is missing, or is no
-    regular file or directory, raises ``IoError``. The cyclic garbage
-    collector is paused meanwhile; each file's AST and class models are
-    locals of ``_check_file``, freed before it resumes."""
+    regular file or directory, raises ``IoError``; a directory that cannot
+    be listed is one error row, as a file that cannot be read is. The cyclic
+    garbage collector is paused meanwhile; each file's AST and class models
+    are locals of ``_check_file``, freed before it resumes."""
     started = time.perf_counter()
     report = Report()
     may_hold_annotation = annotation_pattern(config.annotations).search
     _pause_gc()
     try:
-        for path in discover_files(paths):
+        files, unlisted = discover_files(paths)
+        report.errors.extend(unlisted)
+        for path in files:
             _check_file(path, report, config, oracle, may_hold_annotation)
         report.finalize()
     finally:

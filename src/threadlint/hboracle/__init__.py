@@ -12,10 +12,11 @@ must be race-free here.
 executions, each checked when it is made, and the kernel (an incremental
 happens-before step that race-checks each appended action, the sync-order
 search with sleep sets that runs it, and a lockset filter that clears a
-program whose conflicting plain accesses all hold a common monitor);
-``driver`` lowers a class to two-thread programs, checking each distinct
-action list once, and searches only the programs the filter cannot clear;
-``trace`` reads and writes trace files.
+program whose conflicting plain accesses all hold a common monitor, as the
+one walk that checks each thread's list records them); ``driver`` lowers a
+class to two-thread programs, walking each distinct action list once, and
+searches only the programs the filter cannot clear; ``trace`` reads and
+writes trace files.
 """
 
 from threadlint.hboracle.driver import (

@@ -13,10 +13,11 @@ Each class's work is done once: a method's paths are walked on the CFG the
 class model keeps (:meth:`ClassModel.cfg`), which P3's lock windows share;
 whether a field is allowlisted, and so which ops its accesses lower to, is
 asked once per field; and each distinct action list and the init list are
-checked once (:func:`check_actions`), so the pairs are made from them
-without checking them again. :func:`check_class` summarizes each of these
-lists once (:func:`plain_accesses`) and searches the sync orders of a pair
-only when the lockset filter (:func:`may_race`) cannot clear it.
+walked once, by :func:`check_actions`, which checks it and records the
+monitors held at its plain reads and writes, so the pairs are made from them
+without walking them again. :func:`check_class` searches the sync orders of
+a pair only when the lockset filter (:func:`may_race`) on those records
+cannot clear it.
 
 What a name, a call or a synchronized block's monitor denotes is asked of
 the class model (:meth:`ClassModel.field_of`, :meth:`ClassModel.callees`)
@@ -63,7 +64,6 @@ from threadlint.hboracle.model import (
     check_actions,
     check_budget,
     may_race,
-    plain_accesses,
     program_races,
 )
 from threadlint.monitors import MonitorAnalysis, lock_monitor, method_monitor, sync_monitor
@@ -266,48 +266,41 @@ def two_thread_drivers(cm: ClassModel, **kw) -> Iterator[ThreadProgram]:
     list of the pair, named by the first method that has it.
 
     Every list and the init list are lowered and checked once, in order,
-    before this returns; each pair is made from the checked lists, without
-    checking them again, only when the iterator reaches it."""
+    before this returns; each pair is made from the checked lists and the
+    plain accesses their checks recorded, without walking them again, only
+    when the iterator reaches it."""
     b = _DriverBuilder(cm, **kw)
     owner: dict[tuple[ActionSpec, ...], str] = {}
     for m in cm.decl.methods:
         if m.is_public:
             for actions in b.method_actions(m):
                 owner.setdefault(actions, m.name)
+    lists = []  # (actions, name, plain accesses)
     for actions, name in owner.items():
         try:
-            check_actions(1, actions)
+            lists.append((actions, name, check_actions(1, actions)))
         except MalformedExecution as exc:
             # one thread fails only by unlocking what it does not hold
             raise UnsupportedForOracle(f"{cm.decl.name}.{name} unlocks {exc.action.target!r} "
                                        "without holding it; not oracle-supported") from None
     init = tuple(b.init_actions())
-    check_actions(0, init)
-    lists = list(owner.items())
-    return (ThreadProgram.of_checked(init, (first, second), f"{cm.decl.name}:{name1}|{name2}")
-            for i, (first, name1) in enumerate(lists) for second, name2 in lists[i:])
+    init_accesses = check_actions(0, init)
+    return (ThreadProgram.of_checked(init, (first, second), (init_accesses, acc1, acc2),
+                                     f"{cm.decl.name}:{name1}|{name2}")
+            for i, (first, name1, acc1) in enumerate(lists) for second, name2, acc2 in lists[i:])
 
 
 def check_class(cm: ClassModel, action_budget: int = DEFAULT_ACTION_BUDGET, **kw) -> OracleVerdict:
     """Exhaustive race check over every two-thread driver of the class, in
     order: each is checked against the action budget, and searched only when
     :func:`may_race` cannot clear it. The search would find no race in a
-    cleared driver, so the verdict is that of searching every driver. The
-    init list and each distinct action list are summarized once."""
+    cleared driver, so the verdict is that of searching every driver."""
     checked = 0
-    summaries: dict[int, dict] = {}  # id(list) -> its plain accesses; the drivers share the lists
-
-    def accesses(t: int, actions) -> dict:
-        s = summaries.get(id(actions))
-        if s is None:
-            s = summaries[id(actions)] = plain_accesses(t, actions)
-        return s
-
     try:
         for d in two_thread_drivers(cm, **kw):
             check_budget(d, action_budget)
             checked += 1
-            if may_race(d, accesses):
+            if may_race(d):
                 report = program_races(d, action_budget=action_budget)
                 if report.raced:
                     return OracleVerdict(cm.class_id, True, report, checked, "checked")

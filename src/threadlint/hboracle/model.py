@@ -6,8 +6,10 @@ on one execution (happens-before from program order, monitor order, volatile
 order, initialization order, and transitivity); the race check of a whole
 program by a search over its sync orders, one of each class of equivalent
 orders; and a lockset filter that clears, without a search, a program whose
-conflicting plain accesses all hold a common monitor. Value semantics are
-ignored: a race is a property of action identity and ordering alone.
+conflicting plain accesses all hold a common monitor, as one walk of each
+thread's list (:func:`check_actions`) checks it and records them. Value
+semantics are ignored: a race is a property of action identity and ordering
+alone.
 
 ``local`` actions model operations that touch neither fields nor monitors
 (e.g. arithmetic on method locals); they occupy interleaving slots but never
@@ -104,27 +106,6 @@ def _release(held: dict, monitor, thread: int) -> bool:
     return True
 
 
-def plain_accesses(t: int, actions) -> dict[str, tuple[set, set]]:
-    """Each field that the (op, target) list of thread ``t`` reads or writes
-    plainly -> (the sets of monitors the thread holds at its reads, at its
-    writes). The main thread (0) counts as holding none: the search runs its
-    init actions as a prefix that takes no lock, so a monitor it holds at
-    its end excludes no worker."""
-    out: dict[str, tuple[set, set]] = {}
-    held: dict = {}
-    for op, target in actions:
-        if op is Op.READ or op is Op.WRITE:
-            sets = out.get(target)
-            if sets is None:
-                sets = out[target] = (set(), set())
-            sets[op is Op.WRITE].add(frozenset(held) if t else frozenset())
-        elif op is Op.LOCK:
-            _acquire(held, target, t)  # one thread never blocks itself
-        elif op is Op.UNLOCK:
-            _release(held, target, t)
-    return out
-
-
 def _unguarded(a: dict, b: dict) -> bool:
     """Whether two threads' plain accesses of one field, at least one a
     write, hold no common monitor."""
@@ -138,19 +119,19 @@ def _unguarded(a: dict, b: dict) -> bool:
     return False
 
 
-def may_race(p: ThreadProgram, accesses=plain_accesses) -> bool:
+def may_race(p: ThreadProgram) -> bool:
     """False only when no execution of ``p`` races: every two threads' plain
-    accesses of one field, at least one a write, hold a common monitor, and
-    the main thread's plain accesses conflict with no worker's.
-    ``accesses(t, actions)`` summarizes thread ``t``'s list as
-    :func:`plain_accesses` does.
+    accesses of one field, at least one a write, hold a common monitor
+    (``p.accesses``, recorded when its lists were checked).
 
     Of two critical sections on one monitor, one ends with an unlock before
     the other's lock (HB2), or the other never runs, so two accesses inside
-    them are ordered. Volatile and monitor actions race with nothing, and a
-    default or final init runs before every worker (HB4, HB5)."""
-    summaries = [accesses(t, actions) for t, actions in enumerate((p.init_actions, *p.threads))]
-    return any(_unguarded(a, b) for i, a in enumerate(summaries) for b in summaries[i + 1:])
+    them are ordered; the main thread's sections all end before any worker
+    runs, as a checked init list ends holding no monitor. Volatile and
+    monitor actions race with nothing, and a default or final init runs
+    before every worker (HB4, HB5)."""
+    a = p.accesses
+    return any(_unguarded(x, y) for i, x in enumerate(a) for y in a[i + 1:])
 
 
 def _encode(actions, ids: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -247,17 +228,30 @@ def _check_action(t: int, op: Op, target: Optional[str]) -> None:
         raise MalformedExecution(f"{op.value} must run on the main thread (0)")
 
 
-def check_actions(t: int, actions: tuple[ActionSpec, ...]) -> None:
-    """Raise MalformedExecution when the (op, target) list of thread ``t``
-    has an action with no target, an init action off the main thread (0),
-    or an unlock of a monitor the thread does not hold."""
+def check_actions(t: int, actions: tuple[ActionSpec, ...]) -> dict[str, tuple[set, set]]:
+    """Each field that the (op, target) list of thread ``t`` reads or writes
+    plainly -> (the sets of monitors the thread holds at its reads, at its
+    writes). Raise MalformedExecution for an action with no target, an init
+    action off the main thread (0), an unlock of a monitor the thread does
+    not hold, or an init list (``t`` = 0) that ends holding a monitor: the
+    search runs the init actions as a prefix, after which none is held."""
+    out: dict[str, tuple[set, set]] = {}
     held: dict[str, list[int]] = {}
     for i, (op, target) in enumerate(actions):
         _check_action(t, op, target)
-        if op is Op.LOCK:
+        if op is Op.READ or op is Op.WRITE:
+            sets = out.get(target)
+            if sets is None:
+                sets = out[target] = (set(), set())
+            sets[op is Op.WRITE].add(frozenset(held))
+        elif op is Op.LOCK:
             _acquire(held, target, t)  # one thread never blocks itself
         elif op is Op.UNLOCK and not _release(held, target, t):
             raise MalformedExecution(f"thread {t} unlocks {target!r} without holding it", TraceAction(t, op, target, i))
+    if held and not t:
+        raise MalformedExecution(f"thread 0 ends holding {next(iter(held))!r}; "
+                                 "the init actions must release every monitor they take")
+    return out
 
 
 class Execution:
@@ -295,30 +289,32 @@ class Execution:
 class ThreadProgram:
     """A main thread's init actions, then one (op, target) list per worker;
     action i of thread t (0 for main, 1 + k for worker k) is ``TraceAction(t,
-    op, target, i)``. Making one checks each list with :func:`check_actions`;
-    :meth:`of_checked` makes one of lists already checked. Two programs are
-    equal when their lists and names are."""
+    op, target, i)``. Making one checks each list with :func:`check_actions`
+    and keeps what each check returns, the init list's first, as
+    ``accesses``; :meth:`of_checked` makes one of lists already checked. Two
+    programs are equal when their lists and names are."""
 
-    __slots__ = ("init_actions", "threads", "name")
+    __slots__ = ("init_actions", "threads", "name", "accesses")
 
     def __init__(self, init_actions: tuple[ActionSpec, ...], threads: tuple[tuple[ActionSpec, ...], ...],
                  name: str = ""):
-        for t, actions in enumerate((init_actions, *threads)):
-            check_actions(t, actions)
+        self.accesses = tuple(check_actions(t, actions) for t, actions in enumerate((init_actions, *threads)))
         self.init_actions = init_actions
         self.threads = threads
         self.name = name
 
     @classmethod
     def of_checked(cls, init_actions: tuple[ActionSpec, ...], threads: tuple[tuple[ActionSpec, ...], ...],
-                   name: str = "") -> "ThreadProgram":
+                   accesses: tuple[dict, ...], name: str = "") -> "ThreadProgram":
         """A program whose lists each passed :func:`check_actions` as their
         thread (any worker number for a worker's list), made without
-        checking them again."""
+        checking them again; ``accesses`` holds what those checks returned,
+        the init list's first."""
         p = object.__new__(cls)
         p.init_actions = init_actions
         p.threads = threads
         p.name = name
+        p.accesses = accesses
         return p
 
     def __eq__(self, other):

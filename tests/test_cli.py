@@ -366,9 +366,9 @@ def test_a_file_named_more_than_once_is_checked_once(monkeypatch, capsysbinary):
     code = main([*CORPUS_FLAGS, corpus, counter, os.path.join(".", counter)])
     with open(os.path.join(GOLDEN_DIR, "corpus.txt"), "rb") as fh:
         assert (code, capsysbinary.readouterr().out) == (EXIT_ALERTS, fh.read())
-    once = cli.discover_files([corpus])
+    once, _ = cli.discover_files([corpus])
     files = cli.discover_files([counter, corpus, os.path.join(".", counter)])
-    assert files == [counter] + [f for f in once if f != counter]
+    assert files == ([counter] + [f for f in once if f != counter], [])
 
 
 def test_a_link_names_its_target_and_a_path_costs_one_stat(tmp_path, monkeypatch):
@@ -382,8 +382,66 @@ def test_a_link_names_its_target_and_a_path_costs_one_stat(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "stat", counted)
     a = str(tmp_path / "A.java")
-    assert cli.discover_files([a]) == [a] and len(stats) == 1
-    assert cli.discover_files([str(tmp_path / "B.java"), str(tmp_path)]) == [str(tmp_path / "B.java")]
+    assert cli.discover_files([a]) == ([a], []) and len(stats) == 1
+    assert cli.discover_files([str(tmp_path / "B.java"), str(tmp_path)]) == ([str(tmp_path / "B.java")], [])
+
+
+def unlistable_tree(tmp_path) -> str:
+    """``a`` holds a copy of the corpus's ``Unguarded.java`` and ``a/b`` one
+    of its ``CounterDR.java``; returns the relative path ``a``."""
+    for d, name in (("a", "Unguarded.java"), (os.path.join("a", "b"), "CounterDR.java")):
+        os.makedirs(tmp_path / d)
+        with open(os.path.join(REPO_ROOT, "tests", "corpus", name), encoding="utf-8") as fh:
+            (tmp_path / d / name).write_text(fh.read(), encoding="utf-8")
+    return "a"
+
+
+def assert_unlistable_is_a_row(a, d, fmt):
+    """``run`` on ``a`` in format ``fmt`` exits 2 with one ``cannot read``
+    row, for the directory ``d`` it cannot list, and the alerts of the file
+    it can list, if ``d`` is not ``a``."""
+    config = build_config(None, output_format=fmt)
+    report, code = run([a], config)
+    row = f"{d}:1:1 ERROR cannot read: {os.strerror(errno.EACCES)}"
+    assert (code, [e.text_line() for e in report.errors]) == (EXIT_ERROR, [row])
+    assert "cannot read" in serialize_report(report, fmt).decode("utf-8")
+    alone, _ = run([] if d == a else [os.path.join(a, "Unguarded.java")], config)
+    assert [x.text_line() for x in report.alerts] == [x.text_line() for x in alone.alerts]
+
+
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+@pytest.mark.parametrize("which", ["subdirectory", "path"])
+def test_a_directory_that_cannot_be_listed_is_a_report_row(tmp_path, monkeypatch, fmt, which):
+    """``os.scandir`` refuses one directory, a subdirectory of the path or
+    the path itself, as it does a directory its user may not list: the
+    directory is one error row, exit 2, and every file the run can list is
+    still checked."""
+    monkeypatch.chdir(tmp_path)
+    a = unlistable_tree(tmp_path)
+    d = os.path.join(a, "b") if which == "subdirectory" else a
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.fspath(path) == d:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return scandir(path)
+
+    report, code = run([a], build_config(None))
+    assert code == EXIT_ALERTS and report.errors == []
+    monkeypatch.setattr(os, "scandir", refusing)
+    assert_unlistable_is_a_row(a, d, fmt)
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root lists every directory")
+def test_a_directory_without_permissions_is_a_report_row(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    a = unlistable_tree(tmp_path)
+    d = os.path.join(a, "b")
+    os.chmod(d, 0)
+    try:
+        assert_unlistable_is_a_row(a, d, "text")
+    finally:
+        os.chmod(d, 0o755)
 
 
 @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)

@@ -252,9 +252,9 @@ def test_drivers_are_built_as_they_are_explored(monkeypatch):
     pairs = []
     make = ThreadProgram.of_checked
 
-    def counted(cls, init_actions, threads, name=""):
+    def counted(cls, init_actions, threads, accesses, name=""):
         pairs.append(name)
-        return make(init_actions, threads, name)
+        return make(init_actions, threads, accesses, name)
 
     monkeypatch.setattr(ThreadProgram, "of_checked", classmethod(counted))
     verdict = check_class(cm)
@@ -387,6 +387,11 @@ MALFORMED = {
         lambda: ThreadProgram.build([[(R, "x")]], init=[(U, "m")]),
         "thread 0 unlocks 'm'",
     ),
+    # the search runs the init actions as a prefix after which no monitor is held
+    "init actions that end holding a monitor": (
+        lambda: ThreadProgram.build([[(L, "a"), (W, "x"), (U, "a")]], init=[(L, "a"), (W, "x")]),
+        "thread 0 ends holding 'a'",
+    ),
     # a program numbers its actions by position; an execution lists its own
     "worker seq not increasing": (
         lambda: Execution((TraceAction(1, R, "x", 1), TraceAction(1, W, "x", 1))),
@@ -438,15 +443,20 @@ def programs(draw):
     bodies = []
     for _ in range(k):
         bodies.append(draw(thread_bodies(max_len=max_total - sum(len(b) for b in bodies))))
+    # init parts, shuffled whole: a lock block keeps its unlock, so the init
+    # actions end holding no monitor
     init = []
     for f in FIELDS:
         kind = draw(st.sampled_from([None, DI, FI, W]))
         if kind is not None:
-            init.append((kind, f))
+            init.append([(kind, f)])
     for v in VOLATILES:
         if draw(st.booleans()):
-            init.append((VW, v))
-    return ThreadProgram.build(bodies, init=draw(st.permutations(init)))
+            init.append([(VW, v)])
+    for _ in range(draw(st.integers(0, 2))):
+        m = draw(st.sampled_from(MONITORS))
+        init.append([(L, m), (draw(st.sampled_from((R, W))), draw(st.sampled_from(FIELDS))), (U, m)])
+    return ThreadProgram.build(bodies, init=[a for part in draw(st.permutations(init)) for a in part])
 
 
 NESTED_DEADLOCK = ThreadProgram.build(
@@ -528,7 +538,9 @@ LOCKSET_CASES = [
     ("a plain init write", [(W, "x")],
      [[(L, "a"), (R, "x"), (U, "a")], [(L, "a"), (R, "x"), (U, "a")]], True, True),
     ("a plain init write under a monitor", [(L, "a"), (W, "x"), (U, "a")],
-     [[(L, "a"), (R, "x"), (U, "a")], []], True, False),  # the main thread counts as holding none
+     [[(L, "a"), (R, "x"), (U, "a")], []], False, False),
+    ("a plain init write under another monitor", [(L, "b"), (W, "x"), (U, "b")],
+     [[(L, "a"), (R, "x"), (U, "a")], []], True, True),
     ("a plain init read", [(R, "x")], [[(W, "x")], []], True, True),
     ("a plain init write ordered by a later init", [(W, "x"), (DI, "y")], [[(W, "x")], []], True, False),
 ]

@@ -1,5 +1,6 @@
 """Work counted, not timed: the Python-level calls a run makes into
-threadlint, and the drivers the oracle searches.
+threadlint, the drivers the oracle searches, and its walks over their
+action lists.
 
 Timing assertions flake on shared runners; a count of calls does not. The
 counter sees every call of a function defined in the package, on a
@@ -11,6 +12,7 @@ in part, so that Python 3.10 to 3.13 count alike.
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -32,16 +34,15 @@ CALLS_PER_NODE = {"clean": 8.17, "racy": 8.51}
 SLACK = 1.10
 
 
-def package_calls(fn) -> int:
-    """The calls of the package's named functions that ``fn()`` makes."""
-    calls = 0
+def package_calls(fn) -> Counter:
+    """The calls of the package's named functions that ``fn()`` makes, by name."""
+    calls: Counter = Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call":
             code = frame.f_code
             if code.co_filename.startswith(PACKAGE_DIR) and not code.co_name.startswith("<"):
-                calls += 1
+                calls[code.co_name] += 1
 
     sys.setprofile(profile)
     try:
@@ -76,7 +77,7 @@ def lint_work(tmp_path, n_methods: int, racy: bool) -> tuple[int, int]:
     path.write_text(f.text, encoding="utf-8")
     config = build_config(None, **workloads.CONFIG_ARGS)
     report = []
-    calls = package_calls(lambda: report.append(cli.run([str(path)], config)))
+    calls = sum(package_calls(lambda: report.append(cli.run([str(path)], config))).values())
     assert report[0][1] != cli.EXIT_ERROR
     return calls, ast_nodes(f.text)
 
@@ -120,3 +121,36 @@ def test_the_oracle_searches_only_the_drivers_that_may_race(monkeypatch, inputs,
     _, code = cli.oracle_check([os.path.join(TESTS_DIR, inputs)], build_config(None, **flags))
     assert code == cli.EXIT_CLEAN
     assert (len(searches), sum(v.drivers_checked for v in verdicts)) == (searched, drivers)
+
+
+@pytest.mark.parametrize("inputs, flags, classes, lock_calls", [
+    ("oracle_probes", {"lock_type_add": ("MyLock",)}, 25, 202),
+    ("corpus", {"lock_type_add": ("MyLock",), "allowlist_add": ("com.example.concurrent.AtomicRegistry",)}, 9, 18),
+], ids=["oracle_probes", "corpus"])
+def test_the_oracle_walks_each_action_list_once(monkeypatch, inputs, flags, classes, lock_calls):
+    """``oracle_check`` walks each class's init list and each of its distinct
+    action lists once, by ``check_actions``, which checks the list and
+    records its plain accesses; and it makes the ``_acquire``/``_release``
+    calls measured when those two walks became one, of that walk, the
+    searches and the witnesses, so a second walk over the lists fails."""
+    lowered, checks = [], []  # (check_actions calls, distinct lists + 1) of each class that lowers
+    check, lower = driver.check_actions, driver.two_thread_drivers
+
+    def counted_check(t, actions):
+        checks.append(t)
+        return check(t, actions)
+
+    def counted_lower(cm, **kw):
+        before = len(checks)
+        drivers = list(lower(cm, **kw))
+        lowered.append((len(checks) - before, len({actions for d in drivers for actions in d.threads}) + 1))
+        return iter(drivers)
+
+    monkeypatch.setattr(driver, "check_actions", counted_check)
+    monkeypatch.setattr(driver, "two_thread_drivers", counted_lower)
+    config = build_config(None, **flags)
+    codes = []
+    calls = package_calls(lambda: codes.append(cli.oracle_check([os.path.join(TESTS_DIR, inputs)], config)[1]))
+    assert codes == [cli.EXIT_CLEAN]
+    assert all(walks == lists for walks, lists in lowered), lowered
+    assert (len(lowered), calls["_acquire"] + calls["_release"]) == (classes, lock_calls)
