@@ -94,16 +94,15 @@ class ThreadSafeTypeAllowlist:
 class FieldAccess:
     """A read or write of an own field at one source location."""
 
-    __slots__ = ("field", "kind", "span", "enclosing", "expr", "is_initializer_write")
+    __slots__ = ("field", "kind", "span", "enclosing", "expr")
 
     def __init__(self, field: A.FieldDecl, kind: AccessKind, span: A.SourceSpan,
-                 enclosing: Optional[A.MethodDecl], expr: A.Expr, is_initializer_write: bool = False):
+                 enclosing: Optional[A.MethodDecl], expr: A.Expr):
         self.field = field
         self.kind = kind
         self.span = span
-        self.enclosing = enclosing  # None inside a field initializer
+        self.enclosing = enclosing  # None inside a field initializer, its write included
         self.expr = expr
-        self.is_initializer_write = is_initializer_write
 
     @property
     def line(self) -> int:
@@ -261,9 +260,8 @@ class _AccessCollector:
             self.bindings[id(e)] = f
         return f
 
-    def _emit(self, f: A.FieldDecl, kind: AccessKind, expr: A.Expr,
-              span: Optional[A.SourceSpan] = None, initializer: bool = False) -> None:
-        self.out.append(FieldAccess(f, kind, span or expr.span, self.enclosing, expr, initializer))
+    def _emit(self, f: A.FieldDecl, kind: AccessKind, expr: A.Expr, span: Optional[A.SourceSpan] = None) -> None:
+        self.out.append(FieldAccess(f, kind, span or expr.span, self.enclosing, expr))
 
     # -- entry points --
 
@@ -273,7 +271,7 @@ class _AccessCollector:
         for f in self.decl.fields:
             if f.initializer is not None:
                 self.visit(f.initializer)
-                self._emit(f, AccessKind.WRITE, f.initializer, span=f.span, initializer=True)
+                self._emit(f, AccessKind.WRITE, f.initializer, span=f.span)
 
     def collect_callable(self, m: A.MethodDecl) -> None:
         self.enclosing = m
@@ -534,7 +532,7 @@ def exposed_accesses(cm: ClassModel) -> list[FieldAccess]:
         return []
     safe = {f for f in {a.field for a in cm.field_accesses} if f.is_volatile or cm.allowlist.contains(f)}
     return [a for a in cm.field_accesses
-            if not (a.field in safe or a.is_initializer_write or a.enclosing is None or a.enclosing.is_constructor)]
+            if not (a.field in safe or a.enclosing is None or a.enclosing.is_constructor)]
 
 
 def is_modifying(a: FieldAccess) -> bool:

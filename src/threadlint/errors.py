@@ -17,10 +17,6 @@ class ParseError(ThreadlintError):
         self.message = message
 
 
-class SpanOutOfRange(ThreadlintError):
-    """A source span does not lie within the file it claims to come from."""
-
-
 class MalformedExecution(ThreadlintError):
     """A trace violates per-thread program order or monitor mutual exclusion."""
 

@@ -1,4 +1,5 @@
-"""Java-subset frontend: lexer, parser, AST, and source reconstruction."""
+"""Java-subset frontend: lexer, parser and AST. The source printer,
+``threadlint.frontend.printer``, is imported only by its own users."""
 
 from threadlint.frontend.ast import (
     Annotation,
@@ -8,11 +9,10 @@ from threadlint.frontend.ast import (
     MethodDecl,
     SourceSpan,
     annotated_as_thread_safe,
-    reconstruct_span,
+    canonical_text,
 )
 from threadlint.frontend.lexer import Token, Tokens, annotation_pattern, tokenize
 from threadlint.frontend.parser import SourceFile, parse_compilation_unit, parse_source
-from threadlint.frontend.printer import canonical_text, to_source
 
 DEFAULT_ANNOTATIONS = ("ThreadSafe",)
 
@@ -32,7 +32,5 @@ __all__ = [
     "canonical_text",
     "parse_compilation_unit",
     "parse_source",
-    "reconstruct_span",
-    "to_source",
     "tokenize",
 ]

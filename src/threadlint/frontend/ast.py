@@ -1,7 +1,8 @@
 """AST for the supported Java subset.
 
 Nodes use identity equality so they can key dicts and sets; use
-:func:`threadlint.frontend.printer.to_source` for structural comparisons.
+:func:`threadlint.frontend.printer.to_source` for structural comparisons,
+and :func:`canonical_text` for an expression's identity.
 Every node carries a :class:`SourceSpan`: half-open character offsets into
 the original file and the file's line table, for 1-based line/column.
 
@@ -25,10 +26,10 @@ does not need per-kind scoping or ordering walks through them.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from threadlint.errors import SpanOutOfRange
-from threadlint.frontend.lexer import LineTable
+from threadlint.frontend.lexer import LineTable, tokenize
 
 
 class SourceSpan(NamedTuple):
@@ -50,9 +51,6 @@ class SourceSpan(NamedTuple):
     start_col = property(lambda self: self.lines.line_col(self.start)[1])
     end_line = property(lambda self: self.lines.line_col(self.end)[0])
     end_col = property(lambda self: self.lines.line_col(self.end)[1])
-
-    def contains(self, other: "SourceSpan") -> bool:
-        return self.start <= other.start and other.end <= self.end
 
 
 class Syntax:
@@ -384,18 +382,14 @@ class FieldDecl(Node):
 
 
 class MethodDecl(Node):
-    __slots__ = ("name", "visibility", "is_static", "is_synchronized", "params", "body", "return_type",
-                 "modifiers", "annotations", "is_constructor", "throws")
+    __slots__ = ("name", "params", "body", "return_type", "modifiers", "annotations", "is_constructor", "throws")
 
-    def __init__(self, span: SourceSpan, name: str, visibility: str, is_static: bool, is_synchronized: bool,
-                 params: list[Param], body: Optional[Block], return_type: Optional[str],
-                 modifiers: frozenset[str] = frozenset(), annotations: Optional[list[Annotation]] = None,
-                 is_constructor: bool = False, throws: Optional[list[str]] = None):
+    def __init__(self, span: SourceSpan, name: str, params: list[Param], body: Optional[Block],
+                 return_type: Optional[str], modifiers: frozenset[str] = frozenset(),
+                 annotations: Optional[list[Annotation]] = None, is_constructor: bool = False,
+                 throws: Optional[list[str]] = None):
         self.span = span
         self.name = name
-        self.visibility = visibility  # public | protected | package | private
-        self.is_static = is_static
-        self.is_synchronized = is_synchronized
         self.params = params
         self.body = body
         self.return_type = return_type  # None for constructors
@@ -406,7 +400,15 @@ class MethodDecl(Node):
 
     @property
     def is_public(self) -> bool:
-        return self.visibility == "public"
+        return "public" in self.modifiers
+
+    @property
+    def is_static(self) -> bool:
+        return "static" in self.modifiers
+
+    @property
+    def is_synchronized(self) -> bool:
+        return "synchronized" in self.modifiers
 
     @property
     def arity(self) -> int:
@@ -456,12 +458,9 @@ class ImportDecl(Syntax):
 
 
 class Ast(Syntax):
-    __slots__ = ("path", "source", "package", "imports", "classes")
+    __slots__ = ("package", "imports", "classes")
 
-    def __init__(self, path: str, source: str, package: Optional[str], imports: list[ImportDecl],
-                 classes: list[ClassDecl]):
-        self.path = path
-        self.source = source
+    def __init__(self, package: Optional[str], imports: list[ImportDecl], classes: list[ClassDecl]):
         self.package = package
         self.imports = imports
         self.classes = classes
@@ -545,16 +544,21 @@ def strip_parens(e: Expr) -> Expr:
     return e
 
 
-def reconstruct_span(ast: Ast, span: SourceSpan) -> str:
-    """Exact source slice covered by ``span``.
+_SPACE_OR_HASH = re.compile(r"[\s#]")
 
-    Raises SpanOutOfRange when the span does not belong to this file.
-    """
-    if span.file != ast.path:
-        raise SpanOutOfRange(f"span belongs to {span.file!r}, not {ast.path!r}")
-    if not (0 <= span.start <= span.end <= len(ast.source)):
-        raise SpanOutOfRange(f"span [{span.start},{span.end}) outside file of length {len(ast.source)}")
-    return ast.source[span.start : span.end]
+
+def canonical_text(expr: Expr) -> str:
+    """The tokens of ``expr``'s source, joined with no whitespace: a stable
+    expression identity, as comments and spacing do not change it.
+
+    Inside a string or char literal, whitespace and ``#`` are spelled as
+    Java unicode escapes (``\\u0020``), so ``"a b"`` and ``"ab"`` keep apart
+    while the identity stays one word of the trace grammar, where ``#``
+    starts a comment."""
+    span = expr.span
+    texts = tokenize(span.lines.source[span.start:span.end]).texts
+    return "".join([_SPACE_OR_HASH.sub(lambda c: f"\\u{ord(c.group()):04x}", t) if t[:1] in ('"', "'") else t
+                    for t in texts])
 
 
 def annotated_as_thread_safe(ast: Ast, annotation_names: tuple[str, ...] = ("ThreadSafe",)) -> list[ClassDecl]:

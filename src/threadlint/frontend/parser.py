@@ -49,7 +49,6 @@ from typing import Optional
 from threadlint.errors import ParseError
 from threadlint.frontend import ast as A
 from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable, Tokens, tokenize
-from threadlint.frontend.printer import to_source
 
 MODIFIER_KEYWORDS = frozenset(
     {"public", "private", "protected", "static", "final", "volatile",
@@ -236,13 +235,10 @@ class _Parser:
             if not (wildcard or is_static):
                 self.import_map.setdefault(imp.simple_name, name)
         classes: list[A.ClassDecl] = []
-        while self.kinds[self.pos] != "eof":
-            classes.append(self.parse_class_decl())
-        ast = A.Ast(self.src.path, self.src.content, package, imports, classes)
         prefix = package + "." if package else ""
-        for c in classes:
-            _qualify(c, prefix)
-        return ast
+        while self.kinds[self.pos] != "eof":
+            classes.append(self.parse_class_decl(prefix))
+        return A.Ast(package, imports, classes)
 
     def parse_qualified_name(self) -> str:
         kinds, texts = self.kinds, self.texts
@@ -289,13 +285,6 @@ class _Parser:
         if "volatile" in mods and "final" in mods:
             raise self.error("a field cannot be both volatile and final", self.pos - 1)
         return frozenset(mods)
-
-    @staticmethod
-    def visibility_of(mods: frozenset[str]) -> str:
-        for v in VISIBILITY_KEYWORDS:
-            if v in mods:
-                return v
-        return "package"
 
     # -- types ----------------------------------------------------------------
 
@@ -411,19 +400,21 @@ class _Parser:
 
     # -- class members ---------------------------------------------------------
 
-    def parse_class_decl(self) -> A.ClassDecl:
+    def parse_class_decl(self, prefix: str) -> A.ClassDecl:
+        """A top-level class; ``prefix`` is its package and a dot, or empty."""
         first = self.pos
         anns = self.parse_annotations()
         mods = self.parse_modifiers()
-        return self._finish_class(anns, mods, first)
+        return self._finish_class(anns, mods, first, prefix)
 
-    def _finish_class(self, anns, mods, first: int) -> A.ClassDecl:
+    def _finish_class(self, anns, mods, first: int, prefix: str) -> A.ClassDecl:
         if self.at("interface") or self.at("enum"):
             raise self.error(f"{self.texts[self.pos]} declarations are not supported")
         depth = self.depth
         self.nest()
         self.expect("class")
         name = self.texts[self.expect_ident("class name")]
+        qualified_name = prefix + name
         if self.at("<"):  # type parameters
             self._take_type(*self._scan_type_args(self.pos))
         extends = None
@@ -442,7 +433,7 @@ class _Parser:
         while not self.at("}"):
             if self.kinds[self.pos] == "eof":
                 raise self.error(f"unclosed class body for {name!r}", first)
-            self.parse_member(name, fields, methods, ctors, nested)
+            self.parse_member(name, qualified_name, fields, methods, ctors, nested)
         close = self.expect("}")
         self.depth = depth
         return A.ClassDecl(
@@ -456,15 +447,16 @@ class _Parser:
             modifiers=mods,
             extends=extends,
             implements=implements,
+            qualified_name=qualified_name,
         )
 
-    def parse_member(self, class_name, fields, methods, ctors, nested) -> None:
+    def parse_member(self, class_name, qualified_name, fields, methods, ctors, nested) -> None:
         texts = self.texts
         first = self.pos
         anns = self.parse_annotations()
         mods = self.parse_modifiers()
         if self.at("class") or self.at("interface") or self.at("enum"):
-            nested.append(self._finish_class(anns, mods, first))
+            nested.append(self._finish_class(anns, mods, first, qualified_name + "."))
             return
         if self.at("{"):
             raise self.error("initializer blocks are not supported")
@@ -531,9 +523,6 @@ class _Parser:
         return A.MethodDecl(
             span=self.span_from(start),
             name=self.texts[name_tok],
-            visibility=self.visibility_of(mods),
-            is_static="static" in mods,
-            is_synchronized="synchronized" in mods,
             params=params,
             body=body,
             return_type=rtype,
@@ -841,7 +830,7 @@ class _Parser:
                 name = texts[nxt]
                 self.pos = t + 2
                 if name == "class":
-                    expr = A.ClassLit(self.span_from(start), to_source(expr))
+                    expr = A.ClassLit(self.span_from(start), self._type_text(start, t))
                 elif name == "<":
                     raise self.error("explicit type arguments are not supported", nxt)
                 elif kinds[nxt] != "ident":
@@ -929,12 +918,6 @@ class _Parser:
                 raise self.error("array dimension missing")
             return A.New(self.span_from(start), type_text, None, dims, empty)
         raise self.error("expected '(' or '[' after new")
-
-
-def _qualify(c: A.ClassDecl, prefix: str) -> None:
-    c.qualified_name = prefix + c.name
-    for n in c.nested:
-        _qualify(n, c.qualified_name + ".")
 
 
 def parse_compilation_unit(src: SourceFile) -> A.Ast:

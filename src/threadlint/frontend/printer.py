@@ -7,8 +7,6 @@ on supported constructs (comments excluded, one declaration per field).
 
 from __future__ import annotations
 
-import re
-
 from threadlint.frontend import ast as A
 
 _MODIFIER_ORDER = (
@@ -29,28 +27,6 @@ def _ann(a: A.Annotation) -> str:
 def to_source(node) -> str:
     """Render any AST node back to parseable source text."""
     return _render(node)
-
-
-# a string or char literal, as the lexer accepts it, or a run of whitespace
-_LITERAL_OR_SPACE = re.compile(r"""("(?:[^"\\\r\n]|\\.)*"|'(?:[^'\\\r\n]|\\.)*')|\s+""")
-_SPACE_OR_HASH = re.compile(r"[\s#]")
-
-
-def _spell_literal(m: re.Match) -> str:
-    lit = m.group(1)
-    if lit is None:
-        return ""
-    return _SPACE_OR_HASH.sub(lambda c: f"\\u{ord(c.group()):04x}", lit)
-
-
-def canonical_text(expr: A.Expr) -> str:
-    """Whitespace-free rendering used as a stable expression identity.
-
-    Whitespace outside literals is dropped. Inside a string or char literal,
-    whitespace and ``#`` are spelled as Java unicode escapes (``\\u0020``),
-    so ``"a b"`` and ``"ab"`` keep apart while the identity stays one word
-    of the trace grammar, where ``#`` starts a comment."""
-    return _LITERAL_OR_SPACE.sub(_spell_literal, _render(expr))
 
 
 def _render(n) -> str:

@@ -10,7 +10,7 @@ functions write one:
   class's literal, the field's for an own field, an alias of one or a
   getter of an own final field (:func:`returned_field`), none for an
   expression that reads a parameter or a local, makes an object or calls a
-  method, and else the :func:`canonical_text` of the expression;
+  method, and else the expression's :func:`~threadlint.frontend.ast.canonical_text`;
 - :func:`lock_monitor`: a lock field's lock, kept apart by a prefix from
   the monitor ``synchronized`` on the same field takes.
 
@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Optional
 from threadlint.cfg import Cfg, CfgNode, fewest
 from threadlint.classmodel import ClassModel, FieldAccess, base_type
 from threadlint.frontend import ast as A
-from threadlint.frontend.printer import canonical_text
 
 if TYPE_CHECKING:
     from threadlint.accesspaths import AccessPathFact
@@ -136,7 +135,7 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
     not. Any other expression that reads a parameter or a local, such as
     ``h.lock`` or ``locks[i]``, that makes an object, or that calls a method,
     may give a different object in each thread, so it is no shared monitor;
-    the rest are named by their text.
+    the rest are named by their source tokens (:func:`A.canonical_text`).
     """
     e = A.strip_parens(expr)
     if isinstance(e, A.This):
@@ -148,7 +147,7 @@ def sync_monitor(expr: A.Expr, cm: ClassModel) -> Optional[str]:
         return f"Class<{cm.decl.name}>"
     if any(isinstance(n, (A.New, A.Call)) or cm.is_local(n) for n in A.walk(e)):
         return None
-    return canonical_text(e)
+    return A.canonical_text(e)
 
 
 def returned_field(call: A.Call, cm: ClassModel) -> Optional[A.FieldDecl]:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from threadlint.classmodel import ClassModel
 from threadlint.frontend import ast as A
-from threadlint.frontend.printer import canonical_text
+from threadlint.frontend.ast import canonical_text
 
 
 def local_write_sources(m: A.MethodDecl, name: str) -> Optional[list[A.Expr]]:

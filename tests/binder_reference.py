@@ -64,9 +64,8 @@ class ScopeListCollector:
             self.bindings[id(e)] = f
         return f
 
-    def _emit(self, f: A.FieldDecl, kind: AccessKind, expr: A.Expr,
-              span: Optional[A.SourceSpan] = None, initializer: bool = False) -> None:
-        self.out.append(FieldAccess(f, kind, span or expr.span, self.enclosing, expr, initializer))
+    def _emit(self, f: A.FieldDecl, kind: AccessKind, expr: A.Expr, span: Optional[A.SourceSpan] = None) -> None:
+        self.out.append(FieldAccess(f, kind, span or expr.span, self.enclosing, expr))
 
     # -- entry points --
 
@@ -76,7 +75,7 @@ class ScopeListCollector:
         for f in self.decl.fields:
             if f.initializer is not None:
                 self.visit(f.initializer)
-                self._emit(f, AccessKind.WRITE, f.initializer, span=f.span, initializer=True)
+                self._emit(f, AccessKind.WRITE, f.initializer, span=f.span)
 
     def collect_callable(self, m: A.MethodDecl) -> None:
         self.enclosing = m

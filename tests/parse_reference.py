@@ -7,9 +7,12 @@ the parity property in test_frontend.py, so it stays as it was: it takes its
 tokens from the same ``tokenize`` and builds the same AST nodes, and a
 property checks that both parsers give the same tree or the same error.
 Since tokens became columns, it reads each through ``Token``, which adds the
-line and column of the token's start. One change since: a primitive keyword
+line and column of the token's start. Changes since: a primitive keyword
 in type arguments must be followed by ``[]``, as in the shipped type scanner
-and in javac.
+and in javac; a class literal's type is named by the canonical text of the
+expression before ``.class``; and the nodes lost the fields the shipped
+parser no longer fills (a method's visibility, static and synchronized
+flags, which its modifiers give, and a file's path and text).
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class _Parser:
         classes: list[A.ClassDecl] = []
         while not self.at_kind("eof"):
             classes.append(self.parse_class_decl())
-        ast = A.Ast(self.src.path, self.src.content, package, imports, classes)
+        ast = A.Ast(package, imports, classes)
         prefix = package + "." if package else ""
         for c in classes:
             _qualify(c, prefix)
@@ -217,13 +220,6 @@ class _Parser:
             t = self.toks[self.pos - 1]
             raise ParseError(t.line, t.col, "a field cannot be both volatile and final")
         return frozenset(mods)
-
-    @staticmethod
-    def visibility_of(mods: frozenset[str]) -> str:
-        for v in VISIBILITY_KEYWORDS:
-            if v in mods:
-                return v
-        return "package"
 
     # -- types ----------------------------------------------------------------
 
@@ -419,9 +415,6 @@ class _Parser:
         return A.MethodDecl(
             span=self.span_from(start),
             name=name_tok.text,
-            visibility=self.visibility_of(mods),
-            is_static="static" in mods,
-            is_synchronized="synchronized" in mods,
             params=params,
             body=body,
             return_type=rtype,
@@ -671,9 +664,7 @@ class _Parser:
                 if nxt.text == "class":
                     self.advance()
                     self.advance()
-                    from threadlint.frontend.printer import to_source
-
-                    expr = A.ClassLit(self.span_from(start), to_source(expr))
+                    expr = A.ClassLit(self.span_from(start), A.canonical_text(expr))
                     continue
                 if nxt.text == "<":
                     raise ParseError(nxt.line, nxt.col, "explicit type arguments are not supported")

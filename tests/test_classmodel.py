@@ -20,7 +20,7 @@ from threadlint.classmodel import (
 )
 from threadlint.frontend import ast as A
 from threadlint.frontend import annotated_as_thread_safe, parse_source
-from threadlint.frontend.printer import canonical_text
+from threadlint.frontend.ast import canonical_text
 
 
 def kinds(accesses):
@@ -56,7 +56,7 @@ def test_counter_dr_accesses():
         ("cnt", "read", read_line),
         ("cnt", "write", write_line),
     ]
-    assert cm.field_accesses[0].is_initializer_write
+    assert [a.enclosing is None for a in cm.field_accesses] == [True, False, False]
 
 
 def test_class_without_fields_has_no_accesses():
@@ -83,7 +83,7 @@ def test_array_element_write():
     cm = model_from_source(
         "@ThreadSafe class A { private int[] arr = null; public void set(int i) { arr[i] = 3; } }"
     )
-    method_accesses = [a for a in cm.field_accesses if not a.is_initializer_write]
+    method_accesses = [a for a in cm.field_accesses if a.enclosing is not None]
     assert [(a.field.name, a.kind) for a in method_accesses] == [
         ("arr", AccessKind.ARRAY_ELEMENT_WRITE)
     ]
@@ -100,7 +100,7 @@ class S {
 }
 """
     )
-    non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
+    non_init = [a for a in cm.field_accesses if a.enclosing is not None]
     assert kinds(non_init) == [("v", "read", 6)]
 
 
@@ -115,7 +115,7 @@ def test_other_objects_fields_ignored():
     cm = model_from_source(
         "@ThreadSafe class O { private O peer = null; public void f() { peer.x = 1; int y = peer.x; } }"
     )
-    non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
+    non_init = [a for a in cm.field_accesses if a.enclosing is not None]
     # only the reads of `peer` itself, not peer.x
     assert [(a.field.name, a.kind.value) for a in non_init] == [
         ("peer", "read"), ("peer", "read"),
@@ -126,7 +126,7 @@ def test_static_field_access_via_class_name():
     cm = model_from_source(
         "@ThreadSafe class T { private static int total = 0; public void f() { T.total = 5; } }"
     )
-    non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
+    non_init = [a for a in cm.field_accesses if a.enclosing is not None]
     assert [(a.field.name, a.kind.value) for a in non_init] == [("total", "write")]
 
 
@@ -135,7 +135,7 @@ def test_parenthesized_targets_and_receivers_are_accesses():
         "@ThreadSafe class P { private int x; private final int[] a = new int[1]; "
         "private final List<Integer> l = null; public void f() { (x)++; --((x)); (a)[0] = 1; ((a))[0]++; (l).clear(); } }"
     )
-    non_init = [a for a in cm.field_accesses if not a.is_initializer_write]
+    non_init = [a for a in cm.field_accesses if a.enclosing is not None]
     assert [(a.field.name, a.kind.value) for a in non_init] == [
         ("x", "read"), ("x", "write"), ("x", "read"), ("x", "write"),
         ("a", "arrayElementWrite"), ("a", "arrayElementWrite"), ("l", "mutatorCall"),
@@ -296,7 +296,7 @@ def assert_binds_as_the_scope_list_binder(decl):
     assert len(set(lists.values())) == len(lists)
 
     def rows(accesses):
-        return [(a.field, a.kind, a.span, a.enclosing, a.expr, a.is_initializer_write) for a in accesses]
+        return [(a.field, a.kind, a.span, a.enclosing, a.expr) for a in accesses]
 
     assert rows(cm.field_accesses) == rows(sorted(ref.out, key=lambda a: (a.span.start, a.span.end)))
 
@@ -511,7 +511,6 @@ def test_exposed_subset_of_field_accesses(corpus_names):
         for a in exposed_accesses(cm):
             assert id(a) in all_ids
             assert not a.field.is_volatile
-            assert not a.is_initializer_write
             assert a.enclosing is not None and not a.enclosing.is_constructor
 
 
@@ -530,7 +529,7 @@ def test_mutator_call_is_modifying():
     cm = model_from_source(
         "@ThreadSafe class L { private java.util.List list = null; public void f(int x) { list.add(x); } }",
     )
-    (access,) = [a for a in cm.field_accesses if not a.is_initializer_write]
+    (access,) = [a for a in cm.field_accesses if a.enclosing is not None]
     assert access.kind is AccessKind.MUTATOR_CALL
     assert is_modifying(access)
 
@@ -539,7 +538,7 @@ def test_non_mutator_call_is_read():
     cm = model_from_source(
         "@ThreadSafe class L { private java.util.List list = null; public int f() { return list.size(); } }",
     )
-    (access,) = [a for a in cm.field_accesses if not a.is_initializer_write]
+    (access,) = [a for a in cm.field_accesses if a.enclosing is not None]
     assert access.kind is AccessKind.READ
     assert not is_modifying(access)
 

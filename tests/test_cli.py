@@ -1086,13 +1086,15 @@ def test_overlapping_checks_in_two_threads_restore_the_collector(tmp_path, monke
 def test_importing_the_cli_loads_neither_the_oracle_nor_the_fact_layer():
     """``--oracle`` and ``--trace`` import the oracle when they run, and only
     ``MonitorAnalysis.public_facts`` reads the access-path facts, so a
-    static run compiles neither."""
+    static run compiles neither. Monitors and class literals are named by
+    their source tokens, so no run loads the source printer either."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threadlint.__file__)))
     listed = "import sys, threadlint.cli; print(*sorted(m for m in sys.modules if m.startswith('threadlint')))"
     proc = subprocess.run([sys.executable, "-c", listed], capture_output=True, text=True, env=env, check=True)
     loaded = proc.stdout.split()
     assert "threadlint.cli" in loaded and "threadlint.monitors" in loaded
     assert [m for m in loaded if m.startswith("threadlint.hboracle") or m == "threadlint.accesspaths"] == []
+    assert "threadlint.frontend.printer" not in loaded
 
 
 def test_a_fresh_run_and_the_oracle_load_no_generated_code():

@@ -4,6 +4,7 @@ and the completeness of the shared child relation."""
 import gc
 import inspect
 import os
+import re
 import sys
 
 import lex_reference
@@ -17,7 +18,7 @@ from test_accesspaths import thread_safe_classes
 from test_raceanalysis import synchronized_classes
 
 from threadlint.cli import EXIT_ERROR, main
-from threadlint.errors import ParseError, SpanOutOfRange
+from threadlint.errors import ParseError
 from threadlint.frontend import (
     DEFAULT_ANNOTATIONS,
     SourceFile,
@@ -25,8 +26,6 @@ from threadlint.frontend import (
     annotation_pattern,
     parse_compilation_unit,
     parse_source,
-    reconstruct_span,
-    to_source,
     tokenize,
 )
 from threadlint.frontend import ast as A
@@ -34,6 +33,7 @@ from threadlint.frontend import lexer
 from threadlint.frontend import parser as P
 from threadlint.frontend.lexer import PRIMITIVE_TYPES, LineTable
 from threadlint.frontend.parser import MAX_NESTING
+from threadlint.frontend.printer import to_source
 
 
 def tokens_of(text):
@@ -268,9 +268,10 @@ def test_parsing_builds_no_token_object(monkeypatch):
         raise AssertionError("the token columns were iterated")
 
     monkeypatch.setattr(lexer.Tokens, "__iter__", no_iteration)
-    ast = parse_corpus("Mixed.java")
+    src = corpus_source("Mixed.java")
+    ast = parse_compilation_unit(src)
     monkeypatch.undo()
-    assert ast.classes and all(type(t) is tuple for t in tokenize(ast.source))
+    assert ast.classes and all(type(t) is tuple for t in tokenize(src.content))
 
 
 def _spans(obj):
@@ -346,40 +347,6 @@ def test_annotation_names_configurable():
     assert [c.name for c in annotated_as_thread_safe(ast, ("GuardedClass",))] == ["C"]
 
 
-# --- reconstruct_span ---
-
-
-def test_reconstruct_statement_span():
-    src = corpus_source("CounterDR.java")
-    ast = parse_compilation_unit(src)
-    inc = ast.classes[0].methods[0]
-    write_stmt = inc.body.stmts[2]
-    assert reconstruct_span(ast, write_stmt.span) == "cnt = temp;"
-
-
-def test_reconstruct_zero_width_span():
-    ast = parse_corpus("CounterDR.java")
-    span = A.SourceSpan(ast.path, 5, 5, LineTable(ast.source))
-    assert reconstruct_span(ast, span) == ""
-
-
-def test_reconstruct_span_crossing_statements():
-    src = corpus_source("CounterDR.java")
-    ast = parse_compilation_unit(src)
-    stmts = ast.classes[0].methods[0].body.stmts
-    span = A.SourceSpan(ast.path, stmts[0].span.start, stmts[1].span.end, LineTable(ast.source))
-    text = reconstruct_span(ast, span)
-    assert text.startswith("int temp = cnt;") and text.endswith("temp += 1;")
-
-
-def test_reconstruct_out_of_range():
-    ast = parse_corpus("CounterDR.java")
-    with pytest.raises(SpanOutOfRange):
-        reconstruct_span(ast, A.SourceSpan(ast.path, 0, 10**6, LineTable(ast.source)))
-    with pytest.raises(SpanOutOfRange):
-        reconstruct_span(ast, A.SourceSpan("other.java", 0, 1, LineTable(ast.source)))
-
-
 # --- round-trip and determinism properties ---
 
 
@@ -419,6 +386,8 @@ def test_token_roundtrip_whole_corpus(corpus_names):
 
 
 def test_statement_spans_slice_original(corpus_names):
+    """A statement's span, sliced from the parsed text, holds the tokens of
+    the statement, as the printer renders it."""
     for name in corpus_names:
         src = corpus_source(name)
         ast = parse_compilation_unit(src)
@@ -426,23 +395,27 @@ def test_statement_spans_slice_original(corpus_names):
             span = getattr(node, "span", None)
             if span is None or not isinstance(node, A.Stmt):
                 continue
-            assert reconstruct_span(ast, span) in src.content, name
+            assert span.file == src.path and 0 <= span.start <= span.end <= len(src.content), name
+            assert tokens_of(src.content[span.start:span.end]) == tokens_of(to_source(node)), name
 
 
 def test_span_nesting(corpus_names):
+    def within(outer, inner):
+        return outer.start <= inner.start and inner.end <= outer.end
+
     for name in corpus_names:
         ast = parse_compilation_unit(corpus_source(name))
         for c in ast.iter_classes():
             for m in c.methods + c.constructors:
-                assert c.span.contains(m.span)
+                assert within(c.span, m.span)
                 if m.body is not None:
-                    assert m.span.contains(m.body.span)
+                    assert within(m.span, m.body.span)
                     for s in m.body.stmts:
-                        assert m.body.span.contains(s.span)
+                        assert within(m.body.span, s.span)
             for f in c.fields:
-                assert c.span.contains(f.span)
+                assert within(c.span, f.span)
                 if f.initializer is not None:
-                    assert f.span.contains(f.initializer.span)
+                    assert within(f.span, f.initializer.span)
 
 
 def test_parse_deterministic(corpus_names):
@@ -462,6 +435,40 @@ def test_pretty_print_idempotent(corpus_names):
         once = to_source(parse_compilation_unit(src))
         twice = to_source(parse_compilation_unit(SourceFile(src.path, once)))
         assert once == twice
+
+
+# a string or char literal, as the lexer accepts it, or a run of whitespace
+_LITERAL_OR_SPACE = re.compile(r"""("(?:[^"\\\r\n]|\\.)*"|'(?:[^'\\\r\n]|\\.)*')|\s+""")
+
+
+def _printed_identity(expr):
+    """The printer's rendering of ``expr`` with whitespace outside literals
+    dropped and whitespace and ``#`` inside them spelled ``\\uXXXX``."""
+    def spell(m):
+        if m.group(1) is None:
+            return ""
+        return re.sub(r"[\s#]", lambda c: f"\\u{ord(c.group()):04x}", m.group(1))
+
+    return _LITERAL_OR_SPACE.sub(spell, to_source(expr))
+
+
+def test_canonical_text_is_the_printed_expression_without_whitespace():
+    """The token path that names monitors and the printer agree on every
+    expression of the corpus, the oracle probes and the full-size workloads,
+    and on literals that hold whitespace and ``#``."""
+    extra = ["class A { void f() { synchronized (m(\"a b\", ' ', '#', \"x\\t#y\") /* c */ . n [ i ]) { } } }",
+             "class A { int f() { return - - a + ( b  *c ) ; } }"]
+    checked = 0
+    for text in full_size_sources() + extra:
+        for c in parse_source(text).iter_classes():
+            roots = [f.initializer for f in c.fields if f.initializer is not None]
+            roots += [m.body for m in c.methods + c.constructors if m.body is not None]
+            for root in roots:
+                for e in A.walk(root):
+                    if isinstance(e, A.Expr):
+                        assert A.canonical_text(e) == _printed_identity(e), to_source(e)
+                        checked += 1
+    assert checked > 10000
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ from threadlint import classmodel as classmodel_module
 from threadlint.classmodel import build_class_model, exposed_accesses
 from threadlint.errors import BudgetExceeded, UnsupportedForOracle
 from threadlint.frontend import ast as A
-from threadlint.frontend.printer import canonical_text
+from threadlint.frontend.ast import canonical_text
 from threadlint.frontend import parse_source
 from threadlint.hboracle import Op, check_class
 from threadlint.hboracle.driver import _DriverBuilder
